@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-json lint lint-json lint-selftest fuzz-smoke crash-recovery compression ingest
+.PHONY: check fmt vet build test race bench bench-json bench-e2e lint lint-json lint-selftest fuzz-smoke crash-recovery compression ingest
 
 # check is the pre-PR gate: formatting, static analysis (go vet plus
 # the project's own monsterlint suite), a full build, the whole test
@@ -126,3 +126,14 @@ bench-json:
 	BENCH_JSON=$(CURDIR)/BENCH_compression.json $(GO) test -run '^TestBenchJSON$$' -count=1 -v ./internal/tsdb
 	BENCH_JSON=$(CURDIR)/BENCH_rollup.json $(GO) test -run '^TestBenchRollupJSON$$' -count=1 -v ./internal/tsdb
 	BENCH_JSON=$(CURDIR)/BENCH_coldtier.json $(GO) test -run '^TestBenchColdTierJSON$$' -count=1 -v ./internal/tsdb
+
+# bench-e2e runs the end-to-end + per-layer benchmark (cmd/loadgen, see
+# internal/bench/README.md): all four workloads, five runs each, then a
+# comparison against the checked-in baseline. Report-only — the
+# baseline was measured on another host, so a REGRESSION verdict here
+# is a prompt to run interleaved pairs, not a gate.
+BENCH_E2E_OUT ?= .loadgen/bench-e2e.json
+bench-e2e:
+	@mkdir -p $(dir $(BENCH_E2E_OUT))
+	$(GO) run ./cmd/loadgen -workload all -repeat 5 -out $(BENCH_E2E_OUT)
+	-$(GO) run ./cmd/loadgen -compare internal/bench/baseline.json $(BENCH_E2E_OUT)

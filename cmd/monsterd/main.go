@@ -45,7 +45,7 @@ func main() {
 		fsyncInterval = flag.Duration("fsync-interval", time.Second, "fsync cadence under -fsync interval (bounds power-loss exposure)")
 		snapInterval  = flag.Duration("snapshot-interval", 5*time.Minute, "background checkpoint (snapshot + WAL truncation) cadence when -wal-dir is set")
 
-		decodeCacheMB = flag.Int64("decode-cache-mb", 0, "sealed-block decode cache budget in MiB (0 = default 64, negative = unbounded)")
+		decodeCacheMB = flag.Int64("decode-cache-mb", 0, "sealed-block decode cache budget in MiB, charged 16 B per decoded numeric point (0 = default 64, about 4.2M points; negative = unbounded)")
 		coldDir       = flag.String("cold-dir", "", "enable the file-backed cold tier: sealed blocks past -cold-after spill compressed payloads to segment files in this directory")
 		coldAfter     = flag.Duration("cold-after", time.Hour, "age past which sealed blocks spill to -cold-dir")
 		coldMaxMB     = flag.Int64("cold-max-resident-mb", 0, "resident compressed sealed-block budget in MiB: oldest blocks past it spill to -cold-dir regardless of age (0 = age-only)")

@@ -100,14 +100,20 @@ type block struct {
 	cache atomic.Pointer[blockPayload]
 }
 
-// blockPayload is a decoded block: parallel time/value slices, never
+// blockPayload is a decoded block: parallel times and values, never
 // written after construction. ref is the CLOCK second-chance bit — the
 // only mutable cell, set lock-free by cache hits and cleared by the
 // eviction sweep (see cache.go).
 type blockPayload struct {
 	times []int64
-	vals  []Value
+	vals  valueVec
 	ref   atomic.Bool
+}
+
+// bytes is the payload's decoded size, the decode cache's charge: 16 B
+// per numeric point, a Value cell plus string bytes per mixed one.
+func (p *blockPayload) bytes() int64 {
+	return 8*int64(len(p.times)) + p.vals.heapBytes()
 }
 
 // overlaps reports whether the block intersects [start, end).
@@ -144,28 +150,18 @@ func (b *block) compressedLen() int {
 // sealBlock compresses one sorted run of samples into an immutable
 // block. times must be non-empty and sorted ascending; the slices are
 // only read.
-func sealBlock(times []int64, vals []Value) *block {
+func sealBlock(times []int64, vals valueVec) *block {
 	n := len(times)
 	b := &block{minT: times[0], maxT: times[n-1], count: n}
-	for i := range vals {
-		b.rawBytes += 8 + int64(vals[i].EncodedSize())
-	}
+	b.rawBytes = 8*int64(n) + vals.encodedSize()
 
+	vals = vals.narrowed()
 	venc := vencMixed
-	switch vals[0].Kind {
-	case KindFloat:
+	switch vals.kind {
+	case vecFloat:
 		venc = vencFloat
-	case KindInt:
+	case vecInt:
 		venc = vencInt
-	}
-	if venc != vencMixed {
-		want := vals[0].Kind
-		for i := 1; i < n; i++ {
-			if vals[i].Kind != want {
-				venc = vencMixed
-				break
-			}
-		}
 	}
 
 	buf := make([]byte, 0, n/4+16)
@@ -187,13 +183,13 @@ func sealBlock(times []int64, vals []Value) *block {
 	switch venc {
 	case vencFloat:
 		w := bitWriter{buf: buf}
-		prev := math.Float64bits(vals[0].F)
+		prev := math.Float64bits(vals.f[0])
 		w.writeBits(prev, 64)
 		// lead > 64 marks "no window yet": the first changed value
 		// always opens one.
 		lead, trail := uint(65), uint(65)
 		for i := 1; i < n; i++ {
-			cur := math.Float64bits(vals[i].F)
+			cur := math.Float64bits(vals.f[i])
 			x := cur ^ prev
 			prev = cur
 			if x == 0 {
@@ -220,15 +216,15 @@ func sealBlock(times []int64, vals []Value) *block {
 		}
 		buf = w.buf
 	case vencInt:
-		prev := vals[0].I
+		prev := vals.i[0]
 		buf = binary.AppendVarint(buf, prev)
 		for i := 1; i < n; i++ {
-			buf = binary.AppendVarint(buf, vals[i].I-prev)
-			prev = vals[i].I
+			buf = binary.AppendVarint(buf, vals.i[i]-prev)
+			prev = vals.i[i]
 		}
 	default:
-		for i := range vals {
-			buf = appendValue(buf, vals[i])
+		for i := range vals.m {
+			buf = appendValue(buf, vals.m[i])
 		}
 	}
 	b.data = buf
@@ -302,17 +298,20 @@ func (b *block) validate() (*blockPayload, error) {
 // input length — each encoded point costs at least one payload byte,
 // so a count the payload cannot back is rejected before any
 // allocation.
-func decodeBlockData(data []byte) ([]int64, []Value, error) {
+func decodeBlockData(data []byte) ([]int64, valueVec, error) {
+	fail := func(format string, args ...any) ([]int64, valueVec, error) {
+		return nil, valueVec{}, fmt.Errorf("%w: "+format, append([]any{errBlockCorrupt}, args...)...)
+	}
 	n, sz := binary.Uvarint(data)
 	if sz <= 0 {
-		return nil, nil, fmt.Errorf("%w: bad count", errBlockCorrupt)
+		return fail("bad count")
 	}
 	if n == 0 || n > maxBlockPoints || n > uint64(len(data)) {
-		return nil, nil, fmt.Errorf("%w: count %d out of range for %d payload bytes", errBlockCorrupt, n, len(data))
+		return fail("count %d out of range for %d payload bytes", n, len(data))
 	}
 	off := sz
 	if off >= len(data) {
-		return nil, nil, fmt.Errorf("%w: missing value encoding", errBlockCorrupt)
+		return fail("missing value encoding")
 	}
 	venc := data[off]
 	off++
@@ -321,21 +320,21 @@ func decodeBlockData(data []byte) ([]int64, []Value, error) {
 	times := make([]int64, count)
 	t0, sz := binary.Varint(data[off:])
 	if sz <= 0 {
-		return nil, nil, fmt.Errorf("%w: bad t0", errBlockCorrupt)
+		return fail("bad t0")
 	}
 	off += sz
 	times[0] = t0
 	if count > 1 {
 		delta, sz := binary.Varint(data[off:])
 		if sz <= 0 {
-			return nil, nil, fmt.Errorf("%w: bad first delta", errBlockCorrupt)
+			return fail("bad first delta")
 		}
 		off += sz
 		times[1] = times[0] + delta
 		for i := 2; i < count; i++ {
 			dod, sz := binary.Varint(data[off:])
 			if sz <= 0 {
-				return nil, nil, fmt.Errorf("%w: bad delta-of-delta", errBlockCorrupt)
+				return fail("bad delta-of-delta")
 			}
 			off += sz
 			delta += dod
@@ -343,88 +342,92 @@ func decodeBlockData(data []byte) ([]int64, []Value, error) {
 		}
 	}
 
-	vals := make([]Value, count)
+	var vals valueVec
 	switch venc {
 	case vencFloat:
+		f := make([]float64, count)
+		vals = valueVec{kind: vecFloat, f: f}
 		r := bitReader{buf: data[off:]}
-		first, err := r.readBits(64)
+		prev, err := r.readBits(64)
 		if err != nil {
-			return nil, nil, err
+			return nil, valueVec{}, err
 		}
-		prev := first
-		vals[0] = Float(math.Float64frombits(prev))
+		f[0] = math.Float64frombits(prev)
 		lead, trail := uint(65), uint(65)
 		for i := 1; i < count; i++ {
 			ctrl, err := r.readBits(1)
 			if err != nil {
-				return nil, nil, err
+				return nil, valueVec{}, err
 			}
 			if ctrl == 0 {
-				vals[i] = Float(math.Float64frombits(prev))
+				f[i] = math.Float64frombits(prev)
 				continue
 			}
 			ctrl, err = r.readBits(1)
 			if err != nil {
-				return nil, nil, err
+				return nil, valueVec{}, err
 			}
 			if ctrl == 1 {
 				hdr, err := r.readBits(11)
 				if err != nil {
-					return nil, nil, err
+					return nil, valueVec{}, err
 				}
 				lead = uint(hdr >> 6)
 				sig := uint(hdr&0x3f) + 1
 				if lead+sig > 64 {
-					return nil, nil, fmt.Errorf("%w: float window %d+%d bits", errBlockCorrupt, lead, sig)
+					return fail("float window %d+%d bits", lead, sig)
 				}
 				trail = 64 - lead - sig
 			} else if lead > 64 {
-				return nil, nil, fmt.Errorf("%w: window reuse before first window", errBlockCorrupt)
+				return fail("window reuse before first window")
 			}
 			sig := 64 - lead - trail
 			mbits, err := r.readBits(sig)
 			if err != nil {
-				return nil, nil, err
+				return nil, valueVec{}, err
 			}
 			prev ^= mbits << trail
-			vals[i] = Float(math.Float64frombits(prev))
+			f[i] = math.Float64frombits(prev)
 		}
 		if rem := r.remainingBytes(); rem > 0 {
-			return nil, nil, fmt.Errorf("%w: %d trailing bytes after float stream", errBlockCorrupt, rem)
+			return fail("%d trailing bytes after float stream", rem)
 		}
 		return times, vals, nil
 	case vencInt:
-		v0, sz := binary.Varint(data[off:])
+		iv := make([]int64, count)
+		vals = valueVec{kind: vecInt, i: iv}
+		prev, sz := binary.Varint(data[off:])
 		if sz <= 0 {
-			return nil, nil, fmt.Errorf("%w: bad first int", errBlockCorrupt)
+			return fail("bad first int")
 		}
 		off += sz
-		vals[0] = Int(v0)
-		prev := v0
+		iv[0] = prev
 		for i := 1; i < count; i++ {
 			d, sz := binary.Varint(data[off:])
 			if sz <= 0 {
-				return nil, nil, fmt.Errorf("%w: bad int delta", errBlockCorrupt)
+				return fail("bad int delta")
 			}
 			off += sz
 			prev += d
-			vals[i] = Int(prev)
+			iv[i] = prev
 		}
 	case vencMixed:
+		m := make([]Value, count)
+		vals = valueVec{kind: vecMixed, m: m}
 		d := &walDecoder{b: data, off: off}
 		for i := 0; i < count; i++ {
 			v, err := d.value()
 			if err != nil {
-				return nil, nil, fmt.Errorf("%w: %v", errBlockCorrupt, err)
+				return fail("%v", err)
 			}
-			vals[i] = v
+			m[i] = v
 		}
 		off = d.off
 	default:
-		return nil, nil, fmt.Errorf("%w: unknown value encoding %d", errBlockCorrupt, venc)
+		return fail("unknown value encoding %d", venc)
 	}
 	if off != len(data) {
-		return nil, nil, fmt.Errorf("%w: %d trailing bytes", errBlockCorrupt, len(data)-off)
+		return fail("%d trailing bytes", len(data)-off)
 	}
 	return times, vals, nil
 }
@@ -545,22 +548,13 @@ func (it *columnIterator) next(stats *QueryStats) (colChunk, bool) {
 		}
 		p, fromDisk, err := blk.decode(it.cache)
 		if err != nil {
-			if blk.cold != nil {
-				// A spilled block that cannot be read back is an IO
-				// fault — a missing, truncated, or corrupt segment file.
-				// Latch it so the query fails instead of answering with
-				// durable data silently missing.
-				if stats.scanErr == nil {
-					stats.scanErr = err
-				}
-				stats.BlocksSkipped++
-				continue
+			// A sealed block that cannot be read back — a missing,
+			// truncated or corrupt cold segment, a damaged resident
+			// payload — fails the query: skipping it would answer with
+			// stored data silently missing.
+			if stats.scanErr == nil {
+				stats.scanErr = err
 			}
-			// Resident blocks are validated when sealed and when
-			// restored; an undecodable one here is post-hoc memory
-			// corruption. Drop it from the scan rather than failing the
-			// whole query.
-			stats.BlocksSkipped++
 			continue
 		}
 		stats.BlocksDecoded++
@@ -575,14 +569,14 @@ func (it *columnIterator) next(stats *QueryStats) (colChunk, bool) {
 			hi = sort.Search(len(p.times), func(i int) bool { return p.times[i] >= it.end })
 		}
 		if lo < hi {
-			return colChunk{times: p.times, vals: p.vals, lo: lo, hi: hi}, true
+			return colChunk{times: p.times[lo:hi], vals: p.vals.slice(lo, hi)}, true
 		}
 	}
 	if !it.tailDone {
 		it.tailDone = true
 		lo, hi := it.col.rangeIndexes(it.start, it.end)
 		if lo < hi {
-			return colChunk{times: it.col.times, vals: it.col.vals, lo: lo, hi: hi}, true
+			return colChunk{times: it.col.times[lo:hi], vals: it.col.vals.slice(lo, hi)}, true
 		}
 	}
 	return colChunk{}, false

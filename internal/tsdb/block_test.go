@@ -78,7 +78,7 @@ func TestBlockRoundTripProperty(t *testing.T) {
 		for trial := 0; trial < 25; trial++ {
 			n := 1 + rng.Intn(300)
 			times, vals := genColumn(rng, style, n)
-			blk := sealBlock(times, vals)
+			blk := sealBlock(times, vecOf(vals))
 			if blk.minT != times[0] || blk.maxT != times[n-1] || blk.count != n {
 				t.Fatalf("%s: bad header %+v for %d points [%d,%d]", style, blk, n, times[0], times[n-1])
 			}
@@ -94,14 +94,14 @@ func TestBlockRoundTripProperty(t *testing.T) {
 					t.Fatalf("%s trial %d: time %d: want %d got %d", style, trial, i, times[i], p.times[i])
 				}
 			}
-			valuesEqual(t, vals, p.vals)
+			valuesEqual(t, vals, p.vals.values())
 		}
 	}
 }
 
 func TestBlockDecodeRejectsCorrupt(t *testing.T) {
 	times, vals := genColumn(rand.New(rand.NewSource(7)), "float-smooth", 64)
-	blk := sealBlock(times, vals)
+	blk := sealBlock(times, vecOf(vals))
 	// Truncations at every length must error, never panic.
 	for cut := 0; cut < len(blk.data); cut++ {
 		if _, _, err := decodeBlockData(blk.data[:cut]); err == nil {
@@ -305,10 +305,10 @@ func TestColumnIteratorWalksBlocksThenTail(t *testing.T) {
 			times = append(times, int64(b*40+i*10))
 			vals = append(vals, Float(float64(b*4+i)))
 		}
-		col.blocks = append(col.blocks, sealBlock(times, vals))
+		col.blocks = append(col.blocks, sealBlock(times, vecOf(vals)))
 	}
 	col.times = []int64{120, 130}
-	col.vals = []Value{Float(12), Float(13)}
+	col.vals = vecOf([]Value{Float(12), Float(13)})
 
 	var stats QueryStats
 	it := newColumnIterator(col, 15, 125, nil)
@@ -318,9 +318,7 @@ func TestColumnIteratorWalksBlocksThenTail(t *testing.T) {
 		if !ok {
 			break
 		}
-		for i := ch.lo; i < ch.hi; i++ {
-			got = append(got, ch.times[i])
-		}
+		got = append(got, ch.times...)
 	}
 	want := []int64{20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -414,7 +412,7 @@ func writeSnapshotV1(t *testing.T, db *DB, w *bytes.Buffer) {
 				ew.u32(uint32(len(col.times)))
 				for i := range col.times {
 					ew.i64(col.times[i])
-					ew.value(col.vals[i])
+					ew.value(col.vals.at(i))
 				}
 			}
 		}
@@ -496,7 +494,7 @@ func TestRangeIndexesSuffixSearch(t *testing.T) {
 	c := &column{}
 	for i := 0; i < 200; i++ {
 		c.times = append(c.times, int64(i/3*10)) // runs of duplicates
-		c.vals = append(c.vals, Float(0))
+		c.vals.append(Float(0))
 	}
 	naive := func(start, end int64) (int, int) {
 		lo, hi := 0, 0

@@ -21,16 +21,13 @@ import (
 // Only misses (decode + admit) and evictions take the cache mutex.
 
 // defaultDecodeCacheBytes is the budget when Options.DecodeCacheBytes
-// is zero: 64 MiB holds ~1.2M decoded points — a day of minutely
-// telemetry for a few hundred nodes.
+// is zero: 64 MiB holds ~4.2M decoded numeric points — three days of
+// minutely telemetry for a few hundred nodes. Each payload is charged
+// its decoded size (blockPayload.bytes: 16 B per numeric point, a Value
+// cell plus string bytes per mixed one); slice headers and allocator
+// slack are not counted. The budget is a working-set bound, not an
+// allocator audit.
 const defaultDecodeCacheBytes = 64 << 20
-
-// cachedPointBytes is the accounting charge per decoded point: an
-// int64 timestamp plus one Value struct (kind + float + int + string
-// header + bool, padded). Slice headers and allocator slack are not
-// counted; string payloads in mixed blocks are charged at header size
-// only. The budget is a working-set bound, not an allocator audit.
-const cachedPointBytes = 8 + 48
 
 // cacheEntry tracks one admitted payload for the CLOCK sweep.
 type cacheEntry struct {
@@ -79,7 +76,7 @@ func (c *decodeCache) hit(p *blockPayload) {
 // every admit path, because a racing eviction of the winner can leave
 // the budget violated at exactly the moment the loser arrives.
 func (c *decodeCache) admit(blk *block, p *blockPayload) {
-	bytes := int64(blk.count) * cachedPointBytes
+	bytes := p.bytes()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[blk]; ok {

@@ -68,8 +68,8 @@ func TestDecodeCacheCounters(t *testing.T) {
 // keep resident bytes at or under budget by evicting, never crash, and
 // still answer correctly.
 func TestDecodeCacheBudgetEviction(t *testing.T) {
-	const budget = 64 * 1024              // ~1170 points of 64k decoded
-	db := cacheFixture(t, budget, 8, 512) // 4096 points decoded cold
+	const budget = 16 * 1024              // 1,024 decoded float points at 16 B
+	db := cacheFixture(t, budget, 8, 512) // 4,096 points decoded cold
 	for pass := 0; pass < 3; pass++ {
 		res, err := db.Query(`SELECT count("Reading") FROM "Power"`)
 		if err != nil {
@@ -134,10 +134,10 @@ func TestDecodeCachePurgeOnDelete(t *testing.T) {
 func TestDecodeCacheAdmitDedup(t *testing.T) {
 	c := newDecodeCache(1 << 20)
 	blk := &block{count: 10}
-	p1 := &blockPayload{}
+	p1 := floatPayload(10)
 	blk.cache.Store(p1)
 	c.admit(blk, p1)
-	want := int64(10) * cachedPointBytes
+	want := int64(10) * 16
 	if m := c.misses.Load(); m != 1 {
 		t.Fatalf("first admit: misses = %d, want 1", m)
 	}
@@ -147,7 +147,7 @@ func TestDecodeCacheAdmitDedup(t *testing.T) {
 
 	// A racing decoder lost: it stored its own payload into the memo
 	// and now admits it.
-	p2 := &blockPayload{}
+	p2 := floatPayload(10)
 	blk.cache.Store(p2)
 	c.admit(blk, p2)
 	if m := c.misses.Load(); m != 1 {
@@ -178,7 +178,7 @@ func TestDecodeCacheAdmitRace(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for _, blk := range blocks {
-				p := &blockPayload{}
+				p := floatPayload(8)
 				blk.cache.Store(p)
 				c.admit(blk, p)
 			}
@@ -190,7 +190,7 @@ func TestDecodeCacheAdmitRace(t *testing.T) {
 	if m := c.misses.Load(); m != int64(len(blocks)) {
 		t.Fatalf("misses = %d, want %d (one per distinct block)", m, len(blocks))
 	}
-	want := int64(len(blocks)) * 8 * cachedPointBytes
+	want := int64(len(blocks)) * 8 * 16
 	if r := c.resident.Load(); r != want {
 		t.Fatalf("resident = %d, want %d", r, want)
 	}

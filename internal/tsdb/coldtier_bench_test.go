@@ -46,9 +46,9 @@ func benchColdPoints() []Point {
 }
 
 // benchColdFixture builds (once) the spilled database and its fully
-// resident twin. Tiny decode caches keep every timed scan honest:
-// the cold engine re-reads from disk, the resident engine re-decodes
-// from memory, so the ratio isolates the pread cost.
+// resident twin. Tiny decode caches (four decoded blocks) keep every
+// timed scan honest: the cold engine re-reads from disk, the resident
+// engine re-decodes from memory, so the ratio isolates the pread cost.
 func benchColdFixture(tb testing.TB) (*DB, *DB) {
 	benchColdOnce.Do(func() {
 		dir, err := os.MkdirTemp("", "monster-bench-cold-")
@@ -58,14 +58,14 @@ func benchColdFixture(tb testing.TB) (*DB, *DB) {
 		cold := Open(Options{
 			BlockSize:            128,
 			PlannerOff:           true,
-			DecodeCacheBytes:     32 * 1024,
+			DecodeCacheBytes:     8 * 1024,
 			ColdDir:              dir,
 			ColdMaxResidentBytes: benchColdBudget,
 		})
 		resident := Open(Options{
 			BlockSize:        128,
 			PlannerOff:       true,
-			DecodeCacheBytes: 32 * 1024,
+			DecodeCacheBytes: 8 * 1024,
 		})
 		pts := benchColdPoints()
 		if err := cold.WritePoints(pts); err != nil {

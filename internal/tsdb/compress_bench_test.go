@@ -14,12 +14,12 @@ const benchSeriesStart = 1587384000
 // benchColumn builds one monotonic HPC column: minute cadence, a power
 // reading oscillating in a narrow band — the shape the collector
 // produces for every node.
-func benchColumn(n int) ([]int64, []Value) {
+func benchColumn(n int) ([]int64, valueVec) {
 	times := make([]int64, n)
-	vals := make([]Value, n)
+	vals := makeVec(vecFloat, n)
 	for i := 0; i < n; i++ {
 		times[i] = benchSeriesStart + int64(i*60)
-		vals[i] = Float(200 + float64(i%50))
+		vals.append(Float(200 + float64(i%50)))
 	}
 	return times, vals
 }

@@ -43,7 +43,8 @@ type Options struct {
 
 	// DecodeCacheBytes bounds the total resident bytes of decoded
 	// sealed-block payloads (the age-based retention tier for memory —
-	// see cache.go). Zero selects a 64 MiB default; negative removes
+	// see cache.go), each charged its decoded size: 16 B per numeric
+	// point. Zero selects a 64 MiB default; negative removes
 	// the bound (the PR 5 keep-everything baseline for A/B runs).
 	DecodeCacheBytes int64
 
@@ -253,7 +254,10 @@ func (db *DB) WritePoints(points []Point) error {
 		b.indexSeries(p, key, sorted)
 		b.writePoint(p, key, sorted)
 	}
-	nv := b.finish(len(points) > 0, wait.Nanoseconds())
+	nv, err := b.finish(len(points) > 0, wait.Nanoseconds())
+	if err != nil {
+		return err
+	}
 	nv, ops, wms, err := db.rollupMaintain(nv, points)
 	if err != nil {
 		return err
@@ -453,12 +457,11 @@ func (db *DB) Compression() CompressionStats {
 						cs.BlocksCached++
 					}
 				}
-				for i := range col.times {
-					sz := 8 + int64(col.vals[i].EncodedSize())
-					cs.TailPoints++
-					cs.BytesRaw += sz
-					cs.BytesCompressed += sz
-				}
+				n := int64(len(col.times))
+				sz := 8*n + col.vals.encodedSize()
+				cs.TailPoints += n
+				cs.BytesRaw += sz
+				cs.BytesCompressed += sz
 			}
 		}
 	}

@@ -56,12 +56,11 @@ type QueryStats struct {
 	// planner's read amplification win.
 	TierRawEquivalent int64
 
-	// scanErr latches the first cold-tier read failure hit during the
-	// scan. Resident-block decode failures are post-hoc memory
-	// corruption and keep the legacy skip-and-continue behaviour, but a
-	// spilled block that cannot be read back is an IO fault (missing or
-	// truncated segment, checksum mismatch) that must fail the query —
-	// silently skipping it would return answers missing durable data.
+	// scanErr latches the first sealed block the scan could not read
+	// back: an IO fault on a spilled block (missing or truncated
+	// segment, checksum mismatch) or a damaged resident payload. Either
+	// must fail the query — silently skipping the block would return
+	// answers missing stored data.
 	scanErr error
 }
 
@@ -95,8 +94,8 @@ func (s *QueryStats) Add(o QueryStats) {
 }
 
 // Row is one output row: a timestamp and one value per projected
-// column. A nil-kind? No — missing values are reported via the Present
-// bitmap to keep Value simple.
+// column. Missing values are reported via the Present bitmap, which
+// keeps Value free of a null kind.
 type Row struct {
 	Time    int64
 	Values  []Value
@@ -546,7 +545,7 @@ func tagsLess(a, b Tags) bool {
 	return len(a) < len(b)
 }
 
-// sample is one (time, value) pulled from a column during a scan.
+// sample is one (time, value) pulled from a column during a raw scan.
 type sample struct {
 	t int64
 	v Value
@@ -554,36 +553,36 @@ type sample struct {
 
 // colChunk is one contiguous, time-sorted run of samples that falls
 // inside the query range — a window onto either a decoded sealed
-// block's payload or a column's raw tail. Scans operate on chunk lists
-// so the common case — every chunk already in global time order — can
-// aggregate straight off the storage slices without materializing
-// per-sample structs.
+// block's payload or a column's raw tail. Aggregation reads the chunks'
+// typed slices in place; nothing is materialized per sample.
 type colChunk struct {
-	times  []int64
-	vals   []Value
-	lo, hi int
+	times []int64
+	vals  valueVec
 }
 
-// collectChunks gathers the column ranges of one field across the
-// group's series and overlapping shards. It reports whether visiting
-// the chunks in order yields globally time-sorted samples, and the
-// total sample count. It charges block decode/prune work to stats but
-// not per-sample counters — the caller accounts for each sample
-// exactly once when it is consumed.
-func collectChunks(keys []string, field string, shards []*shard, start, end int64, stats *QueryStats, cache *decodeCache) ([]colChunk, bool, int) {
-	return collectChunksInto(nil, keys, field, shards, start, end, stats, cache)
+// chargeChunks accounts the chunks' samples to the query stats; every
+// scan calls it exactly once per chunk list.
+func chargeChunks(chunks []colChunk, stats *QueryStats) {
+	for i := range chunks {
+		n := int64(len(chunks[i].times))
+		stats.PointsScanned += n
+		stats.BytesScanned += 8*n + chunks[i].vals.encodedSize()
+	}
 }
 
-// collectChunksInto is collectChunks appending into a reusable buffer.
+// collectChunksInto gathers, appending into a reusable buffer, the
+// column ranges of one field across the group's series and overlapping
+// shards, and reports whether visiting the chunks in order yields
+// globally time-sorted samples. It charges block decode/prune work to
+// stats but not per-sample counters (see chargeChunks).
+//
 // Published columns are invariantly time-sorted (see shard.go), and
 // sealed blocks are immutable with idempotent decode caching, so this
 // is a walk safe for any number of concurrent readers. Each column is
 // visited through a columnIterator: sealed blocks (header-pruned, then
 // decoded) followed by the raw tail.
-func collectChunksInto(chunks []colChunk, keys []string, field string, shards []*shard, start, end int64, stats *QueryStats, cache *decodeCache) (_ []colChunk, sorted bool, n int) {
+func collectChunksInto(chunks []colChunk, keys []string, field string, shards []*shard, start, end int64, stats *QueryStats, cache *decodeCache) (_ []colChunk, sorted bool) {
 	sorted = true
-	var last int64
-	have := false
 	for _, sh := range shards {
 		for _, k := range keys {
 			sr, ok := sh.series[k]
@@ -600,184 +599,71 @@ func collectChunksInto(chunks []colChunk, keys []string, field string, shards []
 				if !ok {
 					break
 				}
-				if have && ch.times[ch.lo] < last {
-					sorted = false
+				if n := len(chunks); n > 0 {
+					if prev := chunks[n-1].times; ch.times[0] < prev[len(prev)-1] {
+						sorted = false
+					}
 				}
-				last = ch.times[ch.hi-1]
-				have = true
 				chunks = append(chunks, ch)
-				n += ch.hi - ch.lo
 			}
 		}
 	}
-	return chunks, sorted, n
+	return chunks, sorted
 }
 
-// materialize flattens a chunk list into a time-sorted sample slice,
-// charging each sample to the query stats.
-func materialize(chunks []colChunk, sorted bool, n int, stats *QueryStats) []sample {
-	out := make([]sample, 0, n)
-	for _, ch := range chunks {
-		for i := ch.lo; i < ch.hi; i++ {
-			out = append(out, sample{ch.times[i], ch.vals[i]})
-			stats.PointsScanned++
-			stats.BytesScanned += 8 + int64(ch.vals[i].EncodedSize())
-		}
+// mergeChunks folds an out-of-order chunk list (several series in one
+// group, their samples interleaved in time) into one chunk sorted by
+// time — stable, so equal timestamps keep their scan order.
+func mergeChunks(chunks []colChunk) colChunk {
+	var col column
+	for i := range chunks {
+		col.times = append(col.times, chunks[i].times...)
+		col.vals.appendVec(chunks[i].vals)
 	}
-	if !sorted {
-		sort.SliceStable(out, func(i, j int) bool { return out[i].t < out[j].t })
-	}
-	return out
+	col.sortByTime()
+	return colChunk{times: col.times, vals: col.vals}
 }
 
 // scanField collects, in time order, every sample of one field across
 // the group's series and the overlapping shards.
 func scanField(keys []string, field string, shards []*shard, start, end int64, stats *QueryStats, cache *decodeCache) []sample {
-	chunks, sorted, n := collectChunks(keys, field, shards, start, end, stats, cache)
-	return materialize(chunks, sorted, n, stats)
+	chunks, sorted := collectChunksInto(nil, keys, field, shards, start, end, stats, cache)
+	chargeChunks(chunks, stats)
+	if !sorted {
+		chunks = []colChunk{mergeChunks(chunks)}
+	}
+	n := 0
+	for i := range chunks {
+		n += len(chunks[i].times)
+	}
+	out := make([]sample, 0, n)
+	for i := range chunks {
+		ch := &chunks[i]
+		for j, t := range ch.times {
+			out = append(out, sample{t, ch.vals.at(j)})
+		}
+	}
+	return out
 }
 
-// maxFastBuckets bounds the dense bucket array used by the aggregation
-// fast path; sparser or wider queries fall back to the map-based path.
-const maxFastBuckets = 1 << 16
+// bucketValue is one field's aggregate over one time bucket.
+type bucketValue struct {
+	t int64
+	v Value
+}
 
-// aggScratch recycles the non-escaping per-group buffers of the
-// aggregation fast path across the (often hundreds of) output groups
-// one worker executes. Bucket slabs are handed out zeroed.
+// aggScratch recycles the non-escaping per-group buffers of execAgg
+// across the (often hundreds of) output groups one worker executes.
 type aggScratch struct {
-	chunksPerField [][]colChunk
-	f1, f2         []float64
-	n              []int64
-	seen           []bool
+	chunks  []colChunk
+	buckets [][]bucketValue // per field, whole lists
+	heads   [][]bucketValue // per field, what the row zip has left
 }
 
-func (s *aggScratch) chunkLists(nf int) [][]colChunk {
-	if cap(s.chunksPerField) < nf {
-		s.chunksPerField = make([][]colChunk, nf)
-	}
-	s.chunksPerField = s.chunksPerField[:nf]
-	for i := range s.chunksPerField {
-		s.chunksPerField[i] = s.chunksPerField[i][:0]
-	}
-	return s.chunksPerField
-}
-
-func (s *aggScratch) floats1(nb int) []float64 {
-	if cap(s.f1) < nb {
-		s.f1 = make([]float64, nb)
-	}
-	s.f1 = s.f1[:nb]
-	clear(s.f1)
-	return s.f1
-}
-
-func (s *aggScratch) floats2(nb int) []float64 {
-	if cap(s.f2) < nb {
-		s.f2 = make([]float64, nb)
-	}
-	s.f2 = s.f2[:nb]
-	clear(s.f2)
-	return s.f2
-}
-
-func (s *aggScratch) ints(nb int) []int64 {
-	if cap(s.n) < nb {
-		s.n = make([]int64, nb)
-	}
-	s.n = s.n[:nb]
-	clear(s.n)
-	return s.n
-}
-
-func (s *aggScratch) bools(nb int) []bool {
-	if cap(s.seen) < nb {
-		s.seen = make([]bool, nb)
-	}
-	s.seen = s.seen[:nb]
-	clear(s.seen)
-	return s.seen
-}
-
-// execAgg computes aggregate rows, optionally bucketed by GROUP BY
-// time. Buckets with no samples are omitted (InfluxDB's fill(none)
-// behaviour).
-//
-// The hot path aggregates directly off the storage columns: when every
-// chunk is already in global time order (the overwhelmingly common
-// case — one series per group, appends in time order), samples are fed
-// to the aggregators in the exact order the slow path would after its
-// stable sort, so results are bit-identical while skipping the
-// per-sample materialization and the bucket hash map.
-func execAgg(q *Query, keys []string, shards []*shard, rs *ResultSeries, stats *QueryStats, scratch *aggScratch, cache *decodeCache) {
-	nf := len(q.Fields)
-	chunksPerField := scratch.chunkLists(nf)
-	allSorted := true
-	minT, maxT := int64(math.MaxInt64), int64(math.MinInt64)
-	for i, f := range q.Fields {
-		chunks, sorted, _ := collectChunksInto(chunksPerField[i], keys, f.Field, shards, q.Start, q.End, stats, cache)
-		chunksPerField[i] = chunks
-		scratch.chunksPerField[i] = chunks // keep the grown backing for reuse
-		if !sorted {
-			allSorted = false
-		}
-		if len(chunks) > 0 && sorted {
-			if t := chunks[0].times[chunks[0].lo]; t < minT {
-				minT = t
-			}
-			last := chunks[len(chunks)-1]
-			if t := last.times[last.hi-1]; t > maxT {
-				maxT = t
-			}
-		}
-	}
-	if allSorted {
-		if q.GroupByTime <= 0 {
-			aggWholeRange(q, chunksPerField, rs, stats)
-			return
-		}
-		if minT <= maxT {
-			base := minT - mod(minT, q.GroupByTime)
-			if nb := (maxT-base)/q.GroupByTime + 1; nb > 0 && nb <= maxFastBuckets {
-				aggBucketedFast(q, chunksPerField, base, int(nb), rs, stats, scratch)
-				return
-			}
-		} else {
-			return // no samples at all
-		}
-	}
-	aggBucketedSlow(q, chunksPerField, allSorted, rs, stats)
-}
-
-// aggWholeRange emits the single-row (no GROUP BY time) aggregate
-// straight from the chunk lists.
-func aggWholeRange(q *Query, chunksPerField [][]colChunk, rs *ResultSeries, stats *QueryStats) {
-	nf := len(q.Fields)
-	row := Row{Time: rangeStart(q), Values: make([]Value, nf), Present: make([]bool, nf)}
-	any := false
-	for i, f := range q.Fields {
-		agg, _ := newAggregator(f.Func)
-		for _, ch := range chunksPerField[i] {
-			for j := ch.lo; j < ch.hi; j++ {
-				agg.add(ch.vals[j])
-				stats.PointsScanned++
-				stats.BytesScanned += 8 + int64(ch.vals[j].EncodedSize())
-			}
-		}
-		if v, ok := agg.result(); ok {
-			row.Values[i], row.Present[i] = v, true
-			any = true
-		}
-	}
-	if any {
-		rs.Rows = append(rs.Rows, row)
-	}
-}
-
-// Dense bucket kernels for the simple reductions. Specializing the
-// inner scan loop per aggregate keeps the hot path free of interface
-// dispatch and per-bucket aggregator allocations; order-sensitive or
-// state-heavy aggregates (first, last, stddev, median) route through
-// the generic lazily-allocated aggregator slots.
+// The simple reductions keep their state in scalar accumulators fed
+// straight from the typed slices, free of interface dispatch;
+// order-sensitive or state-heavy aggregates (first, last, stddev,
+// median), and any field with a mixed chunk, go through an aggregator.
 const (
 	kGeneric = iota
 	kCount
@@ -787,25 +673,6 @@ const (
 	kMin
 	kSpread
 )
-
-// numericAt reads vals[j] as a float without copying the full Value
-// struct, charging its encoded size (plus the 8-byte timestamp) to
-// bytes. The kernels call this once per sample, so it stays a pointer
-// read plus a switch.
-func numericAt(vals []Value, j int, bytes *int64) (float64, bool) {
-	v := &vals[j]
-	switch v.Kind {
-	case KindFloat:
-		*bytes += 16
-		return v.F, true
-	case KindInt:
-		*bytes += 16
-		return float64(v.I), true
-	default:
-		*bytes += 8 + int64(v.EncodedSize())
-		return 0, false
-	}
-}
 
 func kernelFor(fn string) int {
 	switch fn {
@@ -826,259 +693,207 @@ func kernelFor(fn string) int {
 	}
 }
 
-// aggBucketedFast aggregates time-sorted chunks into dense bucket
-// arrays indexed by (t - base) / interval. Empty buckets cost nothing
-// and are omitted from the output (fill(none)). Row value/present
-// storage is carved from two per-group slabs instead of being
-// allocated per row.
-func aggBucketedFast(q *Query, chunksPerField [][]colChunk, base int64, nb int, rs *ResultSeries, stats *QueryStats, scratch *aggScratch) {
-	nf := len(q.Fields)
-	iv := q.GroupByTime
-	type denseField struct {
-		mode   int
-		n      []int64
-		f1, f2 []float64
-		seen   []bool
-		aggs   []aggregator
-	}
-	fields := make([]denseField, nf)
-	for i, f := range q.Fields {
-		df := &fields[i]
-		df.mode = kernelFor(f.Func)
-		// The first field borrows the worker-scoped scratch slabs
-		// (the single-field shape dominates fan-out queries); extra
-		// fields fall back to fresh allocations.
-		switch first := i == 0; df.mode {
-		case kCount:
-			if first {
-				df.n = scratch.ints(nb)
-			} else {
-				df.n = make([]int64, nb)
-			}
-		case kMean:
-			if first {
-				df.f1, df.n = scratch.floats1(nb), scratch.ints(nb)
-			} else {
-				df.f1, df.n = make([]float64, nb), make([]int64, nb)
-			}
-		case kSum, kMax, kMin:
-			if first {
-				df.f1, df.seen = scratch.floats1(nb), scratch.bools(nb)
-			} else {
-				df.f1, df.seen = make([]float64, nb), make([]bool, nb)
-			}
-		case kSpread:
-			if first {
-				df.f1, df.f2, df.seen = scratch.floats1(nb), scratch.floats2(nb), scratch.bools(nb)
-			} else {
-				df.f1, df.f2, df.seen = make([]float64, nb), make([]float64, nb), make([]bool, nb)
-			}
-		default:
-			df.aggs = make([]aggregator, nb)
-		}
-		var bytes int64
-		for _, ch := range chunksPerField[i] {
-			times, vals := ch.times, ch.vals
-			stats.PointsScanned += int64(ch.hi - ch.lo)
-			switch df.mode {
-			case kCount:
-				for j := ch.lo; j < ch.hi; j++ {
-					df.n[(times[j]-base)/iv]++
-					bytes += 8 + int64(vals[j].EncodedSize())
-				}
-			case kSum:
-				for j := ch.lo; j < ch.hi; j++ {
-					if fv, ok := numericAt(vals, j, &bytes); ok {
-						b := (times[j] - base) / iv
-						df.f1[b] += fv
-						df.seen[b] = true
-					}
-				}
-			case kMean:
-				for j := ch.lo; j < ch.hi; j++ {
-					if fv, ok := numericAt(vals, j, &bytes); ok {
-						b := (times[j] - base) / iv
-						df.f1[b] += fv
-						df.n[b]++
-					}
-				}
-			case kMax:
-				for j := ch.lo; j < ch.hi; j++ {
-					if fv, ok := numericAt(vals, j, &bytes); ok {
-						b := (times[j] - base) / iv
-						if !df.seen[b] || fv > df.f1[b] {
-							df.f1[b] = fv
-							df.seen[b] = true
-						}
-					}
-				}
-			case kMin:
-				for j := ch.lo; j < ch.hi; j++ {
-					if fv, ok := numericAt(vals, j, &bytes); ok {
-						b := (times[j] - base) / iv
-						if !df.seen[b] || fv < df.f1[b] {
-							df.f1[b] = fv
-							df.seen[b] = true
-						}
-					}
-				}
-			case kSpread:
-				for j := ch.lo; j < ch.hi; j++ {
-					if fv, ok := numericAt(vals, j, &bytes); ok {
-						b := (times[j] - base) / iv
-						if !df.seen[b] {
-							df.f1[b], df.f2[b], df.seen[b] = fv, fv, true
-						} else {
-							if fv < df.f1[b] {
-								df.f1[b] = fv
-							}
-							if fv > df.f2[b] {
-								df.f2[b] = fv
-							}
-						}
-					}
-				}
-			default:
-				for j := ch.lo; j < ch.hi; j++ {
-					b := (times[j] - base) / iv
-					a := df.aggs[b]
-					if a == nil {
-						a, _ = newAggregator(f.Func)
-						df.aggs[b] = a
-					}
-					a.add(vals[j])
-					bytes += 8 + int64(vals[j].EncodedSize())
-				}
-			}
-		}
-		stats.BytesScanned += bytes
-	}
+// bucketAcc accumulates one field over the current bucket.
+type bucketAcc struct {
+	mode   int
+	agg    aggregator // set when the field reduces through the generic accessor
+	n      int64
+	f1, f2 float64
+	seen   bool
+}
 
-	rowVals := make([]Value, nb*nf)
-	rowPres := make([]bool, nb*nf)
-	rows := make([]Row, 0, nb)
-	for b := 0; b < nb; b++ {
-		any := false
-		vs := rowVals[b*nf : (b+1)*nf : (b+1)*nf]
-		ps := rowPres[b*nf : (b+1)*nf : (b+1)*nf]
-		for i := range fields {
-			df := &fields[i]
-			var v Value
-			ok := false
-			switch df.mode {
-			case kCount:
-				if df.n[b] > 0 {
-					v, ok = Int(df.n[b]), true
-				}
-			case kSum, kMax, kMin:
-				if df.seen[b] {
-					v, ok = Float(df.f1[b]), true
-				}
-			case kMean:
-				if df.n[b] > 0 {
-					v, ok = Float(df.f1[b]/float64(df.n[b])), true
-				}
-			case kSpread:
-				if df.seen[b] {
-					v, ok = Float(df.f2[b]-df.f1[b]), true
-				}
-			default:
-				if a := df.aggs[b]; a != nil {
-					v, ok = a.result()
-				}
-			}
-			if ok {
-				vs[i], ps[i] = v, true
-				any = true
+// reduceRun folds one non-empty run of a typed slice into the
+// accumulator, in order, with the same float64 operations the
+// aggregators apply per sample.
+func reduceRun[T float64 | int64](a *bucketAcc, run []T) {
+	switch a.mode {
+	case kSum, kMean:
+		acc := a.f1
+		for _, x := range run {
+			acc += float64(x)
+		}
+		a.f1, a.seen = acc, true
+		a.n += int64(len(run))
+	case kMax:
+		hi := a.f2
+		if !a.seen {
+			hi, a.seen = float64(run[0]), true
+		}
+		for _, x := range run {
+			if fx := float64(x); fx > hi {
+				hi = fx
 			}
 		}
-		if any {
-			rows = append(rows, Row{Time: base + int64(b)*iv, Values: vs, Present: ps})
+		a.f2 = hi
+	case kMin:
+		lo := a.f1
+		if !a.seen {
+			lo, a.seen = float64(run[0]), true
 		}
-	}
-	if len(rs.Rows) == 0 {
-		rs.Rows = rows
-	} else {
-		rs.Rows = append(rs.Rows, rows...)
+		for _, x := range run {
+			if fx := float64(x); fx < lo {
+				lo = fx
+			}
+		}
+		a.f1 = lo
+	case kSpread:
+		lo, hi := a.f1, a.f2
+		if !a.seen {
+			lo, hi, a.seen = float64(run[0]), float64(run[0]), true
+		}
+		for _, x := range run {
+			fx := float64(x)
+			if fx < lo {
+				lo = fx
+			}
+			if fx > hi {
+				hi = fx
+			}
+		}
+		a.f1, a.f2 = lo, hi
 	}
 }
 
-// aggBucketedSlow is the general path: it materializes (and, when
-// needed, time-sorts) the samples, then buckets through a map. Handles
-// out-of-order chunk lists and pathologically wide bucket ranges.
-func aggBucketedSlow(q *Query, chunksPerField [][]colChunk, sorted bool, rs *ResultSeries, stats *QueryStats) {
-	nf := len(q.Fields)
-	samplesPerField := make([][]sample, nf)
-	for i, chunks := range chunksPerField {
-		n := 0
-		for _, ch := range chunks {
-			n += ch.hi - ch.lo
-		}
-		samplesPerField[i] = materialize(chunks, sorted, n, stats)
+// flush appends the finished bucket's value, if it has one, and resets
+// the accumulator for the next bucket.
+func (a *bucketAcc) flush(t int64, out []bucketValue) []bucketValue {
+	var v Value
+	ok := a.seen
+	switch {
+	case a.agg != nil:
+		v, ok = a.agg.result()
+		a.agg.reset()
+	case a.mode == kCount:
+		v, ok = Int(a.n), a.n > 0
+	case a.mode == kSum, a.mode == kMin:
+		v = Float(a.f1)
+	case a.mode == kMean:
+		v = Float(a.f1 / float64(a.n))
+	case a.mode == kMax:
+		v = Float(a.f2)
+	case a.mode == kSpread:
+		v = Float(a.f2 - a.f1)
 	}
-	if q.GroupByTime <= 0 {
-		// Single row over the whole range.
-		row := Row{Time: rangeStart(q), Values: make([]Value, nf), Present: make([]bool, nf)}
-		any := false
-		for i, f := range q.Fields {
-			agg, _ := newAggregator(f.Func)
-			for _, s := range samplesPerField[i] {
-				agg.add(s.v)
+	a.n, a.f1, a.f2, a.seen = 0, 0, 0, false
+	if ok {
+		out = append(out, bucketValue{t, v})
+	}
+	return out
+}
+
+// reduceField is the one aggregation kernel: it walks a time-sorted
+// chunk list once, cuts it into runs at bucket boundaries — one
+// division per run, not per sample — reduces each run into the
+// accumulator, and appends one value per non-empty bucket, in time
+// order (empty buckets are omitted: InfluxDB's fill(none)). iv <= 0 is
+// the query without GROUP BY time: a single bucket stamped whole.
+func reduceField(fn string, chunks []colChunk, iv, whole int64, out []bucketValue) []bucketValue {
+	acc := bucketAcc{mode: kernelFor(fn)}
+	if acc.mode != kCount {
+		typed := acc.mode != kGeneric
+		for i := range chunks {
+			typed = typed && chunks[i].vals.kind != vecMixed
+		}
+		if !typed {
+			acc.agg, _ = newAggregator(fn)
+		}
+	}
+	cur, open := whole, false
+	for i := range chunks {
+		times, vals := chunks[i].times, &chunks[i].vals
+		for j, k := 0, 0; j < len(times); j = k {
+			bt := whole
+			k = len(times)
+			if iv > 0 {
+				bt = times[j] - mod(times[j], iv)
+				end := bt + iv
+				if end < bt {
+					end = math.MaxInt64 // overflow: cut the run early, never late
+				}
+				for k = j + 1; k < len(times) && times[k] < end; k++ {
+				}
 			}
-			if v, ok := agg.result(); ok {
-				row.Values[i], row.Present[i] = v, true
-				any = true
+			if open && bt != cur {
+				out = acc.flush(cur, out)
+			}
+			cur, open = bt, true
+			switch {
+			case acc.mode == kCount:
+				acc.n += int64(k - j)
+			case acc.agg != nil:
+				for x := j; x < k; x++ {
+					acc.agg.add(vals.at(x))
+				}
+			case vals.kind == vecFloat:
+				reduceRun(&acc, vals.f[j:k])
+			default:
+				reduceRun(&acc, vals.i[j:k])
 			}
 		}
-		if any {
-			rs.Rows = append(rs.Rows, row)
+	}
+	if open {
+		out = acc.flush(cur, out)
+	}
+	return out
+}
+
+// execAgg computes aggregate rows, optionally bucketed by GROUP BY
+// time. Each field is reduced by reduceField straight off the storage
+// columns, in the time order of its samples; an out-of-order chunk
+// list is merged into one sorted chunk first. The per-field bucket
+// lists, each ascending in time, are then zipped into rows; a bucket
+// no field has a value for yields no row.
+func execAgg(q *Query, keys []string, shards []*shard, rs *ResultSeries, stats *QueryStats, scratch *aggScratch, cache *decodeCache) {
+	nf := len(q.Fields)
+	for len(scratch.buckets) < nf {
+		scratch.buckets = append(scratch.buckets, nil)
+	}
+	lists := scratch.buckets[:nf]
+	rows := 0
+	for i, f := range q.Fields {
+		chunks, sorted := collectChunksInto(scratch.chunks[:0], keys, f.Field, shards, q.Start, q.End, stats, cache)
+		scratch.chunks = chunks // keeps the grown backing for reuse
+		chargeChunks(chunks, stats)
+		if !sorted {
+			chunks = []colChunk{mergeChunks(chunks)}
 		}
+		lists[i] = reduceField(f.Func, chunks, q.GroupByTime, rangeStart(q), lists[i][:0])
+		rows = max(rows, len(lists[i]))
+	}
+	if rows == 0 {
 		return
 	}
 
-	iv := q.GroupByTime
-	type bucketAgg struct {
-		aggs []aggregator
-		any  []bool
-	}
-	buckets := make(map[int64]*bucketAgg)
-	var order []int64
-	for i, f := range q.Fields {
-		for _, s := range samplesPerField[i] {
-			bt := s.t - mod(s.t, iv)
-			b, ok := buckets[bt]
-			if !ok {
-				b = &bucketAgg{aggs: make([]aggregator, nf), any: make([]bool, nf)}
-				for j, ff := range q.Fields {
-					b.aggs[j], _ = newAggregator(ff.Func)
-					_ = ff
-				}
-				buckets[bt] = b
-				order = append(order, bt)
-			}
-			b.aggs[i].add(s.v)
-			b.any[i] = true
-		}
-		_ = f
-	}
-	sort.Slice(order, func(a, b int) bool { return order[a] < order[b] })
-	for _, bt := range order {
-		b := buckets[bt]
-		row := Row{Time: bt, Values: make([]Value, nf), Present: make([]bool, nf)}
-		any := false
-		for i := range q.Fields {
-			if !b.any[i] {
-				continue
-			}
-			if v, ok := b.aggs[i].result(); ok {
-				row.Values[i], row.Present[i] = v, true
-				any = true
+	// Row value/present storage is carved from two per-group slabs
+	// instead of being allocated per row; they only grow past the
+	// longest list when the fields' bucket sets differ.
+	rowVals := make([]Value, 0, rows*nf)
+	rowPres := make([]bool, 0, rows*nf)
+	out := make([]Row, 0, rows)
+	heads := append(scratch.heads[:0], lists...)
+	scratch.heads = heads
+	for {
+		t, any := int64(0), false
+		for _, l := range heads {
+			if len(l) > 0 && (!any || l[0].t < t) {
+				t, any = l[0].t, true
 			}
 		}
-		if any {
-			rs.Rows = append(rs.Rows, row)
+		if !any {
+			break
 		}
+		at := len(rowVals)
+		for i, l := range heads {
+			if len(l) > 0 && l[0].t == t {
+				rowVals, rowPres = append(rowVals, l[0].v), append(rowPres, true)
+				heads[i] = l[1:]
+			} else {
+				rowVals, rowPres = append(rowVals, Value{}), append(rowPres, false)
+			}
+		}
+		out = append(out, Row{Time: t, Values: rowVals[at : at+nf : at+nf], Present: rowPres[at : at+nf : at+nf]})
 	}
+	rs.Rows = out
 }
 
 func rangeStart(q *Query) int64 {

@@ -90,13 +90,13 @@ func FuzzParseQuery(f *testing.F) {
 // decodes back to the same column (round-trip stability).
 func FuzzBlockDecode(f *testing.F) {
 	seed := func(times []int64, vals []Value) {
-		f.Add(sealBlock(times, vals).data)
+		f.Add(sealBlock(times, vecOf(vals)).data)
 	}
 	seed([]int64{60}, []Value{Float(314)})
 	seed([]int64{0, 60, 120, 180}, []Value{Float(200), Float(201), Float(200.5), Float(200.5)})
 	seed([]int64{-120, -120, 0, 1 << 40}, []Value{Int(-5), Int(9000), Int(0), Int(1)})
 	seed([]int64{10, 20, 30}, []Value{Str("OK"), Bool(true), Float(7)})
-	trunc := sealBlock([]int64{0, 60, 120}, []Value{Float(1), Float(2), Float(3)}).data
+	trunc := sealBlock([]int64{0, 60, 120}, vecOf([]Value{Float(1), Float(2), Float(3)})).data
 	f.Add(trunc[:len(trunc)/2])              // torn payload
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1}) // absurd count
 	f.Add([]byte{})
@@ -106,8 +106,8 @@ func FuzzBlockDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(times) != len(vals) {
-			t.Fatalf("decode returned %d times but %d values", len(times), len(vals))
+		if len(times) != vals.len() {
+			t.Fatalf("decode returned %d times but %d values", len(times), vals.len())
 		}
 		// Decoded lengths are bounded by the input: every point costs at
 		// least one payload byte, so a tiny input can never produce a
@@ -128,7 +128,7 @@ func FuzzBlockDecode(f *testing.F) {
 			if t2[i] != times[i] {
 				t.Fatalf("time %d changed across re-encode: %d -> %d", i, times[i], t2[i])
 			}
-			if w, g := vals[i], v2[i]; w.Kind != g.Kind ||
+			if w, g := vals.at(i), v2.at(i); w.Kind != g.Kind ||
 				(w.Kind == KindFloat && math.Float64bits(w.F) != math.Float64bits(g.F)) ||
 				(w.Kind != KindFloat && w != g) {
 				t.Fatalf("value %d changed across re-encode: %+v -> %+v", i, w, g)

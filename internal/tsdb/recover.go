@@ -292,7 +292,10 @@ func (db *DB) applyBatchRecord(points []Point, ops []rollupOp) error {
 			b.indexSeries(p, key, sorted)
 			b.writePoint(p, key, sorted)
 		}
-		v = b.finish(true, wait.Nanoseconds())
+		var err error
+		if v, err = b.finish(true, wait.Nanoseconds()); err != nil {
+			return err
+		}
 	}
 	for i := range ops {
 		op := &ops[i]
@@ -302,7 +305,10 @@ func (db *DB) applyBatchRecord(points []Point, ops []rollupOp) error {
 			}
 		}
 		if len(op.points) > 0 {
-			v = applyRollupPoints(v, op.points, db.shardDuration, db.blockSize)
+			var err error
+			if v, err = applyRollupPoints(v, op.points, db.shardDuration, db.blockSize); err != nil {
+				return err
+			}
 		}
 	}
 	db.publish(v)

@@ -352,14 +352,18 @@ func (db *DB) rollupExec(v *dbView, cr compiledRollup, start, end, wm int64) (*d
 		op.clearEnd = op.clearStart
 	}
 	if len(pts) > 0 {
-		v = applyRollupPoints(v, pts, db.shardDuration, db.blockSize)
+		nv, err := applyRollupPoints(v, pts, db.shardDuration, db.blockSize)
+		if err != nil {
+			return v, rollupOp{}, fmt.Errorf("tsdb: rollup %q: %w", cr.target, err)
+		}
+		v = nv
 	}
 	return v, op, nil
 }
 
 // applyRollupPoints writes maintenance-produced points into a fresh
 // batch over v and returns the finished (unpublished) view.
-func applyRollupPoints(v *dbView, pts []Point, shardDuration int64, blockSize int) *dbView {
+func applyRollupPoints(v *dbView, pts []Point, shardDuration int64, blockSize int) (*dbView, error) {
 	b := newBatch(v, shardDuration, blockSize)
 	for i := range pts {
 		p := &pts[i]

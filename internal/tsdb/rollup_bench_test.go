@@ -133,9 +133,9 @@ func TestBenchRollupJSON(t *testing.T) {
 	rawB := testing.Benchmark(BenchmarkRawDashboard)
 
 	// Cold-scan cache stress: a separate sealed engine whose decoded
-	// working set is ~10x the budget; repeated full scans must stay
-	// resident-bounded by evicting.
-	const cacheBudget = 256 * 1024
+	// working set (48,000 float points at 16 B) is ~10x the budget;
+	// repeated full scans must stay resident-bounded by evicting.
+	const cacheBudget = 75 * 1024
 	stress := Open(Options{BlockSize: 128, DecodeCacheBytes: cacheBudget, PlannerOff: true})
 	var pts []Point
 	for i := 0; i < 48000; i++ {
@@ -179,7 +179,7 @@ func TestBenchRollupJSON(t *testing.T) {
 		"cache_misses":           cs.Misses,
 		"cache_hit_rate":         float64(cs.Hits) / float64(cs.Hits+cs.Misses),
 		"cache_workload_points":  48000,
-		"cache_workload_decoded": 48000 * cachedPointBytes,
+		"cache_workload_decoded": 48000 * 16,
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {

@@ -1,0 +1,58 @@
+package tsdb
+
+import (
+	"fmt"
+	"testing"
+)
+
+// BenchmarkScan72h is loadgen's scan-72h request in miniature: 16
+// series of 72 h of minutely floats in one-day shards sealed at the
+// default block size (one 1,024-point block and a 416-point raw tail
+// per series and day), scanned serially by the builder's max@1h
+// fan-out statement. "warm" keeps the whole decoded set resident, so
+// its ns/point is the aggregation kernel alone; "cold" budgets the
+// decode cache a single byte, so every block is decoded again on every
+// scan and B/op is the decode garbage per request.
+func BenchmarkScan72h(b *testing.B) {
+	const nodes, perNode = 16, 72 * 60
+	const start = 1587081600 // 2020-04-17T00:00:00Z, a shard boundary
+	pts := make([]Point, 0, nodes*perNode)
+	for i := 0; i < perNode; i++ {
+		for n := 0; n < nodes; n++ {
+			pts = append(pts, Point{
+				Measurement: "Power",
+				Tags:        Tags{{"Label", "NodePower"}, {"NodeId", fmt.Sprintf("10.101.1.%d", n)}},
+				Fields:      map[string]Value{"Reading": Float(200 + float64((i*7+n)%50))},
+				Time:        start + int64(i*60),
+			})
+		}
+	}
+	stmt := fmt.Sprintf(`SELECT max("Reading") FROM "Power" WHERE time >= %d AND time < %d GROUP BY time(1h), "NodeId", "Label"`,
+		start, start+perNode*60)
+	for _, c := range []struct {
+		name   string
+		budget int64
+	}{{"warm", -1}, {"cold", 1}} {
+		b.Run(c.name, func(b *testing.B) {
+			db := Open(Options{DecodeCacheBytes: c.budget, ExecWorkers: 1})
+			if err := db.WritePoints(pts); err != nil {
+				b.Fatal(err)
+			}
+			res, err := db.Query(stmt) // warm-up: fills the cache when it may
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Stats.PointsScanned != nodes*perNode || res.Stats.BlocksDecoded != nodes*3 {
+				b.Fatalf("scan shape: %+v", res.Stats)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.Query(stmt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes*perNode), "ns/point")
+		})
+	}
+}

@@ -1,21 +1,23 @@
 package tsdb
 
 import (
+	"fmt"
 	"sort"
 )
 
 // column stores one field of one series as sealed compressed blocks
-// plus a raw hot tail of parallel time/value slices. Writes append to
-// the tail; when it reaches the seal threshold the write batch
-// compresses full runs into immutable blocks (see batch.finish in
-// view.go and sealBlock in block.go). Published columns (reachable
-// from the DB's current view) are always globally sorted by time —
-// blocks in order, every tail time at or after the last block's maxT —
-// so readers never sort and never observe a mid-sort column.
+// plus a raw hot tail of parallel times and values (a typed vector, see
+// vec.go). Writes append to the tail; when it reaches the seal
+// threshold the write batch compresses full runs into immutable blocks
+// (see batch.finish in view.go and sealBlock in block.go). Published
+// columns (reachable from the DB's current view) are always globally
+// sorted by time — blocks in order, every tail time at or after the
+// last block's maxT — so readers never sort and never observe a
+// mid-sort column.
 type column struct {
 	blocks []*block // sealed, immutable, time-ordered
 	times  []int64  // raw tail
-	vals   []Value
+	vals   valueVec
 }
 
 // numPoints is the column's total sample count across sealed blocks
@@ -66,14 +68,16 @@ func (c *column) seal(bs int) int {
 	n := 0
 	for len(c.times)-n*bs >= bs {
 		lo := n * bs
-		c.blocks = append(c.blocks, sealBlock(c.times[lo:lo+bs], c.vals[lo:lo+bs]))
+		c.blocks = append(c.blocks, sealBlock(c.times[lo:lo+bs], c.vals.slice(lo, lo+bs)))
 		n++
 	}
-	rest := len(c.times) - n*bs
-	nt := make([]int64, rest, bs)
-	nv := make([]Value, rest, bs)
-	copy(nt, c.times[n*bs:])
-	copy(nv, c.vals[n*bs:])
+	restT := c.times[n*bs:]
+	restV := c.vals.slice(n*bs, len(c.times))
+	restV = restV.narrowed() // a kind switch sealed away leaves a typed tail again
+	nt := make([]int64, len(restT), bs)
+	copy(nt, restT)
+	nv := makeVec(restV.kind, bs)
+	nv.appendVec(restV)
 	c.times, c.vals = nt, nv
 	return n
 }
@@ -82,30 +86,32 @@ func (c *column) seal(bs int) int {
 // path for out-of-order writes that land before already-sealed data.
 // The caller re-sorts afterwards and the next seal re-compresses, so
 // correctness never depends on write order, only the rare shuffle pays
-// for it.
-func (c *column) unseal() {
+// for it. A block that cannot be read back (a missing, truncated or
+// corrupt cold segment, a damaged payload) fails the unseal and leaves
+// the column as it was: re-sealing without it would drop acknowledged
+// points for good.
+func (c *column) unseal() error {
 	if len(c.blocks) == 0 {
-		return
+		return nil
 	}
-	total := len(c.times)
-	for _, b := range c.blocks {
-		total += b.count
-	}
+	total := c.numPoints()
 	nt := make([]int64, 0, total)
-	nv := make([]Value, 0, total)
-	for _, b := range c.blocks {
+	var nv valueVec
+	for i, b := range c.blocks {
 		p, _, err := b.decode(nil)
 		if err != nil {
-			// Validated at seal/restore time; undecodable means
-			// post-hoc corruption — nothing recoverable to keep.
-			continue
+			return fmt.Errorf("tsdb: unseal block [%d, %d]: %w", b.minT, b.maxT, err)
+		}
+		if i == 0 {
+			nv = makeVec(p.vals.kind, total)
 		}
 		nt = append(nt, p.times...)
-		nv = append(nv, p.vals...)
+		nv.appendVec(p.vals)
 	}
 	nt = append(nt, c.times...)
-	nv = append(nv, c.vals...)
+	nv.appendVec(c.vals)
 	c.times, c.vals, c.blocks = nt, nv, nil
+	return nil
 }
 
 // sortByTime rebuilds the column sorted by time into fresh arrays
@@ -120,10 +126,10 @@ func (c *column) sortByTime() {
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return c.times[idx[a]] < c.times[idx[b]] })
 	nt := make([]int64, len(c.times))
-	nv := make([]Value, len(c.vals))
+	nv := makeVec(c.vals.kind, len(c.times))
 	for i, j := range idx {
 		nt[i] = c.times[j]
-		nv[i] = c.vals[j]
+		nv.append(c.vals.at(j))
 	}
 	c.times, c.vals = nt, nv
 }

@@ -147,7 +147,7 @@ func snapshotView(v *dbView, shardDuration int64, w io.Writer, inlineCold bool) 
 				ew.u32(uint32(len(col.times)))
 				for i := range col.times {
 					ew.i64(col.times[i])
-					ew.value(col.vals[i])
+					ew.value(col.vals.at(i))
 				}
 			}
 		}
@@ -427,7 +427,7 @@ func restoreSealed(br *bufio.Reader, opts Options, sd int64, ver uint16) (*DB, e
 					}
 					lastMax = blk.maxT
 					if !haveKind {
-						kind, haveKind = p.vals[0].Kind, true
+						kind, haveKind = p.vals.at(0).Kind, true
 					}
 					col.blocks = append(col.blocks, blk)
 				}
@@ -451,7 +451,7 @@ func restoreSealed(br *bufio.Reader, opts Options, sd int64, ver uint16) (*DB, e
 						return nil, corrupt("field %q tail out of order", name)
 					}
 					col.times = append(col.times, ts)
-					col.vals = append(col.vals, v)
+					col.vals.append(v)
 					if !haveKind {
 						kind, haveKind = v.Kind, true
 					}

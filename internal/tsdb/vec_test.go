@@ -1,0 +1,414 @@
+package tsdb
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+)
+
+// vecOf builds a vector from Values through the write path's append,
+// so it lands in whatever representation the values call for.
+func vecOf(vals []Value) valueVec {
+	var v valueVec
+	for _, x := range vals {
+		v.append(x)
+	}
+	return v
+}
+
+// values flattens a vector through its generic accessor.
+func (v *valueVec) values() []Value {
+	out := make([]Value, v.len())
+	for i := range out {
+		out[i] = v.at(i)
+	}
+	return out
+}
+
+// floatPayload is a decoded n-point float block (16 B per point).
+func floatPayload(n int) *blockPayload {
+	return &blockPayload{times: make([]int64, n), vals: valueVec{kind: vecFloat, f: make([]float64, n)}}
+}
+
+// genVecColumn fabricates n time-sorted samples of one column shape:
+// homogeneous floats, homogeneous ints, strings and bools, or a column
+// that switches kind mid-stream (floats, then ints, one stray string,
+// floats again). Duplicate timestamps occur, always adjacent in write
+// order. Floats are finite so results compare with DeepEqual.
+func genVecColumn(rng *rand.Rand, style string, n int) ([]int64, []Value) {
+	times := make([]int64, n)
+	vals := make([]Value, n)
+	t := int64(1_000_000)
+	for i := 0; i < n; i++ {
+		if i > 0 && rng.Intn(5) > 0 {
+			t += int64(20 + rng.Intn(90))
+		}
+		times[i] = t
+		f := Float(math.Round(rng.NormFloat64()*1e4) / 8)
+		switch style {
+		case "float":
+			vals[i] = f
+		case "int":
+			vals[i] = Int(rng.Int63n(2000) - 1000)
+		case "text":
+			if rng.Intn(3) == 0 {
+				vals[i] = Bool(rng.Intn(2) == 0)
+			} else {
+				vals[i] = Str(fmt.Sprintf("state-%d", rng.Intn(7)))
+			}
+		case "switch":
+			switch {
+			case i == 2*n/3:
+				vals[i] = Str("Critical")
+			case i >= n/3 && i < n/2:
+				vals[i] = Int(rng.Int63n(500))
+			default:
+				vals[i] = f
+			}
+		}
+	}
+	return times, vals
+}
+
+// vecRepresentations stores the same column five ways: all in the raw
+// tail, sealed into blocks, sealed and spilled to the cold tier,
+// written out of order so the sealed blocks are unsealed, re-sorted and
+// re-sealed, and split across two series of one group.
+func vecRepresentations(t *testing.T, times []int64, vals []Value) map[string]*DB {
+	t.Helper()
+	pts := make([]Point, len(times))
+	for i := range times {
+		pts[i] = Point{Measurement: "m", Tags: Tags{{"id", "x"}}, Fields: map[string]Value{"f": vals[i]}, Time: times[i]}
+	}
+	write := func(db *DB, batches ...[]Point) *DB {
+		for _, b := range batches {
+			if err := db.WritePoints(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return db
+	}
+	const shard, bs = 7200, 16 // several shards, several blocks per shard
+	reps := map[string]*DB{
+		"tail":   write(Open(Options{ShardDuration: shard, BlockSize: -1}), pts),
+		"sealed": write(Open(Options{ShardDuration: shard, BlockSize: bs}), pts),
+		"cold":   write(Open(Options{ShardDuration: shard, BlockSize: bs, ColdDir: t.TempDir()}), pts),
+	}
+	if cs := reps["tail"].Compression(); cs.Blocks != 0 {
+		t.Fatalf("tail representation sealed %d blocks", cs.Blocks)
+	}
+	if cs := reps["sealed"].Compression(); cs.Blocks == 0 {
+		t.Fatal("sealed representation has no blocks")
+	}
+	if _, err := reps["cold"].SpillCold(math.MaxInt64); err != nil {
+		t.Fatal(err)
+	}
+	if cs := reps["cold"].ColdStats(); cs.BlocksCold == 0 {
+		t.Fatal("cold representation spilled nothing")
+	}
+	// The older third arrives last, split where duplicates do not
+	// straddle, so the stable re-sort reproduces the in-order column.
+	split := len(pts) / 3
+	for times[split] == times[split-1] {
+		split++
+	}
+	reps["unseal"] = write(Open(Options{ShardDuration: shard, BlockSize: bs}), pts[split:], pts[:split])
+	if cs := reps["unseal"].Compression(); cs.Blocks == 0 {
+		t.Fatal("unseal representation did not re-seal")
+	}
+	// The same samples dealt across two series in alternating stretches
+	// (cut between distinct timestamps): one group scans both, its
+	// chunk list is out of order and is merged back into time order.
+	dealt := append([]Point(nil), pts...)
+	y, next := false, 40
+	for i := range dealt {
+		if i >= next && times[i] != times[i-1] {
+			y, next = !y, i+40
+		}
+		if y {
+			dealt[i].Tags = Tags{{"id", "y"}}
+		}
+	}
+	reps["interleaved"] = write(Open(Options{ShardDuration: shard, BlockSize: bs}), dealt)
+	return reps
+}
+
+// TestVecRepresentationsMatchReference is the vector's property test:
+// for float, int, string/bool and kind-switching columns, every
+// aggregate over every representation is bit-identical to the raw-tail
+// answer, the five aggregates the reference model covers are
+// bit-identical to it, and PointsScanned/BytesScanned are the sample
+// count and canonical encoded size whatever the representation.
+func TestVecRepresentationsMatchReference(t *testing.T) {
+	aggs := []string{"count", "sum", "mean", "max", "min", "spread", "first", "last", "stddev", "median"}
+	for _, style := range []string{"float", "int", "text", "switch"} {
+		for trial := 0; trial < 4; trial++ {
+			rng := rand.New(rand.NewSource(int64(trial)*7919 + int64(len(style))))
+			times, vals := genVecColumn(rng, style, 280+rng.Intn(80))
+			reps := vecRepresentations(t, times, vals)
+
+			span := times[len(times)-1] - times[0]
+			start := times[0] + rng.Int63n(span/4)
+			end := start + span/4 + rng.Int63n(span/2)
+			interval := int64(60 * (1 + rng.Intn(40)))
+
+			var numeric, all []refPoint
+			var wantPoints, wantBytes int64
+			for i, ts := range times {
+				if ts < start || ts >= end {
+					continue
+				}
+				wantPoints++
+				wantBytes += 8 + int64(vals[i].EncodedSize())
+				all = append(all, refPoint{t: ts})
+				if f, ok := vals[i].AsFloat(); ok {
+					numeric = append(numeric, refPoint{t: ts, v: f})
+				}
+			}
+
+			for _, agg := range aggs {
+				for _, iv := range []int64{0, interval} {
+					stmt := fmt.Sprintf(`SELECT %s("f") FROM "m" WHERE time >= %d AND time < %d`, agg, start, end)
+					if iv > 0 {
+						stmt += fmt.Sprintf(` GROUP BY time(%ds)`, iv)
+					}
+					ctx := fmt.Sprintf("%s trial %d: %s", style, trial, stmt)
+					base, err := reps["tail"].Query(stmt)
+					if err != nil {
+						t.Fatalf("%s: %v", ctx, err)
+					}
+					for name, db := range reps {
+						res, err := db.Query(stmt)
+						if err != nil {
+							t.Fatalf("%s [%s]: %v", ctx, name, err)
+						}
+						if !reflect.DeepEqual(res.Series, base.Series) {
+							t.Fatalf("%s [%s] diverges from the raw tail\ngot:  %+v\nwant: %+v", ctx, name, res.Series, base.Series)
+						}
+						if res.Stats.PointsScanned != wantPoints || res.Stats.BytesScanned != wantBytes {
+							t.Fatalf("%s [%s]: scanned %d points / %d bytes, want %d / %d", ctx, name,
+								res.Stats.PointsScanned, res.Stats.BytesScanned, wantPoints, wantBytes)
+						}
+					}
+
+					src := numeric
+					switch agg {
+					case "count":
+						src = all
+					case "sum", "mean", "max", "min":
+					default:
+						continue // outside the reference model
+					}
+					refIv := iv
+					if refIv == 0 {
+						refIv = 1 << 40 // one bucket over everything
+					}
+					want := refAggregate(src, 0, start, end, refIv, agg)
+					got := map[int64]float64{}
+					for _, s := range base.Series {
+						for _, row := range s.Rows {
+							key := row.Time
+							if iv == 0 {
+								key = 0
+							}
+							got[key], _ = row.Values[0].AsFloat()
+						}
+					}
+					if len(got) != len(want) {
+						t.Fatalf("%s: %d buckets, reference has %d", ctx, len(got), len(want))
+					}
+					for bt, wv := range want {
+						if gv, ok := got[bt]; !ok || math.Float64bits(gv) != math.Float64bits(wv) {
+							t.Fatalf("%s: bucket %d = %v, reference %v", ctx, bt, gv, wv)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestVecPromotionLeavesPinnedViewIntact runs under -race: a reader
+// pinned on one view keeps scanning it while writes promote the typed
+// tails underneath to mixed. Promotion must copy into fresh cells, so
+// the pinned view's answers never change and no access races.
+func TestVecPromotionLeavesPinnedViewIntact(t *testing.T) {
+	const series, warm = 8, 100
+	db := Open(Options{BlockSize: -1})
+	point := func(s int, ts int64, v Value) Point {
+		return Point{Measurement: "m", Tags: Tags{{"id", fmt.Sprintf("s%d", s)}}, Fields: map[string]Value{"f": v}, Time: ts}
+	}
+	for s := 0; s < series; s++ {
+		for i := 0; i < warm; i++ {
+			if err := db.WritePoint(point(s, int64(i*60), Float(float64(s*warm+i)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pinned := db.view.Load()
+	var queries []*Query
+	for _, stmt := range []string{
+		`SELECT "f" FROM "m" GROUP BY "id"`,
+		`SELECT sum("f"), last("f") FROM "m" GROUP BY time(10m), "id"`,
+	} {
+		q, err := Parse(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries = append(queries, q)
+	}
+	scan := func() []*Result {
+		out := make([]*Result, len(queries))
+		for i, q := range queries {
+			res, err := db.execView(pinned, q, 0)
+			if err != nil {
+				t.Error(err)
+			}
+			out[i] = res
+		}
+		return out
+	}
+	want := scan()
+
+	started, stop, finished := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(finished)
+		for first := true; ; first = false {
+			got := scan()
+			for i := range got {
+				if !reflect.DeepEqual(got[i].Series, want[i].Series) {
+					t.Errorf("pinned view changed under promotion: %s", queries[i])
+					return
+				}
+			}
+			if first {
+				close(started)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	<-started
+	for i := 0; i < 160; i++ {
+		for s := 0; s < series; s++ {
+			v := Float(float64(i))
+			switch {
+			case i == s*10: // each series promotes at its own moment
+				v = Str("Critical")
+			case i%7 == 0:
+				v = Int(int64(i))
+			}
+			if err := db.WritePoint(point(s, int64((warm+i)*60), v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(stop)
+	<-finished
+
+	res, err := db.Query(`SELECT count("f") FROM "m"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Series[0].Rows[0].Values[0].I; n != series*(warm+160) {
+		t.Fatalf("count after promotion = %d, want %d", n, series*(warm+160))
+	}
+}
+
+// TestUnsealUnreadableColdBlockFailsWrite is the regression test for
+// silent data loss in column.unseal: an out-of-order write landing
+// behind a spilled block whose segment cannot be read back used to
+// drop the block's points and re-seal without them. The write must
+// fail instead, publish nothing, and lose nothing once the segment is
+// back.
+func TestUnsealUnreadableColdBlockFailsWrite(t *testing.T) {
+	coldDir := t.TempDir()
+	db := Open(Options{BlockSize: 32, ColdDir: coldDir})
+	const n = 256
+	var pts []Point
+	for i := 0; i < n; i++ {
+		pts = append(pts, coldPoint("n1", int64(i*60), float64(i)))
+	}
+	if err := db.WritePoints(pts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.SpillCold(math.MaxInt64); err != nil {
+		t.Fatal(err)
+	}
+	segs := coldSegments(t, coldDir)
+	if len(segs) != 1 {
+		t.Fatalf("segments: %v", segs)
+	}
+	path := filepath.Join(coldDir, segs[0])
+	intact, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, intact[:len(intact)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	epoch := db.Epoch()
+	if err := db.WritePoint(coldPoint("n1", 30, 1)); err == nil {
+		t.Fatal("write behind an unreadable cold block succeeded")
+	}
+	if got := db.Epoch(); got != epoch {
+		t.Fatalf("failed write published a view: epoch %d -> %d", epoch, got)
+	}
+
+	if err := os.WriteFile(path, intact, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Query(`SELECT count("Reading") FROM "Power"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Series[0].Rows[0].Values[0].I; got != n {
+		t.Fatalf("count after the failed write = %d, want %d: acknowledged points lost", got, n)
+	}
+	// With the segment readable the same write goes through.
+	if err := db.WritePoint(coldPoint("n1", 30, 1)); err != nil {
+		t.Fatal(err)
+	}
+	res, err = db.Query(`SELECT count("Reading") FROM "Power"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Series[0].Rows[0].Values[0].I; got != n+1 {
+		t.Fatalf("count after the retried write = %d, want %d", got, n+1)
+	}
+}
+
+// TestResidentCorruptBlockFailsQuery: a resident block whose payload
+// no longer decodes fails the query like an unreadable cold one,
+// instead of being skipped for a short answer.
+func TestResidentCorruptBlockFailsQuery(t *testing.T) {
+	db := Open(Options{BlockSize: 32})
+	var pts []Point
+	for i := 0; i < 100; i++ {
+		pts = append(pts, coldPoint("n1", int64(i*60), float64(i)))
+	}
+	if err := db.WritePoints(pts); err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range db.view.Load().shards {
+		for _, sr := range sh.series {
+			blk := sr.fields["Reading"].blocks[1]
+			data := append([]byte(nil), blk.data...)
+			data[1] ^= 0x40 // the value-encoding byte: no such encoding
+			blk.data = data
+		}
+	}
+	res, err := db.Query(`SELECT count("Reading") FROM "Power"`)
+	if !errors.Is(err, errBlockCorrupt) {
+		t.Fatalf("query over a corrupt resident block: res = %+v, err = %v; want errBlockCorrupt", res, err)
+	}
+}

@@ -93,8 +93,10 @@ func newBatch(base *dbView, shardDuration int64, blockSize int) *batch {
 // full block runs, and seals the view. mutated reports whether stored
 // data changed (an empty batch still counts as a batch but must not
 // advance the epoch). waitNs is the write-lock wait the batch accrued,
-// folded into the view's stats.
-func (b *batch) finish(mutated bool, waitNs int64) *dbView {
+// folded into the view's stats. An error (a sealed block an
+// out-of-order write needs could not be read back) means the batch must
+// be dropped unpublished.
+func (b *batch) finish(mutated bool, waitNs int64) (*dbView, error) {
 	for col := range b.dirtyCols {
 		col.sortByTime()
 		// If the shuffle reaches behind sealed data, decode everything
@@ -102,7 +104,9 @@ func (b *batch) finish(mutated bool, waitNs int64) *dbView {
 		// full runs. Out-of-order within the tail alone leaves blocks
 		// untouched.
 		if n := len(col.blocks); n > 0 && len(col.times) > 0 && col.times[0] < col.blocks[n-1].maxT {
-			col.unseal()
+			if err := col.unseal(); err != nil {
+				return nil, err
+			}
 			col.sortByTime()
 		}
 	}
@@ -116,7 +120,7 @@ func (b *batch) finish(mutated bool, waitNs int64) *dbView {
 	if mutated {
 		b.v.epoch++
 	}
-	return b.v
+	return b.v, nil
 }
 
 func (b *batch) cloneShardMap() {
@@ -308,7 +312,7 @@ func (b *batch) writePoint(p *Point, key string, sorted Tags) {
 			b.dirtyCols[col] = true
 		}
 		col.times = append(col.times, p.Time)
-		col.vals = append(col.vals, fv)
+		col.vals.append(fv)
 	}
 	sz := p.EncodedSize()
 	sr.bytes += sz
@@ -399,33 +403,29 @@ func clearColumnRange(col *column, start, end int64, bs int) (*column, int, int6
 		if lo == hi {
 			return col, 0, 0
 		}
+		keep := len(col.times) - (hi - lo)
 		nc := &column{blocks: col.blocks}
-		nc.times = make([]int64, 0, len(col.times)-(hi-lo))
-		nc.vals = make([]Value, 0, len(col.times)-(hi-lo))
+		nc.times = make([]int64, 0, keep)
 		nc.times = append(append(nc.times, col.times[:lo]...), col.times[hi:]...)
-		nc.vals = append(append(nc.vals, col.vals[:lo]...), col.vals[hi:]...)
-		var bytes int64
-		for i := lo; i < hi; i++ {
-			bytes += int64(col.vals[i].EncodedSize())
-		}
-		return nc, hi - lo, bytes
+		nc.vals = makeVec(col.vals.kind, keep)
+		nc.vals.appendVec(col.vals.slice(0, lo))
+		nc.vals.appendVec(col.vals.slice(hi, len(col.times)))
+		gone := col.vals.slice(lo, hi)
+		return nc, hi - lo, gone.encodedSize()
 	}
-	total := col.numPoints()
-	nc := &column{
-		times: make([]int64, 0, total),
-		vals:  make([]Value, 0, total),
-	}
+	nc := &column{times: make([]int64, 0, col.numPoints())}
 	var bytes int64
 	removed := 0
-	keep := func(times []int64, vals []Value) {
+	keep := func(times []int64, vals *valueVec) {
 		for i := range times {
+			v := vals.at(i)
 			if times[i] >= start && times[i] < end {
 				removed++
-				bytes += int64(vals[i].EncodedSize())
+				bytes += int64(v.EncodedSize())
 				continue
 			}
 			nc.times = append(nc.times, times[i])
-			nc.vals = append(nc.vals, vals[i])
+			nc.vals.append(v)
 		}
 	}
 	for _, blk := range col.blocks {
@@ -435,9 +435,9 @@ func clearColumnRange(col *column, start, end int64, bs int) (*column, int, int6
 			// corruption with nothing recoverable to keep.
 			continue
 		}
-		keep(p.times, p.vals)
+		keep(p.times, &p.vals)
 	}
-	keep(col.times, col.vals)
+	keep(col.times, &col.vals)
 	if removed == 0 {
 		// Header overlap without sample overlap: keep the original
 		// column (and its decode caches) untouched.
