@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"monster"
+	"monster/internal/experiments"
 )
 
 // benchArtifact runs one registered experiment per iteration.
@@ -369,11 +370,10 @@ func BenchmarkAblationRollup(b *testing.B) {
 	if err := db.WritePoints(pts); err != nil {
 		b.Fatal(err)
 	}
-	rm := monster.NewRollups(db)
-	if err := rm.Add(monster.RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 3600}); err != nil {
+	if err := db.RegisterRollup(monster.RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 3600}); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := rm.Run(benchStart.Unix() + 24*3600); err != nil {
+	if _, err := db.RollupAdvance(benchStart.Unix() + 24*3600); err != nil {
 		b.Fatal(err)
 	}
 	rawStmt := fmt.Sprintf(`SELECT max("Reading") FROM "Power" WHERE "NodeId" = 'n0' AND time >= %d AND time < %d GROUP BY time(1h)`,
@@ -481,80 +481,24 @@ func BenchmarkAblationTelemetry(b *testing.B) {
 // BenchmarkMixedReadWrite measures query latency while a collector-style
 // writer continuously flushes large batches into the same store — the
 // production monitoring load (continuous ingest concurrent with Metrics
-// Builder fan-out). "global-lock" restores the engine's previous global
-// RWMutex serialization; "snapshot" is the epoch-versioned lock-free
-// read path. The queried measurement is fixed and disjoint from the
-// ingest stream, so per-op work is identical and the delta is pure
-// concurrency-model cost.
+// Builder fan-out). It is the ext-contention experiment
+// (experiments.MeasureContention) with one reader issuing b.N queries:
+// "global-lock" is the experiment's reproduction of the previous global
+// RWMutex serialization around the engine, "snapshot" the engine as it
+// is. ns/query is the mean query latency; ns/op also counts seeding
+// the store and stopping the writer.
 func BenchmarkMixedReadWrite(b *testing.B) {
-	const nodes = 64
 	for _, globalLock := range []bool{true, false} {
 		name := "snapshot"
 		if globalLock {
 			name = "global-lock"
 		}
 		b.Run(name, func(b *testing.B) {
-			db := monster.OpenDB(monster.DBOptions{ShardDuration: 3600, GlobalLock: globalLock})
-			var pts []monster.Point
-			base := int64(1_000_000_000)
-			for n := 0; n < nodes; n++ {
-				for i := 0; i < 60; i++ {
-					pts = append(pts, monster.Point{
-						Measurement: "Power",
-						Tags:        monster.Tags{{Key: "NodeId", Value: fmt.Sprintf("node%03d", n)}, {Key: "Label", Value: "System Power Control"}},
-						Fields:      map[string]monster.Value{"Reading": monster.Value{F: float64(100 + n + i%7)}},
-						Time:        base + int64(i*60),
-					})
-				}
-			}
-			if err := db.WritePoints(pts); err != nil {
+			res, err := experiments.MeasureContention(globalLock, 1, b.N, 10000)
+			if err != nil {
 				b.Fatal(err)
 			}
-
-			stop := make(chan struct{})
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				nodeTags := make([]monster.Tags, nodes)
-				for n := range nodeTags {
-					nodeTags[n] = monster.Tags{{Key: "NodeId", Value: fmt.Sprintf("node%03d", n)}}
-				}
-				const batchSize = 10000
-				fields := make([]map[string]monster.Value, batchSize)
-				for j := range fields {
-					fields[j] = map[string]monster.Value{"Reading": monster.Value{F: float64(100 + j%50)}}
-				}
-				batch := make([]monster.Point, batchSize)
-				ts := int64(0)
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					for j := range batch {
-						batch[j] = monster.Point{Measurement: "Ingest", Tags: nodeTags[j%nodes], Fields: fields[j], Time: ts}
-						ts++
-					}
-					if err := db.WritePoints(batch); err != nil {
-						return
-					}
-					if i%16 == 15 {
-						db.DeleteBefore(ts - 2*3600)
-					}
-				}
-			}()
-
-			stmt := `SELECT max("Reading") FROM "Power" GROUP BY time(5m), "NodeId", "Label"`
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := db.Query(stmt); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			close(stop)
-			<-done
+			b.ReportMetric(float64(res.MeanLatency.Nanoseconds()), "ns/query")
 		})
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"time"
 
 	"monster"
@@ -36,7 +37,7 @@ func main() {
 		duration  = flag.Duration("duration", 0, "stop after this wall-clock duration (0 = run until interrupted)")
 		warmup    = flag.Duration("warmup", 30*time.Minute, "simulated warmup before serving (fills the DB)")
 		retention = flag.Duration("retention", 0, "drop data older than this (0 = keep everything)")
-		blockSize = flag.Int("block-size", 0, "storage seal threshold in points: columns this long compress into immutable blocks (0 = default 1024, negative = disable compression)")
+		blockSize = flag.Int("block-size", 0, "storage seal threshold in points: columns this long compress into immutable blocks (0 = default 1024)")
 		snapshot  = flag.String("snapshot", "", "write a database snapshot to this file on shutdown")
 		workload  = flag.String("workload", "", "replay a workload trace (.json from SaveTrace, or .swf from the Parallel Workloads Archive)")
 
@@ -45,11 +46,10 @@ func main() {
 		fsyncInterval = flag.Duration("fsync-interval", time.Second, "fsync cadence under -fsync interval (bounds power-loss exposure)")
 		snapInterval  = flag.Duration("snapshot-interval", 5*time.Minute, "background checkpoint (snapshot + WAL truncation) cadence when -wal-dir is set")
 
-		decodeCacheMB = flag.Int64("decode-cache-mb", 0, "sealed-block decode cache budget in MiB, charged 16 B per decoded numeric point (0 = default 64, about 4.2M points; negative = unbounded)")
+		decodeCacheMB = flag.Int64("decode-cache-mb", 0, "sealed-block decode cache budget in MiB, charged 16 B per decoded numeric point (0 = default 64, about 4.2M points)")
 		coldDir       = flag.String("cold-dir", "", "enable the file-backed cold tier: sealed blocks past -cold-after spill compressed payloads to segment files in this directory")
 		coldAfter     = flag.Duration("cold-after", time.Hour, "age past which sealed blocks spill to -cold-dir")
 		coldMaxMB     = flag.Int64("cold-max-resident-mb", 0, "resident compressed sealed-block budget in MiB: oldest blocks past it spill to -cold-dir regardless of age (0 = age-only)")
-		plannerOff    = flag.Bool("planner-off", false, "disable the tier-aware query planner (A/B baseline: aggregates always scan raw storage)")
 		rawRetention  = flag.Duration("raw-retention", 0, "expire raw samples older than this once every covering -rollup tier has materialized them (0 = keep raw forever)")
 
 		forward        = flag.String("forward", "", "relay every routed point to a peer monsterd push endpoint (e.g. http://peer:8080/v1/ingest/write)")
@@ -76,35 +76,28 @@ func main() {
 	})
 	flag.Parse()
 
-	// -decode-cache-mb speaks MiB; Config speaks bytes. Keep the two
-	// sentinels intact: 0 = engine default, negative = unbounded.
-	cacheBytes := *decodeCacheMB
-	if cacheBytes > 0 {
-		cacheBytes <<= 20
-	}
-	// -cold-max-resident-mb likewise speaks MiB; 0 = age-only spilling.
-	coldBudget := *coldMaxMB
-	if coldBudget > 0 {
-		coldBudget <<= 20
-	}
+	// -decode-cache-mb and -cold-max-resident-mb speak MiB; Config
+	// speaks bytes. Zero keeps its meaning (engine default, age-only
+	// spilling) through the shift.
+	cacheBytes := *decodeCacheMB << 20
+	coldBudget := *coldMaxMB << 20
 	if coldBudget != 0 && *coldDir == "" {
 		log.Fatalf("monsterd: -cold-max-resident-mb needs -cold-dir")
 	}
 	cfg := monster.Config{
 		Nodes: *nodes, Seed: *seed, ConcurrentQueries: true,
-		Retention:         *retention,
-		BlockSize:         *blockSize,
-		AlertRules:        monster.DefaultAlertRules(),
-		IngestRules:       routes,
-		IngestQueue:       *ingestQueue,
-		IngestOverflow:    *ingestOverflow,
-		ForwardTo:         *forward,
-		ForwardOnly:       *forwardOnly,
-		ScrapeInterval:    *scrapeInterval,
-		Rollups:           rollups,
-		RawRetention:      *rawRetention,
-		DecodeCacheBytes:  cacheBytes,
-		StoragePlannerOff: *plannerOff,
+		Retention:        *retention,
+		BlockSize:        *blockSize,
+		AlertRules:       monster.DefaultAlertRules(),
+		IngestRules:      routes,
+		IngestQueue:      *ingestQueue,
+		IngestOverflow:   *ingestOverflow,
+		ForwardTo:        *forward,
+		ForwardOnly:      *forwardOnly,
+		ScrapeInterval:   *scrapeInterval,
+		Rollups:          rollups,
+		RawRetention:     *rawRetention,
+		DecodeCacheBytes: cacheBytes,
 	}
 	if *coldDir != "" {
 		cfg.ColdDir = *coldDir
@@ -199,12 +192,18 @@ func main() {
 	mux := http.NewServeMux()
 	mux.Handle("/v1/ingest/write", sys.Push)
 	mux.Handle("/", sys.BuilderAPI)
-	go func() {
-		log.Printf("monsterd: Metrics Builder API + push receiver on %s", *listen)
-		if err := http.ListenAndServe(*listen, mux); err != nil {
-			log.Fatalf("monsterd: builder API: %v", err)
-		}
-	}()
+	var servers sync.WaitGroup
+	serve := func(what, addr string, h http.Handler) {
+		servers.Add(1)
+		go func() {
+			defer servers.Done()
+			log.Printf("monsterd: %s on %s", what, addr)
+			if err := serveHTTP(ctx, addr, h); err != nil {
+				log.Fatalf("monsterd: %s: %v", what, err)
+			}
+		}()
+	}
+	serve("Metrics Builder API + push receiver", *listen, mux)
 	go func() {
 		// Asynchronous stage workers: pushed and scraped points flow
 		// through the bounded queues; the simulation loop's poll cycles
@@ -214,12 +213,7 @@ func main() {
 		}
 	}()
 	if *schedAddr != "" {
-		go func() {
-			log.Printf("monsterd: resource-manager API on %s", *schedAddr)
-			if err := http.ListenAndServe(*schedAddr, sys.SchedAPI); err != nil {
-				log.Fatalf("monsterd: scheduler API: %v", err)
-			}
-		}()
+		serve("resource-manager API", *schedAddr, sys.SchedAPI)
 	}
 
 	clk := clock.NewReal()
@@ -233,6 +227,10 @@ func main() {
 	}
 	err = sys.RunLive(ctx, clk, *scale, time.Second)
 	if err == context.Canceled || err == context.DeadlineExceeded {
+		// The same cancellation stopped the listeners; wait until the
+		// requests they had in flight are answered, so the snapshot and
+		// checkpoint below describe a database no request is still using.
+		servers.Wait()
 		final := sys.Collector.Stats()
 		fmt.Printf("monsterd: stopped at sim time %v after %d cycles, %d points written, %d BMC requests (%d failed)\n",
 			sys.Now().Format(time.RFC3339), final.Cycles, final.PointsWritten, final.BMCRequests, final.BMCFailures)
@@ -255,6 +253,46 @@ func main() {
 	if err != nil {
 		log.Fatalf("monsterd: %v", err)
 	}
+}
+
+// HTTP server limits. Constants, not flags: they bound what a slow or
+// stalled peer can hold open, and no deployment has needed other values.
+const (
+	httpReadHeaderTimeout = 10 * time.Second
+	httpReadTimeout       = time.Minute     // a pushed line-protocol body
+	httpWriteTimeout      = 2 * time.Minute // a long-range builder response
+	httpIdleTimeout       = 2 * time.Minute
+	httpDrainTimeout      = 10 * time.Second
+)
+
+// serveHTTP serves h on addr until ctx is cancelled, then shuts down
+// gracefully: the listener closes, requests in flight get
+// httpDrainTimeout to finish, and serveHTTP returns only once they have
+// (or the drain timed out and the rest were cut off). A listener that
+// fails before cancellation returns its error.
+func serveHTTP(ctx context.Context, addr string, h http.Handler) error {
+	srv := &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: httpReadHeaderTimeout,
+		ReadTimeout:       httpReadTimeout,
+		WriteTimeout:      httpWriteTimeout,
+		IdleTimeout:       httpIdleTimeout,
+	}
+	failed := make(chan error, 1)
+	go func() { failed <- srv.ListenAndServe() }()
+	select {
+	case err := <-failed:
+		return err
+	case <-ctx.Done():
+	}
+	drain, cancel := context.WithTimeout(context.WithoutCancel(ctx), httpDrainTimeout)
+	defer cancel()
+	if err := srv.Shutdown(drain); err != nil {
+		log.Printf("monsterd: %s: drain: %v; closing open connections", addr, err)
+		return srv.Close()
+	}
+	return nil
 }
 
 // parseRollupFlag parses "Source.Field:agg@interval" (interval is a Go

@@ -370,11 +370,10 @@ func TestAPIStatsStorageSections(t *testing.T) {
 		t.Fatalf("storage_tiers present before registration: %s", raw)
 	}
 
-	rm := tsdb.NewRollups(db)
-	if err := rm.Add(tsdb.RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
+	if err := db.RegisterRollup(tsdb.RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rm.Run(1800); err != nil {
+	if _, err := db.RollupAdvance(1800); err != nil {
 		t.Fatal(err)
 	}
 	// A raw scan over the sealed columns populates the decode cache.

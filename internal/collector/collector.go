@@ -24,10 +24,6 @@ type Options struct {
 	// BMCConcurrency bounds the asynchronous Redfish fan-out. Zero
 	// means 64.
 	BMCConcurrency int
-	// BatchSize is the TSDB write batch size. Zero means 10000 (the
-	// paper's "ideal batch size for InfluxDB"). Negative disables
-	// batching (one write per point — the ablation baseline).
-	BatchSize int
 	// FilterHealth stores node health only on state transitions
 	// (Section III-B3). Enabled by default under SchemaV2; SchemaV1
 	// always stores every sample.
@@ -42,10 +38,10 @@ type Options struct {
 	// the resource manager — both named as missing in the paper's
 	// Section VI.
 	CollectNetwork bool
-	// Emit, when set, hands each cycle's points to the ingest pipeline
-	// instead of writing them to storage directly; batch accounting then
-	// lives in the pipeline's tsdb sink rather than here. Nil keeps the
-	// classic direct write path.
+	// Emit receives each cycle's points — the collector's only output.
+	// The ingest pipeline's poll receiver binds it (SetEmit); batching
+	// and write accounting live in the pipeline's tsdb sink. A cycle
+	// with no Emit bound fails rather than drop its points.
 	Emit func(points []tsdb.Point) error
 	// Clock drives the Run loop. Nil means the real clock.
 	Clock clock.Clock
@@ -57,9 +53,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.BMCConcurrency == 0 {
 		o.BMCConcurrency = 64
-	}
-	if o.BatchSize == 0 {
-		o.BatchSize = 10000
 	}
 	if o.FilterHealth == nil {
 		v := true
@@ -74,7 +67,6 @@ func (o *Options) applyDefaults() {
 type Stats struct {
 	Cycles          int64
 	PointsWritten   int64
-	Batches         int64
 	BMCRequests     int64
 	BMCFailures     int64
 	NodesSwept      int64
@@ -84,15 +76,6 @@ type Stats struct {
 	FinishExact     int64
 	LastSweep       time.Duration
 	LastCycle       time.Duration
-	// WriteTime is cumulative wall time spent inside storage writes;
-	// WriteWait is the portion of it the storage engine reports as lock
-	// wait (zero under the snapshot write path unless batches contend
-	// with drops/retention — the non-stalling property the contention
-	// experiment measures). LastWrite is the most recent cycle's write
-	// wall time.
-	WriteTime time.Duration
-	WriteWait time.Duration
-	LastWrite time.Duration
 }
 
 // Collector is the centralized collecting agent.
@@ -101,7 +84,6 @@ type Collector struct {
 	nodes []string // management addresses
 	rf    *redfish.Client
 	sched SchedulerSource
-	db    *tsdb.DB
 
 	mu         sync.Mutex
 	lastHealth map[string]map[string]int64 // node -> label -> last code
@@ -112,7 +94,7 @@ type Collector struct {
 }
 
 // New builds a collector for the given node addresses.
-func New(nodes []string, rf *redfish.Client, sched SchedulerSource, db *tsdb.DB, opts Options) *Collector {
+func New(nodes []string, rf *redfish.Client, sched SchedulerSource, opts Options) *Collector {
 	opts.applyDefaults()
 	sorted := make([]string, len(nodes))
 	copy(sorted, nodes)
@@ -122,7 +104,6 @@ func New(nodes []string, rf *redfish.Client, sched SchedulerSource, db *tsdb.DB,
 		nodes:      sorted,
 		rf:         rf,
 		sched:      sched,
-		db:         db,
 		lastHealth: make(map[string]map[string]int64),
 		lastJobs:   make(map[string]map[string]bool),
 		jobs:       make(map[string]*JobInfo),
@@ -136,11 +117,8 @@ func (c *Collector) Stats() Stats {
 	return c.stats
 }
 
-// DB returns the storage the collector writes to.
-func (c *Collector) DB() *tsdb.DB { return c.db }
-
-// SetEmit redirects the collector's output (see Options.Emit). It is
-// how the ingest pipeline's poll receiver binds the collector without
+// SetEmit binds the collector's output (see Options.Emit). It is how
+// the ingest pipeline's poll receiver binds the collector without
 // rebuilding it.
 func (c *Collector) SetEmit(fn func(points []tsdb.Point) error) {
 	c.mu.Lock()
@@ -541,59 +519,16 @@ func (c *Collector) jobPoint(ji JobInfo, t int64) tsdb.Point {
 	return jobsInfoPointV2(ji, t)
 }
 
-// deliver hands the cycle's points to the configured Emit hook (the
-// ingest pipeline) or, when none is set, to the classic direct
-// batched write. Either way the first failure surfaces so the cycle
-// reports it.
+// deliver hands the cycle's points to the bound Emit hook (the ingest
+// pipeline); its failure surfaces so the cycle reports it.
 func (c *Collector) deliver(points []tsdb.Point) error {
 	c.mu.Lock()
 	emit := c.opts.Emit
 	c.mu.Unlock()
-	if emit != nil {
-		return emit(points)
+	if emit == nil {
+		return fmt.Errorf("collector: no Emit bound: %d points not delivered", len(points))
 	}
-	return c.writeBatched(points)
-}
-
-// writeBatched writes points in batches of BatchSize ("Metrics
-// Collector then writes these data points into the database in
-// batches"); a negative batch size degenerates to per-point writes.
-func (c *Collector) writeBatched(points []tsdb.Point) error {
-	if len(points) == 0 {
-		return nil
-	}
-	size := c.opts.BatchSize
-	if size < 0 {
-		size = 1
-	}
-	waitBefore := c.db.Stats().WriteWaitNs
-	start := c.opts.Clock.Now()
-	batches := int64(0)
-	var werr error
-	for off := 0; off < len(points); off += size {
-		end := off + size
-		if end > len(points) {
-			end = len(points)
-		}
-		if err := c.db.WritePoints(points[off:end]); err != nil {
-			// Record the batches that DID land before surfacing the
-			// error: returning mid-loop would leave Batches/WriteTime
-			// blind to the partial write, and operators debugging a
-			// failure need the stats to reflect what actually happened.
-			werr = err
-			break
-		}
-		batches++
-	}
-	elapsed := c.opts.Clock.Now().Sub(start)
-	wait := time.Duration(c.db.Stats().WriteWaitNs - waitBefore)
-	c.mu.Lock()
-	c.stats.Batches += batches
-	c.stats.WriteTime += elapsed
-	c.stats.WriteWait += wait
-	c.stats.LastWrite = elapsed
-	c.mu.Unlock()
-	return werr
+	return emit(points)
 }
 
 func healthFromString(s string) simnode.Health {

@@ -45,7 +45,10 @@ func newFixture(t *testing.T, nodes int, opts Options) *fixture {
 	for i := 0; i < nodes; i++ {
 		addrs[i] = fleet.Node(i).Addr()
 	}
-	col := New(addrs, rf, sched, db, opts)
+	if opts.Emit == nil {
+		opts.Emit = db.WritePoints
+	}
+	col := New(addrs, rf, sched, opts)
 	return &fixture{fleet: fleet, bmcs: bmcs, qm: qm, api: api, db: db, col: col, srv: srv}
 }
 
@@ -282,27 +285,28 @@ func TestBMCFailureDoesNotPoisonCycle(t *testing.T) {
 	}
 }
 
-func TestBatchWriting(t *testing.T) {
-	f := newFixture(t, 4, Options{BatchSize: 10})
+// TestCollectOnceWithoutEmitFails checks the collector's only output:
+// with no Emit bound a cycle reports an error instead of dropping its
+// points, and binding one afterwards delivers the next cycle.
+func TestCollectOnceWithoutEmitFails(t *testing.T) {
+	f := newFixture(t, 2, Options{})
+	f.col.SetEmit(nil)
 	f.advance(t0.Add(time.Minute), 15*time.Second)
 	res, err := f.col.CollectOnce(context.Background(), f.qm.Now())
+	if err == nil {
+		t.Fatalf("cycle of %d points with no Emit bound reported success", res.Points)
+	}
+	if got := f.db.Disk().Points; got != 0 {
+		t.Fatalf("db has %d points with no Emit bound", got)
+	}
+	var got int
+	f.col.SetEmit(func(points []tsdb.Point) error { got = len(points); return nil })
+	res, err = f.col.CollectOnce(context.Background(), f.qm.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := f.col.Stats()
-	wantBatches := int64((res.Points + 9) / 10)
-	if st.Batches != wantBatches {
-		t.Fatalf("batches = %d, want %d for %d points", st.Batches, wantBatches, res.Points)
-	}
-	// Unbatched ablation: one write per point.
-	f2 := newFixture(t, 2, Options{BatchSize: -1})
-	f2.advance(t0.Add(time.Minute), 15*time.Second)
-	res2, err := f2.col.CollectOnce(context.Background(), f2.qm.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f2.col.Stats().Batches; got != int64(res2.Points) {
-		t.Fatalf("unbatched writes = %d, want %d", got, res2.Points)
+	if got == 0 || got != res.Points {
+		t.Fatalf("emit received %d points, cycle reported %d", got, res.Points)
 	}
 }
 
@@ -399,7 +403,7 @@ func TestTelemetrySweepQuartersRequestCount(t *testing.T) {
 		HTTPClient: bmcs.Client(), RequestTimeout: 2 * time.Second,
 		Retries: 1, RetryBackoff: time.Millisecond,
 	})
-	col := New(fleetAddrs(fleet), rf, &DirectSchedulerSource{API: api}, db, Options{UseTelemetry: true})
+	col := New(fleetAddrs(fleet), rf, &DirectSchedulerSource{API: api}, Options{UseTelemetry: true, Emit: db.WritePoints})
 
 	fleet.Step(2 * time.Minute)
 	qm.Tick(t0.Add(2 * time.Minute))
@@ -439,7 +443,7 @@ func TestTelemetryAgainstOldFirmwareFails(t *testing.T) {
 		HTTPClient: bmcs.Client(), RequestTimeout: time.Second,
 		Retries: 1, RetryBackoff: time.Millisecond,
 	})
-	col := New(fleetAddrs(fleet), rf, &DirectSchedulerSource{API: scheduler.NewAPI(qm)}, db, Options{UseTelemetry: true})
+	col := New(fleetAddrs(fleet), rf, &DirectSchedulerSource{API: scheduler.NewAPI(qm)}, Options{UseTelemetry: true, Emit: db.WritePoints})
 	res, err := col.CollectOnce(context.Background(), t0)
 	if err != nil {
 		t.Fatal(err)
@@ -455,43 +459,4 @@ func fleetAddrs(fleet *simnode.Fleet) []string {
 		addrs[i] = fleet.Node(i).Addr()
 	}
 	return addrs
-}
-
-// TestWriteBatchedRecordsPartialProgress pins the accounting contract
-// of writeBatched: when a mid-loop batch fails, the batches that DID
-// land (and the time spent) must still be recorded before the error
-// surfaces. The old code returned from inside the loop, leaving
-// Batches/WriteTime blind to partial writes.
-func TestWriteBatchedRecordsPartialProgress(t *testing.T) {
-	f := newFixture(t, 1, Options{BatchSize: 1, Clock: clock.NewReal()})
-	valid := tsdb.Point{
-		Measurement: "Power",
-		Tags:        tsdb.Tags{{Key: "NodeId", Value: "10.101.1.1"}},
-		Fields:      map[string]tsdb.Value{"Reading": tsdb.Float(200)},
-		Time:        t0.Unix(),
-	}
-	invalid := tsdb.Point{Measurement: "", Time: t0.Unix()} // fails Validate
-
-	err := f.col.writeBatched([]tsdb.Point{valid, invalid})
-	if err == nil {
-		t.Fatal("invalid point accepted")
-	}
-	st := f.col.Stats()
-	if st.Batches != 1 {
-		t.Fatalf("Batches = %d after partial failure, want 1 (the batch that landed)", st.Batches)
-	}
-	if st.WriteTime <= 0 {
-		t.Fatalf("WriteTime = %v after partial failure, want > 0", st.WriteTime)
-	}
-	if got := f.db.Disk().Points; got != 1 {
-		t.Fatalf("db has %d points, want the 1 that was acknowledged", got)
-	}
-
-	// A fully successful write keeps counting from there.
-	if err := f.col.writeBatched([]tsdb.Point{valid}); err != nil {
-		t.Fatal(err)
-	}
-	if st := f.col.Stats(); st.Batches != 2 {
-		t.Fatalf("Batches = %d, want 2", st.Batches)
-	}
 }

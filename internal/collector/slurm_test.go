@@ -34,7 +34,7 @@ func newSlurmFixture(t *testing.T, nodes int) *fixture {
 	for i := 0; i < nodes; i++ {
 		addrs[i] = fleet.Node(i).Addr()
 	}
-	col := New(addrs, rf, sched, db, Options{})
+	col := New(addrs, rf, sched, Options{Emit: db.WritePoints})
 	return &fixture{fleet: fleet, bmcs: bmcs, qm: qm, api: api, db: db, col: col, srv: srv}
 }
 

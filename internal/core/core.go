@@ -65,13 +65,8 @@ type Config struct {
 	QueryWorkers int
 	// BlockSize overrides the storage engine's seal threshold: columns
 	// whose raw tail reaches this many points are compressed into
-	// immutable Gorilla-encoded blocks. 0 = engine default (1024),
-	// negative disables compression.
+	// immutable Gorilla-encoded blocks. 0 = engine default (1024).
 	BlockSize int
-	// StorageGlobalLock restores the engine's pre-snapshot global
-	// RWMutex serialization — the A/B baseline for the contention
-	// experiment, never useful in production.
-	StorageGlobalLock bool
 	// WALDir enables crash-safe storage: every mutation is write-ahead
 	// logged under this directory, and startup recovers the last
 	// checkpoint snapshot plus the log's longest valid prefix. Empty
@@ -90,8 +85,9 @@ type Config struct {
 	// Retention drops storage shards older than this (0 keeps
 	// everything). Enforced once per collection interval.
 	Retention time.Duration
-	// Rollups are continuous downsampling queries materialized after
-	// every collection cycle.
+	// Rollups are continuous downsampling queries, registered on the
+	// storage engine and kept current by its write path: every batch
+	// that lands materializes the buckets it closes.
 	Rollups []tsdb.RollupSpec
 	// RawRetention expires raw samples older than this from rollup
 	// source measurements, once every covering rollup has materialized
@@ -100,8 +96,7 @@ type Config struct {
 	// Requires Rollups; enforced once per collection interval.
 	RawRetention time.Duration
 	// DecodeCacheBytes bounds the storage engine's sealed-block decode
-	// cache (0 = engine default 64 MiB, negative = unbounded — the
-	// keep-everything A/B baseline).
+	// cache (0 = engine default 64 MiB).
 	DecodeCacheBytes int64
 	// ColdDir enables the file-backed cold tier: sealed blocks past
 	// ColdAfter (or past the resident budget) spill their compressed
@@ -117,10 +112,6 @@ type Config struct {
 	// bytes: after the age pass, the oldest remaining blocks spill
 	// until the residue fits. 0 = no budget (age-only spilling).
 	ColdMaxResidentBytes int64
-	// StoragePlannerOff disables the tier-aware query planner so
-	// aggregate queries always scan raw storage — the A/B baseline for
-	// the rollup-rewrite experiment.
-	StoragePlannerOff bool
 	// CacheResponses wraps the builder API in an LRU response cache.
 	CacheResponses bool
 	// StoreAllHealth disables the transition-only health filter
@@ -203,7 +194,6 @@ type System struct {
 	Builder    *builder.Builder
 	BuilderAPI *builder.API
 	Cache      *builder.Cache   // non-nil when Config.CacheResponses
-	Rollups    *tsdb.Rollups    // non-nil when Config.Rollups is set
 	Alerts     *alerting.Engine // non-nil when Config.AlertRules is set
 	Workload   *scheduler.Workload
 	// Ingest is the pluggable pipeline every point now flows through:
@@ -251,9 +241,7 @@ func NewSystem(cfg Config) (*System, error) {
 		ShardDuration:        cfg.ShardDuration,
 		ExecWorkers:          cfg.QueryWorkers,
 		BlockSize:            cfg.BlockSize,
-		GlobalLock:           cfg.StorageGlobalLock,
 		DecodeCacheBytes:     cfg.DecodeCacheBytes,
-		PlannerOff:           cfg.StoragePlannerOff,
 		ColdDir:              cfg.ColdDir,
 		ColdMaxResidentBytes: cfg.ColdMaxResidentBytes,
 	}
@@ -296,19 +284,15 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	colOpts.UseTelemetry = cfg.Telemetry
 	colOpts.CollectNetwork = cfg.CollectNetwork
-	col := collector.New(addrs, rf, &collector.DirectSchedulerSource{API: api}, db, colOpts)
+	col := collector.New(addrs, rf, &collector.DirectSchedulerSource{API: api}, colOpts)
 	b := builder.New(db, builder.Options{Concurrent: cfg.ConcurrentQueries})
 	var cache *builder.Cache
 	if cfg.CacheResponses {
 		cache = builder.NewCache(b, 0)
 	}
-	var rollups *tsdb.Rollups
-	if len(cfg.Rollups) > 0 {
-		rollups = tsdb.NewRollups(db)
-		for _, spec := range cfg.Rollups {
-			if err := rollups.Add(spec); err != nil {
-				return nil, fmt.Errorf("bad rollup spec: %w", err)
-			}
+	for _, spec := range cfg.Rollups {
+		if err := db.RegisterRollup(spec); err != nil {
+			return nil, fmt.Errorf("bad rollup spec: %w", err)
 		}
 	}
 	var alerts *alerting.Engine
@@ -389,7 +373,6 @@ func NewSystem(cfg Config) (*System, error) {
 		Builder:     b,
 		BuilderAPI:  bapi,
 		Cache:       cache,
-		Rollups:     rollups,
 		Alerts:      alerts,
 		Workload:    workload,
 		Ingest:      pipe,
@@ -438,25 +421,20 @@ func (s *System) advance(d, step time.Duration, collect bool, ctx context.Contex
 			}
 			if s.Ingest.Running() {
 				// Asynchronous stage workers hold the cycle's points in
-				// bounded queues; wait for them to land so the rollup,
-				// retention, and alert passes below see this cycle's data —
+				// bounded queues; wait for them to land so the retention
+				// and alert passes below see this cycle's data —
 				// the same ordering the inline path gives for free.
 				if err := s.Ingest.Flush(ctx); err != nil {
 					return fmt.Errorf("core: ingest flush at %v: %w", s.now, err)
 				}
 			}
 			s.nextCollect = s.nextCollect.Add(s.Config.CollectInterval)
-			if s.Rollups != nil {
-				if _, err := s.Rollups.Run(s.now.Unix()); err != nil {
-					return fmt.Errorf("core: rollups at %v: %w", s.now, err)
-				}
-			}
 			if s.Config.Retention > 0 {
 				if _, err := s.DB.DeleteBefore(s.now.Add(-s.Config.Retention).Unix()); err != nil {
 					return fmt.Errorf("core: retention at %v: %w", s.now, err)
 				}
 			}
-			if s.Config.RawRetention > 0 && s.Rollups != nil {
+			if s.Config.RawRetention > 0 {
 				if _, err := s.DB.ExpireRaw(s.now.Add(-s.Config.RawRetention).Unix()); err != nil {
 					return fmt.Errorf("core: raw-tier expiry at %v: %w", s.now, err)
 				}

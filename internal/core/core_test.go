@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -165,6 +166,106 @@ func TestRollupsWiredIntoPipeline(t *testing.T) {
 	// 2 nodes × 3 complete 5-minute buckets (the 4th is incomplete).
 	if got := res.Series[0].Rows[0].Values[0].I; got < 4 {
 		t.Fatalf("rollup points = %d", got)
+	}
+}
+
+// TestRollupChainKeptCurrentByWritePath runs collection cycles over a
+// raw -> 5m -> 1h chain and checks the write path alone keeps it
+// current — nothing here or in the cycle calls the engine's explicit
+// rollup catch-up: each tier's watermark and point count, and an hour-bucketed query the
+// planner serves from the 1h tier, equal a brute-force aggregation of
+// the raw samples.
+func TestRollupChainKeptCurrentByWritePath(t *testing.T) {
+	const cycles = 130 // 2 h 10 m: two closed hours, an open one, an open 5 m bucket
+	s := New(Config{
+		Nodes: 3, Seed: 1,
+		Rollups: []tsdb.RollupSpec{
+			{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300},
+			{Source: "Power_max_300s", Field: "Reading", Aggregate: "max", Interval: 3600},
+		},
+	})
+	if err := s.AdvanceCollecting(context.Background(), cycles*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	start, last := s.Config.Start.Unix(), s.Now().Unix()
+
+	// Brute force: every raw sample, bucketed by hand.
+	raw, err := s.DB.Query(`SELECT "Reading" FROM "Power" GROUP BY "NodeId", "Label"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type bucket struct {
+		series string
+		start  int64
+	}
+	name := func(tags tsdb.Tags) string {
+		node, _ := tags.Get("NodeId")
+		label, _ := tags.Get("Label")
+		return node + "/" + label
+	}
+	max5m, max1h := map[bucket]float64{}, map[bucket]float64{}
+	for _, sr := range raw.Series {
+		for _, row := range sr.Rows {
+			v := row.Values[0].F
+			for iv, m := range map[int64]map[bucket]float64{300: max5m, 3600: max1h} {
+				b := bucket{name(sr.Tags), row.Time - row.Time%iv}
+				if old, ok := m[b]; !ok || v > old {
+					m[b] = v
+				}
+			}
+		}
+	}
+	if len(raw.Series) == 0 || len(max1h) != 3*len(raw.Series) {
+		t.Fatalf("raw fixture: %d series, %d hour buckets", len(raw.Series), len(max1h))
+	}
+	// A bucket closes once a later source point exists: the 5 m tier
+	// stops at the bucket holding the newest sample, the 1 h tier at the
+	// hour holding the 5 m watermark.
+	wm5m := last - last%300
+	wm1h := wm5m - wm5m%3600
+	closed := func(m map[bucket]float64, wm int64) (n int64) {
+		for b := range m {
+			if b.start < wm {
+				n++
+			}
+		}
+		return n
+	}
+	tiers := s.DB.TierStats()
+	if len(tiers) != 2 {
+		t.Fatalf("tiers = %+v", tiers)
+	}
+	if tiers[0].Watermark != wm5m || tiers[0].Points != closed(max5m, wm5m) {
+		t.Fatalf("5m tier %+v, want watermark %d and %d points", tiers[0], wm5m, closed(max5m, wm5m))
+	}
+	if tiers[1].Watermark != wm1h || tiers[1].Points != closed(max1h, wm1h) {
+		t.Fatalf("1h tier %+v, want watermark %d and %d points", tiers[1], wm1h, closed(max1h, wm1h))
+	}
+
+	q, err := tsdb.Parse(fmt.Sprintf(
+		`SELECT max("Reading") FROM "Power" WHERE time >= %d AND time <= %d GROUP BY time(1h), "NodeId", "Label"`, start, last))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.DB.Exec(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Tier != tiers[1].Target {
+		t.Fatalf("query served from %q, want tier %q", res.Stats.Tier, tiers[1].Target)
+	}
+	got := 0
+	for _, sr := range res.Series {
+		for _, row := range sr.Rows {
+			b := bucket{name(sr.Tags), row.Time}
+			if want, ok := max1h[b]; !ok || row.Values[0].F != want {
+				t.Fatalf("%v: planner answered %v, raw samples give %v (present %t)", b, row.Values[0].F, want, ok)
+			}
+			got++
+		}
+	}
+	if got != len(max1h) {
+		t.Fatalf("planner answered %d buckets, raw samples have %d", got, len(max1h))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"monster/internal/clock"
 	"monster/internal/tsdb"
 )
 
@@ -18,7 +19,7 @@ type ContentionResult struct {
 	MeanLatency  time.Duration
 	P99Latency   time.Duration
 	WriteBatches int64
-	MeanLockWait time.Duration // mean per-query read-path lock wait
+	MeanLockWait time.Duration // mean per-query wait for the baseline's read lock
 }
 
 // contentionNodes/contentionSamples size the fixed query dataset; the
@@ -49,13 +50,25 @@ func contentionSeed(db *tsdb.DB) error {
 	return db.WritePoints(pts)
 }
 
-// MeasureContention runs the mixed read/write workload in one storage
-// mode: a background writer streams collector-sized batches (with
-// periodic retention sweeps bounding memory) while `readers` goroutines
-// each execute `queries` fan-out aggregation queries against a fixed
-// dataset. It reports the observed query latency distribution.
+// MeasureContention runs the mixed read/write workload in one
+// concurrency model: a background writer streams collector-sized
+// batches (with periodic retention sweeps bounding memory) while
+// `readers` goroutines each execute `queries` fan-out aggregation
+// queries against a fixed dataset. It reports the observed query
+// latency distribution.
+//
+// The engine has one model, snapshot-isolated reads. The global-lock
+// baseline it replaced is reproduced here, around the engine: one
+// RWMutex that a query holds shared for its full duration and that
+// every write batch and retention sweep takes exclusively, so a
+// collector flush stalls every concurrent query.
 func MeasureContention(globalLock bool, readers, queries, batchSize int) (*ContentionResult, error) {
-	db := tsdb.Open(tsdb.Options{ShardDuration: 3600, GlobalLock: globalLock})
+	var mu sync.RWMutex
+	lock, unlock, rlock, runlock := func() {}, func() {}, func() {}, func() {}
+	if globalLock {
+		lock, unlock, rlock, runlock = mu.Lock, mu.Unlock, mu.RLock, mu.RUnlock
+	}
+	db := tsdb.Open(tsdb.Options{ShardDuration: 3600})
 	if err := contentionSeed(db); err != nil {
 		return nil, err
 	}
@@ -96,16 +109,20 @@ func MeasureContention(globalLock bool, readers, queries, batchSize int) (*Conte
 				}
 				ts++
 			}
-			if err := db.WritePoints(batch); err != nil {
+			lock()
+			err := db.WritePoints(batch)
+			if err == nil && i%16 == 15 {
+				_, err = db.DeleteBefore(ts - 2*3600) // retention: keep memory bounded
+			}
+			unlock()
+			if err != nil {
 				writerErr <- err
 				return
-			}
-			if i%16 == 15 {
-				db.DeleteBefore(ts - 2*3600) // retention: keep memory bounded
 			}
 		}
 	}()
 
+	clk := clock.NewReal() // real query latency is this experiment's output
 	latencies := make([][]time.Duration, readers)
 	lockWaits := make([]int64, readers)
 	var wg sync.WaitGroup
@@ -117,16 +134,17 @@ func MeasureContention(globalLock bool, readers, queries, batchSize int) (*Conte
 			defer wg.Done()
 			lat := make([]time.Duration, 0, queries)
 			for i := 0; i < queries; i++ {
-				//lint:ignore clockdiscipline measuring real query latency is this experiment's output
-				t0 := time.Now()
-				res, err := db.Exec(q)
+				t0 := clk.Now()
+				rlock()
+				locked := clk.Now()
+				_, err := db.Exec(q)
+				runlock()
 				if err != nil {
 					errOnce.Do(func() { execErr = err })
 					return
 				}
-				//lint:ignore clockdiscipline measuring real query latency is this experiment's output
-				lat = append(lat, time.Since(t0))
-				lockWaits[r] += res.Stats.LockWaitNs
+				lat = append(lat, clk.Now().Sub(t0))
+				lockWaits[r] += locked.Sub(t0).Nanoseconds()
 			}
 			latencies[r] = lat
 		}(r)

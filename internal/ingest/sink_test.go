@@ -20,10 +20,10 @@ func validPoint(t int64) tsdb.Point {
 	}
 }
 
-// TestTSDBSinkRecordsPartialProgress ports the collector's
-// writeBatched fault-handling contract to the re-homed sink: when a
-// mid-loop batch fails, the batches that DID land (and the time spent)
-// must still be recorded before the error surfaces.
+// TestTSDBSinkRecordsPartialProgress pins the batched-write loop's
+// fault-handling contract: when a mid-loop batch fails, the batches
+// that DID land (and the time spent) must still be recorded before the
+// error surfaces.
 func TestTSDBSinkRecordsPartialProgress(t *testing.T) {
 	db := tsdb.Open(tsdb.Options{})
 	s := NewTSDBSink(db, TSDBOptions{BatchSize: 1, Clock: clock.NewReal()})

@@ -18,11 +18,10 @@ type TSDBOptions struct {
 	Clock clock.Clock
 }
 
-// TSDBSink writes routed batches into the local storage engine. It is
-// the re-homed write half of the pre-pipeline collector: the batch
-// loop, the Batches/WriteTime/WriteWait accounting, and — critically —
-// the partial-progress contract from the collector's fault fixes are
-// ported, not re-implemented: when a mid-loop batch fails, the batches
+// TSDBSink writes routed batches into the local storage engine. It
+// owns the deployment's one batched-write loop and its
+// Batches/WriteTime/WriteWait accounting, including the
+// partial-progress contract: when a mid-loop batch fails, the batches
 // that DID land (and the time spent) are recorded before the error
 // surfaces.
 type TSDBSink struct {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -152,15 +154,20 @@ func TestSealThresholdAndTail(t *testing.T) {
 	if cs := db2.Compression(); cs.Blocks != 2 || cs.TailPoints != 3 {
 		t.Fatalf("bulk write: want 2 blocks / 3 tail, got %+v", cs)
 	}
-	// Sealing disabled keeps everything raw.
-	db3 := Open(Options{ShardDuration: 86400, BlockSize: -1})
+	// A threshold the column never reaches keeps everything raw.
+	db3 := Open(Options{ShardDuration: 86400, BlockSize: neverSeal})
 	if err := db3.WritePoints(pts); err != nil {
 		t.Fatal(err)
 	}
 	if cs := db3.Compression(); cs.Blocks != 0 || cs.TailPoints != 11 {
-		t.Fatalf("disabled sealing: got %+v", cs)
+		t.Fatalf("unreached threshold: got %+v", cs)
 	}
 }
+
+// neverSeal is a seal threshold above any test's column length: every
+// sample stays in its raw tail — the all-raw reference the sealed
+// representations are compared against.
+const neverSeal = 1 << 20
 
 // queryAll formats every Power sample — the equivalence oracle used by
 // the sealed-vs-raw tests.
@@ -179,7 +186,7 @@ func queryAll(t *testing.T, db *DB, stmt string) string {
 func TestSealedQueryEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	sealed := Open(Options{ShardDuration: 3600, BlockSize: 8})
-	raw := Open(Options{ShardDuration: 3600, BlockSize: -1})
+	raw := Open(Options{ShardDuration: 3600, BlockSize: neverSeal})
 	for i := 0; i < 500; i++ {
 		p := walPoint(fmt.Sprintf("n%d", rng.Intn(3)), int64(i*30), float64(rng.Intn(100)))
 		for _, db := range []*DB{sealed, raw} {
@@ -246,7 +253,7 @@ func TestBlockHeaderPruning(t *testing.T) {
 // an uncompressed engine.
 func TestOutOfOrderAcrossSealBoundary(t *testing.T) {
 	sealed := Open(Options{ShardDuration: 86400, BlockSize: 4})
-	raw := Open(Options{ShardDuration: 86400, BlockSize: -1})
+	raw := Open(Options{ShardDuration: 86400, BlockSize: neverSeal})
 	ts := []int64{0, 60, 120, 180, 240, 300, 90, 30, 360, 15, 420, 480, 540, 600, 45}
 	for i, at := range ts {
 		p := walPoint("n1", at, float64(i))
@@ -383,68 +390,53 @@ func TestSnapshotV2RoundTripSealedBlocks(t *testing.T) {
 	}
 }
 
-// writeSnapshotV1 emits the legacy raw-sample format (the exact v1
-// writer this engine shipped with) so the compat test has a real v1
-// byte stream to restore.
-func writeSnapshotV1(t *testing.T, db *DB, w *bytes.Buffer) {
-	t.Helper()
-	v := db.view.Load()
-	ew := &errWriter{w: bufio.NewWriter(w)}
-	ew.raw(snapshotMagic)
-	ew.u16(snapshotV1)
-	ew.i64(db.shardDuration)
-	ew.u32(uint32(len(v.shardStarts)))
-	for _, start := range v.shardStarts {
-		sh := v.shards[start]
-		ew.i64(sh.start)
-		ew.u32(uint32(len(sh.series)))
-		for k, sr := range sh.series {
-			ew.str(k)
-			ew.str(sr.measurement)
-			ew.u32(uint32(len(sr.tags)))
-			for _, tag := range sr.tags {
-				ew.str(tag.Key)
-				ew.str(tag.Value)
-			}
-			ew.u32(uint32(len(sr.fields)))
-			for f, col := range sr.fields {
-				ew.str(f)
-				ew.u32(uint32(len(col.times)))
-				for i := range col.times {
-					ew.i64(col.times[i])
-					ew.value(col.vals.at(i))
-				}
-			}
-		}
-	}
-	if err := ew.flush(); err != nil {
-		t.Fatalf("v1 writer: %v", err)
-	}
+// endlessFF serves an unbounded stream of 0xFF after head: read as a
+// snapshot body, every count field would claim four billion entries.
+type endlessFF struct {
+	head []byte
+	read int
 }
 
-// TestSnapshotV1Compat restores a legacy v1 stream and checks the data
-// comes back — re-sealed under the current engine's block tier.
-func TestSnapshotV1Compat(t *testing.T) {
-	src := Open(Options{ShardDuration: 3600, BlockSize: -1}) // all raw, like the v1 engine
-	for i := 0; i < 50; i++ {
-		if err := src.WritePoint(walPoint("n1", int64(i*60), float64(i))); err != nil {
+func (r *endlessFF) Read(p []byte) (int, error) {
+	n := copy(p, r.head)
+	r.head = r.head[n:]
+	for i := n; i < len(p); i++ {
+		p[i] = 0xFF
+	}
+	r.read += len(p)
+	return len(p), nil
+}
+
+// TestRestoreRejectsRetiredVersions checks the one-format reader: a
+// version 1 or version 2 header fails with an error naming the version,
+// before anything of the body is parsed or sized from.
+func TestRestoreRejectsRetiredVersions(t *testing.T) {
+	for _, ver := range []uint16{1, 2} {
+		var hdr bytes.Buffer
+		ew := &errWriter{w: bufio.NewWriter(&hdr)}
+		ew.raw(snapshotMagic)
+		ew.u16(ver)
+		ew.i64(3600)
+		if err := ew.flush(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	var buf bytes.Buffer
-	writeSnapshotV1(t, src, &buf)
-
-	db, err := RestoreOptions(&buf, Options{BlockSize: 16})
-	if err != nil {
-		t.Fatalf("restore v1: %v", err)
-	}
-	stmt := "SELECT Reading FROM Power"
-	if got, want := queryAll(t, db, stmt), queryAll(t, src, stmt); got != want {
-		t.Fatalf("v1 restore disagrees:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-	// The v1 data re-sealed on the way in: 50 points at block size 16.
-	if cs := db.Compression(); cs.Blocks != 3 || cs.TailPoints != 2 {
-		t.Fatalf("v1 restore did not re-seal: %+v", cs)
+		src := &endlessFF{head: hdr.Bytes()}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		db, err := RestoreOptions(src, Options{})
+		runtime.ReadMemStats(&after)
+		if err == nil || db != nil {
+			t.Fatalf("version %d snapshot restored (db %v)", ver, db)
+		}
+		if want := fmt.Sprintf("version %d", ver); !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %q", err, want)
+		}
+		if src.read > 4096 {
+			t.Fatalf("version %d: read %d bytes of the body", ver, src.read)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Fatalf("version %d: rejecting allocated %d bytes", ver, grew)
+		}
 	}
 }
 

@@ -41,7 +41,7 @@ type cacheEntry struct {
 // clearing ref bits set by hits and evicting the first unreferenced
 // entry, so anything touched since the last sweep survives one round.
 type decodeCache struct {
-	budget int64 // max resident payload bytes; <0 = unlimited
+	budget int64 // max resident payload bytes
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -55,7 +55,7 @@ type decodeCache struct {
 	hand    int
 }
 
-// newDecodeCache builds a cache with the given budget (<0 unlimited).
+// newDecodeCache builds a cache with the given budget.
 func newDecodeCache(budget int64) *decodeCache {
 	return &decodeCache{budget: budget, entries: make(map[*block]*cacheEntry)}
 }
@@ -88,9 +88,6 @@ func (c *decodeCache) admit(blk *block, p *blockPayload) {
 		c.entries[blk] = e
 		c.ring = append(c.ring, e)
 		c.resident.Add(bytes)
-	}
-	if c.budget < 0 {
-		return
 	}
 	// CLOCK sweep: each pass either clears a ref bit or evicts, so the
 	// loop terminates — in the worst case by evicting everything,
@@ -180,7 +177,7 @@ type CacheStats struct {
 	Evictions     int64 `json:"evictions"`
 	Purges        int64 `json:"purges"` // entries dropped because their block was deleted
 	ResidentBytes int64 `json:"resident_bytes"`
-	BudgetBytes   int64 `json:"budget_bytes"` // <0 = unlimited
+	BudgetBytes   int64 `json:"budget_bytes"`
 	Entries       int   `json:"entries"`
 }
 

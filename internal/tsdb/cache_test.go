@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -168,7 +169,7 @@ func TestDecodeCacheAdmitDedup(t *testing.T) {
 // same blocks under -race: accounting must stay consistent — one miss
 // and one charge per distinct block, no duplicate ring entries.
 func TestDecodeCacheAdmitRace(t *testing.T) {
-	c := newDecodeCache(-1)
+	c := newDecodeCache(math.MaxInt64)
 	blocks := make([]*block, 16)
 	for i := range blocks {
 		blocks[i] = &block{count: 8}
@@ -202,10 +203,10 @@ func TestDecodeCacheAdmitRace(t *testing.T) {
 	}
 }
 
-// TestDecodeCacheUnbounded checks the A/B baseline: a negative budget
-// disables eviction entirely (PR 5 keep-everything behavior).
+// TestDecodeCacheUnbounded checks the keep-everything end of the
+// budget range: a budget no working set reaches never evicts.
 func TestDecodeCacheUnbounded(t *testing.T) {
-	db := cacheFixture(t, -1, 8, 512)
+	db := cacheFixture(t, math.MaxInt64, 8, 512)
 	for pass := 0; pass < 2; pass++ {
 		if _, err := db.Query(`SELECT count("Reading") FROM "Power"`); err != nil {
 			t.Fatal(err)
@@ -215,8 +216,8 @@ func TestDecodeCacheUnbounded(t *testing.T) {
 	if cs.Evictions != 0 {
 		t.Fatalf("unbounded cache evicted: %+v", cs)
 	}
-	if cs.BudgetBytes >= 0 {
-		t.Fatalf("budget reported %d, want negative sentinel", cs.BudgetBytes)
+	if cs.BudgetBytes != math.MaxInt64 {
+		t.Fatalf("budget reported %d, want the configured bound", cs.BudgetBytes)
 	}
 	if cs.ResidentBytes == 0 || cs.Hits == 0 {
 		t.Fatalf("unbounded cache not caching: %+v", cs)

@@ -666,8 +666,7 @@ func (db *DB) ColdStats() ColdStats {
 		Compactions:    ct.compactions.Load(),
 		ReclaimedBytes: ct.reclaimedBytes.Load(),
 	}
-	v := db.acquireView()
-	defer db.releaseView()
+	v := db.view.Load()
 	for _, sh := range v.shards {
 		for _, sr := range sh.series {
 			for _, col := range sr.fields {

@@ -57,14 +57,12 @@ func benchColdFixture(tb testing.TB) (*DB, *DB) {
 		}
 		cold := Open(Options{
 			BlockSize:            128,
-			PlannerOff:           true,
 			DecodeCacheBytes:     8 * 1024,
 			ColdDir:              dir,
 			ColdMaxResidentBytes: benchColdBudget,
 		})
 		resident := Open(Options{
 			BlockSize:        128,
-			PlannerOff:       true,
 			DecodeCacheBytes: 8 * 1024,
 		})
 		pts := benchColdPoints()
@@ -120,8 +118,9 @@ func BenchmarkResidentScan(b *testing.B) {
 // env var names the output path (the `make bench-json` entry point).
 // The acceptance gates live here: compressed resident bytes at or
 // under the configured budget after the spill, and the cold-tier scan
-// answering bit-identically to the fully resident twin. The cold/warm
-// latency ratio is recorded (not gated — it is hardware-dependent).
+// answering bit-identically to the fully resident twin. Only counts
+// that repeat exactly are recorded; the cold/resident latency ratio is
+// what BenchmarkColdScan and BenchmarkResidentScan print.
 func TestBenchColdTierJSON(t *testing.T) {
 	path := os.Getenv("BENCH_JSON")
 	if path == "" {
@@ -150,10 +149,6 @@ func TestBenchColdTierJSON(t *testing.T) {
 		t.Error("cold scan read nothing from disk; gate is vacuous")
 	}
 
-	coldB := testing.Benchmark(BenchmarkColdScan)
-	residentB := testing.Benchmark(BenchmarkResidentScan)
-	ratio := float64(coldB.NsPerOp()) / float64(residentB.NsPerOp())
-
 	out := map[string]any{
 		"workload":              "bounded footprint: 30d of 60s samples, 4 nodes, budget-pass spill",
 		"raw_points":            benchColdNodes * benchColdPerNode,
@@ -167,9 +162,6 @@ func TestBenchColdTierJSON(t *testing.T) {
 		"spills":                cs.Spills,
 		"blocks_from_disk":      coldRes.Stats.BlocksFromDisk,
 		"results_identical":     true, // sameResult above is fatal on any mismatch
-		"query_ns_cold":         coldB.NsPerOp(),
-		"query_ns_resident":     residentB.NsPerOp(),
-		"cold_latency_ratio":    ratio,
 		"resident_under_budget": cs.ResidentBytes <= cs.BudgetBytes,
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
@@ -179,6 +171,6 @@ func TestBenchColdTierJSON(t *testing.T) {
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %s: %d/%d compressed bytes resident, %d blocks cold, cold scan %.2fx resident",
-		path, cs.ResidentBytes, cs.BudgetBytes, cs.BlocksCold, ratio)
+	t.Logf("wrote %s: %d/%d compressed bytes resident, %d blocks cold",
+		path, cs.ResidentBytes, cs.BudgetBytes, cs.BlocksCold)
 }

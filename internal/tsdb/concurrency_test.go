@@ -223,25 +223,6 @@ func TestParallelExecMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestGlobalLockModeEquivalent checks the baseline mode answers queries
-// identically to the snapshot mode (it exists purely for A/B latency
-// comparison).
-func TestGlobalLockModeEquivalent(t *testing.T) {
-	for _, opts := range []Options{{ShardDuration: 3600}, {ShardDuration: 3600, GlobalLock: true}} {
-		db := Open(opts)
-		if err := db.WritePoints(concurrencyBatch(0, 32, 0)); err != nil {
-			t.Fatalf("WritePoints: %v", err)
-		}
-		res, err := db.Query(`SELECT count("Reading") FROM "m"`)
-		if err != nil {
-			t.Fatalf("Query: %v", err)
-		}
-		if len(res.Series) != 1 || res.Series[0].Rows[0].Values[0].I != 32 {
-			t.Fatalf("GlobalLock=%v: unexpected result %+v", opts.GlobalLock, res.Series)
-		}
-	}
-}
-
 // TestShardStartsSortedInsertion writes shards in shuffled time order
 // and checks the shard list stays time-sorted (the sorted-position
 // insert in batch.insertShardStart).

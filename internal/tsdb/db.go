@@ -28,36 +28,19 @@ type Options struct {
 
 	// BlockSize is the seal threshold in points: when a column's raw
 	// tail reaches this length, the write batch compresses full runs
-	// into immutable Gorilla-encoded blocks (see block.go). Zero
-	// selects DefaultBlockSize; negative disables sealing entirely
-	// (every sample stays raw — the A/B baseline for the compression
-	// benchmarks).
+	// into immutable Gorilla-encoded blocks (see block.go). Zero or
+	// negative selects DefaultBlockSize.
 	BlockSize int
-
-	// GlobalLock restores the pre-snapshot concurrency model for A/B
-	// comparison: queries hold a read lock for their full duration and
-	// each write batch takes the exclusive lock, so a collector flush
-	// stalls every concurrent query. Used by BenchmarkMixedReadWrite
-	// and the ext-contention experiment as the baseline.
-	GlobalLock bool
 
 	// DecodeCacheBytes bounds the total resident bytes of decoded
 	// sealed-block payloads (the age-based retention tier for memory —
 	// see cache.go), each charged its decoded size: 16 B per numeric
-	// point. Zero selects a 64 MiB default; negative removes
-	// the bound (the PR 5 keep-everything baseline for A/B runs).
+	// point. Zero or negative selects a 64 MiB default.
 	DecodeCacheBytes int64
 
-	// PlannerOff disables the tier-aware query planner: every query
-	// scans raw data even when a registered rollup could answer it.
-	// The A/B escape hatch for the equivalence tests and benchmarks,
-	// same pattern as GlobalLock/BlockSize.
-	PlannerOff bool
-
-	// Clock supplies time for contention accounting (write-wait and
-	// query lock-wait measurements). Nil selects the wall clock; the
-	// DES experiments inject a virtual clock so replayed runs stay
-	// deterministic.
+	// Clock supplies time for contention accounting (the write-wait
+	// measurement). Nil selects the wall clock; the DES experiments
+	// inject a virtual clock so replayed runs stay deterministic.
 	Clock clock.Clock
 
 	// ColdDir, when non-empty, enables the file-backed cold tier:
@@ -86,9 +69,7 @@ type Options struct {
 type DB struct {
 	shardDuration int64
 	execWorkers   int
-	blockSize     int // resolved seal threshold; 0 = sealing disabled
-	globalLock    bool
-	plannerOff    bool
+	blockSize     int // resolved seal threshold, always positive
 	clock         clock.Clock
 
 	// cache charge-accounts decoded block payloads against one global
@@ -118,10 +99,6 @@ type DB struct {
 	// the durability layer OpenDurable attaches (see wal.go). It is set
 	// once before the DB is shared and never changes.
 	wal *WAL
-
-	// legacyMu reproduces the old global-RWMutex serialization when
-	// Options.GlobalLock is set; otherwise it is never touched.
-	legacyMu sync.RWMutex
 }
 
 type measurementIndex struct {
@@ -152,29 +129,21 @@ func Open(opts Options) *DB {
 		sd = DefaultShardDuration
 	}
 	bs := opts.BlockSize
-	switch {
-	case bs == 0:
+	if bs <= 0 {
 		bs = DefaultBlockSize
-	case bs < 0:
-		bs = 0 // sealing disabled
 	}
 	clk := opts.Clock
 	if clk == nil {
 		clk = clock.NewReal()
 	}
 	budget := opts.DecodeCacheBytes
-	switch {
-	case budget == 0:
+	if budget <= 0 {
 		budget = defaultDecodeCacheBytes
-	case budget < 0:
-		budget = -1 // unlimited, accounting stays on
 	}
 	db := &DB{
 		shardDuration: sd,
 		execWorkers:   opts.ExecWorkers,
 		blockSize:     bs,
-		globalLock:    opts.GlobalLock,
-		plannerOff:    opts.PlannerOff,
 		clock:         clk,
 		cache:         newDecodeCache(budget),
 		rollupWM:      make(map[string]int64),
@@ -192,39 +161,14 @@ func Open(opts Options) *DB {
 	return db
 }
 
-// acquireView pins the current snapshot for a reader. In the default
-// mode this is a single atomic load; in GlobalLock mode it additionally
-// takes the legacy read lock, which the reader must hold for its full
-// duration (releaseView drops it).
-func (db *DB) acquireView() *dbView {
-	if db.globalLock {
-		db.legacyMu.RLock()
-	}
-	return db.view.Load()
-}
-
-func (db *DB) releaseView() {
-	if db.globalLock {
-		db.legacyMu.RUnlock()
-	}
-}
-
 // lockWrite serializes a mutator and reports how long it waited.
 func (db *DB) lockWrite() time.Duration {
 	t0 := db.clock.Now()
-	if db.globalLock {
-		db.legacyMu.Lock()
-	}
 	db.writeMu.Lock()
 	return db.clock.Now().Sub(t0)
 }
 
-func (db *DB) unlockWrite() {
-	db.writeMu.Unlock()
-	if db.globalLock {
-		db.legacyMu.Unlock()
-	}
-}
+func (db *DB) unlockWrite() { db.writeMu.Unlock() }
 
 // publish installs the next view. Callers must hold writeMu.
 func (db *DB) publish(v *dbView) { db.view.Store(v) }
@@ -246,15 +190,7 @@ func (db *DB) WritePoints(points []Point) error {
 	}
 	wait := db.lockWrite()
 	defer db.unlockWrite()
-	b := newBatch(db.view.Load(), db.shardDuration, db.blockSize)
-	for i := range points {
-		p := &points[i]
-		sorted := p.Tags.Sorted()
-		key := seriesKey(p.Measurement, sorted)
-		b.indexSeries(p, key, sorted)
-		b.writePoint(p, key, sorted)
-	}
-	nv, err := b.finish(len(points) > 0, wait.Nanoseconds())
+	nv, err := db.writePointsView(db.view.Load(), points, wait.Nanoseconds())
 	if err != nil {
 		return err
 	}
@@ -288,9 +224,7 @@ func (db *DB) WritePoints(points []Point) error {
 // write batch, measurement drop, and retention sweep that changes
 // stored data. A response cached at epoch E is stale iff Epoch() != E.
 func (db *DB) Epoch() int64 {
-	v := db.acquireView()
-	defer db.releaseView()
-	return v.epoch
+	return db.view.Load().epoch
 }
 
 // WritePoint stores a single point.
@@ -307,8 +241,7 @@ func mod(a, b int64) int64 {
 
 // Measurements lists measurement names in sorted order.
 func (db *DB) Measurements() []string {
-	v := db.acquireView()
-	defer db.releaseView()
+	v := db.view.Load()
 	out := make([]string, 0, len(v.index))
 	for m := range v.index {
 		out = append(out, m)
@@ -321,8 +254,7 @@ func (db *DB) Measurements() []string {
 // measurement ("" for the whole DB). Query cost scales with this
 // number — the property the paper's schema redesign attacks.
 func (db *DB) SeriesCardinality(measurement string) int {
-	v := db.acquireView()
-	defer db.releaseView()
+	v := db.view.Load()
 	if measurement != "" {
 		if mi, ok := v.index[measurement]; ok {
 			return len(mi.series)
@@ -339,8 +271,7 @@ func (db *DB) SeriesCardinality(measurement string) int {
 // TagValues lists the distinct values of a tag key within a
 // measurement, sorted.
 func (db *DB) TagValues(measurement, tagKey string) []string {
-	v := db.acquireView()
-	defer db.releaseView()
+	v := db.view.Load()
 	mi, ok := v.index[measurement]
 	if !ok {
 		return nil
@@ -360,8 +291,7 @@ func (db *DB) TagValues(measurement, tagKey string) []string {
 // FieldKinds reports the field keys and first-seen kinds of a
 // measurement.
 func (db *DB) FieldKinds(measurement string) map[string]ValueKind {
-	v := db.acquireView()
-	defer db.releaseView()
+	v := db.view.Load()
 	mi, ok := v.index[measurement]
 	if !ok {
 		return nil
@@ -375,9 +305,7 @@ func (db *DB) FieldKinds(measurement string) map[string]ValueKind {
 
 // Stats returns engine-wide counters.
 func (db *DB) Stats() DBStats {
-	v := db.acquireView()
-	defer db.releaseView()
-	return v.stats
+	return db.view.Load().stats
 }
 
 // DiskStats aggregates per-shard size accounting.
@@ -394,8 +322,7 @@ func (d DiskStats) TotalBytes() int64 { return d.DataBytes + d.IndexBytes }
 // Disk reports the engine's encoded data volume. Volumes are exact
 // encoded sizes of the stored points, the quantity compared in Fig 13.
 func (db *DB) Disk() DiskStats {
-	v := db.acquireView()
-	defer db.releaseView()
+	v := db.view.Load()
 	var d DiskStats
 	d.Shards = len(v.shards)
 	for _, sh := range v.shards {
@@ -436,8 +363,7 @@ func (c CompressionStats) Ratio() float64 {
 // accounting — the numbers behind /v1/stats' storage_bytes_raw /
 // storage_bytes_compressed / compression_ratio fields.
 func (db *DB) Compression() CompressionStats {
-	v := db.acquireView()
-	defer db.releaseView()
+	v := db.view.Load()
 	cs := CompressionStats{BlocksSealed: v.stats.BlocksSealed}
 	for _, sh := range v.shards {
 		for _, sr := range sh.series {
@@ -470,8 +396,7 @@ func (db *DB) Compression() CompressionStats {
 
 // ShardStats lists per-shard statistics in time order.
 func (db *DB) ShardStats() []ShardStats {
-	v := db.acquireView()
-	defer db.releaseView()
+	v := db.view.Load()
 	out := make([]ShardStats, 0, len(v.shardStarts))
 	for _, s := range v.shardStarts {
 		out = append(out, v.shards[s].stats())
@@ -528,13 +453,14 @@ func (db *DB) DeleteBefore(t int64) (int, error) {
 // columns — the raw-tier expiry path, where raw data ages out while
 // its covering rollup measurements (and unrelated raw measurements in
 // the same shards) stay. On a durable DB the clear is write-ahead
-// logged before it applies.
+// logged before it applies. A sealed block the rewrite needs but cannot
+// read back fails the delete and leaves the data as it was.
 func (db *DB) DeleteMeasurementBefore(name string, t int64) (int64, error) {
 	wait := db.lockWrite()
 	defer db.unlockWrite()
-	nv, removed := clearMeasurementRangeView(db.view.Load(), name, minInt64, t, db.blockSize, wait.Nanoseconds())
+	nv, removed, err := clearMeasurementRangeView(db.view.Load(), name, minInt64, t, db.blockSize, wait.Nanoseconds())
 	if nv == nil {
-		return 0, nil
+		return 0, err
 	}
 	if db.wal != nil {
 		if err := db.wal.append(encodeClearRangeRecord(name, minInt64, t)); err != nil {

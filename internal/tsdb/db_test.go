@@ -7,6 +7,21 @@ import (
 	"testing"
 )
 
+// TestOpenNonPositiveSelectsDefaults checks Open has one behaviour per
+// option: a zero or negative BlockSize or DecodeCacheBytes is the
+// default, not a mode of its own.
+func TestOpenNonPositiveSelectsDefaults(t *testing.T) {
+	for _, v := range []int{0, -1} {
+		db := Open(Options{BlockSize: v, DecodeCacheBytes: int64(v)})
+		if db.blockSize != DefaultBlockSize {
+			t.Fatalf("BlockSize %d: seal threshold %d, want %d", v, db.blockSize, DefaultBlockSize)
+		}
+		if got := db.CacheStats().BudgetBytes; got != defaultDecodeCacheBytes {
+			t.Fatalf("DecodeCacheBytes %d: budget %d, want %d", v, got, defaultDecodeCacheBytes)
+		}
+	}
+}
+
 func TestMeasurementsListing(t *testing.T) {
 	db := Open(Options{})
 	for _, m := range []string{"Thermal", "Power", "Health"} {

@@ -34,9 +34,9 @@ type QueryStats struct {
 	// SnapshotEpoch is the mutation epoch of the snapshot the query ran
 	// against (the consistency token of the snapshot-isolated read path).
 	SnapshotEpoch int64
-	// LockWaitNs is time spent acquiring the read path before the
-	// snapshot was pinned. Zero in the default lock-free mode; nonzero
-	// under Options.GlobalLock when a write batch held the lock.
+	// LockWaitNs is always zero: the read path pins its snapshot with
+	// one atomic load and waits for no lock. The field stays because the
+	// end-to-end benchmark reads it (tsdb.lock_wait_us).
 	LockWaitNs int64
 	// Groups is the number of series groups the query produced
 	// (including groups that emitted no rows).
@@ -170,20 +170,16 @@ func (db *DB) execWorkersFor(groups int) int {
 // When the query's shape matches a registered rollup tier — single
 // aggregate over a grouping interval the tier's buckets divide — the
 // planner transparently answers the sealed prefix from the tier and
-// only the unsealed tail from raw storage (see planTiered). Disable
-// with Options.PlannerOff for A/B baselines.
+// only the unsealed tail from raw storage (see planTiered).
 func (db *DB) Exec(q *Query) (*Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	t0 := db.clock.Now()
-	v := db.acquireView()
-	defer db.releaseView()
-	lockWaitNs := db.clock.Now().Sub(t0).Nanoseconds()
-	if res, ok, err := db.planTiered(v, q, lockWaitNs); ok || err != nil {
+	v := db.view.Load()
+	if res, ok, err := db.planTiered(v, q); ok || err != nil {
 		return res, err
 	}
-	return db.execView(v, q, lockWaitNs)
+	return db.execView(v, q)
 }
 
 // execNoRewrite executes q against the current snapshot with the
@@ -193,22 +189,18 @@ func (db *DB) execNoRewrite(q *Query) (*Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	v := db.acquireView()
-	defer db.releaseView()
-	return db.execView(v, q, 0)
+	return db.execView(db.view.Load(), q)
 }
 
 // execView runs q against one pinned view, bypassing the planner. The
 // write path calls this on unpublished candidate views during rollup
 // maintenance (never through Exec: the planner would consult the very
-// tiers being rebuilt, and acquireView could deadlock under
-// Options.GlobalLock).
-func (db *DB) execView(v *dbView, q *Query, lockWaitNs int64) (*Result, error) {
+// tiers being rebuilt).
+func (db *DB) execView(v *dbView, q *Query) (*Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	res := &Result{}
-	res.Stats.LockWaitNs = lockWaitNs
 	res.Stats.SnapshotEpoch = v.epoch
 	res.Stats.ParallelWorkers = 1
 

@@ -11,9 +11,7 @@ import (
 // read back and inlined so the file is portable — restoring it needs
 // no cold directory.
 func (db *DB) SaveFile(path string) error {
-	v := db.acquireView()
-	defer db.releaseView()
-	return saveViewFile(v, db.shardDuration, path, true)
+	return saveViewFile(db.view.Load(), db.shardDuration, path, true)
 }
 
 // saveViewFile serializes one pinned view to path atomically: temp

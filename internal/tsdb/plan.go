@@ -37,11 +37,8 @@ import (
 
 // planTiered attempts the rollup rewrite for q against pinned view v.
 // ok=false means the query is not eligible (no matching tier, unaligned
-// range, disabled planner) and the caller should run the raw path.
-func (db *DB) planTiered(v *dbView, q *Query, lockWaitNs int64) (_ *Result, ok bool, _ error) {
-	if db.plannerOff {
-		return nil, false, nil
-	}
+// range) and the caller should run the raw path.
+func (db *DB) planTiered(v *dbView, q *Query) (_ *Result, ok bool, _ error) {
 	reg := db.rollups.Load()
 	if reg == nil || !q.Aggregated() || len(q.Fields) != 1 {
 		return nil, false, nil
@@ -93,7 +90,7 @@ func (db *DB) planTiered(v *dbView, q *Query, lockWaitNs int64) (_ *Result, ok b
 		GroupByTime: g,
 		GroupByTags: q.GroupByTags,
 	}
-	tres, err := db.execView(v, tq, lockWaitNs)
+	tres, err := db.execView(v, tq)
 	if err != nil {
 		return nil, false, err
 	}
@@ -101,7 +98,7 @@ func (db *DB) planTiered(v *dbView, q *Query, lockWaitNs int64) (_ *Result, ok b
 	rq.Start = split
 	rq.Descending = false
 	rq.Limit = 0
-	rres, err := db.execView(v, &rq, 0)
+	rres, err := db.execView(v, &rq)
 	if err != nil {
 		return nil, false, err
 	}
@@ -145,7 +142,6 @@ func (db *DB) planTiered(v *dbView, q *Query, lockWaitNs int64) (_ *Result, ok b
 	res := &Result{}
 	res.Stats = tres.Stats
 	res.Stats.Add(rres.Stats)
-	res.Stats.LockWaitNs = lockWaitNs
 	res.Stats.Tier = cr.target
 	res.Stats.TierRawEquivalent = estimateRawPoints(v, q, f.Field, split)
 	res.Stats.Rows = 0

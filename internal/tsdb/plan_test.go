@@ -41,14 +41,13 @@ func sameResult(t *testing.T, planned, raw *Result, ctx string) {
 // tier (the coarsest eligible), identical to the raw scan.
 func TestPlannerChainedTierEquivalence(t *testing.T) {
 	db := rollupFixture(t, 2, 48*60) // 48 h of minutely data per node
-	rm := NewRollups(db)
-	if err := rm.Add(RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
+	if err := db.RegisterRollup(RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rm.Add(RollupSpec{Source: "Power_max_300s", Field: "Reading", Aggregate: "max", Interval: 3600}); err != nil {
+	if err := db.RegisterRollup(RollupSpec{Source: "Power_max_300s", Field: "Reading", Aggregate: "max", Interval: 3600}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rm.Run(48 * 3600); err != nil {
+	if _, err := db.RollupAdvance(48 * 3600); err != nil {
 		t.Fatal(err)
 	}
 	q, err := Parse(`SELECT max("Reading") FROM "Power" WHERE time >= 0 AND time < 172800 GROUP BY time(1h), "NodeId"`)
@@ -73,50 +72,48 @@ func TestPlannerChainedTierEquivalence(t *testing.T) {
 	}
 }
 
-// TestPlannerOffOption checks the escape hatch: with PlannerOff the
-// exact same query never rewrites, and still answers identically.
-func TestPlannerOffOption(t *testing.T) {
-	for _, off := range []bool{false, true} {
-		db := Open(Options{PlannerOff: off})
-		var pts []Point
-		for i := 0; i < 120; i++ {
-			pts = append(pts, Point{
-				Measurement: "Power",
-				Tags:        Tags{{"NodeId", "n0"}},
-				Fields:      map[string]Value{"Reading": Float(float64(i % 13))},
-				Time:        int64(i * 60),
-			})
-		}
-		if err := db.WritePoints(pts); err != nil {
-			t.Fatal(err)
-		}
-		rm := NewRollups(db)
-		if err := rm.Add(RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rm.Run(7200); err != nil {
-			t.Fatal(err)
-		}
-		q, err := Parse(`SELECT max("Reading") FROM "Power" WHERE time >= 0 AND time < 7200 GROUP BY time(10m)`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := db.Exec(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if off && res.Stats.Tier != "" {
-			t.Fatalf("PlannerOff still served tier %q", res.Stats.Tier)
-		}
-		if !off && res.Stats.Tier == "" {
-			t.Fatal("planner never engaged on an eligible query")
-		}
-		raw, err := db.execNoRewrite(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResult(t, res, raw, fmt.Sprintf("plannerOff=%t", off))
+// TestExecNoRewriteBypassesPlanner checks the raw reference every
+// equivalence test here compares against: on a query Exec rewrites,
+// execNoRewrite never consults a tier, and still answers identically.
+func TestExecNoRewriteBypassesPlanner(t *testing.T) {
+	db := Open(Options{})
+	var pts []Point
+	for i := 0; i < 120; i++ {
+		pts = append(pts, Point{
+			Measurement: "Power",
+			Tags:        Tags{{"NodeId", "n0"}},
+			Fields:      map[string]Value{"Reading": Float(float64(i % 13))},
+			Time:        int64(i * 60),
+		})
 	}
+	if err := db.WritePoints(pts); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RegisterRollup(RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.RollupAdvance(7200); err != nil {
+		t.Fatal(err)
+	}
+	q, err := Parse(`SELECT max("Reading") FROM "Power" WHERE time >= 0 AND time < 7200 GROUP BY time(10m)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Exec(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Tier == "" {
+		t.Fatal("planner never engaged on an eligible query")
+	}
+	raw, err := db.execNoRewrite(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw.Stats.Tier != "" {
+		t.Fatalf("execNoRewrite served tier %q", raw.Stats.Tier)
+	}
+	sameResult(t, res, raw, "bypass")
 }
 
 // TestPlannerUnalignedStartFallsBack pins the clipping hazard: a Start
@@ -124,11 +121,10 @@ func TestPlannerOffOption(t *testing.T) {
 // folds in raw samples before Start), so the planner falls back to raw.
 func TestPlannerUnalignedStartFallsBack(t *testing.T) {
 	db := rollupFixture(t, 1, 60)
-	rm := NewRollups(db)
-	if err := rm.Add(RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
+	if err := db.RegisterRollup(RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rm.Run(3600); err != nil {
+	if _, err := db.RollupAdvance(3600); err != nil {
 		t.Fatal(err)
 	}
 	q, err := Parse(`SELECT max("Reading") FROM "Power" WHERE time >= 60 AND time < 3600 GROUP BY time(5m)`)
@@ -172,13 +168,12 @@ func plannerPropertyDB(t testing.TB, seed int64) *DB {
 	if err := db.WritePoints(pts); err != nil {
 		t.Fatal(err)
 	}
-	rm := NewRollups(db)
 	for _, agg := range []string{"max", "min", "sum", "count", "mean"} {
-		if err := rm.Add(RollupSpec{Source: "Power", Field: "Reading", Aggregate: agg, Interval: 300}); err != nil {
+		if err := db.RegisterRollup(RollupSpec{Source: "Power", Field: "Reading", Aggregate: agg, Interval: 300}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := rm.Run(6 * 3600); err != nil {
+	if _, err := db.RollupAdvance(6 * 3600); err != nil {
 		t.Fatal(err)
 	}
 	return db

@@ -283,30 +283,25 @@ func (db *DB) applyBatchRecord(points []Point, ops []rollupOp) error {
 	wait := db.lockWrite()
 	defer db.unlockWrite()
 	v := db.view.Load()
+	var err error
 	if len(points) > 0 {
-		b := newBatch(v, db.shardDuration, db.blockSize)
-		for i := range points {
-			p := &points[i]
-			sorted := p.Tags.Sorted()
-			key := seriesKey(p.Measurement, sorted)
-			b.indexSeries(p, key, sorted)
-			b.writePoint(p, key, sorted)
-		}
-		var err error
-		if v, err = b.finish(true, wait.Nanoseconds()); err != nil {
+		if v, err = db.writePointsView(v, points, wait.Nanoseconds()); err != nil {
 			return err
 		}
 	}
 	for i := range ops {
 		op := &ops[i]
 		if op.clearStart < op.clearEnd {
-			if nv, _ := clearMeasurementRangeView(v, op.target, op.clearStart, op.clearEnd, db.blockSize, 0); nv != nil {
+			nv, _, err := clearMeasurementRangeView(v, op.target, op.clearStart, op.clearEnd, db.blockSize, 0)
+			if err != nil {
+				return err
+			}
+			if nv != nil {
 				v = nv
 			}
 		}
 		if len(op.points) > 0 {
-			var err error
-			if v, err = applyRollupPoints(v, op.points, db.shardDuration, db.blockSize); err != nil {
+			if v, err = db.writePointsView(v, op.points, 0); err != nil {
 				return err
 			}
 		}
@@ -319,10 +314,11 @@ func (db *DB) applyBatchRecord(points []Point, ops []rollupOp) error {
 func (db *DB) applyClearRange(name string, start, end int64) error {
 	wait := db.lockWrite()
 	defer db.unlockWrite()
-	if nv, _ := clearMeasurementRangeView(db.view.Load(), name, start, end, db.blockSize, wait.Nanoseconds()); nv != nil {
+	nv, _, err := clearMeasurementRangeView(db.view.Load(), name, start, end, db.blockSize, wait.Nanoseconds())
+	if nv != nil {
 		db.publish(nv)
 	}
-	return nil
+	return err
 }
 
 // Checkpoint makes the WAL directory's snapshot current and truncates

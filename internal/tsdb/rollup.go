@@ -3,7 +3,6 @@ package tsdb
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Rollups are the engine's continuous queries: InfluxDB's "variety of
@@ -322,7 +321,7 @@ func (db *DB) rollupExec(v *dbView, cr compiledRollup, start, end, wm int64) (*d
 		GroupByTime: cr.interval,
 		GroupByTags: []string{"*"},
 	}
-	res, err := db.execView(v, q, 0)
+	res, err := db.execView(v, q)
 	if err != nil {
 		return v, rollupOp{}, fmt.Errorf("tsdb: rollup %q: %w", cr.target, err)
 	}
@@ -343,7 +342,11 @@ func (db *DB) rollupExec(v *dbView, cr compiledRollup, start, end, wm int64) (*d
 	}
 	op := rollupOp{target: cr.target, clearStart: start, clearEnd: min64(end, wm), points: pts}
 	if op.clearStart < op.clearEnd {
-		if nv, _ := clearMeasurementRangeView(v, cr.target, op.clearStart, op.clearEnd, db.blockSize, 0); nv != nil {
+		nv, _, err := clearMeasurementRangeView(v, cr.target, op.clearStart, op.clearEnd, db.blockSize, 0)
+		if err != nil {
+			return v, rollupOp{}, fmt.Errorf("tsdb: rollup %q: %w", cr.target, err)
+		}
+		if nv != nil {
 			v = nv
 		} else {
 			op.clearEnd = op.clearStart // nothing was there to clear
@@ -352,27 +355,13 @@ func (db *DB) rollupExec(v *dbView, cr compiledRollup, start, end, wm int64) (*d
 		op.clearEnd = op.clearStart
 	}
 	if len(pts) > 0 {
-		nv, err := applyRollupPoints(v, pts, db.shardDuration, db.blockSize)
+		nv, err := db.writePointsView(v, pts, 0)
 		if err != nil {
 			return v, rollupOp{}, fmt.Errorf("tsdb: rollup %q: %w", cr.target, err)
 		}
 		v = nv
 	}
 	return v, op, nil
-}
-
-// applyRollupPoints writes maintenance-produced points into a fresh
-// batch over v and returns the finished (unpublished) view.
-func applyRollupPoints(v *dbView, pts []Point, shardDuration int64, blockSize int) (*dbView, error) {
-	b := newBatch(v, shardDuration, blockSize)
-	for i := range pts {
-		p := &pts[i]
-		sorted := p.Tags.Sorted()
-		key := seriesKey(p.Measurement, sorted)
-		b.indexSeries(p, key, sorted)
-		b.writePoint(p, key, sorted)
-	}
-	return b.finish(true, 0)
 }
 
 // rollupQueryFields builds the source query's field list for one spec.
@@ -458,9 +447,11 @@ func rollupRowFields(cr compiledRollup, row Row) (map[string]Value, bool) {
 }
 
 // RollupAdvance materializes every complete bucket with end <= now
-// (data time, unix seconds) for all registered tiers — the poll-loop
-// complement to the write-path maintenance, used to close buckets by
-// clock when writes go quiet. It reports rollup points written.
+// (data time, unix seconds) for all registered tiers — the explicit
+// catch-up beside write-path maintenance, which only closes a bucket
+// once a later source point arrives: call it to materialize a tier
+// registered over existing data, or to close the last buckets by clock
+// once writes have gone quiet. It reports rollup points written.
 func (db *DB) RollupAdvance(now int64) (int, error) {
 	reg := db.rollups.Load()
 	if reg == nil {
@@ -559,8 +550,7 @@ func (db *DB) TierStats() []TierStats {
 // measurementPoints counts one measurement's stored points across all
 // shards.
 func (db *DB) measurementPoints(name string) int64 {
-	v := db.acquireView()
-	defer db.releaseView()
+	v := db.view.Load()
 	mi, ok := v.index[name]
 	if !ok {
 		return 0
@@ -575,50 +565,6 @@ func (db *DB) measurementPoints(name string) int64 {
 		}
 	}
 	return n
-}
-
-// Rollups manages a set of continuous downsampling queries over one
-// DB — the stable wrapper around the engine-level registry
-// (RegisterRollup/RollupAdvance) that core and the deployment wire up.
-type Rollups struct {
-	db *DB
-
-	mu    sync.Mutex
-	specs []RollupSpec
-}
-
-// NewRollups creates a manager for db.
-func NewRollups(db *DB) *Rollups {
-	return &Rollups{db: db}
-}
-
-// Add registers a spec on the engine; the write path maintains it
-// incrementally from then on, and Run closes buckets by clock.
-func (r *Rollups) Add(spec RollupSpec) error {
-	if err := r.db.RegisterRollup(spec); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	r.specs = append(r.specs, spec)
-	r.mu.Unlock()
-	return nil
-}
-
-// Specs lists registered specs.
-func (r *Rollups) Specs() []RollupSpec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]RollupSpec, len(r.specs))
-	copy(out, r.specs)
-	return out
-}
-
-// Run materializes every complete bucket with end <= now (data time,
-// unix seconds) for all specs. It reports the number of rollup points
-// written. With write-path maintenance active this mostly closes the
-// final clock-complete bucket after writes go quiet.
-func (r *Rollups) Run(now int64) (int, error) {
-	return r.db.RollupAdvance(now)
 }
 
 // min64/max64 are int64 helpers (the stdlib min/max builtins arrived
@@ -697,11 +643,4 @@ func viewLastTime(v *dbView, measurement string) (int64, bool) {
 		}
 	}
 	return best, found
-}
-
-// earliestTime reports the earliest stored timestamp of a measurement.
-func (db *DB) earliestTime(measurement string) (int64, bool) {
-	v := db.acquireView()
-	defer db.releaseView()
-	return viewEarliestTime(v, measurement)
 }

@@ -43,16 +43,15 @@ func benchRollupFixture(tb testing.TB) *DB {
 				tb.Fatal(err)
 			}
 		}
-		rm := NewRollups(db)
 		for _, spec := range []RollupSpec{
 			{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300},
 			{Source: "Power_max_300s", Field: "Reading", Aggregate: "max", Interval: 3600},
 		} {
-			if err := rm.Add(spec); err != nil {
+			if err := db.RegisterRollup(spec); err != nil {
 				tb.Fatal(err)
 			}
 		}
-		if _, err := rm.Run(benchRollupPerNode * 60); err != nil {
+		if _, err := db.RollupAdvance(benchRollupPerNode * 60); err != nil {
 			tb.Fatal(err)
 		}
 		benchRollupDB = db
@@ -96,8 +95,11 @@ func BenchmarkRawDashboard(b *testing.B) {
 
 // TestBenchRollupJSON writes BENCH_rollup.json when the BENCH_JSON env
 // var names the output path (the `make bench-json` entry point): the
-// month-long-dashboard scan reduction and latency, plus a cold-scan
-// cache stress showing resident decoded bytes honoring the budget.
+// month-long-dashboard scan reduction, plus a cold-scan cache stress
+// showing resident decoded bytes honoring the budget. Only counts that
+// repeat exactly are recorded; timings belong to cmd/loadgen, which
+// bounds their noise (BenchmarkTieredDashboard/BenchmarkRawDashboard
+// remain for interactive use).
 // The acceptance gates live here too: >=50x fewer points scanned with
 // an identical answer, and the cache never over budget.
 func TestBenchRollupJSON(t *testing.T) {
@@ -129,14 +131,11 @@ func TestBenchRollupJSON(t *testing.T) {
 			reduction, planned.Stats.PointsScanned, raw.Stats.PointsScanned)
 	}
 
-	tiered := testing.Benchmark(BenchmarkTieredDashboard)
-	rawB := testing.Benchmark(BenchmarkRawDashboard)
-
 	// Cold-scan cache stress: a separate sealed engine whose decoded
 	// working set (48,000 float points at 16 B) is ~10x the budget;
 	// repeated full scans must stay resident-bounded by evicting.
 	const cacheBudget = 75 * 1024
-	stress := Open(Options{BlockSize: 128, DecodeCacheBytes: cacheBudget, PlannerOff: true})
+	stress := Open(Options{BlockSize: 128, DecodeCacheBytes: cacheBudget})
 	var pts []Point
 	for i := 0; i < 48000; i++ {
 		pts = append(pts, Point{
@@ -168,9 +167,6 @@ func TestBenchRollupJSON(t *testing.T) {
 		"points_scanned_raw":     raw.Stats.PointsScanned,
 		"scan_reduction":         reduction,
 		"tier_raw_equivalent":    planned.Stats.TierRawEquivalent,
-		"query_ns_tiered":        tiered.NsPerOp(),
-		"query_ns_raw":           rawB.NsPerOp(),
-		"query_speedup":          float64(rawB.NsPerOp()) / float64(tiered.NsPerOp()),
 		"results_identical":      true, // sameResult above is fatal on any mismatch
 		"cache_budget_bytes":     cs.BudgetBytes,
 		"cache_resident_bytes":   cs.ResidentBytes,
@@ -188,6 +184,6 @@ func TestBenchRollupJSON(t *testing.T) {
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %s: %.0fx fewer points scanned, %.1fx faster, cache %d/%d bytes resident",
-		path, reduction, float64(rawB.NsPerOp())/float64(tiered.NsPerOp()), cs.ResidentBytes, cs.BudgetBytes)
+	t.Logf("wrote %s: %.0fx fewer points scanned, cache %d/%d bytes resident",
+		path, reduction, cs.ResidentBytes, cs.BudgetBytes)
 }

@@ -53,12 +53,11 @@ func TestRollupSpecValidate(t *testing.T) {
 
 func TestRollupMaterializesBuckets(t *testing.T) {
 	db := rollupFixture(t, 2, 60) // 1 h of minutely data per node
-	rm := NewRollups(db)
-	if err := rm.Add(RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
+	if err := db.RegisterRollup(RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
 		t.Fatal(err)
 	}
 	// Process up to t=1800: 6 complete buckets per node.
-	n, err := rm.Run(1800)
+	n, err := db.RollupAdvance(1800)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +97,10 @@ func TestRollupMaterializesBuckets(t *testing.T) {
 
 func TestRollupIncrementalWatermark(t *testing.T) {
 	db := rollupFixture(t, 1, 30)
-	rm := NewRollups(db)
-	if err := rm.Add(RollupSpec{Source: "Power", Field: "Reading", Aggregate: "mean", Interval: 600}); err != nil {
+	if err := db.RegisterRollup(RollupSpec{Source: "Power", Field: "Reading", Aggregate: "mean", Interval: 600}); err != nil {
 		t.Fatal(err)
 	}
-	n1, err := rm.Run(1200)
+	n1, err := db.RollupAdvance(1200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +108,7 @@ func TestRollupIncrementalWatermark(t *testing.T) {
 		t.Fatalf("first run wrote %d", n1)
 	}
 	// Re-running at the same time is a no-op (no duplicates).
-	n2, err := rm.Run(1200)
+	n2, err := db.RollupAdvance(1200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +142,7 @@ func TestRollupIncrementalWatermark(t *testing.T) {
 	if got := countRows(); got != 3 {
 		t.Fatalf("rollup points after write hook = %d, want 3", got)
 	}
-	n3, err := rm.Run(2400)
+	n3, err := db.RollupAdvance(2400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,12 +156,11 @@ func TestRollupIncrementalWatermark(t *testing.T) {
 
 func TestRollupIncompleteBucketExcluded(t *testing.T) {
 	db := rollupFixture(t, 1, 10)
-	rm := NewRollups(db)
-	if err := rm.Add(RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
+	if err := db.RegisterRollup(RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
 		t.Fatal(err)
 	}
 	// now=400 is inside the second bucket: only bucket [0,300) complete.
-	n, err := rm.Run(400)
+	n, err := db.RollupAdvance(400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,26 +171,25 @@ func TestRollupIncompleteBucketExcluded(t *testing.T) {
 
 func TestRollupEmptySource(t *testing.T) {
 	db := Open(Options{})
-	rm := NewRollups(db)
-	if err := rm.Add(RollupSpec{Source: "Nope", Field: "f", Aggregate: "max", Interval: 60}); err != nil {
+	if err := db.RegisterRollup(RollupSpec{Source: "Nope", Field: "f", Aggregate: "max", Interval: 60}); err != nil {
 		t.Fatal(err)
 	}
-	n, err := rm.Run(1000)
+	n, err := db.RollupAdvance(1000)
 	if err != nil || n != 0 {
 		t.Fatalf("empty source: %d, %v", n, err)
 	}
 }
 
 func TestRollupDuplicateTargetRejected(t *testing.T) {
-	rm := NewRollups(Open(Options{}))
+	db := Open(Options{})
 	spec := RollupSpec{Source: "m", Field: "f", Aggregate: "max", Interval: 60}
-	if err := rm.Add(spec); err != nil {
+	if err := db.RegisterRollup(spec); err != nil {
 		t.Fatal(err)
 	}
-	if err := rm.Add(spec); err == nil {
+	if err := db.RegisterRollup(spec); err == nil {
 		t.Fatal("duplicate target accepted")
 	}
-	if len(rm.Specs()) != 1 {
+	if len(db.TierStats()) != 1 {
 		t.Fatal("specs leaked")
 	}
 }
@@ -203,11 +199,10 @@ func TestRollupQueryEquivalence(t *testing.T) {
 	// rollup measurement, bit-identical to the forced raw scan and far
 	// cheaper.
 	db := rollupFixture(t, 1, 60)
-	rm := NewRollups(db)
-	if err := rm.Add(RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
+	if err := db.RegisterRollup(RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rm.Run(3600); err != nil {
+	if _, err := db.RollupAdvance(3600); err != nil {
 		t.Fatal(err)
 	}
 	q, err := Parse(`SELECT max("Reading") FROM "Power" WHERE time >= 0 AND time < 3600 GROUP BY time(5m)`)

@@ -48,8 +48,7 @@ func TestWALRollupKillPoints(t *testing.T) {
 
 	master := t.TempDir()
 	db, _ := crashOpen(t, master, WALOptions{Policy: FsyncNever})
-	rm := NewRollups(db)
-	if err := rm.Add(spec); err != nil {
+	if err := db.RegisterRollup(spec); err != nil {
 		t.Fatal(err)
 	}
 	// One point per batch: crossing a 300s bucket boundary makes that
@@ -65,7 +64,7 @@ func TestWALRollupKillPoints(t *testing.T) {
 	}
 	// Clock-driven advance closes the data-incomplete tail bucket and
 	// logs a points-free composite record.
-	if _, err := rm.Run(runNow); err != nil {
+	if _, err := db.RollupAdvance(runNow); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(walSegmentPath(master, 1))
@@ -79,8 +78,7 @@ func TestWALRollupKillPoints(t *testing.T) {
 	refRaw := make([]int64, batches+1)
 	for k := 0; k <= batches; k++ {
 		ref := Open(Options{ShardDuration: 3600})
-		refRM := NewRollups(ref)
-		if err := refRM.Add(spec); err != nil {
+		if err := ref.RegisterRollup(spec); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < k; i++ {
@@ -88,7 +86,7 @@ func TestWALRollupKillPoints(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := refRM.Run(runNow); err != nil {
+		if _, err := ref.RollupAdvance(runNow); err != nil {
 			t.Fatal(err)
 		}
 		refSig[k] = tierSig(t, ref, fmt.Sprintf("reference k=%d", k))
@@ -119,11 +117,10 @@ func TestWALRollupKillPoints(t *testing.T) {
 		tierSig(t, rec, ctx) // duplicate-bucket check on the bare replayed state
 		// Re-register and advance: watermark inference must pick up from
 		// the replayed tier rows and converge on the reference state.
-		recRM := NewRollups(rec)
-		if err := recRM.Add(spec); err != nil {
+		if err := rec.RegisterRollup(spec); err != nil {
 			t.Fatalf("%s: %v", ctx, err)
 		}
-		if _, err := recRM.Run(runNow); err != nil {
+		if _, err := rec.RollupAdvance(runNow); err != nil {
 			t.Fatalf("%s: %v", ctx, err)
 		}
 		if got := tierSig(t, rec, ctx); got != refSig[prefix] {
@@ -154,8 +151,7 @@ func TestWALRollupPlainWriteFormat(t *testing.T) {
 	dbB, _ := crashOpen(t, dirB, WALOptions{Policy: FsyncNever})
 	// B has a rollup registered but the batch closes no bucket, so no
 	// ops are emitted and the record must stay in the plain format.
-	rm := NewRollups(dbB)
-	if err := rm.Add(RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
+	if err := dbB.RegisterRollup(RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
 		t.Fatal(err)
 	}
 	for _, db := range []*DB{dbA, dbB} {

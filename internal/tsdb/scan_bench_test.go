@@ -9,8 +9,9 @@ import (
 // series of 72 h of minutely floats in one-day shards sealed at the
 // default block size (one 1,024-point block and a 416-point raw tail
 // per series and day), scanned serially by the builder's max@1h
-// fan-out statement. "warm" keeps the whole decoded set resident, so
-// its ns/point is the aggregation kernel alone; "cold" budgets the
+// fan-out statement. "warm" keeps the whole decoded set (1.1 MB)
+// resident under the default budget, so its ns/point is the
+// aggregation kernel alone; "cold" budgets the
 // decode cache a single byte, so every block is decoded again on every
 // scan and B/op is the decode garbage per request.
 func BenchmarkScan72h(b *testing.B) {
@@ -32,7 +33,7 @@ func BenchmarkScan72h(b *testing.B) {
 	for _, c := range []struct {
 		name   string
 		budget int64
-	}{{"warm", -1}, {"cold", 1}} {
+	}{{"warm", 0}, {"cold", 1}} {
 		b.Run(c.name, func(b *testing.B) {
 			db := Open(Options{DecodeCacheBytes: c.budget, ExecWorkers: 1})
 			if err := db.WritePoints(pts); err != nil {

@@ -62,7 +62,7 @@ func (c *column) firstTime() (int64, bool) {
 // with a published view, which is safe under the linear-history
 // invariant (older views never index past their own length).
 func (c *column) seal(bs int) int {
-	if bs <= 0 || len(c.times) < bs {
+	if len(c.times) < bs {
 		return 0
 	}
 	n := 0

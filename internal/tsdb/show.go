@@ -137,8 +137,7 @@ func (db *DB) showSeries(p *parser) (*Result, error) {
 	if err := expectEnd(p); err != nil {
 		return nil, err
 	}
-	v := db.acquireView()
-	defer db.releaseView()
+	v := db.view.Load()
 	var keys []string
 	for m, mi := range v.index {
 		if from != "" && m != from {
@@ -160,8 +159,7 @@ func (db *DB) showTagKeys(p *parser) (*Result, error) {
 	if err := expectEnd(p); err != nil {
 		return nil, err
 	}
-	v := db.acquireView()
-	defer db.releaseView()
+	v := db.view.Load()
 	set := map[string]bool{}
 	for m, mi := range v.index {
 		if from != "" && m != from {
@@ -200,8 +198,7 @@ func (db *DB) showTagValues(p *parser) (*Result, error) {
 	if err := expectEnd(p); err != nil {
 		return nil, err
 	}
-	v := db.acquireView()
-	defer db.releaseView()
+	v := db.view.Load()
 	set := map[string]bool{}
 	for m, mi := range v.index {
 		if from != "" && m != from {
@@ -227,8 +224,7 @@ func (db *DB) showFieldKeys(p *parser) (*Result, error) {
 	if err := expectEnd(p); err != nil {
 		return nil, err
 	}
-	v := db.acquireView()
-	defer db.releaseView()
+	v := db.view.Load()
 	res := &Result{}
 	var measurements []string
 	for m := range v.index {

@@ -11,7 +11,7 @@ import (
 
 // Snapshot format: a length-prefixed binary stream.
 //
-// Version 3 (current writer) persists the sealed-block tier verbatim —
+// The one format (version 3) persists the sealed-block tier verbatim —
 // compressed payloads are copied byte-for-byte, never re-encoded — plus
 // each column's raw tail and the engine counters, so a restore
 // reconstructs the exact view (same blocks, same accounting) without
@@ -38,26 +38,19 @@ import (
 // snapshots therefore restore only next to their cold directory;
 // Snapshot/SaveFile (the portable export paths) always inline, reading
 // cold payloads back through the tier, so an exported file is
-// self-contained. Version 2 is identical minus the loc byte (always
-// inline); version 1 stored every sample raw (per field: nSamples +
-// samples, no per-shard accounting, no engine counters). Readers
-// accept all three.
+// self-contained. Files of the retired versions 1 and 2 are rejected by
+// version number.
 //
 // Strings are u32 length + bytes. Integers are little-endian. Values
 // are a kind byte + payload.
 
 const snapshotMagic = "MTSD"
 
-// Snapshot format versions. snapshotVersion is what Snapshot writes;
-// RestoreOptions accepts every version listed here.
-const (
-	snapshotV1      = 1
-	snapshotV2      = 2
-	snapshotV3      = 3
-	snapshotVersion = snapshotV3
-)
+// snapshotVersion is the format version Snapshot writes and the only
+// one RestoreOptions reads.
+const snapshotVersion = 3
 
-// Block payload locations (v3).
+// Block payload locations.
 const (
 	blockLocInline byte = 0
 	blockLocCold   byte = 1
@@ -67,9 +60,7 @@ const (
 // immutable view, so both concurrent queries and concurrent writes
 // proceed unimpeded while the serialization runs.
 func (db *DB) Snapshot(w io.Writer) error {
-	v := db.acquireView()
-	defer db.releaseView()
-	return snapshotView(v, db.shardDuration, w, true)
+	return snapshotView(db.view.Load(), db.shardDuration, w, true)
 }
 
 // snapshotView serializes one pinned view — the same body Snapshot
@@ -159,10 +150,10 @@ func snapshotView(v *dbView, shardDuration int64, w io.Writer, inlineCold bool) 
 func Restore(r io.Reader) (*DB, error) { return RestoreOptions(r, Options{}) }
 
 // RestoreOptions loads a snapshot into a fresh DB configured by opts
-// (worker pool, clock, lock mode, block size). The shard duration
+// (worker pool, clock, block size, cold directory). The shard duration
 // always comes from the snapshot — the stored data was laid out under
-// it. Both current (v2, sealed blocks verbatim) and legacy (v1, raw
-// samples) files restore.
+// it. A file of any version but snapshotVersion is rejected before its
+// body is read.
 func RestoreOptions(r io.Reader, opts Options) (*DB, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
@@ -176,6 +167,9 @@ func RestoreOptions(r io.Reader, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
+	if ver != snapshotVersion {
+		return nil, fmt.Errorf("tsdb: restore: unsupported snapshot version %d (this build reads version %d)", ver, snapshotVersion)
+	}
 	sd, err := readI64(br)
 	if err != nil {
 		return nil, err
@@ -184,40 +178,7 @@ func RestoreOptions(r io.Reader, opts Options) (*DB, error) {
 		return nil, fmt.Errorf("tsdb: restore: bad shard duration %d", sd)
 	}
 	opts.ShardDuration = sd
-	switch ver {
-	case snapshotV1:
-		return restoreV1(br, opts)
-	case snapshotV2, snapshotV3:
-		return restoreSealed(br, opts, sd, ver)
-	default:
-		return nil, fmt.Errorf("tsdb: restore: unsupported version %d", ver)
-	}
-}
-
-// restoreV1 replays a legacy raw-sample snapshot through the ordinary
-// write path (which also re-seals the data under the target's block
-// size — a v1 file restored today comes out compressed).
-func restoreV1(br *bufio.Reader, opts Options) (*DB, error) {
-	db := Open(opts)
-	nShards, err := readU32(br)
-	if err != nil {
-		return nil, err
-	}
-	for s := uint32(0); s < nShards; s++ {
-		if _, err := readI64(br); err != nil { // shard start, re-derived
-			return nil, err
-		}
-		nSeries, err := readU32(br)
-		if err != nil {
-			return nil, err
-		}
-		for i := uint32(0); i < nSeries; i++ {
-			if err := db.restoreSeries(br); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return db, nil
+	return restoreSealed(br, opts)
 }
 
 // maxRestoreCount bounds every count field a snapshot may claim, so a
@@ -225,15 +186,15 @@ func restoreV1(br *bufio.Reader, opts Options) (*DB, error) {
 // the payload disproves it.
 const maxRestoreCount = 1 << 28
 
-// restoreSealed rebuilds the exact serialized view (formats v2 and
-// v3): sealed blocks are adopted verbatim (after validation), tails
-// and accounting are restored directly, and the finished dbView is
-// published in one shot. Nothing is re-encoded and no write batches
-// run. v3 cold references are resolved against the DB's cold tier and
-// validated by reading the payload through it, so a missing,
-// truncated, or bit-flipped segment file fails the restore loudly
-// instead of surfacing as silently skipped blocks in later scans.
-func restoreSealed(br *bufio.Reader, opts Options, sd int64, ver uint16) (*DB, error) {
+// restoreSealed rebuilds the exact serialized view: sealed blocks are
+// adopted verbatim (after validation), tails and accounting are
+// restored directly, and the finished dbView is published in one shot.
+// Nothing is re-encoded and no write batches run. Cold references are
+// resolved against the DB's cold tier and validated by reading the
+// payload through it, so a missing, truncated, or bit-flipped segment
+// file fails the restore loudly instead of surfacing as silently
+// skipped blocks in later scans.
+func restoreSealed(br *bufio.Reader, opts Options) (*DB, error) {
 	db := Open(opts)
 	corrupt := func(format string, args ...any) error {
 		return fmt.Errorf("tsdb: restore: "+format, args...)
@@ -273,7 +234,7 @@ func restoreSealed(br *bufio.Reader, opts Options, sd int64, ver uint16) (*DB, e
 		if _, ok := shards[start]; ok {
 			return nil, corrupt("duplicate shard %d", start)
 		}
-		sh := newShard(start, start+sd)
+		sh := newShard(start, start+db.shardDuration)
 		if sh.points, err = readI64(br); err != nil {
 			return nil, err
 		}
@@ -372,11 +333,9 @@ func restoreSealed(br *bufio.Reader, opts Options, sd int64, ver uint16) (*DB, e
 					if blk.rawBytes, err = readI64(br); err != nil {
 						return nil, err
 					}
-					loc := blockLocInline
-					if ver >= snapshotV3 {
-						if loc, err = br.ReadByte(); err != nil {
-							return nil, err
-						}
+					loc, err := br.ReadByte()
+					if err != nil {
+						return nil, err
 					}
 					switch loc {
 					case blockLocInline:
@@ -490,93 +449,6 @@ func restoreSealed(br *bufio.Reader, opts Options, sd int64, ver uint16) (*DB, e
 		index:       index,
 	})
 	return db, nil
-}
-
-func (db *DB) restoreSeries(br *bufio.Reader) error {
-	if _, err := readStr(br); err != nil { // key is recomputed
-		return err
-	}
-	measurement, err := readStr(br)
-	if err != nil {
-		return err
-	}
-	nTags, err := readU32(br)
-	if err != nil {
-		return err
-	}
-	tags := make(Tags, 0, nTags)
-	for t := uint32(0); t < nTags; t++ {
-		k, err := readStr(br)
-		if err != nil {
-			return err
-		}
-		v, err := readStr(br)
-		if err != nil {
-			return err
-		}
-		tags = append(tags, Tag{k, v})
-	}
-	nFields, err := readU32(br)
-	if err != nil {
-		return err
-	}
-	// Merge fields back into multi-field points: for each timestamp, the
-	// k-th occurrence of that timestamp in every field joins the k-th
-	// reassembled point. This restores both the stored samples and the
-	// original point/byte accounting for the common case of aligned
-	// multi-field writes.
-	type occKey struct {
-		t int64
-		k int
-	}
-	merged := make(map[occKey]map[string]Value)
-	var order []occKey
-	for f := uint32(0); f < nFields; f++ {
-		name, err := readStr(br)
-		if err != nil {
-			return err
-		}
-		nSamples, err := readU32(br)
-		if err != nil {
-			return err
-		}
-		occ := make(map[int64]int)
-		for s := uint32(0); s < nSamples; s++ {
-			ts, err := readI64(br)
-			if err != nil {
-				return err
-			}
-			v, err := readValue(br)
-			if err != nil {
-				return err
-			}
-			key := occKey{ts, occ[ts]}
-			occ[ts]++
-			fields, ok := merged[key]
-			if !ok {
-				fields = make(map[string]Value)
-				merged[key] = fields
-				order = append(order, key)
-			}
-			fields[name] = v
-		}
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].t != order[j].t {
-			return order[i].t < order[j].t
-		}
-		return order[i].k < order[j].k
-	})
-	pts := make([]Point, 0, len(order))
-	for _, key := range order {
-		pts = append(pts, Point{
-			Measurement: measurement,
-			Tags:        tags,
-			Fields:      merged[key],
-			Time:        key.t,
-		})
-	}
-	return db.WritePoints(pts)
 }
 
 // errWriter wraps the snapshot's buffered writer with a latching

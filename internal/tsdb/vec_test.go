@@ -95,7 +95,7 @@ func vecRepresentations(t *testing.T, times []int64, vals []Value) map[string]*D
 	}
 	const shard, bs = 7200, 16 // several shards, several blocks per shard
 	reps := map[string]*DB{
-		"tail":   write(Open(Options{ShardDuration: shard, BlockSize: -1}), pts),
+		"tail":   write(Open(Options{ShardDuration: shard, BlockSize: neverSeal}), pts),
 		"sealed": write(Open(Options{ShardDuration: shard, BlockSize: bs}), pts),
 		"cold":   write(Open(Options{ShardDuration: shard, BlockSize: bs, ColdDir: t.TempDir()}), pts),
 	}
@@ -239,7 +239,7 @@ func TestVecRepresentationsMatchReference(t *testing.T) {
 // the pinned view's answers never change and no access races.
 func TestVecPromotionLeavesPinnedViewIntact(t *testing.T) {
 	const series, warm = 8, 100
-	db := Open(Options{BlockSize: -1})
+	db := Open(Options{BlockSize: neverSeal})
 	point := func(s int, ts int64, v Value) Point {
 		return Point{Measurement: "m", Tags: Tags{{"id", fmt.Sprintf("s%d", s)}}, Fields: map[string]Value{"f": v}, Time: ts}
 	}
@@ -265,7 +265,7 @@ func TestVecPromotionLeavesPinnedViewIntact(t *testing.T) {
 	scan := func() []*Result {
 		out := make([]*Result, len(queries))
 		for i, q := range queries {
-			res, err := db.execView(pinned, q, 0)
+			res, err := db.execView(pinned, q)
 			if err != nil {
 				t.Error(err)
 			}
@@ -384,6 +384,71 @@ func TestUnsealUnreadableColdBlockFailsWrite(t *testing.T) {
 	}
 	if got := res.Series[0].Rows[0].Values[0].I; got != n+1 {
 		t.Fatalf("count after the retried write = %d, want %d", got, n+1)
+	}
+}
+
+// TestClearRangeUnreadableColdBlockFailsDelete is the regression test
+// for the same loss in clearColumnRange: a range clear that cuts
+// through sealed data rebuilds the column from its decoded blocks, and
+// used to skip a spilled block whose segment could not be read back —
+// re-sealing without its points. The delete must fail instead, publish
+// nothing, and lose nothing once the segment is back.
+func TestClearRangeUnreadableColdBlockFailsDelete(t *testing.T) {
+	coldDir := t.TempDir()
+	db := Open(Options{BlockSize: 32, ColdDir: coldDir})
+	const n, cut = 256, 100
+	var pts []Point
+	for i := 0; i < n; i++ {
+		pts = append(pts, coldPoint("n1", int64(i*60), float64(i)))
+	}
+	if err := db.WritePoints(pts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.SpillCold(math.MaxInt64); err != nil {
+		t.Fatal(err)
+	}
+	segs := coldSegments(t, coldDir)
+	if len(segs) != 1 {
+		t.Fatalf("segments: %v", segs)
+	}
+	path := filepath.Join(coldDir, segs[0])
+	intact, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, intact[:len(intact)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	epoch := db.Epoch()
+	if removed, err := db.DeleteMeasurementBefore("Power", cut*60); err == nil {
+		t.Fatalf("range clear across an unreadable cold block succeeded (removed %d)", removed)
+	}
+	if got := db.Epoch(); got != epoch {
+		t.Fatalf("failed delete published a view: epoch %d -> %d", epoch, got)
+	}
+
+	if err := os.WriteFile(path, intact, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	count := func() int64 {
+		t.Helper()
+		res, err := db.Query(`SELECT count("Reading") FROM "Power"`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Series[0].Rows[0].Values[0].I
+	}
+	if got := count(); got != n {
+		t.Fatalf("count after the failed delete = %d, want %d: acknowledged points lost", got, n)
+	}
+	// With the segment readable the same delete goes through.
+	removed, err := db.DeleteMeasurementBefore("Power", cut*60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if removed != cut || count() != n-cut {
+		t.Fatalf("retried delete removed %d, left %d; want %d and %d", removed, count(), cut, n-cut)
 	}
 }
 

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"fmt"
 	"sort"
 )
 
@@ -60,7 +61,7 @@ func (v *dbView) shardsOverlapping(start, end int64) []*shard {
 // the batch and may be mutated freely until publication.
 type batch struct {
 	shardDuration int64
-	blockSize     int // seal threshold in points; <= 0 disables sealing
+	blockSize     int // seal threshold in points
 	v             *dbView
 
 	clonedShardMap bool
@@ -110,10 +111,8 @@ func (b *batch) finish(mutated bool, waitNs int64) (*dbView, error) {
 			col.sortByTime()
 		}
 	}
-	if b.blockSize > 0 {
-		for col := range b.freshCols {
-			b.v.stats.BlocksSealed += int64(col.seal(b.blockSize))
-		}
+	for col := range b.freshCols {
+		b.v.stats.BlocksSealed += int64(col.seal(b.blockSize))
 	}
 	b.v.stats.BatchesWritten++
 	b.v.stats.WriteWaitNs += waitNs
@@ -321,6 +320,24 @@ func (b *batch) writePoint(p *Point, key string, sorted Tags) {
 	b.v.stats.PointsWritten++
 }
 
+// writePointsView derives, copy-on-write, the view that adds points to
+// base — the one place a point becomes stored samples, shared by live
+// writes, rollup maintenance and WAL replay. Points must already be
+// validated. waitNs is the caller's write-lock wait, folded into the
+// new view's stats. On error (see batch.finish) nothing may be
+// published.
+func (db *DB) writePointsView(base *dbView, points []Point, waitNs int64) (*dbView, error) {
+	b := newBatch(base, db.shardDuration, db.blockSize)
+	for i := range points {
+		p := &points[i]
+		sorted := p.Tags.Sorted()
+		key := seriesKey(p.Measurement, sorted)
+		b.indexSeries(p, key, sorted)
+		b.writePoint(p, key, sorted)
+	}
+	return b.finish(len(points) > 0, waitNs)
+}
+
 // dropMeasurementView derives, copy-on-write, a view with measurement
 // name and all its stored series removed. It returns nil if the
 // measurement does not exist in base. waitNs is the caller's write-lock
@@ -381,15 +398,17 @@ func dropMeasurementView(base *dbView, name string, waitNs int64) *dbView {
 // sealed blocks overlap the range, the whole column is rebuilt raw and
 // re-sealed at bs (the boundary shard of a raw-tier expiry pays one
 // decode+reseal; fully-covered shards never reach here — their series
-// are deleted outright).
-func clearColumnRange(col *column, start, end int64, bs int) (*column, int, int64) {
+// are deleted outright). A block that cannot be read back fails the
+// clear: re-sealing without it would drop acknowledged points for good
+// (the same rule as column.unseal).
+func clearColumnRange(col *column, start, end int64, bs int) (*column, int, int64, error) {
 	first, ok := col.firstTime()
 	if !ok {
-		return col, 0, 0
+		return col, 0, 0, nil
 	}
 	last, _ := col.lastTime()
 	if last < start || first >= end {
-		return col, 0, 0
+		return col, 0, 0, nil
 	}
 	blocksHit := false
 	for _, blk := range col.blocks {
@@ -401,7 +420,7 @@ func clearColumnRange(col *column, start, end int64, bs int) (*column, int, int6
 	if !blocksHit {
 		lo, hi := col.rangeIndexes(start, end)
 		if lo == hi {
-			return col, 0, 0
+			return col, 0, 0, nil
 		}
 		keep := len(col.times) - (hi - lo)
 		nc := &column{blocks: col.blocks}
@@ -411,7 +430,7 @@ func clearColumnRange(col *column, start, end int64, bs int) (*column, int, int6
 		nc.vals.appendVec(col.vals.slice(0, lo))
 		nc.vals.appendVec(col.vals.slice(hi, len(col.times)))
 		gone := col.vals.slice(lo, hi)
-		return nc, hi - lo, gone.encodedSize()
+		return nc, hi - lo, gone.encodedSize(), nil
 	}
 	nc := &column{times: make([]int64, 0, col.numPoints())}
 	var bytes int64
@@ -431,9 +450,7 @@ func clearColumnRange(col *column, start, end int64, bs int) (*column, int, int6
 	for _, blk := range col.blocks {
 		p, _, err := blk.decode(nil)
 		if err != nil {
-			// Validated at seal/restore; undecodable is post-hoc
-			// corruption with nothing recoverable to keep.
-			continue
+			return nil, 0, 0, fmt.Errorf("tsdb: clear range: block [%d, %d]: %w", blk.minT, blk.maxT, err)
 		}
 		keep(p.times, &p.vals)
 	}
@@ -441,23 +458,24 @@ func clearColumnRange(col *column, start, end int64, bs int) (*column, int, int6
 	if removed == 0 {
 		// Header overlap without sample overlap: keep the original
 		// column (and its decode caches) untouched.
-		return col, 0, 0
+		return col, 0, 0, nil
 	}
 	nc.seal(bs)
-	return nc, removed, bytes
+	return nc, removed, bytes, nil
 }
 
 // clearMeasurementRangeView derives, copy-on-write, a view with
 // measurement name's samples in [start, end) removed — the raw-tier
 // expiry and rollup-recompute primitive, surgical where DeleteBefore
 // is shard-granular. bs is the seal threshold for rebuilt boundary
-// columns. It returns (nil, 0) when nothing overlaps; otherwise the
+// columns. It returns a nil view when nothing overlaps; otherwise the
 // new view and the number of points removed (series max-across-columns
-// semantics, matching shard accounting).
-func clearMeasurementRangeView(base *dbView, name string, start, end int64, bs int, waitNs int64) (*dbView, int64) {
+// semantics, matching shard accounting). An error (clearColumnRange
+// could not read a sealed block back) means nothing may be published.
+func clearMeasurementRangeView(base *dbView, name string, start, end int64, bs int, waitNs int64) (*dbView, int64, error) {
 	mi, ok := base.index[name]
 	if !ok || start >= end {
-		return nil, 0
+		return nil, 0, nil
 	}
 	var removed int64
 	cloned := make(map[int64]*shard)
@@ -477,7 +495,10 @@ func clearMeasurementRangeView(base *dbView, name string, start, end int64, bs i
 			touched := false
 			var valBytes int64
 			for fk, col := range sr.fields {
-				nc, n, vb := clearColumnRange(col, start, end, bs)
+				nc, n, vb, err := clearColumnRange(col, start, end, bs)
+				if err != nil {
+					return nil, 0, err
+				}
 				if nc != col {
 					touched = true
 					valBytes += vb + int64(n*(2+len(fk)))
@@ -523,7 +544,7 @@ func clearMeasurementRangeView(base *dbView, name string, start, end int64, bs i
 		}
 	}
 	if len(cloned) == 0 {
-		return nil, 0
+		return nil, 0, nil
 	}
 	nv := *base
 	nv.shards = make(map[int64]*shard, len(base.shards))
@@ -535,7 +556,7 @@ func clearMeasurementRangeView(base *dbView, name string, start, end int64, bs i
 	}
 	nv.stats.WriteWaitNs += waitNs
 	nv.epoch++
-	return &nv, removed
+	return &nv, removed, nil
 }
 
 // deleteBeforeView derives, copy-on-write, a view with every shard

@@ -81,10 +81,8 @@ type (
 	Tags = tsdb.Tags
 	// QueryResult is the answer to one query.
 	QueryResult = tsdb.Result
-	// RollupSpec is a continuous downsampling query.
+	// RollupSpec is a continuous downsampling query (DB.RegisterRollup).
 	RollupSpec = tsdb.RollupSpec
-	// Rollups manages continuous queries over a DB.
-	Rollups = tsdb.Rollups
 	// WALOptions configures the write-ahead log under a durable DB.
 	WALOptions = tsdb.WALOptions
 	// WALStats counts write-ahead-log activity and recovery outcomes.
@@ -142,9 +140,6 @@ func OpenDB(opts DBOptions) *DB { return tsdb.Open(opts) }
 // LoadDB restores a storage engine from a snapshot file written with
 // DB.SaveFile.
 func LoadDB(path string) (*DB, error) { return tsdb.LoadFile(path) }
-
-// NewRollups creates a continuous-query manager over a DB.
-func NewRollups(db *DB) *Rollups { return tsdb.NewRollups(db) }
 
 // Ingest pipeline surface (receivers → router → sinks).
 type (

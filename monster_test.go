@@ -206,11 +206,10 @@ func TestFacadeStorageFeatures(t *testing.T) {
 		t.Fatalf("latest = %v", res.Series[0].Rows[0].Values[0])
 	}
 	// Rollups.
-	rm := monster.NewRollups(db)
-	if err := rm.Add(monster.RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 60}); err != nil {
+	if err := db.RegisterRollup(monster.RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 60}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rm.Run(2000); err != nil {
+	if _, err := db.RollupAdvance(2000); err != nil {
 		t.Fatal(err)
 	}
 	// Persistence round trip.
