@@ -74,12 +74,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# crash-recovery re-runs the WAL durability suite on its own: the
+# crash-recovery re-runs the durability suite on its own: the WAL
 # kill-point matrix (log truncated at every byte offset), torn-frame
-# repair, the checkpoint crash windows, and concurrent
+# repair, the checkpoint crash windows, the snapshot corruption matrix
+# (every bit flip and truncation refused), and concurrent
 # writes-vs-checkpoints under the race detector.
 crash-recovery:
-	$(GO) test -run 'TestWAL' -count=1 ./internal/tsdb
+	$(GO) test -run 'TestWAL|TestSnapshotCorruptionMatrix' -count=1 ./internal/tsdb
 	$(GO) test -race -run 'TestWALConcurrentWritesAndCheckpoints' -count=1 ./internal/tsdb
 
 # fuzz-smoke gives each fuzz target a short budget — enough to catch
@@ -93,6 +94,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzLineProtocol$$' -run '^FuzzLineProtocol$$' -fuzztime $(FUZZTIME) ./internal/tsdb
 	$(GO) test -fuzz '^FuzzRollupPlanner$$' -run '^FuzzRollupPlanner$$' -fuzztime $(FUZZTIME) ./internal/tsdb
 	$(GO) test -fuzz '^FuzzColdBlockRead$$' -run '^FuzzColdBlockRead$$' -fuzztime $(FUZZTIME) ./internal/tsdb
+	$(GO) test -fuzz '^FuzzSnapshotRestore$$' -run '^FuzzSnapshotRestore$$' -fuzztime $(FUZZTIME) ./internal/tsdb
 	$(GO) test -fuzz '^FuzzWALExhaustive$$' -run '^FuzzWALExhaustive$$' -fuzztime $(FUZZTIME) ./internal/lint
 
 # ingest re-runs the pipeline suite on its own under the race
@@ -106,7 +108,7 @@ ingest:
 # iterator order, out-of-order unseal, and the snapshot round trip
 # (sealed blocks verbatim).
 compression:
-	$(GO) test -race -count=1 -run 'TestBlock|TestSeal|TestColumnIterator|TestOutOfOrderAcrossSealBoundary|TestSnapshotV2RoundTripSealedBlocks|TestSnapshotFailingWriter|TestRangeIndexesSuffixSearch|TestWALKillPointsSealedBlocks|TestWALCheckpointSealedBlocks' ./internal/tsdb
+	$(GO) test -race -count=1 -run 'TestBlock|TestSeal|TestColumnIterator|TestOutOfOrderAcrossSealBoundary|TestSnapshotRoundTripSealedBlocks|TestSnapshotFailingWriter|TestRangeIndexesSuffixSearch|TestWALKillPointsSealedBlocks|TestWALCheckpointSealedBlocks' ./internal/tsdb
 
 # bench runs the Metrics Builder ladder benchmarks (Figs 10-19):
 # naive-sequential vs batched-concurrent vs cached.

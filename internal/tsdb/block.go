@@ -44,7 +44,7 @@ import (
 //	'1' '1' <5b leading> <6b sigbits-1> <bits>   new window
 //
 // Every block additionally carries min/max-time and count in its
-// in-memory (and snapshot v2) header, so scans prune blocks entirely
+// in-memory (and snapshot) header, so scans prune blocks entirely
 // outside the query range without touching the payload.
 
 // DefaultBlockSize is the seal threshold in points when
@@ -59,7 +59,7 @@ const DefaultBlockSize = 1024
 const maxBlockPoints = 1 << 24
 
 // blockHeaderBytes is the accounting cost of one block's header as
-// persisted by snapshot v2 (minT, maxT, count, rawBytes, dataLen); the
+// persisted by the snapshot (minT, maxT, count, rawBytes, dataLen); the
 // in-memory struct is the same magnitude. Charged into
 // CompressionStats.BytesCompressed so the reported ratio is honest.
 const blockHeaderBytes = 8 + 8 + 4 + 8 + 4
@@ -414,15 +414,14 @@ func decodeBlockData(data []byte) ([]int64, valueVec, error) {
 	case vencMixed:
 		m := make([]Value, count)
 		vals = valueVec{kind: vecMixed, m: m}
-		d := &walDecoder{b: data, off: off}
-		for i := 0; i < count; i++ {
-			v, err := d.value()
-			if err != nil {
-				return fail("%v", err)
-			}
-			m[i] = v
+		d := &decoder{b: data[off:]}
+		for i := 0; i < count && d.err == nil; i++ {
+			m[i] = d.value()
 		}
-		off = d.off
+		if err := d.end(); err != nil {
+			return fail("%v", err)
+		}
+		off = len(data)
 	default:
 		return fail("unknown value encoding %d", venc)
 	}
@@ -430,28 +429,6 @@ func decodeBlockData(data []byte) ([]int64, valueVec, error) {
 		return fail("%d trailing bytes", len(data)-off)
 	}
 	return times, vals, nil
-}
-
-// appendValue appends a value in the canonical kind-byte + payload
-// encoding (the walDecoder.value inverse).
-func appendValue(buf []byte, v Value) []byte {
-	buf = append(buf, byte(v.Kind))
-	switch v.Kind {
-	case KindFloat:
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F))
-	case KindInt:
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I))
-	case KindString:
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.S)))
-		buf = append(buf, v.S...)
-	case KindBool:
-		if v.B {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-	return buf
 }
 
 // bitWriter appends an MSB-first bitstream onto a byte slice.

@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"math"
@@ -336,10 +335,10 @@ func TestColumnIteratorWalksBlocksThenTail(t *testing.T) {
 	}
 }
 
-// TestSnapshotV2RoundTripSealedBlocks snapshots a database holding
+// TestSnapshotRoundTripSealedBlocks snapshots a database holding
 // sealed blocks, raw tails, and every value kind, then restores it and
 // compares queries, accounting, and compression state.
-func TestSnapshotV2RoundTripSealedBlocks(t *testing.T) {
+func TestSnapshotRoundTripSealedBlocks(t *testing.T) {
 	db := Open(Options{ShardDuration: 3600, BlockSize: 8})
 	for i := 0; i < 100; i++ {
 		if err := db.WritePoint(walPoint(fmt.Sprintf("n%d", i%2), int64(i*120), float64(i))); err != nil {
@@ -408,19 +407,14 @@ func (r *endlessFF) Read(p []byte) (int, error) {
 }
 
 // TestRestoreRejectsRetiredVersions checks the one-format reader: a
-// version 1 or version 2 header fails with an error naming the version,
+// version 1, 2 or 3 header fails with an error naming the version,
 // before anything of the body is parsed or sized from.
 func TestRestoreRejectsRetiredVersions(t *testing.T) {
-	for _, ver := range []uint16{1, 2} {
-		var hdr bytes.Buffer
-		ew := &errWriter{w: bufio.NewWriter(&hdr)}
-		ew.raw(snapshotMagic)
-		ew.u16(ver)
-		ew.i64(3600)
-		if err := ew.flush(); err != nil {
-			t.Fatal(err)
-		}
-		src := &endlessFF{head: hdr.Bytes()}
+	for _, ver := range []uint16{1, 2, 3} {
+		// Every retired version followed its header with the shard
+		// duration.
+		hdr := le.AppendUint64(appendFileHeader(nil, snapshotMagic, ver), 3600)
+		src := &endlessFF{head: hdr}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		db, err := RestoreOptions(src, Options{})
@@ -456,9 +450,9 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestSnapshotFailingWriter proves the errWriter latches: a sink that
-// fails at any byte offset must surface an error from Snapshot — no
-// silently truncated "successful" snapshots.
+// TestSnapshotFailingWriter proves the first sink error surfaces: a
+// sink that fails at any byte offset must make Snapshot return an
+// error — no silently truncated "successful" snapshots.
 func TestSnapshotFailingWriter(t *testing.T) {
 	db := Open(Options{ShardDuration: 3600, BlockSize: 8})
 	for i := 0; i < 40; i++ {

@@ -1,0 +1,278 @@
+package tsdb
+
+import (
+	"bytes"
+	"encoding/hex"
+	"io"
+	"math"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+)
+
+// Golden bytes, captured from the commit before the three codecs were
+// merged (c98411a): one framed record of every walOp, a whole WAL
+// segment written through the DB, a whole cold segment holding one
+// frame, and a mixed-kind block payload. The codec may be rearranged
+// freely; what it writes may not change, or logs and cold directories
+// in the field stop replaying.
+const (
+	goldenWrite = "" +
+		"81000000704ef4cb010100000005000000506f77657202000000050000004c61" +
+		"62656c090000004e6f6465506f776572060000004e6f64654964020000006e31" +
+		"04000000020000004f6e03010300000052617701f9ffffffffffffff07000000" +
+		"52656164696e670000000000001871400600000053746174757302020000004f" +
+		"4bc08e9d5e00000000"
+	goldenDrop         = "0a000000bd2481010205000000506f776572"
+	goldenDeleteBefore = "09000000c48ad05b03c08e9d5e00000000"
+	goldenBatch        = "" +
+		"f1000000aab1be6f040100000005000000506f77657202000000050000004c61" +
+		"62656c090000004e6f6465506f776572060000004e6f64654964020000006e31" +
+		"04000000020000004f6e03010300000052617701f9ffffffffffffff07000000" +
+		"52656164696e670000000000001871400600000053746174757302020000004f" +
+		"4bc08e9d5e00000000010000000e000000506f7765725f6d61785f3330307394" +
+		"8d9d5e00000000c08e9d5e00000000010000000e000000506f7765725f6d6178" +
+		"5f3330307301000000060000004e6f64654964020000006e3101000000070000" +
+		"0052656164696e67000000000000807140948d9d5e00000000"
+	goldenClearRange = "" +
+		"1a00000031f485b30505000000506f7765720000000000000080c08e9d5e0000" +
+		"0000"
+	goldenWALSegment = "" +
+		"4d57414c010081000000704ef4cb010100000005000000506f77657202000000" +
+		"050000004c6162656c090000004e6f6465506f776572060000004e6f64654964" +
+		"020000006e3104000000020000004f6e03010300000052617701f9ffffffffff" +
+		"ffff0700000052656164696e6700000000000018714006000000537461747573" +
+		"02020000004f4bc08e9d5e000000000a000000bd2481010205000000506f7765" +
+		"72"
+	goldenColdSegment = "" +
+		"4d434c44010080510100000000001200000000282b3c04010078000040690000" +
+		"00000000e4079038"
+	goldenMixedBlock = "030314140002020000004f4b0301000000000000001c40"
+)
+
+func goldenPoints() []Point {
+	return []Point{{
+		Measurement: "Power",
+		Tags:        Tags{{Key: "Label", Value: "NodePower"}, {Key: "NodeId", Value: "n1"}},
+		Fields:      map[string]Value{"Reading": Float(273.5), "Raw": Int(-7), "Status": Str("OK"), "On": Bool(true)},
+		Time:        1587384000,
+	}}
+}
+
+// TestGoldenBytes asserts the WAL records, the WAL and cold segment
+// files and the mixed block encoding are byte-identical to the parent
+// commit's, and that the golden frames decode back to what was encoded.
+func TestGoldenBytes(t *testing.T) {
+	sealed := func(rec []byte) string {
+		t.Helper()
+		if _, err := sealFrame(rec); err != nil {
+			t.Fatal(err)
+		}
+		return hex.EncodeToString(rec)
+	}
+	ops := []rollupOp{{target: "Power_max_300s", clearStart: 1587383700, clearEnd: 1587384000, points: []Point{{
+		Measurement: "Power_max_300s",
+		Tags:        Tags{{Key: "NodeId", Value: "n1"}},
+		Fields:      map[string]Value{"Reading": Float(280)},
+		Time:        1587383700,
+	}}}}
+	for _, c := range []struct {
+		op        walOp
+		got, want string
+	}{
+		{walOpWrite, sealed(encodeWriteRecord(goldenPoints())), goldenWrite},
+		{walOpDrop, sealed(encodeDropRecord("Power")), goldenDrop},
+		{walOpDeleteBefore, sealed(encodeDeleteBeforeRecord(1587384000)), goldenDeleteBefore},
+		{walOpBatch, sealed(encodeBatchRecord(goldenPoints(), ops)), goldenBatch},
+		{walOpClearRange, sealed(encodeClearRangeRecord("Power", math.MinInt64, 1587384000)), goldenClearRange},
+	} {
+		if c.got != c.want {
+			t.Errorf("walOp %d record changed:\n got %s\nwant %s", c.op, c.got, c.want)
+		}
+		frame, err := hex.DecodeString(c.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, _, err := readFrame(frame)
+		if err != nil {
+			t.Fatalf("walOp %d: golden frame: %v", c.op, err)
+		}
+		if rec, err := decodeWALRecord(payload); err != nil || rec.op != c.op {
+			t.Errorf("walOp %d: golden record decodes to op %d, err %v", c.op, rec.op, err)
+		}
+	}
+
+	dir := t.TempDir()
+	db, _ := crashOpen(t, dir, WALOptions{Policy: FsyncNever})
+	if err := db.WritePoints(goldenPoints()); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := db.DropMeasurement("Power"); !ok || err != nil {
+		t.Fatalf("drop: ok=%t err=%v", ok, err)
+	}
+	seg, err := os.ReadFile(walSegmentPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(seg); got != goldenWALSegment {
+		t.Errorf("WAL segment changed:\n got %s\nwant %s", got, goldenWALSegment)
+	}
+
+	ct := newColdTier(t.TempDir(), 0)
+	blk := sealBlock([]int64{0, 60, 120, 180}, vecOf([]Value{Float(200), Float(201), Float(200.5), Float(200.5)}))
+	ref, err := ct.appendPayload(86400, blk.data, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ct.syncAppenders(); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(filepath.Join(ct.dir, ref.file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(file); got != goldenColdSegment {
+		t.Errorf("cold segment changed:\n got %s\nwant %s", got, goldenColdSegment)
+	}
+	if ref.file != "cold-86400-00000000.seg" || ref.off != 22 || ref.length != 18 || ref.crc != 1009461248 {
+		t.Errorf("cold reference changed: %+v", ref)
+	}
+	if got, err := ref.read(); err != nil || !bytes.Equal(got, blk.data) {
+		t.Errorf("cold frame read back %x, err %v", got, err)
+	}
+
+	mixed := sealBlock([]int64{10, 20, 30}, vecOf([]Value{Str("OK"), Bool(true), Float(7)}))
+	if got := hex.EncodeToString(mixed.data); got != goldenMixedBlock {
+		t.Errorf("mixed block changed:\n got %s\nwant %s", got, goldenMixedBlock)
+	}
+}
+
+// snapshotFixture builds the smallest view that exercises every shape a
+// series record can hold — a block by cold reference, a block inline
+// and a raw tail — and returns its checkpoint-style snapshot (cold
+// blocks by reference) with the options that restore it.
+func snapshotFixture(t testing.TB) ([]byte, Options) {
+	t.Helper()
+	opts := Options{ShardDuration: 3600, BlockSize: 4, ColdDir: t.TempDir()}
+	db := Open(opts)
+	for i := 0; i < 8; i++ {
+		if err := db.WritePoint(coldPoint("n1", int64(i*60), float64(i)*1.5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := db.SpillCold(4 * 60); n != 1 || err != nil {
+		t.Fatalf("spilled %d blocks, err %v; want the first block only", n, err)
+	}
+	for i := 8; i < 10; i++ {
+		if err := db.WritePoint(coldPoint("n1", int64(i*60), float64(i)*1.5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cs, cold := db.Compression(), db.ColdStats(); cold.BlocksCold != 1 || cold.ResidentBlocks != 1 || cs.TailPoints != 2 {
+		t.Fatalf("fixture shape: %+v %+v", cs, cold)
+	}
+	var buf bytes.Buffer
+	if err := snapshotView(db.view.Load(), db.shardDuration, &buf, false); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), opts
+}
+
+// TestSnapshotCorruptionMatrix is the snapshot's kill-point matrix: the
+// intact file restores, and every single-bit flip, every truncation and
+// any trailing byte makes RestoreOptions return an error — a damaged
+// checkpoint is never an answer.
+func TestSnapshotCorruptionMatrix(t *testing.T) {
+	snap, opts := snapshotFixture(t)
+	db, err := RestoreOptions(bytes.NewReader(snap), opts)
+	if err != nil {
+		t.Fatalf("intact snapshot: %v", err)
+	}
+	if got := queryAll(t, db, `SELECT "Reading" FROM "Power"`); got == "" || db.Disk().Points != 10 {
+		t.Fatalf("intact snapshot restored %d points:\n%s", db.Disk().Points, got)
+	}
+	for off := range snap {
+		for bit := 0; bit < 8; bit++ {
+			mut := append([]byte(nil), snap...)
+			mut[off] ^= 1 << bit
+			if _, err := RestoreOptions(bytes.NewReader(mut), opts); err == nil {
+				t.Fatalf("bit %d of byte %d flipped: restore succeeded", bit, off)
+			}
+		}
+		if _, err := RestoreOptions(bytes.NewReader(snap[:off]), opts); err == nil {
+			t.Fatalf("truncated at %d of %d bytes: restore succeeded", off, len(snap))
+		}
+	}
+	if _, err := RestoreOptions(bytes.NewReader(append(snap[:len(snap):len(snap)], 0)), opts); err == nil {
+		t.Fatal("trailing byte: restore succeeded")
+	}
+}
+
+// FuzzSnapshotRestore feeds arbitrary bytes to the snapshot reader.
+// Invariants: no input panics; a failed restore returns no DB; what it
+// allocates is bounded by a small multiple of the input however large
+// the counts and lengths inside claim to be (the widest legitimate
+// expansion is a sealed block decoding to 16 B per payload byte, or a
+// mixed tail's 48-byte cells); and a DB that does restore answers
+// queries and snapshots again.
+func FuzzSnapshotRestore(f *testing.F) {
+	db := Open(Options{ShardDuration: 3600, BlockSize: 4})
+	for i := 0; i < 10; i++ {
+		if err := db.WritePoint(walPoint("n1", int64(i*60), float64(i))); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := db.WritePoint(Point{
+		Measurement: "Meta",
+		Fields:      map[string]Value{"state": Str("ok"), "up": Bool(true), "jobs": Int(3)},
+		Time:        3700,
+	}); err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := db.Snapshot(&buf); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	f.Add(valid)
+	// Truncations: inside the file header, inside the first frame's
+	// header, at the first frame boundary, mid-file, one byte short.
+	const hdrFrameEnd = fileHeaderSize + frameHeader + 8*8 + 4
+	for _, cut := range []int{3, fileHeaderSize + 5, hdrFrameEnd, len(valid) / 2, len(valid) - 1} {
+		f.Add(valid[:cut])
+	}
+	// A lying count behind a valid checksum: four billion shards.
+	lying := append([]byte(nil), valid[:hdrFrameEnd]...)
+	le.PutUint32(lying[hdrFrameEnd-4:], math.MaxUint32)
+	if _, err := sealFrame(lying[fileHeaderSize:]); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(lying)
+	// A lying frame length: 128 MiB claimed, nothing behind it.
+	f.Add(le.AppendUint32(append([]byte(nil), valid[:fileHeaderSize]...), 1<<27))
+	// A version-3 header over 0xFF filler, every count four billion.
+	f.Add(append(appendFileHeader(nil, snapshotMagic, 3), bytes.Repeat([]byte{0xFF}, 64)...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		db, err := RestoreOptions(bytes.NewReader(data), Options{BlockSize: 4})
+		runtime.ReadMemStats(&after)
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+1<<20); grew > limit {
+			t.Fatalf("restoring %d bytes allocated %d (limit %d)", len(data), grew, limit)
+		}
+		if err != nil {
+			if db != nil {
+				t.Fatalf("failed restore returned a DB: %v", err)
+			}
+			return
+		}
+		if _, err := db.Query(`SHOW SERIES`); err != nil {
+			t.Fatalf("query after restore: %v", err)
+		}
+		if err := db.Snapshot(io.Discard); err != nil {
+			t.Fatalf("snapshot after restore: %v", err)
+		}
+	})
+}

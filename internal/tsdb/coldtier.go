@@ -1,12 +1,12 @@
 package tsdb
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,34 +30,30 @@ import (
 // CRC, decodes, and admits to the decode cache exactly like a
 // resident block (QueryStats.BlocksFromDisk counts the reads).
 //
-// Segment file layout (cold-<shardStart>-<generation>.seg):
+// Segment file layout (cold-<shardStart>-<generation>.seg), header and
+// frames being the shared codec's (codec.go):
 //
-//	magic "MCLD" | version u16 | shardStart i64
-//	then frames: payloadLen u32 | crc32(payload) u32 | payload
+//	file header "MCLD" version 1 | shardStart i64
+//	then one frame per spilled block, its payload the block's
+//	compressed bytes verbatim
 //
 // Files are append-only, and every process run spills into a fresh
 // generation — a restarted process never appends to a file an earlier
 // run wrote, so a torn tail left by a crash can never end up beneath
 // later live frames. Crash safety is sequenced, not logged: a spill
 // fsyncs the segment before the view holding cold references
-// publishes, and only a checkpoint snapshot (format v3) persists
-// references, so every reference recovery can see points at bytes
-// that were durable before the snapshot renamed into place. Frames no
+// publishes, and only a checkpoint snapshot persists references, so
+// every reference recovery can see points at bytes that were durable
+// before the snapshot renamed into place. Frames no
 // live reference touches (dropped measurements, expired shards,
 // crashed spills, re-seals after an out-of-order unseal) are garbage:
 // compaction at checkpoint rewrites mostly-dead files into a fresh
 // generation, and sweepOrphans deletes files with no reference in
 // either the just-written snapshot or the live view.
 const (
-	coldMagic       = "MCLD"
-	coldVersion     = 1
-	coldHeaderSize  = 4 + 2 + 8
-	coldFrameHeader = 4 + 4
-
-	// maxColdFrame bounds the payload size a frame may claim — same
-	// order as the snapshot restore guard, so a corrupt length can
-	// never drive a giant allocation.
-	maxColdFrame = 1 << 28
+	coldMagic      = "MCLD"
+	coldVersion    = 1
+	coldHeaderSize = fileHeaderSize + 8
 )
 
 // errColdCorrupt marks unreadable or failed-verification cold data.
@@ -177,11 +173,8 @@ func (ct *coldTier) createLocked(shardStart int64) (*coldFile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tsdb: cold tier: %w", err)
 	}
-	var hdr [coldHeaderSize]byte
-	copy(hdr[:4], coldMagic)
-	binary.LittleEndian.PutUint16(hdr[4:6], coldVersion)
-	binary.LittleEndian.PutUint64(hdr[6:14], uint64(shardStart))
-	if _, err := f.Write(hdr[:]); err != nil {
+	hdr := le.AppendUint64(appendFileHeader(nil, coldMagic, coldVersion), uint64(shardStart))
+	if _, err := f.Write(hdr); err != nil {
 		closeErr := f.Close()
 		rmErr := os.Remove(filepath.Join(ct.dir, name))
 		return nil, errors.Join(fmt.Errorf("tsdb: cold tier: %w", err), closeErr, rmErr)
@@ -197,8 +190,13 @@ func (ct *coldTier) createLocked(shardStart int64) (*coldFile, error) {
 // retires the appender (truncating the torn frame best-effort) so
 // later appends land in a fresh file with correct offsets.
 func (ct *coldTier) appendPayload(shardStart int64, payload []byte, compacting bool) (*coldRef, error) {
-	if len(payload) == 0 || len(payload) > maxColdFrame {
-		return nil, fmt.Errorf("%w: frame payload %d bytes", errColdCorrupt, len(payload))
+	if len(payload) == 0 {
+		return nil, fmt.Errorf("%w: empty frame payload", errColdCorrupt)
+	}
+	frame := append(openFrame(make([]byte, 0, frameHeader+len(payload))), payload...)
+	crc, err := sealFrame(frame)
+	if err != nil {
+		return nil, fmt.Errorf("tsdb: cold tier: %w", err)
 	}
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
@@ -213,17 +211,12 @@ func (ct *coldTier) appendPayload(shardStart int64, payload []byte, compacting b
 		}
 		ct.appenders[shardStart] = cf
 	}
-	crc := crc32.ChecksumIEEE(payload)
-	frame := make([]byte, coldFrameHeader+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc)
-	copy(frame[coldFrameHeader:], payload)
 	if _, err := cf.f.WriteAt(frame, cf.size); err != nil {
 		truncErr := cf.f.Truncate(cf.size)
 		delete(ct.appenders, shardStart)
 		return nil, errors.Join(fmt.Errorf("tsdb: cold tier: append: %w", err), truncErr)
 	}
-	off := cf.size + coldFrameHeader
+	off := cf.size + frameHeader
 	cf.size += int64(len(frame))
 	cf.dirty = true
 	if !compacting {
@@ -262,7 +255,7 @@ func (ct *coldTier) handle(name string) (*os.File, error) {
 	}
 	shard, _, ok := parseColdName(name)
 	if !ok {
-		// Names reach here from snapshot v3 records; rejecting anything
+		// Names reach here from snapshot records; rejecting anything
 		// not shaped exactly like a segment name keeps a corrupt
 		// snapshot from naming a path outside the tier directory.
 		return nil, fmt.Errorf("%w: bad segment name %q", errColdCorrupt, name)
@@ -276,9 +269,8 @@ func (ct *coldTier) handle(name string) (*os.File, error) {
 		closeErr := f.Close()
 		return nil, errors.Join(fmt.Errorf("%w: %s: short header", errColdCorrupt, name), closeErr)
 	}
-	if string(hdr[:4]) != coldMagic ||
-		binary.LittleEndian.Uint16(hdr[4:6]) != coldVersion ||
-		int64(binary.LittleEndian.Uint64(hdr[6:14])) != shard {
+	d := decoder{b: hdr[:]}
+	if d.fileHeader(coldMagic) != coldVersion || d.i64() != shard || d.end() != nil {
 		closeErr := f.Close()
 		return nil, errors.Join(fmt.Errorf("%w: %s: bad header", errColdCorrupt, name), closeErr)
 	}
@@ -299,17 +291,16 @@ func (r *coldRef) read() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, coldFrameHeader+int64(r.length))
-	if _, err := f.ReadAt(buf, r.off-coldFrameHeader); err != nil {
+	buf := make([]byte, frameHeader+int64(r.length))
+	if _, err := f.ReadAt(buf, r.off-frameHeader); err != nil {
 		return nil, fmt.Errorf("%w: %s@%d: %v", errColdCorrupt, r.file, r.off, err)
 	}
-	if binary.LittleEndian.Uint32(buf[0:4]) != r.length ||
-		binary.LittleEndian.Uint32(buf[4:8]) != r.crc {
-		return nil, fmt.Errorf("%w: %s@%d: frame header mismatch", errColdCorrupt, r.file, r.off)
+	payload, crc, err := readFrame(buf)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s@%d: %v", errColdCorrupt, r.file, r.off, err)
 	}
-	payload := buf[coldFrameHeader:]
-	if crc32.ChecksumIEEE(payload) != r.crc {
-		return nil, fmt.Errorf("%w: %s@%d: checksum mismatch", errColdCorrupt, r.file, r.off)
+	if len(payload) != len(buf)-frameHeader || crc != r.crc {
+		return nil, fmt.Errorf("%w: %s@%d: frame header mismatch", errColdCorrupt, r.file, r.off)
 	}
 	r.ct.reads.Add(1)
 	r.ct.readBytes.Add(int64(r.length))
@@ -406,9 +397,9 @@ func (ct *coldTier) compact(v *dbView) (map[*block]*block, error) {
 	live := make(map[string]*fileLive)
 	for _, start := range v.shardStarts {
 		sh := v.shards[start]
-		for _, key := range sortedSeriesKeys(sh) {
+		for _, key := range slices.Sorted(maps.Keys(sh.series)) {
 			sr := sh.series[key]
-			for _, fk := range sortedFieldKeys(sr) {
+			for _, fk := range slices.Sorted(maps.Keys(sr.fields)) {
 				for _, blk := range sr.fields[fk].blocks {
 					if blk.cold == nil {
 						continue
@@ -419,18 +410,13 @@ func (ct *coldTier) compact(v *dbView) (map[*block]*block, error) {
 						live[blk.cold.file] = fl
 					}
 					fl.blocks = append(fl.blocks, blk)
-					fl.bytes += coldFrameHeader + int64(blk.cold.length)
+					fl.bytes += frameHeader + int64(blk.cold.length)
 				}
 			}
 		}
 	}
 	twins := make(map[*block]*block)
-	names := make([]string, 0, len(live))
-	for name := range live {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(live)) {
 		fl := live[name]
 		f, err := ct.handle(name)
 		if err != nil {
@@ -475,24 +461,6 @@ func (ct *coldTier) compact(v *dbView) (map[*block]*block, error) {
 	return twins, nil
 }
 
-func sortedSeriesKeys(sh *shard) []string {
-	keys := make([]string, 0, len(sh.series))
-	for k := range sh.series {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedFieldKeys(sr *series) []string {
-	keys := make([]string, 0, len(sr.fields))
-	for k := range sr.fields {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // diskUsage reports segment file count and total bytes on disk.
 func (ct *coldTier) diskUsage() (files int, bytes int64) {
 	ct.mu.Lock()
@@ -532,9 +500,9 @@ func collectSpillCandidates(v *dbView, olderThan int64, maxResident int64) []spi
 	var restBytes int64
 	for _, start := range v.shardStarts {
 		sh := v.shards[start]
-		for _, key := range sortedSeriesKeys(sh) {
+		for _, key := range slices.Sorted(maps.Keys(sh.series)) {
 			sr := sh.series[key]
-			for _, fk := range sortedFieldKeys(sr) {
+			for _, fk := range slices.Sorted(maps.Keys(sr.fields)) {
 				for _, blk := range sr.fields[fk].blocks {
 					if blk.data == nil {
 						continue

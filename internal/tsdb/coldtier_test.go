@@ -274,7 +274,7 @@ func coldSegments(t *testing.T, dir string) []string {
 }
 
 // TestColdCheckpointReopen covers the durable path: a checkpoint
-// snapshot stores cold blocks by file reference (v3), and recovery
+// snapshot stores cold blocks by file reference, and recovery
 // restores them still cold — the payloads are never re-read into
 // memory — while queries stay bit-identical.
 func TestColdCheckpointReopen(t *testing.T) {
@@ -575,7 +575,7 @@ func TestColdCorruptSegment(t *testing.T) {
 
 	t.Run("bitflip", func(t *testing.T) {
 		err := corrupt(t, func(db *DB, path string, data []byte) {
-			data[coldHeaderSize+coldFrameHeader+3] ^= 0x40 // inside the first payload
+			data[coldHeaderSize+frameHeader+3] ^= 0x40 // inside the first payload
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -687,7 +687,7 @@ func FuzzColdBlockRead(f *testing.F) {
 	}
 	f.Add(seed, ref.off, ref.length, ref.crc)
 	f.Add(seed[:len(seed)-3], ref.off, ref.length, ref.crc) // torn tail
-	f.Add([]byte{}, int64(coldHeaderSize+coldFrameHeader), uint32(1), uint32(0))
+	f.Add([]byte{}, int64(coldHeaderSize+frameHeader), uint32(1), uint32(0))
 
 	f.Fuzz(func(t *testing.T, file []byte, off int64, length, crc uint32) {
 		dir := t.TempDir()
@@ -697,8 +697,8 @@ func FuzzColdBlockRead(f *testing.F) {
 		}
 		// Bound the claimed length so a hostile value cannot force a
 		// giant allocation; anything past EOF errors inside read.
-		if int64(length) > int64(len(file))+coldFrameHeader {
-			length = uint32(len(file)) + coldFrameHeader
+		if int64(length) > int64(len(file))+frameHeader {
+			length = uint32(len(file)) + frameHeader
 		}
 		tier := newColdTier(dir, 0)
 		r := &coldRef{ct: tier, file: name, off: off, length: length, crc: crc}

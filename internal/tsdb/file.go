@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
 // SaveFile writes a snapshot of the database to path atomically (via a
@@ -21,7 +22,7 @@ func (db *DB) SaveFile(path string) error {
 // durable); export paths pass true for a self-contained file.
 func saveViewFile(v *dbView, shardDuration int64, path string, inlineCold bool) error {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".monster-snapshot-*")
+	tmp, err := os.CreateTemp(dir, snapshotTempPrefix+"*")
 	if err != nil {
 		return fmt.Errorf("tsdb: save %s: %w", path, err)
 	}
@@ -40,6 +41,30 @@ func saveViewFile(v *dbView, shardDuration int64, path string, inlineCold bool) 
 	}
 	if err := os.Rename(tmpName, path); err != nil {
 		return fmt.Errorf("tsdb: save %s: %w", path, err)
+	}
+	return nil
+}
+
+// snapshotTempPrefix starts the name of the temp file saveViewFile
+// writes before its rename.
+const snapshotTempPrefix = ".monster-snapshot-"
+
+// removeSnapshotTemps deletes the temp files of checkpoints that died
+// between creating one and renaming it into place: the deferred remove
+// died with the process and no other sweep matches the name, so each
+// would otherwise sit in the directory, O(data) large, forever.
+func removeSnapshotTemps(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if !strings.HasPrefix(e.Name(), snapshotTempPrefix) {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+			return fmt.Errorf("drop abandoned snapshot temp file: %w", err)
+		}
 	}
 	return nil
 }

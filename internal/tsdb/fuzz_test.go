@@ -1,9 +1,6 @@
 package tsdb
 
 import (
-	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"math"
 	"os"
 	"testing"
@@ -137,22 +134,19 @@ func FuzzBlockDecode(f *testing.F) {
 	})
 }
 
-// walSeedSegment frames the given record payloads into a well-formed
-// WAL segment image, for seeding FuzzWALReplay with valid logs.
-func walSeedSegment(payloads ...[]byte) []byte {
-	var buf bytes.Buffer
-	buf.WriteString(walMagic)
-	var ver [2]byte
-	binary.LittleEndian.PutUint16(ver[:], walVersion)
-	buf.Write(ver[:])
-	for _, p := range payloads {
-		var hdr [walFrameHeader]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(p)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(p))
-		buf.Write(hdr[:])
-		buf.Write(p)
+// walSeedSegment seals the given records (each encoded behind
+// openFrame's reserved header, as the encoders return them) into a
+// well-formed WAL segment image, for seeding FuzzWALReplay with valid
+// logs.
+func walSeedSegment(recs ...[]byte) []byte {
+	seg := appendFileHeader(nil, walMagic, walVersion)
+	for _, rec := range recs {
+		if _, err := sealFrame(rec); err != nil {
+			panic(err)
+		}
+		seg = append(seg, rec...)
 	}
-	return buf.Bytes()
+	return seg
 }
 
 // FuzzWALReplay writes arbitrary bytes as a WAL segment and opens the
@@ -173,16 +167,16 @@ func FuzzWALReplay(f *testing.F) {
 
 	valid := walSeedSegment(write, del, drop)
 	f.Add(valid)
-	f.Add(valid[:0])                              // empty file
-	f.Add(valid[:3])                              // torn magic
-	f.Add(valid[:walHeaderSize])                  // header only
-	f.Add(valid[:walHeaderSize+3])                // torn frame header
-	f.Add(valid[:walHeaderSize+walFrameHeader+5]) // torn payload
-	f.Add(walSeedSegment([]byte{99}))             // unknown op, valid CRC
-	f.Add(walSeedSegment(nil))                    // zero-length record
+	f.Add(valid[:0])                                  // empty file
+	f.Add(valid[:3])                                  // torn magic
+	f.Add(valid[:fileHeaderSize])                     // header only
+	f.Add(valid[:fileHeaderSize+3])                   // torn frame header
+	f.Add(valid[:fileHeaderSize+frameHeader+5])       // torn payload
+	f.Add(walSeedSegment(append(openFrame(nil), 99))) // unknown op, valid CRC
+	f.Add(walSeedSegment(openFrame(nil)))             // zero-length record
 	f.Add([]byte("MWALxxxx garbage that is not a log at all"))
 	huge := walSeedSegment(write)
-	binary.LittleEndian.PutUint32(huge[walHeaderSize:], 1<<30) // length field lies
+	le.PutUint32(huge[fileHeaderSize:], 1<<30) // length field lies
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

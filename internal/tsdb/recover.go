@@ -1,9 +1,7 @@
 package tsdb
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -70,8 +68,9 @@ type RecoveryInfo struct {
 // the checkpoint snapshot if one exists, replays the write-ahead log
 // on top (recovering the longest valid prefix and truncating a torn
 // tail in place), then attaches a fresh log segment so every
-// subsequent mutation is logged before it applies. The returned
-// RecoveryInfo is also visible through DB.WALStats.
+// subsequent mutation is logged before it applies. A valid record that
+// cannot be applied fails the open and leaves the log as it was. The
+// returned RecoveryInfo is also visible through DB.WALStats.
 func OpenDurable(opts Options, wopts WALOptions) (*DB, RecoveryInfo, error) {
 	var info RecoveryInfo
 	if wopts.Dir == "" {
@@ -81,6 +80,9 @@ func OpenDurable(opts Options, wopts WALOptions) (*DB, RecoveryInfo, error) {
 		return nil, info, fmt.Errorf("tsdb: open durable: %w", err)
 	}
 	wopts.applyDefaults()
+	if err := removeSnapshotTemps(wopts.Dir); err != nil {
+		return nil, info, fmt.Errorf("tsdb: open durable: %w", err)
+	}
 
 	// The newest snapshot wins; older snapshots and the segments its
 	// boundary covers are leftovers from a checkpoint that crashed
@@ -175,7 +177,7 @@ func replayWAL(db *DB, segs []walSegment, info *RecoveryInfo) ([]walSegment, err
 		info.TornFrames++
 		info.TruncatedBytes += seg.size - tornAt
 		surviving := append([]walSegment(nil), segs[:i]...)
-		if tornAt <= walHeaderSize {
+		if tornAt <= fileHeaderSize {
 			// Nothing valid remains in this segment (torn or foreign
 			// header, or an empty record area): drop the file so later
 			// recoveries don't re-count it.
@@ -202,45 +204,37 @@ func replayWAL(db *DB, segs []walSegment, info *RecoveryInfo) ([]walSegment, err
 
 // replaySegment applies one segment's records to db. It returns -1
 // when the whole segment replayed cleanly, or the byte offset of the
-// first bad frame (never a mid-frame offset).
+// first bad frame (never a mid-frame offset). A record that decodes but
+// fails to apply is not a bad frame: the fault lies in what the record
+// touched — an unreadable cold segment behind an out-of-order write —
+// so it is returned as an error and no log file is modified.
 func replaySegment(db *DB, seg walSegment, info *RecoveryInfo) (int64, error) {
 	data, err := os.ReadFile(seg.path)
 	if err != nil {
 		return 0, fmt.Errorf("tsdb: wal: read segment: %w", err)
 	}
-	if len(data) < walHeaderSize || string(data[:4]) != walMagic ||
-		binary.LittleEndian.Uint16(data[4:6]) != walVersion {
+	hdr := decoder{b: data}
+	if ver := hdr.fileHeader(walMagic); hdr.err != nil || ver != walVersion {
 		// The segment header itself is torn or foreign; nothing in this
 		// file is trustworthy.
 		return 0, nil
 	}
-	off := int64(walHeaderSize)
-	size := int64(len(data))
-	for off < size {
-		if size-off < walFrameHeader {
-			return off, nil // torn mid-header
-		}
-		length := int64(binary.LittleEndian.Uint32(data[off : off+4]))
-		wantCRC := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if length > maxWALRecord || length > size-off-walFrameHeader {
-			return off, nil // torn mid-payload (or corrupt length)
-		}
-		payload := data[off+walFrameHeader : off+walFrameHeader+length]
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			return off, nil
+	off := fileHeaderSize
+	for off < len(data) {
+		payload, _, err := readFrame(data[off:])
+		if err != nil {
+			return int64(off), nil // torn mid-header or mid-payload, or checksum mismatch
 		}
 		rec, err := decodeWALRecord(payload)
 		if err != nil {
-			return off, nil // CRC-valid but undecodable: corrupt frame
+			return int64(off), nil // CRC-valid but undecodable: corrupt frame
 		}
 		if err := applyWALRecord(db, rec); err != nil {
-			// A record that validated at log time but fails to apply is
-			// corruption of a subtler kind; stop at the same boundary.
-			return off, nil
+			return 0, fmt.Errorf("tsdb: wal: replay %s record at offset %d: %w", filepath.Base(seg.path), off, err)
 		}
 		info.Records++
 		info.Points += int64(len(rec.points))
-		off += walFrameHeader + length
+		off += frameHeader + len(payload)
 	}
 	return -1, nil
 }
@@ -271,15 +265,11 @@ func applyWALRecord(db *DB, rec walRecord) error {
 
 // applyBatchRecord replays a composite record: the raw write batch,
 // then each rollup op exactly as maintenance produced it at log time
-// (clear the stale bucket range, write the recomputed rows). One
-// publish at the end keeps the whole record atomic for readers, the
-// same guarantee the original write gave.
+// (clear the stale bucket range, write the recomputed rows); every
+// point was validated when the record was decoded. One publish at the
+// end keeps the whole record atomic for readers, the same guarantee
+// the original write gave.
 func (db *DB) applyBatchRecord(points []Point, ops []rollupOp) error {
-	for i := range points {
-		if err := points[i].Validate(); err != nil {
-			return err
-		}
-	}
 	wait := db.lockWrite()
 	defer db.unlockWrite()
 	v := db.view.Load()

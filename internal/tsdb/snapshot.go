@@ -2,35 +2,35 @@ package tsdb
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
-	"sort"
+	"maps"
+	"slices"
 )
 
-// Snapshot format: a length-prefixed binary stream.
+// Snapshot format: a file header, then checksummed frames (codec.go).
 //
-// The one format (version 3) persists the sealed-block tier verbatim —
+// The one format (version 4) persists the sealed-block tier verbatim —
 // compressed payloads are copied byte-for-byte, never re-encoded — plus
 // each column's raw tail and the engine counters, so a restore
 // reconstructs the exact view (same blocks, same accounting) without
-// replaying writes:
+// replaying writes. Every record is one CRC frame, so a damaged byte
+// anywhere in the file fails the restore instead of restoring wrong:
 //
-//	magic "MTSD" | version u16 = 3 | shardDuration i64
-//	epoch i64 | pointsWritten i64 | batchesWritten i64
-//	seriesCreated i64 | measurements i64 | writeWaitNs i64
-//	blocksSealed i64
-//	nShards u32
-//	per shard: start i64 | points i64 | bytes i64 | nSeries u32
-//	  per series: key | measurement | seriesBytes i64
-//	              nTags u32 | (k,v)* | nFields u32
-//	    per field: name | nBlocks u32
-//	      per block: minT i64 | maxT i64 | count u32 | rawBytes i64
-//	                 loc u8
+//	file header "MTSD" version 4
+//	header record: shardDuration i64 | epoch i64 | pointsWritten i64 |
+//	    batchesWritten i64 | seriesCreated i64 | measurements i64 |
+//	    writeWaitNs i64 | blocksSealed i64 | nShards u32
+//	per shard, a shard record: start i64 | points i64 | bytes i64 |
+//	    nSeries u32
+//	  per series, a series record: measurement str | nTags u32 | (k,v)* |
+//	      seriesBytes i64 | nFields u32, then per field:
+//	    name str | nBlocks u32, then per block:
+//	      minT i64 | maxT i64 | count u32 | rawBytes i64 | loc u8
 //	        loc 0 (inline): dataLen u32 | data
 //	        loc 1 (cold):   fileName str | off i64 | len u32 | crc u32
 //	    tail: nSamples u32 | (time i64, value)*
+//	end of input
 //
 // A cold location references the payload inside a cold-tier segment
 // file instead of re-serializing it — the already-durable frame is the
@@ -38,17 +38,14 @@ import (
 // snapshots therefore restore only next to their cold directory;
 // Snapshot/SaveFile (the portable export paths) always inline, reading
 // cold payloads back through the tier, so an exported file is
-// self-contained. Files of the retired versions 1 and 2 are rejected by
+// self-contained. Files of the retired versions 1 to 3 are rejected by
 // version number.
-//
-// Strings are u32 length + bytes. Integers are little-endian. Values
-// are a kind byte + payload.
 
 const snapshotMagic = "MTSD"
 
 // snapshotVersion is the format version Snapshot writes and the only
 // one RestoreOptions reads.
-const snapshotVersion = 3
+const snapshotVersion = 4
 
 // Block payload locations.
 const (
@@ -69,81 +66,98 @@ func (db *DB) Snapshot(w io.Writer) error {
 // true reads their payloads back and inlines them (portable export);
 // false writes file references (checkpoint — the segment bytes are
 // already durable and fsynced before any referencing view publishes).
+// The first error the sink reports is returned, so a full disk can
+// never produce a silently truncated yet "successful" snapshot.
 func snapshotView(v *dbView, shardDuration int64, w io.Writer, inlineCold bool) error {
-	ew := &errWriter{w: bufio.NewWriter(w)}
-	ew.raw(snapshotMagic)
-	ew.u16(snapshotVersion)
-	ew.i64(shardDuration)
-	ew.i64(v.epoch)
-	ew.i64(v.stats.PointsWritten)
-	ew.i64(v.stats.BatchesWritten)
-	ew.i64(v.stats.SeriesCreated)
-	ew.i64(int64(v.stats.Measurements))
-	ew.i64(v.stats.WriteWaitNs)
-	ew.i64(v.stats.BlocksSealed)
-	ew.u32(uint32(len(v.shardStarts)))
+	bw := bufio.NewWriter(w)
+	if _, err := bw.Write(appendFileHeader(nil, snapshotMagic, snapshotVersion)); err != nil {
+		return err
+	}
+	// put seals one record, built behind the header openFrame reserved,
+	// and writes the frame.
+	put := func(rec []byte) error {
+		if _, err := sealFrame(rec); err != nil {
+			return fmt.Errorf("tsdb: snapshot: %w", err)
+		}
+		_, err := bw.Write(rec)
+		return err
+	}
+	rec := openFrame(nil)
+	rec = le.AppendUint64(rec, uint64(shardDuration))
+	rec = le.AppendUint64(rec, uint64(v.epoch))
+	rec = le.AppendUint64(rec, uint64(v.stats.PointsWritten))
+	rec = le.AppendUint64(rec, uint64(v.stats.BatchesWritten))
+	rec = le.AppendUint64(rec, uint64(v.stats.SeriesCreated))
+	rec = le.AppendUint64(rec, uint64(v.stats.Measurements))
+	rec = le.AppendUint64(rec, uint64(v.stats.WriteWaitNs))
+	rec = le.AppendUint64(rec, uint64(v.stats.BlocksSealed))
+	rec = le.AppendUint32(rec, uint32(len(v.shardStarts)))
+	if err := put(rec); err != nil {
+		return err
+	}
 	for _, start := range v.shardStarts {
 		sh := v.shards[start]
-		ew.i64(sh.start)
-		ew.i64(sh.points)
-		ew.i64(sh.bytes)
-		keys := make([]string, 0, len(sh.series))
-		for k := range sh.series {
-			keys = append(keys, k)
+		keys := slices.Sorted(maps.Keys(sh.series))
+		rec = openFrame(rec[:0])
+		rec = le.AppendUint64(rec, uint64(sh.start))
+		rec = le.AppendUint64(rec, uint64(sh.points))
+		rec = le.AppendUint64(rec, uint64(sh.bytes))
+		rec = le.AppendUint32(rec, uint32(len(keys)))
+		if err := put(rec); err != nil {
+			return err
 		}
-		sort.Strings(keys)
-		ew.u32(uint32(len(keys)))
 		for _, k := range keys {
-			sr := sh.series[k]
-			ew.str(k)
-			ew.str(sr.measurement)
-			ew.i64(int64(sr.bytes))
-			ew.u32(uint32(len(sr.tags)))
-			for _, t := range sr.tags {
-				ew.str(t.Key)
-				ew.str(t.Value)
+			var err error
+			if rec, err = appendSeries(openFrame(rec[:0]), sh.series[k], inlineCold); err != nil {
+				return err
 			}
-			fields := make([]string, 0, len(sr.fields))
-			for f := range sr.fields {
-				fields = append(fields, f)
-			}
-			sort.Strings(fields)
-			ew.u32(uint32(len(fields)))
-			for _, f := range fields {
-				col := sr.fields[f]
-				ew.str(f)
-				ew.u32(uint32(len(col.blocks)))
-				for _, blk := range col.blocks {
-					ew.i64(blk.minT)
-					ew.i64(blk.maxT)
-					ew.u32(uint32(blk.count))
-					ew.i64(blk.rawBytes)
-					if blk.cold != nil && !inlineCold {
-						ew.byteVal(blockLocCold)
-						ew.str(blk.cold.file)
-						ew.i64(blk.cold.off)
-						ew.u32(blk.cold.length)
-						ew.u32(blk.cold.crc)
-						continue
-					}
-					data, _, err := blk.payloadBytes()
-					if err != nil {
-						ew.fail(err)
-						continue
-					}
-					ew.byteVal(blockLocInline)
-					ew.u32(uint32(len(data)))
-					ew.bytes(data)
-				}
-				ew.u32(uint32(len(col.times)))
-				for i := range col.times {
-					ew.i64(col.times[i])
-					ew.value(col.vals.at(i))
-				}
+			if err := put(rec); err != nil {
+				return err
 			}
 		}
 	}
-	return ew.flush()
+	return bw.Flush()
+}
+
+// appendSeries encodes one series record: identity, accounting, and per
+// field the sealed blocks (payload inline or by cold reference) and the
+// raw tail. The series key is not written; restore recomputes it from
+// measurement and tags.
+func appendSeries(rec []byte, sr *series, inlineCold bool) ([]byte, error) {
+	rec = appendStr(rec, sr.measurement)
+	rec = appendTags(rec, sr.tags)
+	rec = le.AppendUint64(rec, uint64(sr.bytes))
+	fields := slices.Sorted(maps.Keys(sr.fields))
+	rec = le.AppendUint32(rec, uint32(len(fields)))
+	for _, f := range fields {
+		col := sr.fields[f]
+		rec = appendStr(rec, f)
+		rec = le.AppendUint32(rec, uint32(len(col.blocks)))
+		for _, blk := range col.blocks {
+			rec = le.AppendUint64(rec, uint64(blk.minT))
+			rec = le.AppendUint64(rec, uint64(blk.maxT))
+			rec = le.AppendUint32(rec, uint32(blk.count))
+			rec = le.AppendUint64(rec, uint64(blk.rawBytes))
+			if blk.cold != nil && !inlineCold {
+				rec = appendStr(append(rec, blockLocCold), blk.cold.file)
+				rec = le.AppendUint64(rec, uint64(blk.cold.off))
+				rec = le.AppendUint32(rec, blk.cold.length)
+				rec = le.AppendUint32(rec, blk.cold.crc)
+				continue
+			}
+			data, _, err := blk.payloadBytes()
+			if err != nil {
+				return nil, err
+			}
+			rec = le.AppendUint32(append(rec, blockLocInline), uint32(len(data)))
+			rec = append(rec, data...)
+		}
+		rec = le.AppendUint32(rec, uint32(len(col.times)))
+		for i, ts := range col.times {
+			rec = appendValue(le.AppendUint64(rec, uint64(ts)), col.vals.at(i))
+		}
+	}
+	return rec, nil
 }
 
 // Restore loads a snapshot written by Snapshot into a fresh DB.
@@ -155,444 +169,170 @@ func Restore(r io.Reader) (*DB, error) { return RestoreOptions(r, Options{}) }
 // it. A file of any version but snapshotVersion is rejected before its
 // body is read.
 func RestoreOptions(r io.Reader, opts Options) (*DB, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
+	db, err := restore(bufio.NewReader(r), opts)
+	if err != nil {
 		return nil, fmt.Errorf("tsdb: restore: %w", err)
 	}
-	if string(magic) != snapshotMagic {
-		return nil, fmt.Errorf("tsdb: restore: bad magic %q", magic)
+	return db, nil
+}
+
+// restore rebuilds the exact serialized view, one frame at a time:
+// sealed blocks are adopted verbatim (after validation), tails and
+// accounting are restored directly, and the finished dbView is
+// published in one shot. Nothing is re-encoded and no write batches
+// run. The input must end with the last record the header and shard
+// records declared.
+func restore(br *bufio.Reader, opts Options) (*DB, error) {
+	hdr := make([]byte, fileHeaderSize)
+	if _, err := io.ReadFull(br, hdr); err != nil {
+		return nil, err
 	}
-	ver, err := readU16(br)
-	if err != nil {
+	d := &decoder{b: hdr}
+	ver := d.fileHeader(snapshotMagic)
+	if err := d.end(); err != nil {
 		return nil, err
 	}
 	if ver != snapshotVersion {
-		return nil, fmt.Errorf("tsdb: restore: unsupported snapshot version %d (this build reads version %d)", ver, snapshotVersion)
+		return nil, fmt.Errorf("unsupported snapshot version %d (this build reads version %d)", ver, snapshotVersion)
 	}
-	sd, err := readI64(br)
+	frames := &frameReader{r: br}
+	d, err := frames.next()
 	if err != nil {
 		return nil, err
 	}
-	if sd <= 0 {
-		return nil, fmt.Errorf("tsdb: restore: bad shard duration %d", sd)
+	opts.ShardDuration = d.i64()
+	epoch := d.i64()
+	stats := DBStats{
+		PointsWritten:  d.i64(),
+		BatchesWritten: d.i64(),
+		SeriesCreated:  d.i64(),
+		Measurements:   int(d.i64()),
+		WriteWaitNs:    d.i64(),
+		BlocksSealed:   d.i64(),
 	}
-	opts.ShardDuration = sd
-	return restoreSealed(br, opts)
-}
-
-// maxRestoreCount bounds every count field a snapshot may claim, so a
-// corrupt or adversarial header cannot drive a huge allocation before
-// the payload disproves it.
-const maxRestoreCount = 1 << 28
-
-// restoreSealed rebuilds the exact serialized view: sealed blocks are
-// adopted verbatim (after validation), tails and accounting are
-// restored directly, and the finished dbView is published in one shot.
-// Nothing is re-encoded and no write batches run. Cold references are
-// resolved against the DB's cold tier and validated by reading the
-// payload through it, so a missing, truncated, or bit-flipped segment
-// file fails the restore loudly instead of surfacing as silently
-// skipped blocks in later scans.
-func restoreSealed(br *bufio.Reader, opts Options) (*DB, error) {
+	nShards := d.u32()
+	if err := d.end(); err != nil {
+		return nil, err
+	}
+	if opts.ShardDuration <= 0 {
+		return nil, fmt.Errorf("bad shard duration %d", opts.ShardDuration)
+	}
 	db := Open(opts)
-	corrupt := func(format string, args ...any) error {
-		return fmt.Errorf("tsdb: restore: "+format, args...)
-	}
-	var hdr [7]int64
-	for i := range hdr {
-		v, err := readI64(br)
-		if err != nil {
+	// The index is rebuilt through the write path's own insertion, on a
+	// batch over the empty view Open published.
+	b := newBatch(db.view.Load(), db.shardDuration, db.blockSize)
+	shards := make(map[int64]*shard)
+	for s := uint32(0); s < nShards; s++ {
+		if d, err = frames.next(); err != nil {
 			return nil, err
 		}
-		hdr[i] = v
-	}
-	stats := DBStats{
-		PointsWritten:  hdr[1],
-		BatchesWritten: hdr[2],
-		SeriesCreated:  hdr[3],
-		Measurements:   int(hdr[4]),
-		WriteWaitNs:    hdr[5],
-		BlocksSealed:   hdr[6],
-	}
-	nShards, err := readU32(br)
-	if err != nil {
-		return nil, err
-	}
-	if nShards > maxRestoreCount {
-		return nil, corrupt("shard count %d too large", nShards)
-	}
-	shards := make(map[int64]*shard)
-	var shardStarts []int64
-	index := make(map[string]*measurementIndex)
-	indexed := make(map[string]bool) // series keys already in postings
-	for s := uint32(0); s < nShards; s++ {
-		start, err := readI64(br)
-		if err != nil {
+		start := d.i64()
+		sh := newShard(start, start+db.shardDuration)
+		sh.points = d.i64()
+		sh.bytes = d.i64()
+		nSeries := d.u32()
+		if err := d.end(); err != nil {
 			return nil, err
 		}
 		if _, ok := shards[start]; ok {
-			return nil, corrupt("duplicate shard %d", start)
-		}
-		sh := newShard(start, start+db.shardDuration)
-		if sh.points, err = readI64(br); err != nil {
-			return nil, err
-		}
-		if sh.bytes, err = readI64(br); err != nil {
-			return nil, err
-		}
-		nSeries, err := readU32(br)
-		if err != nil {
-			return nil, err
-		}
-		if nSeries > maxRestoreCount {
-			return nil, corrupt("series count %d too large", nSeries)
+			return nil, fmt.Errorf("duplicate shard %d", start)
 		}
 		for i := uint32(0); i < nSeries; i++ {
-			if _, err := readStr(br); err != nil { // key, recomputed below
+			if d, err = frames.next(); err != nil {
 				return nil, err
 			}
-			measurement, err := readStr(br)
-			if err != nil {
+			sr, first := decodeSeries(d, db.cold)
+			if err := d.end(); err != nil {
 				return nil, err
 			}
-			srBytes, err := readI64(br)
-			if err != nil {
-				return nil, err
-			}
-			nTags, err := readU32(br)
-			if err != nil {
-				return nil, err
-			}
-			if nTags > maxRestoreCount {
-				return nil, corrupt("tag count %d too large", nTags)
-			}
-			var tags Tags
-			for t := uint32(0); t < nTags; t++ {
-				k, err := readStr(br)
-				if err != nil {
-					return nil, err
-				}
-				v, err := readStr(br)
-				if err != nil {
-					return nil, err
-				}
-				tags = append(tags, Tag{k, v})
-			}
-			tags = tags.Sorted()
-			key := seriesKey(measurement, tags)
-			sr := &series{measurement: measurement, tags: tags, fields: make(map[string]*column), bytes: int(srBytes)}
-			nFields, err := readU32(br)
-			if err != nil {
-				return nil, err
-			}
-			if nFields > maxRestoreCount {
-				return nil, corrupt("field count %d too large", nFields)
-			}
-			mi := index[measurement]
-			if mi == nil {
-				mi = &measurementIndex{
-					byTag:  make(map[string]map[string][]string),
-					series: make(map[string]Tags),
-					fields: make(map[string]ValueKind),
-				}
-				index[measurement] = mi
-			}
-			for f := uint32(0); f < nFields; f++ {
-				name, err := readStr(br)
-				if err != nil {
-					return nil, err
-				}
-				col := &column{}
-				var kind ValueKind
-				haveKind := false
-				nBlocks, err := readU32(br)
-				if err != nil {
-					return nil, err
-				}
-				if nBlocks > maxRestoreCount {
-					return nil, corrupt("block count %d too large", nBlocks)
-				}
-				lastMax := int64(math.MinInt64)
-				for bi := uint32(0); bi < nBlocks; bi++ {
-					blk := &block{}
-					if blk.minT, err = readI64(br); err != nil {
-						return nil, err
-					}
-					if blk.maxT, err = readI64(br); err != nil {
-						return nil, err
-					}
-					count, err := readU32(br)
-					if err != nil {
-						return nil, err
-					}
-					if count == 0 || count > maxBlockPoints {
-						return nil, corrupt("block point count %d out of range", count)
-					}
-					blk.count = int(count)
-					if blk.rawBytes, err = readI64(br); err != nil {
-						return nil, err
-					}
-					loc, err := br.ReadByte()
-					if err != nil {
-						return nil, err
-					}
-					switch loc {
-					case blockLocInline:
-						dataLen, err := readU32(br)
-						if err != nil {
-							return nil, err
-						}
-						if dataLen > maxRestoreCount {
-							return nil, corrupt("block payload %d too large", dataLen)
-						}
-						blk.data = make([]byte, dataLen)
-						if _, err := io.ReadFull(br, blk.data); err != nil {
-							return nil, err
-						}
-					case blockLocCold:
-						if db.cold == nil {
-							return nil, corrupt("cold block reference but no cold directory configured (Options.ColdDir)")
-						}
-						file, err := readStr(br)
-						if err != nil {
-							return nil, err
-						}
-						off, err := readI64(br)
-						if err != nil {
-							return nil, err
-						}
-						length, err := readU32(br)
-						if err != nil {
-							return nil, err
-						}
-						crc, err := readU32(br)
-						if err != nil {
-							return nil, err
-						}
-						if length == 0 || length > maxColdFrame || off < coldHeaderSize+coldFrameHeader {
-							return nil, corrupt("field %q block %d: bad cold reference", name, bi)
-						}
-						blk.cold = &coldRef{ct: db.cold, file: file, off: off, length: length, crc: crc}
-					default:
-						return nil, corrupt("field %q block %d: bad payload location %d", name, bi, loc)
-					}
-					p, err := blk.validate()
-					if err != nil {
-						return nil, corrupt("field %q block %d: %v", name, bi, err)
-					}
-					if bi > 0 && blk.minT < lastMax {
-						return nil, corrupt("field %q blocks out of order", name)
-					}
-					lastMax = blk.maxT
-					if !haveKind {
-						kind, haveKind = p.vals.at(0).Kind, true
-					}
-					col.blocks = append(col.blocks, blk)
-				}
-				nSamples, err := readU32(br)
-				if err != nil {
-					return nil, err
-				}
-				if nSamples > maxRestoreCount {
-					return nil, corrupt("tail sample count %d too large", nSamples)
-				}
-				for j := uint32(0); j < nSamples; j++ {
-					ts, err := readI64(br)
-					if err != nil {
-						return nil, err
-					}
-					v, err := readValue(br)
-					if err != nil {
-						return nil, err
-					}
-					if n := len(col.times); (n > 0 && ts < col.times[n-1]) || (n == 0 && ts < lastMax) {
-						return nil, corrupt("field %q tail out of order", name)
-					}
-					col.times = append(col.times, ts)
-					col.vals.append(v)
-					if !haveKind {
-						kind, haveKind = v.Kind, true
-					}
-				}
-				sr.fields[name] = col
-				if haveKind {
-					if _, seen := mi.fields[name]; !seen {
-						mi.fields[name] = kind
-					}
-				}
-			}
+			key := seriesKey(sr.measurement, sr.tags)
 			sh.series[key] = sr
 			sh.keyBytes += len(key) + 8
-			if !indexed[key] {
-				indexed[key] = true
-				mi.series[key] = tags
-				for _, t := range tags {
-					vals := mi.byTag[t.Key]
-					if vals == nil {
-						vals = make(map[string][]string)
-						mi.byTag[t.Key] = vals
-					}
-					vals[t.Value] = append(vals[t.Value], key)
-				}
-			}
+			b.indexSeries(&Point{Measurement: sr.measurement, Fields: first}, key, sr.tags)
 		}
 		shards[start] = sh
-		shardStarts = append(shardStarts, start)
 	}
-	sort.Slice(shardStarts, func(i, j int) bool { return shardStarts[i] < shardStarts[j] })
+	if _, err := br.ReadByte(); err == nil {
+		return nil, fmt.Errorf("trailing bytes after the last declared record")
+	} else if err != io.EOF {
+		return nil, err
+	}
+	// Only the index is taken from the rebuild; counters are the file's.
 	db.publish(&dbView{
-		epoch:       hdr[0],
+		epoch:       epoch,
 		stats:       stats,
 		shards:      shards,
-		shardStarts: shardStarts,
-		index:       index,
+		shardStarts: slices.Sorted(maps.Keys(shards)),
+		index:       b.v.index,
 	})
 	return db, nil
 }
 
-// errWriter wraps the snapshot's buffered writer with a latching
-// error: the first failure is remembered, every later write becomes a
-// no-op, and flush surfaces exactly that first error. Serialization
-// code stays linear while a full disk (or any failing sink) can no
-// longer produce a silently truncated yet "successful" snapshot.
-type errWriter struct {
-	w   *bufio.Writer
-	err error
-}
-
-func (ew *errWriter) raw(s string) {
-	if ew.err != nil {
-		return
-	}
-	_, ew.err = ew.w.WriteString(s)
-}
-
-func (ew *errWriter) bin(v any) {
-	if ew.err != nil {
-		return
-	}
-	ew.err = binary.Write(ew.w, binary.LittleEndian, v)
-}
-
-// fail latches an externally produced error (e.g. a cold-tier read
-// feeding an inline block) into the writer.
-func (ew *errWriter) fail(err error) {
-	if ew.err == nil {
-		ew.err = err
-	}
-}
-
-func (ew *errWriter) u16(v uint16) { ew.bin(v) }
-func (ew *errWriter) u32(v uint32) { ew.bin(v) }
-func (ew *errWriter) i64(v int64)  { ew.bin(v) }
-func (ew *errWriter) f64(v float64) {
-	ew.bin(v)
-}
-
-func (ew *errWriter) bytes(p []byte) {
-	if ew.err != nil {
-		return
-	}
-	_, ew.err = ew.w.Write(p)
-}
-
-func (ew *errWriter) byteVal(b byte) {
-	if ew.err != nil {
-		return
-	}
-	ew.err = ew.w.WriteByte(b)
-}
-
-func (ew *errWriter) str(s string) {
-	ew.u32(uint32(len(s)))
-	ew.raw(s)
-}
-
-func (ew *errWriter) value(v Value) {
-	ew.byteVal(byte(v.Kind))
-	switch v.Kind {
-	case KindFloat:
-		ew.f64(v.F)
-	case KindInt:
-		ew.i64(v.I)
-	case KindString:
-		ew.str(v.S)
-	case KindBool:
-		b := byte(0)
-		if v.B {
-			b = 1
+// decodeSeries reads one series record, and reports each field's first
+// stored sample (a field with no samples has none) for the index to
+// take the field's kind from. Cold references are resolved against the
+// DB's cold tier and validated by reading the payload through it, so a
+// missing, truncated, or bit-flipped segment file fails the restore
+// loudly instead of surfacing as silently skipped blocks in later
+// scans. Errors latch in d; the caller checks d.end.
+func decodeSeries(d *decoder, cold *coldTier) (*series, map[string]Value) {
+	sr := &series{measurement: d.str(), tags: d.tags().Sorted(), fields: make(map[string]*column)}
+	sr.bytes = int(d.i64())
+	first := make(map[string]Value)
+	// A field is at least a name length, a block count and a tail count.
+	for n := d.count(12); n > 0 && d.err == nil; n-- {
+		name := d.str()
+		col := &column{}
+		lastMax := int64(minInt64)
+		// A block is at least its 29-byte header and a 5-byte inline
+		// payload.
+		for bi, nBlocks := 0, d.count(34); bi < nBlocks && d.err == nil; bi++ {
+			blk := &block{minT: d.i64(), maxT: d.i64(), count: int(d.u32()), rawBytes: d.i64()}
+			if blk.count == 0 || blk.count > maxBlockPoints {
+				d.failf("field %q block %d: point count %d out of range", name, bi, blk.count)
+			}
+			switch loc := d.u8(); loc {
+			case blockLocInline:
+				// Copied: the frame buffer is reused for the next record.
+				blk.data = append([]byte(nil), d.take(int(d.u32()))...)
+			case blockLocCold:
+				blk.cold = &coldRef{ct: cold, file: d.str(), off: d.i64(), length: d.u32(), crc: d.u32()}
+				if cold == nil {
+					d.failf("cold block reference but no cold directory configured (Options.ColdDir)")
+				} else if blk.cold.length == 0 || blk.cold.length > maxFrame || blk.cold.off < coldHeaderSize+frameHeader {
+					d.failf("field %q block %d: bad cold reference", name, bi)
+				}
+			default:
+				d.failf("field %q block %d: bad payload location %d", name, bi, loc)
+			}
+			if d.err != nil {
+				break
+			}
+			p, err := blk.validate()
+			if err != nil {
+				d.failf("field %q block %d: %v", name, bi, err)
+			} else if bi > 0 && blk.minT < lastMax {
+				d.failf("field %q blocks out of order", name)
+			} else if bi == 0 {
+				first[name] = p.vals.at(0)
+			}
+			lastMax = blk.maxT
+			col.blocks = append(col.blocks, blk)
 		}
-		ew.byteVal(b)
+		// A tail sample is a time, a kind byte and at least one byte.
+		for n := d.count(10); n > 0 && d.err == nil; n-- {
+			ts, v := d.i64(), d.value()
+			if ts < lastMax {
+				d.failf("field %q tail out of order", name)
+			}
+			lastMax = ts
+			col.times = append(col.times, ts)
+			col.vals.append(v)
+			if _, ok := first[name]; !ok {
+				first[name] = v
+			}
+		}
+		sr.fields[name] = col
 	}
-}
-
-// flush drains the buffer and reports the first error any write hit.
-func (ew *errWriter) flush() error {
-	if ew.err != nil {
-		return ew.err
-	}
-	return ew.w.Flush()
-}
-
-func readU16(r io.Reader) (uint16, error) {
-	var v uint16
-	err := binary.Read(r, binary.LittleEndian, &v)
-	return v, err
-}
-
-func readU32(r io.Reader) (uint32, error) {
-	var v uint32
-	err := binary.Read(r, binary.LittleEndian, &v)
-	return v, err
-}
-
-func readI64(r io.Reader) (int64, error) {
-	var v int64
-	err := binary.Read(r, binary.LittleEndian, &v)
-	return v, err
-}
-
-func readF64(r io.Reader) (float64, error) {
-	var v float64
-	err := binary.Read(r, binary.LittleEndian, &v)
-	return v, err
-}
-
-func readStr(r *bufio.Reader) (string, error) {
-	n, err := readU32(r)
-	if err != nil {
-		return "", err
-	}
-	if n > 1<<28 {
-		return "", fmt.Errorf("tsdb: restore: string length %d too large", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
-func readValue(r *bufio.Reader) (Value, error) {
-	kind, err := r.ReadByte()
-	if err != nil {
-		return Value{}, err
-	}
-	switch ValueKind(kind) {
-	case KindFloat:
-		f, err := readF64(r)
-		return Float(f), err
-	case KindInt:
-		i, err := readI64(r)
-		return Int(i), err
-	case KindString:
-		s, err := readStr(r)
-		return Str(s), err
-	case KindBool:
-		b, err := r.ReadByte()
-		return Bool(b != 0), err
-	default:
-		return Value{}, fmt.Errorf("tsdb: restore: bad value kind %d", kind)
-	}
+	return sr, first
 }

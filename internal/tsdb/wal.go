@@ -1,11 +1,7 @@
 package tsdb
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -20,33 +16,31 @@ import (
 // Every mutation (write batch, measurement drop, retention sweep) is
 // appended to an on-disk segment *before* it is applied to the
 // published view, so a crashed process recovers by loading the last
-// snapshot and replaying the log (see recover.go). The format follows
-// the snapshot's conventions — little-endian, length-prefixed strings,
-// versioned magic — with per-record CRC framing so a torn tail is
-// detected and truncated rather than misread:
+// snapshot and replaying the log (see recover.go). Header, frames and
+// field encodings are the shared codec's (codec.go); per-record CRC
+// framing means a torn tail is detected and truncated rather than
+// misread:
 //
 //	segment file wal-<seq>.seg:
-//	  magic "MWAL" | version u16
-//	  frame*: length u32 | crc32 u32 (IEEE, of payload) | payload
-//	payload: op u8 | op body
-//	  opWrite:        nPoints u32, then per point:
-//	                  measurement str | nTags u32 | (k,v str)* |
-//	                  nFields u32 | (name str, value)* | time i64
+//	  file header "MWAL" version 1, then one frame per record
+//	record: op u8 | op body
+//	  opWrite:        points
 //	  opDrop:         measurement str
 //	  opDeleteBefore: t i64
+//	  opBatch:        points | nOps u32, then per op:
+//	                  target str | clearStart i64 | clearEnd i64 | points
+//	  opClearRange:   measurement str | start i64 | end i64
+//	points: nPoints u32, then per point:
+//	                  measurement str | nTags u32 | (k,v str)* |
+//	                  nFields u32 | (name str, value)* | time i64
 //
-// Strings are u32 length + bytes; values are the snapshot's kind-byte
-// encoding. Segments rotate by size; a checkpoint (snapshot + log
-// truncation) cuts a segment boundary under the write lock so the
-// deleted prefix is exactly what the snapshot covers.
+// Segments rotate by size; a checkpoint (snapshot + log truncation)
+// cuts a segment boundary under the write lock so the deleted prefix
+// is exactly what the snapshot covers.
 
 const (
 	walMagic   = "MWAL"
 	walVersion = 1
-	// walHeaderSize is the segment header: 4-byte magic + u16 version.
-	walHeaderSize = 6
-	// walFrameHeader prefixes every record: u32 length + u32 crc.
-	walFrameHeader = 8
 
 	// DefaultWALSegmentSize rotates segments at 4 MiB — small enough
 	// that checkpoint truncation reclaims space promptly at the paper's
@@ -56,9 +50,6 @@ const (
 	// DefaultSyncInterval batches fsyncs under FsyncInterval: at most
 	// one second of acknowledged points is exposed to a power loss.
 	DefaultSyncInterval = time.Second
-	// maxWALRecord bounds a single record frame (a paper-scale write
-	// batch is ~1 MiB; anything near this limit is corruption).
-	maxWALRecord = 1 << 28
 )
 
 // FsyncPolicy selects when the WAL fsyncs its active segment.
@@ -251,17 +242,14 @@ func (w *WAL) newSegmentLocked(seq uint64) error {
 	if err != nil {
 		return fmt.Errorf("tsdb: wal: create segment: %w", err)
 	}
-	var hdr [walHeaderSize]byte
-	copy(hdr[:4], walMagic)
-	binary.LittleEndian.PutUint16(hdr[4:6], walVersion)
-	if _, err := f.Write(hdr[:]); err != nil {
+	if _, err := f.Write(appendFileHeader(nil, walMagic, walVersion)); err != nil {
 		closeErr := f.Close()
 		_ = closeErr // the write error is the one worth reporting
 		return fmt.Errorf("tsdb: wal: segment header: %w", err)
 	}
 	w.f = f
 	w.seq = seq
-	w.segBytes = walHeaderSize
+	w.segBytes = fileHeaderSize
 	return nil
 }
 
@@ -281,11 +269,12 @@ func (w *WAL) rotateLocked() error {
 	return w.newSegmentLocked(w.seq + 1)
 }
 
-// append frames payload and writes it to the active segment, rotating
-// and syncing per policy.
-func (w *WAL) append(payload []byte) error {
-	if len(payload) > maxWALRecord {
-		return fmt.Errorf("tsdb: wal: record of %d bytes exceeds limit", len(payload))
+// append seals rec — a record encoded behind the header openFrame
+// reserved — and writes the frame to the active segment, rotating and
+// syncing per policy.
+func (w *WAL) append(rec []byte) error {
+	if _, err := sealFrame(rec); err != nil {
+		return fmt.Errorf("tsdb: wal: %w", err)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -297,14 +286,10 @@ func (w *WAL) append(payload []byte) error {
 			return err
 		}
 	}
-	frame := make([]byte, walFrameHeader+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[walFrameHeader:], payload)
-	if _, err := w.f.Write(frame); err != nil {
+	if _, err := w.f.Write(rec); err != nil {
 		return fmt.Errorf("tsdb: wal: append: %w", err)
 	}
-	w.segBytes += int64(len(frame))
+	w.segBytes += int64(len(rec))
 	w.stats.Appends++
 	switch w.policy {
 	case FsyncAlways:
@@ -418,202 +403,70 @@ func (w *WAL) Stats() WALStats {
 }
 
 // ---- record encoding ----
+//
+// Every encoder returns its record behind the header openFrame
+// reserves; WAL.append seals and writes it.
 
-func walPutU32(b *bytes.Buffer, v uint32) {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], v)
-	b.Write(tmp[:])
-}
-
-func walPutI64(b *bytes.Buffer, v int64) {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], uint64(v))
-	b.Write(tmp[:])
-}
-
-func walPutF64(b *bytes.Buffer, v float64) {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-	b.Write(tmp[:])
-}
-
-func walPutStr(b *bytes.Buffer, s string) {
-	walPutU32(b, uint32(len(s)))
-	b.WriteString(s)
-}
-
-func walPutValue(b *bytes.Buffer, v Value) {
-	b.WriteByte(byte(v.Kind))
-	switch v.Kind {
-	case KindFloat:
-		walPutF64(b, v.F)
-	case KindInt:
-		walPutI64(b, v.I)
-	case KindString:
-		walPutStr(b, v.S)
-	case KindBool:
-		if v.B {
-			b.WriteByte(1)
-		} else {
-			b.WriteByte(0)
-		}
-	}
-}
-
-// walPutPoints emits a length-prefixed point list. Field maps are
+// appendPoints emits a length-prefixed point list. Field maps are
 // emitted in sorted key order so identical batches encode identically —
 // the property the kill-point tests lean on.
-func walPutPoints(b *bytes.Buffer, points []Point) {
-	walPutU32(b, uint32(len(points)))
+func appendPoints(b []byte, points []Point) []byte {
+	b = le.AppendUint32(b, uint32(len(points)))
 	for i := range points {
 		p := &points[i]
-		walPutStr(b, p.Measurement)
-		walPutU32(b, uint32(len(p.Tags)))
-		for _, t := range p.Tags {
-			walPutStr(b, t.Key)
-			walPutStr(b, t.Value)
-		}
+		b = appendStr(b, p.Measurement)
+		b = appendTags(b, p.Tags)
 		names := make([]string, 0, len(p.Fields))
 		for name := range p.Fields {
 			names = append(names, name)
 		}
 		sort.Strings(names)
-		walPutU32(b, uint32(len(names)))
+		b = le.AppendUint32(b, uint32(len(names)))
 		for _, name := range names {
-			walPutStr(b, name)
-			walPutValue(b, p.Fields[name])
+			b = appendValue(appendStr(b, name), p.Fields[name])
 		}
-		walPutI64(b, p.Time)
+		b = le.AppendUint64(b, uint64(p.Time))
 	}
+	return b
 }
 
 // encodeWriteRecord serializes a validated point batch.
 func encodeWriteRecord(points []Point) []byte {
-	var b bytes.Buffer
-	b.WriteByte(byte(walOpWrite))
-	walPutPoints(&b, points)
-	return b.Bytes()
+	return appendPoints(append(openFrame(nil), byte(walOpWrite)), points)
 }
 
 // encodeBatchRecord serializes a write batch together with the rollup
 // ops maintenance derived from it (walOpBatch). A pure maintenance
 // advance (RollupAdvance) logs with an empty point list.
 func encodeBatchRecord(points []Point, ops []rollupOp) []byte {
-	var b bytes.Buffer
-	b.WriteByte(byte(walOpBatch))
-	walPutPoints(&b, points)
-	walPutU32(&b, uint32(len(ops)))
+	b := appendPoints(append(openFrame(nil), byte(walOpBatch)), points)
+	b = le.AppendUint32(b, uint32(len(ops)))
 	for i := range ops {
 		op := &ops[i]
-		walPutStr(&b, op.target)
-		walPutI64(&b, op.clearStart)
-		walPutI64(&b, op.clearEnd)
-		walPutPoints(&b, op.points)
+		b = appendStr(b, op.target)
+		b = le.AppendUint64(b, uint64(op.clearStart))
+		b = le.AppendUint64(b, uint64(op.clearEnd))
+		b = appendPoints(b, op.points)
 	}
-	return b.Bytes()
+	return b
 }
 
 // encodeClearRangeRecord serializes a measurement range clear
 // (walOpClearRange).
 func encodeClearRangeRecord(name string, start, end int64) []byte {
-	var b bytes.Buffer
-	b.WriteByte(byte(walOpClearRange))
-	walPutStr(&b, name)
-	walPutI64(&b, start)
-	walPutI64(&b, end)
-	return b.Bytes()
+	b := appendStr(append(openFrame(nil), byte(walOpClearRange)), name)
+	return le.AppendUint64(le.AppendUint64(b, uint64(start)), uint64(end))
 }
 
 func encodeDropRecord(name string) []byte {
-	var b bytes.Buffer
-	b.WriteByte(byte(walOpDrop))
-	walPutStr(&b, name)
-	return b.Bytes()
+	return appendStr(append(openFrame(nil), byte(walOpDrop)), name)
 }
 
 func encodeDeleteBeforeRecord(t int64) []byte {
-	var b bytes.Buffer
-	b.WriteByte(byte(walOpDeleteBefore))
-	walPutI64(&b, t)
-	return b.Bytes()
+	return le.AppendUint64(append(openFrame(nil), byte(walOpDeleteBefore)), uint64(t))
 }
 
 // ---- record decoding ----
-//
-// walDecoder reads a payload slice with explicit bounds checks: every
-// claimed length is validated against the bytes that remain, so a
-// corrupt (but CRC-valid) record can never drive an oversized
-// allocation — the property FuzzWALReplay exercises.
-
-type walDecoder struct {
-	b   []byte
-	off int
-}
-
-func (d *walDecoder) remaining() int { return len(d.b) - d.off }
-
-func (d *walDecoder) byte() (byte, error) {
-	if d.remaining() < 1 {
-		return 0, fmt.Errorf("tsdb: wal: short record")
-	}
-	v := d.b[d.off]
-	d.off++
-	return v, nil
-}
-
-func (d *walDecoder) u32() (uint32, error) {
-	if d.remaining() < 4 {
-		return 0, fmt.Errorf("tsdb: wal: short record")
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v, nil
-}
-
-func (d *walDecoder) i64() (int64, error) {
-	if d.remaining() < 8 {
-		return 0, fmt.Errorf("tsdb: wal: short record")
-	}
-	v := int64(binary.LittleEndian.Uint64(d.b[d.off:]))
-	d.off += 8
-	return v, nil
-}
-
-func (d *walDecoder) str() (string, error) {
-	n, err := d.u32()
-	if err != nil {
-		return "", err
-	}
-	if int64(n) > int64(d.remaining()) {
-		return "", fmt.Errorf("tsdb: wal: string length %d exceeds record", n)
-	}
-	s := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, nil
-}
-
-func (d *walDecoder) value() (Value, error) {
-	kind, err := d.byte()
-	if err != nil {
-		return Value{}, err
-	}
-	switch ValueKind(kind) {
-	case KindFloat:
-		v, err := d.i64()
-		return Value{Kind: KindFloat, F: math.Float64frombits(uint64(v))}, err
-	case KindInt:
-		v, err := d.i64()
-		return Int(v), err
-	case KindString:
-		s, err := d.str()
-		return Str(s), err
-	case KindBool:
-		b, err := d.byte()
-		return Bool(b != 0), err
-	default:
-		return Value{}, fmt.Errorf("tsdb: wal: bad value kind %d", kind)
-	}
-}
 
 // walRecord is one decoded log entry.
 type walRecord struct {
@@ -626,144 +479,69 @@ type walRecord struct {
 	ops    []rollupOp // opBatch
 }
 
-// decodeWALPoints parses a length-prefixed point list. Each point needs
-// at least measurement len + tag count + field count + time = 20 bytes;
-// inflated counts are rejected before allocating.
-func decodeWALPoints(d *walDecoder) ([]Point, error) {
-	n, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if int64(n) > int64(d.remaining()/20)+1 {
-		return nil, fmt.Errorf("tsdb: wal: point count %d exceeds record", n)
-	}
-	points := make([]Point, 0, n)
-	for i := uint32(0); i < n; i++ {
-		p, err := decodeWALPoint(d)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, p)
-	}
-	return points, nil
-}
-
-// decodeWALRecord parses a payload. Every length is bounds-checked and
-// trailing bytes are rejected, so any mutation of a valid record is
-// detected as corruption.
+// decodeWALRecord parses a frame's payload. The decoder bounds-checks
+// every length and count and end rejects trailing bytes, so a corrupt
+// (but CRC-valid) record is detected and can never drive an oversized
+// allocation — the property FuzzWALReplay exercises.
 func decodeWALRecord(payload []byte) (walRecord, error) {
-	d := &walDecoder{b: payload}
-	op, err := d.byte()
-	if err != nil {
-		return walRecord{}, err
-	}
-	rec := walRecord{op: walOp(op)}
+	d := &decoder{b: payload}
+	rec := walRecord{op: walOp(d.u8())}
 	switch rec.op {
 	case walOpWrite:
-		if rec.points, err = decodeWALPoints(d); err != nil {
-			return walRecord{}, err
-		}
+		rec.points = decodePoints(d)
 	case walOpDrop:
-		if rec.name, err = d.str(); err != nil {
-			return walRecord{}, err
-		}
+		rec.name = d.str()
 	case walOpDeleteBefore:
-		if rec.before, err = d.i64(); err != nil {
-			return walRecord{}, err
-		}
+		rec.before = d.i64()
 	case walOpBatch:
-		if rec.points, err = decodeWALPoints(d); err != nil {
-			return walRecord{}, err
-		}
-		nOps, err := d.u32()
-		if err != nil {
-			return walRecord{}, err
-		}
+		rec.points = decodePoints(d)
 		// Each op needs at least target len + two i64 bounds + point
 		// count = 24 bytes.
-		if int64(nOps) > int64(d.remaining()/24)+1 {
-			return walRecord{}, fmt.Errorf("tsdb: wal: rollup op count %d exceeds record", nOps)
-		}
-		rec.ops = make([]rollupOp, 0, nOps)
-		for i := uint32(0); i < nOps; i++ {
-			var ro rollupOp
-			if ro.target, err = d.str(); err != nil {
-				return walRecord{}, err
-			}
-			if ro.clearStart, err = d.i64(); err != nil {
-				return walRecord{}, err
-			}
-			if ro.clearEnd, err = d.i64(); err != nil {
-				return walRecord{}, err
-			}
-			if ro.points, err = decodeWALPoints(d); err != nil {
-				return walRecord{}, err
-			}
+		n := d.count(24)
+		rec.ops = make([]rollupOp, 0, n)
+		for i := 0; i < n && d.err == nil; i++ {
+			ro := rollupOp{target: d.str()}
+			ro.clearStart = d.i64()
+			ro.clearEnd = d.i64()
+			ro.points = decodePoints(d)
 			rec.ops = append(rec.ops, ro)
 		}
 	case walOpClearRange:
-		if rec.name, err = d.str(); err != nil {
-			return walRecord{}, err
-		}
-		if rec.start, err = d.i64(); err != nil {
-			return walRecord{}, err
-		}
-		if rec.end, err = d.i64(); err != nil {
-			return walRecord{}, err
-		}
+		rec.name = d.str()
+		rec.start = d.i64()
+		rec.end = d.i64()
 	default:
-		return walRecord{}, fmt.Errorf("tsdb: wal: bad op %d", op)
+		d.failf("bad op %d", rec.op)
 	}
-	if d.remaining() != 0 {
-		return walRecord{}, fmt.Errorf("tsdb: wal: %d trailing bytes in record", d.remaining())
+	if err := d.end(); err != nil {
+		return walRecord{}, fmt.Errorf("tsdb: wal: %w", err)
 	}
 	return rec, nil
 }
 
-func decodeWALPoint(d *walDecoder) (Point, error) {
-	var p Point
-	var err error
-	if p.Measurement, err = d.str(); err != nil {
-		return p, err
-	}
-	nTags, err := d.u32()
-	if err != nil {
-		return p, err
-	}
-	if int64(nTags) > int64(d.remaining()/8)+1 {
-		return p, fmt.Errorf("tsdb: wal: tag count %d exceeds record", nTags)
-	}
-	p.Tags = make(Tags, 0, nTags)
-	for i := uint32(0); i < nTags; i++ {
-		k, err := d.str()
-		if err != nil {
-			return p, err
+// decodePoints parses a length-prefixed point list. Minimum sizes per
+// element: a point is measurement len + tag count + field count + time
+// = 20 bytes, a field a name length, a kind byte and one payload byte. A point that decodes but could not have
+// been written (Validate) fails the record like any other corruption,
+// so replay only ever applies what a writer was allowed to log.
+func decodePoints(d *decoder) []Point {
+	n := d.count(20)
+	points := make([]Point, 0, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		p := Point{Measurement: d.str(), Tags: d.tags()}
+		nFields := d.count(6)
+		p.Fields = make(map[string]Value, nFields)
+		for j := 0; j < nFields && d.err == nil; j++ {
+			name := d.str()
+			p.Fields[name] = d.value()
 		}
-		v, err := d.str()
-		if err != nil {
-			return p, err
+		p.Time = d.i64()
+		if d.err == nil {
+			if err := p.Validate(); err != nil {
+				d.failf("%v", err)
+			}
 		}
-		p.Tags = append(p.Tags, Tag{Key: k, Value: v})
+		points = append(points, p)
 	}
-	nFields, err := d.u32()
-	if err != nil {
-		return p, err
-	}
-	if int64(nFields) > int64(d.remaining()/5)+1 {
-		return p, fmt.Errorf("tsdb: wal: field count %d exceeds record", nFields)
-	}
-	p.Fields = make(map[string]Value, nFields)
-	for i := uint32(0); i < nFields; i++ {
-		name, err := d.str()
-		if err != nil {
-			return p, err
-		}
-		v, err := d.value()
-		if err != nil {
-			return p, err
-		}
-		p.Fields[name] = v
-	}
-	p.Time, err = d.i64()
-	return p, err
+	return points
 }

@@ -1,6 +1,8 @@
 package tsdb
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -162,7 +164,7 @@ func TestWALKillPoints(t *testing.T) {
 		if got := rec.Disk().Points; got != int64(wantBatches) {
 			t.Fatalf("offset %d: recovered %d points, want %d (info %+v)", off, got, wantBatches, info)
 		}
-		atBoundary := off == walHeaderSize
+		atBoundary := off == fileHeaderSize
 		for _, b := range boundaries {
 			if b == off {
 				atBoundary = true
@@ -171,7 +173,7 @@ func TestWALKillPoints(t *testing.T) {
 		if atBoundary && info.TornFrames != 0 {
 			t.Fatalf("offset %d is a frame boundary yet counted torn: %+v", off, info)
 		}
-		if !atBoundary && off > walHeaderSize && info.TornFrames != 1 {
+		if !atBoundary && off > fileHeaderSize && info.TornFrames != 1 {
 			t.Fatalf("offset %d tore a frame but stats say %+v", off, info)
 		}
 		// Recovery after recovery is stable: the truncated tail is gone.
@@ -255,7 +257,7 @@ func TestWALKillPointsSealedBlocks(t *testing.T) {
 }
 
 // TestWALCheckpointSealedBlocks checkpoints a database whose columns
-// hold sealed blocks: the snapshot (v2, blocks verbatim) must load on
+// hold sealed blocks: the snapshot (blocks verbatim) must load on
 // recovery and merge cleanly with post-checkpoint WAL replay.
 func TestWALCheckpointSealedBlocks(t *testing.T) {
 	sealedOpts := Options{ShardDuration: 3600, BlockSize: 4}
@@ -325,7 +327,7 @@ func TestWALCorruptionMidSegmentDropsTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[walHeaderSize+walFrameHeader] ^= 0xFF
+	data[fileHeaderSize+frameHeader] ^= 0xFF
 	if err := os.WriteFile(segs[1].path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +501,7 @@ func TestWALStatsSurfaceAndClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := ddb.WALStats()
-	if st.Appends != 1 || st.Segments != 1 || st.Bytes <= walHeaderSize {
+	if st.Appends != 1 || st.Segments != 1 || st.Bytes <= fileHeaderSize {
 		t.Fatalf("stats = %+v", st)
 	}
 	if err := ddb.CloseWAL(); err != nil {
@@ -575,5 +577,105 @@ func TestWALCheckpointCrashBeforeTruncate(t *testing.T) {
 		if s.seq < boundary {
 			t.Fatalf("covered segment %s survived recovery", s.path)
 		}
+	}
+}
+
+// TestWALReplayApplyErrorKeepsLog pins the difference between a record
+// that is corrupt and a record that cannot be applied. The log here is
+// intact; the fault is a flipped byte in an unrelated cold segment,
+// which the second record trips over because its out-of-order write
+// reaches behind the spilled block and has to unseal it. Replay must
+// return that error and leave every log byte in place — treating it as
+// a torn tail would truncate the segment and delete the one after it,
+// destroying acknowledged records over a fault that is not theirs.
+func TestWALReplayApplyErrorKeepsLog(t *testing.T) {
+	coldDir := t.TempDir()
+	db := Open(Options{ShardDuration: 3600, BlockSize: 4, ColdDir: coldDir})
+	for i := 0; i < 4; i++ {
+		if err := db.WritePoint(walPoint("n1", int64(60*i), float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := db.SpillCold(3600); n != 1 || err != nil {
+		t.Fatalf("spilled %d blocks, err %v", n, err)
+	}
+	segs := coldSegments(t, coldDir)
+	if len(segs) != 1 {
+		t.Fatalf("cold segments: %v", segs)
+	}
+	coldPath := filepath.Join(coldDir, segs[0])
+	cold, err := os.ReadFile(coldPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold[coldHeaderSize+frameHeader+3] ^= 0x40
+	if err := os.WriteFile(coldPath, cold, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	walDir := t.TempDir()
+	seg1 := walSeedSegment(
+		encodeWriteRecord([]Point{walPoint("n1", 600, 10)}), // in order: applies
+		encodeWriteRecord([]Point{walPoint("n1", 30, 0.5)}), // behind the cold block: must unseal it
+	)
+	seg2 := walSeedSegment(encodeWriteRecord([]Point{walPoint("n1", 660, 11)}))
+	for seq, data := range map[uint64][]byte{1: seg1, 2: seg2} {
+		if err := os.WriteFile(walSegmentPath(walDir, seq), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live, err := listWALSegments(walDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var info RecoveryInfo
+	if _, err := replayWAL(db, live, &info); !errors.Is(err, errColdCorrupt) {
+		t.Fatalf("replay error = %v, want the cold segment's corruption", err)
+	}
+	if info.Records != 1 || info.TornFrames != 0 {
+		t.Fatalf("replay info %+v, want one applied record and no torn frame", info)
+	}
+	if got, err := os.ReadFile(walSegmentPath(walDir, 1)); err != nil || !bytes.Equal(got, seg1) {
+		t.Fatalf("segment 1 modified by a failed replay (err %v): %d bytes, were %d", err, len(got), len(seg1))
+	}
+	if got, err := os.ReadFile(walSegmentPath(walDir, 2)); err != nil || !bytes.Equal(got, seg2) {
+		t.Fatalf("segment 2 did not survive a failed replay: err %v", err)
+	}
+}
+
+// TestWALOpenRemovesAbandonedSnapshotTemp plants what a checkpoint
+// killed between CreateTemp and rename leaves behind: OpenDurable must
+// delete it (nothing else ever would) and recover exactly as without.
+func TestWALOpenRemovesAbandonedSnapshotTemp(t *testing.T) {
+	dir := t.TempDir()
+	db, _ := crashOpen(t, dir, WALOptions{Policy: FsyncNever})
+	for i := 0; i < 10; i++ {
+		if err := db.WritePoint(walPoint("n1", int64(60*i), float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 10; i < 15; i++ {
+		if err := db.WritePoint(walPoint("n1", int64(60*i), float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	temp := filepath.Join(dir, snapshotTempPrefix+"1234567890")
+	if err := os.WriteFile(temp, []byte("MTSD half a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, info := crashOpen(t, dir, WALOptions{Policy: FsyncNever})
+	if _, err := os.Stat(temp); !os.IsNotExist(err) {
+		t.Fatalf("abandoned temp file survived recovery (stat err %v)", err)
+	}
+	if !info.SnapshotLoaded || info.SnapshotPoints != 10 || info.Points != 5 || info.TornFrames != 0 {
+		t.Fatalf("recovery = %+v, want 10 snapshot + 5 replayed points", info)
+	}
+	if got, want := queryAll(t, db2, `SELECT "Reading" FROM "Power"`), queryAll(t, db, `SELECT "Reading" FROM "Power"`); got != want {
+		t.Fatalf("recovered data diverged:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
