@@ -89,6 +89,7 @@ FUZZTIME ?= 15s
 fuzz-smoke:
 	$(GO) test -fuzz '^FuzzParseQuery$$' -run '^FuzzParseQuery$$' -fuzztime $(FUZZTIME) ./internal/tsdb
 	$(GO) test -fuzz '^FuzzMergeSeries$$' -run '^FuzzMergeSeries$$' -fuzztime $(FUZZTIME) ./internal/builder
+	$(GO) test -fuzz '^FuzzEncodeResponse$$' -run '^FuzzEncodeResponse$$' -fuzztime $(FUZZTIME) ./internal/builder
 	$(GO) test -fuzz '^FuzzWALReplay$$' -run '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/tsdb
 	$(GO) test -fuzz '^FuzzBlockDecode$$' -run '^FuzzBlockDecode$$' -fuzztime $(FUZZTIME) ./internal/tsdb
 	$(GO) test -fuzz '^FuzzLineProtocol$$' -run '^FuzzLineProtocol$$' -fuzztime $(FUZZTIME) ./internal/tsdb

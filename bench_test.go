@@ -304,8 +304,11 @@ func BenchmarkAblationBatchWrites(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationZlibLevels compares compression levels on real
-// response JSON (speed vs the Fig 18 ratio).
+// BenchmarkAblationZlibLevels compares every compression level, and
+// the server default (level 0 selects it), on real response JSON:
+// speed vs the Fig 18 ratio. The default was chosen from this curve
+// measured on the dash-6h and scan-72h bodies (EXPERIMENTS.md,
+// "Columnar to the wire").
 func BenchmarkAblationZlibLevels(b *testing.B) {
 	sys := seededSystem(b, 16, 30)
 	resp, _, err := sys.Builder.Fetch(context.Background(), monster.Request{
@@ -318,9 +321,12 @@ func BenchmarkAblationZlibLevels(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, level := range []int{1, 6, 9} {
-		level := level
-		b.Run(fmt.Sprintf("level%d", level), func(b *testing.B) {
+	for level := 0; level <= 9; level++ {
+		name := fmt.Sprintf("level%d", level)
+		if level == 0 {
+			name = "default"
+		}
+		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(len(body)))
 			var ratio float64
 			for i := 0; i < b.N; i++ {

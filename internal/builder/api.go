@@ -1,6 +1,7 @@
 package builder
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -29,7 +30,8 @@ const StatsHeader = "X-Monster-Stats"
 // Responses are JSON; when the consumer sends Accept-Encoding:
 // deflate, the body is zlib-compressed (Content-Encoding: deflate) —
 // the paper's transport optimization. zlevel=1..9 overrides the
-// compression level. Validation failures are 400s with {"error": ...}.
+// server's default compression level. Validation failures are 400s
+// with {"error": ...}.
 type API struct {
 	b     *Builder
 	mux   *http.ServeMux
@@ -177,35 +179,34 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	te := a.clock.Now()
-	body, err := Encode(resp)
-	if err != nil {
+	a.writeMetrics(w, resp, st, acceptsDeflate(r.Header.Get("Accept-Encoding")), zlevel)
+}
+
+// writeMetrics sends one fetched response. The whole answer is built
+// in a pooled buffer before the first header goes out: a failure is
+// still a clean 500, and the stats — byte counts included — travel as
+// a header, where a consumer finds them without reading to the end of
+// the body.
+func (a *API) writeMetrics(w http.ResponseWriter, resp *Response, st Stats, deflated bool, zlevel int) {
+	body := bufPool.Get().(*bytes.Buffer)
+	body.Reset()
+	defer bufPool.Put(body)
+	if err := writeBody(body, resp, deflated, zlevel, a.clock, &st); err != nil {
 		a.httpError(w, http.StatusInternalServerError, "encode: %v", err)
 		return
 	}
-	st.EncodeTime = a.clock.Now().Sub(te)
-	st.BytesRaw = int64(len(body))
+	st.Total += st.EncodeTime + st.CompressTime
 
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Vary", "Accept-Encoding")
-	if acceptsDeflate(r.Header.Get("Accept-Encoding")) {
-		tc := a.clock.Now()
-		comp, err := Compress(body, zlevel)
-		if err != nil {
-			a.httpError(w, http.StatusInternalServerError, "compress: %v", err)
-			return
-		}
-		st.CompressTime = a.clock.Now().Sub(tc)
-		st.BytesCompressed = int64(len(comp))
-		body = comp
+	if deflated {
 		w.Header().Set("Content-Encoding", "deflate")
 	}
-	st.Total += st.EncodeTime + st.CompressTime
 	if hdr, err := json.Marshal(st); err == nil {
 		w.Header().Set(StatsHeader, string(hdr))
 	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	if _, err := w.Write(body); err != nil {
+	w.Header().Set("Content-Length", strconv.Itoa(body.Len()))
+	if _, err := w.Write(body.Bytes()); err != nil {
 		a.writeErrs.Add(1)
 	}
 }

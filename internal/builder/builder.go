@@ -56,6 +56,9 @@ type Stats struct {
 	Nodes   int             `json:"nodes"`
 	Series  int             `json:"series"`
 	Points  int             `json:"points"`
+	// NonFiniteDropped counts stored NaN/±Inf values left out of the
+	// response (JSON has no form for them).
+	NonFiniteDropped int `json:"non_finite_dropped,omitempty"`
 
 	BytesRaw        int64 `json:"bytes_raw,omitempty"`        // encoded JSON size
 	BytesCompressed int64 `json:"bytes_compressed,omitempty"` // zlib transport size
@@ -139,9 +142,10 @@ func (b *Builder) Fetch(ctx context.Context, req Request) (*Response, Stats, err
 			continue
 		}
 		st.TSDB.Add(res.Stats)
-		series, points := mergeResult(resp, idx, res)
+		series, points, nonFinite := mergeResult(resp, idx, res)
 		st.Series += series
 		st.Points += points
+		st.NonFiniteDropped += nonFinite
 	}
 	if req.IncludeJobs {
 		if err := b.fetchJobs(ctx, &req, resp, &st); err != nil {

@@ -1,9 +1,15 @@
 package builder
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
+	"monster/internal/clock"
 	"monster/internal/tsdb"
 )
 
@@ -75,7 +81,7 @@ func FuzzMergeSeries(f *testing.F) {
 				Rows:    fuzzRows(data, 1),
 			},
 		}}
-		series, points := mergeResult(resp, idx, metricRes)
+		series, points, _ := mergeResult(resp, idx, metricRes)
 		got := 0
 		for _, n := range resp.Nodes {
 			got += len(n.Metrics)
@@ -121,6 +127,109 @@ func FuzzMergeSeries(f *testing.F) {
 					t.Fatal("parseJobList let an empty job id through")
 				}
 			}
+		}
+	})
+}
+
+// fuzzFloats decodes eight-byte groups as float64 bit patterns — so
+// subnormals, huge and tiny magnitudes and -0 all occur — with the
+// encoding/json format boundaries mixed in by position.
+func fuzzFloats(data []byte) []float64 {
+	special := []float64{math.Copysign(0, -1), 1e21, 1e-7, 5e-324, 123456789.125, -1e-6, 0.000001, 1e20, 273, -14040, 1<<53 - 1, 1 << 53, -(1 << 53), 1 << 62}
+	out := make([]float64, 0, len(data)/8+1)
+	for i := 0; i+8 <= len(data); i += 8 {
+		f := math.Float64frombits(binary.LittleEndian.Uint64(data[i:]))
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			f = special[i/8%len(special)]
+		}
+		out = append(out, f)
+	}
+	if len(data)%8 != 0 {
+		out = append(out, special[len(data)%len(special)])
+	}
+	return out
+}
+
+// FuzzEncodeResponse is the differential for the append encoder:
+// whatever the Response, Decode(Encode(r)) is what decoding
+// encoding/json's rendering of the struct gives, and with no interval
+// to rebuild timestamps from the two renderings are the same bytes.
+func FuzzEncodeResponse(f *testing.F) {
+	f.Add("10.101.1.1", "Power/NodePower", "max", int64(300), int64(1587384000), []byte("\x00\x00\x00\x00\x00\x00Y@\x9a\x99\x99\x99\x99\x99\xb9?"))
+	f.Add("a\"b\\c", "<script>&amp;", "mean", int64(60), int64(0), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add("ctl\x01\x1f\n\t\x7f", "bad\xff\xfeutf8\xc0", "", int64(0), int64(-5), []byte{})
+	f.Add("  é", "", "sum", int64(-300), int64(math.MaxInt64-600), bytes.Repeat([]byte{0xff, 0x7f}, 20))
+	f.Add("", "k", "last", int64(math.MaxInt64), int64(math.MinInt64), bytes.Repeat([]byte{0, 0, 0, 0, 0, 0, 0, 0x80}, 3))
+
+	f.Fuzz(func(t *testing.T, node, label, agg string, interval, start int64, data []byte) {
+		values := fuzzFloats(data)
+		n := len(values)
+		regular := make([]int64, n)
+		gappy := make([]int64, n)
+		for i := range regular {
+			regular[i] = start + int64(i)*interval
+			gappy[i] = regular[i]
+			if i > 0 && data[i%len(data)]%3 == 0 {
+				gappy[i] += interval + 1
+			}
+		}
+		r := &Response{Start: start, End: start + 1, Interval: interval, Aggregate: agg, Nodes: []NodeSeries{
+			{NodeID: node, Metrics: map[string]SeriesData{
+				label:            {Times: regular, Values: values},
+				label + "/gappy": {Times: gappy, Values: values},
+				label + "/one":   {Times: regular[:min(n, 1)], Values: values[:min(n, 1)]},
+				label + "/empty": {Times: []int64{}, Values: []float64{}},
+				label + "/nil":   {},
+				label + "/short": {Times: regular, Values: values[:n/2]},
+			}},
+			{NodeID: node + "/nometrics"},
+			{NodeID: label, Metrics: map[string]SeriesData{}},
+		}}
+		if n%2 == 1 {
+			r.Jobs = []JobRecord{
+				{JobID: node, User: label, JobName: agg, Queue: node, SubmitTime: start, StartTime: interval, FinishTime: int64(n), Estimated: true, Slots: -1, NodeCount: 2},
+				{JobID: label},
+			}
+			r.NodeJobs = []NodeJobsRecord{{NodeID: node, Time: start, Jobs: []string{label, agg, ""}}, {NodeID: label}}
+		}
+		if n%5 == 4 {
+			r.Nodes = nil
+		}
+
+		check := func(r *Response) (enc, ref []byte) {
+			enc, err := Encode(r)
+			if err != nil {
+				t.Fatalf("Encode: %v", err)
+			}
+			ref, err = json.Marshal(r)
+			if err != nil {
+				t.Fatalf("json.Marshal: %v", err)
+			}
+			got, err := Decode(enc)
+			if err != nil {
+				t.Fatalf("Decode(Encode): %v\n%s", err, enc)
+			}
+			want, err := Decode(ref)
+			if err != nil {
+				t.Fatalf("Decode(json.Marshal): %v", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("Decode(Encode(r)) differs from Decode(json.Marshal(r)):\n enc %s\n ref %s", enc, ref)
+			}
+			var streamed bytes.Buffer
+			if err := writeBody(&streamed, r, false, 0, clock.NewReal(), new(Stats)); err != nil || !bytes.Equal(streamed.Bytes(), enc) {
+				t.Fatalf("writeBody (%v) differs from Encode:\n %s\n %s", err, streamed.Bytes(), enc)
+			}
+			return enc, ref
+		}
+		enc, ref := check(r)
+		if len(enc) > len(ref) {
+			t.Fatalf("compact form is longer: %d > %d bytes", len(enc), len(ref))
+		}
+		raw := *r
+		raw.Interval = 0
+		if enc, ref := check(&raw); !bytes.Equal(enc, ref) {
+			t.Fatalf("with no series to compact, Encode differs from json.Marshal:\n got %s\nwant %s", enc, ref)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package builder
 
 import (
+	"math"
 	"sort"
 	"strings"
 
@@ -28,7 +29,9 @@ type NodeSeries struct {
 }
 
 // SeriesData is one downsampled (or raw) series as parallel arrays —
-// the compact column layout that makes the JSON compress so well.
+// the compact column layout that makes the JSON compress so well. The
+// tags are the form encoding/json gives it; on the wire (Encode,
+// Decode) a gapless bucketed series sends start in place of times.
 type SeriesData struct {
 	Times  []int64   `json:"times"`
 	Values []float64 `json:"values"`
@@ -80,8 +83,10 @@ func newResponse(req *Request, nodes []string) (*Response, map[string]int) {
 // (node, metric) series appears in exactly one query of the plan and
 // rows arrive time-ascending, so series are assigned wholesale — no
 // re-sort, no dedup (the merge cost the paper's Fig 11 breakdown
-// charges to "processing").
-func mergeResult(resp *Response, idx map[string]int, res *tsdb.Result) (series, points int) {
+// charges to "processing"). A stored value that is not finite has no
+// JSON form; it is left out and counted, so one bad sample costs its
+// own bucket and not the whole response.
+func mergeResult(resp *Response, idx map[string]int, res *tsdb.Result) (series, points, nonFinite int) {
 	for _, s := range res.Series {
 		node, _ := s.Tags.Get("NodeId")
 		label, _ := s.Tags.Get("Label")
@@ -101,6 +106,10 @@ func mergeResult(resp *Response, idx map[string]int, res *tsdb.Result) (series, 
 			if !ok {
 				continue
 			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				nonFinite++
+				continue
+			}
 			sd.Times = append(sd.Times, row.Time)
 			sd.Values = append(sd.Values, v)
 		}
@@ -111,7 +120,7 @@ func mergeResult(resp *Response, idx map[string]int, res *tsdb.Result) (series, 
 		series++
 		points += len(sd.Times)
 	}
-	return series, points
+	return series, points, nonFinite
 }
 
 // jobsInfoColumns is the projection of the jobs query, in order.

@@ -112,7 +112,10 @@ type Config struct {
 	// bytes: after the age pass, the oldest remaining blocks spill
 	// until the residue fits. 0 = no budget (age-only spilling).
 	ColdMaxResidentBytes int64
-	// CacheResponses wraps the builder API in an LRU response cache.
+	// CacheResponses builds an in-process LRU of merged responses at
+	// System.Cache, for callers that fetch through it directly. The
+	// HTTP API (System.BuilderAPI) serves the bare Builder and never
+	// consults it.
 	CacheResponses bool
 	// StoreAllHealth disables the transition-only health filter
 	// (Section III-B3) — the ablation baseline.

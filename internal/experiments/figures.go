@@ -392,6 +392,14 @@ func runFig13(quick bool) (*Table, error) {
 	return t, nil
 }
 
+// monsterWireNote labels the columns that leave the paper's format.
+const monsterWireNote = "paper columns: a timestamp per sample, zlib level 6 (the paper's builder); MonSTer wire: the same response as /v1/metrics serves it — bucketed series as start + values, server default level"
+
+// pctOf renders part as a percentage of whole.
+func pctOf(part, whole int64) string {
+	return fmt.Sprintf("%.1f%%", 100*float64(part)/float64(whole))
+}
+
 func runFig17(quick bool) (*Table, error) {
 	ranges := PaperRanges()
 	if quick {
@@ -400,7 +408,8 @@ func runFig17(quick bool) (*Table, error) {
 	t := &Table{
 		ID:      "fig17",
 		Title:   "Query-processing vs transmission time, remote consumer (paper: transmission up to 1.65x longer)",
-		Columns: []string{"range", "query (s)", "transmission (s)", "tx/query", "response MB"},
+		Columns: []string{"range", "query (s)", "transmission (s)", "tx/query", "response MB", "MonSTer wire MB", "MonSTer wire tx (s)"},
+		Notes:   []string{monsterWireNote},
 	}
 	for _, r := range ranges {
 		res, err := SimulateTransport(r, false)
@@ -412,6 +421,7 @@ func runFig17(quick bool) (*Table, error) {
 			secs(res.QueryTime), secs(res.TxPlain),
 			fmt.Sprintf("%.2f", res.TxPlain.Seconds()/res.QueryTime.Seconds()),
 			fmt.Sprintf("%.1f", float64(res.RawBytes)/1e6),
+			fmt.Sprintf("%.1f", float64(res.WireRawBytes)/1e6), secs(res.WireTxPlain),
 		})
 	}
 	return t, nil
@@ -429,8 +439,14 @@ func runFig18(quick bool) (*Table, error) {
 		Rows: [][]string{
 			{"uncompressed", fmt.Sprintf("%d", res.RawBytes), "100%"},
 			{"compressed", fmt.Sprintf("%d", res.CompressedBytes), fmt.Sprintf("%.1f%%", res.CompressRatio*100)},
+			{"MonSTer wire, uncompressed", fmt.Sprintf("%d", res.WireRawBytes), pctOf(res.WireRawBytes, res.RawBytes)},
+			{"MonSTer wire, compressed", fmt.Sprintf("%d", res.WireCompressedBytes), pctOf(res.WireCompressedBytes, res.RawBytes)},
 		},
-		Notes: []string{"ratio measured with real zlib on real builder JSON"},
+		Notes: []string{
+			"ratio measured with real zlib on real builder JSON",
+			monsterWireNote,
+			fmt.Sprintf("MonSTer wire ratios are against the paper-format uncompressed bytes; deflate alone takes the MonSTer wire body to %s of itself", pctOf(res.WireCompressedBytes, res.WireRawBytes)),
+		},
 	}
 	return t, nil
 }
@@ -443,7 +459,8 @@ func runFig19(quick bool) (*Table, error) {
 	t := &Table{
 		ID:      "fig19",
 		Title:   "Total response time, uncompressed vs compressed transport (paper: ~2x faster compressed)",
-		Columns: []string{"range", "plain total (s)", "compressed total (s)", "speedup"},
+		Columns: []string{"range", "plain total (s)", "compressed total (s)", "speedup", "MonSTer wire total (s)", "MonSTer wire speedup"},
+		Notes:   []string{monsterWireNote},
 	}
 	for _, r := range ranges {
 		res, err := SimulateTransport(r, true)
@@ -454,6 +471,8 @@ func runFig19(quick bool) (*Table, error) {
 			fmt.Sprintf("%dd", int(r.Hours()/24)),
 			secs(res.TotalPlain), secs(res.TotalCompressed),
 			fmt.Sprintf("%.2fx", res.TotalPlain.Seconds()/res.TotalCompressed.Seconds()),
+			secs(res.WireTotalCompressed),
+			fmt.Sprintf("%.2fx", res.TotalPlain.Seconds()/res.WireTotalCompressed.Seconds()),
 		})
 	}
 	return t, nil

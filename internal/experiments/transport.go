@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"time"
 
@@ -16,6 +17,12 @@ import (
 // compression ratios are measured on real JSON produced by the real
 // builder at a reduced node count and extrapolated linearly in nodes;
 // times come from the calibrated model.
+//
+// The paper's builder sends a timestamp with every sample and deflates
+// at zlib's default level; RawBytes … TotalCompressed measure that
+// format. The Wire* fields measure the same response as MonSTer's API
+// serves it (bucketed series without their timestamps, the server's
+// default level).
 type TransportResult struct {
 	Range           time.Duration
 	QueryTime       time.Duration // query + processing (optimized config)
@@ -27,6 +34,11 @@ type TransportResult struct {
 	CompressTime    time.Duration
 	TotalPlain      time.Duration
 	TotalCompressed time.Duration
+
+	WireRawBytes        int64
+	WireCompressedBytes int64
+	WireTxPlain         time.Duration
+	WireTotalCompressed time.Duration // query + compress + transmission
 }
 
 // responseSizer measures real response JSON bytes per output bucket by
@@ -34,6 +46,9 @@ type TransportResult struct {
 type responseSizer struct {
 	bytesPerNodeBucket float64 // JSON bytes per node per bucket (all 10 metrics)
 	compressRatio      float64
+	// The same response in MonSTer's wire format.
+	wireBytesPerNodeBucket float64
+	wireCompressRatio      float64
 }
 
 // measureResponseShape runs the real pipeline for a short span, fetches
@@ -53,18 +68,30 @@ func measureResponseShape(nodes int, seed int64) (*responseSizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	raw, err := builder.Encode(resp)
+	// The paper's format: encoding/json over the tagged struct writes
+	// every timestamp; 6 is zlib's default level.
+	raw, err := json.Marshal(resp)
 	if err != nil {
 		return nil, err
 	}
-	comp, err := builder.Compress(raw, 0)
+	comp, err := builder.Compress(raw, 6)
 	if err != nil {
 		return nil, err
 	}
-	buckets := float64(span / (5 * time.Minute))
+	wire, err := builder.Encode(resp)
+	if err != nil {
+		return nil, err
+	}
+	wireComp, err := builder.Compress(wire, 0)
+	if err != nil {
+		return nil, err
+	}
+	nodeBuckets := float64(nodes) * float64(span/(5*time.Minute))
 	return &responseSizer{
-		bytesPerNodeBucket: float64(len(raw)) / float64(nodes) / buckets,
-		compressRatio:      builder.CompressionRatio(raw, comp),
+		bytesPerNodeBucket:     float64(len(raw)) / nodeBuckets,
+		compressRatio:          builder.CompressionRatio(raw, comp),
+		wireBytesPerNodeBucket: float64(len(wire)) / nodeBuckets,
+		wireCompressRatio:      builder.CompressionRatio(wire, wireComp),
 	}, nil
 }
 
@@ -96,6 +123,8 @@ func SimulateTransport(rng time.Duration, compressed bool) (*TransportResult, er
 	buckets := float64(rng / cfg.Interval)
 	rawBytes := int64(sz.bytesPerNodeBucket * float64(cfg.Nodes) * buckets)
 	compBytes := int64(float64(rawBytes) * sz.compressRatio)
+	wireRaw := int64(sz.wireBytesPerNodeBucket * float64(cfg.Nodes) * buckets)
+	wireComp := int64(float64(wireRaw) * sz.wireCompressRatio)
 
 	c := &Calibration
 	res := &TransportResult{
@@ -107,9 +136,18 @@ func SimulateTransport(rng time.Duration, compressed bool) (*TransportResult, er
 		CompressTime:    des.Seconds(float64(rawBytes) / c.CompressBandwidth),
 		TxPlain:         des.Seconds(float64(rawBytes) / c.ConsumerBandwidth),
 		TxCompressed:    des.Seconds(float64(compBytes) / c.ConsumerBandwidth),
+
+		WireRawBytes:        wireRaw,
+		WireCompressedBytes: wireComp,
+		WireTxPlain:         des.Seconds(float64(wireRaw) / c.ConsumerBandwidth),
 	}
 	res.TotalPlain = res.QueryTime + res.TxPlain
 	res.TotalCompressed = res.QueryTime + res.CompressTime + res.TxCompressed
+	// Deflate is charged at the calibrated (level 6) bandwidth on the
+	// bytes it is given; the lower default level only makes that an
+	// overestimate.
+	res.WireTotalCompressed = res.QueryTime + des.Seconds(float64(wireRaw)/c.CompressBandwidth) +
+		des.Seconds(float64(wireComp)/c.ConsumerBandwidth)
 	if compressed {
 		_ = compressed // both variants are always reported
 	}

@@ -2,8 +2,10 @@ package ingest
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -55,6 +57,7 @@ type ScrapeReceiver struct {
 	scrapes      atomic.Int64
 	scrapeErrors atomic.Int64
 	samples      atomic.Int64
+	nonFinite    atomic.Int64 // NaN/±Inf samples skipped
 }
 
 // NewScrapeReceiver builds a scrape receiver. Pipeline.Run drives its
@@ -144,7 +147,9 @@ func (r *ScrapeReceiver) scrapeTarget(ctx context.Context, target string) ([]tsd
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("ingest: scrape %s: status %d", target, resp.StatusCode)
 	}
-	return ParsePrometheus(body, r.clk.Now().Unix())
+	points, nonFinite, err := ParsePrometheus(body, r.clk.Now().Unix())
+	r.nonFinite.Add(int64(nonFinite))
+	return points, err
 }
 
 // ExtraStats surfaces scrape counters in the pipeline snapshot.
@@ -153,6 +158,9 @@ func (r *ScrapeReceiver) ExtraStats() map[string]int64 {
 		"scrapes":       r.scrapes.Load(),
 		"scrape_errors": r.scrapeErrors.Load(),
 		"samples":       r.samples.Load(),
+		// Exposition allows NaN and ±Inf; a stored one has no JSON form
+		// in a Metrics Builder response, so they stop here.
+		"samples_non_finite": r.nonFinite.Load(),
 	}
 }
 
@@ -160,9 +168,10 @@ func (r *ScrapeReceiver) ExtraStats() map[string]int64 {
 // points. Comment (#) and blank lines are skipped; histograms and
 // summaries appear as their component series (_bucket/_sum/_count),
 // which is exactly how Prometheus itself exposes them. defaultTime
-// (Unix seconds) stamps samples without an exposition timestamp.
-func ParsePrometheus(data []byte, defaultTime int64) ([]tsdb.Point, error) {
-	var out []tsdb.Point
+// (Unix seconds) stamps samples without an exposition timestamp. A
+// sample whose value is NaN or ±Inf — legal exposition, e.g. the
+// quantile of an empty summary — is skipped and counted in nonFinite.
+func ParsePrometheus(data []byte, defaultTime int64) (points []tsdb.Point, nonFinite int, _ error) {
 	lineNo := 0
 	for len(data) > 0 {
 		lineNo++
@@ -179,13 +188,21 @@ func ParsePrometheus(data []byte, defaultTime int64) ([]tsdb.Point, error) {
 			continue
 		}
 		p, err := parsePromLine(line, defaultTime)
-		if err != nil {
-			return nil, fmt.Errorf("ingest: exposition line %d: %w", lineNo, err)
+		if errors.Is(err, errNonFinite) {
+			nonFinite++
+			continue
 		}
-		out = append(out, p)
+		if err != nil {
+			return nil, 0, fmt.Errorf("ingest: exposition line %d: %w", lineNo, err)
+		}
+		points = append(points, p)
 	}
-	return out, nil
+	return points, nonFinite, nil
 }
+
+// errNonFinite is parsePromLine's verdict on an otherwise well-formed
+// sample whose value is NaN or ±Inf.
+var errNonFinite = errors.New("non-finite sample value")
 
 func parsePromLine(line string, defaultTime int64) (tsdb.Point, error) {
 	var p tsdb.Point
@@ -227,7 +244,13 @@ func parsePromLine(line string, defaultTime int64) (tsdb.Point, error) {
 		}
 		p.Time = ms / 1000
 	}
-	return p, p.Validate()
+	if err := p.Validate(); err != nil {
+		return p, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return p, errNonFinite
+	}
+	return p, nil
 }
 
 // parsePromLabels parses a {k="v",...} label block starting at s[0]

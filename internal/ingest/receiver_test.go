@@ -178,13 +178,16 @@ node_power{host="n2"} 198
 cpu_seconds_total 1234.5
 
 weird_label{msg="a\"b\nc"} 1
+rpc_duration_seconds{quantile="0.99"} NaN
+queue_limit +Inf
+queue_floor{q="a"} -Inf 1587384000000
 `)
-	pts, err := ParsePrometheus(body, 7777)
+	pts, nonFinite, err := ParsePrometheus(body, 7777)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 4 {
-		t.Fatalf("parsed %d points, want 4: %+v", len(pts), pts)
+	if len(pts) != 4 || nonFinite != 3 {
+		t.Fatalf("parsed %d points and skipped %d non-finite, want 4 and 3: %+v", len(pts), nonFinite, pts)
 	}
 	p0 := pts[0]
 	if p0.Measurement != "node_power" || p0.Time != 1587384000 {
@@ -209,14 +212,14 @@ weird_label{msg="a\"b\nc"} 1
 	for _, bad := range []string{
 		`{} 1`, `x{y="1} 2`, `x 1 2 3garbage`, `x notanumber`, `x{y=nope} 1`,
 	} {
-		if _, err := ParsePrometheus([]byte(bad), 0); err == nil {
+		if _, _, err := ParsePrometheus([]byte(bad), 0); err == nil {
 			t.Fatalf("ParsePrometheus(%q) accepted", bad)
 		}
 	}
 }
 
 func TestScrapeReceiver(t *testing.T) {
-	exposition := "node_power{host=\"n1\"} 250\nnode_power{host=\"n2\"} 300\n"
+	exposition := "node_power{host=\"n1\"} 250\nnode_power{host=\"n3\"} NaN\nnode_power{host=\"n2\"} 300\n"
 	target := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if _, err := w.Write([]byte(exposition)); err != nil {
 			t.Errorf("write exposition: %v", err)
@@ -254,7 +257,7 @@ func TestScrapeReceiver(t *testing.T) {
 		t.Fatalf("series = %+v", res.Series)
 	}
 	extra := sc.ExtraStats()
-	if extra["scrapes"] != 2 || extra["scrape_errors"] != 1 || extra["samples"] != 2 {
+	if extra["scrapes"] != 2 || extra["scrape_errors"] != 1 || extra["samples"] != 2 || extra["samples_non_finite"] != 1 {
 		t.Fatalf("extra = %+v", extra)
 	}
 }

@@ -2,9 +2,12 @@ package tsdb
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // InfluxDB line protocol support. The paper's collector writes to
@@ -20,12 +23,19 @@ import (
 // dst. Tags are emitted in canonical (sorted) order; fields sorted by
 // key.
 func AppendLineProtocol(dst []byte, p *Point) []byte {
-	dst = appendEscaped(dst, p.Measurement, `, `)
+	// A '"' is escaped everywhere outside a string value: the parser's
+	// section splitter treats a bare one as opening a quoted region.
+	// A leading '#' or white space (the blank has its own escape) is
+	// escaped so the line is not read as a comment or trimmed.
+	if r, _ := utf8.DecodeRuneInString(p.Measurement); r == '#' || r != ' ' && unicode.IsSpace(r) {
+		dst = append(dst, '\\')
+	}
+	dst = appendEscaped(dst, p.Measurement, `, "`)
 	for _, t := range p.Tags.Sorted() {
 		dst = append(dst, ',')
-		dst = appendEscaped(dst, t.Key, `,= `)
+		dst = appendEscaped(dst, t.Key, `,= "`)
 		dst = append(dst, '=')
-		dst = appendEscaped(dst, t.Value, `,= `)
+		dst = appendEscaped(dst, t.Value, `,= "`)
 	}
 	dst = append(dst, ' ')
 	keys := make([]string, 0, len(p.Fields))
@@ -37,7 +47,7 @@ func AppendLineProtocol(dst []byte, p *Point) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendEscaped(dst, k, `,= `)
+		dst = appendEscaped(dst, k, `,= "`)
 		dst = append(dst, '=')
 		dst = appendFieldValue(dst, p.Fields[k])
 	}
@@ -255,8 +265,10 @@ func parseFieldValue(s string) (Value, error) {
 		}
 		return Int(iv), nil
 	}
+	// ParseFloat reads "NaN" and "Inf"; line protocol, like InfluxDB's,
+	// has no non-finite float.
 	fv, err := strconv.ParseFloat(s, 64)
-	if err != nil {
+	if err != nil || math.IsNaN(fv) || math.IsInf(fv, 0) {
 		return Value{}, fmt.Errorf("bad number %q", s)
 	}
 	return Float(fv), nil

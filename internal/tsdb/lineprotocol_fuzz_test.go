@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -11,8 +12,8 @@ import (
 // both speak it). Invariants: parsing never panics; an accepted input
 // re-renders through FormatLineProtocol into a form that parses again
 // with the same point count and is byte-stable on the second round
-// trip (comparing rendered bytes sidesteps NaN != NaN); and the point
-// count never exceeds the input's line count.
+// trip; no parsed float field is NaN or ±Inf; and the point count never
+// exceeds the input's line count.
 func FuzzLineProtocol(f *testing.F) {
 	seeds := []string{
 		"Power,NodeId=10.101.1.1,Label=NodePower Reading=273.8 1583792296\n",
@@ -22,12 +23,19 @@ func FuzzLineProtocol(f *testing.F) {
 		"# comment\n\nm f=0\n",
 		"esc\\,aped,k\\=ey=v\\,alue f=1 1\n",
 		"m f=1e300,g=-2.5 99\n",
+		"\\\" 0=\"\"", // a quote in a name must be re-escaped on render
+		"m,k\\\"=v\\\" f\\\"=1",
+		"\\# \\0=0", // a measurement that starts with '#' is not a comment
+		"\\\v 0=0",  // nor is leading white space trimmed away
 		// Must-fail shapes.
 		"not line protocol",
 		"m",
 		"m f= 1",
 		",missing f=1 1",
 		"m f=1 notatime",
+		"m f=NaN 1\n",
+		"m f=1,g=+Inf\n",
+		"m f=-inf 7\n",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -40,6 +48,13 @@ func FuzzLineProtocol(f *testing.F) {
 		}
 		if lines := strings.Count(string(data), "\n") + 1; len(pts) > lines {
 			t.Fatalf("%d points out of %d input lines", len(pts), lines)
+		}
+		for _, p := range pts {
+			for name, v := range p.Fields {
+				if v.Kind == KindFloat && (math.IsNaN(v.F) || math.IsInf(v.F, 0)) {
+					t.Fatalf("field %s parsed as non-finite %v from %q", name, v.F, data)
+				}
+			}
 		}
 		b1 := FormatLineProtocol(pts)
 		pts2, err := ParseLineProtocol(b1, 42)

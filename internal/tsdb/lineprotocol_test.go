@@ -121,6 +121,12 @@ func TestParseLineProtocolErrors(t *testing.T) {
 		"m,badtag field=1",
 		",empty field=1",
 		"m 1x=2y=3",
+		// Non-finite floats: ParseFloat reads them, line protocol has none.
+		"m field=NaN",
+		"m field=+Inf 5",
+		"m field=-Inf",
+		"m a=1,b=nan 5",
+		"m field=Infinity",
 	}
 	for _, s := range bad {
 		if _, err := ParseLineProtocol([]byte(s), 0); err == nil {
