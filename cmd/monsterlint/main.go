@@ -1,26 +1,22 @@
 // Command monsterlint runs the project's static-analysis suite: the
-// go/analysis-style analyzers in internal/lint that enforce the
-// engine's concurrency, clock, and error-handling invariants, plus the
-// interprocedural call-graph analyzers (lockorder, goroutineleak,
-// walexhaustive, statssurface).
+// eight analyzers in internal/lint that enforce the engine's clock,
+// snapshot, error-handling, context, lock-order, goroutine-lifetime,
+// WAL-replay and stats-surface invariants. Lock copies are go vet's
+// copylocks; `make lint` runs both.
 //
 // Usage:
 //
-//	monsterlint [-analyzers list] [-tests] [-list] [-json] [patterns ...]
+//	monsterlint [-analyzers list] [patterns ...]
 //
-// Patterns default to ./... relative to the enclosing module. The
-// -analyzers list accepts names and the group aliases "syntactic" and
-// "deep". -json emits every finding — including suppressed ones — as a
-// machine-readable array for CI artifacts.
+// Patterns default to ./... relative to the enclosing module.
 //
 // Exit status: 0 clean, 3 unsuppressed findings, 1 operational error —
 // the same convention as x/tools' multichecker, so CI can distinguish
 // "code has findings" from "the linter broke". Suppressed findings are
-// printed (and serialized) but never fail the run.
+// printed, marked, and never fail the run.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -28,31 +24,9 @@ import (
 	"monster/internal/lint"
 )
 
-// jsonFinding is the machine-readable finding shape for -json.
-type jsonFinding struct {
-	File       string `json:"file"`
-	Line       int    `json:"line"`
-	Column     int    `json:"column"`
-	Analyzer   string `json:"analyzer"`
-	Message    string `json:"message"`
-	Suppressed bool   `json:"suppressed"`
-}
-
 func main() {
-	var (
-		analyzers = flag.String("analyzers", "all", "comma-separated analyzer subset to run (names or the groups \"syntactic\"/\"deep\")")
-		tests     = flag.Bool("tests", false, "also analyze _test.go files (most analyzers exempt them)")
-		list      = flag.Bool("list", false, "list analyzers and exit")
-		asJSON    = flag.Bool("json", false, "emit findings as a JSON array (includes suppressed findings)")
-	)
+	analyzers := flag.String("analyzers", "all", "comma-separated analyzer subset to run")
 	flag.Parse()
-
-	if *list {
-		for _, a := range lint.All() {
-			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
 
 	as, err := lint.ByName(*analyzers)
 	if err != nil {
@@ -63,7 +37,7 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	findings, err := lint.Run("", patterns, as, *tests)
+	findings, err := lint.Run("", patterns, as)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -71,32 +45,9 @@ func main() {
 
 	unsuppressed := 0
 	for _, f := range findings {
+		fmt.Println(f)
 		if !f.Suppressed {
 			unsuppressed++
-		}
-	}
-
-	if *asJSON {
-		out := make([]jsonFinding, 0, len(findings))
-		for _, f := range findings {
-			out = append(out, jsonFinding{
-				File:       f.Position.Filename,
-				Line:       f.Position.Line,
-				Column:     f.Position.Column,
-				Analyzer:   f.Analyzer,
-				Message:    f.Message,
-				Suppressed: f.Suppressed,
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Println(f)
 		}
 	}
 	if unsuppressed > 0 {

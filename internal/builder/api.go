@@ -45,7 +45,7 @@ type API struct {
 	// ingestStats, when registered, contributes the "ingest" section of
 	// /v1/stats. Holds a func() any so the builder stays decoupled from
 	// the ingest package.
-	ingestStats atomic.Value
+	ingestStats atomic.Pointer[func() any]
 }
 
 // NewAPI builds the HTTP surface over a Builder.
@@ -66,7 +66,7 @@ func (a *API) WriteErrors() int64 { return a.writeErrs.Load() }
 // as the "ingest" section of /v1/stats — how the deployment surfaces
 // per-stage pipeline counters without the builder importing the ingest
 // package. Safe to call concurrently with request handling.
-func (a *API) SetIngestStats(fn func() any) { a.ingestStats.Store(fn) }
+func (a *API) SetIngestStats(fn func() any) { a.ingestStats.Store(&fn) }
 
 func (a *API) httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -323,8 +323,8 @@ func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
 	for _, name := range db.Measurements() {
 		out.Measurements = append(out.Measurements, measurement{Name: name, Series: db.SeriesCardinality(name)})
 	}
-	if fn, ok := a.ingestStats.Load().(func() any); ok {
-		out.Ingest = fn()
+	if fn := a.ingestStats.Load(); fn != nil {
+		out.Ingest = (*fn)()
 	}
 	if cs := db.CacheStats(); cs.Hits+cs.Misses+cs.Evictions > 0 || cs.ResidentBytes > 0 {
 		out.StorageCache = cs

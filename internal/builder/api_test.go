@@ -329,9 +329,21 @@ func TestAPIStatsIngestSection(t *testing.T) {
 // TestAPIStatsStorageSections: /v1/stats embeds the decode-cache
 // counters once sealed blocks have been touched and the rollup tier
 // list once tiers are registered — and omits both keys before then, so
-// deployments without tiers keep their exact old payload shape.
+// deployments without tiers keep their exact old payload shape. The
+// database then seals, spills, checkpoints and evicts, and every
+// counter that history must have moved has to arrive non-zero in the
+// decoded response: a field collected but not shipped fails here, not
+// only in the statssurface analyzer.
 func TestAPIStatsStorageSections(t *testing.T) {
-	db := tsdb.Open(tsdb.Options{BlockSize: 8})
+	// 60 points at 8 per block seal seven 128-byte blocks; the decode
+	// cache holds two of them, so one raw scan evicts.
+	db, _, err := tsdb.OpenDurable(
+		tsdb.Options{BlockSize: 8, ColdDir: t.TempDir(), DecodeCacheBytes: 256},
+		tsdb.WALOptions{Dir: t.TempDir(), Policy: tsdb.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.CloseWAL()
 	var pts []tsdb.Point
 	for i := 0; i < 60; i++ {
 		pts = append(pts, tsdb.Point{
@@ -376,12 +388,39 @@ func TestAPIStatsStorageSections(t *testing.T) {
 	if _, err := db.RollupAdvance(1800); err != nil {
 		t.Fatal(err)
 	}
-	// A raw scan over the sealed columns populates the decode cache.
+	if n, err := db.SpillCold(3600); n == 0 || err != nil {
+		t.Fatalf("spilled %d blocks, err %v", n, err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// A raw scan over the sealed columns reads them back from the cold
+	// tier and runs them through the decode cache.
 	if _, err := db.Query(`SELECT max("Reading") FROM "Power"`); err != nil {
 		t.Fatal(err)
 	}
 
 	body = fetch()
+	nonZero := func(section string, fields map[string]json.RawMessage, keys ...string) {
+		t.Helper()
+		for _, key := range keys {
+			var n float64
+			if err := json.Unmarshal(fields[key], &n); err != nil || n == 0 {
+				t.Errorf("%s%s = %s (err %v), want a non-zero number", section, key, fields[key], err)
+			}
+		}
+	}
+	nonZero("", body,
+		"points", "points_written", "batches_written", "series_created", "measurement_count", "shards",
+		"blocks_sealed", "blocks_live", "blocks_cold", "sealed_points", "tail_points",
+		"storage_bytes_raw", "storage_bytes_compressed", "compression_ratio",
+		"wal_segments", "wal_bytes", "wal_appends", "wal_rotations", "wal_checkpoints")
+	var cold map[string]json.RawMessage
+	if err := json.Unmarshal(body["storage_cold"], &cold); err != nil {
+		t.Fatalf("storage_cold = %s: %v", body["storage_cold"], err)
+	}
+	nonZero("storage_cold.", cold,
+		"blocks_cold", "cold_bytes", "files", "file_bytes", "spills", "spilled_bytes", "reads", "read_bytes")
 	rawTiers, ok := body["storage_tiers"]
 	if !ok {
 		t.Fatal("storage_tiers missing after registration")
@@ -404,16 +443,9 @@ func TestAPIStatsStorageSections(t *testing.T) {
 	if !ok {
 		t.Fatal("storage_cache missing after sealed-block reads")
 	}
-	var cache struct {
-		Hits     int64 `json:"hits"`
-		Misses   int64 `json:"misses"`
-		Resident int64 `json:"resident_bytes"`
-		Budget   int64 `json:"budget_bytes"`
-	}
+	var cache map[string]json.RawMessage
 	if err := json.Unmarshal(rawCache, &cache); err != nil {
 		t.Fatal(err)
 	}
-	if cache.Misses == 0 || cache.Resident == 0 || cache.Budget == 0 {
-		t.Fatalf("storage_cache = %s", rawCache)
-	}
+	nonZero("storage_cache.", cache, "misses", "evictions", "resident_bytes", "budget_bytes", "entries")
 }

@@ -14,6 +14,9 @@ import (
 	"monster/internal/tsdb"
 )
 
+// bmcConcurrency bounds the asynchronous Redfish fan-out.
+const bmcConcurrency = 64
+
 // Options configures a Collector.
 type Options struct {
 	// Interval between collection cycles. Zero means 60 s (Section
@@ -21,9 +24,6 @@ type Options struct {
 	Interval time.Duration
 	// Schema selects the database layout (SchemaV2 by default).
 	Schema SchemaVersion
-	// BMCConcurrency bounds the asynchronous Redfish fan-out. Zero
-	// means 64.
-	BMCConcurrency int
 	// FilterHealth stores node health only on state transitions
 	// (Section III-B3). Enabled by default under SchemaV2; SchemaV1
 	// always stores every sample.
@@ -50,9 +50,6 @@ type Options struct {
 func (o *Options) applyDefaults() {
 	if o.Interval == 0 {
 		o.Interval = 60 * time.Second
-	}
-	if o.BMCConcurrency == 0 {
-		o.BMCConcurrency = 64
 	}
 	if o.FilterHealth == nil {
 		v := true
@@ -205,7 +202,7 @@ func (c *Collector) CollectOnce(ctx context.Context, now time.Time) (CycleResult
 // and waits for the responses").
 func (c *Collector) sweepBMCs(ctx context.Context, now time.Time) []NodeSample {
 	samples := make([]NodeSample, len(c.nodes))
-	sem := make(chan struct{}, c.opts.BMCConcurrency)
+	sem := make(chan struct{}, bmcConcurrency)
 	var wg sync.WaitGroup
 	for i, addr := range c.nodes {
 		i, addr := i, addr

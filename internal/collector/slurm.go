@@ -31,7 +31,7 @@ type SlurmSchedulerSource struct {
 	mu       sync.Mutex
 	lastJobs []scheduler.SlurmJob
 	jobsAt   time.Time
-	bytes    int64
+	bytes    atomic.Int64
 }
 
 // NewSlurmSchedulerSource builds a source; client nil means
@@ -64,7 +64,7 @@ func (s *SlurmSchedulerSource) get(ctx context.Context, path string, out interfa
 	if err != nil {
 		return err
 	}
-	atomic.AddInt64(&s.bytes, int64(len(body)))
+	s.bytes.Add(int64(len(body)))
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("collector: slurm query %s: status %d", path, resp.StatusCode)
 	}
@@ -231,4 +231,4 @@ func (s *SlurmSchedulerSource) Accounting(ctx context.Context, since time.Time) 
 }
 
 // BytesRead implements SchedulerSource.
-func (s *SlurmSchedulerSource) BytesRead() int64 { return atomic.LoadInt64(&s.bytes) }
+func (s *SlurmSchedulerSource) BytesRead() int64 { return s.bytes.Load() }

@@ -41,7 +41,7 @@ type SchedulerSource interface {
 type HTTPSchedulerSource struct {
 	BaseURL string
 	Client  *http.Client
-	bytes   int64
+	bytes   atomic.Int64
 }
 
 // NewHTTPSchedulerSource builds a source; client nil means
@@ -67,7 +67,7 @@ func (s *HTTPSchedulerSource) get(ctx context.Context, path string, out interfac
 	if err != nil {
 		return err
 	}
-	atomic.AddInt64(&s.bytes, int64(len(body)))
+	s.bytes.Add(int64(len(body)))
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("collector: scheduler query %s: status %d", path, resp.StatusCode)
 	}
@@ -96,19 +96,19 @@ func (s *HTTPSchedulerSource) Accounting(ctx context.Context, since time.Time) (
 }
 
 // BytesRead implements SchedulerSource.
-func (s *HTTPSchedulerSource) BytesRead() int64 { return atomic.LoadInt64(&s.bytes) }
+func (s *HTTPSchedulerSource) BytesRead() int64 { return s.bytes.Load() }
 
 // DirectSchedulerSource reads an in-process scheduler API without HTTP,
 // still accounting encoded bytes so Table IV remains measurable. It is
 // used by simulations that want to avoid HTTP overhead in tight loops.
 type DirectSchedulerSource struct {
 	API   *scheduler.API
-	bytes int64
+	bytes atomic.Int64
 }
 
 func (s *DirectSchedulerSource) count(v interface{}) {
 	if b, err := json.Marshal(v); err == nil {
-		atomic.AddInt64(&s.bytes, int64(len(b)))
+		s.bytes.Add(int64(len(b)))
 	}
 }
 
@@ -134,4 +134,4 @@ func (s *DirectSchedulerSource) Accounting(ctx context.Context, since time.Time)
 }
 
 // BytesRead implements SchedulerSource.
-func (s *DirectSchedulerSource) BytesRead() int64 { return atomic.LoadInt64(&s.bytes) }
+func (s *DirectSchedulerSource) BytesRead() int64 { return s.bytes.Load() }

@@ -26,6 +26,13 @@ import (
 // QuanahNodes is the size of the paper's deployment target.
 const QuanahNodes = 467
 
+// CollectInterval is the collector cadence: the paper's "reasonable
+// interval of 60 seconds" (Section III-B4).
+const CollectInterval = 60 * time.Second
+
+// workloadHorizon is how much submission trace NewSystem pre-generates.
+const workloadHorizon = 48 * time.Hour
+
 // Config assembles a System.
 type Config struct {
 	// Nodes is the cluster size. Zero means 64 (a laptop-friendly
@@ -44,25 +51,15 @@ type Config struct {
 	// of generating one from Workload (see scheduler.LoadTrace and
 	// scheduler.LoadSWF).
 	Trace *scheduler.Workload
-	// WorkloadHorizon is how much submission trace to pre-generate.
-	// Zero means 48 h.
-	WorkloadHorizon time.Duration
-	// CollectInterval is the collector cadence. Zero means 60 s.
-	CollectInterval time.Duration
 	// Schema selects the storage layout.
 	Schema collector.SchemaVersion
 	// BMCLatency is the per-request BMC service time (0 = instant; the
 	// paper's iDRACs averaged 4.29 s).
 	BMCLatency time.Duration
-	// BMCConcurrency bounds the collector's async fan-out.
-	BMCConcurrency int
 	// ConcurrentQueries enables the builder's concurrent fan-out.
 	ConcurrentQueries bool
 	// ShardDuration overrides the TSDB shard width (seconds).
 	ShardDuration int64
-	// QueryWorkers bounds the storage engine's per-query worker pool
-	// for parallel series-group execution (0 = automatic, 1 = serial).
-	QueryWorkers int
 	// BlockSize overrides the storage engine's seal threshold: columns
 	// whose raw tail reaches this many points are compressed into
 	// immutable Gorilla-encoded blocks. 0 = engine default (1024).
@@ -168,12 +165,6 @@ func (c *Config) applyDefaults() {
 	if c.Start.IsZero() {
 		c.Start = time.Date(2020, 4, 20, 12, 0, 0, 0, time.UTC)
 	}
-	if c.WorkloadHorizon == 0 {
-		c.WorkloadHorizon = 48 * time.Hour
-	}
-	if c.CollectInterval == 0 {
-		c.CollectInterval = 60 * time.Second
-	}
 	if c.Workload == nil {
 		c.Workload = scheduler.DefaultUserMix()
 	}
@@ -242,7 +233,6 @@ func NewSystem(cfg Config) (*System, error) {
 	api := scheduler.NewAPI(qm)
 	storageOpts := tsdb.Options{
 		ShardDuration:        cfg.ShardDuration,
-		ExecWorkers:          cfg.QueryWorkers,
 		BlockSize:            cfg.BlockSize,
 		DecodeCacheBytes:     cfg.DecodeCacheBytes,
 		ColdDir:              cfg.ColdDir,
@@ -277,9 +267,8 @@ func NewSystem(cfg Config) (*System, error) {
 		addrs[i] = nodes.Node(i).Addr()
 	}
 	colOpts := collector.Options{
-		Interval:       cfg.CollectInterval,
-		Schema:         cfg.Schema,
-		BMCConcurrency: cfg.BMCConcurrency,
+		Interval: CollectInterval,
+		Schema:   cfg.Schema,
 	}
 	if cfg.StoreAllHealth {
 		off := false
@@ -308,7 +297,7 @@ func NewSystem(cfg Config) (*System, error) {
 
 	workload := cfg.Trace
 	if workload == nil {
-		workload = scheduler.GenerateWorkload(cfg.Workload, cfg.Start, cfg.WorkloadHorizon, cfg.Seed)
+		workload = scheduler.GenerateWorkload(cfg.Workload, cfg.Start, workloadHorizon, cfg.Seed)
 	}
 
 	// Ingest pipeline: the collector's output is re-homed behind the
@@ -386,7 +375,7 @@ func NewSystem(cfg Config) (*System, error) {
 		Fwd:         fwd,
 		Recovery:    recovery,
 		now:         cfg.Start,
-		nextCollect: cfg.Start.Add(cfg.CollectInterval),
+		nextCollect: cfg.Start.Add(CollectInterval),
 	}, nil
 }
 
@@ -431,7 +420,7 @@ func (s *System) advance(d, step time.Duration, collect bool, ctx context.Contex
 					return fmt.Errorf("core: ingest flush at %v: %w", s.now, err)
 				}
 			}
-			s.nextCollect = s.nextCollect.Add(s.Config.CollectInterval)
+			s.nextCollect = s.nextCollect.Add(CollectInterval)
 			if s.Config.Retention > 0 {
 				if _, err := s.DB.DeleteBefore(s.now.Add(-s.Config.Retention).Unix()); err != nil {
 					return fmt.Errorf("core: retention at %v: %w", s.now, err)
@@ -451,7 +440,7 @@ func (s *System) advance(d, step time.Duration, collect bool, ctx context.Contex
 				}
 			}
 			if s.Alerts != nil {
-				if _, err := s.Alerts.Evaluate(s.now, 3*s.Config.CollectInterval); err != nil {
+				if _, err := s.Alerts.Evaluate(s.now, 3*CollectInterval); err != nil {
 					return fmt.Errorf("core: alert evaluation at %v: %w", s.now, err)
 				}
 			}

@@ -23,9 +23,6 @@ func TestNewAppliesDefaults(t *testing.T) {
 	if s.Nodes.Len() != 64 {
 		t.Fatalf("nodes = %d", s.Nodes.Len())
 	}
-	if s.Config.CollectInterval != time.Minute {
-		t.Fatalf("interval = %v", s.Config.CollectInterval)
-	}
 	if s.Workload.Len() == 0 {
 		t.Fatal("no workload generated")
 	}
@@ -441,7 +438,7 @@ func TestTraceReplayConfig(t *testing.T) {
 }
 
 // TestTwoNodeForwarding wires two complete systems together the way
-// the examples/forward demo does: node A polls its simulated cluster,
+// README's two-node deployment does: node A polls its simulated cluster,
 // routes every point through a rename rule, stores locally, and
 // forwards the routed stream to node B's push receiver over HTTP.
 // Both ends must account for every point.

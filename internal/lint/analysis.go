@@ -2,13 +2,17 @@
 // analyzers. It is a deliberately small, dependency-free re-creation of
 // the golang.org/x/tools/go/analysis surface (Analyzer, Pass, Report)
 // on top of the standard library's go/ast and go/types: the build
-// environment vendors no third-party modules, and the half-dozen
-// project invariants the suite enforces need nothing more.
+// environment vendors no third-party modules, and the eight project
+// invariants the suite enforces need nothing more.
 //
-// The invariants themselves are documented per-analyzer (see
-// clockdiscipline.go, viewmutate.go, errdrop.go, lockcopy.go,
-// atomicfield.go, ctxpropagate.go) and in DESIGN.md. Deliberate
-// exceptions are suppressed in the source with
+// An analyzer is here because, seeded into the real code, its bug
+// draws a finding that go vet, the compiler and the test suite do not
+// (DESIGN.md §6h records the audit). Rules something smaller enforces
+// are not: copying a lock or an atomic is go vet's copylocks, which
+// the gate runs beside this suite, and mixed atomic/plain access does
+// not compile because every atomic in the tree is a sync/atomic type.
+// The invariants are documented per analyzer (one file each) and in
+// DESIGN.md §6c. Deliberate exceptions are suppressed in the source with
 //
 //	//lint:ignore <analyzer>[,<analyzer>...] reason
 //
@@ -24,7 +28,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"strings"
 )
 
@@ -94,11 +97,6 @@ func (p *Pass) Filename(pos token.Pos) string {
 	return p.Fset.Position(pos).Filename
 }
 
-// IsTestFile reports whether f is a _test.go file.
-func (p *Pass) IsTestFile(f *ast.File) bool {
-	return strings.HasSuffix(filepath.Base(p.Filename(f.Pos())), "_test.go")
-}
-
 // A Diagnostic is one raw finding, positioned by token.Pos.
 type Diagnostic struct {
 	Pos      token.Pos
@@ -108,8 +106,7 @@ type Diagnostic struct {
 
 // A Finding is a diagnostic resolved to a file position, the unit the
 // driver prints and the tests assert on. Suppressed findings are kept
-// (for the -json report and the stale-suppression audit) but do not
-// fail the run.
+// (the driver prints them, marked) but do not fail the run.
 type Finding struct {
 	Position   token.Position
 	Analyzer   string
@@ -125,16 +122,12 @@ func (f Finding) String() string {
 	return s
 }
 
-// All returns the full monsterlint analyzer suite: the six syntactic
-// analyzers from the original suite plus the four interprocedural ones
-// built on the call-graph/dataflow engine.
+// All returns the monsterlint analyzer suite.
 func All() []*Analyzer {
 	return []*Analyzer{
 		ClockDiscipline,
 		ViewMutate,
 		ErrDrop,
-		LockCopy,
-		AtomicField,
 		CtxPropagate,
 		LockOrder,
 		GoroutineLeak,
@@ -143,20 +136,8 @@ func All() []*Analyzer {
 	}
 }
 
-// Deep returns the interprocedural analyzers — the ones that need the
-// call graph. The CI lint-deep step runs exactly these.
-func Deep() []*Analyzer {
-	return []*Analyzer{LockOrder, GoroutineLeak, WALExhaustive, StatsSurface}
-}
-
-// Syntactic returns the original per-function analyzers.
-func Syntactic() []*Analyzer {
-	return []*Analyzer{ClockDiscipline, ViewMutate, ErrDrop, LockCopy, AtomicField, CtxPropagate}
-}
-
-// ByName resolves a comma-separated analyzer list. "" or "all" selects
-// the whole suite; the group names "syntactic" and "deep" select the
-// per-function and interprocedural halves.
+// ByName resolves a comma-separated analyzer list; "" or "all" selects
+// the whole suite.
 func ByName(names string) ([]*Analyzer, error) {
 	if names == "" || names == "all" {
 		return All(), nil
@@ -168,14 +149,6 @@ func ByName(names string) ([]*Analyzer, error) {
 	var out []*Analyzer
 	for _, n := range strings.Split(names, ",") {
 		n = strings.TrimSpace(n)
-		switch n {
-		case "syntactic":
-			out = append(out, Syntactic()...)
-			continue
-		case "deep":
-			out = append(out, Deep()...)
-			continue
-		}
 		a, ok := byName[n]
 		if !ok {
 			return nil, fmt.Errorf("lint: unknown analyzer %q", n)

@@ -107,9 +107,7 @@ type CallGraph struct {
 	calledFun map[ast.Node]bool
 }
 
-// buildCallGraph constructs the graph for the pass's package. Test
-// files are excluded: the analyzers that consume the graph enforce
-// production invariants only.
+// buildCallGraph constructs the graph for the pass's package.
 func buildCallGraph(p *Pass) *CallGraph {
 	g := &CallGraph{
 		fset:      p.Fset,
@@ -120,14 +118,8 @@ func buildCallGraph(p *Pass) *CallGraph {
 		addrTaken: make(map[string][]*CGNode),
 		calledFun: make(map[ast.Node]bool),
 	}
-	var files []*ast.File
-	for _, f := range p.Files {
-		if !p.IsTestFile(f) {
-			files = append(files, f)
-		}
-	}
 	// Pass 1: nodes and the called-position index.
-	for _, f := range files {
+	for _, f := range p.Files {
 		file := f
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -157,7 +149,7 @@ func buildCallGraph(p *Pass) *CallGraph {
 	sort.Slice(g.order, func(i, j int) bool { return g.order[i].Pos() < g.order[j].Pos() })
 
 	// Pass 2: address-taken functions and literals, keyed by signature.
-	for _, f := range files {
+	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.Ident:

@@ -134,8 +134,6 @@ func checkFixture(t *testing.T, fixture string, analyzers ...*Analyzer) {
 func TestClockDisciplineFixture(t *testing.T) { checkFixture(t, "clockdiscipline", ClockDiscipline) }
 func TestViewMutateFixture(t *testing.T)      { checkFixture(t, "viewmutate", ViewMutate) }
 func TestErrDropFixture(t *testing.T)         { checkFixture(t, "errdrop", ErrDrop) }
-func TestLockCopyFixture(t *testing.T)        { checkFixture(t, "lockcopy", LockCopy) }
-func TestAtomicFieldFixture(t *testing.T)     { checkFixture(t, "atomicfield", AtomicField) }
 func TestCtxPropagateFixture(t *testing.T)    { checkFixture(t, "ctxpropagate", CtxPropagate) }
 func TestLockOrderFixture(t *testing.T)       { checkFixture(t, "lockorder", LockOrder) }
 func TestGoroutineLeakFixture(t *testing.T)   { checkFixture(t, "goroutineleak", GoroutineLeak) }
@@ -176,7 +174,7 @@ func TestSuppressionDirectives(t *testing.T) {
 		t.Errorf("got %d clockdiscipline findings, want 0 (listed suppression)", clockd)
 	}
 	// The silenced findings are still reported, flagged Suppressed, so
-	// -json output and the stale audit can see them.
+	// driver and the stale audit can see them.
 	if suppressed != 2 {
 		t.Errorf("got %d suppressed findings, want 2 (errdrop+clockdiscipline under the listed directive)", suppressed)
 	}

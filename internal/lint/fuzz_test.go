@@ -2,7 +2,7 @@ package lint
 
 // FuzzWALExhaustive feeds mutated Go source through the full
 // interprocedural pipeline — parse, type-check, call graph, dataflow,
-// the deep analyzers — seeded with the walexhaustive fixture corpus
+// the four analyzers built on them — seeded with the walexhaustive fixture corpus
 // (which is deliberately import-free, so the harness needs no
 // importer). The property under test is robustness: malformed or
 // half-type-checked syntax must never panic the engine; findings are
@@ -63,7 +63,7 @@ func fuzzDeepAnalyzers(src string) {
 		return
 	}
 	shared := &facts{}
-	for _, a := range Deep() {
+	for _, a := range []*Analyzer{LockOrder, GoroutineLeak, WALExhaustive, StatsSurface} {
 		pass := &Pass{
 			Analyzer:  a,
 			Fset:      fset,

@@ -43,10 +43,6 @@ type Package struct {
 // Loaders are not safe for concurrent use.
 type Loader struct {
 	Fset *token.FileSet
-	// IncludeTests loads _test.go files in-package. Off by default:
-	// the invariants target production code, and several analyzers
-	// exempt test files anyway.
-	IncludeTests bool
 
 	moduleRoot string
 	modulePath string
@@ -332,28 +328,18 @@ func (l *Loader) dirForImport(path string) (string, bool) {
 	return "", false
 }
 
-// cacheKey distinguishes test-inclusive loads: the same directory
-// checked with and without _test.go files yields different packages.
-func (l *Loader) cacheKey(path string) string {
-	if l.IncludeTests {
-		return path + "\x00tests"
-	}
-	return path
-}
-
 // loadDir parses and type-checks the package in dir (memoized in the
 // module's shared cache).
 func (l *Loader) loadDir(dir string) (*Package, error) {
 	path := l.importPathFor(dir)
-	key := l.cacheKey(path)
-	if e, ok := l.shared.pkgs[key]; ok {
+	if e, ok := l.shared.pkgs[path]; ok {
 		if e.checking {
 			return nil, fmt.Errorf("lint: import cycle through %s", path)
 		}
 		return e.pkg, e.err
 	}
 	e := &loadEntry{checking: true}
-	l.shared.pkgs[key] = e
+	l.shared.pkgs[path] = e
 	pkg, err := l.check(dir, path)
 	e.pkg, e.err, e.checking = pkg, err, false
 	return pkg, err
@@ -371,8 +357,8 @@ func (l *Loader) check(dir, path string) (*Package, error) {
 		if ent.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") {
 			continue
 		}
-		if !l.IncludeTests && strings.HasSuffix(name, "_test.go") {
-			continue
+		if strings.HasSuffix(name, "_test.go") {
+			continue // the invariants target production code
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
@@ -383,24 +369,6 @@ func (l *Loader) check(dir, path string) (*Package, error) {
 	if len(files) == 0 {
 		return nil, nil
 	}
-	// External test packages (package foo_test) cannot be checked
-	// together with the package under test; drop them.
-	pkgName := ""
-	kept := files[:0]
-	for _, f := range files {
-		n := f.Name.Name
-		if strings.HasSuffix(n, "_test") {
-			continue
-		}
-		if pkgName == "" {
-			pkgName = n
-		}
-		if n == pkgName {
-			kept = append(kept, f)
-		}
-	}
-	files = kept
-
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),

@@ -76,12 +76,11 @@ func RunPackage(l *Loader, pkg *Package, analyzers []*Analyzer) ([]Finding, erro
 }
 
 // Run loads the given patterns and runs analyzers over every package.
-func Run(dir string, patterns []string, analyzers []*Analyzer, includeTests bool) ([]Finding, error) {
+func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Finding, error) {
 	l, err := NewLoader(dir)
 	if err != nil {
 		return nil, err
 	}
-	l.IncludeTests = includeTests
 	pkgs, err := l.Load(patterns...)
 	if err != nil {
 		return nil, err
@@ -114,14 +113,11 @@ func sortFindings(fs []Finding) {
 	})
 }
 
-// inspectFiles walks every non-test file of the pass (test files are
-// exempt from all invariants — they may use wall clocks, drop errors,
-// and spawn free goroutines).
+// inspectFiles walks every file of the pass. The loader never parses
+// _test.go files: tests are exempt from all invariants — they may use
+// wall clocks, drop errors, and spawn free goroutines.
 func inspectFiles(p *Pass, fn func(ast.Node) bool) {
 	for _, f := range p.Files {
-		if p.IsTestFile(f) {
-			continue
-		}
 		ast.Inspect(f, fn)
 	}
 }

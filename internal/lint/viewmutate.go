@@ -36,9 +36,6 @@ func runViewMutate(p *Pass) error {
 		return nil
 	}
 	for _, f := range p.Files {
-		if p.IsTestFile(f) {
-			continue
-		}
 		if filepath.Base(p.Filename(f.Pos())) == "view.go" {
 			continue // the copy-on-write layer itself
 		}
