@@ -124,8 +124,8 @@ ingest:
 compression:
 	$(GO) test -race -count=1 -run 'TestBlock|TestSeal|TestColumnIterator|TestOutOfOrderAcrossSealBoundary|TestSnapshotRoundTripSealedBlocks|TestSnapshotFailingWriter|TestRangeIndexesSuffixSearch|TestWALKillPointsSealedBlocks|TestWALCheckpointSealedBlocks' ./internal/tsdb
 
-# bench runs the Metrics Builder ladder benchmarks (Figs 10-19):
-# naive-sequential vs batched-concurrent vs cached.
+# bench runs the Metrics Builder ladder benchmark (Figs 10-19):
+# naive-sequential vs batched-concurrent on the 8-worker pool.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkBuilder' -benchtime 100x .
 

@@ -139,90 +139,32 @@ func BenchmarkCollectorCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkBuilderFetchSequential / Concurrent measure the real
-// middleware fan-out over 32 nodes × 10 metrics × 1 h.
-func benchBuilderFetch(b *testing.B, concurrent bool) {
-	sys := monster.New(monster.Config{Nodes: 32, Seed: 1, ConcurrentQueries: concurrent})
-	if err := sys.AdvanceCollecting(context.Background(), time.Hour); err != nil {
-		b.Fatal(err)
-	}
-	req := monster.Request{
-		Start: sys.Config.Start, End: sys.Now(), Interval: 5 * time.Minute, Aggregate: "max",
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := sys.Builder.Fetch(context.Background(), req); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBuilderFetchSequential(b *testing.B) { benchBuilderFetch(b, false) }
-func BenchmarkBuilderFetchConcurrent(b *testing.B) { benchBuilderFetch(b, true) }
-
 // BenchmarkBuilderFetch is the paper's optimization ladder at 64 nodes
 // × 10 metrics × 1 h: the previous builder (one query per node-metric
-// pair, serial), the optimized builder (batched multi-node queries on
-// the worker pool), and the optimized builder behind the LRU response
-// cache, cold and warm. The EXPERIMENTS.md baseline numbers come from
+// pair, serial) and the optimized builder (batched multi-node queries
+// on the 8-worker pool). The EXPERIMENTS.md baseline numbers come from
 // this benchmark.
 func BenchmarkBuilderFetch(b *testing.B) {
-	build := func(b *testing.B, concurrent bool) *monster.System {
-		b.Helper()
-		sys := monster.New(monster.Config{Nodes: 64, Seed: 1, ConcurrentQueries: concurrent, CacheResponses: true})
-		if err := sys.AdvanceCollecting(context.Background(), time.Hour); err != nil {
-			b.Fatal(err)
-		}
-		return sys
+	for _, rung := range []struct {
+		name       string
+		concurrent bool
+	}{{"sequential", false}, {"concurrent8", true}} {
+		b.Run(rung.name, func(b *testing.B) {
+			sys := monster.New(monster.Config{Nodes: 64, Seed: 1, ConcurrentQueries: rung.concurrent})
+			if err := sys.AdvanceCollecting(context.Background(), time.Hour); err != nil {
+				b.Fatal(err)
+			}
+			req := monster.Request{
+				Start: sys.Config.Start, End: sys.Now(), Interval: 5 * time.Minute, Aggregate: "max",
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := sys.Builder.Fetch(context.Background(), req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	req := func(sys *monster.System) monster.Request {
-		return monster.Request{
-			Start: sys.Config.Start, End: sys.Now(), Interval: 5 * time.Minute, Aggregate: "max",
-		}
-	}
-	b.Run("sequential", func(b *testing.B) {
-		sys := build(b, false)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := sys.Builder.Fetch(context.Background(), req(sys)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("concurrent8", func(b *testing.B) {
-		sys := build(b, true)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := sys.Builder.Fetch(context.Background(), req(sys)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cached-cold", func(b *testing.B) {
-		// Every iteration asks with a never-seen interval, so each
-		// fetch misses and pays the full fill cost through the cache.
-		sys := build(b, true)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r := req(sys)
-			r.Interval = 5*time.Minute + time.Duration(i+1)*time.Second
-			if _, _, err := sys.Cache.Fetch(context.Background(), r); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cached-warm", func(b *testing.B) {
-		sys := build(b, true)
-		if _, _, err := sys.Cache.Fetch(context.Background(), req(sys)); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := sys.Cache.Fetch(context.Background(), req(sys)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkZlibResponse measures real compression of a real builder

@@ -114,11 +114,7 @@ func printBuilderStats(st monster.BuilderStats) {
 		return // header absent (older server) — nothing to report
 	}
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-	cached := ""
-	if st.CacheHit {
-		cached = " (cache hit)"
-	}
-	fmt.Printf("builder: %d queries, %d series, %d points merged%s\n", st.Queries, st.Series, st.Points, cached)
+	fmt.Printf("builder: %d queries, %d series, %d points merged\n", st.Queries, st.Series, st.Points)
 	fmt.Printf("scanned: %d series, %d points, %d bytes (%d blocks decoded, %d from cold tier, %d pruned)\n",
 		st.TSDB.SeriesScanned, st.TSDB.PointsScanned, st.TSDB.BytesScanned,
 		st.TSDB.BlocksDecoded, st.TSDB.BlocksFromDisk, st.TSDB.BlocksSkipped)

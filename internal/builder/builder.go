@@ -17,35 +17,20 @@ import (
 type Options struct {
 	// Concurrent selects the optimized query plan: metrics batched by
 	// measurement, nodes grouped into multi-node regex predicates, and
-	// the batch executed on a bounded worker pool. False reproduces the
-	// previous builder — one query per (node, metric), serially — the
-	// baseline whose Fig 10 response times motivated the redesign.
+	// the batch executed on a pool of poolWorkers goroutines. False
+	// reproduces the previous builder — one query per (node, metric),
+	// serially — the baseline whose Fig 10 response times motivated the
+	// redesign.
 	Concurrent bool
-	// Workers bounds the concurrent fan-out. Zero means 8 (the pool
-	// size the paper's evaluation converged on in Fig 15).
-	Workers int
-	// ChunkNodes is how many nodes one batched query covers. Zero
-	// means 16.
-	ChunkNodes int
-	// Clock supplies time for the per-stage Stats breakdown. Nil
-	// selects the wall clock; the DES experiments inject a virtual
-	// clock so replayed runs stay deterministic.
-	Clock clock.Clock
 }
 
-func (o *Options) workers() int {
-	if o.Workers <= 0 {
-		return 8
-	}
-	return o.Workers
-}
-
-func (o *Options) chunkNodes() int {
-	if o.ChunkNodes <= 0 {
-		return 16
-	}
-	return o.ChunkNodes
-}
+const (
+	// poolWorkers bounds the concurrent fan-out: the pool size the
+	// paper's evaluation converged on in Fig 15.
+	poolWorkers = 8
+	// chunkNodes is how many nodes one batched query covers.
+	chunkNodes = 16
+)
 
 // Stats decomposes one Fetch into the quantities the paper's Fig 11
 // breakdown reports (query vs processing) plus transport accounting
@@ -69,8 +54,6 @@ type Stats struct {
 	EncodeTime   time.Duration `json:"encode_ns,omitempty"`
 	CompressTime time.Duration `json:"compress_ns,omitempty"`
 	Total        time.Duration `json:"total_ns"`
-
-	CacheHit bool `json:"cache_hit,omitempty"`
 }
 
 // Builder generates, executes, and merges the storage queries that
@@ -79,15 +62,14 @@ type Builder struct {
 	db    *tsdb.DB
 	opts  Options
 	clock clock.Clock
+	// chunk is the batched plan's nodes per query: chunkNodes, or a
+	// smaller width a test sets to get several chunks from a few nodes.
+	chunk int
 }
 
 // New builds a Metrics Builder over a storage engine.
 func New(db *tsdb.DB, opts Options) *Builder {
-	clk := opts.Clock
-	if clk == nil {
-		clk = clock.NewReal()
-	}
-	return &Builder{db: db, opts: opts, clock: clk}
+	return &Builder{db: db, opts: opts, clock: clock.NewReal(), chunk: chunkNodes}
 }
 
 // DB exposes the underlying storage engine (the HTTP API's /v1/stats
@@ -209,7 +191,6 @@ func (b *Builder) planBatched(req *Request, nodes []string) []task {
 		}
 		byMeasurement[m.Measurement] = append(byMeasurement[m.Measurement], m.Label)
 	}
-	chunk := b.opts.chunkNodes()
 	var tasks []task
 	for _, meas := range order {
 		labels := byMeasurement[meas]
@@ -219,11 +200,8 @@ func (b *Builder) planBatched(req *Request, nodes []string) []task {
 		} else {
 			labelCond = fmt.Sprintf(`"Label" =~ /%s/`, alternation(labels))
 		}
-		for lo := 0; lo < len(nodes); lo += chunk {
-			hi := lo + chunk
-			if hi > len(nodes) {
-				hi = len(nodes)
-			}
+		for lo := 0; lo < len(nodes); lo += b.chunk {
+			hi := min(lo+b.chunk, len(nodes))
 			where := fmt.Sprintf(`"NodeId" =~ /%s/ AND %s AND %s`,
 				alternation(nodes[lo:hi]), labelCond, timeBounds(req))
 			tasks = append(tasks, task{stmt: selectStmt(req, meas, where)})
@@ -278,10 +256,7 @@ func (b *Builder) runSerial(ctx context.Context, tasks []task, results []*tsdb.R
 // the storage engine's read lock, so they proceed concurrently with
 // each other (the Fig 15 fan-out).
 func (b *Builder) runPool(ctx context.Context, tasks []task, results []*tsdb.Result) error {
-	workers := b.opts.workers()
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
+	workers := min(poolWorkers, len(tasks))
 	if workers <= 1 {
 		return b.runSerial(ctx, tasks, results)
 	}

@@ -86,7 +86,8 @@ func TestNaiveAndBatchedPlansAgree(t *testing.T) {
 	req.IncludeJobs = true
 
 	naive := New(db, Options{Concurrent: false})
-	batched := New(db, Options{Concurrent: true, ChunkNodes: 3})
+	batched := New(db, Options{Concurrent: true})
+	batched.chunk = 3
 
 	respN, stN, err := naive.Fetch(context.Background(), req)
 	if err != nil {
@@ -172,7 +173,8 @@ func TestFetchRawSamples(t *testing.T) {
 func TestFetchNodeAndMetricSubsets(t *testing.T) {
 	db := seedDB(t, 6, 20)
 	for _, concurrent := range []bool{false, true} {
-		b := New(db, Options{Concurrent: concurrent, ChunkNodes: 2})
+		b := New(db, Options{Concurrent: concurrent})
+		b.chunk = 2
 		req := stdRequest(20)
 		req.Nodes = []string{"10.101.1.5", "10.101.1.2"}
 		req.Metrics = []Metric{{Measurement: "Power", Label: "NodePower"}}
@@ -285,20 +287,5 @@ func TestParseMetric(t *testing.T) {
 	}
 	if got := m.Name(); got != "Power/NodePower" {
 		t.Fatalf("name = %q", got)
-	}
-}
-
-func TestRequestKeyCanonical(t *testing.T) {
-	a := Request{Start: testStart, End: testStart.Add(time.Hour), Interval: 5 * time.Minute,
-		Nodes: []string{"b", "a"}, Metrics: []Metric{{Measurement: "UGE", Label: "CPUUsage"}, {Measurement: "Power", Label: "NodePower"}}}
-	b := Request{Start: testStart, End: testStart.Add(time.Hour), Interval: 5 * time.Minute, Aggregate: "mean",
-		Nodes: []string{"a", "b"}, Metrics: []Metric{{Measurement: "Power", Label: "NodePower"}, {Measurement: "UGE", Label: "CPUUsage"}}}
-	if a.Key() != b.Key() {
-		t.Fatalf("equivalent requests key differently:\n%s\n%s", a.Key(), b.Key())
-	}
-	c := a
-	c.IncludeJobs = true
-	if c.Key() == a.Key() {
-		t.Fatal("jobs flag not in key")
 	}
 }

@@ -11,10 +11,8 @@
 //   - the previous builder (Options.Concurrent=false) issues one query
 //     per (node, metric) pair, serially — the Fig 10/11 baseline;
 //   - the optimized builder batches by measurement with a multi-node
-//     regex predicate and runs the batch on a bounded worker pool
+//     regex predicate and runs the batch on a pool of 8 workers
 //     (Fig 14/15);
-//   - Cache adds an LRU response cache invalidated by the DB's
-//     mutation epoch (Fig 16's repeated-consumer case);
 //   - Compress adds zlib transport compression (Fig 18/19).
 package builder
 

@@ -2,8 +2,6 @@ package builder
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 )
 
@@ -86,22 +84,4 @@ func (r *Request) metrics() []Metric {
 		return DefaultMetrics()
 	}
 	return r.Metrics
-}
-
-// Key is the request's canonical cache key: identical asks — including
-// node and metric subsets in any order — map to the same key.
-func (r *Request) Key() string {
-	nodes := append([]string(nil), r.Nodes...)
-	sort.Strings(nodes)
-	names := make([]string, 0, len(r.metrics()))
-	for _, m := range r.metrics() {
-		names = append(names, m.Name())
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d|%d|%d|%s|jobs=%t|", r.Start.Unix(), r.End.Unix(), int64(r.Interval/time.Second), r.aggregate(), r.IncludeJobs)
-	b.WriteString(strings.Join(nodes, ","))
-	b.WriteByte('|')
-	b.WriteString(strings.Join(names, ","))
-	return b.String()
 }

@@ -19,9 +19,6 @@ const bmcConcurrency = 64
 
 // Options configures a Collector.
 type Options struct {
-	// Interval between collection cycles. Zero means 60 s (Section
-	// III-B4: a "reasonable interval of 60 seconds").
-	Interval time.Duration
 	// Schema selects the database layout (SchemaV2 by default).
 	Schema SchemaVersion
 	// FilterHealth stores node health only on state transitions
@@ -43,14 +40,13 @@ type Options struct {
 	// and write accounting live in the pipeline's tsdb sink. A cycle
 	// with no Emit bound fails rather than drop its points.
 	Emit func(points []tsdb.Point) error
-	// Clock drives the Run loop. Nil means the real clock.
+	// Clock times each cycle's sweep and total (CycleResult). Nil means
+	// the real clock. Cycles are driven from outside, one CollectOnce
+	// per interval boundary (core.System.AdvanceCollecting).
 	Clock clock.Clock
 }
 
 func (o *Options) applyDefaults() {
-	if o.Interval == 0 {
-		o.Interval = 60 * time.Second
-	}
 	if o.FilterHealth == nil {
 		v := true
 		o.FilterHealth = &v
@@ -121,28 +117,6 @@ func (c *Collector) SetEmit(fn func(points []tsdb.Point) error) {
 	c.mu.Lock()
 	c.opts.Emit = fn
 	c.mu.Unlock()
-}
-
-// Run collects on the configured interval until ctx is done.
-func (c *Collector) Run(ctx context.Context) error {
-	for {
-		cycleStart := c.opts.Clock.Now()
-		if _, err := c.CollectOnce(ctx, cycleStart); err != nil {
-			// A failed cycle is logged in stats; collection continues —
-			// monitoring must outlive transient infrastructure faults.
-			_ = err
-		}
-		elapsed := c.opts.Clock.Now().Sub(cycleStart)
-		wait := c.opts.Interval - elapsed
-		if wait < 0 {
-			wait = 0
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-c.opts.Clock.After(wait):
-		}
-	}
 }
 
 // CycleResult summarizes one collection cycle.

@@ -310,19 +310,6 @@ func TestCollectOnceWithoutEmitFails(t *testing.T) {
 	}
 }
 
-func TestRunLoopHonorsContext(t *testing.T) {
-	f := newFixture(t, 1, Options{Interval: 10 * time.Millisecond})
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	err := f.col.Run(ctx)
-	if err != context.DeadlineExceeded {
-		t.Fatalf("err = %v", err)
-	}
-	if f.col.Stats().Cycles < 2 {
-		t.Fatalf("cycles = %d, want >= 2", f.col.Stats().Cycles)
-	}
-}
-
 func TestSchedulerBytesAccounted(t *testing.T) {
 	f := newFixture(t, 2, Options{})
 	f.advance(t0.Add(time.Minute), 15*time.Second)

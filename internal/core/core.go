@@ -56,7 +56,9 @@ type Config struct {
 	// BMCLatency is the per-request BMC service time (0 = instant; the
 	// paper's iDRACs averaged 4.29 s).
 	BMCLatency time.Duration
-	// ConcurrentQueries enables the builder's concurrent fan-out.
+	// ConcurrentQueries enables the builder's batched plan on its fixed
+	// pool of 8 workers (Fig 15); false is the serial per-(node, metric)
+	// baseline.
 	ConcurrentQueries bool
 	// ShardDuration overrides the TSDB shard width (seconds).
 	ShardDuration int64
@@ -109,11 +111,6 @@ type Config struct {
 	// bytes: after the age pass, the oldest remaining blocks spill
 	// until the residue fits. 0 = no budget (age-only spilling).
 	ColdMaxResidentBytes int64
-	// CacheResponses builds an in-process LRU of merged responses at
-	// System.Cache, for callers that fetch through it directly. The
-	// HTTP API (System.BuilderAPI) serves the bare Builder and never
-	// consults it.
-	CacheResponses bool
 	// StoreAllHealth disables the transition-only health filter
 	// (Section III-B3) — the ablation baseline.
 	StoreAllHealth bool
@@ -187,7 +184,6 @@ type System struct {
 	Collector  *collector.Collector
 	Builder    *builder.Builder
 	BuilderAPI *builder.API
-	Cache      *builder.Cache   // non-nil when Config.CacheResponses
 	Alerts     *alerting.Engine // non-nil when Config.AlertRules is set
 	Workload   *scheduler.Workload
 	// Ingest is the pluggable pipeline every point now flows through:
@@ -266,10 +262,7 @@ func NewSystem(cfg Config) (*System, error) {
 	for i := range addrs {
 		addrs[i] = nodes.Node(i).Addr()
 	}
-	colOpts := collector.Options{
-		Interval: CollectInterval,
-		Schema:   cfg.Schema,
-	}
+	colOpts := collector.Options{Schema: cfg.Schema}
 	if cfg.StoreAllHealth {
 		off := false
 		colOpts.FilterHealth = &off
@@ -278,10 +271,6 @@ func NewSystem(cfg Config) (*System, error) {
 	colOpts.CollectNetwork = cfg.CollectNetwork
 	col := collector.New(addrs, rf, &collector.DirectSchedulerSource{API: api}, colOpts)
 	b := builder.New(db, builder.Options{Concurrent: cfg.ConcurrentQueries})
-	var cache *builder.Cache
-	if cfg.CacheResponses {
-		cache = builder.NewCache(b, 0)
-	}
 	for _, spec := range cfg.Rollups {
 		if err := db.RegisterRollup(spec); err != nil {
 			return nil, fmt.Errorf("bad rollup spec: %w", err)
@@ -326,7 +315,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	poll := ingest.NewPollReceiver(col, ingest.PollOptions{})
+	poll := ingest.NewPollReceiver(col)
 	pipe.AddReceiver(poll)
 	push := ingest.NewPushReceiver(ingest.PushOptions{})
 	pipe.AddReceiver(push)
@@ -364,7 +353,6 @@ func NewSystem(cfg Config) (*System, error) {
 		Collector:   col,
 		Builder:     b,
 		BuilderAPI:  bapi,
-		Cache:       cache,
 		Alerts:      alerts,
 		Workload:    workload,
 		Ingest:      pipe,
@@ -447,12 +435,6 @@ func (s *System) advance(d, step time.Duration, collect bool, ctx context.Contex
 		}
 	}
 	return nil
-}
-
-// Warmup advances the cluster (collecting) until a steady mix of jobs
-// is running — convenient before demos and experiments.
-func (s *System) Warmup(ctx context.Context, d time.Duration) error {
-	return s.AdvanceCollecting(ctx, d)
 }
 
 // Durable reports whether the storage layer is backed by a WAL.

@@ -266,26 +266,6 @@ func TestRollupChainKeptCurrentByWritePath(t *testing.T) {
 	}
 }
 
-func TestCacheWiredIntoSystem(t *testing.T) {
-	s := New(Config{Nodes: 2, Seed: 1, CacheResponses: true})
-	if s.Cache == nil {
-		t.Fatal("cache not wired")
-	}
-	if err := s.AdvanceCollecting(context.Background(), 5*time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	req := builder.Request{Start: s.Config.Start, End: s.Now()}
-	if _, _, err := s.Cache.Fetch(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.Cache.Fetch(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Cache.Stats(); st.Hits != 1 {
-		t.Fatalf("cache stats = %+v", st)
-	}
-}
-
 func TestAlertingWiredIntoPipeline(t *testing.T) {
 	s := New(Config{Nodes: 4, Seed: 3, AlertRules: alerting.DefaultRules()})
 	if s.Alerts == nil {
@@ -375,12 +355,11 @@ func TestPaperScaleSoak(t *testing.T) {
 		t.Skip("paper-scale soak skipped in -short")
 	}
 	// The full 467-node deployment: everything on (alerts, network
-	// collection, rollups, cache), five collection cycles.
+	// collection, rollups), five collection cycles.
 	s := New(Config{
 		Nodes:          QuanahNodes,
 		Seed:           1,
 		CollectNetwork: true,
-		CacheResponses: true,
 		AlertRules:     alerting.DefaultRules(),
 		Rollups: []tsdb.RollupSpec{
 			{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300},

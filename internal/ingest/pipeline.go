@@ -184,15 +184,6 @@ func (p *Pipeline) AddSink(s Sink) {
 	p.sinks = append(p.sinks, se)
 }
 
-// Sinks returns the registered sinks (for tests and tooling).
-func (p *Pipeline) Sinks() []Sink {
-	out := make([]Sink, len(p.sinks))
-	for i, se := range p.sinks {
-		out[i] = se.sink
-	}
-	return out
-}
-
 // emit is the shared entry point behind every receiver's EmitFunc.
 func (p *Pipeline) emit(e *receiverEntry, points []tsdb.Point) error {
 	if len(points) == 0 {

@@ -6,55 +6,31 @@ import (
 	"monster/internal/collector"
 )
 
-// PollOptions configures a PollReceiver.
-type PollOptions struct {
-	// Name distinguishes the receiver in the stats. Empty means "poll".
-	Name string
-	// Drive makes Pipeline.Run own the collector's poll loop. Leave it
-	// false when something else (the simulation loop, core's checkpoint
-	// replay) calls CollectOnce and the receiver only re-homes the
-	// collector's output into the pipeline.
-	Drive bool
-}
-
 // PollReceiver re-homes the classic centralized poller — the Redfish
 // BMC sweep plus the resource-manager query — behind the Receiver
 // interface. Binding redirects the collector's per-cycle output into
 // the pipeline (collector.Options.Emit); the collector keeps all of
-// its sweep, pre-processing, and cycle accounting.
+// its sweep, pre-processing, and cycle accounting. Cycles are driven
+// from outside (core.System.AdvanceCollecting calls CollectOnce at
+// every interval boundary), so the receiver has no loop of its own.
 type PollReceiver struct {
-	col   *collector.Collector
-	name  string
-	drive bool
+	col *collector.Collector
 }
 
 // NewPollReceiver wraps an existing collector.
-func NewPollReceiver(col *collector.Collector, opts PollOptions) *PollReceiver {
-	if opts.Name == "" {
-		opts.Name = "poll"
-	}
-	return &PollReceiver{col: col, name: opts.Name, drive: opts.Drive}
+func NewPollReceiver(col *collector.Collector) *PollReceiver {
+	return &PollReceiver{col: col}
 }
 
 // Name implements Receiver.
-func (r *PollReceiver) Name() string { return r.name }
-
-// Collector returns the wrapped collector.
-func (r *PollReceiver) Collector() *collector.Collector { return r.col }
+func (r *PollReceiver) Name() string { return "poll" }
 
 // Bind implements Receiver by redirecting the collector's output into
 // the pipeline.
 func (r *PollReceiver) Bind(emit EmitFunc) { r.col.SetEmit(emit) }
 
-// Run implements Receiver: with Drive set it runs the collector's
-// interval loop; otherwise collection is driven externally and Run has
-// nothing to do.
-func (r *PollReceiver) Run(ctx context.Context) error {
-	if !r.drive {
-		return nil
-	}
-	return r.col.Run(ctx)
-}
+// Run implements Receiver; the poll receiver has nothing to run.
+func (r *PollReceiver) Run(ctx context.Context) error { return nil }
 
 // ExtraStats surfaces the collector's sweep counters alongside the
 // pipeline's receive accounting.

@@ -53,9 +53,6 @@ func NewForwardSink(url string, opts ForwardOptions) *ForwardSink {
 // Name implements Sink.
 func (s *ForwardSink) Name() string { return "forward" }
 
-// URL returns the peer endpoint.
-func (s *ForwardSink) URL() string { return s.url }
-
 // Write implements Sink: one POST per batch. A transport failure or a
 // non-2xx response counts as a forward error and surfaces; points are
 // only counted written when the peer acknowledged them.

@@ -47,9 +47,6 @@ func NewTSDBSink(db *tsdb.DB, opts TSDBOptions) *TSDBSink {
 // Name implements Sink.
 func (s *TSDBSink) Name() string { return "tsdb" }
 
-// DB returns the storage engine the sink writes to.
-func (s *TSDBSink) DB() *tsdb.DB { return s.db }
-
 // Write implements Sink: points land in batches of BatchSize ("Metrics
 // Collector then writes these data points into the database in
 // batches"); a negative batch size degenerates to per-point writes.

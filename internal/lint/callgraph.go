@@ -11,12 +11,12 @@ package lint
 //   - calls through function values, matched by signature against the
 //     address-taken functions and literals of the package.
 //
-// Cross-package callees appear as external leaves (*types.Func without
-// a body); the graph never follows them. That bound keeps construction
-// a single pass over the already type-checked syntax and is the right
-// fidelity for the invariants monsterlint enforces: lock ordering and
-// goroutine escape analysis are per-subsystem properties, and each
-// subsystem here is one package.
+// Cross-package callees (no body in the package) are not edges: the
+// graph never follows them. That bound keeps construction a single
+// pass over the already type-checked syntax and is the right fidelity
+// for the invariants monsterlint enforces: lock ordering and goroutine
+// escape analysis are per-subsystem properties, and each subsystem
+// here is one package.
 //
 // The graph is built lazily, once per RunPackage, and shared by every
 // analyzer in the run through the Pass's facts.
@@ -37,8 +37,7 @@ type CGNode struct {
 	Lit  *ast.FuncLit  // nil for declared functions
 	File *ast.File     // enclosing file
 
-	callees []*CGNode     // in-package callees with bodies, deduplicated
-	externs []*types.Func // resolved callees without an in-package body
+	callees []*CGNode // in-package callees with bodies, deduplicated
 }
 
 // Body returns the node's statement list.
@@ -56,12 +55,6 @@ func (n *CGNode) Pos() token.Pos {
 	}
 	return n.Decl.Pos()
 }
-
-// Callees returns the in-package callees, in first-call order.
-func (n *CGNode) Callees() []*CGNode { return n.callees }
-
-// Externs returns resolved callees that have no body in the package.
-func (n *CGNode) Externs() []*types.Func { return n.externs }
 
 // Name renders the node for diagnostics: "(*DB).WritePoints",
 // "replayWAL", or "function literal" for anonymous bodies.
@@ -186,7 +179,6 @@ func buildCallGraph(p *Pass) *CallGraph {
 	// bodies contribute edges to their own nodes.
 	for _, node := range g.order {
 		seen := make(map[*CGNode]bool)
-		seenExt := make(map[*types.Func]bool)
 		walkOwnStmts(node.Body(), func(n ast.Node) {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -194,10 +186,10 @@ func buildCallGraph(p *Pass) *CallGraph {
 			}
 			t := g.CalleesOf(call)
 			for _, fn := range t.static {
-				g.addEdge(node, fn, seen, seenExt)
+				g.addEdge(node, fn, seen)
 			}
 			for _, fn := range t.cha {
-				g.addEdge(node, fn, seen, seenExt)
+				g.addEdge(node, fn, seen)
 			}
 			for _, lit := range t.lits {
 				if ln := g.lits[lit]; ln != nil && !seen[ln] {
@@ -210,17 +202,10 @@ func buildCallGraph(p *Pass) *CallGraph {
 	return g
 }
 
-func (g *CallGraph) addEdge(from *CGNode, to *types.Func, seen map[*CGNode]bool, seenExt map[*types.Func]bool) {
-	if node := g.nodes[to]; node != nil {
-		if !seen[node] {
-			seen[node] = true
-			from.callees = append(from.callees, node)
-		}
-		return
-	}
-	if !seenExt[to] {
-		seenExt[to] = true
-		from.externs = append(from.externs, to)
+func (g *CallGraph) addEdge(from *CGNode, to *types.Func, seen map[*CGNode]bool) {
+	if node := g.nodes[to]; node != nil && !seen[node] {
+		seen[node] = true
+		from.callees = append(from.callees, node)
 	}
 }
 

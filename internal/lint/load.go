@@ -183,9 +183,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// ModuleRoot reports the module's directory.
-func (l *Loader) ModuleRoot() string { return l.moduleRoot }
-
 // findModule walks up from dir to the nearest go.mod and reads its
 // module path.
 func findModule(dir string) (root, path string, err error) {

@@ -14,12 +14,10 @@ import (
 
 // BMCOptions tunes a simulated BMC's behaviour.
 type BMCOptions struct {
-	// Latency is the mean service time of one request. The paper
-	// measured 4.29 s on the 13G iDRAC; tests and examples usually scale
-	// this down. Zero means no artificial delay.
+	// Latency is the service time of one request. The paper measured
+	// 4.29 s on average on the 13G iDRAC; tests and examples usually
+	// scale this down. Zero means no artificial delay.
 	Latency time.Duration
-	// LatencyJitter is the +/- uniform jitter around Latency.
-	LatencyJitter time.Duration
 	// MaxConcurrent bounds in-flight requests; the iDRAC has limited
 	// resources and serializes beyond a small window. Requests beyond
 	// the bound queue (and may then hit the client's timeouts). Zero
@@ -28,7 +26,7 @@ type BMCOptions struct {
 	// Clock supplies time for latency simulation. Nil means the real
 	// clock.
 	Clock clock.Clock
-	// Seed randomizes per-request jitter deterministically.
+	// Seed makes the SetErrorRate failure draws deterministic.
 	Seed int64
 	// Telemetry enables the Redfish Telemetry Service (newer firmware;
 	// the paper's 13G iDRAC predates it). When false the telemetry
@@ -108,23 +106,6 @@ func (b *BMC) Requests() int64 {
 	return b.requests
 }
 
-// serviceDelay samples the per-request latency.
-func (b *BMC) serviceDelay() time.Duration {
-	if b.opts.Latency == 0 {
-		return 0
-	}
-	d := b.opts.Latency
-	if j := b.opts.LatencyJitter; j > 0 {
-		b.mu.Lock()
-		d += time.Duration(b.rng.Int63n(int64(2*j))) - j
-		b.mu.Unlock()
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
 // ServeHTTP implements http.Handler.
 func (b *BMC) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	b.mu.Lock()
@@ -137,7 +118,7 @@ func (b *BMC) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	b.sem <- struct{}{}
 	defer func() { <-b.sem }()
 
-	if d := b.serviceDelay(); d > 0 {
+	if d := b.opts.Latency; d > 0 {
 		b.opts.Clock.Sleep(d)
 	}
 	if failNow {

@@ -49,17 +49,6 @@ func (f *Fleet) Len() int {
 	return len(f.bmcs)
 }
 
-// Addrs returns every BMC address (unordered).
-func (f *Fleet) Addrs() []string {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	out := make([]string, 0, len(f.bmcs))
-	for a := range f.bmcs {
-		out = append(out, a)
-	}
-	return out
-}
-
 // RoundTrip implements http.RoundTripper by dispatching to the BMC
 // selected by the request host. Unknown hosts and unreachable BMCs
 // produce a transport-level error, exactly like a refused connection.

@@ -209,14 +209,46 @@ func TestSnapshotCorruptionMatrix(t *testing.T) {
 	}
 }
 
-// FuzzSnapshotRestore feeds arbitrary bytes to the snapshot reader.
-// Invariants: no input panics; a failed restore returns no DB; what it
-// allocates is bounded by a small multiple of the input however large
-// the counts and lengths inside claim to be (the widest legitimate
-// expansion is a sealed block decoding to 16 B per payload byte, or a
-// mixed tail's 48-byte cells); and a DB that does restore answers
-// queries and snapshots again.
+// inflateColdRef returns a copy of snap whose first cold reference
+// claims length payload bytes, with its frame's checksum re-sealed so
+// that only the reference itself is wrong.
+func inflateColdRef(t testing.TB, snap []byte, length uint32) []byte {
+	t.Helper()
+	out := append([]byte(nil), snap...)
+	for pos := fileHeaderSize; pos+frameHeader <= len(out); {
+		frame := out[pos : pos+frameHeader+int(le.Uint32(out[pos:]))]
+		// A reference is the segment name (a u32-prefixed "cold-…"
+		// string), then off i64, length u32 and crc u32.
+		if i := bytes.Index(frame[frameHeader:], []byte("cold-")); i >= 0 {
+			at := frameHeader + i + int(le.Uint32(frame[frameHeader+i-4:])) + 8
+			le.PutUint32(frame[at:], length)
+			if _, err := sealFrame(frame); err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		pos += len(frame)
+	}
+	t.Fatal("snapshot holds no cold reference")
+	return nil
+}
+
+// FuzzSnapshotRestore feeds arbitrary bytes to the snapshot reader,
+// restoring against a cold directory that holds one real segment so
+// inputs naming it reach the cold read path. Invariants: no input
+// panics; a failed restore returns no DB; what it allocates is bounded
+// by a small multiple of the input however large the counts and
+// lengths inside claim to be (the widest legitimate expansion is a
+// sealed block decoding to 16 B per payload byte, or a mixed tail's
+// 48-byte cells); and a DB that does restore answers queries and
+// snapshots again.
 func FuzzSnapshotRestore(f *testing.F) {
+	withCold, opts := snapshotFixture(f)
+	f.Add(withCold)
+	// A cold reference claiming 128 MiB of a segment a few dozen bytes
+	// long, behind a valid checksum.
+	f.Add(inflateColdRef(f, withCold, 128<<20))
+
 	db := Open(Options{ShardDuration: 3600, BlockSize: 4})
 	for i := 0; i < 10; i++ {
 		if err := db.WritePoint(walPoint("n1", int64(i*60), float64(i))); err != nil {
@@ -257,7 +289,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		db, err := RestoreOptions(bytes.NewReader(data), Options{BlockSize: 4})
+		db, err := RestoreOptions(bytes.NewReader(data), opts)
 		runtime.ReadMemStats(&after)
 		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+1<<20); grew > limit {
 			t.Fatalf("restoring %d bytes allocated %d (limit %d)", len(data), grew, limit)

@@ -60,8 +60,8 @@ const (
 var errColdCorrupt = errors.New("tsdb: corrupt cold segment")
 
 // coldFile is one open segment file. The handle serves concurrent
-// preads; size is the append offset and is only meaningful on the
-// file's active appender.
+// preads; size is the file's length: the append offset on a file this
+// run writes, the length at open on one it only reads.
 type coldFile struct {
 	name  string
 	f     *os.File
@@ -244,52 +244,55 @@ func (ct *coldTier) syncAppenders() error {
 	return nil
 }
 
-// handle returns an open *os.File for name, opening (and header-
-// verifying) it on first use. Handles are shared and cached; preads on
-// them run outside the tier mutex.
-func (ct *coldTier) handle(name string) (*os.File, error) {
+// handle returns an open *os.File for name and the file's size,
+// opening (and header-verifying) it on first use. Handles are shared
+// and cached; preads on them run outside the tier mutex.
+func (ct *coldTier) handle(name string) (*os.File, int64, error) {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
 	if cf := ct.files[name]; cf != nil {
-		return cf.f, nil
+		return cf.f, cf.size, nil
 	}
 	shard, _, ok := parseColdName(name)
 	if !ok {
 		// Names reach here from snapshot records; rejecting anything
 		// not shaped exactly like a segment name keeps a corrupt
 		// snapshot from naming a path outside the tier directory.
-		return nil, fmt.Errorf("%w: bad segment name %q", errColdCorrupt, name)
+		return nil, 0, fmt.Errorf("%w: bad segment name %q", errColdCorrupt, name)
 	}
 	f, err := os.Open(filepath.Join(ct.dir, name))
 	if err != nil {
-		return nil, fmt.Errorf("tsdb: cold tier: %w", err)
+		return nil, 0, fmt.Errorf("tsdb: cold tier: %w", err)
 	}
 	var hdr [coldHeaderSize]byte
 	if _, err := f.ReadAt(hdr[:], 0); err != nil {
 		closeErr := f.Close()
-		return nil, errors.Join(fmt.Errorf("%w: %s: short header", errColdCorrupt, name), closeErr)
+		return nil, 0, errors.Join(fmt.Errorf("%w: %s: short header", errColdCorrupt, name), closeErr)
 	}
 	d := decoder{b: hdr[:]}
 	if d.fileHeader(coldMagic) != coldVersion || d.i64() != shard || d.end() != nil {
 		closeErr := f.Close()
-		return nil, errors.Join(fmt.Errorf("%w: %s: bad header", errColdCorrupt, name), closeErr)
+		return nil, 0, errors.Join(fmt.Errorf("%w: %s: bad header", errColdCorrupt, name), closeErr)
 	}
 	st, err := f.Stat()
 	if err != nil {
 		closeErr := f.Close()
-		return nil, errors.Join(fmt.Errorf("tsdb: cold tier: %w", err), closeErr)
+		return nil, 0, errors.Join(fmt.Errorf("tsdb: cold tier: %w", err), closeErr)
 	}
 	ct.files[name] = &coldFile{name: name, f: f, size: st.Size()}
-	return f, nil
+	return f, st.Size(), nil
 }
 
-// read preads and verifies the referenced payload. The frame header on
-// disk is cross-checked against the reference so a shifted or
-// truncated file reports corruption instead of decoding garbage.
+// read preads and verifies the referenced payload. A reference outside
+// its segment is refused before anything is allocated for it, and one
+// the frame header on disk disagrees with (a shifted file) is corrupt.
 func (r *coldRef) read() ([]byte, error) {
-	f, err := r.ct.handle(r.file)
+	f, size, err := r.ct.handle(r.file)
 	if err != nil {
 		return nil, err
+	}
+	if r.off < coldHeaderSize+frameHeader || r.off+int64(r.length) > size {
+		return nil, fmt.Errorf("%w: %s@%d: reference past the segment's %d bytes", errColdCorrupt, r.file, r.off, size)
 	}
 	buf := make([]byte, frameHeader+int64(r.length))
 	if _, err := f.ReadAt(buf, r.off-frameHeader); err != nil {
@@ -418,15 +421,11 @@ func (ct *coldTier) compact(v *dbView) (map[*block]*block, error) {
 	twins := make(map[*block]*block)
 	for _, name := range slices.Sorted(maps.Keys(live)) {
 		fl := live[name]
-		f, err := ct.handle(name)
+		_, size, err := ct.handle(name)
 		if err != nil {
 			return nil, err
 		}
-		st, err := f.Stat()
-		if err != nil {
-			return nil, fmt.Errorf("tsdb: cold tier: %w", err)
-		}
-		payloadRegion := st.Size() - coldHeaderSize
+		payloadRegion := size - coldHeaderSize
 		if payloadRegion-fl.bytes <= fl.bytes {
 			continue // less than half garbage: not worth rewriting
 		}

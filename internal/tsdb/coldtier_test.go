@@ -1,12 +1,14 @@
 package tsdb
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -334,6 +336,53 @@ func TestColdCheckpointReopen(t *testing.T) {
 	if _, _, err := OpenDurable(Options{ShardDuration: 3600, BlockSize: 4},
 		WALOptions{Dir: walDir, Policy: FsyncNever}); err == nil {
 		t.Fatal("restore without ColdDir accepted a snapshot with cold references")
+	}
+}
+
+// TestColdRefBoundedBySegment: a checkpoint whose cold reference claims
+// 128 MiB — under maxFrame, behind a valid frame checksum, in a segment
+// of a few dozen bytes — is refused as corrupt before the pread buffer
+// is allocated.
+func TestColdRefBoundedBySegment(t *testing.T) {
+	root := t.TempDir()
+	opts := Options{ShardDuration: 3600, BlockSize: 4, ColdDir: filepath.Join(root, "cold")}
+	wopts := WALOptions{Dir: filepath.Join(root, "wal"), Policy: FsyncNever}
+	db, _, err := OpenDurable(opts, wopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := db.WritePoint(coldPoint("n1", int64(i*60), float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := db.SpillCold(math.MaxInt64); n != 1 || err != nil {
+		t.Fatalf("spilled %d blocks, err %v; want one", n, err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := listSnapshots(wopts.Dir)
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshots %v, err %v", snaps, err)
+	}
+	snap, err := os.ReadFile(snaps[0].path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snaps[0].path, inflateColdRef(t, snap, 128<<20), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err = OpenDurable(opts, wopts)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, errColdCorrupt) {
+		t.Fatalf("open over a 128 MiB cold reference: err %v, want errColdCorrupt", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 4<<20 {
+		t.Fatalf("refusing the reference allocated %d bytes", grew)
 	}
 }
 

@@ -310,7 +310,7 @@ func decodeSeries(d *decoder, cold *coldTier) (*series, map[string]Value) {
 			}
 			p, err := blk.validate()
 			if err != nil {
-				d.failf("field %q block %d: %v", name, bi, err)
+				d.failf("field %q block %d: %w", name, bi, err)
 			} else if bi > 0 && blk.minT < lastMax {
 				d.failf("field %q blocks out of order", name)
 			} else if bi == 0 {
