@@ -366,7 +366,7 @@ func BenchmarkAblationHealthFilter(b *testing.B) {
 					b.Fatal(err)
 				}
 				if len(r.Series) > 0 {
-					healthPoints = float64(r.Series[0].Rows[0].Values[0].I)
+					healthPoints = float64(r.Series[0].Rows()[0].Values[0].I)
 				}
 			}
 			b.ReportMetric(healthPoints, "health-points")

@@ -59,7 +59,7 @@ func main() {
 	alerts := 0
 	for _, s := range res.Series {
 		node, _ := s.Tags.Get("NodeId")
-		for _, row := range s.Rows {
+		for _, row := range s.Rows() {
 			state := []string{"OK", "Warning", "Critical"}[row.Values[0].I]
 			fmt.Printf("  %s  %s -> %s\n", time.Unix(row.Time, 0).UTC().Format("15:04:05"), node, state)
 			if row.Values[0].I > 0 {

@@ -187,12 +187,14 @@ func (e *Engine) Evaluate(now time.Time, lookback time.Duration) ([]Event, error
 		if err != nil {
 			return raised, fmt.Errorf("alerting: rule %s: %w", rule.Name, err)
 		}
-		for _, s := range res.Series {
+		for i := range res.Series {
+			s := &res.Series[i]
 			node, _ := s.Tags.Get("NodeId")
-			if len(s.Rows) == 0 || !s.Rows[0].Present[0] {
+			last, ok := s.Value(0, 0)
+			if !ok {
 				continue
 			}
-			v, ok := s.Rows[0].Values[0].AsFloat()
+			v, ok := last.AsFloat()
 			if !ok {
 				continue
 			}

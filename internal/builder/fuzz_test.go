@@ -2,10 +2,12 @@ package builder
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,43 +15,38 @@ import (
 	"monster/internal/tsdb"
 )
 
-// fuzzRows decodes the fuzzer's byte stream into result rows: each
-// byte contributes one row whose time, value kind, and presence bit
-// all derive from it. The point is shape diversity — sparse Present
-// bitmaps, non-float kinds, empty Values — not realistic data.
-func fuzzRows(data []byte, width int) []tsdb.Row {
-	rows := make([]tsdb.Row, 0, len(data))
-	for i, b := range data {
-		row := tsdb.Row{Time: int64(i) * int64(b%7), Values: make([]tsdb.Value, 0, width), Present: make([]bool, 0, width)}
-		for c := 0; c < width; c++ {
-			switch (int(b) + c) % 4 {
-			case 0:
-				row.Values = append(row.Values, tsdb.Float(float64(b)))
-			case 1:
-				row.Values = append(row.Values, tsdb.Int(int64(b)))
-			case 2:
-				row.Values = append(row.Values, tsdb.Str(string(data[:i])))
-			case 3:
-				row.Values = append(row.Values, tsdb.Bool(b%2 == 0))
-			}
-			row.Present = append(row.Present, (int(b)+c)%3 != 0)
-		}
-		if b%5 == 0 {
-			// Ragged rows: fewer values than columns, or none at all.
-			row.Values = row.Values[:len(row.Values)/2]
-			row.Present = row.Present[:len(row.Present)/2]
-		}
-		rows = append(rows, row)
+// fuzzValue derives a stored value from byte i of the fuzzer's stream:
+// its kind, and for a float whether it is finite, follow the byte. The
+// point is kind diversity, not realistic data.
+func fuzzValue(data []byte, i int) tsdb.Value {
+	b := data[i]
+	switch {
+	case b == 250:
+		return tsdb.Float(math.NaN())
+	case b == 251:
+		return tsdb.Float(math.Inf(-1))
 	}
-	return rows
+	switch b % 4 {
+	case 0:
+		return tsdb.Float(float64(b))
+	case 1:
+		return tsdb.Int(int64(b))
+	case 2:
+		return tsdb.Str(string(data[:i]))
+	default:
+		return tsdb.Bool(b%2 == 0)
+	}
 }
 
 // FuzzMergeSeries drives the builder's merge layer — newResponse,
-// mergeResult, mergeJobs, mergeNodeJobs, and parseJobList — with
-// adversarial series shapes: unknown nodes, empty labels, ragged
-// Present bitmaps, non-float values where floats are expected, and
-// malformed job-list encodings. Nothing here may panic, and the
-// series/point accounting must agree with what landed in the response.
+// mergeResult, mergeJobs, mergeNodeJobs, and parseJobList — with the
+// answers a real store gives to the builder's own statements, over
+// adversarial data: unknown nodes, empty labels, non-float and
+// non-finite values where floats are expected, fields missing from
+// rows, and malformed job-list encodings. A stored row always has as
+// many values as the query has columns, so ragged rows no longer occur.
+// Nothing here may panic, and the series/point accounting must agree
+// with what landed in the response.
 func FuzzMergeSeries(f *testing.F) {
 	f.Add("10.101.1.1", "NodePower", "['123-a', '456-b']", []byte{1, 2, 3, 250, 0})
 	f.Add("", "", "", []byte{})
@@ -57,74 +54,96 @@ func FuzzMergeSeries(f *testing.F) {
 	f.Add("ghost", "Lab", "[''] ,", []byte{9})
 	f.Add("10.101.1.1", "x", "['solo']", []byte{0, 255, 17, 128})
 
+	aggs := []string{"max", "count", "last", "mean"}
 	f.Fuzz(func(t *testing.T, node, label, jobList string, data []byte) {
-		req := &Request{
-			Start:    time.Unix(0, 0),
-			End:      time.Unix(3600, 0),
-			Interval: 5 * time.Minute,
-			Nodes:    []string{node, "10.101.1.1"},
-		}
-		resp, idx := newResponse(req, req.Nodes)
-
-		metricRes := &tsdb.Result{Series: []tsdb.ResultSeries{
-			{
-				Name:    "Power",
-				Tags:    tsdb.NewTags(map[string]string{"NodeId": node, "Label": label}),
-				Columns: []string{"Reading"},
-				Rows:    fuzzRows(data, 1),
-			},
-			{
-				// A series for a node outside the request must be dropped.
-				Name:    "Power",
-				Tags:    tsdb.NewTags(map[string]string{"NodeId": "not-requested", "Label": label}),
-				Columns: []string{"Reading"},
-				Rows:    fuzzRows(data, 1),
-			},
-		}}
-		series, points, _ := mergeResult(resp, idx, metricRes)
-		got := 0
-		for _, n := range resp.Nodes {
-			got += len(n.Metrics)
-			for _, sd := range n.Metrics {
-				if len(sd.Times) != len(sd.Values) {
-					t.Fatalf("series with %d times but %d values", len(sd.Times), len(sd.Values))
-				}
-				points -= len(sd.Times)
+		db := tsdb.Open(tsdb.Options{})
+		write := func(p tsdb.Point) {
+			if err := db.WritePoints([]tsdb.Point{p}); err != nil {
+				t.Logf("point not stored: %v", err) // e.g. an empty tag value
 			}
 		}
-		if series != got {
-			t.Fatalf("mergeResult reported %d series, response holds %d", series, got)
+		for i, b := range data {
+			at := int64(i) * int64(b%7) * 60
+			// A series for a node outside the request must be dropped.
+			for _, n := range []string{node, "not-requested"} {
+				write(tsdb.Point{Measurement: "Power", Tags: tsdb.NewTags(map[string]string{"NodeId": n, "Label": label}),
+					Fields: map[string]tsdb.Value{"Reading": fuzzValue(data, i)}, Time: at})
+			}
+			// Job rows with a column subset each, of the kinds the
+			// collector writes and, every fourth column, of another.
+			fields := map[string]tsdb.Value{}
+			for c, name := range jobsInfoColumns {
+				switch {
+				case (int(b)+c)%3 == 0:
+				case (int(b)+c)%4 == 0:
+					fields[name] = fuzzValue(data, i)
+				case c < 3:
+					fields[name] = tsdb.Str(string(data[:i]))
+				case name == "Estimated":
+					fields[name] = tsdb.Bool(b%2 == 0)
+				default:
+					fields[name] = tsdb.Int(int64(b))
+				}
+			}
+			if len(fields) > 0 {
+				write(tsdb.Point{Measurement: "JobsInfo", Tags: tsdb.NewTags(map[string]string{"JobId": label}), Fields: fields, Time: at})
+			}
 		}
-		if points != 0 {
-			t.Fatalf("mergeResult point count disagrees with response by %d", points)
-		}
+		write(tsdb.Point{Measurement: "NodeJobs", Tags: tsdb.NewTags(map[string]string{"NodeId": node}),
+			Fields: map[string]tsdb.Value{"JobList": tsdb.Str(jobList)}, Time: 1})
+		write(tsdb.Point{Measurement: "NodeJobs", Tags: tsdb.NewTags(map[string]string{"NodeId": node}),
+			Fields: map[string]tsdb.Value{"JobList": tsdb.Int(int64(len(jobList)))}, Time: 2})
 
-		jobsRes := &tsdb.Result{Series: []tsdb.ResultSeries{
-			{
-				Name:    "JobsInfo",
-				Tags:    tsdb.NewTags(map[string]string{"JobId": label}),
-				Columns: []string{"User", "JobName", "Queue", "SubmitTime", "StartTime", "FinishTime", "Estimated", "Slots", "NodeCount"},
-				Rows:    fuzzRows(data, 11), // wider than the column list on purpose
-			},
-		}}
-		mergeJobs(resp, jobsRes)
+		b := New(db, Options{Concurrent: true})
+		for _, interval := range []time.Duration{5 * time.Minute, 0} {
+			req := &Request{
+				Start:     time.Unix(0, 0),
+				End:       time.Unix(3600, 0),
+				Interval:  interval,
+				Aggregate: aggs[len(data)%len(aggs)],
+				Nodes:     []string{node, "10.101.1.1"},
+				Metrics:   []Metric{{Measurement: "Power", Label: label}},
+			}
+			nodes := b.resolveNodes(req)
+			resp, idx := newResponse(req, nodes)
+			series, points := 0, 0
+			for _, tk := range b.planBatched(req, nodes) {
+				res, err := db.Query(tk.stmt)
+				if err != nil {
+					t.Logf("statement not run: %v", err) // a quote in the label
+					continue
+				}
+				s, p, _ := mergeResult(resp, idx, res)
+				series, points = series+s, points+p
+			}
+			got := 0
+			for _, n := range resp.Nodes {
+				got += len(n.Metrics)
+				for _, sd := range n.Metrics {
+					if len(sd.Times) != len(sd.Values) {
+						t.Fatalf("series with %d times but %d values", len(sd.Times), len(sd.Values))
+					}
+					if slices.ContainsFunc(sd.Values, notFinite) {
+						t.Fatalf("a non-finite value reached the response: %v", sd.Values)
+					}
+					points -= len(sd.Times)
+				}
+			}
+			if series != got {
+				t.Fatalf("mergeResult reported %d series, response holds %d", series, got)
+			}
+			if points != 0 {
+				t.Fatalf("mergeResult point count disagrees with response by %d", points)
+			}
 
-		nodeJobsRes := &tsdb.Result{Series: []tsdb.ResultSeries{
-			{
-				Name:    "NodeJobs",
-				Tags:    tsdb.NewTags(map[string]string{"NodeId": node}),
-				Columns: []string{"JobList"},
-				Rows: []tsdb.Row{
-					{Time: 1, Values: []tsdb.Value{tsdb.Str(jobList)}, Present: []bool{true}},
-					{Time: 2, Values: []tsdb.Value{tsdb.Str(jobList)}},
-				},
-			},
-		}}
-		mergeNodeJobs(resp, nodeJobsRes)
-		for _, nj := range resp.NodeJobs {
-			for _, j := range nj.Jobs {
-				if j == "" {
-					t.Fatal("parseJobList let an empty job id through")
+			if err := b.fetchJobs(context.Background(), req, resp, new(Stats)); err != nil {
+				t.Fatalf("jobs queries: %v", err)
+			}
+			for _, nj := range resp.NodeJobs {
+				for _, j := range nj.Jobs {
+					if j == "" {
+						t.Fatal("parseJobList let an empty job id through")
+					}
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package builder
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -81,37 +82,24 @@ func newResponse(req *Request, nodes []string) (*Response, map[string]int) {
 
 // mergeResult folds one query result into the response. Every
 // (node, metric) series appears in exactly one query of the plan and
-// rows arrive time-ascending, so series are assigned wholesale — no
-// re-sort, no dedup (the merge cost the paper's Fig 11 breakdown
-// charges to "processing"). A stored value that is not finite has no
-// JSON form; it is left out and counted, so one bad sample costs its
-// own bucket and not the whole response.
+// rows arrive time-ascending, so series are handed over wholesale — the
+// result's own time and value slices, no re-sort, no dedup, no copy
+// (the merge cost the paper's Fig 11 breakdown charges to
+// "processing"). A stored value that is not finite has no JSON form; it
+// is left out and counted, so one bad sample costs its own bucket and
+// not the whole response.
 func mergeResult(resp *Response, idx map[string]int, res *tsdb.Result) (series, points, nonFinite int) {
-	for _, s := range res.Series {
+	for k := range res.Series {
+		s := &res.Series[k]
 		node, _ := s.Tags.Get("NodeId")
 		label, _ := s.Tags.Get("Label")
 		i, ok := idx[node]
 		if !ok || label == "" {
 			continue
 		}
-		sd := SeriesData{
-			Times:  make([]int64, 0, len(s.Rows)),
-			Values: make([]float64, 0, len(s.Rows)),
-		}
-		for _, row := range s.Rows {
-			if len(row.Values) == 0 || (len(row.Present) > 0 && !row.Present[0]) {
-				continue
-			}
-			v, ok := row.Values[0].AsFloat()
-			if !ok {
-				continue
-			}
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				nonFinite++
-				continue
-			}
-			sd.Times = append(sd.Times, row.Time)
-			sd.Values = append(sd.Values, v)
+		sd := SeriesData{Times: s.Times}
+		if sd.Values, ok = s.Float64s(0); !ok || slices.ContainsFunc(sd.Values, notFinite) {
+			sd = numericRows(s, &nonFinite) // the rare mixed, gapped or non-finite field
 		}
 		if len(sd.Times) == 0 {
 			continue
@@ -121,6 +109,22 @@ func mergeResult(resp *Response, idx map[string]int, res *tsdb.Result) (series, 
 		points += len(sd.Times)
 	}
 	return series, points, nonFinite
+}
+
+func notFinite(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
+
+// numericRows copies the rows of s whose first field holds a finite
+// number, and counts the non-finite ones it leaves out.
+func numericRows(s *tsdb.ResultSeries, nonFinite *int) (sd SeriesData) {
+	for j, t := range s.Times {
+		v, ok := s.Value(0, j)
+		if f, num := v.AsFloat(); ok && num && notFinite(f) {
+			*nonFinite++
+		} else if ok && num {
+			sd.Times, sd.Values = append(sd.Times, t), append(sd.Values, f)
+		}
+	}
+	return sd
 }
 
 // jobsInfoColumns is the projection of the jobs query, in order.
@@ -134,18 +138,20 @@ var jobsInfoColumns = []string{
 // visible and once more when it finishes, so the latest present value
 // per column wins.
 func mergeJobs(resp *Response, res *tsdb.Result) {
-	for _, s := range res.Series {
+	for k := range res.Series {
+		s := &res.Series[k]
 		jobID, _ := s.Tags.Get("JobId")
 		if jobID == "" {
 			continue
 		}
 		rec := JobRecord{JobID: jobID}
-		for _, row := range s.Rows {
-			for col, v := range row.Values {
-				if col >= len(jobsInfoColumns) || (len(row.Present) > col && !row.Present[col]) {
+		for j := range s.Times {
+			for col, name := range jobsInfoColumns {
+				v, ok := s.Value(col, j)
+				if !ok {
 					continue
 				}
-				switch jobsInfoColumns[col] {
+				switch name {
 				case "User":
 					rec.User = v.S
 				case "JobName":
@@ -176,20 +182,22 @@ func mergeJobs(resp *Response, res *tsdb.Result) {
 // into correlation samples, decoding the stringified job list the
 // collector stores (InfluxDB has no array field type — Fig 5).
 func mergeNodeJobs(resp *Response, res *tsdb.Result) {
-	for _, s := range res.Series {
+	for k := range res.Series {
+		s := &res.Series[k]
 		node, _ := s.Tags.Get("NodeId")
 		if node == "" {
 			continue
 		}
-		for _, row := range s.Rows {
-			if len(row.Values) == 0 || (len(row.Present) > 0 && !row.Present[0]) {
+		for j, t := range s.Times {
+			v, ok := s.Value(0, j)
+			if !ok {
 				continue
 			}
-			jobs := parseJobList(row.Values[0].S)
+			jobs := parseJobList(v.S)
 			if len(jobs) == 0 {
 				continue
 			}
-			resp.NodeJobs = append(resp.NodeJobs, NodeJobsRecord{NodeID: node, Time: row.Time, Jobs: jobs})
+			resp.NodeJobs = append(resp.NodeJobs, NodeJobsRecord{NodeID: node, Time: t, Jobs: jobs})
 		}
 	}
 	sort.Slice(resp.NodeJobs, func(i, j int) bool {

@@ -78,17 +78,17 @@ func TestCollectOnceWritesBMCMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Series[0].Rows[0].Values[0].I; got != 4*7 {
+	if got := r.Series[0].Rows()[0].Values[0].I; got != 4*7 {
 		t.Fatalf("thermal readings = %d, want 28", got)
 	}
 	r, err = f.db.Query(`SELECT "Reading" FROM "Power" WHERE "NodeId"='10.101.1.1' AND "Label"='NodePower'`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Series) != 1 || len(r.Series[0].Rows) != 1 {
+	if len(r.Series) != 1 || len(r.Series[0].Rows()) != 1 {
 		t.Fatalf("power series = %+v", r.Series)
 	}
-	if v := r.Series[0].Rows[0].Values[0].F; v < 50 || v > 500 {
+	if v := r.Series[0].Rows()[0].Values[0].F; v < 50 || v > 500 {
 		t.Fatalf("power reading = %v", v)
 	}
 }
@@ -107,7 +107,7 @@ func TestHealthStoredOnlyOnTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Series[0].Rows[0].Values[0].I; got != 4 { // 2 nodes × {BMC, System}
+	if got := r.Series[0].Rows()[0].Values[0].I; got != 4 { // 2 nodes × {BMC, System}
 		t.Fatalf("health points = %d, want 4 (first observations only)", got)
 	}
 	// Degrade one BMC: exactly one new transition point.
@@ -120,7 +120,7 @@ func TestHealthStoredOnlyOnTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Series[0].Rows[0].Values[0].I; got != 5 {
+	if got := r.Series[0].Rows()[0].Values[0].I; got != 5 {
 		t.Fatalf("health points after fault = %d, want 5", got)
 	}
 	// The transition is stored as a compact integer, not a string.
@@ -128,7 +128,7 @@ func TestHealthStoredOnlyOnTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := r.Series[0].Rows
+	rows := r.Series[0].Rows()
 	last := rows[len(rows)-1]
 	if last.Values[0].Kind != tsdb.KindInt || last.Values[0].I != 1 {
 		t.Fatalf("health value = %+v, want integer 1 (Warning)", last.Values[0])
@@ -151,7 +151,7 @@ func TestJobCorrelationAndFinishEstimation(t *testing.T) {
 	}
 	withJob := 0
 	for _, s := range r.Series {
-		for _, row := range s.Rows {
+		for _, row := range s.Rows() {
 			if keys := ParseJobList(row.Values[0].S); len(keys) == 1 {
 				withJob++
 			}
@@ -169,7 +169,7 @@ func TestJobCorrelationAndFinishEstimation(t *testing.T) {
 	if len(r.Series) != 1 {
 		t.Fatalf("jobsinfo series = %d", len(r.Series))
 	}
-	row := r.Series[0].Rows[len(r.Series[0].Rows)-1]
+	row := r.Series[0].Rows()[len(r.Series[0].Rows())-1]
 	if row.Values[0].S != "jieyao" {
 		t.Fatalf("user = %v", row.Values[0])
 	}
@@ -196,7 +196,7 @@ func TestJobCorrelationAndFinishEstimation(t *testing.T) {
 	}
 	found := false
 	for _, s := range r.Series {
-		for _, row := range s.Rows {
+		for _, row := range s.Rows() {
 			if row.Present[0] && row.Values[0].I > 0 {
 				found = true
 			}
@@ -235,7 +235,7 @@ func TestSchemaV1WritesVerboseLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Series[0].Rows[0].Values[0].I; got != 4 { // 2 nodes × 2 cycles
+	if got := r.Series[0].Rows()[0].Values[0].I; got != 4 { // 2 nodes × 2 cycles
 		t.Fatalf("v1 health samples = %d, want 4 (no filtering)", got)
 	}
 }
@@ -277,7 +277,7 @@ func TestBMCFailureDoesNotPoisonCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Series[0].Rows[0].Values[0].I; got != 2 {
+	if got := r.Series[0].Rows()[0].Values[0].I; got != 2 {
 		t.Fatalf("power points = %d, want 2", got)
 	}
 	if f.col.Stats().BMCFailures == 0 {
@@ -409,14 +409,14 @@ func TestTelemetrySweepQuartersRequestCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Series[0].Rows[0].Values[0].I; got != 4*7 {
+	if got := r.Series[0].Rows()[0].Values[0].I; got != 4*7 {
 		t.Fatalf("thermal points = %d, want 28", got)
 	}
 	r, err = db.Query(`SELECT count("Reading") FROM "Power"`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Series[0].Rows[0].Values[0].I; got != 4 {
+	if got := r.Series[0].Rows()[0].Values[0].I; got != 4 {
 		t.Fatalf("power points = %d", got)
 	}
 }

@@ -52,7 +52,7 @@ func TestCollectorSurvivesRandomBMCFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range res.Series {
-		for _, row := range s.Rows {
+		for _, row := range s.Rows() {
 			if v := row.Values[0].F; v < 0 || v > 600 {
 				t.Fatalf("implausible stored power %v", v)
 			}
@@ -81,7 +81,7 @@ func TestCollectorRecoversAfterTotalOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Series) == 0 || r.Series[0].Rows[0].Values[0].I != 6 {
+	if len(r.Series) == 0 || r.Series[0].Rows()[0].Values[0].I != 6 {
 		t.Fatalf("UGE data missing during BMC outage: %+v", r.Series)
 	}
 
@@ -116,7 +116,7 @@ func TestCollectorSchedulerOutage(t *testing.T) {
 	if qerr != nil {
 		t.Fatal(qerr)
 	}
-	if len(r.Series) == 0 || r.Series[0].Rows[0].Values[0].I != 2 {
+	if len(r.Series) == 0 || r.Series[0].Rows()[0].Values[0].I != 2 {
 		t.Fatal("BMC data lost when scheduler is down")
 	}
 }
@@ -152,7 +152,7 @@ func TestHealthTransitionSequenceFullCycle(t *testing.T) {
 	}
 	var codes []int64
 	for _, s := range res.Series {
-		for _, row := range s.Rows {
+		for _, row := range s.Rows() {
 			codes = append(codes, row.Values[0].I)
 		}
 	}

@@ -141,7 +141,7 @@ func TestCollectorOverSlurmSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Series[0].Rows[0].Values[0].I; got != 6 { // 3 nodes × 2 metrics
+	if got := r.Series[0].Rows()[0].Values[0].I; got != 6 { // 3 nodes × 2 metrics
 		t.Fatalf("UGE points = %d, want 6", got)
 	}
 	r, err = f.db.Query(`SELECT "Reading" FROM "UGE" WHERE "NodeId"='10.101.1.1' AND "Label"='CPUUsage'`)
@@ -156,7 +156,7 @@ func TestCollectorOverSlurmSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Series) != 1 || r.Series[0].Rows[0].Values[0].S != "dave" {
+	if len(r.Series) != 1 || r.Series[0].Rows()[0].Values[0].S != "dave" {
 		t.Fatalf("jobs info = %+v", r.Series)
 	}
 }

@@ -53,7 +53,7 @@ func TestAdvanceCollectingFillsDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Series[0].Rows[0].Values[0].I; got != 80 {
+	if got := r.Series[0].Rows()[0].Values[0].I; got != 80 {
 		t.Fatalf("power points = %d, want 80 (8 nodes × 10 cycles)", got)
 	}
 }
@@ -161,7 +161,7 @@ func TestRollupsWiredIntoPipeline(t *testing.T) {
 		t.Fatal("no rollup data materialized")
 	}
 	// 2 nodes × 3 complete 5-minute buckets (the 4th is incomplete).
-	if got := res.Series[0].Rows[0].Values[0].I; got < 4 {
+	if got := res.Series[0].Rows()[0].Values[0].I; got < 4 {
 		t.Fatalf("rollup points = %d", got)
 	}
 }
@@ -202,7 +202,7 @@ func TestRollupChainKeptCurrentByWritePath(t *testing.T) {
 	}
 	max5m, max1h := map[bucket]float64{}, map[bucket]float64{}
 	for _, sr := range raw.Series {
-		for _, row := range sr.Rows {
+		for _, row := range sr.Rows() {
 			v := row.Values[0].F
 			for iv, m := range map[int64]map[bucket]float64{300: max5m, 3600: max1h} {
 				b := bucket{name(sr.Tags), row.Time - row.Time%iv}
@@ -253,7 +253,7 @@ func TestRollupChainKeptCurrentByWritePath(t *testing.T) {
 	}
 	got := 0
 	for _, sr := range res.Series {
-		for _, row := range sr.Rows {
+		for _, row := range sr.Rows() {
 			b := bucket{name(sr.Tags), row.Time}
 			if want, ok := max1h[b]; !ok || row.Values[0].F != want {
 				t.Fatalf("%v: planner answered %v, raw samples give %v (present %t)", b, row.Values[0].F, want, ok)
@@ -310,7 +310,7 @@ func TestNetworkAndFilesystemCollection(t *testing.T) {
 	}
 	busy := 0
 	for _, series := range res.Series {
-		if series.Rows[0].Values[0].F > 1e6 { // > 1 MB/s
+		if series.Rows()[0].Values[0].F > 1e6 { // > 1 MB/s
 			busy++
 		}
 	}
@@ -322,7 +322,7 @@ func TestNetworkAndFilesystemCollection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Series) == 0 || res.Series[0].Rows[0].Values[0].F <= 0 {
+	if len(res.Series) == 0 || res.Series[0].Rows()[0].Values[0].F <= 0 {
 		t.Fatalf("no filesystem throughput recorded: %+v", res.Series)
 	}
 	// Five categories per node per cycle now.
@@ -341,7 +341,7 @@ func TestNetworkCollectionViaTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Series) == 0 || res.Series[0].Rows[0].Values[0].I != 2*2*3 {
+	if len(res.Series) == 0 || res.Series[0].Rows()[0].Values[0].I != 2*2*3 {
 		t.Fatalf("telemetry network points = %+v", res.Series)
 	}
 	// Telemetry still needs only one request per node per cycle.

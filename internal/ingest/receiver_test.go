@@ -165,7 +165,7 @@ func TestPushReceiverDefaultTimestamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ts := res.Series[0].Rows[0].Time; ts != 5000 {
+	if ts := res.Series[0].Rows()[0].Time; ts != 5000 {
 		t.Fatalf("default-stamped time = %d, want 5000", ts)
 	}
 }

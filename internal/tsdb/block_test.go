@@ -242,7 +242,7 @@ func TestBlockHeaderPruning(t *testing.T) {
 	if res.Stats.BlocksDecoded != 2 || res.Stats.BlocksSkipped != 8 {
 		t.Fatalf("window scan: decoded %d skipped %d, want 2/8", res.Stats.BlocksDecoded, res.Stats.BlocksSkipped)
 	}
-	if v := res.Series[0].Rows[0].Values[0]; v.F != 34 {
+	if v := res.Series[0].Rows()[0].Values[0]; v.F != 34 {
 		t.Fatalf("window max = %v, want 34", v)
 	}
 }

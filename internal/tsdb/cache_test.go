@@ -76,7 +76,7 @@ func TestDecodeCacheBudgetEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := res.Series[0].Rows[0].Values[0].I; n != 8*512 {
+		if n := res.Series[0].Rows()[0].Values[0].I; n != 8*512 {
 			t.Fatalf("pass %d: count = %d, want %d", pass, n, 8*512)
 		}
 		cs := db.CacheStats()

@@ -497,7 +497,7 @@ func TestColdKillPointMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatalf("offset %d: query: %v", off, err)
 		}
-		if n := res.Series[0].Rows[0].Values[0].I; n != 2*perBatch {
+		if n := res.Series[0].Rows()[0].Values[0].I; n != 2*perBatch {
 			t.Fatalf("offset %d: count = %d, want %d", off, n, 2*perBatch)
 		}
 		// Recovery after recovery is stable: the first pass's orphan

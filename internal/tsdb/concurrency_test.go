@@ -111,7 +111,7 @@ func TestSnapshotIsolation(t *testing.T) {
 				}
 				lastEpoch = res.Stats.SnapshotEpoch
 				for _, s := range res.Series {
-					for _, row := range s.Rows {
+					for _, row := range s.Rows() {
 						if n := row.Values[0].I; n != pointsPerBatch {
 							t.Errorf("torn batch: group %v has %d points, want %d", s.Tags, n, pointsPerBatch)
 							return

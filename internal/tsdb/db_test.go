@@ -171,7 +171,7 @@ func TestDeleteBefore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Series[0].Rows[0].Values[0].I; got != 10 {
+	if got := res.Series[0].Rows()[0].Values[0].I; got != 10 {
 		t.Fatalf("count after retention = %d, want 10", got)
 	}
 }
@@ -186,7 +186,7 @@ func TestNegativeTimestampsShardCorrectly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Series[0].Rows[0].Values[0].I; got != 1 {
+	if got := res.Series[0].Rows()[0].Values[0].I; got != 1 {
 		t.Fatalf("count = %d, want 1", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -93,21 +94,127 @@ func (s *QueryStats) Add(o QueryStats) {
 	}
 }
 
-// Row is one output row: a timestamp and one value per projected
-// column. Missing values are reported via the Present bitmap, which
-// keeps Value free of a null kind.
+// Row is one output row as ResultSeries.Rows derives it: a timestamp
+// and one value per projected field. Missing values are reported via
+// the Present bitmap, which keeps Value free of a null kind.
 type Row struct {
 	Time    int64
 	Values  []Value
 	Present []bool // Present[i] reports whether Values[i] is set
 }
 
-// ResultSeries is one output series (per group).
+// ResultSeries is one output series (per group), held by column: row j
+// is Times[j] and each projected field's value j. Every slice is
+// allocated by the query that returned it and aliases no storage, so
+// the caller owns it.
 type ResultSeries struct {
 	Name    string
 	Tags    Tags // group-by tag values (empty when no tag grouping)
 	Columns []string
-	Rows    []Row
+	Times   []int64 // bucket or sample times; zero for SHOW rows
+	cols    []resultCol
+}
+
+// resultCol is one projected field: a vector of one value per row, and
+// present, nil when every row has a value (always so for a single-field
+// aggregate), else marking the rows that do. An absent row holds the
+// zero of the vector's kind.
+type resultCol struct {
+	vals    valueVec
+	present []bool
+}
+
+// Value returns field f's value in row j and whether the row has one.
+func (s *ResultSeries) Value(f, j int) (Value, bool) {
+	if f >= len(s.cols) || j >= len(s.Times) || (s.cols[f].present != nil && !s.cols[f].present[j]) {
+		return Value{}, false
+	}
+	return s.cols[f].vals.at(j), true
+}
+
+// Float64s hands field f over as floats when every row has one numeric
+// value kind: a float field's own slice, or one converted copy of an
+// int field (count). A string, bool, mixed or gapped field reports
+// false.
+func (s *ResultSeries) Float64s(f int) ([]float64, bool) {
+	if f >= len(s.cols) || s.cols[f].present != nil {
+		return nil, false
+	}
+	switch v := &s.cols[f].vals; v.kind {
+	case vecFloat:
+		return v.f, true
+	case vecInt:
+		out := make([]float64, len(v.i))
+		for j, x := range v.i {
+			out[j] = float64(x)
+		}
+		return out, true
+	}
+	return nil, false
+}
+
+// Rows derives the row view of s.
+func (s *ResultSeries) Rows() []Row {
+	rows := make([]Row, len(s.Times))
+	for j, t := range s.Times {
+		rows[j] = Row{Time: t, Values: make([]Value, len(s.cols)), Present: make([]bool, len(s.cols))}
+		for f := range s.cols {
+			rows[j].Values[f], rows[j].Present[f] = s.Value(f, j)
+		}
+	}
+	return rows
+}
+
+// appendRows concatenates rows onto s; a field gapped on either side
+// is gapped in the result.
+func (s *ResultSeries) appendRows(times []int64, cols []resultCol) {
+	if len(s.Times) == 0 {
+		s.Times, s.cols = times, cols
+		return
+	}
+	n := len(s.Times)
+	s.Times = append(s.Times, times...)
+	for i := range s.cols {
+		c, o := &s.cols[i], &cols[i]
+		if c.present != nil || o.present != nil {
+			c.present = append(presentOrAll(c.present, n), presentOrAll(o.present, len(times))...)
+		}
+		c.vals.appendVec(o.vals)
+	}
+}
+
+func presentOrAll(p []bool, n int) []bool {
+	if p == nil {
+		p = slices.Repeat([]bool{true}, n)
+	}
+	return p
+}
+
+// orderAndLimit applies ORDER BY time DESC and LIMIT to rows that
+// arrive ascending.
+func (s *ResultSeries) orderAndLimit(desc bool, limit int) {
+	n := len(s.Times)
+	if limit > 0 {
+		n = min(n, limit)
+	}
+	if desc || n < len(s.Times) {
+		idx := make([]int, n)
+		for j := range idx {
+			idx[j] = j
+			if desc {
+				idx[j] = len(s.Times) - 1 - j
+			}
+		}
+		s.reorder(idx)
+	}
+}
+
+// reorder makes row j the old row idx[j], and keeps len(idx) rows.
+func (s *ResultSeries) reorder(idx []int) {
+	s.Times = pick(s.Times, idx)
+	for i := range s.cols {
+		s.cols[i] = resultCol{vals: s.cols[i].vals.pick(idx), present: pick(s.cols[i].present, idx)}
+	}
 }
 
 // Result is the full answer to one query.
@@ -182,16 +289,6 @@ func (db *DB) Exec(q *Query) (*Result, error) {
 	return db.execView(v, q)
 }
 
-// execNoRewrite executes q against the current snapshot with the
-// tier-aware planner bypassed — the forced-raw baseline the
-// equivalence tests compare against.
-func (db *DB) execNoRewrite(q *Query) (*Result, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	return db.execView(db.view.Load(), q)
-}
-
 // execView runs q against one pinned view, bypassing the planner. The
 // write path calls this on unpublished candidate views during rollup
 // maintenance (never through Exec: the planner would consult the very
@@ -249,9 +346,9 @@ func (db *DB) execView(v *dbView, q *Query) (*Result, error) {
 		return nil, res.Stats.scanErr
 	}
 
-	res.Series = make([]ResultSeries, 0, len(out))
+	res.Series = out[:0]
 	for i := range out {
-		if len(out[i].Rows) > 0 {
+		if len(out[i].Times) > 0 {
 			res.Series = append(res.Series, out[i])
 		}
 	}
@@ -277,15 +374,8 @@ func execGroup(q *Query, g *seriesGroup, shards []*shard, columns []string, rs *
 	} else {
 		execRaw(q, g.keys, shards, rs, stats, cache)
 	}
-	if q.Descending {
-		for i, j := 0, len(rs.Rows)-1; i < j; i, j = i+1, j-1 {
-			rs.Rows[i], rs.Rows[j] = rs.Rows[j], rs.Rows[i]
-		}
-	}
-	if q.Limit > 0 && len(rs.Rows) > q.Limit {
-		rs.Rows = rs.Rows[:q.Limit]
-	}
-	stats.Rows += len(rs.Rows)
+	rs.orderAndLimit(q.Descending, q.Limit)
+	stats.Rows += len(rs.Times)
 }
 
 func fieldLabels(q *Query) []string {
@@ -468,42 +558,17 @@ func groupSeries(q *Query, keys []string, mi *measurementIndex) []seriesGroup {
 	byID := make(map[string]*seriesGroup)
 	var order []string
 	for _, k := range keys {
-		tags := mi.series[k]
-		var gt Tags
-		var id string
-		if star {
-			gt, id = tags, k
-		} else {
-			// When the GROUP BY keys cover the series' full tag set —
-			// the common GROUP BY "NodeId", "Label" shape — the group
-			// is the series itself: reuse its canonical tag set and
-			// storage key instead of building new ones per series.
-			full := len(q.GroupByTags) == len(tags)
-			if full {
-				for i, gk := range q.GroupByTags {
-					if _, ok := tags.Get(gk); !ok {
-						full = false
-						break
-					}
-					for j := 0; j < i; j++ { // duplicate GROUP BY keys never cover
-						if q.GroupByTags[j] == gk {
-							full = false
-						}
-					}
-					if !full {
-						break
-					}
-				}
+		// A series whose full tag set the GROUP BY keys cover is its own
+		// group: reuse its canonical tag set and storage key instead of
+		// building new ones.
+		gt, id := mi.series[k], k
+		if !groupKeysCover(q, []string{k}, mi) {
+			gt = nil
+			for _, gk := range q.GroupByTags {
+				v, _ := mi.series[k].Get(gk)
+				gt = append(gt, Tag{gk, v})
 			}
-			if full {
-				gt, id = tags, k
-			} else {
-				for _, gk := range q.GroupByTags {
-					v, _ := tags.Get(gk)
-					gt = append(gt, Tag{gk, v})
-				}
-				id = seriesKey("", gt)
-			}
+			id = seriesKey("", gt)
 		}
 		g, ok := byID[id]
 		if !ok {
@@ -535,12 +600,6 @@ func tagsLess(a, b Tags) bool {
 		}
 	}
 	return len(a) < len(b)
-}
-
-// sample is one (time, value) pulled from a column during a raw scan.
-type sample struct {
-	t int64
-	v Value
 }
 
 // colChunk is one contiguous, time-sorted run of samples that falls
@@ -616,40 +675,73 @@ func mergeChunks(chunks []colChunk) colChunk {
 	return colChunk{times: col.times, vals: col.vals}
 }
 
-// scanField collects, in time order, every sample of one field across
-// the group's series and the overlapping shards.
-func scanField(keys []string, field string, shards []*shard, start, end int64, stats *QueryStats, cache *decodeCache) []sample {
-	chunks, sorted := collectChunksInto(nil, keys, field, shards, start, end, stats, cache)
+// scanField copies, in time order, every sample of one series' field
+// in the overlapping shards into fresh slices; of samples sharing a
+// time, the last stored wins.
+func scanField(key string, field string, shards []*shard, start, end int64, stats *QueryStats, cache *decodeCache) ([]int64, valueVec) {
+	chunks, sorted := collectChunksInto(nil, []string{key}, field, shards, start, end, stats, cache)
 	chargeChunks(chunks, stats)
 	if !sorted {
 		chunks = []colChunk{mergeChunks(chunks)}
 	}
-	n := 0
+	var times []int64
+	var vals valueVec
 	for i := range chunks {
-		n += len(chunks[i].times)
+		times = append(times, chunks[i].times...)
+		vals.appendVec(chunks[i].vals)
 	}
-	out := make([]sample, 0, n)
-	for i := range chunks {
-		ch := &chunks[i]
-		for j, t := range ch.times {
-			out = append(out, sample{t, ch.vals.at(j)})
+	keep := make([]int, 0, len(times))
+	for k, t := range times {
+		if n := len(keep); n > 0 && times[keep[n-1]] == t {
+			keep = keep[:n-1]
 		}
+		keep = append(keep, k)
 	}
-	return out
+	if len(keep) < len(times) {
+		return pick(times, keep), vals.pick(keep)
+	}
+	return times, vals
 }
 
-// bucketValue is one field's aggregate over one time bucket.
-type bucketValue struct {
-	t int64
-	v Value
+// alignFields assembles a series' columns from per-field lists, each
+// ascending with distinct times. Lists sharing one time set are taken
+// as they are; otherwise the rows are the union of the times, and a
+// field lacking one is padded there and marked absent.
+func alignFields(times [][]int64, vals []valueVec) ([]int64, []resultCol) {
+	union := times[0]
+	for _, t := range times[1:] {
+		if !slices.Equal(t, union) {
+			union = slices.Compact(slices.Sorted(slices.Values(slices.Concat(times...))))
+			break
+		}
+	}
+	cols := make([]resultCol, len(vals))
+	for i, v := range vals {
+		if len(times[i]) == len(union) {
+			cols[i].vals = v
+			continue
+		}
+		if v.len() == 0 {
+			v = valueVec{m: []Value{}} // a field with no value takes its kind from none
+		}
+		idx := make([]int, len(union))
+		present := make([]bool, len(union))
+		for j, t := range union {
+			if idx[j], present[j] = slices.BinarySearch(times[i], t); !present[j] {
+				idx[j] = -1
+			}
+		}
+		cols[i] = resultCol{vals: v.pick(idx), present: present}
+	}
+	return union, cols
 }
 
 // aggScratch recycles the non-escaping per-group buffers of execAgg
 // across the (often hundreds of) output groups one worker executes.
 type aggScratch struct {
-	chunks  []colChunk
-	buckets [][]bucketValue // per field, whole lists
-	heads   [][]bucketValue // per field, what the row zip has left
+	chunks []colChunk
+	times  [][]int64 // per field; each list is handed to the result
+	vals   []valueVec
 }
 
 // The simple reductions keep their state in scalar accumulators fed
@@ -748,7 +840,7 @@ func reduceRun[T float64 | int64](a *bucketAcc, run []T) {
 
 // flush appends the finished bucket's value, if it has one, and resets
 // the accumulator for the next bucket.
-func (a *bucketAcc) flush(t int64, out []bucketValue) []bucketValue {
+func (a *bucketAcc) flush(t int64, times []int64, vals *valueVec) []int64 {
 	var v Value
 	ok := a.seen
 	switch {
@@ -768,18 +860,20 @@ func (a *bucketAcc) flush(t int64, out []bucketValue) []bucketValue {
 	}
 	a.n, a.f1, a.f2, a.seen = 0, 0, 0, false
 	if ok {
-		out = append(out, bucketValue{t, v})
+		times = append(times, t)
+		vals.append(v)
 	}
-	return out
+	return times
 }
 
 // reduceField is the one aggregation kernel: it walks a time-sorted
 // chunk list once, cuts it into runs at bucket boundaries — one
 // division per run, not per sample — reduces each run into the
-// accumulator, and appends one value per non-empty bucket, in time
-// order (empty buckets are omitted: InfluxDB's fill(none)). iv <= 0 is
-// the query without GROUP BY time: a single bucket stamped whole.
-func reduceField(fn string, chunks []colChunk, iv, whole int64, out []bucketValue) []bucketValue {
+// accumulator, and emits one value per non-empty bucket, in time order
+// (empty buckets are omitted: InfluxDB's fill(none)), into fresh slices
+// sized for the buckets the chunks can span. iv <= 0 is the query
+// without GROUP BY time: a single bucket stamped whole.
+func reduceField(fn string, chunks []colChunk, iv, whole int64) (outT []int64, outV valueVec) {
 	acc := bucketAcc{mode: kernelFor(fn)}
 	if acc.mode != kCount {
 		typed := acc.mode != kGeneric
@@ -789,6 +883,25 @@ func reduceField(fn string, chunks []colChunk, iv, whole int64, out []bucketValu
 		if !typed {
 			acc.agg, _ = newAggregator(fn)
 		}
+	}
+	buckets := 0
+	for i := range chunks {
+		buckets += len(chunks[i].times)
+	}
+	if last := len(chunks) - 1; iv <= 0 {
+		buckets = min(buckets, 1)
+	} else if last >= 0 {
+		span := alignDown(chunks[last].times[len(chunks[last].times)-1], iv) - alignDown(chunks[0].times[0], iv)
+		if span >= 0 && span/iv < int64(buckets) {
+			buckets = int(span/iv) + 1
+		}
+	}
+	outT = make([]int64, 0, buckets)
+	switch {
+	case acc.mode == kCount:
+		outV = makeVec(vecInt, buckets)
+	case acc.agg == nil:
+		outV = makeVec(vecFloat, buckets)
 	}
 	cur, open := whole, false
 	for i := range chunks {
@@ -806,7 +919,7 @@ func reduceField(fn string, chunks []colChunk, iv, whole int64, out []bucketValu
 				}
 			}
 			if open && bt != cur {
-				out = acc.flush(cur, out)
+				outT = acc.flush(cur, outT, &outV)
 			}
 			cur, open = bt, true
 			switch {
@@ -824,24 +937,21 @@ func reduceField(fn string, chunks []colChunk, iv, whole int64, out []bucketValu
 		}
 	}
 	if open {
-		out = acc.flush(cur, out)
+		outT = acc.flush(cur, outT, &outV)
 	}
-	return out
+	return outT, outV
 }
 
 // execAgg computes aggregate rows, optionally bucketed by GROUP BY
 // time. Each field is reduced by reduceField straight off the storage
 // columns, in the time order of its samples; an out-of-order chunk
 // list is merged into one sorted chunk first. The per-field bucket
-// lists, each ascending in time, are then zipped into rows; a bucket
-// no field has a value for yields no row.
+// lists become the result's columns as they are; a bucket no field has
+// a value for yields no row.
 func execAgg(q *Query, keys []string, shards []*shard, rs *ResultSeries, stats *QueryStats, scratch *aggScratch, cache *decodeCache) {
 	nf := len(q.Fields)
-	for len(scratch.buckets) < nf {
-		scratch.buckets = append(scratch.buckets, nil)
-	}
-	lists := scratch.buckets[:nf]
-	rows := 0
+	times, vals := slices.Grow(scratch.times[:0], nf)[:nf], slices.Grow(scratch.vals[:0], nf)[:nf]
+	scratch.times, scratch.vals = times, vals
 	for i, f := range q.Fields {
 		chunks, sorted := collectChunksInto(scratch.chunks[:0], keys, f.Field, shards, q.Start, q.End, stats, cache)
 		scratch.chunks = chunks // keeps the grown backing for reuse
@@ -849,43 +959,9 @@ func execAgg(q *Query, keys []string, shards []*shard, rs *ResultSeries, stats *
 		if !sorted {
 			chunks = []colChunk{mergeChunks(chunks)}
 		}
-		lists[i] = reduceField(f.Func, chunks, q.GroupByTime, rangeStart(q), lists[i][:0])
-		rows = max(rows, len(lists[i]))
+		times[i], vals[i] = reduceField(f.Func, chunks, q.GroupByTime, rangeStart(q))
 	}
-	if rows == 0 {
-		return
-	}
-
-	// Row value/present storage is carved from two per-group slabs
-	// instead of being allocated per row; they only grow past the
-	// longest list when the fields' bucket sets differ.
-	rowVals := make([]Value, 0, rows*nf)
-	rowPres := make([]bool, 0, rows*nf)
-	out := make([]Row, 0, rows)
-	heads := append(scratch.heads[:0], lists...)
-	scratch.heads = heads
-	for {
-		t, any := int64(0), false
-		for _, l := range heads {
-			if len(l) > 0 && (!any || l[0].t < t) {
-				t, any = l[0].t, true
-			}
-		}
-		if !any {
-			break
-		}
-		at := len(rowVals)
-		for i, l := range heads {
-			if len(l) > 0 && l[0].t == t {
-				rowVals, rowPres = append(rowVals, l[0].v), append(rowPres, true)
-				heads[i] = l[1:]
-			} else {
-				rowVals, rowPres = append(rowVals, Value{}), append(rowPres, false)
-			}
-		}
-		out = append(out, Row{Time: t, Values: rowVals[at : at+nf : at+nf], Present: rowPres[at : at+nf : at+nf]})
-	}
-	rs.Rows = out
+	rs.Times, rs.cols = alignFields(times, vals)
 }
 
 func rangeStart(q *Query) int64 {
@@ -900,27 +976,30 @@ func rangeStart(q *Query) int64 {
 // group are concatenated and time-sorted, never merged (two nodes
 // sampled at the same instant stay two rows).
 func execRaw(q *Query, keys []string, shards []*shard, rs *ResultSeries, stats *QueryStats, cache *decodeCache) {
-	nf := len(q.Fields)
+	times := make([][]int64, len(q.Fields))
+	vals := make([]valueVec, len(q.Fields))
+	sorted := true
 	for _, key := range keys {
-		rowsByTime := make(map[int64]*Row)
-		var order []int64
 		for i, f := range q.Fields {
-			for _, s := range scanField([]string{key}, f.Field, shards, q.Start, q.End, stats, cache) {
-				r, ok := rowsByTime[s.t]
-				if !ok {
-					r = &Row{Time: s.t, Values: make([]Value, nf), Present: make([]bool, nf)}
-					rowsByTime[s.t] = r
-					order = append(order, s.t)
-				}
-				r.Values[i], r.Present[i] = s.v, true
-			}
+			times[i], vals[i] = scanField(key, f.Field, shards, q.Start, q.End, stats, cache)
 		}
-		sort.Slice(order, func(a, b int) bool { return order[a] < order[b] })
-		for _, t := range order {
-			rs.Rows = append(rs.Rows, *rowsByTime[t])
+		t, cols := alignFields(times, vals)
+		if len(t) == 0 {
+			continue
 		}
+		if n := len(rs.Times); n > 0 && t[0] < rs.Times[n-1] {
+			sorted = false
+		}
+		rs.appendRows(t, cols)
 	}
-	sort.SliceStable(rs.Rows, func(a, b int) bool { return rs.Rows[a].Time < rs.Rows[b].Time })
+	if !sorted {
+		idx := make([]int, len(rs.Times))
+		for j := range idx {
+			idx[j] = j
+		}
+		sort.SliceStable(idx, func(a, b int) bool { return rs.Times[idx[a]] < rs.Times[idx[b]] })
+		rs.reorder(idx)
+	}
 }
 
 // FormatResult renders a result as an aligned text table, useful in
@@ -942,7 +1021,7 @@ func FormatResult(r *Result) string {
 		b.WriteString("\n")
 		b.WriteString(strings.Join(s.Columns, "\t"))
 		b.WriteString("\n")
-		for _, row := range s.Rows {
+		for _, row := range s.Rows() {
 			b.WriteString(FormatTime(row.Time))
 			for k, v := range row.Values {
 				b.WriteByte('\t')

@@ -41,11 +41,11 @@ func TestWriteAndRawQuery(t *testing.T) {
 	if len(res.Series) != 1 {
 		t.Fatalf("series = %d, want 1", len(res.Series))
 	}
-	if got := len(res.Series[0].Rows); got != 10 {
+	if got := len(res.Series[0].Rows()); got != 10 {
 		t.Fatalf("rows = %d, want 10", got)
 	}
-	if res.Series[0].Rows[0].Time != 1000 {
-		t.Fatalf("first row time = %d", res.Series[0].Rows[0].Time)
+	if res.Series[0].Rows()[0].Time != 1000 {
+		t.Fatalf("first row time = %d", res.Series[0].Rows()[0].Time)
 	}
 }
 
@@ -82,7 +82,7 @@ func TestAggMaxGroupByTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := res.Series[0].Rows
+	rows := res.Series[0].Rows()
 	if len(rows) != 12 {
 		t.Fatalf("buckets = %d, want 12", len(rows))
 	}
@@ -132,7 +132,7 @@ func TestAggregatesAgainstNaiveReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := res.Series[0].Rows[0].Values[0].F
+		got := res.Series[0].Rows()[0].Values[0].F
 		if diff := got - want; diff > 1e-9 || diff < -1e-9 {
 			t.Errorf("%s = %v, want %v", fn, got, want)
 		}
@@ -145,7 +145,7 @@ func TestAggregatesAgainstNaiveReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Series[0].Rows[0].Values[0].I; got != n {
+	if got := res.Series[0].Rows()[0].Values[0].I; got != n {
 		t.Errorf("count = %d, want %d", got, n)
 	}
 }
@@ -168,7 +168,7 @@ func TestFirstLastRespectTimeOrderDespiteOutOfOrderWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := res.Series[0].Rows[0]
+	row := res.Series[0].Rows()[0]
 	if row.Values[0].F != 10 || row.Values[1].F != 90 {
 		t.Fatalf("first/last = %v/%v, want 10/90", row.Values[0].F, row.Values[1].F)
 	}
@@ -184,8 +184,8 @@ func TestTagFilterSelectivity(t *testing.T) {
 	if res.Stats.SeriesScanned != 1 {
 		t.Fatalf("scanned %d series, want 1 (index should prune)", res.Stats.SeriesScanned)
 	}
-	if res.Series[0].Rows[0].Values[0].I != 5 {
-		t.Fatalf("count = %v", res.Series[0].Rows[0].Values[0])
+	if res.Series[0].Rows()[0].Values[0].I != 5 {
+		t.Fatalf("count = %v", res.Series[0].Rows()[0].Values[0])
 	}
 }
 
@@ -266,7 +266,7 @@ func TestTimeRangeClipsAcrossShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	// [5400, 12600) covers 7200 s of minutely samples = 120 points.
-	if got := res.Series[0].Rows[0].Values[0].I; got != 120 {
+	if got := res.Series[0].Rows()[0].Values[0].I; got != 120 {
 		t.Fatalf("count = %d, want 120", got)
 	}
 	if res.Stats.PointsScanned != 120 {
@@ -281,7 +281,7 @@ func TestLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(res.Series[0].Rows); got != 7 {
+	if got := len(res.Series[0].Rows()); got != 7 {
 		t.Fatalf("rows = %d, want 7", got)
 	}
 }
@@ -300,7 +300,7 @@ func TestMultiFieldRawAlignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := res.Series[0].Rows
+	rows := res.Series[0].Rows()
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(rows))
 	}
@@ -337,7 +337,7 @@ func TestRawQueryDoesNotMergeSeriesAtSameTimestamp(t *testing.T) {
 	total := 0
 	vals := map[string]bool{}
 	for _, s := range res.Series {
-		for _, r := range s.Rows {
+		for _, r := range s.Rows() {
 			total++
 			vals[r.Values[0].S] = true
 		}
@@ -408,7 +408,7 @@ func TestPropCountMatchesWrites(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return res.Series[0].Rows[0].Values[0].I == int64(len(raw))
+		return res.Series[0].Rows()[0].Values[0].I == int64(len(raw))
 	}
 	if err := quick.Check(f, quickConfig()); err != nil {
 		t.Fatal(err)
@@ -446,7 +446,7 @@ func TestPropMaxBucketsNeverExceedGlobalMax(t *testing.T) {
 			return false
 		}
 		found := false
-		for _, row := range res.Series[0].Rows {
+		for _, row := range res.Series[0].Rows() {
 			if row.Values[0].F > globalMax {
 				return false
 			}
@@ -473,7 +473,7 @@ func TestOrderByTimeDescWithLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := res.Series[0].Rows
+	rows := res.Series[0].Rows()
 	if len(rows) != 1 || rows[0].Time != 9*60 {
 		t.Fatalf("latest row = %+v", rows)
 	}
@@ -482,7 +482,7 @@ func TestOrderByTimeDescWithLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows = res.Series[0].Rows
+	rows = res.Series[0].Rows()
 	for i := 1; i < len(rows); i++ {
 		if rows[i].Time >= rows[i-1].Time {
 			t.Fatalf("rows not descending: %v then %v", rows[i-1].Time, rows[i].Time)

@@ -150,7 +150,7 @@ func TestWriteLineProtocolIntoDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Series[0].Rows[0].Values[0].F; got < 277 || got > 278 {
+	if got := res.Series[0].Rows()[0].Values[0].F; got < 277 || got > 278 {
 		t.Fatalf("mean = %v", got)
 	}
 	if n, err := db.WriteLineProtocol(nil, 0); err != nil || n != 0 {

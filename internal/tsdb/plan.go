@@ -80,9 +80,13 @@ func (db *DB) planTiered(v *dbView, q *Query) (_ *Result, ok bool, _ error) {
 		return nil, false, nil // tier covers nothing of the range
 	}
 
+	// Tier rows are already per-bucket aggregates: they recombine into
+	// coarser buckets as a chained tier reads its parent (sum of counts,
+	// max of maxes), and plannerTierValue applies that tier's coercions.
+	cr.chained = true
 	tq := &Query{
 		Measurement: cr.target,
-		Fields:      plannerTierFields(cr),
+		Fields:      rollupQueryFields(cr),
 		TagConds:    q.TagConds,
 		TagRegexps:  q.TagRegexps,
 		Start:       q.Start,
@@ -104,39 +108,26 @@ func (db *DB) planTiered(v *dbView, q *Query) (_ *Result, ok bool, _ error) {
 	}
 
 	columns := []string{"time", f.Label()}
-	type mergedSeries struct {
-		tags Tags
-		rows []Row
-	}
-	byKey := make(map[string]*mergedSeries)
+	byKey := make(map[string]*ResultSeries)
 	var order []string
-	groupOf := func(tags Tags) *mergedSeries {
+	groupOf := func(tags Tags) *ResultSeries {
 		key := seriesKey("", tags)
 		ms, ok := byKey[key]
 		if !ok {
-			ms = &mergedSeries{tags: tags}
+			ms = &ResultSeries{Name: q.Measurement, Tags: tags, Columns: columns}
 			byKey[key] = ms
 			order = append(order, key)
 		}
 		return ms
 	}
 	for i := range tres.Series {
-		s := &tres.Series[i]
-		ms := groupOf(s.Tags)
-		for _, row := range s.Rows {
-			val, ok := plannerTierValue(cr, row)
-			if !ok {
-				continue
-			}
-			ms.rows = append(ms.rows, Row{Time: row.Time, Values: []Value{val}, Present: []bool{true}})
-		}
+		groupOf(tres.Series[i].Tags).appendRows(plannerTierColumn(cr, &tres.Series[i]))
 	}
 	// Tier rows all precede split, raw rows all follow it, and both sides
 	// arrive ascending — concatenation is the merge.
 	for i := range rres.Series {
 		s := &rres.Series[i]
-		ms := groupOf(s.Tags)
-		ms.rows = append(ms.rows, s.Rows...)
+		groupOf(s.Tags).appendRows(s.Times, s.cols)
 	}
 
 	res := &Result{}
@@ -148,24 +139,12 @@ func (db *DB) planTiered(v *dbView, q *Query) (_ *Result, ok bool, _ error) {
 	res.Series = make([]ResultSeries, 0, len(order))
 	for _, key := range order {
 		ms := byKey[key]
-		if len(ms.rows) == 0 {
+		if len(ms.Times) == 0 {
 			continue
 		}
-		if q.Descending {
-			for i, j := 0, len(ms.rows)-1; i < j; i, j = i+1, j-1 {
-				ms.rows[i], ms.rows[j] = ms.rows[j], ms.rows[i]
-			}
-		}
-		if q.Limit > 0 && len(ms.rows) > q.Limit {
-			ms.rows = ms.rows[:q.Limit]
-		}
-		res.Stats.Rows += len(ms.rows)
-		res.Series = append(res.Series, ResultSeries{
-			Name:    q.Measurement,
-			Tags:    ms.tags,
-			Columns: columns,
-			Rows:    ms.rows,
-		})
+		ms.orderAndLimit(q.Descending, q.Limit)
+		res.Stats.Rows += len(ms.Times)
+		res.Series = append(res.Series, *ms)
 	}
 	if len(res.Series) == 0 {
 		res.Series = nil
@@ -176,54 +155,46 @@ func (db *DB) planTiered(v *dbView, q *Query) (_ *Result, ok bool, _ error) {
 	return res, true, nil
 }
 
-// plannerTierFields maps the user's aggregate onto the tier's
-// materialized fields: tier rows are already per-bucket aggregates, so
-// coarser buckets recombine with the composition aggregate (sum of
-// counts, max of maxes) rather than the original one.
-func plannerTierFields(cr compiledRollup) []FieldExpr {
-	switch cr.agg {
-	case "mean":
-		return []FieldExpr{
-			{Func: "sum", Field: meanSumField(cr.rootField)},
-			{Func: "sum", Field: meanCountField(cr.rootField)},
+// plannerTierColumn converts an aggregated tier series into the buckets
+// the raw scan would have produced: the rows that yield a value, as one
+// dense column.
+func plannerTierColumn(cr compiledRollup, s *ResultSeries) ([]int64, []resultCol) {
+	times, vals := make([]int64, 0, len(s.Times)), valueVec{}
+	for j, t := range s.Times {
+		if v, ok := plannerTierValue(cr, s, j); ok {
+			times = append(times, t)
+			vals.append(v)
 		}
-	case "count":
-		return []FieldExpr{{Func: "sum", Field: cr.rootField}}
-	default: // max, min, sum compose with themselves
-		return []FieldExpr{{Func: cr.agg, Field: cr.rootField}}
 	}
+	return times, []resultCol{{vals: vals}}
 }
 
-// plannerTierValue converts one aggregated tier row into the value the
-// raw scan would have produced for that bucket.
-func plannerTierValue(cr compiledRollup, row Row) (Value, bool) {
+// plannerTierValue converts row j of an aggregated tier series into the
+// value the raw scan would have produced for that bucket.
+func plannerTierValue(cr compiledRollup, s *ResultSeries, j int) (Value, bool) {
+	v, ok := s.Value(0, j)
+	if !ok {
+		return Value{}, false
+	}
 	switch cr.agg {
 	case "mean":
-		if len(row.Values) < 2 || !row.Present[0] || !row.Present[1] {
-			return Value{}, false
-		}
-		sum, okS := row.Values[0].AsFloat()
-		cnt, okC := row.Values[1].AsFloat()
-		if !okS || !okC || cnt == 0 {
+		c, okC := s.Value(1, j)
+		sum, okS := v.AsFloat()
+		cnt, okF := c.AsFloat()
+		if !okC || !okS || !okF || cnt == 0 {
 			return Value{}, false
 		}
 		return Float(sum / cnt), true
 	case "count":
 		// Raw count emits Int; the tier side sums Int counts through the
 		// float kernel, so coerce back.
-		if len(row.Values) < 1 || !row.Present[0] {
-			return Value{}, false
-		}
-		fv, ok := row.Values[0].AsFloat()
+		fv, ok := v.AsFloat()
 		if !ok {
 			return Value{}, false
 		}
 		return Int(int64(math.Round(fv))), true
 	default:
-		if len(row.Values) < 1 || !row.Present[0] {
-			return Value{}, false
-		}
-		return row.Values[0], true
+		return v, true
 	}
 }
 

@@ -21,11 +21,12 @@ func sameResult(t *testing.T, planned, raw *Result, ctx string) {
 		if seriesKey("", ps.Tags) != seriesKey("", rs.Tags) {
 			t.Fatalf("%s: series %d tags %v vs %v", ctx, i, ps.Tags, rs.Tags)
 		}
-		if len(ps.Rows) != len(rs.Rows) {
-			t.Fatalf("%s: series %d rows %d vs %d", ctx, i, len(ps.Rows), len(rs.Rows))
+		pRows, rRows := ps.Rows(), rs.Rows()
+		if len(pRows) != len(rRows) {
+			t.Fatalf("%s: series %d rows %d vs %d", ctx, i, len(pRows), len(rRows))
 		}
-		for j := range rs.Rows {
-			pr, rr := ps.Rows[j], rs.Rows[j]
+		for j := range rRows {
+			pr, rr := pRows[j], rRows[j]
 			if pr.Time != rr.Time {
 				t.Fatalf("%s: series %d row %d time %d vs %d", ctx, i, j, pr.Time, rr.Time)
 			}
@@ -58,7 +59,7 @@ func TestPlannerChainedTierEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := db.execNoRewrite(q)
+	raw, err := db.execView(db.view.Load(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestPlannerChainedTierEquivalence(t *testing.T) {
 
 // TestExecNoRewriteBypassesPlanner checks the raw reference every
 // equivalence test here compares against: on a query Exec rewrites,
-// execNoRewrite never consults a tier, and still answers identically.
+// execView never consults a tier, and still answers identically.
 func TestExecNoRewriteBypassesPlanner(t *testing.T) {
 	db := Open(Options{})
 	var pts []Point
@@ -106,12 +107,12 @@ func TestExecNoRewriteBypassesPlanner(t *testing.T) {
 	if res.Stats.Tier == "" {
 		t.Fatal("planner never engaged on an eligible query")
 	}
-	raw, err := db.execNoRewrite(q)
+	raw, err := db.execView(db.view.Load(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if raw.Stats.Tier != "" {
-		t.Fatalf("execNoRewrite served tier %q", raw.Stats.Tier)
+		t.Fatalf("execView served tier %q", raw.Stats.Tier)
 	}
 	sameResult(t, res, raw, "bypass")
 }
@@ -138,7 +139,7 @@ func TestPlannerUnalignedStartFallsBack(t *testing.T) {
 	if res.Stats.Tier != "" {
 		t.Fatalf("unaligned start rewritten to tier %q", res.Stats.Tier)
 	}
-	raw, err := db.execNoRewrite(q)
+	raw, err := db.execView(db.view.Load(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestPlannerEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", ctx, err)
 		}
-		raw, err := db.execNoRewrite(q)
+		raw, err := db.execView(db.view.Load(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", ctx, err)
 		}
@@ -253,7 +254,7 @@ func FuzzRollupPlanner(f *testing.F) {
 		if err != nil {
 			return // invalid range combinations are rejected identically either way
 		}
-		raw, err := db.execNoRewrite(q)
+		raw, err := db.execView(db.view.Load(), q)
 		if err != nil {
 			t.Fatalf("raw path rejected what the planner accepted: %v", err)
 		}

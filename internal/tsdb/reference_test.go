@@ -105,7 +105,7 @@ func TestEngineMatchesReferenceOnRandomData(t *testing.T) {
 			want := refAggregate(points, series, start, end, interval, agg)
 			got := map[int64]float64{}
 			for _, s := range res.Series {
-				for _, row := range s.Rows {
+				for _, row := range s.Rows() {
 					if !row.Present[0] {
 						continue
 					}
@@ -149,7 +149,7 @@ func TestEngineMatchesReferenceWithDuplicateTimestamps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := res.Series[0].Rows[0]
+	row := res.Series[0].Rows()[0]
 	if row.Values[0].I != dup {
 		t.Fatalf("count = %d, want %d", row.Values[0].I, dup)
 	}

@@ -101,8 +101,8 @@ func TestRegexPredicateMatchesSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eq.Series[0].Rows[0].Values[0] != re.Series[0].Rows[0].Values[0] {
-		t.Fatalf("equality and regex disagree: %v vs %v", eq.Series[0].Rows[0], re.Series[0].Rows[0])
+	if eq.Series[0].Rows()[0].Values[0] != re.Series[0].Rows()[0].Values[0] {
+		t.Fatalf("equality and regex disagree: %v vs %v", eq.Series[0].Rows()[0], re.Series[0].Rows()[0])
 	}
 }
 
@@ -112,7 +112,7 @@ func TestRegexPredicateCombinesWithEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Series[0].Rows[0].Values[0].I; got != 10 {
+	if got := res.Series[0].Rows()[0].Values[0].I; got != 10 {
 		t.Fatalf("count = %d, want 10 (2 nodes x 5 points)", got)
 	}
 }

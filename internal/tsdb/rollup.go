@@ -326,9 +326,10 @@ func (db *DB) rollupExec(v *dbView, cr compiledRollup, start, end, wm int64) (*d
 		return v, rollupOp{}, fmt.Errorf("tsdb: rollup %q: %w", cr.target, err)
 	}
 	var pts []Point
-	for _, s := range res.Series {
-		for _, row := range s.Rows {
-			fields, ok := rollupRowFields(cr, row)
+	for i := range res.Series {
+		s := &res.Series[i]
+		for j, t := range s.Times {
+			fields, ok := rollupRowFields(cr, s, j)
 			if !ok {
 				continue
 			}
@@ -336,7 +337,7 @@ func (db *DB) rollupExec(v *dbView, cr compiledRollup, start, end, wm int64) (*d
 				Measurement: cr.target,
 				Tags:        s.Tags,
 				Fields:      fields,
-				Time:        row.Time,
+				Time:        t,
 			})
 		}
 	}
@@ -394,56 +395,33 @@ func rollupQueryFields(cr compiledRollup) []FieldExpr {
 	}
 }
 
-// rollupRowFields converts one aggregated source row into the target
-// point's field map, applying the chain coercions (counts stay Int,
-// chained means recombine from sum/count).
-func rollupRowFields(cr compiledRollup, row Row) (map[string]Value, bool) {
+// rollupRowFields converts row j of an aggregated source series into
+// the target point's field map: a root tier's fields as they are, a
+// chained tier's through the planner's coercions (counts stay Int,
+// means recombine from sum/count).
+func rollupRowFields(cr compiledRollup, s *ResultSeries, j int) (map[string]Value, bool) {
+	names := []string{cr.field, meanSumField(cr.field), meanCountField(cr.field)}
 	if !cr.chained {
-		if cr.agg == "mean" {
-			if !row.Present[0] || !row.Present[1] || !row.Present[2] {
+		fields := make(map[string]Value, len(s.cols))
+		for f := range s.cols {
+			v, ok := s.Value(f, j)
+			if !ok {
 				return nil, false
 			}
-			return map[string]Value{
-				cr.field:                 row.Values[0],
-				meanSumField(cr.field):   row.Values[1],
-				meanCountField(cr.field): row.Values[2],
-			}, true
+			fields[names[f]] = v
 		}
-		if !row.Present[0] {
-			return nil, false
-		}
-		return map[string]Value{cr.field: row.Values[0]}, true
+		return fields, true
 	}
-	switch cr.agg {
-	case "mean":
-		if !row.Present[0] || !row.Present[1] {
-			return nil, false
-		}
-		sum, okS := row.Values[0].AsFloat()
-		cnt, okC := row.Values[1].AsFloat()
-		if !okS || !okC || cnt == 0 {
-			return nil, false
-		}
-		return map[string]Value{
-			cr.field:                 Float(sum / cnt),
-			meanSumField(cr.field):   Float(sum),
-			meanCountField(cr.field): Int(int64(math.Round(cnt))),
-		}, true
-	case "count":
-		if !row.Present[0] {
-			return nil, false
-		}
-		f, ok := row.Values[0].AsFloat()
-		if !ok {
-			return nil, false
-		}
-		return map[string]Value{cr.field: Int(int64(math.Round(f)))}, true
-	default:
-		if !row.Present[0] {
-			return nil, false
-		}
-		return map[string]Value{cr.field: row.Values[0]}, true
+	v, ok := plannerTierValue(cr, s, j)
+	if !ok {
+		return nil, false
 	}
+	if cr.agg != "mean" {
+		return map[string]Value{cr.field: v}, true
+	}
+	sum, _ := s.Value(0, j) // both sides are sums, so floats
+	cnt, _ := s.Value(1, j)
+	return map[string]Value{names[0]: v, names[1]: sum, names[2]: Int(int64(math.Round(cnt.F)))}, true
 }
 
 // RollupAdvance materializes every complete bucket with end <= now

@@ -87,7 +87,7 @@ func BenchmarkRawDashboard(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.execNoRewrite(q); err != nil {
+		if _, err := db.execView(db.view.Load(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -117,7 +117,7 @@ func TestBenchRollupJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := db.execNoRewrite(q)
+	raw, err := db.execView(db.view.Load(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

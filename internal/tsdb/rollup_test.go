@@ -68,7 +68,7 @@ func TestRollupMaterializesBuckets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := res.Series[0].Rows
+	rows := res.Series[0].Rows()
 	if len(rows) != 6 {
 		t.Fatalf("rollup rows = %d", len(rows))
 	}
@@ -83,7 +83,7 @@ func TestRollupMaterializesBuckets(t *testing.T) {
 		r2, _ := db.Query(`SHOW SERIES FROM "Power_max_300s"`)
 		found := false
 		for _, s := range r2.Series {
-			for _, row := range s.Rows {
+			for _, row := range s.Rows() {
 				if row.Values[0].S == "Power_max_300s,Label=NodePower,NodeId=n0" {
 					found = true
 				}
@@ -137,7 +137,7 @@ func TestRollupIncrementalWatermark(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Series[0].Rows[0].Values[0].I
+		return res.Series[0].Rows()[0].Values[0].I
 	}
 	if got := countRows(); got != 3 {
 		t.Fatalf("rollup points after write hook = %d, want 3", got)
@@ -213,7 +213,7 @@ func TestRollupQueryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := db.execNoRewrite(q)
+	raw, err := db.execView(db.view.Load(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,8 +223,8 @@ func TestRollupQueryEquivalence(t *testing.T) {
 	if raw.Stats.Tier != "" {
 		t.Fatalf("forced raw scan reports tier %q", raw.Stats.Tier)
 	}
-	rawRows := raw.Series[0].Rows
-	plannedRows := planned.Series[0].Rows
+	rawRows := raw.Series[0].Rows()
+	plannedRows := planned.Series[0].Rows()
 	if len(rawRows) != len(plannedRows) {
 		t.Fatalf("row counts differ: %d vs %d", len(rawRows), len(plannedRows))
 	}

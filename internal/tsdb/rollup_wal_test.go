@@ -21,7 +21,7 @@ func tierSig(t *testing.T, db *DB, ctx string) string {
 		}
 		for _, s := range res.Series {
 			last := int64(-1 << 62)
-			for _, r := range s.Rows {
+			for _, r := range s.Rows() {
 				if r.Time <= last {
 					t.Fatalf("%s: duplicate/unordered %s bucket at t=%d", ctx, field, r.Time)
 				}

@@ -108,16 +108,22 @@ func expectEnd(p *parser) error {
 	return nil
 }
 
+// stringColumn is a SHOW result column.
+func stringColumn(values []string) resultCol {
+	var c resultCol
+	for _, v := range values {
+		c.vals.append(Str(v))
+	}
+	return c
+}
+
 // stringListResult renders values as single-column rows.
 func stringListResult(name, column string, values []string) *Result {
-	rs := ResultSeries{Name: name, Columns: []string{column}}
-	for _, v := range values {
-		rs.Rows = append(rs.Rows, Row{Values: []Value{Str(v)}, Present: []bool{true}})
-	}
 	res := &Result{}
-	res.Stats.Rows = len(rs.Rows)
-	if len(rs.Rows) > 0 {
-		res.Series = append(res.Series, rs)
+	res.Stats.Rows = len(values)
+	if len(values) > 0 {
+		res.Series = []ResultSeries{{Name: name, Columns: []string{column}, Times: make([]int64, len(values)),
+			cols: []resultCol{stringColumn(values)}}}
 	}
 	return res
 }
@@ -236,21 +242,18 @@ func (db *DB) showFieldKeys(p *parser) (*Result, error) {
 	sort.Strings(measurements)
 	for _, m := range measurements {
 		mi := v.index[m]
-		rs := ResultSeries{Name: m, Columns: []string{"fieldKey", "fieldType"}}
-		var fields []string
+		var fields, types []string
 		for f := range mi.fields {
 			fields = append(fields, f)
 		}
 		sort.Strings(fields)
 		for _, f := range fields {
-			rs.Rows = append(rs.Rows, Row{
-				Values:  []Value{Str(f), Str(mi.fields[f].String())},
-				Present: []bool{true, true},
-			})
+			types = append(types, mi.fields[f].String())
 		}
-		res.Stats.Rows += len(rs.Rows)
-		if len(rs.Rows) > 0 {
-			res.Series = append(res.Series, rs)
+		res.Stats.Rows += len(fields)
+		if len(fields) > 0 {
+			res.Series = append(res.Series, ResultSeries{Name: m, Columns: []string{"fieldKey", "fieldType"},
+				Times: make([]int64, len(fields)), cols: []resultCol{stringColumn(fields), stringColumn(types)}})
 		}
 	}
 	return res, nil

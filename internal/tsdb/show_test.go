@@ -37,7 +37,7 @@ func rowsOf(t *testing.T, res *Result) []string {
 	t.Helper()
 	var out []string
 	for _, s := range res.Series {
-		for _, r := range s.Rows {
+		for _, r := range s.Rows() {
 			out = append(out, r.Values[0].S)
 		}
 	}
@@ -124,7 +124,7 @@ func TestShowFieldKeys(t *testing.T) {
 	if len(res.Series) != 1 || res.Series[0].Name != "JobsInfo" {
 		t.Fatalf("series = %+v", res.Series)
 	}
-	rows := res.Series[0].Rows
+	rows := res.Series[0].Rows()
 	if len(rows) != 2 {
 		t.Fatalf("field rows = %d", len(rows))
 	}

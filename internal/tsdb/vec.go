@@ -122,11 +122,40 @@ func (v *valueVec) append(x Value) {
 	}
 }
 
-// appendVec appends every value of o.
+// appendVec appends every value of o, a typed o onto an empty vector
+// or one of its kind in one copy.
 func (v *valueVec) appendVec(o valueVec) {
+	if o.kind != vecMixed && o.len() > 0 && (v.kind == o.kind || v.len() == 0) {
+		if v.kind != o.kind {
+			*v = valueVec{kind: o.kind}
+		}
+		v.f, v.i = append(v.f, o.f...), append(v.i, o.i...)
+		return
+	}
 	for j, n := 0, o.len(); j < n; j++ {
 		v.append(o.at(j))
 	}
+}
+
+// pick returns a new vector of v's kind holding v[idx[0]], v[idx[1]],
+// …, and the zero of the kind where an index is negative.
+func (v *valueVec) pick(idx []int) valueVec {
+	return valueVec{kind: v.kind, f: pick(v.f, idx), i: pick(v.i, idx), m: pick(v.m, idx)}
+}
+
+// pick returns s[idx[0]], s[idx[1]], …, with the zero T where an index
+// is negative; nil for a nil s.
+func pick[T any](s []T, idx []int) []T {
+	if s == nil {
+		return nil
+	}
+	out := make([]T, len(idx))
+	for j, k := range idx {
+		if k >= 0 {
+			out[j] = s[k]
+		}
+	}
+	return out
 }
 
 // narrowed returns a typed copy of a mixed vector that holds only

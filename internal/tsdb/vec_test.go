@@ -211,7 +211,7 @@ func TestVecRepresentationsMatchReference(t *testing.T) {
 					want := refAggregate(src, 0, start, end, refIv, agg)
 					got := map[int64]float64{}
 					for _, s := range base.Series {
-						for _, row := range s.Rows {
+						for _, row := range s.Rows() {
 							key := row.Time
 							if iv == 0 {
 								key = 0
@@ -318,7 +318,7 @@ func TestVecPromotionLeavesPinnedViewIntact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := res.Series[0].Rows[0].Values[0].I; n != series*(warm+160) {
+	if n := res.Series[0].Rows()[0].Values[0].I; n != series*(warm+160) {
 		t.Fatalf("count after promotion = %d, want %d", n, series*(warm+160))
 	}
 }
@@ -371,7 +371,7 @@ func TestUnsealUnreadableColdBlockFailsWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Series[0].Rows[0].Values[0].I; got != n {
+	if got := res.Series[0].Rows()[0].Values[0].I; got != n {
 		t.Fatalf("count after the failed write = %d, want %d: acknowledged points lost", got, n)
 	}
 	// With the segment readable the same write goes through.
@@ -382,7 +382,7 @@ func TestUnsealUnreadableColdBlockFailsWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Series[0].Rows[0].Values[0].I; got != n+1 {
+	if got := res.Series[0].Rows()[0].Values[0].I; got != n+1 {
 		t.Fatalf("count after the retried write = %d, want %d", got, n+1)
 	}
 }
@@ -437,7 +437,7 @@ func TestClearRangeUnreadableColdBlockFailsDelete(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Series[0].Rows[0].Values[0].I
+		return res.Series[0].Rows()[0].Values[0].I
 	}
 	if got := count(); got != n {
 		t.Fatalf("count after the failed delete = %d, want %d: acknowledged points lost", got, n)

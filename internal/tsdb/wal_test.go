@@ -250,7 +250,7 @@ func TestWALKillPointsSealedBlocks(t *testing.T) {
 			t.Fatalf("offset %d: query: %v", off, err)
 		}
 		if wantBatches > 0 {
-			if n := res.Series[0].Rows[0].Values[0].I; n != wantBatches {
+			if n := res.Series[0].Rows()[0].Values[0].I; n != wantBatches {
 				t.Fatalf("offset %d: count = %d, want %d", off, n, wantBatches)
 			}
 		}
@@ -750,7 +750,7 @@ func TestWALReplaysEveryOp(t *testing.T) {
 			}
 			for _, s := range res.Series {
 				fmt.Fprintf(&sb, "%s%v:", m, s.Tags)
-				for _, r := range s.Rows {
+				for _, r := range s.Rows() {
 					fmt.Fprintf(&sb, " %d=%v", r.Time, r.Values[0])
 				}
 				sb.WriteByte('\n')

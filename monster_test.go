@@ -141,7 +141,7 @@ func TestFacadeFaultVisibleInHealthMeasurement(t *testing.T) {
 	}
 	found := false
 	for _, s := range res.Series {
-		for _, row := range s.Rows {
+		for _, row := range s.Rows() {
 			if row.Values[0].I == 1 {
 				found = true
 			}
@@ -202,8 +202,8 @@ func TestFacadeStorageFeatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Series[0].Rows[0].Values[0].F != 280.1 {
-		t.Fatalf("latest = %v", res.Series[0].Rows[0].Values[0])
+	if res.Series[0].Rows()[0].Values[0].F != 280.1 {
+		t.Fatalf("latest = %v", res.Series[0].Rows()[0].Values[0])
 	}
 	// Rollups.
 	if err := db.RegisterRollup(monster.RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 60}); err != nil {
