@@ -223,16 +223,21 @@ func (g *CallGraph) markAddrTaken(node *CGNode, t types.Type) {
 }
 
 // dynSigKey canonicalizes a function type to a receiver-less signature
-// string, the matching key for calls through function values.
+// string without parameter or result names (a literal names them as it
+// likes), the matching key for calls through function values.
 func dynSigKey(t types.Type) string {
 	sig, ok := t.(*types.Signature)
 	if !ok {
 		return ""
 	}
-	if sig.Recv() != nil {
-		sig = types.NewSignatureType(nil, nil, nil, sig.Params(), sig.Results(), sig.Variadic())
+	unnamed := func(tup *types.Tuple) *types.Tuple {
+		vars := make([]*types.Var, tup.Len())
+		for i := range vars {
+			vars[i] = types.NewParam(token.NoPos, nil, "", tup.At(i).Type())
+		}
+		return types.NewTuple(vars...)
 	}
-	return types.TypeString(sig, nil)
+	return types.TypeString(types.NewSignatureType(nil, nil, nil, unnamed(sig.Params()), unnamed(sig.Results()), sig.Variadic()), nil)
 }
 
 // Nodes returns every function body of the package in source order.

@@ -17,6 +17,9 @@ package lint
 // those clones is established in view.go and cannot be checked
 // file-locally — but the moment a write path starts at a view value,
 // it must live in view.go or carry a //lint:ignore with a reason.
+// It also flags a Store/Swap/CompareAndSwap of a *dbView outside
+// (*DB).commit, Open and restore: a mutator that publishes itself skips
+// the WAL append and the decode-cache purge commit does.
 
 import (
 	"go/ast"
@@ -24,11 +27,23 @@ import (
 	"path/filepath"
 )
 
-// ViewMutate flags writes reached through a tsdb view outside view.go.
+// ViewMutate flags writes through a tsdb view outside view.go and views published outside commit.
 var ViewMutate = &Analyzer{
 	Name: "viewmutate",
-	Doc:  "flags writes through a tsdb dbView outside view.go's copy-on-write constructors (published views are immutable)",
+	Doc:  "flags writes through a tsdb dbView outside view.go's copy-on-write constructors (published views are immutable) and views published outside commit",
 	Run:  runViewMutate,
+}
+
+// publishOps are the atomic.Pointer methods that install a new view.
+var publishOps = map[string]bool{"Store": true, "Swap": true, "CompareAndSwap": true}
+
+// mayPublish reports whether fn is (*DB).commit or the package-level Open or restore.
+func (p *Pass) mayPublish(fn *ast.FuncDecl) bool {
+	if fn.Recv == nil {
+		return fn.Name.Name == "Open" || fn.Name.Name == "restore"
+	}
+	nt := namedType(p.TypesInfo.TypeOf(fn.Recv.List[0].Type))
+	return fn.Name.Name == "commit" && nt != nil && nt.Obj().Name() == "DB"
 }
 
 func runViewMutate(p *Pass) error {
@@ -36,34 +51,46 @@ func runViewMutate(p *Pass) error {
 		return nil
 	}
 	for _, f := range p.Files {
-		if filepath.Base(p.Filename(f.Pos())) == "view.go" {
-			continue // the copy-on-write layer itself
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch st := n.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range st.Lhs {
-					p.checkViewTarget(lhs)
-				}
-			case *ast.IncDecStmt:
-				p.checkViewTarget(st.X)
-			case *ast.CallExpr:
-				if id, ok := st.Fun.(*ast.Ident); ok && id.Name == "delete" && len(st.Args) == 2 {
-					if _, isBuiltin := p.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
-						p.checkViewTarget(st.Args[0])
+		cow := filepath.Base(p.Filename(f.Pos())) == "view.go" // the copy-on-write layer itself
+		for _, decl := range f.Decls {
+			fn, _ := decl.(*ast.FuncDecl)
+			publisher := fn != nil && p.mayPublish(fn)
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch st := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range st.Lhs {
+						p.checkViewTarget(lhs, cow)
+					}
+				case *ast.IncDecStmt:
+					p.checkViewTarget(st.X, cow)
+				case *ast.CallExpr:
+					if id, ok := st.Fun.(*ast.Ident); ok && id.Name == "delete" && len(st.Args) == 2 {
+						if _, isBuiltin := p.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
+							p.checkViewTarget(st.Args[0], cow)
+						}
+					}
+					if sel, ok := st.Fun.(*ast.SelectorExpr); ok && publishOps[sel.Sel.Name] && len(st.Args) > 0 && !publisher && p.isView(st.Args[len(st.Args)-1]) {
+						p.Reportf(st.Pos(), "view published outside commit; route the mutation through commit, which logs, publishes and purges")
 					}
 				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 	return nil
 }
 
+// isView reports whether e is a dbView or a pointer to one.
+func (p *Pass) isView(e ast.Expr) bool {
+	nt := namedType(p.TypesInfo.TypeOf(e))
+	return nt != nil && nt.Obj().Name() == "dbView" && nt.Obj().Pkg() == p.Pkg
+}
+
 // checkViewTarget walks a write target's selector/index chain and
-// reports if any link is reached through a dbView-typed expression.
-func (p *Pass) checkViewTarget(e ast.Expr) {
-	for {
+// reports if any link is reached through a dbView-typed expression,
+// unless the write sits in the copy-on-write layer (cow).
+func (p *Pass) checkViewTarget(e ast.Expr, cow bool) {
+	for !cow {
 		var base ast.Expr
 		switch x := e.(type) {
 		case *ast.SelectorExpr:
@@ -77,11 +104,9 @@ func (p *Pass) checkViewTarget(e ast.Expr) {
 		default:
 			return
 		}
-		if nt := namedType(p.TypesInfo.TypeOf(base)); nt != nil {
-			if obj := nt.Obj(); obj.Name() == "dbView" && obj.Pkg() == p.Pkg {
-				p.Reportf(e.Pos(), "write through a dbView outside view.go; published views are immutable — derive the next view with the copy-on-write constructors")
-				return
-			}
+		if p.isView(base) {
+			p.Reportf(e.Pos(), "write through a dbView outside view.go; published views are immutable — derive the next view with the copy-on-write constructors")
+			return
 		}
 		e = base
 	}

@@ -128,8 +128,8 @@ func (c *decodeCache) removeLocked(i int) {
 }
 
 // purgeDead removes cache entries whose block is no longer reachable
-// from v. Drop, expiry, and spill paths call this after publishing the
-// shrunken view: without it, deleted blocks pin their payloads in
+// from v. commit calls this after publishing a view whose derivation
+// dropped sealed blocks: without it, dead blocks pin their payloads in
 // entries/ring forever and keep charging resident against the budget —
 // and since eviction only runs inside admit, a quiet database never
 // reclaims them while CLOCK pressure evicts live blocks first.

@@ -93,36 +93,79 @@ func TestDecodeCacheBudgetEviction(t *testing.T) {
 	}
 }
 
-// TestDecodeCachePurgeOnDelete pins the drop-path lifecycle: deleting
-// shards must purge their decode-cache entries. Before the purge hook,
-// DeleteBefore left dead blocks charged against the budget forever —
-// a quiet database never reclaimed them, and CLOCK pressure evicted
-// live blocks while the corpses stayed resident.
+// TestDecodeCachePurgeOnDelete pins the dead-block lifecycle: every
+// mutation that drops sealed blocks must purge their decode-cache
+// entries. Without the purge, dead blocks stay charged against the
+// budget forever — a quiet database never reclaims them, and CLOCK
+// pressure evicts live blocks while the corpses stay resident. An
+// out-of-order write behind sealed data unseals (and re-seals) the
+// whole column, so it drops that column's blocks as surely as a delete
+// does, and only those.
 func TestDecodeCachePurgeOnDelete(t *testing.T) {
-	db := cacheFixture(t, 1<<30, 4, 256)
-	if _, err := db.Query(`SELECT count("Reading") FROM "Power"`); err != nil {
-		t.Fatal(err)
-	}
-	before := db.CacheStats()
-	if before.ResidentBytes == 0 || before.Entries == 0 {
-		t.Fatalf("scan admitted nothing: %+v", before)
-	}
-	if _, err := db.DeleteBefore(1 << 40); err != nil { // everything
-		t.Fatal(err)
-	}
-	after := db.CacheStats()
-	if after.Entries != 0 || after.ResidentBytes != 0 {
-		t.Fatalf("deleted blocks still cached: %+v", after)
-	}
-	if after.Purges == 0 {
-		t.Fatalf("purge counter did not move: %+v", after)
-	}
-	// The empty database must not re-decode anything.
-	if _, err := db.Query(`SELECT count("Reading") FROM "Power"`); err != nil {
-		t.Fatal(err)
-	}
-	if final := db.CacheStats(); final.Misses != after.Misses {
-		t.Fatalf("post-delete scan decoded: %+v after %+v", final, after)
+	const nodes = 4
+	for _, row := range []struct {
+		name       string
+		deletesAll bool // false: only n0's column is rebuilt
+		mutate     func(db *DB) error
+	}{
+		{"DeleteBefore", true, func(db *DB) error {
+			_, err := db.DeleteBefore(1 << 40) // everything
+			return err
+		}},
+		{"DropMeasurement", true, func(db *DB) error {
+			_, err := db.DropMeasurement("Power")
+			return err
+		}},
+		{"DeleteMeasurementBefore", true, func(db *DB) error {
+			_, err := db.DeleteMeasurementBefore("Power", 1<<40)
+			return err
+		}},
+		{"out-of-order write", false, func(db *DB) error {
+			return db.WritePoint(Point{
+				Measurement: "Power",
+				Tags:        Tags{{"NodeId", "n0"}},
+				Fields:      map[string]Value{"Reading": Float(1)},
+				Time:        30, // behind every cached block of n0
+			})
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			db := cacheFixture(t, 1<<30, nodes, 256)
+			query := func() {
+				t.Helper()
+				if _, err := db.Query(`SELECT count("Reading") FROM "Power"`); err != nil {
+					t.Fatal(err)
+				}
+			}
+			query()
+			before := db.CacheStats()
+			if before.ResidentBytes == 0 || before.Entries == 0 {
+				t.Fatalf("scan admitted nothing: %+v", before)
+			}
+			if err := row.mutate(db); err != nil {
+				t.Fatal(err)
+			}
+			after := db.CacheStats()
+			dead := before.Entries
+			if !row.deletesAll {
+				dead = before.Entries / nodes // n0's blocks; the other nodes' stay resident
+			}
+			if after.Purges != int64(dead) || after.Entries != before.Entries-dead {
+				t.Fatalf("purged %d entries leaving %d, want %d leaving %d: %+v",
+					after.Purges, after.Entries, dead, before.Entries-dead, after)
+			}
+			if !row.deletesAll {
+				return
+			}
+			if after.ResidentBytes != 0 {
+				t.Fatalf("dead blocks still charged: %+v", after)
+			}
+			// The database is empty now: querying it must decode nothing.
+			query()
+			if final := db.CacheStats(); final.Misses != after.Misses {
+				t.Fatalf("query after delete decoded blocks: %+v after %+v", final, after)
+			}
+		})
 	}
 }
 

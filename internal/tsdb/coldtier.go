@@ -544,36 +544,39 @@ func collectSpillCandidates(v *dbView, olderThan int64, maxResident int64) []spi
 // state (the orphaned frames are swept later). Returns the number of
 // blocks spilled.
 //
-// The write lock is held across the file appends: spills run once per
-// collection cycle and the WAL already fsyncs under the same lock, so
-// trading a brief writer stall for a race-free candidate set is the
-// same bargain the rest of the engine makes.
+// The derivation runs under commit's write lock, file appends included:
+// spills run once per collection cycle and the WAL already fsyncs under
+// the same lock, so trading a brief writer stall for a race-free
+// candidate set is the same bargain the rest of the engine makes. A
+// spill moves bytes, not data, so it logs no WAL record.
 func (db *DB) SpillCold(olderThan int64) (int, error) {
 	if db.cold == nil {
 		return 0, nil
 	}
-	wait := db.lockWrite()
-	defer db.unlockWrite()
-	v := db.view.Load()
-	cands := collectSpillCandidates(v, olderThan, db.cold.maxResident)
-	if len(cands) == 0 {
-		return 0, nil
-	}
-	twins := make(map[*block]*block, len(cands))
-	for _, c := range cands {
-		ref, err := db.cold.appendPayload(c.shardStart, c.blk.data, false)
-		if err != nil {
-			return 0, err // nothing published; partial appends are swept as garbage
+	spilled := 0
+	err := db.commit(func(v *dbView) (*dbView, func() []byte, error) {
+		cands := collectSpillCandidates(v, olderThan, db.cold.maxResident)
+		if len(cands) == 0 {
+			return nil, nil, nil
 		}
-		twins[c.blk] = &block{minT: c.blk.minT, maxT: c.blk.maxT, count: c.blk.count, rawBytes: c.blk.rawBytes, cold: ref}
-	}
-	if err := db.cold.syncAppenders(); err != nil {
+		twins := make(map[*block]*block, len(cands))
+		for _, c := range cands {
+			ref, err := db.cold.appendPayload(c.shardStart, c.blk.data, false)
+			if err != nil {
+				return nil, nil, err // nothing published; partial appends are swept as garbage
+			}
+			twins[c.blk] = &block{minT: c.blk.minT, maxT: c.blk.maxT, count: c.blk.count, rawBytes: c.blk.rawBytes, cold: ref}
+		}
+		if err := db.cold.syncAppenders(); err != nil {
+			return nil, nil, err
+		}
+		spilled = len(twins)
+		return spillBlocksView(v, twins), nil, nil
+	})
+	if err != nil {
 		return 0, err
 	}
-	nv := spillBlocksView(v, twins, wait.Nanoseconds())
-	db.publish(nv)
-	db.cache.purgeDead(nv)
-	return len(twins), nil
+	return spilled, nil
 }
 
 // compactCold rewrites mostly-garbage segment files and publishes the
@@ -583,17 +586,13 @@ func (db *DB) compactCold() error {
 	if db.cold == nil {
 		return nil
 	}
-	wait := db.lockWrite()
-	defer db.unlockWrite()
-	v := db.view.Load()
-	twins, err := db.cold.compact(v)
-	if err != nil || len(twins) == 0 {
-		return err
-	}
-	nv := spillBlocksView(v, twins, wait.Nanoseconds())
-	db.publish(nv)
-	db.cache.purgeDead(nv)
-	return nil
+	return db.commit(func(v *dbView) (*dbView, func() []byte, error) {
+		twins, err := db.cold.compact(v)
+		if err != nil || len(twins) == 0 {
+			return nil, nil, err
+		}
+		return spillBlocksView(v, twins), nil, nil
+	})
 }
 
 // ColdStats is a point-in-time snapshot of the cold tier

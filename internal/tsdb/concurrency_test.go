@@ -174,7 +174,8 @@ func TestConcurrentWritersAndRetention(t *testing.T) {
 // identical to serial execution, including under forced wide pools.
 func TestParallelExecMatchesSerial(t *testing.T) {
 	mk := func(workers int) *DB {
-		db := Open(Options{ShardDuration: 3600, ExecWorkers: workers})
+		db := Open(Options{ShardDuration: 3600})
+		db.execWorkers = workers
 		rng := rand.New(rand.NewSource(7))
 		var pts []Point
 		for n := 0; n < 40; n++ {

@@ -21,11 +21,6 @@ type Options struct {
 	// DefaultShardDuration.
 	ShardDuration int64
 
-	// ExecWorkers bounds the worker pool Exec uses to scan and
-	// aggregate series groups in parallel. Zero selects an automatic
-	// bound (GOMAXPROCS, capped); 1 forces serial execution.
-	ExecWorkers int
-
 	// BlockSize is the seal threshold in points: when a column's raw
 	// tail reaches this length, the write batch compresses full runs
 	// into immutable Gorilla-encoded blocks (see block.go). Zero or
@@ -37,11 +32,6 @@ type Options struct {
 	// see cache.go), each charged its decoded size: 16 B per numeric
 	// point. Zero or negative selects a 64 MiB default.
 	DecodeCacheBytes int64
-
-	// Clock supplies time for contention accounting (the write-wait
-	// measurement). Nil selects the wall clock; the DES experiments
-	// inject a virtual clock so replayed runs stay deterministic.
-	Clock clock.Clock
 
 	// ColdDir, when non-empty, enables the file-backed cold tier:
 	// SpillCold moves sealed block payloads into CRC-framed segment
@@ -63,14 +53,16 @@ type Options struct {
 // immutable dbView published through an atomic pointer: readers load
 // the current view and run lock-free against that consistent snapshot,
 // so queries never block behind a write batch and always see a batch
-// in its entirety or not at all. Mutators (WritePoints,
-// DropMeasurement, DeleteBefore, Restore) serialize on writeMu and
-// derive the next view copy-on-write (see view.go).
+// in its entirety or not at all. Every mutator derives the next view
+// copy-on-write and installs it through commit (see view.go), which
+// serializes on writeMu, logs and publishes.
 type DB struct {
 	shardDuration int64
-	execWorkers   int
-	blockSize     int // resolved seal threshold, always positive
-	clock         clock.Clock
+	// execWorkers bounds Exec's worker pool; zero sizes it
+	// automatically (execWorkersFor). Tests set it after Open.
+	execWorkers int
+	blockSize   int // resolved seal threshold, always positive
+	clock       clock.Clock
 
 	// cache charge-accounts decoded block payloads against one global
 	// budget (see cache.go). Set once at Open, never nil.
@@ -89,14 +81,9 @@ type DB struct {
 	// swaps the pointer under writeMu; readers load it lock-free.
 	rollups atomic.Pointer[rollupRegistry]
 
-	// rollupWM caches each rollup target's maintenance watermark (first
-	// unprocessed bucket start). Guarded by writeMu; purely an
-	// optimization — when a target is absent the watermark is inferred
-	// from the published view, which is also how recovery resumes.
-	rollupWM map[string]int64
-
-	// wal, when non-nil, receives every mutation before it applies —
-	// the durability layer OpenDurable attaches (see wal.go). It is set
+	// wal, when non-nil, receives every mutation's record before commit
+	// publishes it — the durability layer OpenDurable attaches (see
+	// wal.go). It is set
 	// once before the DB is shared and never changes.
 	wal *WAL
 }
@@ -132,21 +119,15 @@ func Open(opts Options) *DB {
 	if bs <= 0 {
 		bs = DefaultBlockSize
 	}
-	clk := opts.Clock
-	if clk == nil {
-		clk = clock.NewReal()
-	}
 	budget := opts.DecodeCacheBytes
 	if budget <= 0 {
 		budget = defaultDecodeCacheBytes
 	}
 	db := &DB{
 		shardDuration: sd,
-		execWorkers:   opts.ExecWorkers,
 		blockSize:     bs,
-		clock:         clk,
+		clock:         clock.NewReal(),
 		cache:         newDecodeCache(budget),
-		rollupWM:      make(map[string]int64),
 	}
 	if opts.ColdDir != "" {
 		// Directory creation is deferred to the first spill (and
@@ -170,9 +151,6 @@ func (db *DB) lockWrite() time.Duration {
 
 func (db *DB) unlockWrite() { db.writeMu.Unlock() }
 
-// publish installs the next view. Callers must hold writeMu.
-func (db *DB) publish(v *dbView) { db.view.Store(v) }
-
 // WritePoints stores a batch of points. The batch is validated first;
 // on error nothing is written. Tag sets are canonicalized (sorted) on
 // ingest. Concurrent queries keep running against the previous snapshot
@@ -188,41 +166,28 @@ func (db *DB) WritePoints(points []Point) error {
 			return fmt.Errorf("point %d: %w", i, err)
 		}
 	}
-	wait := db.lockWrite()
-	defer db.unlockWrite()
-	nv, err := db.writePointsView(db.view.Load(), points, wait.Nanoseconds())
-	if err != nil {
-		return err
-	}
-	nv, ops, wms, err := db.rollupMaintain(nv, points)
-	if err != nil {
-		return err
-	}
-	if db.wal != nil && len(points) > 0 {
-		// A plain batch keeps the PR 4 record format so existing logs
-		// and kill-point fixtures stay byte-identical; maintenance work
-		// rides in one composite record so a crash can never tear a raw
-		// write from the rollup rows it produced.
-		var rec []byte
-		if len(ops) == 0 {
-			rec = encodeWriteRecord(points)
-		} else {
-			rec = encodeBatchRecord(points, ops)
+	return db.commit(func(v *dbView) (*dbView, func() []byte, error) {
+		nv, err := db.writePointsView(v, points)
+		if err != nil || len(points) == 0 {
+			return nv, nil, err
 		}
-		if err := db.wal.append(rec); err != nil {
-			return err
-		}
-	}
-	for target, wm := range wms {
-		db.rollupWM[target] = wm
-	}
-	db.publish(nv)
-	return nil
+		nv, ops, err := db.rollupMaintain(nv, points, 0)
+		// A batch that triggered no tier op keeps the plain record format,
+		// so logs written before tiers existed stay byte-identical;
+		// maintenance work rides in one composite record so a crash can
+		// never tear a raw write from the rollup rows it produced.
+		return nv, func() []byte {
+			if len(ops) == 0 {
+				return encodeWriteRecord(points)
+			}
+			return encodeBatchRecord(points, ops)
+		}, err
+	})
 }
 
 // Epoch reports the DB's mutation epoch: a counter bumped by every
 // write batch, measurement drop, and retention sweep that changes
-// stored data. A response cached at epoch E is stale iff Epoch() != E.
+// stored data. Two reads that see the same epoch saw the same data.
 func (db *DB) Epoch() int64 {
 	return db.view.Load().epoch
 }
@@ -409,20 +374,13 @@ func (db *DB) ShardStats() []ShardStats {
 // durable DB the drop is write-ahead logged before it applies; a log
 // failure leaves the measurement in place.
 func (db *DB) DropMeasurement(name string) (bool, error) {
-	wait := db.lockWrite()
-	defer db.unlockWrite()
-	nv := dropMeasurementView(db.view.Load(), name, wait.Nanoseconds())
-	if nv == nil {
-		return false, nil
-	}
-	if db.wal != nil {
-		if err := db.wal.append(encodeDropRecord(name)); err != nil {
-			return false, err
-		}
-	}
-	db.publish(nv)
-	db.cache.purgeDead(nv)
-	return true, nil
+	found := false
+	err := db.commit(func(v *dbView) (*dbView, func() []byte, error) {
+		nv := dropMeasurementView(v, name)
+		found = nv != nil
+		return nv, func() []byte { return encodeDropRecord(name) }, nil
+	})
+	return found && err == nil, err
 }
 
 // DeleteBefore drops whole shards whose window ends at or before t
@@ -431,19 +389,14 @@ func (db *DB) DropMeasurement(name string) (bool, error) {
 // in-memory index survives shard drops until a restart). On a durable
 // DB the sweep is write-ahead logged before it applies.
 func (db *DB) DeleteBefore(t int64) (int, error) {
-	wait := db.lockWrite()
-	defer db.unlockWrite()
-	nv, dropped := deleteBeforeView(db.view.Load(), t, wait.Nanoseconds())
-	if nv == nil {
-		return 0, nil
+	dropped := 0
+	err := db.commit(func(v *dbView) (nv *dbView, _ func() []byte, _ error) {
+		nv, dropped = deleteBeforeView(v, t)
+		return nv, func() []byte { return encodeDeleteBeforeRecord(t) }, nil
+	})
+	if err != nil {
+		return 0, err
 	}
-	if db.wal != nil {
-		if err := db.wal.append(encodeDeleteBeforeRecord(t)); err != nil {
-			return 0, err
-		}
-	}
-	db.publish(nv)
-	db.cache.purgeDead(nv)
 	return dropped, nil
 }
 
@@ -456,19 +409,21 @@ func (db *DB) DeleteBefore(t int64) (int, error) {
 // logged before it applies. A sealed block the rewrite needs but cannot
 // read back fails the delete and leaves the data as it was.
 func (db *DB) DeleteMeasurementBefore(name string, t int64) (int64, error) {
-	wait := db.lockWrite()
-	defer db.unlockWrite()
-	nv, removed, err := clearMeasurementRangeView(db.view.Load(), name, minInt64, t, db.blockSize, wait.Nanoseconds())
-	if nv == nil {
+	return db.clearRange(name, minInt64, t)
+}
+
+// clearRange removes measurement name's samples in [start, end) and
+// reports how many points went: DeleteMeasurementBefore's body, and the
+// replay of the walOpClearRange record it logs.
+func (db *DB) clearRange(name string, start, end int64) (int64, error) {
+	var removed int64
+	err := db.commit(func(v *dbView) (nv *dbView, _ func() []byte, err error) {
+		nv, removed, err = clearMeasurementRangeView(v, name, start, end, db.blockSize)
+		return nv, func() []byte { return encodeClearRangeRecord(name, start, end) }, err
+	})
+	if err != nil {
 		return 0, err
 	}
-	if db.wal != nil {
-		if err := db.wal.append(encodeClearRangeRecord(name, minInt64, t)); err != nil {
-			return 0, err
-		}
-	}
-	db.publish(nv)
-	db.cache.purgeDead(nv)
 	return removed, nil
 }
 
@@ -486,25 +441,18 @@ func (db *DB) ExpireRaw(cutoff int64) (int64, error) {
 	}
 	// Collect the safe cutoff per root source: bounded by the least
 	// advanced rollup materialized from it (directly or via a chain).
+	v := db.view.Load()
 	safe := make(map[string]int64)
 	for _, cr := range reg.specs {
 		c, ok := safe[cr.root]
 		if !ok {
 			c = cutoff
 		}
-		db.lockWrite()
-		wm, okWM := db.rollupWM[cr.target]
-		if !okWM {
-			wm, okWM = inferWatermark(db.view.Load(), cr)
-		}
-		db.unlockWrite()
-		if !okWM {
+		wm, ok := v.watermark(cr)
+		if !ok {
 			wm = minInt64 // nothing materialized yet: nothing expires
 		}
-		if wm < c {
-			c = wm
-		}
-		safe[cr.root] = c
+		safe[cr.root] = min(c, wm)
 	}
 	var total int64
 	for source, c := range safe {

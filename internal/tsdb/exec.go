@@ -243,8 +243,8 @@ func (db *DB) Query(stmt string) (*Result, error) {
 // a handful of groups.
 const minParallelGroups = 8
 
-// maxAutoExecWorkers caps the automatically sized pool; explicit
-// Options.ExecWorkers may exceed it.
+// maxAutoExecWorkers caps the automatically sized pool; an explicit
+// DB.execWorkers may exceed it.
 const maxAutoExecWorkers = 8
 
 // execWorkersFor sizes the worker pool for a query with the given

@@ -75,7 +75,7 @@ func (db *DB) planTiered(v *dbView, q *Query) (_ *Result, ok bool, _ error) {
 	if !okWM {
 		return nil, false, nil
 	}
-	split := alignDown(min64(wm, q.End), g)
+	split := alignDown(min(wm, q.End), g)
 	if split <= q.Start {
 		return nil, false, nil // tier covers nothing of the range
 	}
@@ -229,8 +229,8 @@ func estimateRawPoints(v *dbView, q *Query, field string, split int64) int64 {
 					continue
 				}
 				span := b.maxT - b.minT + 1
-				lo := max64(q.Start, b.minT)
-				hi := min64(split-1, b.maxT)
+				lo := max(q.Start, b.minT)
+				hi := min(split-1, b.maxT)
 				if ovl := hi - lo + 1; ovl > 0 && span > 0 {
 					n += int64(b.count) * ovl / span
 				}

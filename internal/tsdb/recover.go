@@ -257,58 +257,32 @@ func applyWALRecord(db *DB, rec walRecord) error {
 	case walOpBatch:
 		return db.applyBatchRecord(rec.points, rec.ops)
 	case walOpClearRange:
-		return db.applyClearRange(rec.name, rec.start, rec.end)
+		_, err := db.clearRange(rec.name, rec.start, rec.end)
+		return err
 	default:
 		return fmt.Errorf("tsdb: wal: bad op %d", rec.op)
 	}
 }
 
 // applyBatchRecord replays a composite record: the raw write batch,
-// then each rollup op exactly as maintenance produced it at log time
-// (clear the stale bucket range, write the recomputed rows); every
-// point was validated when the record was decoded. One publish at the
-// end keeps the whole record atomic for readers, the same guarantee
-// the original write gave.
+// then each rollup op through applyRollupOp, as maintenance applied it
+// at log time; every point was validated when the record was decoded.
+// One commit keeps the whole record atomic for readers, the same
+// guarantee the original write gave.
 func (db *DB) applyBatchRecord(points []Point, ops []rollupOp) error {
-	wait := db.lockWrite()
-	defer db.unlockWrite()
-	v := db.view.Load()
-	var err error
-	if len(points) > 0 {
-		if v, err = db.writePointsView(v, points, wait.Nanoseconds()); err != nil {
-			return err
-		}
-	}
-	for i := range ops {
-		op := &ops[i]
-		if op.clearStart < op.clearEnd {
-			nv, _, err := clearMeasurementRangeView(v, op.target, op.clearStart, op.clearEnd, db.blockSize, 0)
-			if err != nil {
-				return err
-			}
-			if nv != nil {
-				v = nv
+	return db.commit(func(v *dbView) (_ *dbView, _ func() []byte, err error) {
+		if len(points) > 0 {
+			if v, err = db.writePointsView(v, points); err != nil {
+				return nil, nil, err
 			}
 		}
-		if len(op.points) > 0 {
-			if v, err = db.writePointsView(v, op.points, 0); err != nil {
-				return err
+		for i := range ops {
+			if v, err = db.applyRollupOp(v, &ops[i]); err != nil {
+				return nil, nil, err
 			}
 		}
-	}
-	db.publish(v)
-	return nil
-}
-
-// applyClearRange replays a measurement range clear.
-func (db *DB) applyClearRange(name string, start, end int64) error {
-	wait := db.lockWrite()
-	defer db.unlockWrite()
-	nv, _, err := clearMeasurementRangeView(db.view.Load(), name, start, end, db.blockSize, wait.Nanoseconds())
-	if nv != nil {
-		db.publish(nv)
-	}
-	return err
+		return v, func() []byte { return encodeBatchRecord(points, ops) }, nil
+	})
 }
 
 // Checkpoint makes the WAL directory's snapshot current and truncates

@@ -172,14 +172,11 @@ type rollupOp struct {
 	points     []Point
 }
 
-// wmOf resolves a spec's watermark (first unprocessed bucket start):
-// staged updates from the current maintenance round, then the DB's
-// cached map, then inference from the view. Callers hold writeMu.
-func (db *DB) wmOf(v *dbView, cr compiledRollup, staged map[string]int64) (int64, bool) {
-	if wm, ok := staged[cr.target]; ok {
-		return wm, true
-	}
-	if wm, ok := db.rollupWM[cr.target]; ok {
+// watermark resolves a spec's watermark (first unprocessed bucket
+// start) in v: the one maintenance recorded, else the one inferred
+// from the data.
+func (v *dbView) watermark(cr compiledRollup) (int64, bool) {
+	if wm, ok := v.watermarks[cr.target]; ok {
 		return wm, true
 	}
 	return inferWatermark(v, cr)
@@ -197,121 +194,107 @@ func (db *DB) wmOf(v *dbView, cr compiledRollup, staged map[string]int64) (int64
 // maintenance recomputes whole buckets idempotently (clear + rewrite)
 // instead of appending duplicates.
 func inferWatermark(v *dbView, cr compiledRollup) (int64, bool) {
-	if last, ok := viewLastTime(v, cr.target); ok {
+	if last, ok := viewTimeBound(v, cr.target, true); ok {
 		return alignDown(last, cr.interval) + cr.interval, true
 	}
-	if first, ok := viewEarliestTime(v, cr.source); ok {
+	if first, ok := viewTimeBound(v, cr.source, false); ok {
 		return alignDown(first, cr.interval), true
 	}
 	return 0, false
 }
 
-// rollupMaintain advances every registered tier affected by a write
-// batch, against the not-yet-published candidate view. For each spec
-// (topological order) it recomputes the touched bucket range — late
-// writes heal already-materialized buckets via clear+rewrite, because
-// the store appends duplicate timestamps rather than overwriting —
-// and materializes newly closed buckets up to the data horizon (the
-// bucket holding the newest source point stays open). Returns the new
-// candidate view, the ops to WAL-log, and staged watermark updates to
-// apply after the log append succeeds. Caller holds writeMu.
-func (db *DB) rollupMaintain(v *dbView, points []Point) (*dbView, []rollupOp, map[string]int64, error) {
+// rollupMaintain advances the registered tiers (topological order)
+// against candidate view v and returns the new candidate and the ops to
+// log. Given a write batch, it visits the tiers whose source the batch
+// touched: late writes heal buckets below the watermark via
+// clear+rewrite, because the store appends duplicate timestamps rather
+// than overwriting, and newly closed buckets are materialized up to the
+// data horizon (the bucket holding the newest source point stays open).
+// Given none (RollupAdvance), it visits every tier, heals nothing, and
+// materializes every bucket that ends by now. Each tier's watermark is
+// staged into the candidate, so it publishes with the rows it covers.
+// Caller holds writeMu.
+func (db *DB) rollupMaintain(v *dbView, points []Point, now int64) (*dbView, []rollupOp, error) {
 	reg := db.rollups.Load()
-	if reg == nil || len(points) == 0 {
-		return v, nil, nil, nil
+	if reg == nil {
+		return v, nil, nil
 	}
 	type timeRange struct{ min, max int64 }
-	touched := make(map[string]timeRange)
-	for i := range points {
-		p := &points[i]
-		tr, ok := touched[p.Measurement]
-		if !ok {
-			tr = timeRange{p.Time, p.Time}
-		} else {
-			if p.Time < tr.min {
-				tr.min = p.Time
+	var touched map[string]timeRange
+	if points != nil {
+		touched = make(map[string]timeRange)
+		for i := range points {
+			p := &points[i]
+			tr, ok := touched[p.Measurement]
+			if !ok {
+				tr = timeRange{p.Time, p.Time}
 			}
-			if p.Time > tr.max {
-				tr.max = p.Time
-			}
+			touched[p.Measurement] = timeRange{min(tr.min, p.Time), max(tr.max, p.Time)}
 		}
-		touched[p.Measurement] = tr
 	}
 	var ops []rollupOp
-	staged := make(map[string]int64)
 	for _, cr := range reg.specs {
 		tch, ok := touched[cr.source]
-		if !ok {
+		if touched != nil && !ok {
 			continue
 		}
-		wm, ok := db.wmOf(v, cr, staged)
+		wm, ok := v.watermark(cr)
 		if !ok {
-			continue // source empty (first write validated against it below anyway)
+			continue // source empty
 		}
-		// Horizon: how far materialization may advance. Root tiers are
-		// data-driven — the bucket containing the newest source point is
-		// still open. Chained tiers are bounded by the parent's
-		// watermark: a child bucket closes once the parent materialized
-		// everything inside it.
-		var horizon int64
-		if cr.chained {
-			pwm, okP := db.wmOf(v, reg.specs[reg.byTarget[cr.source]], staged)
-			if !okP {
+		// Horizon: how far materialization may advance. A chained child
+		// bucket closes once the parent materialized everything inside
+		// it; a root tier's closes by data, or by now when advancing.
+		horizon := alignDown(now, cr.interval)
+		switch {
+		case cr.chained:
+			pwm, ok := v.watermark(reg.specs[reg.byTarget[cr.source]])
+			if !ok {
 				continue
 			}
 			horizon = alignDown(pwm, cr.interval)
-		} else {
-			last, okL := viewLastTime(v, cr.source)
-			if !okL {
+		case touched != nil:
+			last, ok := viewTimeBound(v, cr.source, true)
+			if !ok {
 				continue
 			}
 			horizon = alignDown(last, cr.interval)
 		}
-		// Recompute span: stale touched buckets below the watermark
-		// (heal) plus newly closed buckets up to the horizon (growth).
-		start := alignDown(tch.min, cr.interval)
-		if wm < start {
-			start = wm
-		}
-		end := horizon
-		if healEnd := min64(wm, alignDown(tch.max, cr.interval)+cr.interval); healEnd > end {
-			end = healEnd
+		// Recompute span: newly closed buckets up to the horizon (growth)
+		// plus a batch's touched buckets below the watermark (heal).
+		start, end := wm, horizon
+		if touched != nil {
+			start = min(start, alignDown(tch.min, cr.interval))
+			end = max(end, min(wm, alignDown(tch.max, cr.interval)+cr.interval))
 		}
 		if start >= end {
 			continue
 		}
 		nv, op, err := db.rollupExec(v, cr, start, end, wm)
 		if err != nil {
-			return v, nil, nil, err
+			return nil, nil, err
 		}
-		v = nv
 		if op.clearStart < op.clearEnd || len(op.points) > 0 {
 			ops = append(ops, op)
 		}
-		staged[cr.target] = max64(wm, horizon)
-		// The target advanced over [start, end): chained children see it
-		// as touched source data.
-		tr, ok := touched[cr.target]
-		if !ok {
-			tr = timeRange{start, end - 1}
-		} else {
-			if start < tr.min {
-				tr.min = start
+		v = withWatermark(nv, cr.target, max(wm, horizon))
+		if touched != nil {
+			// The target advanced over [start, end): chained children
+			// see it as touched source data.
+			tr, ok := touched[cr.target]
+			if !ok {
+				tr = timeRange{start, end - 1}
 			}
-			if end-1 > tr.max {
-				tr.max = end - 1
-			}
+			touched[cr.target] = timeRange{min(tr.min, start), max(tr.max, end-1)}
 		}
-		touched[cr.target] = tr
 	}
-	return v, ops, staged, nil
+	return v, ops, nil
 }
 
 // rollupExec recomputes one spec's buckets in [start, end) against
-// candidate view v: query the source, clear stale target rows below
-// the watermark, write the recomputed rows. Returns the new candidate
-// view and the op for WAL logging. Caller holds writeMu; the result is
-// not published here.
+// candidate view v: it queries the source, builds the op (clear the
+// stale target rows below the watermark, write the recomputed ones) and
+// applies it. Returns the new candidate view and the op for the log.
 func (db *DB) rollupExec(v *dbView, cr compiledRollup, start, end, wm int64) (*dbView, rollupOp, error) {
 	q := &Query{
 		Fields:      rollupQueryFields(cr),
@@ -323,9 +306,9 @@ func (db *DB) rollupExec(v *dbView, cr compiledRollup, start, end, wm int64) (*d
 	}
 	res, err := db.execView(v, q)
 	if err != nil {
-		return v, rollupOp{}, fmt.Errorf("tsdb: rollup %q: %w", cr.target, err)
+		return nil, rollupOp{}, fmt.Errorf("tsdb: rollup %q: %w", cr.target, err)
 	}
-	var pts []Point
+	op := rollupOp{target: cr.target, clearStart: start, clearEnd: min(end, wm)}
 	for i := range res.Series {
 		s := &res.Series[i]
 		for j, t := range s.Times {
@@ -333,7 +316,7 @@ func (db *DB) rollupExec(v *dbView, cr compiledRollup, start, end, wm int64) (*d
 			if !ok {
 				continue
 			}
-			pts = append(pts, Point{
+			op.points = append(op.points, Point{
 				Measurement: cr.target,
 				Tags:        s.Tags,
 				Fields:      fields,
@@ -341,28 +324,32 @@ func (db *DB) rollupExec(v *dbView, cr compiledRollup, start, end, wm int64) (*d
 			})
 		}
 	}
-	op := rollupOp{target: cr.target, clearStart: start, clearEnd: min64(end, wm), points: pts}
-	if op.clearStart < op.clearEnd {
-		nv, _, err := clearMeasurementRangeView(v, cr.target, op.clearStart, op.clearEnd, db.blockSize, 0)
-		if err != nil {
-			return v, rollupOp{}, fmt.Errorf("tsdb: rollup %q: %w", cr.target, err)
-		}
-		if nv != nil {
-			v = nv
-		} else {
-			op.clearEnd = op.clearStart // nothing was there to clear
-		}
-	} else {
-		op.clearEnd = op.clearStart
-	}
-	if len(pts) > 0 {
-		nv, err := db.writePointsView(v, pts, 0)
-		if err != nil {
-			return v, rollupOp{}, fmt.Errorf("tsdb: rollup %q: %w", cr.target, err)
-		}
-		v = nv
+	if v, err = db.applyRollupOp(v, &op); err != nil {
+		return nil, rollupOp{}, fmt.Errorf("tsdb: rollup %q: %w", cr.target, err)
 	}
 	return v, op, nil
+}
+
+// applyRollupOp applies one tier mutation to candidate view v: clear
+// the stale range, then write the rows. Maintenance and WAL replay
+// both apply ops here. A clear that finds nothing is recorded as none
+// (clearEnd = clearStart), so a logged op says what it did.
+func (db *DB) applyRollupOp(v *dbView, op *rollupOp) (*dbView, error) {
+	if op.clearStart < op.clearEnd {
+		nv, _, err := clearMeasurementRangeView(v, op.target, op.clearStart, op.clearEnd, db.blockSize)
+		if err != nil {
+			return nil, err
+		}
+		if nv == nil {
+			op.clearEnd = op.clearStart
+		} else {
+			v = nv
+		}
+	}
+	if len(op.points) == 0 {
+		return v, nil
+	}
+	return db.writePointsView(v, op.points)
 }
 
 // rollupQueryFields builds the source query's field list for one spec.
@@ -429,60 +416,25 @@ func rollupRowFields(cr compiledRollup, s *ResultSeries, j int) (map[string]Valu
 // catch-up beside write-path maintenance, which only closes a bucket
 // once a later source point arrives: call it to materialize a tier
 // registered over existing data, or to close the last buckets by clock
-// once writes have gone quiet. It reports rollup points written.
+// once writes have gone quiet. It is the write path's maintenance run
+// over every tier, logged as one points-free composite record, and
+// reports rollup points written.
 func (db *DB) RollupAdvance(now int64) (int, error) {
-	reg := db.rollups.Load()
-	if reg == nil {
-		return 0, nil
+	written := 0
+	err := db.commit(func(v *dbView) (*dbView, func() []byte, error) {
+		nv, ops, err := db.rollupMaintain(v, nil, now)
+		for _, op := range ops {
+			written += len(op.points)
+		}
+		if len(ops) == 0 {
+			return nv, nil, err
+		}
+		return nv, func() []byte { return encodeBatchRecord(nil, ops) }, err
+	})
+	if err != nil {
+		return 0, err
 	}
-	db.lockWrite()
-	defer db.unlockWrite()
-	v := db.view.Load()
-	base := v
-	var ops []rollupOp
-	staged := make(map[string]int64)
-	total := 0
-	for _, cr := range reg.specs {
-		wm, ok := db.wmOf(v, cr, staged)
-		if !ok {
-			continue // source empty
-		}
-		var horizon int64
-		if cr.chained {
-			pwm, okP := db.wmOf(v, reg.specs[reg.byTarget[cr.source]], staged)
-			if !okP {
-				continue
-			}
-			horizon = alignDown(pwm, cr.interval)
-		} else {
-			horizon = alignDown(now, cr.interval)
-		}
-		if wm >= horizon {
-			continue
-		}
-		nv, op, err := db.rollupExec(v, cr, wm, horizon, wm)
-		if err != nil {
-			return total, err
-		}
-		v = nv
-		total += len(op.points)
-		if op.clearStart < op.clearEnd || len(op.points) > 0 {
-			ops = append(ops, op)
-		}
-		staged[cr.target] = horizon
-	}
-	if db.wal != nil && len(ops) > 0 {
-		if err := db.wal.append(encodeBatchRecord(nil, ops)); err != nil {
-			return 0, err
-		}
-	}
-	for target, wm := range staged {
-		db.rollupWM[target] = wm
-	}
-	if v != base {
-		db.publish(v)
-	}
-	return total, nil
+	return written, nil
 }
 
 // TierStats describes one registered rollup tier for observability
@@ -504,7 +456,6 @@ func (db *DB) TierStats() []TierStats {
 		return nil
 	}
 	out := make([]TierStats, 0, len(reg.specs))
-	db.lockWrite()
 	v := db.view.Load()
 	for _, cr := range reg.specs {
 		ts := TierStats{
@@ -512,23 +463,19 @@ func (db *DB) TierStats() []TierStats {
 			Source:    cr.source,
 			Aggregate: cr.agg,
 			IntervalS: cr.interval,
+			Points:    measurementPoints(v, cr.target),
 		}
-		if wm, ok := db.wmOf(v, cr, nil); ok {
+		if wm, ok := v.watermark(cr); ok {
 			ts.Watermark = wm
 		}
 		out = append(out, ts)
-	}
-	db.unlockWrite()
-	for i := range out {
-		out[i].Points = db.measurementPoints(out[i].Target)
 	}
 	return out
 }
 
 // measurementPoints counts one measurement's stored points across all
-// shards.
-func (db *DB) measurementPoints(name string) int64 {
-	v := db.view.Load()
+// shards of v.
+func measurementPoints(v *dbView, name string) int64 {
 	mi, ok := v.index[name]
 	if !ok {
 		return 0
@@ -545,64 +492,21 @@ func (db *DB) measurementPoints(name string) int64 {
 	return n
 }
 
-// min64/max64 are int64 helpers (the stdlib min/max builtins arrived
-// in Go 1.21; kept explicit for clarity with mixed literals).
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// viewEarliestTime reports the earliest stored timestamp of a
-// measurement within one pinned view.
-func viewEarliestTime(v *dbView, measurement string) (int64, bool) {
+// viewTimeBound reports a measurement's newest (last) or earliest
+// stored timestamp within one pinned view. Shards are time-ordered, so
+// the walk starts at that end and stops at the first shard holding the
+// measurement.
+func viewTimeBound(v *dbView, measurement string, last bool) (int64, bool) {
 	mi, ok := v.index[measurement]
 	if !ok {
 		return 0, false
 	}
-	best := int64(math.MaxInt64)
+	var best int64
 	found := false
-	for _, s := range v.shardStarts {
-		sh := v.shards[s]
-		for key := range mi.series {
-			sr, ok := sh.series[key]
-			if !ok {
-				continue
-			}
-			for _, col := range sr.fields {
-				if t, ok := col.firstTime(); ok && t < best {
-					best = t
-					found = true
-				}
-			}
+	for i := range v.shardStarts {
+		if last {
+			i = len(v.shardStarts) - 1 - i
 		}
-		if found {
-			// Shards are time-ordered; the first shard containing the
-			// measurement holds its earliest point.
-			break
-		}
-	}
-	return best, found
-}
-
-// viewLastTime reports the newest stored timestamp of a measurement
-// within one pinned view (the symmetric walk, newest shard first).
-func viewLastTime(v *dbView, measurement string) (int64, bool) {
-	mi, ok := v.index[measurement]
-	if !ok {
-		return 0, false
-	}
-	best := int64(math.MinInt64)
-	found := false
-	for i := len(v.shardStarts) - 1; i >= 0; i-- {
 		sh := v.shards[v.shardStarts[i]]
 		for key := range mi.series {
 			sr, ok := sh.series[key]
@@ -610,9 +514,12 @@ func viewLastTime(v *dbView, measurement string) (int64, bool) {
 				continue
 			}
 			for _, col := range sr.fields {
-				if t, ok := col.lastTime(); ok && t > best {
-					best = t
-					found = true
+				t, ok := col.firstTime()
+				if last {
+					t, ok = col.lastTime()
+				}
+				if ok && (!found || last && t > best || !last && t < best) {
+					best, found = t, true
 				}
 			}
 		}

@@ -137,7 +137,7 @@ func TestWALRollupKillPoints(t *testing.T) {
 // Disk().Points counts field samples per measurement write).
 func tierPoints(t *testing.T, db *DB) int64 {
 	t.Helper()
-	return db.measurementPoints("Power_mean_300s")
+	return measurementPoints(db.view.Load(), "Power_mean_300s")
 }
 
 // TestWALRollupPlainWriteFormat pins the compatibility contract: a

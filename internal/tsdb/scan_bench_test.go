@@ -35,7 +35,8 @@ func BenchmarkScan72h(b *testing.B) {
 		budget int64
 	}{{"warm", 0}, {"cold", 1}} {
 		b.Run(c.name, func(b *testing.B) {
-			db := Open(Options{DecodeCacheBytes: c.budget, ExecWorkers: 1})
+			db := Open(Options{DecodeCacheBytes: c.budget})
+			db.execWorkers = 1
 			if err := db.WritePoints(pts); err != nil {
 				b.Fatal(err)
 			}

@@ -164,7 +164,7 @@ func appendSeries(rec []byte, sr *series, inlineCold bool) ([]byte, error) {
 func Restore(r io.Reader) (*DB, error) { return RestoreOptions(r, Options{}) }
 
 // RestoreOptions loads a snapshot into a fresh DB configured by opts
-// (worker pool, clock, block size, cold directory). The shard duration
+// (block size, decode cache, cold directory). The shard duration
 // always comes from the snapshot — the stored data was laid out under
 // it. A file of any version but snapshotVersion is rejected before its
 // body is read.
@@ -258,7 +258,7 @@ func restore(br *bufio.Reader, opts Options) (*DB, error) {
 		return nil, err
 	}
 	// Only the index is taken from the rebuild; counters are the file's.
-	db.publish(&dbView{
+	db.view.Store(&dbView{
 		epoch:       epoch,
 		stats:       stats,
 		shards:      shards,

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -31,15 +32,63 @@ import (
 // invariant that makes extending shared slice capacity safe (only the
 // newest view's columns are ever appended to).
 type dbView struct {
-	// epoch counts mutations (write batches, drops, retention). Caches
-	// layered above the DB — the Metrics Builder's LRU response cache —
-	// compare epochs to invalidate without inspecting data.
+	// epoch counts the mutations that changed stored data (write
+	// batches, drops, retention); QueryStats.SnapshotEpoch and
+	// /v1/stats report which view answered.
 	epoch       int64
 	stats       DBStats
 	shards      map[int64]*shard // keyed by start time
 	shardStarts []int64          // sorted
 	// index: measurement -> tag key -> tag value -> set of series keys
 	index map[string]*measurementIndex
+	// watermarks holds the rollup watermarks maintenance recorded (see
+	// dbView.watermark), staged by withWatermark so a watermark
+	// publishes with the rows it covers.
+	watermarks map[string]int64
+	// dropsBlocks marks a candidate whose derivation removed sealed
+	// blocks; commit purges them from the decode cache and clears the
+	// mark, so no published view carries it.
+	dropsBlocks bool
+}
+
+// commit is the one path by which a mutation reaches readers. Under
+// writeMu it derives the next view from the published one, appends the
+// derivation's WAL record (encoded only when a log is attached), folds
+// the lock wait into the new view's stats, publishes, and purges the
+// decode cache of sealed blocks the derivation dropped. A nil or
+// unchanged view logs and publishes nothing, and so does an error from
+// the derivation or the log.
+func (db *DB) commit(derive func(base *dbView) (next *dbView, rec func() []byte, err error)) error {
+	wait := db.lockWrite()
+	defer db.unlockWrite()
+	base := db.view.Load()
+	next, rec, err := derive(base)
+	if err != nil || next == nil || next == base {
+		return err
+	}
+	if db.wal != nil && rec != nil {
+		if err := db.wal.append(rec()); err != nil {
+			return err
+		}
+	}
+	next.stats.WriteWaitNs += wait.Nanoseconds()
+	purge := next.dropsBlocks
+	next.dropsBlocks = false
+	db.view.Store(next)
+	if purge {
+		db.cache.purgeDead(next)
+	}
+	return nil
+}
+
+// withWatermark derives a view that records wm as target's rollup
+// watermark.
+func withWatermark(base *dbView, target string, wm int64) *dbView {
+	nv := *base
+	nv.watermarks = make(map[string]int64, len(base.watermarks)+1)
+	maps.Copy(nv.watermarks, base.watermarks)
+	nv.watermarks[target] = wm
+	return &nv
 }
 
 // shardsOverlapping returns shards intersecting [start, end), in time
@@ -93,29 +142,28 @@ func newBatch(base *dbView, shardDuration int64, blockSize int) *batch {
 // finish sorts any columns that received out-of-order appends, seals
 // full block runs, and seals the view. mutated reports whether stored
 // data changed (an empty batch still counts as a batch but must not
-// advance the epoch). waitNs is the write-lock wait the batch accrued,
-// folded into the view's stats. An error (a sealed block an
-// out-of-order write needs could not be read back) means the batch must
-// be dropped unpublished.
-func (b *batch) finish(mutated bool, waitNs int64) (*dbView, error) {
+// advance the epoch). An error (a sealed block an out-of-order write
+// needs could not be read back) means the batch must be dropped
+// unpublished.
+func (b *batch) finish(mutated bool) (*dbView, error) {
 	for col := range b.dirtyCols {
 		col.sortByTime()
 		// If the shuffle reaches behind sealed data, decode everything
 		// back to raw and re-sort; the seal pass below re-compresses
-		// full runs. Out-of-order within the tail alone leaves blocks
-		// untouched.
+		// full runs, so the old blocks leave the view. Out-of-order
+		// within the tail alone leaves blocks untouched.
 		if n := len(col.blocks); n > 0 && len(col.times) > 0 && col.times[0] < col.blocks[n-1].maxT {
 			if err := col.unseal(); err != nil {
 				return nil, err
 			}
 			col.sortByTime()
+			b.v.dropsBlocks = true
 		}
 	}
 	for col := range b.freshCols {
 		b.v.stats.BlocksSealed += int64(col.seal(b.blockSize))
 	}
 	b.v.stats.BatchesWritten++
-	b.v.stats.WriteWaitNs += waitNs
 	if mutated {
 		b.v.epoch++
 	}
@@ -323,10 +371,8 @@ func (b *batch) writePoint(p *Point, key string, sorted Tags) {
 // writePointsView derives, copy-on-write, the view that adds points to
 // base — the one place a point becomes stored samples, shared by live
 // writes, rollup maintenance and WAL replay. Points must already be
-// validated. waitNs is the caller's write-lock wait, folded into the
-// new view's stats. On error (see batch.finish) nothing may be
-// published.
-func (db *DB) writePointsView(base *dbView, points []Point, waitNs int64) (*dbView, error) {
+// validated. On error (see batch.finish) nothing may be published.
+func (db *DB) writePointsView(base *dbView, points []Point) (*dbView, error) {
 	b := newBatch(base, db.shardDuration, db.blockSize)
 	for i := range points {
 		p := &points[i]
@@ -335,14 +381,13 @@ func (db *DB) writePointsView(base *dbView, points []Point, waitNs int64) (*dbVi
 		b.indexSeries(p, key, sorted)
 		b.writePoint(p, key, sorted)
 	}
-	return b.finish(len(points) > 0, waitNs)
+	return b.finish(len(points) > 0)
 }
 
 // dropMeasurementView derives, copy-on-write, a view with measurement
 // name and all its stored series removed. It returns nil if the
-// measurement does not exist in base. waitNs is the caller's write-lock
-// wait, folded into the new view's stats.
-func dropMeasurementView(base *dbView, name string, waitNs int64) *dbView {
+// measurement does not exist in base.
+func dropMeasurementView(base *dbView, name string) *dbView {
 	mi, ok := base.index[name]
 	if !ok {
 		return nil
@@ -387,8 +432,8 @@ func dropMeasurementView(base *dbView, name string, waitNs int64) *dbView {
 		nv.shards = m
 	}
 	nv.stats.Measurements--
-	nv.stats.WriteWaitNs += waitNs
 	nv.epoch++
+	nv.dropsBlocks = true
 	return &nv
 }
 
@@ -472,12 +517,13 @@ func clearColumnRange(col *column, start, end int64, bs int) (*column, int, int6
 // new view and the number of points removed (series max-across-columns
 // semantics, matching shard accounting). An error (clearColumnRange
 // could not read a sealed block back) means nothing may be published.
-func clearMeasurementRangeView(base *dbView, name string, start, end int64, bs int, waitNs int64) (*dbView, int64, error) {
+func clearMeasurementRangeView(base *dbView, name string, start, end int64, bs int) (*dbView, int64, error) {
 	mi, ok := base.index[name]
 	if !ok || start >= end {
 		return nil, 0, nil
 	}
 	var removed int64
+	dropped := false
 	cloned := make(map[int64]*shard)
 	for _, shStart := range base.shardStarts {
 		sh := base.shards[shStart]
@@ -502,6 +548,8 @@ func clearMeasurementRangeView(base *dbView, name string, start, end int64, bs i
 				if nc != col {
 					touched = true
 					valBytes += vb + int64(n*(2+len(fk)))
+					// A rebuilt column is re-sealed into fresh blocks.
+					dropped = dropped || len(col.blocks) > 0 && (len(nc.blocks) == 0 || nc.blocks[0] != col.blocks[0])
 				}
 				if nc.numPoints() > 0 {
 					nsr.fields[fk] = nc
@@ -554,15 +602,15 @@ func clearMeasurementRangeView(base *dbView, name string, start, end int64, bs i
 	for k, v := range cloned {
 		nv.shards[k] = v
 	}
-	nv.stats.WriteWaitNs += waitNs
 	nv.epoch++
+	nv.dropsBlocks = nv.dropsBlocks || dropped
 	return &nv, removed, nil
 }
 
 // deleteBeforeView derives, copy-on-write, a view with every shard
 // whose window ends at or before t removed, reporting how many were
 // dropped. It returns (nil, 0) when no shard qualifies.
-func deleteBeforeView(base *dbView, t int64, waitNs int64) (*dbView, int) {
+func deleteBeforeView(base *dbView, t int64) (*dbView, int) {
 	dropped := 0
 	for _, s := range base.shardStarts {
 		if base.shards[s].end <= t {
@@ -581,8 +629,8 @@ func deleteBeforeView(base *dbView, t int64, waitNs int64) (*dbView, int) {
 			nv.shardStarts = append(nv.shardStarts, s)
 		}
 	}
-	nv.stats.WriteWaitNs += waitNs
 	nv.epoch++
+	nv.dropsBlocks = true
 	return &nv, dropped
 }
 
@@ -590,9 +638,8 @@ func deleteBeforeView(base *dbView, t int64, waitNs int64) (*dbView, int) {
 // twins replaced by its cold (or compaction-relocated) twin: same
 // header and samples, payload living in a cold-tier segment file.
 // The epoch does not advance — the stored data is unchanged, only its
-// representation moved, so epoch-keyed caches layered above the DB
-// stay valid.
-func spillBlocksView(base *dbView, twins map[*block]*block, waitNs int64) *dbView {
+// representation moved.
+func spillBlocksView(base *dbView, twins map[*block]*block) *dbView {
 	nv := *base
 	clonedShards := false
 	for _, start := range base.shardStarts {
@@ -640,6 +687,6 @@ func spillBlocksView(base *dbView, twins map[*block]*block, waitNs int64) *dbVie
 			}
 		}
 	}
-	nv.stats.WriteWaitNs += waitNs
+	nv.dropsBlocks = true
 	return &nv
 }

@@ -513,6 +513,69 @@ func TestWALStatsSurfaceAndClose(t *testing.T) {
 	}
 }
 
+// TestWALRefusedMutationPublishesNothing closes the log under a durable
+// DB with a two-level rollup chain and drives every logged mutator at
+// it. Each must fail, and readers must see nothing of it: the same
+// epoch, counters (but the lock wait), tier watermarks and answers.
+func TestWALRefusedMutationPublishesNothing(t *testing.T) {
+	db, _ := crashOpen(t, t.TempDir(), WALOptions{Policy: FsyncNever})
+	for _, spec := range []RollupSpec{
+		{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300},
+		{Source: "Power_max_300s", Field: "Reading", Aggregate: "max", Interval: 3600},
+	} {
+		if err := db.RegisterRollup(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for ts := int64(0); ts < 7200; ts += 60 {
+		if err := db.WritePoint(walPoint("n1", ts, float64(ts%1000))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	state := func() string {
+		st := db.Stats()
+		st.WriteWaitNs = 0
+		var sb strings.Builder
+		fmt.Fprintf(&sb, "epoch %d\nstats %+v\ntiers %+v\n", db.Epoch(), st, db.TierStats())
+		for _, q := range []string{
+			`SELECT "Reading" FROM "Power"`,
+			`SELECT max("Reading") FROM "Power" GROUP BY time(1h)`,
+		} {
+			res, err := db.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range res.Series {
+				fmt.Fprintf(&sb, "%s: %v\n", q, s.Rows())
+			}
+		}
+		return sb.String()
+	}
+	want := state()
+	if err := db.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct {
+		name   string
+		mutate func() error
+	}{
+		// Closes the [6900, 7200) bucket: raw point plus tier ops.
+		{"WritePoints", func() error { return db.WritePoints([]Point{walPoint("n1", 7230, 99)}) }},
+		{"DropMeasurement", func() error { _, err := db.DropMeasurement("Power"); return err }},
+		{"DeleteBefore", func() error { _, err := db.DeleteBefore(3600); return err }},
+		{"DeleteMeasurementBefore", func() error { _, err := db.DeleteMeasurementBefore("Power", 1800); return err }},
+		{"ExpireRaw", func() error { _, err := db.ExpireRaw(3600); return err }},
+		{"RollupAdvance", func() error { _, err := db.RollupAdvance(4 * 3600); return err }},
+	} {
+		if err := row.mutate(); err == nil {
+			t.Errorf("%s succeeded with the log closed", row.name)
+		}
+		if got := state(); got != want {
+			t.Fatalf("%s published a mutation the log refused:\n got %s\nwant %s", row.name, got, want)
+		}
+	}
+}
+
 // TestWALCheckpointCrashBeforeTruncate pins the nastiest checkpoint
 // crash window: the boundary-stamped snapshot has atomically renamed
 // into place, but the process died before the covered segments (and
