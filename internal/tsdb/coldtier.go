@@ -30,8 +30,8 @@ import (
 // CRC, decodes, and admits to the decode cache exactly like a
 // resident block (QueryStats.BlocksFromDisk counts the reads).
 //
-// Segment file layout (cold-<shardStart>-<generation>.seg), header and
-// frames being the shared codec's (codec.go):
+// Segment file layout (cold-<shardStart>-<generation>.seg), a
+// segment.go file whose header and frames are the shared codec's:
 //
 //	file header "MCLD" version 1 | shardStart i64
 //	then one frame per spilled block, its payload the block's
@@ -59,16 +59,6 @@ const (
 // errColdCorrupt marks unreadable or failed-verification cold data.
 var errColdCorrupt = errors.New("tsdb: corrupt cold segment")
 
-// coldFile is one open segment file. The handle serves concurrent
-// preads; size is the file's length: the append offset on a file this
-// run writes, the length at open on one it only reads.
-type coldFile struct {
-	name  string
-	f     *os.File
-	size  int64
-	dirty bool // appended since the last Sync
-}
-
 // coldTier owns the segment directory: appenders (one active
 // generation per shard), read handles, and counters. All file-set
 // mutation happens under mu; payload preads run outside it on shared
@@ -80,10 +70,10 @@ type coldTier struct {
 	mu        sync.Mutex
 	inited    bool
 	initErr   error
-	files     map[string]*coldFile // every open handle, by file name
-	appenders map[int64]*coldFile  // active append file per shard start
+	files     map[string]*segment // every open handle, by file name
+	appenders map[int64]*segment  // active append segment per shard start
 	nextGen   map[int64]uint64
-	retired   []*coldFile // unlinked by a sweep; closed on the next one
+	retired   []*segment // unlinked by a sweep; closed on the next one
 
 	spills         atomic.Int64
 	spilledBytes   atomic.Int64
@@ -108,8 +98,8 @@ func newColdTier(dir string, maxResident int64) *coldTier {
 	return &coldTier{
 		dir:         dir,
 		maxResident: maxResident,
-		files:       make(map[string]*coldFile),
-		appenders:   make(map[int64]*coldFile),
+		files:       make(map[string]*segment),
+		appenders:   make(map[int64]*segment),
 		nextGen:     make(map[int64]uint64),
 	}
 }
@@ -133,6 +123,12 @@ func parseColdName(name string) (shardStart int64, gen uint64, ok bool) {
 	return s, g, true
 }
 
+// coldGen is the listDir parser for segment names: the generation.
+func coldGen(name string) (uint64, bool) {
+	_, gen, ok := parseColdName(name)
+	return gen, ok
+}
+
 // initLocked creates the directory and scans existing generations so
 // this run appends only to fresh files. Lazy and latching: Open cannot
 // return an error, so the first spill reports directory problems.
@@ -145,50 +141,24 @@ func (ct *coldTier) initLocked() error {
 		if err := os.MkdirAll(ct.dir, 0o755); err != nil {
 			return fmt.Errorf("tsdb: cold tier: %w", err)
 		}
-		entries, err := os.ReadDir(ct.dir)
+		files, err := listDir(ct.dir, coldGen)
 		if err != nil {
 			return fmt.Errorf("tsdb: cold tier: %w", err)
 		}
-		for _, e := range entries {
-			shard, gen, ok := parseColdName(e.Name())
-			if !ok {
-				continue
-			}
-			if gen >= ct.nextGen[shard] {
-				ct.nextGen[shard] = gen + 1
-			}
+		for _, file := range files {
+			shard, gen, _ := parseColdName(file.name)
+			ct.nextGen[shard] = max(ct.nextGen[shard], gen+1)
 		}
 		return nil
 	}()
 	return ct.initErr
 }
 
-// createLocked opens a fresh generation for shardStart and writes its
-// header.
-func (ct *coldTier) createLocked(shardStart int64) (*coldFile, error) {
-	gen := ct.nextGen[shardStart]
-	ct.nextGen[shardStart] = gen + 1
-	name := coldFileName(shardStart, gen)
-	f, err := os.OpenFile(filepath.Join(ct.dir, name), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("tsdb: cold tier: %w", err)
-	}
-	hdr := le.AppendUint64(appendFileHeader(nil, coldMagic, coldVersion), uint64(shardStart))
-	if _, err := f.Write(hdr); err != nil {
-		closeErr := f.Close()
-		rmErr := os.Remove(filepath.Join(ct.dir, name))
-		return nil, errors.Join(fmt.Errorf("tsdb: cold tier: %w", err), closeErr, rmErr)
-	}
-	cf := &coldFile{name: name, f: f, size: coldHeaderSize}
-	ct.files[name] = cf
-	return cf, nil
-}
-
 // appendPayload appends one CRC-framed compressed payload to
-// shardStart's active segment and returns its reference. The reference
-// must not be published until syncAppenders succeeds. A failed write
-// retires the appender (truncating the torn frame best-effort) so
-// later appends land in a fresh file with correct offsets.
+// shardStart's active segment, opening a fresh generation when the
+// shard has none, and returns its reference. The reference must not be
+// published until syncAppenders succeeds. A failed append (cut back
+// off the file by segment.append) retires the appender.
 func (ct *coldTier) appendPayload(shardStart int64, payload []byte, compacting bool) (*coldRef, error) {
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("%w: empty frame payload", errColdCorrupt)
@@ -203,55 +173,56 @@ func (ct *coldTier) appendPayload(shardStart int64, payload []byte, compacting b
 	if err := ct.initLocked(); err != nil {
 		return nil, err
 	}
-	cf := ct.appenders[shardStart]
-	if cf == nil {
-		var err error
-		if cf, err = ct.createLocked(shardStart); err != nil {
-			return nil, err
+	seg := ct.appenders[shardStart]
+	if seg == nil {
+		gen := ct.nextGen[shardStart]
+		ct.nextGen[shardStart] = gen + 1
+		hdr := le.AppendUint64(appendFileHeader(nil, coldMagic, coldVersion), uint64(shardStart))
+		if seg, err = createSegment(ct.dir, coldFileName(shardStart, gen), hdr); err != nil {
+			return nil, fmt.Errorf("tsdb: cold tier: %w", err)
 		}
-		ct.appenders[shardStart] = cf
+		ct.files[seg.name] = seg
+		ct.appenders[shardStart] = seg
 	}
-	if _, err := cf.f.WriteAt(frame, cf.size); err != nil {
-		truncErr := cf.f.Truncate(cf.size)
+	off := seg.size + frameHeader
+	if err := seg.append(frame); err != nil {
 		delete(ct.appenders, shardStart)
-		return nil, errors.Join(fmt.Errorf("tsdb: cold tier: append: %w", err), truncErr)
+		return nil, fmt.Errorf("tsdb: cold tier: %w", err)
 	}
-	off := cf.size + frameHeader
-	cf.size += int64(len(frame))
-	cf.dirty = true
 	if !compacting {
 		ct.spills.Add(1)
 		ct.spilledBytes.Add(int64(len(payload)))
 	}
-	return &coldRef{ct: ct, file: cf.name, off: off, length: uint32(len(payload)), crc: crc}, nil
+	return &coldRef{ct: ct, file: seg.name, off: off, length: uint32(len(payload)), crc: crc}, nil
 }
 
 // syncAppenders fsyncs every segment with unsynced appends. Callers
 // publish cold references only after it returns nil — that ordering is
-// the entire crash-safety argument for spills.
+// the entire crash-safety argument for spills. A segment whose fsync
+// fails is retired like one whose append failed.
 func (ct *coldTier) syncAppenders() error {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	for _, cf := range ct.appenders {
-		if !cf.dirty {
+	for shard, seg := range ct.appenders {
+		if !seg.dirty {
 			continue
 		}
-		if err := cf.f.Sync(); err != nil {
-			return fmt.Errorf("tsdb: cold tier: sync %s: %w", cf.name, err)
+		if err := seg.sync(); err != nil {
+			delete(ct.appenders, shard)
+			return fmt.Errorf("tsdb: cold tier: %w", err)
 		}
-		cf.dirty = false
 	}
 	return nil
 }
 
-// handle returns an open *os.File for name and the file's size,
+// handle returns the open file behind segment name and its size,
 // opening (and header-verifying) it on first use. Handles are shared
 // and cached; preads on them run outside the tier mutex.
-func (ct *coldTier) handle(name string) (*os.File, int64, error) {
+func (ct *coldTier) handle(name string) (segmentFile, int64, error) {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	if cf := ct.files[name]; cf != nil {
-		return cf.f, cf.size, nil
+	if seg := ct.files[name]; seg != nil {
+		return seg.f, seg.size, nil
 	}
 	shard, _, ok := parseColdName(name)
 	if !ok {
@@ -279,7 +250,7 @@ func (ct *coldTier) handle(name string) (*os.File, int64, error) {
 		closeErr := f.Close()
 		return nil, 0, errors.Join(fmt.Errorf("tsdb: cold tier: %w", err), closeErr)
 	}
-	ct.files[name] = &coldFile{name: name, f: f, size: st.Size()}
+	ct.files[name] = &segment{name: name, f: f, size: st.Size()}
 	return f, st.Size(), nil
 }
 
@@ -348,36 +319,29 @@ func (ct *coldTier) sweepOrphans(keep ...*dbView) error {
 	if err := ct.initLocked(); err != nil {
 		return err
 	}
-	for _, cf := range ct.retired {
-		if err := cf.f.Close(); err != nil {
-			return fmt.Errorf("tsdb: cold tier: close %s: %w", cf.name, err)
+	for _, seg := range ct.retired {
+		if err := seg.f.Close(); err != nil {
+			return fmt.Errorf("tsdb: cold tier: close %s: %w", seg.name, err)
 		}
 	}
 	ct.retired = nil
-	entries, err := os.ReadDir(ct.dir)
+	files, err := listDir(ct.dir, coldGen)
 	if err != nil {
 		return fmt.Errorf("tsdb: cold tier: %w", err)
 	}
-	for _, e := range entries {
-		name := e.Name()
-		shard, _, ok := parseColdName(name)
-		if !ok {
+	for _, file := range files {
+		if _, live := refs[file.name]; live {
 			continue
 		}
-		if _, live := refs[name]; live {
-			continue
-		}
-		if info, err := e.Info(); err == nil {
-			ct.reclaimedBytes.Add(info.Size())
-		}
-		if cf := ct.files[name]; cf != nil {
-			delete(ct.files, name)
-			if ct.appenders[shard] == cf {
+		ct.reclaimedBytes.Add(file.size)
+		if seg := ct.files[file.name]; seg != nil {
+			delete(ct.files, file.name)
+			if shard, _, _ := parseColdName(file.name); ct.appenders[shard] == seg {
 				delete(ct.appenders, shard)
 			}
-			ct.retired = append(ct.retired, cf)
+			ct.retired = append(ct.retired, seg)
 		}
-		if err := os.Remove(filepath.Join(ct.dir, name)); err != nil {
+		if err := os.Remove(file.path); err != nil {
 			return fmt.Errorf("tsdb: cold tier: %w", err)
 		}
 		ct.orphansDropped.Add(1)
@@ -464,20 +428,14 @@ func (ct *coldTier) compact(v *dbView) (map[*block]*block, error) {
 func (ct *coldTier) diskUsage() (files int, bytes int64) {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	entries, err := os.ReadDir(ct.dir)
+	found, err := listDir(ct.dir, coldGen)
 	if err != nil {
 		return 0, 0 // directory not created yet (no spill has run)
 	}
-	for _, e := range entries {
-		if _, _, ok := parseColdName(e.Name()); !ok {
-			continue
-		}
-		files++
-		if info, err := e.Info(); err == nil {
-			bytes += info.Size()
-		}
+	for _, file := range found {
+		bytes += file.size
 	}
-	return files, bytes
+	return len(found), bytes
 }
 
 // spillCandidate pairs a resident sealed block with its shard for the

@@ -362,7 +362,7 @@ func TestColdRefBoundedBySegment(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	snaps, err := listSnapshots(wopts.Dir)
+	snaps, err := listDir(wopts.Dir, snapshotBoundary)
 	if err != nil || len(snaps) != 1 {
 		t.Fatalf("snapshots %v, err %v", snaps, err)
 	}
@@ -619,7 +619,7 @@ func TestColdCorruptSegment(t *testing.T) {
 			}
 			delete(db.cold.files, name)
 		}
-		db.cold.appenders = make(map[int64]*coldFile)
+		db.cold.appenders = make(map[int64]*segment)
 	}
 
 	t.Run("bitflip", func(t *testing.T) {

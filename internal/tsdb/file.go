@@ -42,6 +42,11 @@ func saveViewFile(v *dbView, shardDuration int64, path string, inlineCold bool) 
 	if err := os.Rename(tmpName, path); err != nil {
 		return fmt.Errorf("tsdb: save %s: %w", path, err)
 	}
+	// Checkpoint deletes the log segments this snapshot covers next: the
+	// rename must reach the disk before those deletions can.
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("tsdb: save %s: %w", path, err)
+	}
 	return nil
 }
 
@@ -54,15 +59,14 @@ const snapshotTempPrefix = ".monster-snapshot-"
 // died with the process and no other sweep matches the name, so each
 // would otherwise sit in the directory, O(data) large, forever.
 func removeSnapshotTemps(dir string) error {
-	entries, err := os.ReadDir(dir)
+	temps, err := listDir(dir, func(name string) (uint64, bool) {
+		return 0, strings.HasPrefix(name, snapshotTempPrefix)
+	})
 	if err != nil {
 		return err
 	}
-	for _, e := range entries {
-		if !strings.HasPrefix(e.Name(), snapshotTempPrefix) {
-			continue
-		}
-		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+	for _, temp := range temps {
+		if err := os.Remove(temp.path); err != nil {
 			return fmt.Errorf("drop abandoned snapshot temp file: %w", err)
 		}
 	}

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 )
+
+// snapshotNameFormat names the checkpoint snapshot of a cut boundary.
+const snapshotNameFormat = "snapshot-%08d.mtsd"
 
 // snapshotPath names a checkpoint snapshot inside a WAL directory. The
 // embedded number is the checkpoint's cut boundary: every record in
@@ -16,33 +18,11 @@ import (
 // crash between snapshot and log truncation must not replay covered
 // records a second time.
 func snapshotPath(dir string, boundary uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("snapshot-%08d.mtsd", boundary))
+	return filepath.Join(dir, fmt.Sprintf(snapshotNameFormat, boundary))
 }
 
-// walSnapshot describes one on-disk checkpoint snapshot.
-type walSnapshot struct {
-	boundary uint64
-	path     string
-}
-
-// listSnapshots returns the directory's checkpoint snapshots in
-// boundary order.
-func listSnapshots(dir string) ([]walSnapshot, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var snaps []walSnapshot
-	for _, e := range entries {
-		var boundary uint64
-		if n, err := fmt.Sscanf(e.Name(), "snapshot-%08d.mtsd", &boundary); n != 1 || err != nil {
-			continue
-		}
-		snaps = append(snaps, walSnapshot{boundary: boundary, path: filepath.Join(dir, e.Name())})
-	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].boundary < snaps[j].boundary })
-	return snaps, nil
-}
+// snapshotBoundary is the listDir parser for snapshot names.
+func snapshotBoundary(name string) (uint64, bool) { return parseNumbered(snapshotNameFormat, name) }
 
 // RecoveryInfo summarizes what OpenDurable reconstructed.
 type RecoveryInfo struct {
@@ -89,7 +69,7 @@ func OpenDurable(opts Options, wopts WALOptions) (*DB, RecoveryInfo, error) {
 	// between its atomic rename and its truncation pass. Replaying a
 	// covered segment would apply its records a second time, so stale
 	// files are deleted, never replayed.
-	snaps, err := listSnapshots(wopts.Dir)
+	snaps, err := listDir(wopts.Dir, snapshotBoundary)
 	if err != nil {
 		return nil, info, fmt.Errorf("tsdb: open durable: %w", err)
 	}
@@ -103,7 +83,7 @@ func OpenDurable(opts Options, wopts WALOptions) (*DB, RecoveryInfo, error) {
 			return nil, info, fmt.Errorf("tsdb: open durable: %w", err)
 		}
 		restoredView = db.view.Load()
-		boundary = newest.boundary
+		boundary = newest.key
 		info.SnapshotLoaded = true
 		info.SnapshotPoints = db.Stats().PointsWritten
 		for _, stale := range snaps[:len(snaps)-1] {
@@ -115,13 +95,13 @@ func OpenDurable(opts Options, wopts WALOptions) (*DB, RecoveryInfo, error) {
 		db = Open(opts)
 	}
 
-	segs, err := listWALSegments(wopts.Dir)
+	segs, err := listDir(wopts.Dir, walSeq)
 	if err != nil {
 		return nil, info, fmt.Errorf("tsdb: open durable: %w", err)
 	}
 	live := segs[:0]
 	for _, seg := range segs {
-		if seg.seq < boundary {
+		if seg.key < boundary {
 			if err := os.Remove(seg.path); err != nil {
 				return nil, info, fmt.Errorf("tsdb: open durable: drop covered segment: %w", err)
 			}
@@ -164,7 +144,7 @@ func OpenDurable(opts Options, wopts WALOptions) (*DB, RecoveryInfo, error) {
 // deletes any later segments (records after a tear have no reliable
 // ordering), and stops — the recovered state is the longest valid
 // prefix of the log. It returns the segments that remain on disk.
-func replayWAL(db *DB, segs []walSegment, info *RecoveryInfo) ([]walSegment, error) {
+func replayWAL(db *DB, segs []dirFile, info *RecoveryInfo) ([]dirFile, error) {
 	info.Segments = len(segs)
 	for i, seg := range segs {
 		tornAt, err := replaySegment(db, seg, info)
@@ -176,7 +156,7 @@ func replayWAL(db *DB, segs []walSegment, info *RecoveryInfo) ([]walSegment, err
 		}
 		info.TornFrames++
 		info.TruncatedBytes += seg.size - tornAt
-		surviving := append([]walSegment(nil), segs[:i]...)
+		surviving := append([]dirFile(nil), segs[:i]...)
 		if tornAt <= fileHeaderSize {
 			// Nothing valid remains in this segment (torn or foreign
 			// header, or an empty record area): drop the file so later
@@ -208,7 +188,7 @@ func replayWAL(db *DB, segs []walSegment, info *RecoveryInfo) ([]walSegment, err
 // fails to apply is not a bad frame: the fault lies in what the record
 // touched — an unreadable cold segment behind an out-of-order write —
 // so it is returned as an error and no log file is modified.
-func replaySegment(db *DB, seg walSegment, info *RecoveryInfo) (int64, error) {
+func replaySegment(db *DB, seg dirFile, info *RecoveryInfo) (int64, error) {
 	data, err := os.ReadFile(seg.path)
 	if err != nil {
 		return 0, fmt.Errorf("tsdb: wal: read segment: %w", err)

@@ -59,7 +59,7 @@ func TestWALRollupKillPoints(t *testing.T) {
 			t.Fatal(err)
 		}
 		db.wal.mu.Lock()
-		rawBoundaries = append(rawBoundaries, db.wal.segBytes)
+		rawBoundaries = append(rawBoundaries, db.wal.seg.size)
 		db.wal.mu.Unlock()
 	}
 	// Clock-driven advance closes the data-incomplete tail bucket and

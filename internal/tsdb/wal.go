@@ -34,9 +34,11 @@ import (
 //	                  measurement str | nTags u32 | (k,v str)* |
 //	                  nFields u32 | (name str, value)* | time i64
 //
-// Segments rotate by size; a checkpoint (snapshot + log truncation)
-// cuts a segment boundary under the write lock so the deleted prefix
-// is exactly what the snapshot covers.
+// Segments are segment.go files: a failed append is cut back off the
+// file, and an uncut tear or a failed fsync closes the log. They rotate
+// by size; a checkpoint (snapshot + log truncation) cuts a segment
+// boundary under the write lock so the deleted prefix is exactly what
+// the snapshot covers.
 
 const (
 	walMagic   = "MWAL"
@@ -148,14 +150,12 @@ type WAL struct {
 	segSize int64
 	clk     clock.Clock
 
-	mu        sync.Mutex
-	f         *os.File
-	seq       uint64   // active segment sequence number
-	segBytes  int64    // bytes in the active segment
-	liveSeqs  []uint64 // non-active live segments, ascending
-	liveBytes int64    // bytes across liveSeqs
-	lastSync  time.Time
-	stats     WALStats
+	mu       sync.Mutex
+	seg      *segment  // active segment; nil once closed
+	seq      uint64    // active segment sequence number
+	sealed   []dirFile // rotated-out live segments, ascending
+	lastSync time.Time
+	stats    WALStats
 }
 
 type walOp byte
@@ -175,43 +175,16 @@ const (
 	walOpClearRange walOp = 5
 )
 
-// walSegment describes one on-disk segment file.
-type walSegment struct {
-	seq  uint64
-	path string
-	size int64
-}
+// walNameFormat names log segment seq.
+const walNameFormat = "wal-%08d.seg"
 
-func walSegmentPath(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("wal-%08d.seg", seq))
-}
-
-// listWALSegments returns the directory's segments in sequence order.
-func listWALSegments(dir string) ([]walSegment, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var segs []walSegment
-	for _, e := range entries {
-		var seq uint64
-		if n, err := fmt.Sscanf(e.Name(), "wal-%08d.seg", &seq); n != 1 || err != nil {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			return nil, err
-		}
-		segs = append(segs, walSegment{seq: seq, path: filepath.Join(dir, e.Name()), size: info.Size()})
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
-	return segs, nil
-}
+// walSeq is the listDir parser for log segment names.
+func walSeq(name string) (uint64, bool) { return parseNumbered(walNameFormat, name) }
 
 // openWAL opens the log for appending into a fresh segment numbered
-// after every surviving segment, which recovery has already replayed
-// and (if needed) truncated.
-func openWAL(opts WALOptions, surviving []walSegment) (*WAL, error) {
+// after every surviving segment (ascending), which recovery has already
+// replayed and (if needed) truncated.
+func openWAL(opts WALOptions, surviving []dirFile) (*WAL, error) {
 	opts.applyDefaults()
 	w := &WAL{
 		dir:      opts.Dir,
@@ -219,15 +192,12 @@ func openWAL(opts WALOptions, surviving []walSegment) (*WAL, error) {
 		syncIvl:  opts.SyncInterval,
 		segSize:  opts.SegmentSize,
 		clk:      opts.Clock,
+		sealed:   surviving,
 		lastSync: opts.Clock.Now(),
 	}
-	var next uint64 = 1
-	for _, s := range surviving {
-		w.liveSeqs = append(w.liveSeqs, s.seq)
-		w.liveBytes += s.size
-		if s.seq >= next {
-			next = s.seq + 1
-		}
+	next := uint64(1)
+	if n := len(surviving); n > 0 {
+		next = surviving[n-1].key + 1
 	}
 	if err := w.newSegmentLocked(next); err != nil {
 		return nil, err
@@ -235,61 +205,55 @@ func openWAL(opts WALOptions, surviving []walSegment) (*WAL, error) {
 	return w, nil
 }
 
-// newSegmentLocked creates and headers segment seq, making it active.
-// Callers hold mu (or have exclusive access during open).
+// newSegmentLocked creates segment seq and makes it active. Callers
+// hold mu (or have exclusive access during open).
 func (w *WAL) newSegmentLocked(seq uint64) error {
-	f, err := os.OpenFile(walSegmentPath(w.dir, seq), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	seg, err := createSegment(w.dir, fmt.Sprintf(walNameFormat, seq), appendFileHeader(nil, walMagic, walVersion))
 	if err != nil {
-		return fmt.Errorf("tsdb: wal: create segment: %w", err)
+		return fmt.Errorf("tsdb: wal: %w", err)
 	}
-	if _, err := f.Write(appendFileHeader(nil, walMagic, walVersion)); err != nil {
-		closeErr := f.Close()
-		_ = closeErr // the write error is the one worth reporting
-		return fmt.Errorf("tsdb: wal: segment header: %w", err)
-	}
-	w.f = f
-	w.seq = seq
-	w.segBytes = fileHeaderSize
+	w.seg, w.seq = seg, seq
 	return nil
 }
 
 // rotateLocked seals the active segment (sync + close) and opens the
-// next one. Callers hold mu.
+// next one; a log that cannot is closed. Callers hold mu.
 func (w *WAL) rotateLocked() error {
-	if err := w.f.Sync(); err != nil {
+	seg := w.seg
+	if err := seg.sync(); err != nil {
 		return fmt.Errorf("tsdb: wal: sync on rotate: %w", err)
 	}
 	w.stats.Syncs++
-	if err := w.f.Close(); err != nil {
+	w.seg = nil
+	w.sealed = append(w.sealed, dirFile{name: seg.name, path: filepath.Join(w.dir, seg.name), key: w.seq, size: seg.size})
+	if err := seg.f.Close(); err != nil {
 		return fmt.Errorf("tsdb: wal: close on rotate: %w", err)
 	}
-	w.liveSeqs = append(w.liveSeqs, w.seq)
-	w.liveBytes += w.segBytes
 	w.stats.Rotations++
 	return w.newSegmentLocked(w.seq + 1)
 }
 
 // append seals rec — a record encoded behind the header openFrame
 // reserved — and writes the frame to the active segment, rotating and
-// syncing per policy.
+// syncing per policy. A failed write leaves no byte of the frame in the
+// log; a failure the segment latches refuses every later append.
 func (w *WAL) append(rec []byte) error {
 	if _, err := sealFrame(rec); err != nil {
 		return fmt.Errorf("tsdb: wal: %w", err)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.f == nil {
+	if w.seg == nil {
 		return fmt.Errorf("tsdb: wal: closed")
 	}
-	if w.segBytes >= w.segSize {
+	if w.seg.size >= w.segSize {
 		if err := w.rotateLocked(); err != nil {
 			return err
 		}
 	}
-	if _, err := w.f.Write(rec); err != nil {
-		return fmt.Errorf("tsdb: wal: append: %w", err)
+	if err := w.seg.append(rec); err != nil {
+		return fmt.Errorf("tsdb: wal: %w", err)
 	}
-	w.segBytes += int64(len(rec))
 	w.stats.Appends++
 	switch w.policy {
 	case FsyncAlways:
@@ -303,8 +267,8 @@ func (w *WAL) append(rec []byte) error {
 }
 
 func (w *WAL) syncLocked() error {
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("tsdb: wal: fsync: %w", err)
+	if err := w.seg.sync(); err != nil {
+		return fmt.Errorf("tsdb: wal: %w", err)
 	}
 	w.stats.Syncs++
 	w.lastSync = w.clk.Now()
@@ -318,7 +282,7 @@ func (w *WAL) syncLocked() error {
 func (w *WAL) cut() (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.f == nil {
+	if w.seg == nil {
 		return 0, fmt.Errorf("tsdb: wal: closed")
 	}
 	if err := w.rotateLocked(); err != nil {
@@ -333,29 +297,18 @@ func (w *WAL) cut() (uint64, error) {
 func (w *WAL) truncateBefore(boundary uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	kept := w.liveSeqs[:0]
-	for _, seq := range w.liveSeqs {
-		if seq >= boundary {
-			kept = append(kept, seq)
-			continue
-		}
-		path := walSegmentPath(w.dir, seq)
-		info, err := os.Stat(path)
-		if err != nil {
+	for len(w.sealed) > 0 && w.sealed[0].key < boundary {
+		if err := os.Remove(w.sealed[0].path); err != nil {
 			return fmt.Errorf("tsdb: wal: truncate: %w", err)
 		}
-		if err := os.Remove(path); err != nil {
-			return fmt.Errorf("tsdb: wal: truncate: %w", err)
-		}
-		w.liveBytes -= info.Size()
+		w.sealed = w.sealed[1:]
 	}
-	w.liveSeqs = append([]uint64(nil), kept...)
-	snaps, err := listSnapshots(w.dir)
+	snaps, err := listDir(w.dir, snapshotBoundary)
 	if err != nil {
 		return fmt.Errorf("tsdb: wal: truncate: %w", err)
 	}
 	for _, s := range snaps {
-		if s.boundary >= boundary {
+		if s.key >= boundary {
 			continue
 		}
 		if err := os.Remove(s.path); err != nil {
@@ -370,19 +323,18 @@ func (w *WAL) truncateBefore(boundary uint64) error {
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.f == nil {
+	seg := w.seg
+	if seg == nil {
 		return nil
 	}
-	if err := w.f.Sync(); err != nil {
-		closeErr := w.f.Close()
+	w.seg = nil
+	if err := seg.sync(); err != nil {
+		closeErr := seg.f.Close()
 		_ = closeErr // the sync error is the one worth reporting
-		w.f = nil
 		return fmt.Errorf("tsdb: wal: close: %w", err)
 	}
 	w.stats.Syncs++
-	err := w.f.Close()
-	w.f = nil
-	if err != nil {
+	if err := seg.f.Close(); err != nil {
 		return fmt.Errorf("tsdb: wal: close: %w", err)
 	}
 	return nil
@@ -393,11 +345,13 @@ func (w *WAL) Stats() WALStats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	st := w.stats
-	st.Segments = len(w.liveSeqs)
-	st.Bytes = w.liveBytes
-	if w.f != nil {
+	st.Segments = len(w.sealed)
+	for _, s := range w.sealed {
+		st.Bytes += s.size
+	}
+	if w.seg != nil {
 		st.Segments++
-		st.Bytes += w.segBytes
+		st.Bytes += w.seg.size
 	}
 	return st
 }

@@ -14,6 +14,11 @@ import (
 	"monster/internal/clock"
 )
 
+// walSegmentPath names log segment seq inside dir.
+func walSegmentPath(dir string, seq uint64) string {
+	return filepath.Join(dir, fmt.Sprintf(walNameFormat, seq))
+}
+
 func walPoint(node string, ts int64, v float64) Point {
 	return Point{
 		Measurement: "Power",
@@ -132,7 +137,7 @@ func TestWALKillPoints(t *testing.T) {
 			t.Fatal(err)
 		}
 		db.wal.mu.Lock()
-		boundaries = append(boundaries, db.wal.segBytes)
+		boundaries = append(boundaries, db.wal.seg.size)
 		db.wal.mu.Unlock()
 	}
 	segPath := walSegmentPath(master, 1)
@@ -208,7 +213,7 @@ func TestWALKillPointsSealedBlocks(t *testing.T) {
 			t.Fatal(err)
 		}
 		db.wal.mu.Lock()
-		boundaries = append(boundaries, db.wal.segBytes)
+		boundaries = append(boundaries, db.wal.seg.size)
 		db.wal.mu.Unlock()
 	}
 	if cs := db.Compression(); cs.Blocks != 3 {
@@ -318,7 +323,7 @@ func TestWALCorruptionMidSegmentDropsTail(t *testing.T) {
 	if db.WALStats().Rotations == 0 {
 		t.Fatal("no rotation at 256-byte segments")
 	}
-	segs, err := listWALSegments(dir)
+	segs, err := listDir(dir, walSeq)
 	if err != nil || len(segs) < 3 {
 		t.Fatalf("want >=3 segments, got %d (%v)", len(segs), err)
 	}
@@ -613,7 +618,7 @@ func TestWALCheckpointCrashBeforeTruncate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snaps, err := listSnapshots(dir)
+	snaps, err := listDir(dir, snapshotBoundary)
 	if err != nil || len(snaps) != 2 {
 		t.Fatalf("want 2 snapshots on disk (completed + crashed), got %d (%v)", len(snaps), err)
 	}
@@ -629,16 +634,16 @@ func TestWALCheckpointCrashBeforeTruncate(t *testing.T) {
 		t.Fatalf("recovered %d points, want 15 (no double replay)", got)
 	}
 	// Stale files were swept: one snapshot, no covered segments.
-	snaps, err = listSnapshots(dir)
-	if err != nil || len(snaps) != 1 || snaps[0].boundary != boundary {
+	snaps, err = listDir(dir, snapshotBoundary)
+	if err != nil || len(snaps) != 1 || snaps[0].key != boundary {
 		t.Fatalf("stale snapshots not swept: %v (%v)", snaps, err)
 	}
-	segs, err := listWALSegments(dir)
+	segs, err := listDir(dir, walSeq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range segs {
-		if s.seq < boundary {
+		if s.key < boundary {
 			t.Fatalf("covered segment %s survived recovery", s.path)
 		}
 	}
@@ -688,7 +693,7 @@ func TestWALReplayApplyErrorKeepsLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	live, err := listWALSegments(walDir)
+	live, err := listDir(walDir, walSeq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -747,7 +752,7 @@ func TestWALOpenRemovesAbandonedSnapshotTemp(t *testing.T) {
 // walLoggedOps decodes the op of every record in dir's log segments.
 func walLoggedOps(t *testing.T, dir string) []walOp {
 	t.Helper()
-	segs, err := listWALSegments(dir)
+	segs, err := listDir(dir, walSeq)
 	if err != nil {
 		t.Fatal(err)
 	}
