@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-json bench-e2e lint lint-selftest examples fuzz-smoke crash-recovery compression ingest loc
+.PHONY: check fmt vet build test race bench bench-json bench-e2e lint lint-selftest examples fuzz-smoke crash-recovery compression ingest smoke loc
 
 # check is the pre-PR gate: formatting, static analysis (go vet, whose
 # copylocks is the project's lock-copy rule, plus the project's own
@@ -112,10 +112,26 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzWALExhaustive$$' -run '^FuzzWALExhaustive$$' -fuzztime $(FUZZTIME) ./internal/lint
 
 # ingest re-runs the pipeline suite on its own under the race
-# detector: stage saturation under both overflow policies, exact
-# drop accounting, shutdown drain, and the receiver/sink contracts.
+# detector: acknowledge-after-write, concurrent producers across a
+# Run stop, the sink-failure error rule, exact drop accounting, and
+# the receiver/sink contracts.
 ingest:
 	$(GO) test -race -count=1 ./internal/ingest
+
+# smoke runs monsterd three times for a few seconds with a WAL and a
+# cold directory; each run must exit 0 and log its final checkpoint,
+# whichever point of a cycle the -duration deadline lands in.
+smoke:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o $$tmp/monsterd ./cmd/monsterd || exit 1; \
+	for i in 1 2 3; do \
+		$$tmp/monsterd -nodes 16 -listen 127.0.0.1:0 -wal-dir $$tmp/wal -cold-dir $$tmp/cold \
+			-duration 3s > $$tmp/run$$i.log 2>&1 || \
+			{ echo "smoke: run $$i exited non-zero:"; cat $$tmp/run$$i.log; exit 1; }; \
+		grep -q 'checkpointed' $$tmp/run$$i.log || \
+			{ echo "smoke: run $$i did not checkpoint:"; cat $$tmp/run$$i.log; exit 1; }; \
+		echo "smoke: run $$i ok"; \
+	done
 
 # compression re-runs the sealed-block suite on its own under the race
 # detector: encode/decode round trips, seal thresholds, header pruning,

@@ -12,6 +12,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -56,8 +57,6 @@ func main() {
 		forwardOnly    = flag.Bool("forward-only", false, "skip local storage and act as a pure relay (requires -forward)")
 		scrape         = flag.String("scrape", "", "comma-separated Prometheus-style exposition endpoints to scrape")
 		scrapeInterval = flag.Duration("scrape-interval", time.Minute, "scrape cadence for -scrape targets")
-		ingestQueue    = flag.Int("ingest-queue", 0, "pipeline stage queue depth in batches (0 = default 64)")
-		ingestOverflow = flag.String("ingest-overflow", "block", "full-queue policy: block | drop-oldest")
 		sinkDebug      = flag.String("sink-debug", "", "render every routed point as line protocol to this file (\"-\" = stdout)")
 	)
 	var routes []string
@@ -90,8 +89,6 @@ func main() {
 		BlockSize:        *blockSize,
 		AlertRules:       monster.DefaultAlertRules(),
 		IngestRules:      routes,
-		IngestQueue:      *ingestQueue,
-		IngestOverflow:   *ingestOverflow,
 		ForwardTo:        *forward,
 		ForwardOnly:      *forwardOnly,
 		ScrapeInterval:   *scrapeInterval,
@@ -205,9 +202,8 @@ func main() {
 	}
 	serve("Metrics Builder API + push receiver", *listen, mux)
 	go func() {
-		// Asynchronous stage workers: pushed and scraped points flow
-		// through the bounded queues; the simulation loop's poll cycles
-		// enqueue instead of writing inline.
+		// The receivers' own loops (-scrape); pushes and cycles are
+		// written in their own goroutines whether or not this runs.
 		if err := sys.RunIngest(ctx); err != nil && ctx.Err() == nil {
 			log.Fatalf("monsterd: ingest pipeline: %v", err)
 		}
@@ -226,7 +222,10 @@ func main() {
 		}()
 	}
 	err = sys.RunLive(ctx, clk, *scale, time.Second)
-	if err == context.Canceled || err == context.DeadlineExceeded {
+	// A stop can surface wrapped (the deadline landing inside a cycle
+	// reads "core: collection at …: context deadline exceeded"); it
+	// still stops through the final checkpoint.
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		// The same cancellation stopped the listeners; wait until the
 		// requests they had in flight are answered, so the snapshot and
 		// checkpoint below describe a database no request is still using.

@@ -68,7 +68,7 @@ type Stats struct {
 	FinishEstimates int64
 	FinishExact     int64
 	LastSweep       time.Duration
-	LastCycle       time.Duration
+	LastCycle       time.Duration // the last CycleResult.TotalTime: sweep + pre-processing
 }
 
 // Collector is the centralized collecting agent.
@@ -125,6 +125,8 @@ type CycleResult struct {
 	NodesOK   int
 	NodesFail int
 	SweepTime time.Duration
+	// TotalTime is the sweep plus pre-processing: it stops before the
+	// points are handed to Emit, whose write the sink times.
 	TotalTime time.Duration
 }
 
@@ -153,12 +155,13 @@ func (c *Collector) CollectOnce(ctx context.Context, now time.Time) (CycleResult
 		points = append(points, schedPoints...)
 	}
 
+	// The cycle's own time stops at the hand-off: deliver runs the
+	// storage write, which its sink times itself.
+	res.Points = len(points)
+	res.TotalTime = c.opts.Clock.Now().Sub(start)
 	if werr := c.deliver(points); werr != nil && err == nil {
 		err = werr
 	}
-
-	res.Points = len(points)
-	res.TotalTime = c.opts.Clock.Now().Sub(start)
 
 	c.mu.Lock()
 	c.stats.Cycles++

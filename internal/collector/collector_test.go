@@ -310,6 +310,28 @@ func TestCollectOnceWithoutEmitFails(t *testing.T) {
 	}
 }
 
+// TestCycleTimeStopsAtHandOff: a cycle's TotalTime (and the
+// collector's LastCycle) is sweep + pre-processing. The Emit write
+// that follows is timed by its sink, so counting it here would charge
+// it twice.
+func TestCycleTimeStopsAtHandOff(t *testing.T) {
+	sim := clock.NewSim(t0)
+	f := newFixture(t, 2, Options{Clock: sim})
+	const write = time.Hour
+	f.col.SetEmit(func(points []tsdb.Point) error { sim.Advance(write); return nil })
+	f.advance(t0.Add(time.Minute), 15*time.Second)
+	res, err := f.col.CollectOnce(context.Background(), f.qm.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalTime >= write {
+		t.Fatalf("TotalTime = %v includes the %v Emit write", res.TotalTime, write)
+	}
+	if st := f.col.Stats(); st.LastCycle != res.TotalTime {
+		t.Fatalf("LastCycle = %v, want the cycle's TotalTime %v", st.LastCycle, res.TotalTime)
+	}
+}
+
 func TestSchedulerBytesAccounted(t *testing.T) {
 	f := newFixture(t, 2, Options{})
 	f.advance(t0.Add(time.Minute), 15*time.Second)

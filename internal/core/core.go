@@ -132,12 +132,6 @@ type Config struct {
 	// "derive:PowerKW.Reading=Power.Reading*0.001"). Empty passes
 	// points through untouched — the default single-path behaviour.
 	IngestRules []string
-	// IngestQueue bounds the pipeline's router queue and each sink
-	// queue, in batches (0 = ingest.DefaultQueueBatches).
-	IngestQueue int
-	// IngestOverflow selects what a full bounded stage does: "block"
-	// (backpressure, the default) or "drop-oldest".
-	IngestOverflow string
 	// ForwardTo adds a forward sink relaying every routed point to a
 	// peer monsterd's push endpoint (line protocol over HTTP POST),
 	// e.g. "http://peer:8080/v1/ingest/write".
@@ -301,23 +295,13 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bad ingest rule: %w", err)
 	}
-	overflow := ingest.OverflowBlock
-	if cfg.IngestOverflow != "" {
-		if overflow, err = ingest.ParseOverflowPolicy(cfg.IngestOverflow); err != nil {
-			return nil, err
-		}
-	}
-	pipe, err := ingest.New(ingest.Options{
-		Rules:        rules,
-		QueueBatches: cfg.IngestQueue,
-		Overflow:     overflow,
-	})
+	pipe, err := ingest.New(ingest.Options{Rules: rules})
 	if err != nil {
 		return nil, err
 	}
 	poll := ingest.NewPollReceiver(col)
 	pipe.AddReceiver(poll)
-	push := ingest.NewPushReceiver(ingest.PushOptions{})
+	push := ingest.NewPushReceiver()
 	pipe.AddReceiver(push)
 	var scrape *ingest.ScrapeReceiver
 	if len(cfg.ScrapeTargets) > 0 {
@@ -329,12 +313,12 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	var local *ingest.TSDBSink
 	if !cfg.ForwardOnly {
-		local = ingest.NewTSDBSink(db, ingest.TSDBOptions{})
+		local = ingest.NewTSDBSink(db)
 		pipe.AddSink(local)
 	}
 	var fwd *ingest.ForwardSink
 	if cfg.ForwardTo != "" {
-		fwd = ingest.NewForwardSink(cfg.ForwardTo, ingest.ForwardOptions{})
+		fwd = ingest.NewForwardSink(cfg.ForwardTo)
 		pipe.AddSink(fwd)
 	}
 	if cfg.DebugSink != nil {
@@ -399,15 +383,6 @@ func (s *System) advance(d, step time.Duration, collect bool, ctx context.Contex
 			if _, err := s.Collector.CollectOnce(ctx, s.now); err != nil {
 				return fmt.Errorf("core: collection at %v: %w", s.now, err)
 			}
-			if s.Ingest.Running() {
-				// Asynchronous stage workers hold the cycle's points in
-				// bounded queues; wait for them to land so the retention
-				// and alert passes below see this cycle's data —
-				// the same ordering the inline path gives for free.
-				if err := s.Ingest.Flush(ctx); err != nil {
-					return fmt.Errorf("core: ingest flush at %v: %w", s.now, err)
-				}
-			}
 			s.nextCollect = s.nextCollect.Add(CollectInterval)
 			if s.Config.Retention > 0 {
 				if _, err := s.DB.DeleteBefore(s.now.Add(-s.Config.Retention).Unix()); err != nil {
@@ -464,12 +439,12 @@ func (s *System) RunCheckpoints(ctx context.Context, clk clock.Clock) error {
 	}
 }
 
-// RunIngest starts the pipeline's asynchronous stage workers (router
-// loop, one worker per sink, receiver Run loops) and blocks until ctx
-// is done. Without it the pipeline processes every emission inline in
-// the producer's goroutine — the mode the deterministic simulation
-// loop relies on. Daemons that accept pushes or scrape targets run
-// this alongside their HTTP server.
+// RunIngest runs the receivers' own loops (the scrape receiver's
+// polling, when Config.ScrapeTargets is set) and blocks until ctx is
+// done. Delivery does not wait for it: collection cycles and pushes
+// are routed and written in their own goroutines, so a cycle's data is
+// stored before the retention, spill and alert passes after it run,
+// and a push's 204 is sent after its write.
 func (s *System) RunIngest(ctx context.Context) error {
 	return s.Ingest.Run(ctx)
 }

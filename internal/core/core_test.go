@@ -483,6 +483,54 @@ func TestTwoNodeForwarding(t *testing.T) {
 	}
 }
 
+// TestDownForwardPeerNeverFailsACycle: a node that stores locally and
+// forwards to a peer that is gone keeps collecting with RunIngest
+// active. Every cycle succeeds, the local store holds every collected
+// point, and the peer's failures are only counted.
+func TestDownForwardPeerNeverFailsACycle(t *testing.T) {
+	peer := httptest.NewServer(http.NotFoundHandler())
+	peer.Close()
+	s := New(Config{Nodes: 2, Seed: 1, ForwardTo: peer.URL})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- s.RunIngest(ctx) }()
+	for !s.Ingest.Stats().Running {
+		time.Sleep(time.Millisecond)
+	}
+
+	var errs int64
+	for cycle := 1; cycle <= 3; cycle++ {
+		if err := s.AdvanceCollecting(context.Background(), CollectInterval); err != nil {
+			t.Fatalf("cycle %d failed on a down forward peer: %v", cycle, err)
+		}
+		fe := s.Fwd.Stats().ForwardErrors
+		if fe <= errs {
+			t.Fatalf("cycle %d: forward_errors %d did not grow", cycle, fe)
+		}
+		errs = fe
+	}
+	cancel()
+	<-done
+
+	collected := s.Collector.Stats().PointsWritten
+	if collected == 0 {
+		t.Fatal("nothing collected")
+	}
+	if got := s.DB.Disk().Points; got != collected {
+		t.Fatalf("local store holds %d points, collected %d", got, collected)
+	}
+	st := s.Ingest.Stats()
+	for _, sk := range st.Sinks {
+		want := int64(0)
+		if sk.Name == "forward" {
+			want = collected
+		}
+		if sk.PointsDropped != want {
+			t.Fatalf("sink %s dropped %d points, want %d", sk.Name, sk.PointsDropped, want)
+		}
+	}
+}
+
 // TestForwardOnlyRelay: a ForwardOnly system keeps nothing locally —
 // every collected point lands solely on the peer.
 func TestForwardOnlyRelay(t *testing.T) {

@@ -16,28 +16,27 @@
 //     receiver's wire format (ForwardSink), and a line-protocol debug
 //     writer (DebugSink).
 //
-// The stages are wired by bounded channels. A pipeline that has not
-// been started processes every emission inline in the caller's
-// goroutine — the deterministic mode the simulation loop uses, and
-// exactly the synchronous collect→write behaviour the pre-pipeline
-// collector had. Pipeline.Run starts the stage workers: emissions then
-// enqueue into the bounded router queue and fan out into bounded
-// per-sink queues, each governed by an overflow policy (block for
-// lossless backpressure, drop-oldest for bounded staleness), with
-// exact accepted/dropped/forwarded accounting at every stage.
+// Every batch takes one path: its producer's EmitFunc routes it and
+// writes it to every sink, in registration order, in the producer's
+// goroutine, and returns only when every sink has answered — so a
+// push's 204 and a collection cycle's nil both mean a sink stored the
+// batch (the local store, in every default deployment). Nothing
+// is queued, so nothing can overflow or be left behind at shutdown;
+// each stage's counters still account for every point exactly
+// (received = written + dropped).
 package ingest
 
 import (
 	"context"
-	"fmt"
 
 	"monster/internal/tsdb"
 )
 
-// EmitFunc is a receiver's entry point into the pipeline. It reports
-// the first sink error when the pipeline processes the batch inline
-// (the synchronous mode); a started pipeline enqueues and returns nil,
-// with failures counted in the stage stats instead.
+// EmitFunc is a receiver's entry point into the pipeline. It returns
+// once the batch is routed and every sink has written it, and fails
+// only when no sink stored it (errors.Join of every sink's error);
+// a sink that failed beside one that succeeded is counted in its own
+// stats instead.
 type EmitFunc func(points []tsdb.Point) error
 
 // Receiver produces point batches into the pipeline.
@@ -45,10 +44,11 @@ type EmitFunc func(points []tsdb.Point) error
 // Bind is called exactly once, at registration, handing the receiver
 // its emit function; emissions may begin immediately after. Run is
 // started in its own goroutine by Pipeline.Run and drives active
-// collection until ctx is done. Externally-driven receivers — an HTTP
-// handler fed by clients, or a poller stepped by the simulation
-// loop — return from Run immediately; their emissions flow through the
-// bound emit whenever the external driver produces them.
+// collection (the scrape loop) until ctx is done. Externally-driven
+// receivers — an HTTP handler fed by clients, or a poller stepped by
+// the simulation loop — return from Run immediately; their emissions
+// flow through the bound emit whenever the external driver produces
+// them, whether or not Run is active.
 type Receiver interface {
 	Name() string
 	Bind(emit EmitFunc)
@@ -56,9 +56,8 @@ type Receiver interface {
 }
 
 // Sink consumes routed point batches. Implementations must be safe for
-// concurrent Write calls: a running pipeline writes from the sink's
-// queue worker while inline emissions (e.g. the simulation's poll
-// path) write from the caller's goroutine.
+// concurrent Write calls: every producer (a push handler, the scrape
+// loop, the collection cycle) writes from its own goroutine.
 type Sink interface {
 	Name() string
 	Write(points []tsdb.Point) error
@@ -70,43 +69,4 @@ type Sink interface {
 // failures, HTTP requests) in the pipeline stats snapshot.
 type ExtraStats interface {
 	ExtraStats() map[string]int64
-}
-
-// OverflowPolicy selects what a bounded stage does when its queue is
-// full.
-type OverflowPolicy int
-
-const (
-	// OverflowBlock applies backpressure: the producer blocks until
-	// the queue has room (or the pipeline shuts down). Nothing is
-	// dropped; a slow sink stalls its producers.
-	OverflowBlock OverflowPolicy = iota
-	// OverflowDropOldest evicts the oldest queued batch to admit the
-	// new one, counting the evicted points as dropped. Producers never
-	// block; a slow sink loses the stalest data first.
-	OverflowDropOldest
-)
-
-// String implements fmt.Stringer.
-func (p OverflowPolicy) String() string {
-	switch p {
-	case OverflowBlock:
-		return "block"
-	case OverflowDropOldest:
-		return "drop-oldest"
-	default:
-		return fmt.Sprintf("OverflowPolicy(%d)", int(p))
-	}
-}
-
-// ParseOverflowPolicy parses "block" or "drop-oldest".
-func ParseOverflowPolicy(s string) (OverflowPolicy, error) {
-	switch s {
-	case "block":
-		return OverflowBlock, nil
-	case "drop-oldest":
-		return OverflowDropOldest, nil
-	default:
-		return 0, fmt.Errorf("ingest: unknown overflow policy %q (want block or drop-oldest)", s)
-	}
 }

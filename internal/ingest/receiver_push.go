@@ -18,19 +18,6 @@ import (
 // misbehaving client cannot balloon the receiver's allocations.
 const DefaultMaxPushBody = 4 << 20
 
-// PushOptions configures a PushReceiver.
-type PushOptions struct {
-	// Name distinguishes multiple push receivers in the stats. Empty
-	// means "push".
-	Name string
-	// MaxBody caps the accepted request body in bytes. Zero means
-	// DefaultMaxPushBody.
-	MaxBody int64
-	// Clock stamps lines that carry no timestamp. Nil means the real
-	// clock.
-	Clock clock.Clock
-}
-
 // PushReceiver accepts InfluxDB line protocol over HTTP POST — the
 // push half of the pipeline, and the wire format ForwardSink speaks,
 // so any monsterd can receive from clients, collectd-style shippers,
@@ -40,13 +27,12 @@ type PushOptions struct {
 // Responses: 204 on success, 400 with {"error": ...} on a parse
 // failure (the offending line number included) or any other body-read
 // failure (client disconnect, truncated chunked encoding), 405 on a
-// non-POST, 413 only when the body exceeds MaxBody, 503 before the
-// receiver is bound to a pipeline, and 500 when an inline sink write
-// fails.
+// non-POST, 413 only when the body exceeds DefaultMaxPushBody, 503
+// before the receiver is bound to a pipeline, and 500 when no sink
+// stored the batch. The 204 is written after every sink has answered.
 type PushReceiver struct {
-	name    string
-	maxBody int64
-	clk     clock.Clock
+	maxBody int64       // request body cap; tests shrink it
+	clk     clock.Clock // stamps lines that carry no timestamp
 
 	mu   sync.RWMutex
 	emit EmitFunc
@@ -59,21 +45,12 @@ type PushReceiver struct {
 
 // NewPushReceiver builds an HTTP push receiver. Register it with
 // Pipeline.AddReceiver before serving traffic.
-func NewPushReceiver(opts PushOptions) *PushReceiver {
-	if opts.Name == "" {
-		opts.Name = "push"
-	}
-	if opts.MaxBody == 0 {
-		opts.MaxBody = DefaultMaxPushBody
-	}
-	if opts.Clock == nil {
-		opts.Clock = clock.NewReal()
-	}
-	return &PushReceiver{name: opts.Name, maxBody: opts.MaxBody, clk: opts.Clock}
+func NewPushReceiver() *PushReceiver {
+	return &PushReceiver{maxBody: DefaultMaxPushBody, clk: clock.NewReal()}
 }
 
 // Name implements Receiver.
-func (r *PushReceiver) Name() string { return r.name }
+func (r *PushReceiver) Name() string { return "push" }
 
 // Bind implements Receiver.
 func (r *PushReceiver) Bind(emit EmitFunc) {
@@ -121,9 +98,7 @@ func (r *PushReceiver) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if err := emit(points); err != nil {
-		// Inline mode surfaces the sink failure to the producer; a
-		// running pipeline reports nil here and counts failures in the
-		// sink stats instead.
+		// No sink stored the batch; a 204 would acknowledge lost data.
 		r.emitErrors.Add(1)
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return

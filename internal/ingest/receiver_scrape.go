@@ -19,23 +19,11 @@ import (
 
 // ScrapeOptions configures a ScrapeReceiver.
 type ScrapeOptions struct {
-	// Name distinguishes multiple scrape receivers. Empty means
-	// "scrape".
-	Name string
 	// Targets are the exposition endpoints to poll (e.g.
 	// http://node:9100/metrics).
 	Targets []string
 	// Interval is the scrape cadence. Zero means 60 s.
 	Interval time.Duration
-	// Client issues the scrape requests. Nil means a dedicated client
-	// with a 10 s timeout.
-	Client *http.Client
-	// MaxBody caps one exposition body in bytes. Zero means
-	// DefaultMaxPushBody.
-	MaxBody int64
-	// Clock drives the scrape loop and stamps samples without
-	// timestamps. Nil means the real clock.
-	Clock clock.Clock
 }
 
 // ScrapeReceiver polls Prometheus-style text exposition endpoints on
@@ -44,12 +32,10 @@ type ScrapeOptions struct {
 // lands in a "value" field. Exposition timestamps (milliseconds) are
 // honoured; samples without one are stamped at scrape time.
 type ScrapeReceiver struct {
-	name     string
 	targets  []string
 	interval time.Duration
 	client   *http.Client
-	maxBody  int64
-	clk      clock.Clock
+	clk      clock.Clock // drives the loop and stamps untimed samples; tests substitute a simulated one
 
 	mu   sync.RWMutex
 	emit EmitFunc
@@ -63,29 +49,17 @@ type ScrapeReceiver struct {
 // NewScrapeReceiver builds a scrape receiver. Pipeline.Run drives its
 // scrape loop.
 func NewScrapeReceiver(opts ScrapeOptions) *ScrapeReceiver {
-	if opts.Name == "" {
-		opts.Name = "scrape"
-	}
 	if opts.Interval == 0 {
 		opts.Interval = 60 * time.Second
 	}
-	if opts.Client == nil {
-		opts.Client = &http.Client{Timeout: 10 * time.Second}
-	}
-	if opts.MaxBody == 0 {
-		opts.MaxBody = DefaultMaxPushBody
-	}
-	if opts.Clock == nil {
-		opts.Clock = clock.NewReal()
-	}
 	return &ScrapeReceiver{
-		name: opts.Name, targets: opts.Targets, interval: opts.Interval,
-		client: opts.Client, maxBody: opts.MaxBody, clk: opts.Clock,
+		targets: opts.Targets, interval: opts.Interval,
+		client: &http.Client{Timeout: 10 * time.Second}, clk: clock.NewReal(),
 	}
 }
 
 // Name implements Receiver.
-func (r *ScrapeReceiver) Name() string { return r.name }
+func (r *ScrapeReceiver) Name() string { return "scrape" }
 
 // Bind implements Receiver.
 func (r *ScrapeReceiver) Bind(emit EmitFunc) {
@@ -124,8 +98,8 @@ func (r *ScrapeReceiver) ScrapeOnce(ctx context.Context) {
 			continue
 		}
 		r.samples.Add(int64(len(points)))
-		// A failed inline write is already counted by the sink; the
-		// scrape succeeded, so it is not a scrape error.
+		// A failed write is already counted by the sink; the scrape
+		// succeeded, so it is not a scrape error.
 		_ = emit(points)
 	}
 }
@@ -140,7 +114,7 @@ func (r *ScrapeReceiver) scrapeTarget(ctx context.Context, target string) ([]tsd
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, r.maxBody))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, DefaultMaxPushBody))
 	if err != nil {
 		return nil, err
 	}

@@ -20,8 +20,9 @@ func TestPushReceiverStatuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.AddSink(NewTSDBSink(db, TSDBOptions{}))
-	push := NewPushReceiver(PushOptions{MaxBody: 128})
+	p.AddSink(NewTSDBSink(db))
+	push := NewPushReceiver()
+	push.maxBody = 128
 
 	srv := httptest.NewServer(push)
 	defer srv.Close()
@@ -69,7 +70,7 @@ func TestPushReceiverStatuses(t *testing.T) {
 		t.Fatalf("oversized status = %d, want 413", resp.StatusCode)
 	}
 
-	// Success: points land in the local sink via the inline pipeline.
+	// Success: points land in the local sink before the 204.
 	line := `Power,NodeId=10.101.1.1 Reading=212.4 1587384000` + "\n"
 	resp, err = http.Post(srv.URL, "text/plain", strings.NewReader(line))
 	if err != nil {
@@ -99,18 +100,18 @@ func TestPushReceiverStatuses(t *testing.T) {
 }
 
 // TestPushReceiverTruncatedBody pins the 413/400 split: 413 is
-// reserved for the MaxBody limiter, while a body that dies mid-read
+// reserved for the body-size limiter, while a body that dies mid-read
 // (Content-Length promising more bytes than ever arrive) is the
 // client's malformed request and must map to 400. The old handler
 // collapsed every read error into 413, telling well-behaved clients
 // with flaky connections to shrink their batches forever.
 func TestPushReceiverTruncatedBody(t *testing.T) {
-	push := NewPushReceiver(PushOptions{MaxBody: 1 << 20})
+	push := NewPushReceiver()
 	p, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.AddSink(NewTSDBSink(tsdb.Open(tsdb.Options{}), TSDBOptions{}))
+	p.AddSink(NewTSDBSink(tsdb.Open(tsdb.Options{})))
 	p.AddReceiver(push)
 
 	srv := httptest.NewServer(push)
@@ -142,13 +143,14 @@ func TestPushReceiverTruncatedBody(t *testing.T) {
 
 func TestPushReceiverDefaultTimestamp(t *testing.T) {
 	clk := clock.NewSim(time.Unix(5000, 0))
-	push := NewPushReceiver(PushOptions{Clock: clk})
+	push := NewPushReceiver()
+	push.clk = clk
 	p, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	db := tsdb.Open(tsdb.Options{})
-	p.AddSink(NewTSDBSink(db, TSDBOptions{}))
+	p.AddSink(NewTSDBSink(db))
 	p.AddReceiver(push)
 
 	srv := httptest.NewServer(push)
@@ -236,11 +238,9 @@ func TestScrapeReceiver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.AddSink(NewTSDBSink(db, TSDBOptions{}))
-	sc := NewScrapeReceiver(ScrapeOptions{
-		Targets: []string{target.URL, down.URL},
-		Clock:   clock.NewSim(time.Unix(9000, 0)),
-	})
+	p.AddSink(NewTSDBSink(db))
+	sc := NewScrapeReceiver(ScrapeOptions{Targets: []string{target.URL, down.URL}})
+	sc.clk = clock.NewSim(time.Unix(9000, 0))
 	p.AddReceiver(sc)
 
 	sc.ScrapeOnce(context.Background())
@@ -279,7 +279,7 @@ func TestScrapeReceiverRunLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.AddSink(NewTSDBSink(tsdb.Open(tsdb.Options{}), TSDBOptions{}))
+	p.AddSink(NewTSDBSink(tsdb.Open(tsdb.Options{})))
 	p.AddReceiver(sc)
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -201,8 +201,7 @@ func ParseRules(specs []string) ([]Rule, error) {
 
 // router applies the rule chain to every point and keeps exact
 // counters. It is stateless per point and safe for concurrent use:
-// the running pipeline's router worker and inline emissions may
-// process batches simultaneously.
+// every producer routes its own batches in its own goroutine.
 type router struct {
 	rules []Rule
 

@@ -12,15 +12,6 @@ import (
 	"monster/internal/tsdb"
 )
 
-// ForwardOptions configures a ForwardSink.
-type ForwardOptions struct {
-	// Client issues the forward requests. Nil means a dedicated client
-	// with a 30 s timeout.
-	Client *http.Client
-	// Clock times forward writes. Nil means the real clock.
-	Clock clock.Clock
-}
-
 // ForwardSink relays routed batches to a peer monsterd's push receiver
 // as an HTTP POST of InfluxDB line protocol — the wire format
 // PushReceiver parses, so monsterd instances compose into forwarding
@@ -40,14 +31,8 @@ type ForwardSink struct {
 
 // NewForwardSink builds a forward sink POSTing to url (the peer's push
 // endpoint, e.g. http://peer:8080/v1/ingest/write).
-func NewForwardSink(url string, opts ForwardOptions) *ForwardSink {
-	if opts.Client == nil {
-		opts.Client = &http.Client{Timeout: 30 * time.Second}
-	}
-	if opts.Clock == nil {
-		opts.Clock = clock.NewReal()
-	}
-	return &ForwardSink{url: url, client: opts.Client, clk: opts.Clock}
+func NewForwardSink(url string) *ForwardSink {
+	return &ForwardSink{url: url, client: &http.Client{Timeout: 30 * time.Second}, clk: clock.NewReal()}
 }
 
 // Name implements Sink.

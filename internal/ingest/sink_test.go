@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"monster/internal/clock"
 	"monster/internal/tsdb"
 )
 
@@ -26,7 +25,8 @@ func validPoint(t int64) tsdb.Point {
 // error surfaces.
 func TestTSDBSinkRecordsPartialProgress(t *testing.T) {
 	db := tsdb.Open(tsdb.Options{})
-	s := NewTSDBSink(db, TSDBOptions{BatchSize: 1, Clock: clock.NewReal()})
+	s := NewTSDBSink(db)
+	s.batch = 1
 	valid := validPoint(100)
 	invalid := tsdb.Point{Measurement: "", Time: 100} // fails Validate
 
@@ -62,7 +62,8 @@ func TestTSDBSinkRecordsPartialProgress(t *testing.T) {
 
 func TestTSDBSinkBatchSizes(t *testing.T) {
 	db := tsdb.Open(tsdb.Options{})
-	s := NewTSDBSink(db, TSDBOptions{BatchSize: 10})
+	s := NewTSDBSink(db)
+	s.batch = 10
 	pts := make([]tsdb.Point, 25)
 	for i := range pts {
 		pts[i] = validPoint(int64(i + 1))
@@ -72,15 +73,6 @@ func TestTSDBSinkBatchSizes(t *testing.T) {
 	}
 	if st := s.Stats(); st.Batches != 3 {
 		t.Fatalf("Batches = %d, want 3 for 25 points at size 10", st.Batches)
-	}
-
-	// Negative batch size degenerates to per-point writes.
-	s2 := NewTSDBSink(tsdb.Open(tsdb.Options{}), TSDBOptions{BatchSize: -1})
-	if err := s2.Write(pts[:5]); err != nil {
-		t.Fatal(err)
-	}
-	if st := s2.Stats(); st.Batches != 5 {
-		t.Fatalf("unbatched Batches = %d, want 5", st.Batches)
 	}
 }
 
@@ -93,7 +85,7 @@ func TestForwardSinkDelivery(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	s := NewForwardSink(srv.URL, ForwardOptions{})
+	s := NewForwardSink(srv.URL)
 	pts := []tsdb.Point{validPoint(42)}
 	if err := s.Write(pts); err != nil {
 		t.Fatal(err)
@@ -117,7 +109,7 @@ func TestForwardSinkCountsErrors(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	s := NewForwardSink(srv.URL, ForwardOptions{})
+	s := NewForwardSink(srv.URL)
 	if err := s.Write([]tsdb.Point{validPoint(1)}); err == nil {
 		t.Fatal("non-2xx peer response not surfaced")
 	}
