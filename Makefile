@@ -120,7 +120,9 @@ ingest:
 
 # smoke runs monsterd three times for a few seconds with a WAL and a
 # cold directory; each run must exit 0 and log its final checkpoint,
-# whichever point of a cycle the -duration deadline lands in.
+# whichever point of a cycle the -duration deadline lands in. A fourth
+# run has no -duration: once it serves it gets SIGTERM, the signal
+# systemd, Docker and kill send, and must stop the same way.
 smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/monsterd ./cmd/monsterd || exit 1; \
@@ -131,7 +133,19 @@ smoke:
 		grep -q 'checkpointed' $$tmp/run$$i.log || \
 			{ echo "smoke: run $$i did not checkpoint:"; cat $$tmp/run$$i.log; exit 1; }; \
 		echo "smoke: run $$i ok"; \
-	done
+	done; \
+	$$tmp/monsterd -nodes 16 -listen 127.0.0.1:0 -wal-dir $$tmp/wal -cold-dir $$tmp/cold \
+		> $$tmp/run4.log 2>&1 & pid=$$!; \
+	for n in $$(seq 300); do \
+		grep -q 'monsterd: .* on 127\.0\.0\.1' $$tmp/run4.log && break; sleep 0.1; \
+	done; \
+	grep -q 'monsterd: .* on 127\.0\.0\.1' $$tmp/run4.log || \
+		{ kill -9 $$pid; echo "smoke: run 4 never served:"; cat $$tmp/run4.log; exit 1; }; \
+	kill -TERM $$pid; \
+	wait $$pid || { echo "smoke: run 4 exited non-zero on SIGTERM:"; cat $$tmp/run4.log; exit 1; }; \
+	grep -q 'checkpointed' $$tmp/run4.log || \
+		{ echo "smoke: run 4 did not checkpoint on SIGTERM:"; cat $$tmp/run4.log; exit 1; }; \
+	echo "smoke: run 4 (SIGTERM) ok"
 
 # compression re-runs the sealed-block suite on its own under the race
 # detector: encode/decode round trips, seal thresholds, header pruning,

@@ -21,6 +21,7 @@ import (
 	"os/signal"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"monster"
@@ -171,7 +172,9 @@ func main() {
 			rec.SnapshotLoaded, rec.SnapshotPoints, rec.Records, rec.Points, rec.TornFrames)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	// SIGTERM is what systemd, Docker and kill send; it stops through
+	// the final checkpoint like Ctrl-C does.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if *duration > 0 {
 		var cancel context.CancelFunc

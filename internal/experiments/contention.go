@@ -79,8 +79,14 @@ func MeasureContention(globalLock bool, readers, queries, batchSize int) (*Conte
 
 	stop := make(chan struct{})
 	writerErr := make(chan error, 1)
+	// Readers start once the writer's first batch is in: on two busy
+	// cores the scheduler may otherwise leave the writer idle for the
+	// whole quick run, and no query would run beside a write.
+	wrote := make(chan struct{})
+	var wroteOnce sync.Once
 	go func() {
 		defer close(writerErr)
+		defer wroteOnce.Do(func() { close(wrote) })
 		// Tags and field maps are built once so the writer loop spends
 		// its time inside WritePoints (the collector-flush shape), not
 		// formatting strings.
@@ -119,8 +125,10 @@ func MeasureContention(globalLock bool, readers, queries, batchSize int) (*Conte
 				writerErr <- err
 				return
 			}
+			wroteOnce.Do(func() { close(wrote) })
 		}
 	}()
+	<-wrote
 
 	clk := clock.NewReal() // real query latency is this experiment's output
 	latencies := make([][]time.Duration, readers)

@@ -17,8 +17,8 @@ import (
 //
 //	file header  magic [4]byte | version u16
 //	frame        payloadLen u32 | crc32-IEEE(payload) u32 | payload
-//	payload      fixed-width integers; strings as u32 length + bytes;
-//	             values as a kind byte + canonical payload
+//	payload      fixed-width integers or varints; strings as u32
+//	             length + bytes; values as a kind byte + canonical payload
 //
 // Encoding is append-style onto a byte slice (integers go straight
 // through binary.LittleEndian.Append*); a frame is written by reserving
@@ -214,16 +214,35 @@ func (d *decoder) i64() int64  { return int64(le.Uint64(d.fixed(8))) }
 
 func (d *decoder) str() string { return string(d.take(int(d.u32()))) }
 
+// uvarint reads an unsigned varint (binary.AppendUvarint's encoding).
+func (d *decoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.failf("bad varint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+// varint reads a zigzag varint (binary.AppendVarint's encoding).
+func (d *decoder) varint() int64 {
+	u := d.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
 // count reads a u32 element count and checks it against the bytes that
 // remain — every element takes at least min of them — so the caller
-// may allocate for the count it gets back.
-func (d *decoder) count(min int) int {
-	n := int(d.u32())
-	if n < 0 || n > len(d.b)/min {
+// may allocate for the count it gets back; ucount reads a uvarint one.
+func (d *decoder) count(min int) int  { return d.bound(uint64(d.u32()), min) }
+func (d *decoder) ucount(min int) int { return d.bound(d.uvarint(), min) }
+
+func (d *decoder) bound(n uint64, min int) int {
+	if n > uint64(len(d.b)/min) {
 		d.failf("count %d exceeds the %d bytes that remain", n, len(d.b))
 		return 0
 	}
-	return n
+	return int(n)
 }
 
 // tags reads a tag list; a tag is at least its two string lengths.

@@ -7,16 +7,21 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 )
 
-// Golden bytes, captured from the commit before the three codecs were
-// merged (c98411a): one framed record of every walOp, a whole WAL
-// segment written through the DB, a whole cold segment holding one
-// frame, and a mixed-kind block payload. The codec may be rearranged
-// freely; what it writes may not change, or logs and cold directories
-// in the field stop replaying.
+// Golden bytes: one framed record of every walOp, a whole WAL segment
+// written through the DB, a whole cold segment holding one frame, and a
+// mixed-kind block payload. The codec may be rearranged freely; what it
+// writes may not change, or logs and cold directories in the field stop
+// replaying. The version 1 write and batch records and segment were
+// captured from the commit before the three codecs were merged
+// (c98411a) and are what every build wrote until the WAL took its
+// dictionary; this build no longer writes them, and they stay as decode
+// fixtures. The drop, deleteBefore and clearRange records hold no point
+// list and are the same in both versions.
 const (
 	goldenWrite = "" +
 		"81000000704ef4cb010100000005000000506f77657202000000050000004c61" +
@@ -49,6 +54,28 @@ const (
 		"4d434c44010080510100000000001200000000282b3c04010078000040690000" +
 		"00000000e4079038"
 	goldenMixedBlock = "030314140002020000004f4b0301000000000000001c40"
+
+	goldenV2Write = "" +
+		"7d000000f8c3a75a01010105000000506f77657202000000050000004c616265" +
+		"6c090000004e6f6465506f776572060000004e6f64654964020000006e310401" +
+		"020000004f6e0301030300000052617701f9ffffffffffffff05070000005265" +
+		"6164696e67000000000000187140070600000053746174757302020000004f4b" +
+		"80bbece90b"
+	goldenV2Batch = "" +
+		"db000000a32025b804010105000000506f77657202000000050000004c616265" +
+		"6c090000004e6f6465506f776572060000004e6f64654964020000006e310401" +
+		"020000004f6e0301030300000052617701f9ffffffffffffff05070000005265" +
+		"6164696e67000000000000187140070600000053746174757302020000004f4b" +
+		"80bbece90b010000000e000000506f7765725f6d61785f33303073948d9d5e00" +
+		"000000c08e9d5e0000000001030e000000506f7765725f6d61785f3330307301" +
+		"000000060000004e6f64654964020000006e310104000000000000807140a8b6" +
+		"ece90b"
+	goldenV2WALSegment = "" +
+		"4d57414c02007d000000f8c3a75a01010105000000506f776572020000000500" +
+		"00004c6162656c090000004e6f6465506f776572060000004e6f646549640200" +
+		"00006e310401020000004f6e0301030300000052617701f9ffffffffffffff05" +
+		"0700000052656164696e67000000000000187140070600000053746174757302" +
+		"020000004f4b80bbece90b0a000000bd2481010205000000506f776572"
 )
 
 func goldenPoints() []Point {
@@ -61,8 +88,9 @@ func goldenPoints() []Point {
 }
 
 // TestGoldenBytes asserts the WAL records, the WAL and cold segment
-// files and the mixed block encoding are byte-identical to the parent
-// commit's, and that the golden frames decode back to what was encoded.
+// files and the mixed block encoding are byte-identical to the pinned
+// ones, that every golden frame decodes back to exactly what was
+// encoded, and that a version 1 segment still recovers.
 func TestGoldenBytes(t *testing.T) {
 	sealed := func(rec []byte) string {
 		t.Helper()
@@ -71,6 +99,22 @@ func TestGoldenBytes(t *testing.T) {
 		}
 		return hex.EncodeToString(rec)
 	}
+	decoded := func(frame string, defs *walDefs) walRecord {
+		t.Helper()
+		b, err := hex.DecodeString(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, _, err := readFrame(b)
+		if err != nil {
+			t.Fatalf("golden frame: %v", err)
+		}
+		rec, err := decodeWALRecord(payload, defs)
+		if err != nil {
+			t.Fatalf("golden frame: %v", err)
+		}
+		return rec
+	}
 	ops := []rollupOp{{target: "Power_max_300s", clearStart: 1587383700, clearEnd: 1587384000, points: []Point{{
 		Measurement: "Power_max_300s",
 		Tags:        Tags{{Key: "NodeId", Value: "n1"}},
@@ -78,36 +122,38 @@ func TestGoldenBytes(t *testing.T) {
 		Time:        1587383700,
 	}}}}
 	for _, c := range []struct {
-		op        walOp
-		got, want string
+		rec    walRecord
+		v2, v1 string // v1 only where the versions differ
 	}{
-		{walOpWrite, sealed(encodeWriteRecord(goldenPoints())), goldenWrite},
-		{walOpDrop, sealed(encodeDropRecord("Power")), goldenDrop},
-		{walOpDeleteBefore, sealed(encodeDeleteBeforeRecord(1587384000)), goldenDeleteBefore},
-		{walOpBatch, sealed(encodeBatchRecord(goldenPoints(), ops)), goldenBatch},
-		{walOpClearRange, sealed(encodeClearRangeRecord("Power", math.MinInt64, 1587384000)), goldenClearRange},
+		{walRecord{op: walOpWrite, points: goldenPoints()}, goldenV2Write, goldenWrite},
+		{walRecord{op: walOpDrop, name: "Power"}, goldenDrop, ""},
+		{walRecord{op: walOpDeleteBefore, before: 1587384000}, goldenDeleteBefore, ""},
+		{walRecord{op: walOpBatch, points: goldenPoints(), ops: ops}, goldenV2Batch, goldenBatch},
+		{walRecord{op: walOpClearRange, name: "Power", start: math.MinInt64, end: 1587384000}, goldenClearRange, ""},
 	} {
-		if c.got != c.want {
-			t.Errorf("walOp %d record changed:\n got %s\nwant %s", c.op, c.got, c.want)
+		if got := sealed((&walDict{}).encode(&c.rec)); got != c.v2 {
+			t.Errorf("walOp %d record changed:\n got %s\nwant %s", c.rec.op, got, c.v2)
 		}
-		frame, err := hex.DecodeString(c.want)
-		if err != nil {
-			t.Fatal(err)
+		if got := decoded(c.v2, &walDefs{}); !reflect.DeepEqual(got, c.rec) {
+			t.Errorf("walOp %d: golden record decodes to %+v, want %+v", c.rec.op, got, c.rec)
 		}
-		payload, _, err := readFrame(frame)
-		if err != nil {
-			t.Fatalf("walOp %d: golden frame: %v", c.op, err)
+		if c.v1 == "" {
+			continue
 		}
-		if rec, err := decodeWALRecord(payload); err != nil || rec.op != c.op {
-			t.Errorf("walOp %d: golden record decodes to op %d, err %v", c.op, rec.op, err)
+		if got := decoded(c.v1, nil); !reflect.DeepEqual(got, c.rec) {
+			t.Errorf("walOp %d: version 1 golden record decodes to %+v, want %+v", c.rec.op, got, c.rec)
 		}
 	}
 
+	// The same batch and drop through a live DB, and through recovery
+	// of the version 1 segment: the whole log, and the log cut before
+	// the drop.
 	dir := t.TempDir()
 	db, _ := crashOpen(t, dir, WALOptions{Policy: FsyncNever})
 	if err := db.WritePoints(goldenPoints()); err != nil {
 		t.Fatal(err)
 	}
+	written := queryAll(t, db, `SELECT "Reading", "Raw", "Status", "On" FROM "Power"`)
 	if ok, err := db.DropMeasurement("Power"); !ok || err != nil {
 		t.Fatalf("drop: ok=%t err=%v", ok, err)
 	}
@@ -115,8 +161,45 @@ func TestGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := hex.EncodeToString(seg); got != goldenWALSegment {
-		t.Errorf("WAL segment changed:\n got %s\nwant %s", got, goldenWALSegment)
+	if got := hex.EncodeToString(seg); got != goldenV2WALSegment {
+		t.Errorf("WAL segment changed:\n got %s\nwant %s", got, goldenV2WALSegment)
+	}
+	v1, err := hex.DecodeString(goldenWALSegment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropFrame := len(goldenDrop) / 2
+	stats := func(db *DB) DBStats {
+		st := db.Stats()
+		st.WriteWaitNs = 0 // timing, not content
+		return st
+	}
+	for _, c := range []struct {
+		seg     []byte
+		records int64
+		want    *DB
+		answer  string
+	}{
+		{v1, 2, db, ""},
+		{v1[:len(v1)-dropFrame], 1, nil, written},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(walSegmentPath(dir, 1), c.seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, info := crashOpen(t, dir, WALOptions{Policy: FsyncNever})
+		if info.Records != c.records || info.Points != 1 || info.TornFrames != 0 {
+			t.Fatalf("version 1 segment recovered %+v, want %d records of one point", info, c.records)
+		}
+		if c.want != nil && (stats(got) != stats(c.want) || got.Epoch() != c.want.Epoch()) {
+			t.Errorf("version 1 segment recovered stats %+v epoch %d, want %+v epoch %d",
+				stats(got), got.Epoch(), stats(c.want), c.want.Epoch())
+		}
+		if c.answer != "" {
+			if a := queryAll(t, got, `SELECT "Reading", "Raw", "Status", "On" FROM "Power"`); a != c.answer {
+				t.Errorf("version 1 segment answers:\n%s\nwant:\n%s", a, c.answer)
+			}
+		}
 	}
 
 	ct := newColdTier(t.TempDir(), 0)

@@ -512,7 +512,7 @@ func (db *DB) SpillCold(olderThan int64) (int, error) {
 		return 0, nil
 	}
 	spilled := 0
-	err := db.commit(func(v *dbView) (*dbView, func() []byte, error) {
+	err := db.commit(func(v *dbView) (*dbView, *walRecord, error) {
 		cands := collectSpillCandidates(v, olderThan, db.cold.maxResident)
 		if len(cands) == 0 {
 			return nil, nil, nil
@@ -544,7 +544,7 @@ func (db *DB) compactCold() error {
 	if db.cold == nil {
 		return nil
 	}
-	return db.commit(func(v *dbView) (*dbView, func() []byte, error) {
+	return db.commit(func(v *dbView) (*dbView, *walRecord, error) {
 		twins, err := db.cold.compact(v)
 		if err != nil || len(twins) == 0 {
 			return nil, nil, err

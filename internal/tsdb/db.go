@@ -166,22 +166,19 @@ func (db *DB) WritePoints(points []Point) error {
 			return fmt.Errorf("point %d: %w", i, err)
 		}
 	}
-	return db.commit(func(v *dbView) (*dbView, func() []byte, error) {
+	return db.commit(func(v *dbView) (*dbView, *walRecord, error) {
 		nv, err := db.writePointsView(v, points)
 		if err != nil || len(points) == 0 {
 			return nv, nil, err
 		}
 		nv, ops, err := db.rollupMaintain(nv, points, 0)
-		// A batch that triggered no tier op keeps the plain record format,
-		// so logs written before tiers existed stay byte-identical;
+		// A batch that triggered no tier op logs the plain write record;
 		// maintenance work rides in one composite record so a crash can
 		// never tear a raw write from the rollup rows it produced.
-		return nv, func() []byte {
-			if len(ops) == 0 {
-				return encodeWriteRecord(points)
-			}
-			return encodeBatchRecord(points, ops)
-		}, err
+		if len(ops) == 0 {
+			return nv, &walRecord{op: walOpWrite, points: points}, err
+		}
+		return nv, &walRecord{op: walOpBatch, points: points, ops: ops}, err
 	})
 }
 
@@ -375,10 +372,10 @@ func (db *DB) ShardStats() []ShardStats {
 // failure leaves the measurement in place.
 func (db *DB) DropMeasurement(name string) (bool, error) {
 	found := false
-	err := db.commit(func(v *dbView) (*dbView, func() []byte, error) {
+	err := db.commit(func(v *dbView) (*dbView, *walRecord, error) {
 		nv := dropMeasurementView(v, name)
 		found = nv != nil
-		return nv, func() []byte { return encodeDropRecord(name) }, nil
+		return nv, &walRecord{op: walOpDrop, name: name}, nil
 	})
 	return found && err == nil, err
 }
@@ -390,9 +387,9 @@ func (db *DB) DropMeasurement(name string) (bool, error) {
 // DB the sweep is write-ahead logged before it applies.
 func (db *DB) DeleteBefore(t int64) (int, error) {
 	dropped := 0
-	err := db.commit(func(v *dbView) (nv *dbView, _ func() []byte, _ error) {
+	err := db.commit(func(v *dbView) (nv *dbView, _ *walRecord, _ error) {
 		nv, dropped = deleteBeforeView(v, t)
-		return nv, func() []byte { return encodeDeleteBeforeRecord(t) }, nil
+		return nv, &walRecord{op: walOpDeleteBefore, before: t}, nil
 	})
 	if err != nil {
 		return 0, err
@@ -417,9 +414,9 @@ func (db *DB) DeleteMeasurementBefore(name string, t int64) (int64, error) {
 // replay of the walOpClearRange record it logs.
 func (db *DB) clearRange(name string, start, end int64) (int64, error) {
 	var removed int64
-	err := db.commit(func(v *dbView) (nv *dbView, _ func() []byte, err error) {
+	err := db.commit(func(v *dbView) (nv *dbView, _ *walRecord, err error) {
 		nv, removed, err = clearMeasurementRangeView(v, name, start, end, db.blockSize)
-		return nv, func() []byte { return encodeClearRangeRecord(name, start, end) }, err
+		return nv, &walRecord{op: walOpClearRange, name: name, start: start, end: end}, err
 	})
 	if err != nil {
 		return 0, err

@@ -1,8 +1,10 @@
 package tsdb
 
 import (
+	"encoding/hex"
 	"math"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -134,52 +136,125 @@ func FuzzBlockDecode(f *testing.F) {
 	})
 }
 
-// walSeedSegment seals the given records (each encoded behind
-// openFrame's reserved header, as the encoders return them) into a
-// well-formed WAL segment image, for seeding FuzzWALReplay with valid
-// logs.
-func walSeedSegment(recs ...[]byte) []byte {
+// walSeedFrames seals the given records (each encoded behind
+// openFrame's reserved header) into a version 2 WAL segment image.
+func walSeedFrames(frames ...[]byte) []byte {
 	seg := appendFileHeader(nil, walMagic, walVersion)
-	for _, rec := range recs {
-		if _, err := sealFrame(rec); err != nil {
+	for _, frame := range frames {
+		if _, err := sealFrame(frame); err != nil {
 			panic(err)
 		}
-		seg = append(seg, rec...)
+		seg = append(seg, frame...)
 	}
 	return seg
+}
+
+// walSeedSegment encodes recs through one dictionary, as the log does
+// within a segment, into a well-formed WAL segment image.
+func walSeedSegment(recs ...*walRecord) []byte {
+	var dict walDict
+	frames := make([][]byte, len(recs))
+	for i, rec := range recs {
+		frames[i] = dict.encode(rec)
+	}
+	return walSeedFrames(frames...)
+}
+
+// walDictCorruption is a segment whose second record breaks the
+// dictionary the first one started, behind a valid checksum.
+type walDictCorruption struct {
+	name string
+	seg  []byte
+	bad  int // the bad frame's size in bytes
+}
+
+// walDictCorruptions builds the three ways a record can break its
+// segment's dictionary: by referring to a series or a field name no
+// earlier record defined — it was encoded against a dictionary out of
+// step with the segment — or by defining an id that is already taken.
+func walDictCorruptions() []walDictCorruption {
+	rec := func(fields ...string) *walRecord {
+		p := walPoint("n1", 60, 1)
+		p.Fields = map[string]Value{}
+		for _, f := range fields {
+			p.Fields[f] = Float(1)
+		}
+		return &walRecord{op: walOpWrite, points: []Point{p}}
+	}
+	var other walDict // other series first: n1 is series 1
+	o := rec("Reading")
+	o.points[0].Tags = Tags{{Key: "NodeId", Value: "n2"}}
+	other.encode(o)
+	other.encode(rec("Reading"))
+	var otherField walDict // field Status first: Reading is field 1
+	otherField.encode(rec("Status"))
+	otherField.encode(rec("Reading"))
+	var fresh walDict
+	var out []walDictCorruption
+	for _, c := range []struct {
+		name string
+		bad  []byte
+	}{
+		{"undefined series", other.encode(rec("Reading"))},
+		{"undefined field", otherField.encode(rec("Reading"))},
+		{"repeated definition", fresh.encode(rec("Reading"))},
+	} {
+		var dict walDict
+		out = append(out, walDictCorruption{c.name, walSeedFrames(dict.encode(rec("Reading")), c.bad), len(c.bad)})
+	}
+	return out
 }
 
 // FuzzWALReplay writes arbitrary bytes as a WAL segment and opens the
 // directory. The invariant: recovery never panics and never errors on
 // corrupt content (a torn or garbage tail is data loss to tolerate,
-// not a failure), and the recovered database is fully usable. Seeds
-// cover a valid multi-record log, every interesting truncation, and
-// plain garbage.
+// not a failure), decoding never allocates beyond a small multiple of
+// the input, and the recovered database is fully usable. Seeds cover a
+// valid multi-record log of each version, every interesting truncation,
+// each way a record can break its segment's dictionary, and plain
+// garbage.
 func FuzzWALReplay(f *testing.F) {
-	write := encodeWriteRecord([]Point{{
+	write := &walRecord{op: walOpWrite, points: []Point{{
 		Measurement: "Power",
 		Tags:        Tags{{Key: "NodeId", Value: "n1"}},
 		Fields:      map[string]Value{"Reading": Float(42), "Raw": Int(7), "Status": Str("OK"), "On": Bool(true)},
 		Time:        60,
-	}})
-	drop := encodeDropRecord("Power")
-	del := encodeDeleteBeforeRecord(120)
+	}}}
+	drop := &walRecord{op: walOpDrop, name: "Power"}
+	del := &walRecord{op: walOpDeleteBefore, before: 120}
 
-	valid := walSeedSegment(write, del, drop)
+	valid := walSeedSegment(write, write, del, drop)
 	f.Add(valid)
-	f.Add(valid[:0])                                  // empty file
-	f.Add(valid[:3])                                  // torn magic
-	f.Add(valid[:fileHeaderSize])                     // header only
-	f.Add(valid[:fileHeaderSize+3])                   // torn frame header
-	f.Add(valid[:fileHeaderSize+frameHeader+5])       // torn payload
-	f.Add(walSeedSegment(append(openFrame(nil), 99))) // unknown op, valid CRC
-	f.Add(walSeedSegment(openFrame(nil)))             // zero-length record
+	f.Add(valid[:0])                                 // empty file
+	f.Add(valid[:3])                                 // torn magic
+	f.Add(valid[:fileHeaderSize])                    // header only
+	f.Add(valid[:fileHeaderSize+3])                  // torn frame header
+	f.Add(valid[:fileHeaderSize+frameHeader+5])      // torn payload
+	f.Add(walSeedFrames(append(openFrame(nil), 99))) // unknown op, valid CRC
+	f.Add(walSeedFrames(openFrame(nil)))             // zero-length record
 	f.Add([]byte("MWALxxxx garbage that is not a log at all"))
 	huge := walSeedSegment(write)
 	le.PutUint32(huge[fileHeaderSize:], 1<<30) // length field lies
 	f.Add(huge)
+	for _, c := range walDictCorruptions() {
+		f.Add(c.seg)
+	}
+	v1, err := hex.DecodeString(goldenWALSegment)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _ = decodeSegment(data, func(int, walRecord) error { return nil })
+		runtime.ReadMemStats(&after)
+		// A decoded point is a map of at most a few hundred bytes for a
+		// field of at least three input bytes.
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(256*len(data)+1<<16); grew > limit {
+			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), grew, limit)
+		}
 		dir := t.TempDir()
 		if err := os.WriteFile(walSegmentPath(dir, 1), data, 0o644); err != nil {
 			t.Fatal(err)

@@ -193,11 +193,30 @@ func replaySegment(db *DB, seg dirFile, info *RecoveryInfo) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("tsdb: wal: read segment: %w", err)
 	}
+	return decodeSegment(data, func(off int, rec walRecord) error {
+		if err := applyWALRecord(db, rec); err != nil {
+			return fmt.Errorf("tsdb: wal: replay %s record at offset %d: %w", filepath.Base(seg.path), off, err)
+		}
+		info.Records++
+		info.Points += int64(len(rec.points))
+		return nil
+	})
+}
+
+// decodeSegment hands the records of a segment image to apply in order,
+// stopping at apply's first error, and returns replaySegment's offset:
+// -1, or where the first bad frame starts.
+func decodeSegment(data []byte, apply func(off int, rec walRecord) error) (int64, error) {
 	hdr := decoder{b: data}
-	if ver := hdr.fileHeader(walMagic); hdr.err != nil || ver != walVersion {
+	ver := hdr.fileHeader(walMagic)
+	if hdr.err != nil || (ver != 1 && ver != walVersion) {
 		// The segment header itself is torn or foreign; nothing in this
 		// file is trustworthy.
 		return 0, nil
+	}
+	var defs *walDefs // version 1 names every point in full
+	if ver == walVersion {
+		defs = &walDefs{}
 	}
 	off := fileHeaderSize
 	for off < len(data) {
@@ -205,15 +224,15 @@ func replaySegment(db *DB, seg dirFile, info *RecoveryInfo) (int64, error) {
 		if err != nil {
 			return int64(off), nil // torn mid-header or mid-payload, or checksum mismatch
 		}
-		rec, err := decodeWALRecord(payload)
+		rec, err := decodeWALRecord(payload, defs)
 		if err != nil {
-			return int64(off), nil // CRC-valid but undecodable: corrupt frame
+			// CRC-valid but undecodable: corrupt frame. Later records
+			// may refer to names it defined, so the prefix ends here.
+			return int64(off), nil
 		}
-		if err := applyWALRecord(db, rec); err != nil {
-			return 0, fmt.Errorf("tsdb: wal: replay %s record at offset %d: %w", filepath.Base(seg.path), off, err)
+		if err := apply(off, rec); err != nil {
+			return 0, err
 		}
-		info.Records++
-		info.Points += int64(len(rec.points))
 		off += frameHeader + len(payload)
 	}
 	return -1, nil
@@ -250,7 +269,7 @@ func applyWALRecord(db *DB, rec walRecord) error {
 // One commit keeps the whole record atomic for readers, the same
 // guarantee the original write gave.
 func (db *DB) applyBatchRecord(points []Point, ops []rollupOp) error {
-	return db.commit(func(v *dbView) (_ *dbView, _ func() []byte, err error) {
+	return db.commit(func(v *dbView) (_ *dbView, _ *walRecord, err error) {
 		if len(points) > 0 {
 			if v, err = db.writePointsView(v, points); err != nil {
 				return nil, nil, err
@@ -261,7 +280,7 @@ func (db *DB) applyBatchRecord(points []Point, ops []rollupOp) error {
 				return nil, nil, err
 			}
 		}
-		return v, func() []byte { return encodeBatchRecord(points, ops) }, nil
+		return v, &walRecord{op: walOpBatch, points: points, ops: ops}, nil
 	})
 }
 

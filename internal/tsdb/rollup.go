@@ -421,7 +421,7 @@ func rollupRowFields(cr compiledRollup, s *ResultSeries, j int) (map[string]Valu
 // reports rollup points written.
 func (db *DB) RollupAdvance(now int64) (int, error) {
 	written := 0
-	err := db.commit(func(v *dbView) (*dbView, func() []byte, error) {
+	err := db.commit(func(v *dbView) (*dbView, *walRecord, error) {
 		nv, ops, err := db.rollupMaintain(v, nil, now)
 		for _, op := range ops {
 			written += len(op.points)
@@ -429,7 +429,7 @@ func (db *DB) RollupAdvance(now int64) (int, error) {
 		if len(ops) == 0 {
 			return nv, nil, err
 		}
-		return nv, func() []byte { return encodeBatchRecord(nil, ops) }, err
+		return nv, &walRecord{op: walOpBatch, ops: ops}, err
 	})
 	if err != nil {
 		return 0, err

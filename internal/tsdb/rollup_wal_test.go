@@ -140,11 +140,9 @@ func tierPoints(t *testing.T, db *DB) int64 {
 	return measurementPoints(db.view.Load(), "Power_mean_300s")
 }
 
-// TestWALRollupPlainWriteFormat pins the compatibility contract: a
-// write that triggers no rollup ops (no registered rollups at all) must
-// log the plain record format, byte-identical to what a pre-tier engine
-// wrote, so old logs replay and new logs without tiers stay readable by
-// the old decoder.
+// TestWALRollupPlainWriteFormat pins the plain-record contract: a
+// write that triggers no rollup ops must log the plain write record,
+// byte-identical to what a DB with no registered rollups writes.
 func TestWALRollupPlainWriteFormat(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
 	dbA, _ := crashOpen(t, dirA, WALOptions{Policy: FsyncNever})

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -135,4 +136,125 @@ func TestColdFailedAppend(t *testing.T) {
 		t.Fatalf("segments %v, want the retired generation and a fresh one", segs)
 	}
 	queriesEqual(t, cold, resident, `SELECT "Reading" FROM "Power" GROUP BY "NodeId"`)
+}
+
+// TestWALDictFailedAppend tears the append of a batch that defines a
+// new series and a new field name. The frame is cut back off the
+// segment, so the dictionary must forget what it defined: the next
+// batch of that series defines both again. A dictionary that kept them
+// would write a bare reference, recovery would meet an id the segment
+// never defined, end the log there and lose that acknowledged batch and
+// every one after it.
+func TestWALDictFailedAppend(t *testing.T) {
+	dir := t.TempDir()
+	db, _ := crashOpen(t, dir, WALOptions{Policy: FsyncNever})
+	ref := Open(Options{ShardDuration: 3600})
+	point := func(node string, i int) Point {
+		p := walPoint(node, int64(60*i), float64(i))
+		p.Fields["Status"] = Str("OK")
+		return p
+	}
+	both := func(p Point) {
+		t.Helper()
+		for _, d := range []*DB{db, ref} {
+			if err := d.WritePoint(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	both(walPoint("n1", 0, 0))
+	db.wal.seg.f = &faultyFile{File: db.wal.seg.f.(*os.File), tearWrite: true}
+	if err := db.WritePoint(point("n2", 1)); !errors.Is(err, errInjected) {
+		t.Fatalf("faulted append: err %v, want the injected failure", err)
+	}
+	if s, f := len(db.wal.dict.series.defs), len(db.wal.dict.fields.defs); s != 1 || f != 1 {
+		t.Errorf("after the cut-back append the dictionary holds %d series and %d fields, want 1 and 1", s, f)
+	}
+	both(point("n2", 2))
+	both(point("n1", 3))
+
+	db2, info := crashOpen(t, dir, WALOptions{Policy: FsyncNever})
+	if info.Records != 3 || info.TornFrames != 0 {
+		t.Fatalf("recovery = %+v, want the three acknowledged records and no torn frame", info)
+	}
+	const q = `SELECT "Reading", "Status" FROM "Power" GROUP BY "NodeId"`
+	if got, want := queryAll(t, db2, q), queryAll(t, ref, q); got != want {
+		t.Fatalf("recovered:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestWALDictPerSegment drives a write stream across size rotations
+// and a checkpoint cut. Every fresh segment starts an empty dictionary,
+// so its memory is bounded by one segment and each segment replays on
+// its own; a reopen then gives the live DB's counts and answers.
+func TestWALDictPerSegment(t *testing.T) {
+	const nodes = 8
+	dir := t.TempDir()
+	db, _ := crashOpen(t, dir, WALOptions{Policy: FsyncNever, SegmentSize: 2048})
+	batch := func(i int) []Point {
+		points := make([]Point, nodes)
+		for n := range points {
+			points[n] = walPoint(fmt.Sprintf("n%d", n), int64(60*i), float64(i*nodes+n))
+		}
+		return points
+	}
+	seq, fresh := db.wal.seq, 0
+	for i := 0; i < 40; i++ {
+		if i == 20 {
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if s, f := len(db.wal.dict.series.defs), len(db.wal.dict.fields.defs); s != 0 || f != 0 {
+				t.Errorf("the checkpoint's fresh segment starts with %d series and %d fields defined", s, f)
+			}
+		}
+		if err := db.WritePoints(batch(i)); err != nil {
+			t.Fatal(err)
+		}
+		if db.wal.seq != seq {
+			// This batch is the first record of a fresh segment: the
+			// dictionary holds what it defined and nothing older.
+			if s, f := len(db.wal.dict.series.defs), len(db.wal.dict.fields.defs); s != nodes || f != 1 {
+				t.Errorf("batch %d opened segment %d with %d series and %d fields defined, want %d and 1", i, db.wal.seq, s, f, nodes)
+			}
+			seq = db.wal.seq
+			fresh++
+		}
+	}
+	if rot := db.WALStats().Rotations; fresh < 3 || rot < 3 {
+		t.Fatalf("%d fresh segments written to after %d rotations: the stream must cross a cut and size rotations on either side", fresh, rot)
+	}
+
+	db2, info := crashOpen(t, dir, WALOptions{Policy: FsyncNever})
+	if !info.SnapshotLoaded || info.Points != 20*nodes || info.TornFrames != 0 || info.Segments < 2 {
+		t.Fatalf("recovery = %+v, want the checkpoint plus %d points over several segments", info, 20*nodes)
+	}
+	if got, want := db2.Disk(), db.Disk(); got != want {
+		t.Fatalf("recovered %+v, want %+v", got, want)
+	}
+	const q = `SELECT "Reading" FROM "Power" GROUP BY "NodeId"`
+	if got, want := queryAll(t, db2, q), queryAll(t, db, q); got != want {
+		t.Fatalf("recovered:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestWALDictCorruption opens each segment whose second record breaks
+// the dictionary the first started: recovery keeps the first record,
+// counts one torn frame and cuts exactly the bad one.
+func TestWALDictCorruption(t *testing.T) {
+	for _, c := range walDictCorruptions() {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(walSegmentPath(dir, 1), c.seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			db, info := crashOpen(t, dir, WALOptions{Policy: FsyncNever})
+			if info.Records != 1 || info.TornFrames != 1 || info.TruncatedBytes != int64(c.bad) {
+				t.Fatalf("recovery = %+v, want one record kept and the %d-byte frame cut", info, c.bad)
+			}
+			if got := db.Disk().Points; got != 1 {
+				t.Fatalf("%d points recovered, want 1", got)
+			}
+		})
+	}
 }

@@ -58,7 +58,7 @@ type dbView struct {
 // decode cache of sealed blocks the derivation dropped. A nil or
 // unchanged view logs and publishes nothing, and so does an error from
 // the derivation or the log.
-func (db *DB) commit(derive func(base *dbView) (next *dbView, rec func() []byte, err error)) error {
+func (db *DB) commit(derive func(base *dbView) (next *dbView, rec *walRecord, err error)) error {
 	wait := db.lockWrite()
 	defer db.unlockWrite()
 	base := db.view.Load()
@@ -67,7 +67,7 @@ func (db *DB) commit(derive func(base *dbView) (next *dbView, rec func() []byte,
 		return err
 	}
 	if db.wal != nil && rec != nil {
-		if err := db.wal.append(rec()); err != nil {
+		if err := db.wal.append(rec); err != nil {
 			return err
 		}
 	}

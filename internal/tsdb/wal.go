@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -22,7 +23,7 @@ import (
 // misread:
 //
 //	segment file wal-<seq>.seg:
-//	  file header "MWAL" version 1, then one frame per record
+//	  file header "MWAL" version 2, then one frame per record
 //	record: op u8 | op body
 //	  opWrite:        points
 //	  opDrop:         measurement str
@@ -30,9 +31,19 @@ import (
 //	  opBatch:        points | nOps u32, then per op:
 //	                  target str | clearStart i64 | clearEnd i64 | points
 //	  opClearRange:   measurement str | start i64 | end i64
-//	points: nPoints u32, then per point:
-//	                  measurement str | nTags u32 | (k,v str)* |
-//	                  nFields u32 | (name str, value)* | time i64
+//	points: nPoints uvarint, then per point:
+//	                  series ref | nFields uvarint |
+//	                  (field ref, value)* | time delta varint
+//	series ref:       uvarint(id<<1), or at the series' first use in
+//	                  the segment uvarint(id<<1|1) | measurement str |
+//	                  nTags u32 | (k,v str)*
+//	field ref:        uvarint(id<<1), or uvarint(id<<1|1) | name str
+//
+// Names are numbered in order of first use within a segment, and every
+// segment — rotated or cut by a checkpoint — starts an empty
+// dictionary. Time is the zigzag delta from the previous point of the
+// list. Version 1 segments (every name in full, fixed-width counts and
+// times) still replay.
 //
 // Segments are segment.go files: a failed append is cut back off the
 // file, and an uncut tear or a failed fsync closes the log. They rotate
@@ -42,7 +53,7 @@ import (
 
 const (
 	walMagic   = "MWAL"
-	walVersion = 1
+	walVersion = 2
 
 	// DefaultWALSegmentSize rotates segments at 4 MiB — small enough
 	// that checkpoint truncation reclaims space promptly at the paper's
@@ -154,6 +165,7 @@ type WAL struct {
 	seg      *segment  // active segment; nil once closed
 	seq      uint64    // active segment sequence number
 	sealed   []dirFile // rotated-out live segments, ascending
+	dict     walDict   // the active segment's series and field names
 	lastSync time.Time
 	stats    WALStats
 }
@@ -212,7 +224,7 @@ func (w *WAL) newSegmentLocked(seq uint64) error {
 	if err != nil {
 		return fmt.Errorf("tsdb: wal: %w", err)
 	}
-	w.seg, w.seq = seg, seq
+	w.seg, w.seq, w.dict = seg, seq, walDict{}
 	return nil
 }
 
@@ -233,14 +245,12 @@ func (w *WAL) rotateLocked() error {
 	return w.newSegmentLocked(w.seq + 1)
 }
 
-// append seals rec — a record encoded behind the header openFrame
-// reserved — and writes the frame to the active segment, rotating and
-// syncing per policy. A failed write leaves no byte of the frame in the
-// log; a failure the segment latches refuses every later append.
-func (w *WAL) append(rec []byte) error {
-	if _, err := sealFrame(rec); err != nil {
-		return fmt.Errorf("tsdb: wal: %w", err)
-	}
+// append encodes rec through the active segment's dictionary — after
+// any rotation, so the record lands in the segment its references
+// resolve in — and writes its frame, syncing per policy. A failed write
+// leaves no byte of the frame in the log and no name it defined in the
+// dictionary; a failure the segment latches refuses every later append.
+func (w *WAL) append(rec *walRecord) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.seg == nil {
@@ -251,7 +261,15 @@ func (w *WAL) append(rec []byte) error {
 			return err
 		}
 	}
-	if err := w.seg.append(rec); err != nil {
+	series, fields := len(w.dict.series.defs), len(w.dict.fields.defs)
+	frame := w.dict.encode(rec)
+	_, err := sealFrame(frame)
+	if err == nil {
+		err = w.seg.append(frame)
+	}
+	if err != nil {
+		w.dict.series.truncate(series)
+		w.dict.fields.truncate(fields)
 		return fmt.Errorf("tsdb: wal: %w", err)
 	}
 	w.stats.Appends++
@@ -357,72 +375,105 @@ func (w *WAL) Stats() WALStats {
 }
 
 // ---- record encoding ----
-//
-// Every encoder returns its record behind the header openFrame
-// reserves; WAL.append seals and writes it.
 
-// appendPoints emits a length-prefixed point list. Field maps are
-// emitted in sorted key order so identical batches encode identically —
+// walIDs numbers the names one segment defines, in order of first use.
+type walIDs struct {
+	ids  map[string]uint64 // a name's definition bytes -> its id
+	defs []string          // definition bytes by id
+}
+
+// put appends def's reference to b: uvarint(id<<1) when the segment
+// already defined it, else uvarint(id<<1|1) and def, which takes the
+// next id.
+func (t *walIDs) put(b, def []byte) []byte {
+	if id, ok := t.ids[string(def)]; ok {
+		return binary.AppendUvarint(b, id<<1)
+	}
+	if t.ids == nil {
+		t.ids = make(map[string]uint64)
+	}
+	id, key := uint64(len(t.defs)), string(def)
+	t.ids[key] = id
+	t.defs = append(t.defs, key)
+	return append(binary.AppendUvarint(b, id<<1|1), def...)
+}
+
+// truncate forgets every name defined after the first n.
+func (t *walIDs) truncate(n int) {
+	for _, def := range t.defs[n:] {
+		delete(t.ids, def)
+	}
+	t.defs = t.defs[:n]
+}
+
+// walDict is the write side of a segment's dictionary: the series and
+// field names its records have defined, plus scratch for encoding.
+type walDict struct {
+	series, fields walIDs
+	def            []byte   // one series or field definition
+	names          []string // one point's field names, sorted
+}
+
+// appendPoints emits a point list. Field names go in sorted order so
+// identical batches into identical dictionaries encode identically —
 // the property the kill-point tests lean on.
-func appendPoints(b []byte, points []Point) []byte {
-	b = le.AppendUint32(b, uint32(len(points)))
+func (d *walDict) appendPoints(b []byte, points []Point) []byte {
+	b = binary.AppendUvarint(b, uint64(len(points)))
+	var prev int64
 	for i := range points {
 		p := &points[i]
-		b = appendStr(b, p.Measurement)
-		b = appendTags(b, p.Tags)
-		names := make([]string, 0, len(p.Fields))
+		d.def = appendTags(appendStr(d.def[:0], p.Measurement), p.Tags)
+		b = d.series.put(b, d.def)
+		d.names = d.names[:0]
 		for name := range p.Fields {
-			names = append(names, name)
+			d.names = append(d.names, name)
 		}
-		sort.Strings(names)
-		b = le.AppendUint32(b, uint32(len(names)))
-		for _, name := range names {
-			b = appendValue(appendStr(b, name), p.Fields[name])
+		sort.Strings(d.names)
+		b = binary.AppendUvarint(b, uint64(len(d.names)))
+		for _, name := range d.names {
+			d.def = appendStr(d.def[:0], name)
+			b = appendValue(d.fields.put(b, d.def), p.Fields[name])
 		}
-		b = le.AppendUint64(b, uint64(p.Time))
+		b = binary.AppendVarint(b, p.Time-prev)
+		prev = p.Time
 	}
 	return b
 }
 
-// encodeWriteRecord serializes a validated point batch.
-func encodeWriteRecord(points []Point) []byte {
-	return appendPoints(append(openFrame(nil), byte(walOpWrite)), points)
-}
-
-// encodeBatchRecord serializes a write batch together with the rollup
-// ops maintenance derived from it (walOpBatch). A pure maintenance
-// advance (RollupAdvance) logs with an empty point list.
-func encodeBatchRecord(points []Point, ops []rollupOp) []byte {
-	b := appendPoints(append(openFrame(nil), byte(walOpBatch)), points)
-	b = le.AppendUint32(b, uint32(len(ops)))
-	for i := range ops {
-		op := &ops[i]
-		b = appendStr(b, op.target)
-		b = le.AppendUint64(b, uint64(op.clearStart))
-		b = le.AppendUint64(b, uint64(op.clearEnd))
-		b = appendPoints(b, op.points)
+// encode serializes rec behind the header openFrame reserves, naming
+// series and fields through d.
+func (d *walDict) encode(rec *walRecord) []byte {
+	b := openFrame(nil)
+	switch rec.op {
+	case walOpWrite:
+		b = d.appendPoints(append(b, byte(walOpWrite)), rec.points)
+	case walOpDrop:
+		b = appendStr(append(b, byte(walOpDrop)), rec.name)
+	case walOpDeleteBefore:
+		b = le.AppendUint64(append(b, byte(walOpDeleteBefore)), uint64(rec.before))
+	case walOpBatch:
+		b = d.appendPoints(append(b, byte(walOpBatch)), rec.points)
+		b = le.AppendUint32(b, uint32(len(rec.ops)))
+		for i := range rec.ops {
+			op := &rec.ops[i]
+			b = appendStr(b, op.target)
+			b = le.AppendUint64(b, uint64(op.clearStart))
+			b = le.AppendUint64(b, uint64(op.clearEnd))
+			b = d.appendPoints(b, op.points)
+		}
+	case walOpClearRange:
+		b = appendStr(append(b, byte(walOpClearRange)), rec.name)
+		b = le.AppendUint64(le.AppendUint64(b, uint64(rec.start)), uint64(rec.end))
+	default:
+		panic(fmt.Sprintf("tsdb: wal: encoding unknown op %d", rec.op))
 	}
 	return b
-}
-
-// encodeClearRangeRecord serializes a measurement range clear
-// (walOpClearRange).
-func encodeClearRangeRecord(name string, start, end int64) []byte {
-	b := appendStr(append(openFrame(nil), byte(walOpClearRange)), name)
-	return le.AppendUint64(le.AppendUint64(b, uint64(start)), uint64(end))
-}
-
-func encodeDropRecord(name string) []byte {
-	return appendStr(append(openFrame(nil), byte(walOpDrop)), name)
-}
-
-func encodeDeleteBeforeRecord(t int64) []byte {
-	return le.AppendUint64(append(openFrame(nil), byte(walOpDeleteBefore)), uint64(t))
 }
 
 // ---- record decoding ----
 
-// walRecord is one decoded log entry.
+// walRecord is one log entry: what a mutation hands WAL.append, and
+// what replay decodes.
 type walRecord struct {
 	op     walOp
 	points []Point
@@ -433,31 +484,39 @@ type walRecord struct {
 	ops    []rollupOp // opBatch
 }
 
-// decodeWALRecord parses a frame's payload. The decoder bounds-checks
-// every length and count and end rejects trailing bytes, so a corrupt
-// (but CRC-valid) record is detected and can never drive an oversized
-// allocation — the property FuzzWALReplay exercises.
-func decodeWALRecord(payload []byte) (walRecord, error) {
+// walDefs is the read side of a segment's dictionary: the series and
+// field names its records have defined so far, by id.
+type walDefs struct {
+	series []Point // Measurement and Tags only
+	fields []string
+}
+
+// decodeWALRecord parses a frame's payload; defs is the segment's
+// dictionary, nil for a version 1 segment. The decoder bounds-checks
+// every length, count and reference and end rejects trailing bytes, so
+// a corrupt (but CRC-valid) record is detected and can never drive an
+// oversized allocation — the property FuzzWALReplay exercises.
+func decodeWALRecord(payload []byte, defs *walDefs) (walRecord, error) {
 	d := &decoder{b: payload}
 	rec := walRecord{op: walOp(d.u8())}
 	switch rec.op {
 	case walOpWrite:
-		rec.points = decodePoints(d)
+		rec.points = defs.decodePoints(d)
 	case walOpDrop:
 		rec.name = d.str()
 	case walOpDeleteBefore:
 		rec.before = d.i64()
 	case walOpBatch:
-		rec.points = decodePoints(d)
-		// Each op needs at least target len + two i64 bounds + point
-		// count = 24 bytes.
-		n := d.count(24)
+		rec.points = defs.decodePoints(d)
+		// Each op needs at least target len + two i64 bounds + a point
+		// count of at least one byte = 21 bytes.
+		n := d.count(21)
 		rec.ops = make([]rollupOp, 0, n)
 		for i := 0; i < n && d.err == nil; i++ {
 			ro := rollupOp{target: d.str()}
 			ro.clearStart = d.i64()
 			ro.clearEnd = d.i64()
-			ro.points = decodePoints(d)
+			ro.points = defs.decodePoints(d)
 			rec.ops = append(rec.ops, ro)
 		}
 	case walOpClearRange:
@@ -473,12 +532,62 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 	return rec, nil
 }
 
-// decodePoints parses a length-prefixed point list. Minimum sizes per
-// element: a point is measurement len + tag count + field count + time
-// = 20 bytes, a field a name length, a kind byte and one payload byte. A point that decodes but could not have
-// been written (Validate) fails the record like any other corruption,
-// so replay only ever applies what a writer was allowed to log.
-func decodePoints(d *decoder) []Point {
+// ref reads a reference into n defined names: the id, and whether the
+// reference defines it, as only the next id may be.
+func (d *decoder) ref(n int) (int, bool) {
+	v := d.uvarint()
+	id, def := v>>1, v&1 == 1
+	if def && id != uint64(n) {
+		d.failf("definition of id %d where id %d is next", id, n)
+	} else if !def && id >= uint64(n) {
+		d.failf("reference to undefined id %d", id)
+	}
+	return int(id), def
+}
+
+// decodePoints parses a point list; a nil dictionary reads version 1.
+// A point takes at least 3 bytes (series reference, field count, time
+// delta) and a field 3 (reference, kind, payload). A point that decodes
+// but could not have been written (Validate) fails the record like any
+// other corruption, so replay only applies what a writer could log.
+func (defs *walDefs) decodePoints(d *decoder) []Point {
+	if defs == nil {
+		return decodePointsV1(d)
+	}
+	n := d.ucount(3)
+	points := make([]Point, 0, n)
+	var t int64
+	for i := 0; i < n && d.err == nil; i++ {
+		id, def := d.ref(len(defs.series))
+		if def {
+			defs.series = append(defs.series, Point{Measurement: d.str(), Tags: d.tags()})
+		}
+		if d.err != nil {
+			break
+		}
+		p := defs.series[id]
+		nFields := d.ucount(3)
+		p.Fields = make(map[string]Value, nFields)
+		for j := 0; j < nFields && d.err == nil; j++ {
+			id, def := d.ref(len(defs.fields))
+			if def {
+				defs.fields = append(defs.fields, d.str())
+			}
+			if d.err == nil {
+				p.Fields[defs.fields[id]] = d.value()
+			}
+		}
+		t += d.varint()
+		p.Time = t
+		points = append(points, validated(d, p))
+	}
+	return points
+}
+
+// decodePointsV1 parses a version 1 point list. A point takes at least
+// 20 bytes (measurement length, tag and field counts, time) and a field
+// 6 (name length, kind, payload).
+func decodePointsV1(d *decoder) []Point {
 	n := d.count(20)
 	points := make([]Point, 0, n)
 	for i := 0; i < n && d.err == nil; i++ {
@@ -490,12 +599,17 @@ func decodePoints(d *decoder) []Point {
 			p.Fields[name] = d.value()
 		}
 		p.Time = d.i64()
-		if d.err == nil {
-			if err := p.Validate(); err != nil {
-				d.failf("%v", err)
-			}
-		}
-		points = append(points, p)
+		points = append(points, validated(d, p))
 	}
 	return points
+}
+
+// validated latches p's Validate error on d, unless d already failed.
+func validated(d *decoder, p Point) Point {
+	if d.err == nil {
+		if err := p.Validate(); err != nil {
+			d.failf("%v", err)
+		}
+	}
+	return p
 }

@@ -684,10 +684,10 @@ func TestWALReplayApplyErrorKeepsLog(t *testing.T) {
 
 	walDir := t.TempDir()
 	seg1 := walSeedSegment(
-		encodeWriteRecord([]Point{walPoint("n1", 600, 10)}), // in order: applies
-		encodeWriteRecord([]Point{walPoint("n1", 30, 0.5)}), // behind the cold block: must unseal it
+		&walRecord{op: walOpWrite, points: []Point{walPoint("n1", 600, 10)}}, // in order: applies
+		&walRecord{op: walOpWrite, points: []Point{walPoint("n1", 30, 0.5)}}, // behind the cold block: must unseal it
 	)
-	seg2 := walSeedSegment(encodeWriteRecord([]Point{walPoint("n1", 660, 11)}))
+	seg2 := walSeedSegment(&walRecord{op: walOpWrite, points: []Point{walPoint("n1", 660, 11)}})
 	for seq, data := range map[uint64][]byte{1: seg1, 2: seg2} {
 		if err := os.WriteFile(walSegmentPath(walDir, seq), data, 0o644); err != nil {
 			t.Fatal(err)
@@ -829,7 +829,7 @@ func TestWALReplaysEveryOp(t *testing.T) {
 
 	known := 0
 	for op := walOp(1); ; op++ {
-		if _, err := decodeWALRecord([]byte{byte(op)}); strings.Contains(err.Error(), "bad op") {
+		if _, err := decodeWALRecord([]byte{byte(op)}, &walDefs{}); strings.Contains(err.Error(), "bad op") {
 			break // past the last op the decoder accepts
 		}
 		known++
