@@ -155,9 +155,12 @@ compression:
 	$(GO) test -race -count=1 -run 'TestBlock|TestSeal|TestColumnIterator|TestOutOfOrderAcrossSealBoundary|TestSnapshotRoundTripSealedBlocks|TestSnapshotFailingWriter|TestRangeIndexesSuffixSearch|TestWALKillPointsSealedBlocks|TestWALCheckpointSealedBlocks' ./internal/tsdb
 
 # bench runs the Metrics Builder ladder benchmark (Figs 10-19):
-# naive-sequential vs batched-concurrent on the 8-worker pool.
+# naive-sequential vs batched-concurrent on the 8-worker pool; then the
+# fused encode + deflate of a dashboard response on one core and on
+# two, where the deflate pieces run in parallel.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkBuilder' -benchtime 100x .
+	$(GO) test -run '^$$' -bench 'BenchmarkWriteBody' -cpu 1,2 ./internal/builder
 
 # bench-json prints the storage benchmarks (their timings are for
 # reading, not for recording) and regenerates the three BENCH files,

@@ -179,6 +179,12 @@ func FuzzEncodeResponse(f *testing.F) {
 	f.Add("ctl\x01\x1f\n\t\x7f", "bad\xff\xfeutf8\xc0", "", int64(0), int64(-5), []byte{})
 	f.Add("  é", "", "sum", int64(-300), int64(math.MaxInt64-600), bytes.Repeat([]byte{0xff, 0x7f}, 20))
 	f.Add("", "k", "last", int64(math.MaxInt64), int64(math.MinInt64), bytes.Repeat([]byte{0, 0, 0, 0, 0, 0, 0, 0x80}, 3))
+	// Thousands of values: the deflated body spans several pieces.
+	many := make([]byte, 24000)
+	for i := range many {
+		many[i] = byte(i*131 + i>>7)
+	}
+	f.Add("10.101.4.17", "Thermal/CPU1Temp", "mean", int64(60), int64(1587384000), many)
 
 	f.Fuzz(func(t *testing.T, node, label, agg string, interval, start int64, data []byte) {
 		values := fuzzFloats(data)
@@ -235,9 +241,15 @@ func FuzzEncodeResponse(f *testing.F) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("Decode(Encode(r)) differs from Decode(json.Marshal(r)):\n enc %s\n ref %s", enc, ref)
 			}
-			var streamed bytes.Buffer
+			var streamed, deflated bytes.Buffer
 			if err := writeBody(&streamed, r, false, 0, clock.NewReal(), new(Stats)); err != nil || !bytes.Equal(streamed.Bytes(), enc) {
 				t.Fatalf("writeBody (%v) differs from Encode:\n %s\n %s", err, streamed.Bytes(), enc)
+			}
+			if err := writeBody(&deflated, r, true, 0, clock.NewReal(), new(Stats)); err != nil {
+				t.Fatalf("deflated writeBody: %v", err)
+			}
+			if inflated, err := Decompress(deflated.Bytes()); err != nil || !bytes.Equal(inflated, enc) {
+				t.Fatalf("deflated writeBody (%v) does not inflate to Encode's %d bytes", err, len(enc))
 			}
 			return enc, ref
 		}
