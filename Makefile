@@ -90,10 +90,11 @@ examples:
 # crash-recovery re-runs the durability suite on its own: the WAL
 # kill-point matrix (log truncated at every byte offset), torn-frame
 # repair, the checkpoint crash windows, the snapshot corruption matrix
-# (every bit flip and truncation refused), and concurrent
-# writes-vs-checkpoints under the race detector.
+# (every bit flip and truncation refused), the pinned on-disk bytes,
+# the version 4 snapshot upgrade, and concurrent writes-vs-checkpoints
+# under the race detector.
 crash-recovery:
-	$(GO) test -run 'TestWAL|TestSnapshotCorruptionMatrix' -count=1 ./internal/tsdb
+	$(GO) test -run 'TestWAL|TestSnapshotCorruptionMatrix|TestGoldenBytes|TestSnapshotV4' -count=1 ./internal/tsdb
 	$(GO) test -race -run 'TestWALConcurrentWritesAndCheckpoints' -count=1 ./internal/tsdb
 
 # fuzz-smoke gives each fuzz target a short budget — enough to catch
@@ -149,10 +150,11 @@ smoke:
 
 # compression re-runs the sealed-block suite on its own under the race
 # detector: encode/decode round trips, seal thresholds, header pruning,
-# iterator order, out-of-order unseal, and the snapshot round trip
-# (sealed blocks verbatim).
+# iterator order, out-of-order unseal, the snapshot round trip (sealed
+# blocks verbatim, raw tails through the block codec), the pinned
+# block and snapshot bytes, and the version 4 snapshot upgrade.
 compression:
-	$(GO) test -race -count=1 -run 'TestBlock|TestSeal|TestColumnIterator|TestOutOfOrderAcrossSealBoundary|TestSnapshotRoundTripSealedBlocks|TestSnapshotFailingWriter|TestRangeIndexesSuffixSearch|TestWALKillPointsSealedBlocks|TestWALCheckpointSealedBlocks' ./internal/tsdb
+	$(GO) test -race -count=1 -run 'TestBlock|TestSeal|TestColumnIterator|TestOutOfOrderAcrossSealBoundary|TestSnapshotRoundTripSealedBlocks|TestSnapshotFailingWriter|TestRangeIndexesSuffixSearch|TestWALKillPointsSealedBlocks|TestWALCheckpointSealedBlocks|TestGoldenBytes|TestSnapshotV4' ./internal/tsdb
 
 # bench runs the Metrics Builder ladder benchmark (Figs 10-19):
 # naive-sequential vs batched-concurrent on the 8-worker pool; then the

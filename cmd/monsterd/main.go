@@ -39,7 +39,7 @@ func main() {
 		duration  = flag.Duration("duration", 0, "stop after this wall-clock duration (0 = run until interrupted)")
 		warmup    = flag.Duration("warmup", 30*time.Minute, "simulated warmup before serving (fills the DB)")
 		retention = flag.Duration("retention", 0, "drop data older than this (0 = keep everything)")
-		blockSize = flag.Int("block-size", 0, "storage seal threshold in points: columns this long compress into immutable blocks (0 = default 1024)")
+		blockSize = flag.Int("block-size", 0, "storage seal threshold in points: columns this long compress into immutable blocks (0 = default 1024, at most 16777216)")
 		snapshot  = flag.String("snapshot", "", "write a database snapshot to this file on shutdown")
 		workload  = flag.String("workload", "", "replay a workload trace (.json from SaveTrace, or .swf from the Parallel Workloads Archive)")
 

@@ -64,7 +64,9 @@ type Config struct {
 	ShardDuration int64
 	// BlockSize overrides the storage engine's seal threshold: columns
 	// whose raw tail reaches this many points are compressed into
-	// immutable Gorilla-encoded blocks. 0 = engine default (1024).
+	// immutable Gorilla-encoded blocks. 0 = engine default (1024);
+	// values above 1<<24, the largest block a reader accepts, are
+	// clamped to 1<<24.
 	BlockSize int
 	// WALDir enables crash-safe storage: every mutation is write-ahead
 	// logged under this directory, and startup recovers the last

@@ -154,7 +154,15 @@ func sealBlock(times []int64, vals valueVec) *block {
 	n := len(times)
 	b := &block{minT: times[0], maxT: times[n-1], count: n}
 	b.rawBytes = 8*int64(n) + vals.encodedSize()
+	b.data = appendBlockData(make([]byte, 0, n/4+16), times, vals)
+	return b
+}
 
+// appendBlockData appends the block payload of one non-empty, sorted
+// run to buf: the one encoder behind sealed blocks and the snapshot's
+// raw tails, inverted by decodeBlockData.
+func appendBlockData(buf []byte, times []int64, vals valueVec) []byte {
+	n := len(times)
 	vals = vals.narrowed()
 	venc := vencMixed
 	switch vals.kind {
@@ -164,7 +172,6 @@ func sealBlock(times []int64, vals valueVec) *block {
 		venc = vencInt
 	}
 
-	buf := make([]byte, 0, n/4+16)
 	buf = binary.AppendUvarint(buf, uint64(n))
 	buf = append(buf, venc)
 
@@ -227,8 +234,7 @@ func sealBlock(times []int64, vals valueVec) *block {
 			buf = appendValue(buf, vals.m[i])
 		}
 	}
-	b.data = buf
-	return b
+	return buf
 }
 
 // decode returns the block's samples, memoizing the result. Racing
@@ -293,7 +299,7 @@ func (b *block) validate() (*blockPayload, error) {
 }
 
 // decodeBlockData decodes a block payload. It is the pure inverse of
-// sealBlock and must be safe on arbitrary bytes (FuzzBlockDecode):
+// appendBlockData and must be safe on arbitrary bytes (FuzzBlockDecode):
 // every read is bounds-checked and allocations are bounded by the
 // input length — each encoded point costs at least one payload byte,
 // so a count the payload cannot back is rejected before any

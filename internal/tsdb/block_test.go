@@ -406,13 +406,13 @@ func (r *endlessFF) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestRestoreRejectsRetiredVersions checks the one-format reader: a
-// version 1, 2 or 3 header fails with an error naming the version,
-// before anything of the body is parsed or sized from.
+// TestRestoreRejectsRetiredVersions checks the reader's version gate:
+// a version 1, 2 or 3 header, or one from a future build (6), fails
+// with an error naming the version, before anything of the body is
+// parsed or sized from.
 func TestRestoreRejectsRetiredVersions(t *testing.T) {
-	for _, ver := range []uint16{1, 2, 3} {
-		// Every retired version followed its header with the shard
-		// duration.
+	for _, ver := range []uint16{1, 2, 3, 6} {
+		// Every version follows its header with the shard duration.
 		hdr := le.AppendUint64(appendFileHeader(nil, snapshotMagic, ver), 3600)
 		src := &endlessFF{head: hdr}
 		var before, after runtime.MemStats
@@ -470,6 +470,25 @@ func TestSnapshotFailingWriter(t *testing.T) {
 	for _, cut := range []int{0, 1, 4, 7, full.Len() / 2, full.Len() - 1} {
 		if err := db.Snapshot(&failingWriter{n: cut}); err == nil {
 			t.Fatalf("snapshot to writer failing at byte %d reported success", cut)
+		}
+	}
+}
+
+// TestOpenClampsBlockSize checks that a seal threshold above the
+// largest block a reader accepts is clamped to it, so no sealed block
+// and no checkpointed tail is ever unreadable. Filling a 1<<24-point
+// block is too large for a unit test; the threshold is checked where
+// the write batch takes it from.
+func TestOpenClampsBlockSize(t *testing.T) {
+	for _, c := range []struct{ opt, want int }{
+		{0, DefaultBlockSize},
+		{-1, DefaultBlockSize},
+		{maxBlockPoints, maxBlockPoints},
+		{maxBlockPoints + 1, maxBlockPoints},
+		{math.MaxInt, maxBlockPoints},
+	} {
+		if got := Open(Options{BlockSize: c.opt}).blockSize; got != c.want {
+			t.Errorf("BlockSize %d seals at %d, want %d", c.opt, got, c.want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"io"
 	"math"
@@ -54,6 +55,18 @@ const (
 		"4d434c44010080510100000000001200000000282b3c04010078000040690000" +
 		"00000000e4079038"
 	goldenMixedBlock = "030314140002020000004f4b0301000000000000001c40"
+	// goldenSnapshotSeries is the version 5 series record of
+	// snapshotFixture: a cold reference, an inline block and a two-point
+	// float tail. The header record is not pinned: it carries
+	// WriteWaitNs, a timing.
+	goldenSnapshotSeries = "" +
+		"c5000000841d760a05000000506f77657201000000060000004e6f6465496402" +
+		"0000006e31fa00000000000000010000000700000052656164696e6702000000" +
+		"0000000000000000b40000000000000004000000400000000000000001130000" +
+		"00636f6c642d302d30303030303030302e736567160000000000000017000000" +
+		"ded1d8a7f000000000000000a401000000000000040000004000000000000000" +
+		"00150000000401e0037800004018000000000000da0fa83fda170f0000000201" +
+		"c007784028000000000000dc0e"
 
 	goldenV2Write = "" +
 		"7d000000f8c3a75a01010105000000506f77657202000000050000004c616265" +
@@ -88,9 +101,10 @@ func goldenPoints() []Point {
 }
 
 // TestGoldenBytes asserts the WAL records, the WAL and cold segment
-// files and the mixed block encoding are byte-identical to the pinned
-// ones, that every golden frame decodes back to exactly what was
-// encoded, and that a version 1 segment still recovers.
+// files, the mixed block encoding and the snapshot's series record are
+// byte-identical to the pinned ones, that every golden frame decodes
+// back to exactly what was encoded, and that a version 1 segment still
+// recovers.
 func TestGoldenBytes(t *testing.T) {
 	sealed := func(rec []byte) string {
 		t.Helper()
@@ -229,6 +243,28 @@ func TestGoldenBytes(t *testing.T) {
 	if got := hex.EncodeToString(mixed.data); got != goldenMixedBlock {
 		t.Errorf("mixed block changed:\n got %s\nwant %s", got, goldenMixedBlock)
 	}
+
+	snap, _ := snapshotFixture(t)
+	if got := hex.EncodeToString(snapshotFrame(t, snap, 2)); got != goldenSnapshotSeries {
+		t.Errorf("snapshot series record changed:\n got %s\nwant %s", got, goldenSnapshotSeries)
+	}
+}
+
+// snapshotFrame returns frame i (0 is the header record) of snap.
+func snapshotFrame(t testing.TB, snap []byte, i int) []byte {
+	t.Helper()
+	for pos := fileHeaderSize; pos+frameHeader <= len(snap); i-- {
+		end := pos + frameHeader + int(le.Uint32(snap[pos:]))
+		if end > len(snap) {
+			break
+		}
+		if i == 0 {
+			return snap[pos:end]
+		}
+		pos = end
+	}
+	t.Fatal("snapshot frame out of range")
+	return nil
 }
 
 // snapshotFixture builds the smallest view that exercises every shape a
@@ -316,6 +352,28 @@ func inflateColdRef(t testing.TB, snap []byte, length uint32) []byte {
 	return nil
 }
 
+// withTail returns a copy of snap, whose last record is a one-field
+// series ending in the tail payload old, with that payload replaced by
+// payload and the record's checksum re-sealed, so that only the tail
+// itself is wrong.
+func withTail(t testing.TB, snap, old, payload []byte) []byte {
+	t.Helper()
+	if !bytes.HasSuffix(snap, old) {
+		t.Fatal("snapshot does not end in the given tail")
+	}
+	last := fileHeaderSize
+	for pos := last; pos < len(snap); pos += frameHeader + int(le.Uint32(snap[pos:])) {
+		last = pos
+	}
+	out := append([]byte(nil), snap[:len(snap)-len(old)]...)
+	le.PutUint32(out[len(out)-4:], uint32(len(payload)))
+	out = append(out, payload...)
+	if _, err := sealFrame(out[last:]); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // FuzzSnapshotRestore feeds arbitrary bytes to the snapshot reader,
 // restoring against a cold directory that holds one real segment so
 // inputs naming it reach the cold read path. Invariants: no input
@@ -368,6 +426,46 @@ func FuzzSnapshotRestore(f *testing.F) {
 	f.Add(le.AppendUint32(append([]byte(nil), valid[:fileHeaderSize]...), 1<<27))
 	// A version-3 header over 0xFF filler, every count four billion.
 	f.Add(append(appendFileHeader(nil, snapshotMagic, 3), bytes.Repeat([]byte{0xFF}, 64)...))
+
+	// Version 5 float, int and mixed tails, and the version 4 file of
+	// the same data.
+	var v5 bytes.Buffer
+	if err := v4FixtureDB(f).Snapshot(&v5); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v5.Bytes())
+	f.Add(goldenV4(f))
+	// A one-point tail behind a block ending at 180, then the same
+	// record with only the tail payload replaced, behind a valid
+	// checksum: a tail starting before the block's maxT, a tail out of
+	// order, and a tail payload whose count lies.
+	one := Open(Options{ShardDuration: 3600, BlockSize: 4})
+	for i := 0; i < 5; i++ {
+		if err := one.WritePoint(walPoint("n1", int64(i*60), float64(i))); err != nil {
+			f.Fatal(err)
+		}
+	}
+	var oneTail bytes.Buffer
+	if err := one.Snapshot(&oneTail); err != nil {
+		f.Fatal(err)
+	}
+	tail := appendBlockData(nil, []int64{240}, vecOf([]Value{Float(4)}))
+	if _, err := RestoreOptions(bytes.NewReader(withTail(f, oneTail.Bytes(), tail, tail)), Options{}); err != nil {
+		f.Fatalf("one-point tail: %v", err)
+	}
+	f.Add(oneTail.Bytes())
+	for _, bad := range [][]byte{
+		appendBlockData(nil, []int64{120}, vecOf([]Value{Float(4)})),
+		appendBlockData(nil, []int64{300, 240}, vecOf([]Value{Float(4), Float(5)})),
+		append([]byte{3}, tail[1:]...),
+		append(binary.AppendUvarint(nil, 1<<20), tail[1:]...),
+	} {
+		mut := withTail(f, oneTail.Bytes(), tail, bad)
+		if _, err := RestoreOptions(bytes.NewReader(mut), Options{}); err == nil {
+			f.Fatalf("tail payload %x restored", bad)
+		}
+		f.Add(mut)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats

@@ -24,7 +24,8 @@ type Options struct {
 	// BlockSize is the seal threshold in points: when a column's raw
 	// tail reaches this length, the write batch compresses full runs
 	// into immutable Gorilla-encoded blocks (see block.go). Zero or
-	// negative selects DefaultBlockSize.
+	// negative selects DefaultBlockSize; above 1<<24 points, the largest
+	// block a reader accepts, it is clamped to 1<<24.
 	BlockSize int
 
 	// DecodeCacheBytes bounds the total resident bytes of decoded
@@ -115,7 +116,7 @@ func Open(opts Options) *DB {
 	if sd <= 0 {
 		sd = DefaultShardDuration
 	}
-	bs := opts.BlockSize
+	bs := min(opts.BlockSize, maxBlockPoints)
 	if bs <= 0 {
 		bs = DefaultBlockSize
 	}

@@ -60,9 +60,10 @@ func resultAnswers(t *testing.T, db *DB) [][]ResultSeries {
 }
 
 // TestResultsIndependentOfStorage runs the same statements over the
-// same points held five ways — raw tail, sealed blocks, spilled to the
-// cold tier, recovered from a checkpoint, served by the rollup planner
-// — and requires reflect.DeepEqual answers: a column's kind, and
+// same points held six ways — raw tail, raw tail recovered from a
+// checkpoint, sealed blocks, spilled to the cold tier, recovered from a
+// checkpoint, served by the rollup planner — and requires
+// reflect.DeepEqual answers: a column's kind, and
 // whether it carries a presence slice, depend on the values alone.
 // loadgen's restart check compares answers the same way.
 func TestResultsIndependentOfStorage(t *testing.T) {
@@ -84,16 +85,6 @@ func TestResultsIndependentOfStorage(t *testing.T) {
 		t.Fatalf("fixture exercises no mixed (%v) or gapped (%v) column", mixed, gapped)
 	}
 
-	root := t.TempDir()
-	opts := Options{ShardDuration: 3600, BlockSize: 16, ColdDir: filepath.Join(root, "cold"), DecodeCacheBytes: 1}
-	wopts := WALOptions{Dir: filepath.Join(root, "wal"), Policy: FsyncNever}
-	db, _, err := OpenDurable(opts, wopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.WritePoints(pts); err != nil {
-		t.Fatal(err)
-	}
 	check := func(state string, db *DB) {
 		t.Helper()
 		for i, got := range resultAnswers(t, db) {
@@ -101,6 +92,46 @@ func TestResultsIndependentOfStorage(t *testing.T) {
 				t.Fatalf("%s: %s answers differently from the raw tail", state, resultStatements[i])
 			}
 		}
+	}
+
+	// A checkpoint of a DB that sealed nothing: every column, float,
+	// int, mixed and gapped, comes back through the snapshot's tail
+	// encoding alone.
+	root := t.TempDir()
+	tailOpts := Options{ShardDuration: 3600}
+	tailWAL := WALOptions{Dir: filepath.Join(root, "tail-wal"), Policy: FsyncNever}
+	db, _, err := OpenDurable(tailOpts, tailWAL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.WritePoints(pts); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	db, info, err := OpenDurable(tailOpts, tailWAL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.SnapshotLoaded || info.Points != 0 || db.Compression().BlocksSealed != 0 {
+		t.Fatalf("tail-only checkpoint: recovery %+v, %d blocks", info, db.Compression().BlocksSealed)
+	}
+	check("tail-only checkpoint", db)
+	if err := db.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+
+	opts := Options{ShardDuration: 3600, BlockSize: 16, ColdDir: filepath.Join(root, "cold"), DecodeCacheBytes: 1}
+	wopts := WALOptions{Dir: filepath.Join(root, "wal"), Policy: FsyncNever}
+	if db, _, err = OpenDurable(opts, wopts); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.WritePoints(pts); err != nil {
+		t.Fatal(err)
 	}
 	if db.Compression().BlocksSealed == 0 {
 		t.Fatal("no block sealed")

@@ -10,14 +10,14 @@ import (
 
 // Snapshot format: a file header, then checksummed frames (codec.go).
 //
-// The one format (version 4) persists the sealed-block tier verbatim —
+// The format (version 5) persists the sealed-block tier verbatim —
 // compressed payloads are copied byte-for-byte, never re-encoded — plus
 // each column's raw tail and the engine counters, so a restore
 // reconstructs the exact view (same blocks, same accounting) without
 // replaying writes. Every record is one CRC frame, so a damaged byte
 // anywhere in the file fails the restore instead of restoring wrong:
 //
-//	file header "MTSD" version 4
+//	file header "MTSD" version 5
 //	header record: shardDuration i64 | epoch i64 | pointsWritten i64 |
 //	    batchesWritten i64 | seriesCreated i64 | measurements i64 |
 //	    writeWaitNs i64 | blocksSealed i64 | nShards u32
@@ -29,8 +29,15 @@ import (
 //	      minT i64 | maxT i64 | count u32 | rawBytes i64 | loc u8
 //	        loc 0 (inline): dataLen u32 | data
 //	        loc 1 (cold):   fileName str | off i64 | len u32 | crc u32
-//	    tail: nSamples u32 | (time i64, value)*
+//	    tail: tailLen u32 | payload (0 = empty tail)
 //	end of input
+//
+// A tail payload is a block payload (block.go), written by the encoder
+// that seals blocks and read back by the same bounds-checked decoder.
+// Version 4 differs only in the tail, nSamples u32 | (time i64,
+// value)*, 17 bytes a float sample; it stays readable, never written,
+// because a version 4 checkpoint may be the only copy of the data whose
+// log segments it truncated.
 //
 // A cold location references the payload inside a cold-tier segment
 // file instead of re-serializing it — the already-durable frame is the
@@ -43,9 +50,12 @@ import (
 
 const snapshotMagic = "MTSD"
 
-// snapshotVersion is the format version Snapshot writes and the only
-// one RestoreOptions reads.
-const snapshotVersion = 4
+// snapshotVersion is the format version Snapshot writes;
+// RestoreOptions also reads snapshotVersionV4.
+const (
+	snapshotVersion   = 5
+	snapshotVersionV4 = 4
+)
 
 // Block payload locations.
 const (
@@ -152,9 +162,11 @@ func appendSeries(rec []byte, sr *series, inlineCold bool) ([]byte, error) {
 			rec = le.AppendUint32(append(rec, blockLocInline), uint32(len(data)))
 			rec = append(rec, data...)
 		}
-		rec = le.AppendUint32(rec, uint32(len(col.times)))
-		for i, ts := range col.times {
-			rec = appendValue(le.AppendUint64(rec, uint64(ts)), col.vals.at(i))
+		at := len(rec)
+		rec = le.AppendUint32(rec, 0)
+		if len(col.times) > 0 {
+			rec = appendBlockData(rec, col.times, col.vals)
+			le.PutUint32(rec[at:], uint32(len(rec)-at-4))
 		}
 	}
 	return rec, nil
@@ -166,8 +178,8 @@ func Restore(r io.Reader) (*DB, error) { return RestoreOptions(r, Options{}) }
 // RestoreOptions loads a snapshot into a fresh DB configured by opts
 // (block size, decode cache, cold directory). The shard duration
 // always comes from the snapshot — the stored data was laid out under
-// it. A file of any version but snapshotVersion is rejected before its
-// body is read.
+// it. A file of any version but 4 or 5 is rejected before its body is
+// read.
 func RestoreOptions(r io.Reader, opts Options) (*DB, error) {
 	db, err := restore(bufio.NewReader(r), opts)
 	if err != nil {
@@ -192,8 +204,8 @@ func restore(br *bufio.Reader, opts Options) (*DB, error) {
 	if err := d.end(); err != nil {
 		return nil, err
 	}
-	if ver != snapshotVersion {
-		return nil, fmt.Errorf("unsupported snapshot version %d (this build reads version %d)", ver, snapshotVersion)
+	if ver != snapshotVersion && ver != snapshotVersionV4 {
+		return nil, fmt.Errorf("unsupported snapshot version %d (this build reads versions %d and %d)", ver, snapshotVersionV4, snapshotVersion)
 	}
 	frames := &frameReader{r: br}
 	d, err := frames.next()
@@ -241,7 +253,7 @@ func restore(br *bufio.Reader, opts Options) (*DB, error) {
 			if d, err = frames.next(); err != nil {
 				return nil, err
 			}
-			sr, first := decodeSeries(d, db.cold)
+			sr, first := decodeSeries(d, db.cold, ver)
 			if err := d.end(); err != nil {
 				return nil, err
 			}
@@ -275,7 +287,7 @@ func restore(br *bufio.Reader, opts Options) (*DB, error) {
 // missing, truncated, or bit-flipped segment file fails the restore
 // loudly instead of surfacing as silently skipped blocks in later
 // scans. Errors latch in d; the caller checks d.end.
-func decodeSeries(d *decoder, cold *coldTier) (*series, map[string]Value) {
+func decodeSeries(d *decoder, cold *coldTier, ver uint16) (*series, map[string]Value) {
 	sr := &series{measurement: d.str(), tags: d.tags().Sorted(), fields: make(map[string]*column)}
 	sr.bytes = int(d.i64())
 	first := make(map[string]Value)
@@ -319,18 +331,27 @@ func decodeSeries(d *decoder, cold *coldTier) (*series, map[string]Value) {
 			lastMax = blk.maxT
 			col.blocks = append(col.blocks, blk)
 		}
-		// A tail sample is a time, a kind byte and at least one byte.
-		for n := d.count(10); n > 0 && d.err == nil; n-- {
-			ts, v := d.i64(), d.value()
+		if ver == snapshotVersionV4 {
+			// A tail sample is a time, a kind byte and at least one byte.
+			for n := d.count(10); n > 0 && d.err == nil; n-- {
+				col.times = append(col.times, d.i64())
+				col.vals.append(d.value())
+			}
+		} else if data := d.take(int(d.u32())); len(data) > 0 {
+			var err error
+			if col.times, col.vals, err = decodeBlockData(data); err != nil {
+				d.failf("field %q tail: %w", name, err)
+			}
+		}
+		for _, ts := range col.times {
 			if ts < lastMax {
 				d.failf("field %q tail out of order", name)
+				break
 			}
 			lastMax = ts
-			col.times = append(col.times, ts)
-			col.vals.append(v)
-			if _, ok := first[name]; !ok {
-				first[name] = v
-			}
+		}
+		if _, ok := first[name]; !ok && len(col.times) > 0 {
+			first[name] = col.vals.at(0)
 		}
 		sr.fields[name] = col
 	}
