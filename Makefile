@@ -173,7 +173,6 @@ bench:
 # (spilled footprint under budget, cold-scan correctness).
 bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkBlockEncode|BenchmarkBlockDecode|BenchmarkCompressedScan' -benchtime 50x ./internal/tsdb
-	$(GO) test -run '^$$' -bench 'BenchmarkMixedReadWrite' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkTieredDashboard|BenchmarkRawDashboard' -benchtime 5x ./internal/tsdb
 	BENCH_JSON=$(CURDIR)/BENCH_compression.json $(GO) test -run '^TestBenchJSON$$' -count=1 -v ./internal/tsdb
 	BENCH_JSON=$(CURDIR)/BENCH_rollup.json $(GO) test -run '^TestBenchRollupJSON$$' -count=1 -v ./internal/tsdb

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"monster"
-	"monster/internal/experiments"
 )
 
 // benchArtifact runs one registered experiment per iteration.
@@ -422,31 +421,6 @@ func BenchmarkAblationTelemetry(b *testing.B) {
 				requests = sys.Collector.Stats().BMCRequests
 			}
 			b.ReportMetric(float64(requests)/float64(b.N), "requests/cycle")
-		})
-	}
-}
-
-// BenchmarkMixedReadWrite measures query latency while a collector-style
-// writer continuously flushes large batches into the same store — the
-// production monitoring load (continuous ingest concurrent with Metrics
-// Builder fan-out). It is the ext-contention experiment
-// (experiments.MeasureContention) with one reader issuing b.N queries:
-// "global-lock" is the experiment's reproduction of the previous global
-// RWMutex serialization around the engine, "snapshot" the engine as it
-// is. ns/query is the mean query latency; ns/op also counts seeding
-// the store and stopping the writer.
-func BenchmarkMixedReadWrite(b *testing.B) {
-	for _, globalLock := range []bool{true, false} {
-		name := "snapshot"
-		if globalLock {
-			name = "global-lock"
-		}
-		b.Run(name, func(b *testing.B) {
-			res, err := experiments.MeasureContention(globalLock, 1, b.N, 10000)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(res.MeanLatency.Nanoseconds()), "ns/query")
 		})
 	}
 }

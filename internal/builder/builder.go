@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"monster/internal/clock"
@@ -107,13 +108,11 @@ func (b *Builder) Fetch(ctx context.Context, req Request) (*Response, Stats, err
 
 	// Query: execute the plan.
 	tq := b.clock.Now()
-	results := make([]*tsdb.Result, len(tasks))
-	var err error
+	width := 1
 	if b.opts.Concurrent {
-		err = b.runPool(ctx, tasks, results)
-	} else {
-		err = b.runSerial(ctx, tasks, results)
+		width = poolWorkers
 	}
+	results, err := b.run(ctx, tasks, width)
 	if err != nil {
 		return nil, st, err
 	}
@@ -124,9 +123,6 @@ func (b *Builder) Fetch(ctx context.Context, req Request) (*Response, Stats, err
 	tm := b.clock.Now()
 	resp, idx := newResponse(&req, nodes)
 	for _, res := range results {
-		if res == nil {
-			continue
-		}
 		st.TSDB.Add(res.Stats)
 		series, points, nonFinite := mergeResult(resp, idx, res)
 		st.Series += series
@@ -240,68 +236,47 @@ func selectStmt(req *Request, measurement, where string) string {
 		req.aggregate(), measurement, where, int64(req.Interval.Seconds()))
 }
 
-// runSerial executes tasks one at a time — the previous builder's
-// synchronous loop.
-func (b *Builder) runSerial(ctx context.Context, tasks []task, results []*tsdb.Result) error {
-	for i, t := range tasks {
-		if err := ctx.Err(); err != nil {
-			return err
+// run executes the tasks on up to width workers and returns each
+// answer at its task's index. Width 1 is the previous builder's serial
+// loop, run on the calling goroutine; poolWorkers is the Fig 15
+// fan-out, whose statements scan their snapshots concurrently. The
+// first failure cancels the context the statements run under, so those
+// in flight stop at their next block and no worker starts another. A
+// done ctx is returned as it is.
+func (b *Builder) run(ctx context.Context, tasks []task, width int) ([]*tsdb.Result, error) {
+	qctx, fail := context.WithCancelCause(ctx)
+	defer fail(nil)
+	results := make([]*tsdb.Result, len(tasks))
+	var next atomic.Int64
+	work := func(ctx context.Context) {
+		for i := int(next.Add(1)) - 1; i < len(tasks); i = int(next.Add(1)) - 1 {
+			q, err := tsdb.Parse(tasks[i].stmt)
+			if err == nil {
+				results[i], err = b.db.Exec(ctx, q)
+			}
+			if err != nil {
+				fail(fmt.Errorf("builder: query %d: %w", i, err))
+				return
+			}
 		}
-		res, err := b.db.Query(t.stmt)
-		if err != nil {
-			return fmt.Errorf("builder: query %d: %w", i, err)
-		}
-		results[i] = res
 	}
-	return nil
-}
-
-// runPool executes tasks on a bounded worker pool. Queries run under
-// the storage engine's read lock, so they proceed concurrently with
-// each other (the Fig 15 fan-out).
-func (b *Builder) runPool(ctx context.Context, tasks []task, results []*tsdb.Result) error {
-	workers := min(poolWorkers, len(tasks))
-	if workers <= 1 {
-		return b.runSerial(ctx, tasks, results)
-	}
-	work := make(chan int)
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	setErr := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	for w := 0; w < workers; w++ {
+	for w := 1; w < min(width, len(tasks)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range work {
-				if err := ctx.Err(); err != nil {
-					setErr(err)
-					continue // drain
-				}
-				res, err := b.db.Query(tasks[i].stmt)
-				if err != nil {
-					setErr(fmt.Errorf("builder: query %d: %w", i, err))
-					continue
-				}
-				results[i] = res
-			}
+			work(qctx)
 		}()
 	}
-	for i := range tasks {
-		work <- i
-	}
-	close(work)
+	work(qctx)
 	wg.Wait()
-	if firstErr == nil {
-		firstErr = ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	return firstErr
+	if err := context.Cause(qctx); err != nil {
+		return nil, err
+	}
+	return results, nil
 }
 
 // fetchJobs runs the two correlation queries (JobsInfo grouped by
@@ -309,33 +284,22 @@ func (b *Builder) runPool(ctx context.Context, tasks []task, results []*tsdb.Res
 // a node-subset request still returns every job in the window, because
 // the consumer-side join needs the full job table.
 func (b *Builder) fetchJobs(ctx context.Context, req *Request, resp *Response, st *Stats) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	cols := make([]string, len(jobsInfoColumns))
 	for i, c := range jobsInfoColumns {
 		cols[i] = fmt.Sprintf("%q", c)
 	}
-	jobsStmt := fmt.Sprintf(`SELECT %s FROM "JobsInfo" WHERE %s GROUP BY "JobId"`,
-		strings.Join(cols, ", "), timeBounds(req))
-	res, err := b.db.Query(jobsStmt)
+	results, err := b.run(ctx, []task{
+		{stmt: fmt.Sprintf(`SELECT %s FROM "JobsInfo" WHERE %s GROUP BY "JobId"`, strings.Join(cols, ", "), timeBounds(req))},
+		{stmt: fmt.Sprintf(`SELECT "JobList" FROM "NodeJobs" WHERE %s GROUP BY "NodeId"`, timeBounds(req))},
+	}, 1)
 	if err != nil {
-		return fmt.Errorf("builder: jobs query: %w", err)
-	}
-	st.Queries++
-	st.TSDB.Add(res.Stats)
-	mergeJobs(resp, res)
-
-	if err := ctx.Err(); err != nil {
 		return err
 	}
-	njStmt := fmt.Sprintf(`SELECT "JobList" FROM "NodeJobs" WHERE %s GROUP BY "NodeId"`, timeBounds(req))
-	res, err = b.db.Query(njStmt)
-	if err != nil {
-		return fmt.Errorf("builder: node-jobs query: %w", err)
+	for _, res := range results {
+		st.Queries++
+		st.TSDB.Add(res.Stats)
 	}
-	st.Queries++
-	st.TSDB.Add(res.Stats)
-	mergeNodeJobs(resp, res)
+	mergeJobs(resp, results[0])
+	mergeNodeJobs(resp, results[1])
 	return nil
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -254,6 +256,25 @@ func TestFetchContextCancellation(t *testing.T) {
 		if _, _, err := b.Fetch(ctx, stdRequest(30)); err != context.Canceled {
 			t.Fatalf("concurrent=%t: err = %v, want context.Canceled", concurrent, err)
 		}
+	}
+}
+
+// TestFetchFirstStatementFailure: when the plan's first statement
+// fails, Fetch returns that statement's error, not the cancellation it
+// causes in its siblings, and no worker outlives the call, serially or
+// on the pool. A quote in a label makes the statement unparseable.
+func TestFetchFirstStatementFailure(t *testing.T) {
+	db := seedDB(t, 16, 30)
+	req := stdRequest(30)
+	req.Metrics = append([]Metric{{Measurement: "Bad", Label: "it's"}}, DefaultMetrics()...)
+	for _, concurrent := range []bool{false, true} {
+		b := New(db, Options{Concurrent: concurrent})
+		before := runtime.NumGoroutine()
+		_, _, err := b.Fetch(context.Background(), req)
+		if err == nil || errors.Is(err, context.Canceled) || !strings.HasPrefix(err.Error(), "builder: query 0: ") {
+			t.Fatalf("concurrent=%t: err = %v, want query 0's own error", concurrent, err)
+		}
+		waitGoroutines(t, before)
 	}
 }
 

@@ -244,7 +244,7 @@ func TestRollupChainKeptCurrentByWritePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.DB.Exec(q)
+	res, err := s.DB.Exec(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

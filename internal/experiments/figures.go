@@ -59,7 +59,6 @@ type Runner func(quick bool) (*Table, error)
 var registry = map[string]Runner{
 	"claim-bmc-latency": runClaimBMC,
 	"ext-telemetry":     runExtTelemetry,
-	"ext-contention":    runExtContention,
 	"claim-datavolume":  runClaimDataVolume,
 	"table3":            runTable3,
 	"table4":            runTable4,

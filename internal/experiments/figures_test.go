@@ -47,29 +47,6 @@ func TestEveryExperimentRunsQuick(t *testing.T) {
 	}
 }
 
-// TestExtContentionReportsBothModels checks the experiment still has
-// its baseline now that the engine has one concurrency model: the quick
-// run reports a global-lock row (the experiment's own RWMutex around
-// the engine) and a snapshot row, each over every query issued and
-// with the background writer making progress.
-func TestExtContentionReportsBothModels(t *testing.T) {
-	tbl, err := Run("ext-contention", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 2 || tbl.Rows[0][0] != "global-lock" || tbl.Rows[1][0] != "snapshot" {
-		t.Fatalf("rows = %v, want a global-lock and a snapshot row", tbl.Rows)
-	}
-	for _, row := range tbl.Rows {
-		if row[1] != "80" { // quick: 2 readers x 40 queries
-			t.Fatalf("%s: %s queries, want 80", row[0], row[1])
-		}
-		if batches, err := strconv.Atoi(row[4]); err != nil || batches < 2 {
-			t.Fatalf("%s: write batches %q, want the seed batch and writer progress", row[0], row[4])
-		}
-	}
-}
-
 func TestClaimBMCSweepMagnitude(t *testing.T) {
 	res := SimulateBMCSweep(QuanahNodes, 1)
 	if res.Requests != 1868 {

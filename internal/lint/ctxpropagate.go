@@ -8,12 +8,13 @@ package lint
 // paper's overhead evaluation depends on cycles that stop when told
 // to.
 //
-// Scope: packages named builder, collector, des, core, and ingest
-// (where the concurrency lives). Inside any function that takes a
-// context.Context, a `go` statement or a condition-less `for` loop
-// must mention *some* context value (the parameter or one derived
-// from it) somewhere in its body — passing ctx to a callee, selecting
-// on ctx.Done(), or checking ctx.Err() all qualify.
+// Scope: packages named builder, collector, des, core, ingest and tsdb
+// (where the concurrency lives; a tsdb query runs its series groups on
+// a worker pool under the consumer's context). Inside any function
+// that takes a context.Context, a `go` statement or a condition-less
+// `for` loop must mention *some* context value (the parameter or one
+// derived from it) somewhere in its body — passing ctx to a callee,
+// selecting on ctx.Done(), or checking ctx.Err() all qualify.
 
 import (
 	"go/ast"
@@ -24,7 +25,7 @@ import (
 // in-scope context.
 var CtxPropagate = &Analyzer{
 	Name: "ctxpropagate",
-	Doc:  "flags goroutine spawns and condition-less loops in builder/collector/des/core/ingest that ignore an in-scope context.Context (uncancellable work leaks)",
+	Doc:  "flags goroutine spawns and condition-less loops in builder/collector/des/core/ingest/tsdb that ignore an in-scope context.Context (uncancellable work leaks)",
 	Run:  runCtxPropagate,
 }
 
@@ -35,6 +36,7 @@ var ctxScopedPackages = map[string]bool{
 	"des":       true,
 	"core":      true,
 	"ingest":    true,
+	"tsdb":      true,
 }
 
 // isContextType reports whether t is context.Context.

@@ -140,6 +140,10 @@ func TestGoroutineLeakFixture(t *testing.T)   { checkFixture(t, "goroutineleak",
 func TestWALExhaustiveFixture(t *testing.T)   { checkFixture(t, "walexhaustive", WALExhaustive) }
 func TestStatsSurfaceFixture(t *testing.T)    { checkFixture(t, "statssurface", StatsSurface) }
 
+// The storage engine is in ctxpropagate's scope: a query worker
+// spawned without the consumer's context is flagged.
+func TestCtxPropagateTsdbFixture(t *testing.T) { checkFixture(t, "ctxpropagatetsdb", CtxPropagate) }
+
 // TestSuppressionDirectives pins the directive layer: a directive
 // without a reason is itself a finding and suppresses nothing, while a
 // well-formed analyzer list silences every listed analyzer at once.

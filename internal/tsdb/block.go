@@ -501,19 +501,21 @@ func (r *bitReader) remainingBytes() int {
 // header comparison per skipped block and decodes nothing.
 type columnIterator struct {
 	col        *column
-	cache      *decodeCache
 	start, end int64
 	blockIdx   int
 	tailDone   bool
 }
 
-func newColumnIterator(col *column, start, end int64, cache *decodeCache) columnIterator {
-	return columnIterator{col: col, cache: cache, start: start, end: end}
+func newColumnIterator(col *column, start, end int64) columnIterator {
+	return columnIterator{col: col, start: start, end: end}
 }
 
-// next yields the following non-empty chunk, charging pruning and
-// decode work to stats.
-func (it *columnIterator) next(stats *QueryStats) (colChunk, bool) {
+// next yields the following non-empty chunk, decoding through st's
+// cache and charging pruning and decode work to st's stats. It yields
+// nothing more once st is stopped, which it checks before every decode:
+// a block that cannot be read back stops st itself.
+func (it *columnIterator) next(st *execState) (colChunk, bool) {
+	stats := &st.stats
 	blocks := it.col.blocks
 	for it.blockIdx < len(blocks) {
 		blk := blocks[it.blockIdx]
@@ -529,16 +531,13 @@ func (it *columnIterator) next(stats *QueryStats) (colChunk, bool) {
 			stats.BlocksSkipped++
 			continue
 		}
-		p, fromDisk, err := blk.decode(it.cache)
+		if st.stopped() {
+			return colChunk{}, false
+		}
+		p, fromDisk, err := blk.decode(st.cache)
 		if err != nil {
-			// A sealed block that cannot be read back — a missing,
-			// truncated or corrupt cold segment, a damaged resident
-			// payload — fails the query: skipping it would answer with
-			// stored data silently missing.
-			if stats.scanErr == nil {
-				stats.scanErr = err
-			}
-			continue
+			st.err = err
+			return colChunk{}, false
 		}
 		stats.BlocksDecoded++
 		if fromDisk {

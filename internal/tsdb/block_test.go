@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -220,7 +221,7 @@ func TestBlockHeaderPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Exec(q)
+	res, err := db.Exec(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestBlockHeaderPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = db.Exec(q)
+	res, err = db.Exec(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,11 +317,11 @@ func TestColumnIteratorWalksBlocksThenTail(t *testing.T) {
 	col.times = []int64{120, 130}
 	col.vals = vecOf([]Value{Float(12), Float(13)})
 
-	var stats QueryStats
-	it := newColumnIterator(col, 15, 125, nil)
+	var st execState
+	it := newColumnIterator(col, 15, 125)
 	var got []int64
 	for {
-		ch, ok := it.next(&stats)
+		ch, ok := it.next(&st)
 		if !ok {
 			break
 		}
@@ -330,8 +331,8 @@ func TestColumnIteratorWalksBlocksThenTail(t *testing.T) {
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("iterator yielded %v, want %v", got, want)
 	}
-	if stats.BlocksDecoded != 3 || stats.BlocksSkipped != 0 {
-		t.Fatalf("stats %+v", stats)
+	if st.stats.BlocksDecoded != 3 || st.stats.BlocksSkipped != 0 {
+		t.Fatalf("stats %+v", st.stats)
 	}
 }
 

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"os"
@@ -92,7 +93,7 @@ func BenchmarkColdScan(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cold.Exec(q); err != nil {
+		if _, err := cold.Exec(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -108,7 +109,7 @@ func BenchmarkResidentScan(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := resident.Exec(q); err != nil {
+		if _, err := resident.Exec(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}

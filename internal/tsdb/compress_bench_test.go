@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -87,7 +88,7 @@ func benchScan(b *testing.B, db *DB) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := db.Exec(q)
+		res, err := db.Exec(context.Background(), q)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -114,7 +115,7 @@ func BenchmarkCompressedScan(b *testing.B) {
 			db := benchScanDB(b, DefaultBlockSize, nodes, 1024)
 			b.StartTimer()
 			q, _ := Parse(`SELECT max("Reading") FROM "Power" GROUP BY time(5m), "NodeId"`)
-			if _, err := db.Exec(q); err != nil {
+			if _, err := db.Exec(context.Background(), q); err != nil {
 				b.Fatal(err)
 			}
 		}

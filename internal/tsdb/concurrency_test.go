@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -100,7 +101,7 @@ func TestSnapshotIsolation(t *testing.T) {
 					return
 				default:
 				}
-				res, err := db.Exec(q)
+				res, err := db.Exec(context.Background(), q)
 				if err != nil {
 					t.Errorf("Exec: %v", err)
 					return
@@ -132,7 +133,7 @@ func TestSnapshotIsolation(t *testing.T) {
 		t.Fatal("readers never completed a query")
 	}
 
-	res, err := db.Exec(q)
+	res, err := db.Exec(context.Background(), q)
 	if err != nil {
 		t.Fatalf("final Exec: %v", err)
 	}
@@ -202,11 +203,11 @@ func TestParallelExecMatchesSerial(t *testing.T) {
 		`SELECT count("Reading") FROM "Power" GROUP BY time(1m), "NodeId" LIMIT 5`,
 	} {
 		q := MustParse(stmt)
-		rs, err := serial.Exec(q)
+		rs, err := serial.Exec(context.Background(), q)
 		if err != nil {
 			t.Fatalf("serial %q: %v", stmt, err)
 		}
-		rp, err := parallel.Exec(q)
+		rp, err := parallel.Exec(context.Background(), q)
 		if err != nil {
 			t.Fatalf("parallel %q: %v", stmt, err)
 		}

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -56,13 +57,6 @@ type QueryStats struct {
 	// rewrite. The ratio TierRawEquivalent / PointsScanned is the
 	// planner's read amplification win.
 	TierRawEquivalent int64
-
-	// scanErr latches the first sealed block the scan could not read
-	// back: an IO fault on a spilled block (missing or truncated
-	// segment, checksum mismatch) or a damaged resident payload. Either
-	// must fail the query — silently skipping the block would return
-	// answers missing stored data.
-	scanErr error
 }
 
 // Add accumulates other into s. Counters sum; SnapshotEpoch and
@@ -88,9 +82,6 @@ func (s *QueryStats) Add(o QueryStats) {
 	}
 	if o.ParallelWorkers > s.ParallelWorkers {
 		s.ParallelWorkers = o.ParallelWorkers
-	}
-	if s.scanErr == nil {
-		s.scanErr = o.scanErr
 	}
 }
 
@@ -223,7 +214,8 @@ type Result struct {
 	Stats  QueryStats
 }
 
-// Query parses and executes a statement (SELECT or SHOW).
+// Query parses and executes a statement (SELECT or SHOW) that runs to
+// completion: it has no context to cancel it.
 func (db *DB) Query(stmt string) (*Result, error) {
 	if isShowStatement(stmt) {
 		return db.execShow(stmt)
@@ -235,7 +227,7 @@ func (db *DB) Query(stmt string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return db.Exec(q)
+	return db.Exec(context.Background(), q)
 }
 
 // minParallelGroups is the group count below which automatic worker
@@ -278,25 +270,69 @@ func (db *DB) execWorkersFor(groups int) int {
 // aggregate over a grouping interval the tier's buckets divide — the
 // planner transparently answers the sealed prefix from the tier and
 // only the unsealed tail from raw storage (see planTiered).
-func (db *DB) Exec(q *Query) (*Result, error) {
+//
+// Once ctx is done the scan stops before its next series group or
+// sealed-block decode, and Exec returns ctx's error with no result:
+// never part of an answer.
+func (db *DB) Exec(ctx context.Context, q *Query) (*Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	v := db.view.Load()
-	if res, ok, err := db.planTiered(v, q); ok || err != nil {
+	if res, ok, err := db.planTiered(ctx, v, q); ok || err != nil {
 		return res, err
 	}
-	return db.execView(v, q)
+	return db.execView(ctx, v, q)
 }
 
-// execView runs q against one pinned view, bypassing the planner. The
-// write path calls this on unpublished candidate views during rollup
-// maintenance (never through Exec: the planner would consult the very
-// tiers being rebuilt).
-func (db *DB) execView(v *dbView, q *Query) (*Result, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
+// execState is one query worker's execution state. It holds what the
+// query's workers share — the statement, the shards its range
+// overlaps, the decode cache and the context's done channel, read
+// once — and what the worker owns: the work it charges, its
+// aggregation scratch and the error that stops it.
+type execState struct {
+	q      *Query
+	shards []*shard
+	cache  *decodeCache
+	ctx    context.Context
+	done   <-chan struct{}
+
+	stats   QueryStats
+	scratch aggScratch
+	// err stops the worker. It is the first sealed block the worker
+	// could not read back — an I/O fault on a spilled block (missing or
+	// truncated segment, checksum mismatch) or a damaged resident
+	// payload — or ctx's error once done is closed. Either fails the
+	// query: skipping the block would answer with stored data silently
+	// missing, and a stopped scan holds only part of an answer.
+	err error
+}
+
+// stopped reports whether the worker must stop. It polls done without
+// blocking, which takes no lock (ctx.Err would), so the block loop can
+// ask before every decode.
+func (st *execState) stopped() bool {
+	if st.err == nil {
+		select {
+		case <-st.done:
+			st.err = st.ctx.Err()
+		default:
+		}
 	}
+	return st.err != nil
+}
+
+// execView runs q, which Exec has validated, against one pinned view,
+// bypassing the planner. The write path calls this on unpublished
+// candidate views during rollup maintenance (never through Exec: the
+// planner would consult the very tiers being rebuilt), with a context
+// that is never done, so a reader's cancellation cannot tear a write
+// batch.
+//
+// The groups are shared out among execWorkersFor workers, each with its
+// own execState. The calling goroutine is the first worker, so a
+// one-worker query starts no goroutine.
+func (db *DB) execView(ctx context.Context, v *dbView, q *Query) (*Result, error) {
 	res := &Result{}
 	res.Stats.SnapshotEpoch = v.epoch
 	res.Stats.ParallelWorkers = 1
@@ -309,47 +345,56 @@ func (db *DB) execView(v *dbView, q *Query) (*Result, error) {
 
 	groups := groupSeries(q, keys, v.index[q.Measurement])
 	shards := v.shardsOverlapping(q.Start, q.End)
-	res.Stats.Groups = len(groups)
-
 	columns := append([]string{"time"}, fieldLabels(q)...)
 	out := make([]ResultSeries, len(groups))
-	if workers := db.execWorkersFor(len(groups)); workers <= 1 {
-		var scratch aggScratch
-		for i := range groups {
-			execGroup(q, &groups[i], shards, columns, &out[i], &res.Stats, &scratch, db.cache)
-		}
-	} else {
-		res.Stats.ParallelWorkers = workers
-		workerStats := make([]QueryStats, workers)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				var scratch aggScratch
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(groups) {
-						return
-					}
-					execGroup(q, &groups[i], shards, columns, &out[i], &workerStats[w], &scratch, db.cache)
-				}
-			}(w)
-		}
-		wg.Wait()
-		for w := range workerStats {
-			res.Stats.Add(workerStats[w])
+	states := make([]execState, db.execWorkersFor(len(groups)))
+	var next atomic.Int64
+	work := func(ctx context.Context, st *execState) {
+		*st = execState{q: q, shards: shards, cache: db.cache, ctx: ctx, done: ctx.Done()}
+		for !st.stopped() {
+			i := int(next.Add(1)) - 1
+			if i >= len(groups) {
+				return
+			}
+			st.execGroup(&groups[i], columns, &out[i])
 		}
 	}
-	if res.Stats.scanErr != nil {
-		return nil, res.Stats.scanErr
+	var wg sync.WaitGroup
+	for w := 1; w < len(states); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(ctx, &states[w])
+		}()
 	}
+	work(ctx, &states[0])
+	wg.Wait()
 
-	res.Series = out[:0]
-	for i := range out {
-		if len(out[i].Times) > 0 {
-			res.Series = append(res.Series, out[i])
+	res.Stats.ParallelWorkers = len(states)
+	for w := range states {
+		if states[w].err != nil {
+			return nil, states[w].err
+		}
+		res.Stats.Add(states[w].stats)
+	}
+	res.finish(q, out)
+	return res, nil
+}
+
+// finish completes res from one series per group, the step the raw
+// scan and the tier planner share: each series is put in the query's
+// order and cut to its limit, and those left with rows become
+// res.Series, sorted by tags. Groups counts the series given, empty
+// ones included; Rows counts the rows kept.
+func (res *Result) finish(q *Query, groups []ResultSeries) {
+	res.Stats.Groups, res.Stats.Rows = len(groups), 0
+	res.Series = groups[:0]
+	for i := range groups {
+		s := &groups[i]
+		s.orderAndLimit(q.Descending, q.Limit)
+		res.Stats.Rows += len(s.Times)
+		if len(s.Times) > 0 {
+			res.Series = append(res.Series, *s)
 		}
 	}
 	if len(res.Series) == 0 {
@@ -358,24 +403,20 @@ func (db *DB) execView(v *dbView, q *Query) (*Result, error) {
 	sort.Slice(res.Series, func(i, j int) bool {
 		return tagsLess(res.Series[i].Tags, res.Series[j].Tags)
 	})
-	return res, nil
 }
 
-// execGroup scans and aggregates one series group into rs, charging the
-// work (including emitted rows) to stats. Group slots are disjoint, so
-// pool workers call this concurrently with per-worker stats and
-// scratch.
-func execGroup(q *Query, g *seriesGroup, shards []*shard, columns []string, rs *ResultSeries, stats *QueryStats, scratch *aggScratch, cache *decodeCache) {
-	rs.Name = q.Measurement
+// execGroup scans and aggregates one series group into rs. Group slots
+// are disjoint, so workers call this concurrently, each on its own
+// state.
+func (st *execState) execGroup(g *seriesGroup, columns []string, rs *ResultSeries) {
+	rs.Name = st.q.Measurement
 	rs.Tags = g.tags
 	rs.Columns = columns
-	if q.Aggregated() {
-		execAgg(q, g.keys, shards, rs, stats, scratch, cache)
+	if st.q.Aggregated() {
+		st.execAgg(g.keys, rs)
 	} else {
-		execRaw(q, g.keys, shards, rs, stats, cache)
+		st.execRaw(g.keys, rs)
 	}
-	rs.orderAndLimit(q.Descending, q.Limit)
-	stats.Rows += len(rs.Times)
 }
 
 func fieldLabels(q *Query) []string {
@@ -611,30 +652,31 @@ type colChunk struct {
 	vals  valueVec
 }
 
-// chargeChunks accounts the chunks' samples to the query stats; every
-// scan calls it exactly once per chunk list.
-func chargeChunks(chunks []colChunk, stats *QueryStats) {
+// chargeChunks accounts the chunks' samples to the worker's stats;
+// every scan calls it exactly once per chunk list.
+func (st *execState) chargeChunks(chunks []colChunk) {
 	for i := range chunks {
 		n := int64(len(chunks[i].times))
-		stats.PointsScanned += n
-		stats.BytesScanned += 8*n + chunks[i].vals.encodedSize()
+		st.stats.PointsScanned += n
+		st.stats.BytesScanned += 8*n + chunks[i].vals.encodedSize()
 	}
 }
 
 // collectChunksInto gathers, appending into a reusable buffer, the
-// column ranges of one field across the group's series and overlapping
-// shards, and reports whether visiting the chunks in order yields
-// globally time-sorted samples. It charges block decode/prune work to
-// stats but not per-sample counters (see chargeChunks).
+// column ranges of one field inside the query range across the given
+// series and the overlapping shards, and reports whether visiting the
+// chunks in order yields globally time-sorted samples. It charges
+// block decode/prune work to the stats but not per-sample counters
+// (see chargeChunks).
 //
 // Published columns are invariantly time-sorted (see shard.go), and
 // sealed blocks are immutable with idempotent decode caching, so this
 // is a walk safe for any number of concurrent readers. Each column is
 // visited through a columnIterator: sealed blocks (header-pruned, then
 // decoded) followed by the raw tail.
-func collectChunksInto(chunks []colChunk, keys []string, field string, shards []*shard, start, end int64, stats *QueryStats, cache *decodeCache) (_ []colChunk, sorted bool) {
+func (st *execState) collectChunksInto(chunks []colChunk, keys []string, field string) (_ []colChunk, sorted bool) {
 	sorted = true
-	for _, sh := range shards {
+	for _, sh := range st.shards {
 		for _, k := range keys {
 			sr, ok := sh.series[k]
 			if !ok {
@@ -644,9 +686,9 @@ func collectChunksInto(chunks []colChunk, keys []string, field string, shards []
 			if !ok {
 				continue
 			}
-			it := newColumnIterator(col, start, end, cache)
+			it := newColumnIterator(col, st.q.Start, st.q.End)
 			for {
-				ch, ok := it.next(stats)
+				ch, ok := it.next(st)
 				if !ok {
 					break
 				}
@@ -676,11 +718,11 @@ func mergeChunks(chunks []colChunk) colChunk {
 }
 
 // scanField copies, in time order, every sample of one series' field
-// in the overlapping shards into fresh slices; of samples sharing a
-// time, the last stored wins.
-func scanField(key string, field string, shards []*shard, start, end int64, stats *QueryStats, cache *decodeCache) ([]int64, valueVec) {
-	chunks, sorted := collectChunksInto(nil, []string{key}, field, shards, start, end, stats, cache)
-	chargeChunks(chunks, stats)
+// in the query range into fresh slices; of samples sharing a time, the
+// last stored wins.
+func (st *execState) scanField(key string, field string) ([]int64, valueVec) {
+	chunks, sorted := st.collectChunksInto(nil, []string{key}, field)
+	st.chargeChunks(chunks)
 	if !sorted {
 		chunks = []colChunk{mergeChunks(chunks)}
 	}
@@ -948,14 +990,15 @@ func reduceField(fn string, chunks []colChunk, iv, whole int64) (outT []int64, o
 // list is merged into one sorted chunk first. The per-field bucket
 // lists become the result's columns as they are; a bucket no field has
 // a value for yields no row.
-func execAgg(q *Query, keys []string, shards []*shard, rs *ResultSeries, stats *QueryStats, scratch *aggScratch, cache *decodeCache) {
+func (st *execState) execAgg(keys []string, rs *ResultSeries) {
+	q, scratch := st.q, &st.scratch
 	nf := len(q.Fields)
 	times, vals := slices.Grow(scratch.times[:0], nf)[:nf], slices.Grow(scratch.vals[:0], nf)[:nf]
 	scratch.times, scratch.vals = times, vals
 	for i, f := range q.Fields {
-		chunks, sorted := collectChunksInto(scratch.chunks[:0], keys, f.Field, shards, q.Start, q.End, stats, cache)
+		chunks, sorted := st.collectChunksInto(scratch.chunks[:0], keys, f.Field)
 		scratch.chunks = chunks // keeps the grown backing for reuse
-		chargeChunks(chunks, stats)
+		st.chargeChunks(chunks)
 		if !sorted {
 			chunks = []colChunk{mergeChunks(chunks)}
 		}
@@ -975,13 +1018,13 @@ func rangeStart(q *Query) int64 {
 // timestamps *within* one series; rows from different series in the
 // group are concatenated and time-sorted, never merged (two nodes
 // sampled at the same instant stay two rows).
-func execRaw(q *Query, keys []string, shards []*shard, rs *ResultSeries, stats *QueryStats, cache *decodeCache) {
-	times := make([][]int64, len(q.Fields))
-	vals := make([]valueVec, len(q.Fields))
+func (st *execState) execRaw(keys []string, rs *ResultSeries) {
+	times := make([][]int64, len(st.q.Fields))
+	vals := make([]valueVec, len(st.q.Fields))
 	sorted := true
 	for _, key := range keys {
-		for i, f := range q.Fields {
-			times[i], vals[i] = scanField(key, f.Field, shards, q.Start, q.End, stats, cache)
+		for i, f := range st.q.Fields {
+			times[i], vals[i] = st.scanField(key, f.Field)
 		}
 		t, cols := alignFields(times, vals)
 		if len(t) == 0 {

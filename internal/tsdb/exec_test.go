@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -377,7 +378,7 @@ func TestFormatResultRendersTable(t *testing.T) {
 
 func TestExecRejectsInvalidQuery(t *testing.T) {
 	db := Open(Options{})
-	if _, err := db.Exec(&Query{}); err == nil {
+	if _, err := db.Exec(context.Background(), &Query{}); err == nil {
 		t.Fatal("empty query executed")
 	}
 }

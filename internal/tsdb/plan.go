@@ -1,8 +1,8 @@
 package tsdb
 
 import (
+	"context"
 	"math"
-	"sort"
 )
 
 // Tier-aware query planning.
@@ -38,7 +38,7 @@ import (
 // planTiered attempts the rollup rewrite for q against pinned view v.
 // ok=false means the query is not eligible (no matching tier, unaligned
 // range) and the caller should run the raw path.
-func (db *DB) planTiered(v *dbView, q *Query) (_ *Result, ok bool, _ error) {
+func (db *DB) planTiered(ctx context.Context, v *dbView, q *Query) (_ *Result, ok bool, _ error) {
 	reg := db.rollups.Load()
 	if reg == nil || !q.Aggregated() || len(q.Fields) != 1 {
 		return nil, false, nil
@@ -94,7 +94,7 @@ func (db *DB) planTiered(v *dbView, q *Query) (_ *Result, ok bool, _ error) {
 		GroupByTime: g,
 		GroupByTags: q.GroupByTags,
 	}
-	tres, err := db.execView(v, tq)
+	tres, err := db.execView(ctx, v, tq)
 	if err != nil {
 		return nil, false, err
 	}
@@ -102,23 +102,23 @@ func (db *DB) planTiered(v *dbView, q *Query) (_ *Result, ok bool, _ error) {
 	rq.Start = split
 	rq.Descending = false
 	rq.Limit = 0
-	rres, err := db.execView(v, &rq)
+	rres, err := db.execView(ctx, v, &rq)
 	if err != nil {
 		return nil, false, err
 	}
 
 	columns := []string{"time", f.Label()}
-	byKey := make(map[string]*ResultSeries)
-	var order []string
+	var merged []ResultSeries
+	byKey := make(map[string]int)
 	groupOf := func(tags Tags) *ResultSeries {
 		key := seriesKey("", tags)
-		ms, ok := byKey[key]
+		i, ok := byKey[key]
 		if !ok {
-			ms = &ResultSeries{Name: q.Measurement, Tags: tags, Columns: columns}
-			byKey[key] = ms
-			order = append(order, key)
+			i = len(merged)
+			byKey[key] = i
+			merged = append(merged, ResultSeries{Name: q.Measurement, Tags: tags, Columns: columns})
 		}
-		return ms
+		return &merged[i]
 	}
 	for i := range tres.Series {
 		groupOf(tres.Series[i].Tags).appendRows(plannerTierColumn(cr, &tres.Series[i]))
@@ -130,28 +130,11 @@ func (db *DB) planTiered(v *dbView, q *Query) (_ *Result, ok bool, _ error) {
 		groupOf(s.Tags).appendRows(s.Times, s.cols)
 	}
 
-	res := &Result{}
-	res.Stats = tres.Stats
+	res := &Result{Stats: tres.Stats}
 	res.Stats.Add(rres.Stats)
 	res.Stats.Tier = cr.target
 	res.Stats.TierRawEquivalent = estimateRawPoints(v, q, f.Field, split)
-	res.Stats.Rows = 0
-	res.Series = make([]ResultSeries, 0, len(order))
-	for _, key := range order {
-		ms := byKey[key]
-		if len(ms.Times) == 0 {
-			continue
-		}
-		ms.orderAndLimit(q.Descending, q.Limit)
-		res.Stats.Rows += len(ms.Times)
-		res.Series = append(res.Series, *ms)
-	}
-	if len(res.Series) == 0 {
-		res.Series = nil
-	}
-	sort.Slice(res.Series, func(i, j int) bool {
-		return tagsLess(res.Series[i].Tags, res.Series[j].Tags)
-	})
+	res.finish(q, merged)
 	return res, true, nil
 }
 

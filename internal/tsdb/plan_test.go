@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -55,11 +56,11 @@ func TestPlannerChainedTierEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planned, err := db.Exec(q)
+	planned, err := db.Exec(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := db.execView(db.view.Load(), q)
+	raw, err := db.execView(context.Background(), db.view.Load(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,6 +71,38 @@ func TestPlannerChainedTierEquivalence(t *testing.T) {
 	if planned.Stats.PointsScanned*10 >= raw.Stats.PointsScanned {
 		t.Fatalf("chained tier scanned %d vs raw %d — want >=10x cheaper",
 			planned.Stats.PointsScanned, raw.Stats.PointsScanned)
+	}
+}
+
+// TestPlannerCountsMergedGroups: a tiered answer reports one group per
+// output group, as the raw scan does, not the tier side's groups plus
+// the raw side's.
+func TestPlannerCountsMergedGroups(t *testing.T) {
+	db := rollupFixture(t, 2, 48*60)
+	if err := db.RegisterRollup(RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.RollupAdvance(24 * 3600); err != nil {
+		t.Fatal(err)
+	}
+	q, err := Parse(`SELECT max("Reading") FROM "Power" WHERE time >= 0 AND time < 172800 GROUP BY time(1h), "NodeId"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planned, err := db.Exec(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := db.execView(context.Background(), db.view.Load(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if planned.Stats.Tier == "" {
+		t.Fatal("planner never engaged")
+	}
+	sameResult(t, planned, raw, "groups")
+	if planned.Stats.Groups != 2 || raw.Stats.Groups != 2 {
+		t.Fatalf("groups: planned %d, raw %d; want 2 output groups each", planned.Stats.Groups, raw.Stats.Groups)
 	}
 }
 
@@ -100,14 +133,14 @@ func TestExecNoRewriteBypassesPlanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Exec(q)
+	res, err := db.Exec(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.Tier == "" {
 		t.Fatal("planner never engaged on an eligible query")
 	}
-	raw, err := db.execView(db.view.Load(), q)
+	raw, err := db.execView(context.Background(), db.view.Load(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,14 +165,14 @@ func TestPlannerUnalignedStartFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Exec(q)
+	res, err := db.Exec(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.Tier != "" {
 		t.Fatalf("unaligned start rewritten to tier %q", res.Stats.Tier)
 	}
-	raw, err := db.execView(db.view.Load(), q)
+	raw, err := db.execView(context.Background(), db.view.Load(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,11 +241,11 @@ func TestPlannerEquivalenceProperty(t *testing.T) {
 			q.GroupByTags = []string{"NodeId"}
 		}
 		ctx := fmt.Sprintf("trial %d: %s time(%ds) [%d,%d) tags=%v", trial, agg, g, start, end, q.GroupByTags)
-		planned, err := db.Exec(q)
+		planned, err := db.Exec(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", ctx, err)
 		}
-		raw, err := db.execView(db.view.Load(), q)
+		raw, err := db.execView(context.Background(), db.view.Load(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", ctx, err)
 		}
@@ -250,11 +283,11 @@ func FuzzRollupPlanner(f *testing.F) {
 			GroupByTime: groups[int(gSel)%len(groups)],
 			GroupByTags: []string{"NodeId"},
 		}
-		planned, err := db.Exec(q)
+		planned, err := db.Exec(context.Background(), q)
 		if err != nil {
 			return // invalid range combinations are rejected identically either way
 		}
-		raw, err := db.execView(db.view.Load(), q)
+		raw, err := db.execView(context.Background(), db.view.Load(), q)
 		if err != nil {
 			t.Fatalf("raw path rejected what the planner accepted: %v", err)
 		}

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -196,7 +197,7 @@ func TestBucketedQueryAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() {
-		res, err := db.Exec(q)
+		res, err := db.Exec(context.Background(), q)
 		if err != nil || len(res.Series) != series || len(res.Series[0].Times) != buckets {
 			t.Fatalf("query: %v", err)
 		}

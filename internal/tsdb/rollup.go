@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"context"
 	"fmt"
 	"math"
 )
@@ -304,7 +305,7 @@ func (db *DB) rollupExec(v *dbView, cr compiledRollup, start, end, wm int64) (*d
 		GroupByTime: cr.interval,
 		GroupByTags: []string{"*"},
 	}
-	res, err := db.execView(v, q)
+	res, err := db.execView(context.Background(), v, q)
 	if err != nil {
 		return nil, rollupOp{}, fmt.Errorf("tsdb: rollup %q: %w", cr.target, err)
 	}

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"sync"
@@ -71,7 +72,7 @@ func BenchmarkTieredDashboard(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Exec(q); err != nil {
+		if _, err := db.Exec(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -87,7 +88,7 @@ func BenchmarkRawDashboard(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.execView(db.view.Load(), q); err != nil {
+		if _, err := db.execView(context.Background(), db.view.Load(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -113,11 +114,11 @@ func TestBenchRollupJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planned, err := db.Exec(q)
+	planned, err := db.Exec(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := db.execView(db.view.Load(), q)
+	raw, err := db.execView(context.Background(), db.view.Load(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

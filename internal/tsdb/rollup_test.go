@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -209,11 +210,11 @@ func TestRollupQueryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planned, err := db.Exec(q)
+	planned, err := db.Exec(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := db.execView(db.view.Load(), q)
+	raw, err := db.execView(context.Background(), db.view.Load(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -265,7 +266,7 @@ func TestVecPromotionLeavesPinnedViewIntact(t *testing.T) {
 	scan := func() []*Result {
 		out := make([]*Result, len(queries))
 		for i, q := range queries {
-			res, err := db.execView(pinned, q)
+			res, err := db.execView(context.Background(), pinned, q)
 			if err != nil {
 				t.Error(err)
 			}
