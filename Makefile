@@ -150,11 +150,13 @@ smoke:
 
 # compression re-runs the sealed-block suite on its own under the race
 # detector: encode/decode round trips, seal thresholds, header pruning,
-# iterator order, out-of-order unseal, the snapshot round trip (sealed
-# blocks verbatim, raw tails through the block codec), the pinned
-# block and snapshot bytes, and the version 4 snapshot upgrade.
+# iterator order, out-of-order unseal and the range clears that unseal
+# too, every derivation leaving its base view intact, the snapshot
+# round trip (sealed blocks verbatim, raw tails through the block
+# codec), the pinned block and snapshot bytes, and the version 4
+# snapshot upgrade.
 compression:
-	$(GO) test -race -count=1 -run 'TestBlock|TestSeal|TestColumnIterator|TestOutOfOrderAcrossSealBoundary|TestSnapshotRoundTripSealedBlocks|TestSnapshotFailingWriter|TestRangeIndexesSuffixSearch|TestWALKillPointsSealedBlocks|TestWALCheckpointSealedBlocks|TestGoldenBytes|TestSnapshotV4' ./internal/tsdb
+	$(GO) test -race -count=1 -run 'TestBlock|TestSeal|TestColumnIterator|TestOutOfOrderAcrossSealBoundary|TestClearRange|TestDerivationsLeaveBaseViewIntact|TestSnapshotRoundTripSealedBlocks|TestSnapshotFailingWriter|TestRangeIndexesSuffixSearch|TestWALKillPointsSealedBlocks|TestWALCheckpointSealedBlocks|TestGoldenBytes|TestSnapshotV4' ./internal/tsdb
 
 # bench runs the Metrics Builder ladder benchmark (Figs 10-19):
 # naive-sequential vs batched-concurrent on the 8-worker pool; then the

@@ -7,8 +7,7 @@
 // The kernel is the substrate for the paper-scale performance
 // experiments: real work (query execution, JSON encoding, compression)
 // runs natively, while the time cost of modelled devices — HDD/SSD
-// bandwidth, BMC response latency, network links — is charged to the
-// virtual clock. Concurrency effects (overlap, contention, queueing)
+// bandwidth, BMC response latency — is charged to the virtual clock. Concurrency effects (overlap, contention, queueing)
 // then emerge from the process model instead of being computed with
 // closed-form guesses.
 //

@@ -242,39 +242,6 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
-func TestLinkTransferTime(t *testing.T) {
-	s := New()
-	// 1000 B/s, 1s latency: 4000 bytes takes 5s.
-	link := s.NewLink("net", 1, time.Second, 1000)
-	s.Spawn("p", func(p *Proc) { link.Transfer(p, 4000) })
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Now() != 5*time.Second {
-		t.Fatalf("transfer took %v, want 5s", s.Now())
-	}
-	if link.Bytes() != 4000 {
-		t.Fatalf("link bytes = %d, want 4000", link.Bytes())
-	}
-	if link.Transfers() != 1 {
-		t.Fatalf("link transfers = %d, want 1", link.Transfers())
-	}
-}
-
-func TestLinkLanesShareSerially(t *testing.T) {
-	s := New()
-	link := s.NewLink("net", 1, 0, 1000)
-	for i := 0; i < 2; i++ {
-		s.Spawn("p", func(p *Proc) { link.Transfer(p, 1000) })
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Now() != 2*time.Second {
-		t.Fatalf("2 serial transfers took %v, want 2s", s.Now())
-	}
-}
-
 func TestGroupJoin(t *testing.T) {
 	s := New()
 	var joined time.Duration

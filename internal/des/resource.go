@@ -43,9 +43,6 @@ func (s *Sim) NewServer(name string, capacity int) *Server {
 // Name reports the server's name.
 func (r *Server) Name() string { return r.name }
 
-// Capacity reports the configured capacity.
-func (r *Server) Capacity() int { return r.capacity }
-
 func (r *Server) accountLocked(now time.Duration) {
 	busy := r.capacity - r.available
 	r.busyInt += float64(busy) * (now - r.lastChange).Seconds()
@@ -139,55 +136,3 @@ func (r *Server) Stats() ServerStats {
 	}
 	return st
 }
-
-// Link models a store-and-forward communication link or I/O channel
-// with fixed per-transfer latency and shared bandwidth. A transfer
-// occupies the link for latency + bytes/bandwidth; `lanes` transfers
-// may be in flight at once (each lane gets full bandwidth, which
-// approximates a switched network; set lanes=1 for a serial device).
-type Link struct {
-	srv       *Server
-	latency   time.Duration
-	bandwidth float64 // bytes per second
-	bytes     int64
-	transfers int64
-}
-
-// NewLink creates a link attached to s. bandwidth is in bytes/second.
-func (s *Sim) NewLink(name string, lanes int, latency time.Duration, bandwidth float64) *Link {
-	if bandwidth <= 0 {
-		panic(fmt.Sprintf("des: link %q bandwidth must be positive", name))
-	}
-	return &Link{srv: s.NewServer(name, lanes), latency: latency, bandwidth: bandwidth}
-}
-
-// Transfer moves n bytes across the link, charging virtual time for
-// queueing, latency, and serialization.
-func (l *Link) Transfer(p *Proc, n int64) {
-	if n < 0 {
-		n = 0
-	}
-	d := l.latency + Seconds(float64(n)/l.bandwidth)
-	l.srv.Use(p, 1, d)
-	l.srv.sim.mu.Lock()
-	l.bytes += n
-	l.transfers++
-	l.srv.sim.mu.Unlock()
-}
-
-// Bytes reports the total bytes transferred so far.
-func (l *Link) Bytes() int64 {
-	l.srv.sim.mu.Lock()
-	defer l.srv.sim.mu.Unlock()
-	return l.bytes
-}
-
-// Transfers reports the number of completed or in-flight transfers.
-func (l *Link) Transfers() int64 {
-	l.srv.sim.mu.Lock()
-	defer l.srv.sim.mu.Unlock()
-	return l.transfers
-}
-
-// Stats exposes the underlying server accounting.
-func (l *Link) Stats() ServerStats { return l.srv.Stats() }

@@ -411,7 +411,7 @@ func runFig17(quick bool) (*Table, error) {
 		Notes:   []string{monsterWireNote},
 	}
 	for _, r := range ranges {
-		res, err := SimulateTransport(r, false)
+		res, err := SimulateTransport(r)
 		if err != nil {
 			return nil, err
 		}
@@ -427,7 +427,7 @@ func runFig17(quick bool) (*Table, error) {
 }
 
 func runFig18(quick bool) (*Table, error) {
-	res, err := SimulateTransport(7*24*time.Hour, true)
+	res, err := SimulateTransport(7 * 24 * time.Hour)
 	if err != nil {
 		return nil, err
 	}
@@ -462,7 +462,7 @@ func runFig19(quick bool) (*Table, error) {
 		Notes:   []string{monsterWireNote},
 	}
 	for _, r := range ranges {
-		res, err := SimulateTransport(r, true)
+		res, err := SimulateTransport(r)
 		if err != nil {
 			return nil, err
 		}

@@ -112,11 +112,11 @@ func TestTable4BandwidthNegligible(t *testing.T) {
 }
 
 func TestFig17TransmissionDominatesLongRanges(t *testing.T) {
-	short, err := SimulateTransport(24*time.Hour, false)
+	short, err := SimulateTransport(24 * time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := SimulateTransport(7*24*time.Hour, false)
+	long, err := SimulateTransport(7 * 24 * time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestFig17TransmissionDominatesLongRanges(t *testing.T) {
 }
 
 func TestFig18CompressionRatio(t *testing.T) {
-	res, err := SimulateTransport(7*24*time.Hour, true)
+	res, err := SimulateTransport(7 * 24 * time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestFig18CompressionRatio(t *testing.T) {
 }
 
 func TestFig19CompressedTransportSpeedup(t *testing.T) {
-	res, err := SimulateTransport(7*24*time.Hour, true)
+	res, err := SimulateTransport(7 * 24 * time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,8 +109,9 @@ func sizer() (*responseSizer, error) {
 }
 
 // SimulateTransport models one remote consumer request end to end
-// under the optimized configuration.
-func SimulateTransport(rng time.Duration, compressed bool) (*TransportResult, error) {
+// under the optimized configuration, reporting the plain and the
+// compressed transfer side by side.
+func SimulateTransport(rng time.Duration) (*TransportResult, error) {
 	sz, err := sizer()
 	if err != nil {
 		return nil, err
@@ -148,9 +149,6 @@ func SimulateTransport(rng time.Duration, compressed bool) (*TransportResult, er
 	// overestimate.
 	res.WireTotalCompressed = res.QueryTime + des.Seconds(float64(wireRaw)/c.CompressBandwidth) +
 		des.Seconds(float64(wireComp)/c.ConsumerBandwidth)
-	if compressed {
-		_ = compressed // both variants are always reported
-	}
 	return res, nil
 }
 

@@ -237,14 +237,15 @@ func appendBlockData(buf []byte, times []int64, vals valueVec) []byte {
 	return buf
 }
 
-// decode returns the block's samples, memoizing the result. Racing
-// callers may both decode; the stores are idempotent (identical
-// content), so last-write-wins is harmless. A non-nil cache charges
-// the payload against the global decode budget (and may evict other
-// blocks to admit it); nil keeps the unaccounted PR 5 behavior, used
-// by internal maintenance paths whose payloads are transient.
-// fromDisk reports whether the compressed payload came through the
-// cold tier rather than memory (always false on a memo hit).
+// decode returns the block's samples. A non-nil cache memoizes the
+// payload and charges it against the global decode budget (and may
+// evict other blocks to admit it). Racing callers may both decode; the
+// stores are idempotent (identical content), so last-write-wins is
+// harmless. nil decodes without memoizing: maintenance paths (unseal)
+// use it, and a payload nothing charged must not stay pinned to a
+// block the view keeps. fromDisk reports whether the compressed
+// payload came through the cold tier rather than memory (always false
+// on a memo hit).
 func (b *block) decode(c *decodeCache) (p *blockPayload, fromDisk bool, err error) {
 	if p := b.cache.Load(); p != nil {
 		if c != nil {
@@ -261,8 +262,8 @@ func (b *block) decode(c *decodeCache) (p *blockPayload, fromDisk bool, err erro
 		return nil, fromDisk, err
 	}
 	p = &blockPayload{times: times, vals: vals}
-	b.cache.Store(p)
 	if c != nil {
+		b.cache.Store(p)
 		c.admit(b, p)
 	}
 	return p, fromDisk, nil

@@ -243,3 +243,106 @@ func TestRollupQueryEquivalence(t *testing.T) {
 			planned.Stats.TierRawEquivalent, raw.Stats.PointsScanned)
 	}
 }
+
+// tierFixture returns one node's minutely "P" points over minutes
+// [from, to), with integer values so tier and raw answers compare
+// exactly.
+func tierFixture(from, to int) []Point {
+	var pts []Point
+	for i := from; i < to; i++ {
+		pts = append(pts, Point{
+			Measurement: "P",
+			Tags:        Tags{{"NodeId", "n0"}},
+			Fields:      map[string]Value{"r": Float(float64(100 + i%17))},
+			Time:        int64(i * 60),
+		})
+	}
+	return pts
+}
+
+// servedFrom reports the tier db's planner served stmt from ("" for
+// raw).
+func servedFrom(t *testing.T, db *DB, stmt string) string {
+	t.Helper()
+	res, err := db.Query(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Stats.Tier
+}
+
+// TestDropRollupTargetRebuildsTier: dropping a tier's target measurement
+// forgets its watermark, so the planner answers raw, raw expiry keeps
+// every point, and the next source write rebuilds the tier from the
+// source's first bucket instead of resuming at the dropped watermark.
+func TestDropRollupTargetRebuildsTier(t *testing.T) {
+	const stmt = `SELECT max("r") FROM "P" WHERE time >= 0 AND time < 25200 GROUP BY time(3600s)`
+	db, raw := Open(Options{}), Open(Options{})
+	if err := db.RegisterRollup(RollupSpec{Source: "P", Field: "r", Aggregate: "max", Interval: 300}); err != nil {
+		t.Fatal(err)
+	}
+	write := func(pts []Point) {
+		t.Helper()
+		for _, d := range []*DB{db, raw} {
+			if err := d.WritePoints(pts); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	write(tierFixture(0, 360))
+	queriesEqual(t, db, raw, stmt)
+	if tier := servedFrom(t, db, stmt); tier != "P_max_300s" {
+		t.Fatalf("before the drop: served from %q, want the tier", tier)
+	}
+	if ok, err := db.DropMeasurement("P_max_300s"); !ok || err != nil {
+		t.Fatalf("drop: ok=%t err=%v", ok, err)
+	}
+	queriesEqual(t, db, raw, stmt)
+	if tier := servedFrom(t, db, stmt); tier != "" {
+		t.Fatalf("after the drop: served from %q, want raw", tier)
+	}
+	if n, err := db.ExpireRaw(6 * 3600); n != 0 || err != nil {
+		t.Fatalf("raw expiry with no tier rows removed %d points (err %v)", n, err)
+	}
+	write(tierFixture(360, 420))
+	queriesEqual(t, db, raw, stmt)
+	if tier := servedFrom(t, db, stmt); tier != "P_max_300s" {
+		t.Fatalf("after the rebuild: served from %q, want the tier", tier)
+	}
+}
+
+// TestRollupRegisteredOverDataBackfillsOnFirstWrite: a tier registered
+// over existing data serves nothing until the source's next write,
+// whose maintenance backfills it from the source's first bucket.
+func TestRollupRegisteredOverDataBackfillsOnFirstWrite(t *testing.T) {
+	const stmt = `SELECT max("r") FROM "P" WHERE time >= 0 AND time < 21600 GROUP BY time(3600s)`
+	db, raw := Open(Options{}), Open(Options{})
+	for _, d := range []*DB{db, raw} {
+		if err := d.WritePoints(tierFixture(0, 360)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.RegisterRollup(RollupSpec{Source: "P", Field: "r", Aggregate: "max", Interval: 300}); err != nil {
+		t.Fatal(err)
+	}
+	queriesEqual(t, db, raw, stmt)
+	if tier := servedFrom(t, db, stmt); tier != "" {
+		t.Fatalf("before any write: served from %q, want raw", tier)
+	}
+	for _, d := range []*DB{db, raw} {
+		if err := d.WritePoints(tierFixture(360, 361)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queriesEqual(t, db, raw, stmt)
+	if tier := servedFrom(t, db, stmt); tier != "P_max_300s" {
+		t.Fatalf("after one write: served from %q, want the tier", tier)
+	}
+	res, err := db.Query(`SELECT count("r") FROM "P_max_300s"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Series[0].Rows()[0].Values[0].I; n != 72 {
+		t.Fatalf("tier holds %d buckets after one write, want all 72", n)
+	}
+}

@@ -1,21 +1,23 @@
 package tsdb
 
 import (
-	"fmt"
 	"maps"
+	"slices"
 	"sort"
 )
 
 // ---- snapshot views ----
 //
 // The DB publishes its entire contents as an immutable dbView behind an
-// atomic pointer (see DB in db.go). A write batch derives the next view
-// from the current one with copy-on-write at every level it touches:
+// atomic pointer (see DB in db.go). Every mutation — a write, a drop, a
+// range clear, retention, a spill — derives the next view from the
+// current one through a batch, the one owner of the cloning policy,
+// with copy-on-write at every level it touches:
 //
 //	view        fresh struct every batch (cheap value copy)
 //	shards map  cloned only when a shard pointer changes
-//	shard       cloned once per batch when first written
-//	series      cloned once per batch when first written
+//	shard       cloned once per batch when first touched
+//	series      cloned once per batch when first touched
 //	column      struct cloned once per batch; in-order appends land in
 //	            spare capacity beyond every published length, so older
 //	            views never observe them; out-of-order appends rebuild
@@ -234,6 +236,18 @@ func (b *batch) mutableShard(start int64, sh *shard) *shard {
 	return c
 }
 
+// mutableSeries returns a batch-owned sr, stored under key in sh
+// (which must already be batch-owned).
+func (b *batch) mutableSeries(sh *shard, key string, sr *series) *series {
+	if b.freshSeries[sr] {
+		return sr
+	}
+	c := sr.clone()
+	sh.series[key] = c
+	b.freshSeries[c] = true
+	return c
+}
+
 // mutableMI returns a batch-owned clone of a measurement index. Inner
 // byTag value maps stay shared until mutableTagVals touches them.
 func (b *batch) mutableMI(name string, mi *measurementIndex) *measurementIndex {
@@ -327,17 +341,13 @@ func (b *batch) indexSeries(p *Point, key string, sorted Tags) {
 func (b *batch) writePoint(p *Point, key string, sorted Tags) {
 	sh := b.shardFor(p.Time)
 	sr, ok := sh.series[key]
-	switch {
-	case !ok:
+	if ok {
+		sr = b.mutableSeries(sh, key, sr)
+	} else {
 		sr = &series{measurement: p.Measurement, tags: sorted, fields: make(map[string]*column)}
 		sh.series[key] = sr
 		sh.keyBytes += len(key) + 8 // key plus index entry overhead
 		b.freshSeries[sr] = true
-	case !b.freshSeries[sr]:
-		c := sr.clone()
-		sh.series[key] = c
-		b.freshSeries[c] = true
-		sr = c
 	}
 	for fk, fv := range p.Fields {
 		col := sr.fields[fk]
@@ -384,68 +394,52 @@ func (db *DB) writePointsView(base *dbView, points []Point) (*dbView, error) {
 	return b.finish(len(points) > 0)
 }
 
-// dropMeasurementView derives, copy-on-write, a view with measurement
-// name and all its stored series removed. It returns nil if the
+// dropMeasurementView derives a view with measurement name, all its
+// stored series and its recorded rollup watermark removed. Without the
+// watermark, a dropped rollup target reads as empty: the planner
+// answers raw and the next source write's maintenance rebuilds the
+// tier from the source's first bucket. It returns nil if the
 // measurement does not exist in base.
 func dropMeasurementView(base *dbView, name string) *dbView {
 	mi, ok := base.index[name]
 	if !ok {
 		return nil
 	}
-	nv := *base
-	nv.index = make(map[string]*measurementIndex, len(base.index))
-	for k, v := range base.index {
-		if k != name {
-			nv.index[k] = v
-		}
+	b := newBatch(base, 0, 0)
+	b.cloneIndexMap()
+	delete(b.v.index, name)
+	if _, ok := base.watermarks[name]; ok {
+		b.v.watermarks = maps.Clone(base.watermarks)
+		delete(b.v.watermarks, name)
 	}
-	// Clone only shards that actually hold series of this measurement.
-	cloned := make(map[int64]*shard)
-	for key := range mi.series {
-		for _, start := range nv.shardStarts {
-			sh := cloned[start]
-			if sh == nil {
-				sh = nv.shards[start]
-			}
+	for _, start := range base.shardStarts {
+		for key := range mi.series {
+			sh := b.v.shards[start]
 			sr, ok := sh.series[key]
 			if !ok {
 				continue
 			}
-			if cloned[start] == nil {
-				sh = sh.clone()
-				cloned[start] = sh
-			}
+			sh = b.mutableShard(start, sh)
 			sh.points -= int64(sr.points())
 			sh.bytes -= int64(sr.bytes)
 			sh.keyBytes -= len(key) + 8
 			delete(sh.series, key)
 		}
 	}
-	if len(cloned) > 0 {
-		m := make(map[int64]*shard, len(nv.shards))
-		for k, v := range nv.shards {
-			m[k] = v
-		}
-		for k, v := range cloned {
-			m[k] = v
-		}
-		nv.shards = m
-	}
-	nv.stats.Measurements--
-	nv.epoch++
-	nv.dropsBlocks = true
-	return &nv
+	b.v.stats.Measurements--
+	b.v.epoch++
+	b.v.dropsBlocks = true
+	return b.v
 }
 
 // clearColumnRange derives a copy of col with samples in [start, end)
 // removed, reporting removed sample count and their value-encoding
 // bytes. Returns col itself untouched when nothing overlaps. When
-// sealed blocks overlap the range, the whole column is rebuilt raw and
-// re-sealed at bs (the boundary shard of a raw-tier expiry pays one
-// decode+reseal; fully-covered shards never reach here — their series
-// are deleted outright). A block that cannot be read back fails the
-// clear: re-sealing without it would drop acknowledged points for good
-// (the same rule as column.unseal).
+// sealed blocks overlap the range, a copy of the column is unsealed,
+// cut and re-sealed at bs (the boundary shard of a raw-tier expiry
+// pays one decode+reseal; fully-covered shards never reach here —
+// their series are deleted outright). A block that cannot be read back
+// fails the clear, as it fails column.unseal.
 func clearColumnRange(col *column, start, end int64, bs int) (*column, int, int64, error) {
 	first, ok := col.firstTime()
 	if !ok {
@@ -455,64 +449,35 @@ func clearColumnRange(col *column, start, end int64, bs int) (*column, int, int6
 	if last < start || first >= end {
 		return col, 0, 0, nil
 	}
-	blocksHit := false
-	for _, blk := range col.blocks {
-		if blk.overlaps(start, end) {
-			blocksHit = true
-			break
+	src := col
+	if slices.ContainsFunc(col.blocks, func(blk *block) bool { return blk.overlaps(start, end) }) {
+		src = &column{blocks: col.blocks, times: col.times, vals: col.vals}
+		if err := src.unseal(); err != nil {
+			return nil, 0, 0, err
 		}
 	}
-	if !blocksHit {
-		lo, hi := col.rangeIndexes(start, end)
-		if lo == hi {
-			return col, 0, 0, nil
-		}
-		keep := len(col.times) - (hi - lo)
-		nc := &column{blocks: col.blocks}
-		nc.times = make([]int64, 0, keep)
-		nc.times = append(append(nc.times, col.times[:lo]...), col.times[hi:]...)
-		nc.vals = makeVec(col.vals.kind, keep)
-		nc.vals.appendVec(col.vals.slice(0, lo))
-		nc.vals.appendVec(col.vals.slice(hi, len(col.times)))
-		gone := col.vals.slice(lo, hi)
-		return nc, hi - lo, gone.encodedSize(), nil
+	lo, hi := src.rangeIndexes(start, end)
+	if lo == hi {
+		return col, 0, 0, nil // header overlap without sample overlap
 	}
-	nc := &column{times: make([]int64, 0, col.numPoints())}
-	var bytes int64
-	removed := 0
-	keep := func(times []int64, vals *valueVec) {
-		for i := range times {
-			v := vals.at(i)
-			if times[i] >= start && times[i] < end {
-				removed++
-				bytes += int64(v.EncodedSize())
-				continue
-			}
-			nc.times = append(nc.times, times[i])
-			nc.vals.append(v)
-		}
+	keep := len(src.times) - (hi - lo)
+	nc := &column{blocks: src.blocks}
+	nc.times = make([]int64, 0, keep)
+	nc.times = append(append(nc.times, src.times[:lo]...), src.times[hi:]...)
+	nc.vals = makeVec(src.vals.kind, keep)
+	nc.vals.appendVec(src.vals.slice(0, lo))
+	nc.vals.appendVec(src.vals.slice(hi, len(src.times)))
+	gone := src.vals.slice(lo, hi)
+	if src != col {
+		nc.seal(bs)
 	}
-	for _, blk := range col.blocks {
-		p, _, err := blk.decode(nil)
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("tsdb: clear range: block [%d, %d]: %w", blk.minT, blk.maxT, err)
-		}
-		keep(p.times, &p.vals)
-	}
-	keep(col.times, &col.vals)
-	if removed == 0 {
-		// Header overlap without sample overlap: keep the original
-		// column (and its decode caches) untouched.
-		return col, 0, 0, nil
-	}
-	nc.seal(bs)
-	return nc, removed, bytes, nil
+	return nc, hi - lo, gone.encodedSize(), nil
 }
 
-// clearMeasurementRangeView derives, copy-on-write, a view with
-// measurement name's samples in [start, end) removed — the raw-tier
-// expiry and rollup-recompute primitive, surgical where DeleteBefore
-// is shard-granular. bs is the seal threshold for rebuilt boundary
+// clearMeasurementRangeView derives a view with measurement name's
+// samples in [start, end) removed — the raw-tier expiry and
+// rollup-recompute primitive, surgical where DeleteBefore is
+// shard-granular. bs is the seal threshold for rebuilt boundary
 // columns. It returns a nil view when nothing overlaps; otherwise the
 // new view and the number of points removed (series max-across-columns
 // semantics, matching shard accounting). An error (clearColumnRange
@@ -522,171 +487,119 @@ func clearMeasurementRangeView(base *dbView, name string, start, end int64, bs i
 	if !ok || start >= end {
 		return nil, 0, nil
 	}
+	b := newBatch(base, 0, 0)
 	var removed int64
-	dropped := false
-	cloned := make(map[int64]*shard)
 	for _, shStart := range base.shardStarts {
-		sh := base.shards[shStart]
-		if sh.end <= start || sh.start >= end {
+		baseSh := base.shards[shStart]
+		if baseSh.end <= start || baseSh.start >= end {
 			continue
 		}
 		for key := range mi.series {
-			sr, ok := sh.series[key]
+			sr, ok := baseSh.series[key]
 			if !ok {
 				continue
 			}
-			oldPts := sr.points()
-			nsr := &series{measurement: sr.measurement, tags: sr.tags, bytes: sr.bytes}
-			nsr.fields = make(map[string]*column, len(sr.fields))
-			touched := false
+			var sh *shard
+			var nsr *series
 			var valBytes int64
 			for fk, col := range sr.fields {
 				nc, n, vb, err := clearColumnRange(col, start, end, bs)
 				if err != nil {
 					return nil, 0, err
 				}
-				if nc != col {
-					touched = true
-					valBytes += vb + int64(n*(2+len(fk)))
-					// A rebuilt column is re-sealed into fresh blocks.
-					dropped = dropped || len(col.blocks) > 0 && (len(nc.blocks) == 0 || nc.blocks[0] != col.blocks[0])
+				if nc == col {
+					continue
+				}
+				if nsr == nil {
+					sh = b.mutableShard(shStart, b.v.shards[shStart])
+					nsr = b.mutableSeries(sh, key, sr)
+				}
+				valBytes += vb + int64(n*(2+len(fk)))
+				// A rebuilt column is re-sealed into fresh blocks.
+				if len(col.blocks) > 0 && (len(nc.blocks) == 0 || nc.blocks[0] != col.blocks[0]) {
+					b.v.dropsBlocks = true
 				}
 				if nc.numPoints() > 0 {
 					nsr.fields[fk] = nc
+				} else {
+					delete(nsr.fields, fk)
 				}
 			}
-			if !touched {
+			if nsr == nil {
 				continue
 			}
-			csh := cloned[shStart]
-			if csh == nil {
-				csh = sh.clone()
-				cloned[shStart] = csh
-			}
-			newPts := 0
-			for _, c := range nsr.fields {
-				if n := c.numPoints(); n > newPts {
-					newPts = n
-				}
-			}
-			gone := int64(oldPts - newPts)
+			gone := int64(sr.points() - nsr.points())
 			removed += gone
-			csh.points -= gone
+			sh.points -= gone
 			// Removed bytes: one 8-byte timestamp per removed point plus
 			// each removed sample's field key and value encoding, clamped
 			// to what the series is charged with (multi-field points share
 			// a timestamp, so this is exact for aligned columns and a safe
 			// estimate otherwise).
-			goneBytes := gone*8 + valBytes
-			if goneBytes > int64(nsr.bytes) {
-				goneBytes = int64(nsr.bytes)
-			}
+			goneBytes := min(gone*8+valBytes, int64(nsr.bytes))
 			nsr.bytes -= int(goneBytes)
-			csh.bytes -= goneBytes
+			sh.bytes -= goneBytes
 			if len(nsr.fields) == 0 {
-				delete(csh.series, key)
-				csh.keyBytes -= len(key) + 8
-			} else {
-				csh.series[key] = nsr
+				delete(sh.series, key)
+				sh.keyBytes -= len(key) + 8
 			}
 		}
 	}
-	if len(cloned) == 0 {
+	if len(b.freshShards) == 0 {
 		return nil, 0, nil
 	}
-	nv := *base
-	nv.shards = make(map[int64]*shard, len(base.shards))
-	for k, v := range base.shards {
-		nv.shards[k] = v
-	}
-	for k, v := range cloned {
-		nv.shards[k] = v
-	}
-	nv.epoch++
-	nv.dropsBlocks = nv.dropsBlocks || dropped
-	return &nv, removed, nil
+	b.v.epoch++
+	return b.v, removed, nil
 }
 
-// deleteBeforeView derives, copy-on-write, a view with every shard
-// whose window ends at or before t removed, reporting how many were
-// dropped. It returns (nil, 0) when no shard qualifies.
+// deleteBeforeView derives a view with every shard whose window ends
+// at or before t removed, reporting how many were dropped. It returns
+// (nil, 0) when no shard qualifies.
 func deleteBeforeView(base *dbView, t int64) (*dbView, int) {
-	dropped := 0
+	b := newBatch(base, 0, 0)
+	starts := make([]int64, 0, len(base.shardStarts))
 	for _, s := range base.shardStarts {
-		if base.shards[s].end <= t {
-			dropped++
+		if base.shards[s].end > t {
+			starts = append(starts, s)
+			continue
 		}
+		b.cloneShardMap()
+		delete(b.v.shards, s)
 	}
+	dropped := len(base.shardStarts) - len(starts)
 	if dropped == 0 {
 		return nil, 0
 	}
-	nv := *base
-	nv.shards = make(map[int64]*shard, len(base.shards)-dropped)
-	nv.shardStarts = make([]int64, 0, len(base.shardStarts)-dropped)
-	for _, s := range base.shardStarts {
-		if sh := base.shards[s]; sh.end > t {
-			nv.shards[s] = sh
-			nv.shardStarts = append(nv.shardStarts, s)
-		}
-	}
-	nv.epoch++
-	nv.dropsBlocks = true
-	return &nv, dropped
+	b.v.shardStarts = starts
+	b.v.epoch++
+	b.v.dropsBlocks = true
+	return b.v, dropped
 }
 
-// spillBlocksView derives, copy-on-write, a view with each block in
-// twins replaced by its cold (or compaction-relocated) twin: same
-// header and samples, payload living in a cold-tier segment file.
-// The epoch does not advance — the stored data is unchanged, only its
-// representation moved.
+// spillBlocksView derives a view with each block in twins replaced by
+// its cold (or compaction-relocated) twin: same header and samples,
+// payload living in a cold-tier segment file. The epoch does not
+// advance — the stored data is unchanged, only its representation
+// moved.
 func spillBlocksView(base *dbView, twins map[*block]*block) *dbView {
-	nv := *base
-	clonedShards := false
+	b := newBatch(base, 0, 0)
 	for _, start := range base.shardStarts {
-		sh := base.shards[start]
-		var nsh *shard
-		for key, sr := range sh.series {
-			var nsr *series
+		for key, sr := range base.shards[start].series {
 			for fk, col := range sr.fields {
-				hit := false
-				for _, blk := range col.blocks {
-					if _, ok := twins[blk]; ok {
-						hit = true
-						break
-					}
-				}
-				if !hit {
+				if !slices.ContainsFunc(col.blocks, func(blk *block) bool { return twins[blk] != nil }) {
 					continue
 				}
 				nb := make([]*block, len(col.blocks))
 				for i, blk := range col.blocks {
-					if t, ok := twins[blk]; ok {
-						nb[i] = t
-					} else {
+					if nb[i] = twins[blk]; nb[i] == nil {
 						nb[i] = blk
 					}
 				}
-				nc := &column{blocks: nb, times: col.times, vals: col.vals}
-				if nsr == nil {
-					nsr = sr.clone()
-					if nsh == nil {
-						nsh = sh.clone()
-						if !clonedShards {
-							m := make(map[int64]*shard, len(nv.shards))
-							for k, v := range nv.shards {
-								m[k] = v
-							}
-							nv.shards = m
-							clonedShards = true
-						}
-						nv.shards[start] = nsh
-					}
-					nsh.series[key] = nsr
-				}
-				nsr.fields[fk] = nc
+				sh := b.mutableShard(start, b.v.shards[start])
+				b.mutableSeries(sh, key, sh.series[key]).fields[fk] = &column{blocks: nb, times: col.times, vals: col.vals}
 			}
 		}
 	}
-	nv.dropsBlocks = true
-	return &nv
+	b.v.dropsBlocks = true
+	return b.v
 }
