@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -114,12 +115,17 @@ func (r *ScrapeReceiver) scrapeTarget(ctx context.Context, target string) ([]tsd
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, DefaultMaxPushBody))
+	// One byte past the limit tells a body that fits from one that was
+	// cut: parsing a cut body could store its last line as a wrong sample.
+	body, err := io.ReadAll(io.LimitReader(resp.Body, DefaultMaxPushBody+1))
 	if err != nil {
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("ingest: scrape %s: status %d", target, resp.StatusCode)
+	}
+	if len(body) > DefaultMaxPushBody {
+		return nil, fmt.Errorf("ingest: scrape %s: body over %d bytes", target, DefaultMaxPushBody)
 	}
 	points, nonFinite, err := ParsePrometheus(body, r.clk.Now().Unix())
 	r.nonFinite.Add(int64(nonFinite))
@@ -146,22 +152,13 @@ func (r *ScrapeReceiver) ExtraStats() map[string]int64 {
 // sample whose value is NaN or ±Inf — legal exposition, e.g. the
 // quantile of an empty summary — is skipped and counted in nonFinite.
 func ParsePrometheus(data []byte, defaultTime int64) (points []tsdb.Point, nonFinite int, _ error) {
-	lineNo := 0
-	for len(data) > 0 {
-		lineNo++
-		var line string
-		if idx := strings.IndexByte(string(data), '\n'); idx >= 0 {
-			line = string(data[:idx])
-			data = data[idx+1:]
-		} else {
-			line = string(data)
-			data = nil
-		}
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
+	for lineNo := 1; len(data) > 0; lineNo++ {
+		var line []byte
+		line, data, _ = bytes.Cut(data, []byte("\n"))
+		if line = bytes.TrimSpace(line); len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		p, err := parsePromLine(line, defaultTime)
+		p, err := parsePromLine(string(line), defaultTime)
 		if errors.Is(err, errNonFinite) {
 			nonFinite++
 			continue

@@ -3,9 +3,12 @@ package ingest
 import (
 	"bufio"
 	"context"
+	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -216,6 +219,97 @@ queue_floor{q="a"} -Inf 1587384000000
 	} {
 		if _, _, err := ParsePrometheus([]byte(bad), 0); err == nil {
 			t.Fatalf("ParsePrometheus(%q) accepted", bad)
+		}
+	}
+}
+
+// TestParsePrometheusAllocatesLinearly bounds what a parse allocates
+// per input byte, the way FuzzWALReplay bounds a decode: a parser that
+// copies the rest of the body once per line allocates quadratically and
+// takes longer than a scrape interval on a body near the limit.
+func TestParsePrometheusAllocatesLinearly(t *testing.T) {
+	var b strings.Builder
+	for i := 0; b.Len() < 128<<10; i++ {
+		fmt.Fprintf(&b, "# HELP node_power_%d Node power draw in watts.\nnode_power{host=\"n%d\"} %d.5 1587384000000\n", i, i, i)
+	}
+	body := []byte(b.String())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pts, _, err := ParsePrometheus(body, 0)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(pts) == 0 {
+		t.Fatalf("parsed %d points: %v", len(pts), err)
+	}
+	if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*len(body)+1<<20); grew > limit {
+		t.Fatalf("parsing %d bytes allocated %d (limit %d)", len(body), grew, limit)
+	}
+}
+
+// FuzzParsePrometheus: any body parses or fails without panicking,
+// within the per-byte allocation bound, and every sample it returns is
+// a valid point with a finite value.
+func FuzzParsePrometheus(f *testing.F) {
+	for _, seed := range []string{
+		"node_power{host=\"n1\",rack=\"r 1\"} 212.5 1587384000000\n",
+		"node_power{host=\"n1\"} 123456 170000", // a timestamp cut by a read limit
+		"# TYPE x gauge\nx +Inf\ny NaN 1\n\nz{q=\"a\\\"b\\nc\"} -1e3\n",
+		"x{y=\"1} 2", "{} 1", "x 1 2 3",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		pts, _, err := ParsePrometheus(data, 7777)
+		runtime.ReadMemStats(&after)
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+1<<20); grew > limit {
+			t.Fatalf("parsing %d bytes allocated %d (limit %d)", len(data), grew, limit)
+		}
+		if err != nil {
+			return
+		}
+		for _, p := range pts {
+			v, _ := p.Fields["value"].AsFloat()
+			if err := p.Validate(); err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("parsed %+v (validate: %v)", p, err)
+			}
+		}
+	})
+}
+
+// TestScrapeReceiverRefusesOversizedBody: a body one byte over the
+// limit is refused whole — a scrape error and nothing stored — rather
+// than parsed up to the cut, which here would store the last sample at
+// 170 s instead of 1,700 s. A body of exactly the limit is scraped.
+func TestScrapeReceiverRefusesOversizedBody(t *testing.T) {
+	const sample = "m 123456 1700000"
+	for _, size := range []int{DefaultMaxPushBody, DefaultMaxPushBody + 1} {
+		body := "# " + strings.Repeat("x", size-len(sample)-3) + "\n" + sample
+		target := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if _, err := w.Write([]byte(body)); err != nil {
+				t.Errorf("write exposition: %v", err)
+			}
+		}))
+		db := tsdb.Open(tsdb.Options{})
+		p, err := New(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.AddSink(NewTSDBSink(db))
+		sc := NewScrapeReceiver(ScrapeOptions{Targets: []string{target.URL}})
+		p.AddReceiver(sc)
+		sc.ScrapeOnce(context.Background())
+		target.Close()
+
+		wantPoints, wantErrors := int64(1), int64(0)
+		if size > DefaultMaxPushBody {
+			wantPoints, wantErrors = 0, 1
+		}
+		if got := db.Disk().Points; got != wantPoints {
+			t.Fatalf("%d-byte body: db has %d points, want %d", size, got, wantPoints)
+		}
+		if extra := sc.ExtraStats(); extra["scrape_errors"] != wantErrors || extra["samples"] != wantPoints {
+			t.Fatalf("%d-byte body: extra = %+v", size, extra)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"sync/atomic"
 )
 
@@ -101,19 +100,22 @@ type block struct {
 }
 
 // blockPayload is a decoded block: parallel times and values, never
-// written after construction. ref is the CLOCK second-chance bit — the
-// only mutable cell, set lock-free by cache hits and cleared by the
-// eviction sweep (see cache.go).
+// written after construction. A block at one fixed cadence keeps its
+// times in the regular form (see timeVec). ref is the CLOCK
+// second-chance bit — the only mutable cell, set lock-free by cache
+// hits and cleared by the eviction sweep (see cache.go).
 type blockPayload struct {
-	times []int64
+	times timeVec
 	vals  valueVec
 	ref   atomic.Bool
 }
 
-// bytes is the payload's decoded size, the decode cache's charge: 16 B
-// per numeric point, a Value cell plus string bytes per mixed one.
+// bytes is what the payload keeps, the decode cache's charge: only
+// stored times count, so a numeric point costs 8 B in a regular block
+// and 16 B in an irregular one; a mixed value costs a Value cell plus
+// its string bytes.
 func (p *blockPayload) bytes() int64 {
-	return 8*int64(len(p.times)) + p.vals.heapBytes()
+	return 8*int64(len(p.times.t)) + p.vals.heapBytes()
 }
 
 // overlaps reports whether the block intersects [start, end).
@@ -261,7 +263,7 @@ func (b *block) decode(c *decodeCache) (p *blockPayload, fromDisk bool, err erro
 	if err != nil {
 		return nil, fromDisk, err
 	}
-	p = &blockPayload{times: times, vals: vals}
+	p = &blockPayload{times: compactTimes(times), vals: vals}
 	if c != nil {
 		b.cache.Store(p)
 		c.admit(b, p)
@@ -296,7 +298,7 @@ func (b *block) validate() (*blockPayload, error) {
 	if times[0] != b.minT || times[len(times)-1] != b.maxT {
 		return nil, fmt.Errorf("%w: time range header mismatch", errBlockCorrupt)
 	}
-	return &blockPayload{times: times, vals: vals}, nil
+	return &blockPayload{times: timeVec{t: times}, vals: vals}, nil
 }
 
 // decodeBlockData decodes a block payload. It is the pure inverse of
@@ -544,22 +546,22 @@ func (it *columnIterator) next(st *execState) (colChunk, bool) {
 		if fromDisk {
 			stats.BlocksFromDisk++
 		}
-		lo, hi := 0, len(p.times)
+		lo, hi := 0, p.times.len()
 		if blk.minT < it.start {
-			lo = sort.Search(len(p.times), func(i int) bool { return p.times[i] >= it.start })
+			lo = p.times.search(it.start)
 		}
 		if blk.maxT >= it.end {
-			hi = sort.Search(len(p.times), func(i int) bool { return p.times[i] >= it.end })
+			hi = p.times.search(it.end)
 		}
 		if lo < hi {
-			return colChunk{times: p.times[lo:hi], vals: p.vals.slice(lo, hi)}, true
+			return colChunk{times: p.times.slice(lo, hi), vals: p.vals.slice(lo, hi)}, true
 		}
 	}
 	if !it.tailDone {
 		it.tailDone = true
 		lo, hi := it.col.rangeIndexes(it.start, it.end)
 		if lo < hi {
-			return colChunk{times: it.col.times[lo:hi], vals: it.col.vals.slice(lo, hi)}, true
+			return colChunk{times: timeVec{t: it.col.times[lo:hi]}, vals: it.col.vals.slice(lo, hi)}, true
 		}
 	}
 	return colChunk{}, false

@@ -92,8 +92,8 @@ func TestBlockRoundTripProperty(t *testing.T) {
 				t.Fatalf("%s: decode: %v", style, err)
 			}
 			for i := range times {
-				if p.times[i] != times[i] {
-					t.Fatalf("%s trial %d: time %d: want %d got %d", style, trial, i, times[i], p.times[i])
+				if p.times.at(i) != times[i] {
+					t.Fatalf("%s trial %d: time %d: want %d got %d", style, trial, i, times[i], p.times.at(i))
 				}
 			}
 			valuesEqual(t, vals, p.vals.values())
@@ -161,6 +161,32 @@ func TestSealThresholdAndTail(t *testing.T) {
 	}
 	if cs := db3.Compression(); cs.Blocks != 0 || cs.TailPoints != 11 {
 		t.Fatalf("unreached threshold: got %+v", cs)
+	}
+}
+
+// TestSealTailSizedToData: the tail a seal leaves behind holds only
+// its own points. A day of minutely samples seals one 1,024-point block
+// and keeps 416 raw; arrays with room for a whole block would pin 608
+// dead slots per column until the next seal.
+func TestSealTailSizedToData(t *testing.T) {
+	db := Open(Options{BlockSize: 1024})
+	pts := make([]Point, 1440)
+	for i := range pts {
+		pts[i] = walPoint("n1", int64(60*i), float64(i%97))
+	}
+	if err := db.WritePoints(pts); err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range db.view.Load().shards {
+		for _, sr := range sh.series {
+			col := sr.fields["Reading"]
+			if len(col.blocks) != 1 || len(col.times) != 416 || col.vals.len() != 416 {
+				t.Fatalf("want 1 block and a 416-point tail, got %d blocks and %d points", len(col.blocks), len(col.times))
+			}
+			if cap(col.times) != 416 || cap(col.vals.f) != 416 {
+				t.Fatalf("tail capacity: times %d, values %d, want 416 each", cap(col.times), cap(col.vals.f))
+			}
+		}
 	}
 }
 
@@ -325,7 +351,7 @@ func TestColumnIteratorWalksBlocksThenTail(t *testing.T) {
 		if !ok {
 			break
 		}
-		got = append(got, ch.times...)
+		got = ch.times.appendTo(got)
 	}
 	want := []int64{20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120}
 	if fmt.Sprint(got) != fmt.Sprint(want) {

@@ -69,7 +69,7 @@ func TestDecodeCacheCounters(t *testing.T) {
 // keep resident bytes at or under budget by evicting, never crash, and
 // still answer correctly.
 func TestDecodeCacheBudgetEviction(t *testing.T) {
-	const budget = 16 * 1024              // 1,024 decoded float points at 16 B
+	const budget = 16 * 1024              // 2,048 decoded regular float points at 8 B
 	db := cacheFixture(t, budget, 8, 512) // 4,096 points decoded cold
 	for pass := 0; pass < 3; pass++ {
 		res, err := db.Query(`SELECT count("Reading") FROM "Power"`)

@@ -30,8 +30,9 @@ type Options struct {
 
 	// DecodeCacheBytes bounds the total resident bytes of decoded
 	// sealed-block payloads (the age-based retention tier for memory —
-	// see cache.go), each charged its decoded size: 16 B per numeric
-	// point. Zero or negative selects a 64 MiB default.
+	// see cache.go), each charged its decoded size: 8 B per numeric
+	// point of a fixed-cadence block, 16 B of an irregular one. Zero or
+	// negative selects a 64 MiB default.
 	DecodeCacheBytes int64
 
 	// ColdDir, when non-empty, enables the file-backed cold tier:

@@ -133,7 +133,7 @@ func TestBenchRollupJSON(t *testing.T) {
 	}
 
 	// Cold-scan cache stress: a separate sealed engine whose decoded
-	// working set (48,000 float points at 16 B) is ~10x the budget;
+	// working set (48,000 regular float points at 8 B) is 5x the budget;
 	// repeated full scans must stay resident-bounded by evicting.
 	const cacheBudget = 75 * 1024
 	stress := Open(Options{BlockSize: 128, DecodeCacheBytes: cacheBudget})

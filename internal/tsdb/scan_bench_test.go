@@ -9,8 +9,8 @@ import (
 // series of 72 h of minutely floats in one-day shards sealed at the
 // default block size (one 1,024-point block and a 416-point raw tail
 // per series and day), scanned serially by the builder's max@1h
-// fan-out statement. "warm" keeps the whole decoded set (1.1 MB)
-// resident under the default budget, so its ns/point is the
+// fan-out statement. "warm" keeps the whole decoded set (0.4 MB at
+// 8 B per regular point) resident under the default budget, so its ns/point is the
 // aggregation kernel alone; "cold" budgets the
 // decode cache a single byte, so every block is decoded again on every
 // scan and B/op is the decode garbage per request.

@@ -57,10 +57,12 @@ func (c *column) firstTime() (int64, bool) {
 // blocks, leaving the remainder (< bs points) raw, and reports how
 // many blocks it sealed. The caller must own the column (batch clone)
 // and the tail must be sorted. The surviving tail is rebuilt into
-// fresh arrays so the sealed run's raw backing can be collected once
-// older views retire; appending to c.blocks may extend capacity shared
-// with a published view, which is safe under the linear-history
-// invariant (older views never index past their own length).
+// fresh arrays sized to what it holds, so the sealed run's raw backing
+// can be collected once older views retire and no spare room stays
+// pinned (later writes grow it by append); appending to c.blocks may
+// extend capacity shared with a published view, which is safe under
+// the linear-history invariant (older views never index past their own
+// length).
 func (c *column) seal(bs int) int {
 	if len(c.times) < bs {
 		return 0
@@ -74,9 +76,9 @@ func (c *column) seal(bs int) int {
 	restT := c.times[n*bs:]
 	restV := c.vals.slice(n*bs, len(c.times))
 	restV = restV.narrowed() // a kind switch sealed away leaves a typed tail again
-	nt := make([]int64, len(restT), bs)
+	nt := make([]int64, len(restT))
 	copy(nt, restT)
-	nv := makeVec(restV.kind, bs)
+	nv := makeVec(restV.kind, len(restT))
 	nv.appendVec(restV)
 	c.times, c.vals = nt, nv
 	return n
@@ -105,7 +107,7 @@ func (c *column) unseal() error {
 		if i == 0 {
 			nv = makeVec(p.vals.kind, total)
 		}
-		nt = append(nt, p.times...)
+		nt = p.times.appendTo(nt)
 		nv.appendVec(p.vals)
 	}
 	nt = append(nt, c.times...)

@@ -31,9 +31,10 @@ func (v *valueVec) values() []Value {
 	return out
 }
 
-// floatPayload is a decoded n-point float block (16 B per point).
+// floatPayload is a decoded n-point float block with explicit
+// (irregular) times, 16 B per point.
 func floatPayload(n int) *blockPayload {
-	return &blockPayload{times: make([]int64, n), vals: valueVec{kind: vecFloat, f: make([]float64, n)}}
+	return &blockPayload{times: timeVec{t: make([]int64, n)}, vals: valueVec{kind: vecFloat, f: make([]float64, n)}}
 }
 
 // genVecColumn fabricates n time-sorted samples of one column shape:
