@@ -124,7 +124,10 @@ ingest:
 # cold directory; each run must exit 0 and log its final checkpoint,
 # whichever point of a cycle the -duration deadline lands in. A fourth
 # run has no -duration: once it serves it gets SIGTERM, the signal
-# systemd, Docker and kill send, and must stop the same way.
+# systemd, Docker and kill send, and must stop the same way. While it
+# serves, a fifth run with its own WAL is given the fourth's port: its
+# listener fails, and it must stop through its final checkpoint and
+# exit non-zero.
 smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/monsterd ./cmd/monsterd || exit 1; \
@@ -143,6 +146,13 @@ smoke:
 	done; \
 	grep -q 'monsterd: .* on 127\.0\.0\.1' $$tmp/run4.log || \
 		{ kill -9 $$pid; echo "smoke: run 4 never served:"; cat $$tmp/run4.log; exit 1; }; \
+	port=$$(sed -n 's/.*monsterd: .* on 127\.0\.0\.1:\([0-9][0-9]*\).*/\1/p' $$tmp/run4.log | head -1); \
+	$$tmp/monsterd -nodes 16 -listen 127.0.0.1:$$port -wal-dir $$tmp/wal5 -cold-dir $$tmp/cold5 \
+		-duration 30s > $$tmp/run5.log 2>&1 && \
+		{ kill -9 $$pid; echo "smoke: run 5 exited 0 on a taken port:"; cat $$tmp/run5.log; exit 1; }; \
+	grep -q 'checkpointed' $$tmp/run5.log || \
+		{ kill -9 $$pid; echo "smoke: run 5 did not checkpoint after its listener failed:"; cat $$tmp/run5.log; exit 1; }; \
+	echo "smoke: run 5 (listen port taken) ok"; \
 	kill -TERM $$pid; \
 	wait $$pid || { echo "smoke: run 4 exited non-zero on SIGTERM:"; cat $$tmp/run4.log; exit 1; }; \
 	grep -q 'checkpointed' $$tmp/run4.log || \
@@ -153,12 +163,14 @@ smoke:
 # detector: encode/decode round trips, seal thresholds and tail sizes,
 # the regular time form against explicit times and the reference model
 # and its decode-cache charge, header pruning, iterator order,
-# out-of-order unseal and the range clears that unseal too, every
+# out-of-order unseal and the range clears that unseal too, the write
+# path against the reference model (unsorted tags, growing field sets,
+# writes behind sealed blocks, a clear that empties a field), every
 # derivation leaving its base view intact, the snapshot round trip
 # (sealed blocks verbatim, raw tails through the block codec), the
 # pinned block and snapshot bytes, and the version 4 snapshot upgrade.
 compression:
-	$(GO) test -race -count=1 -run 'TestBlock|TestSeal|TestTimeVec|TestColumnIterator|TestOutOfOrderAcrossSealBoundary|TestClearRange|TestDerivationsLeaveBaseViewIntact|TestSnapshotRoundTripSealedBlocks|TestSnapshotFailingWriter|TestRangeIndexesSuffixSearch|TestWALKillPointsSealedBlocks|TestWALCheckpointSealedBlocks|TestGoldenBytes|TestSnapshotV4' ./internal/tsdb
+	$(GO) test -race -count=1 -run 'TestBlock|TestSeal|TestTimeVec|TestColumnIterator|TestOutOfOrderAcrossSealBoundary|TestClearRange|TestWritePathMatchesReference|TestDerivationsLeaveBaseViewIntact|TestSnapshotRoundTripSealedBlocks|TestSnapshotFailingWriter|TestRangeIndexesSuffixSearch|TestWALKillPointsSealedBlocks|TestWALCheckpointSealedBlocks|TestGoldenBytes|TestSnapshotV4' ./internal/tsdb
 
 # bench runs the Metrics Builder ladder benchmark (Figs 10-19):
 # naive-sequential vs batched-concurrent on the 8-worker pool; then the

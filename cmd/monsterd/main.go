@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -181,6 +182,11 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *duration)
 		defer cancel()
 	}
+	// A listener, the ingest pipeline or the checkpoint loop that fails
+	// cancels ctx with its error as the cause: the process stops through
+	// the same drain and final checkpoint, then exits non-zero.
+	ctx, fail := context.WithCancelCause(ctx)
+	defer fail(nil)
 
 	log.Printf("monsterd: warming up %v of simulated time over %d nodes", *warmup, *nodes)
 	if err := sys.AdvanceCollecting(ctx, *warmup); err != nil {
@@ -197,9 +203,8 @@ func main() {
 		servers.Add(1)
 		go func() {
 			defer servers.Done()
-			log.Printf("monsterd: %s on %s", what, addr)
-			if err := serveHTTP(ctx, addr, h); err != nil {
-				log.Fatalf("monsterd: %s: %v", what, err)
+			if err := serveHTTP(ctx, what, addr, h); err != nil {
+				fail(fmt.Errorf("%s: %w", what, err))
 			}
 		}()
 	}
@@ -208,7 +213,7 @@ func main() {
 		// The receivers' own loops (-scrape); pushes and cycles are
 		// written in their own goroutines whether or not this runs.
 		if err := sys.RunIngest(ctx); err != nil && ctx.Err() == nil {
-			log.Fatalf("monsterd: ingest pipeline: %v", err)
+			fail(fmt.Errorf("ingest pipeline: %w", err))
 		}
 	}()
 	if *schedAddr != "" {
@@ -220,7 +225,7 @@ func main() {
 	if *walDir != "" {
 		go func() {
 			if err := sys.RunCheckpoints(ctx, clk); err != nil && ctx.Err() == nil {
-				log.Fatalf("monsterd: checkpoint loop: %v", err)
+				fail(fmt.Errorf("checkpoint loop: %w", err))
 			}
 		}()
 	}
@@ -250,6 +255,9 @@ func main() {
 			}
 			log.Printf("monsterd: checkpointed %s", *walDir)
 		}
+		if cause := context.Cause(ctx); !errors.Is(cause, context.Canceled) && !errors.Is(cause, context.DeadlineExceeded) {
+			log.Fatalf("monsterd: %v", cause)
+		}
 		return
 	}
 	if err != nil {
@@ -267,14 +275,19 @@ const (
 	httpDrainTimeout      = 10 * time.Second
 )
 
-// serveHTTP serves h on addr until ctx is cancelled, then shuts down
-// gracefully: the listener closes, requests in flight get
-// httpDrainTimeout to finish, and serveHTTP returns only once they have
-// (or the drain timed out and the rest were cut off). A listener that
-// fails before cancellation returns its error.
-func serveHTTP(ctx context.Context, addr string, h http.Handler) error {
+// serveHTTP listens on addr, logs the bound address under what, and
+// serves h until ctx is cancelled, then shuts down gracefully: the
+// listener closes, requests in flight get httpDrainTimeout to finish,
+// and serveHTTP returns only once they have (or the drain timed out and
+// the rest were cut off). A listener that cannot bind, or fails before
+// cancellation, returns its error.
+func serveHTTP(ctx context.Context, what, addr string, h http.Handler) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	log.Printf("monsterd: %s on %s", what, ln.Addr())
 	srv := &http.Server{
-		Addr:              addr,
 		Handler:           h,
 		ReadHeaderTimeout: httpReadHeaderTimeout,
 		ReadTimeout:       httpReadTimeout,
@@ -282,7 +295,7 @@ func serveHTTP(ctx context.Context, addr string, h http.Handler) error {
 		IdleTimeout:       httpIdleTimeout,
 	}
 	failed := make(chan error, 1)
-	go func() { failed <- srv.ListenAndServe() }()
+	go func() { failed <- srv.Serve(ln) }()
 	select {
 	case err := <-failed:
 		return err

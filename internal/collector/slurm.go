@@ -2,9 +2,7 @@ package collector
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -51,24 +49,7 @@ func (s *SlurmSchedulerSource) clk() clock.Clock {
 }
 
 func (s *SlurmSchedulerSource) get(ctx context.Context, path string, out interface{}) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.BaseURL+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := s.Client.Do(req)
-	if err != nil {
-		return fmt.Errorf("collector: slurm query %s: %w", path, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	s.bytes.Add(int64(len(body)))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("collector: slurm query %s: status %d", path, resp.StatusCode)
-	}
-	return json.Unmarshal(body, out)
+	return getJSON(ctx, s.Client, "slurm", s.BaseURL, path, &s.bytes, out)
 }
 
 func (s *SlurmSchedulerSource) fetchJobs(ctx context.Context) ([]scheduler.SlurmJob, error) {

@@ -53,23 +53,42 @@ func NewHTTPSchedulerSource(baseURL string, client *http.Client) *HTTPSchedulerS
 	return &HTTPSchedulerSource{BaseURL: baseURL, Client: client}
 }
 
+// maxSchedulerBody bounds one scheduler API response, UGE or Slurm.
+// The largest the simulator produces at 467 nodes is /uge/hosts at
+// 379,325 bytes six simulated hours in (accounting since the epoch was
+// 103,353 bytes then, and grows ~17 KB per simulated hour); 8 MiB is
+// over 20 times that.
+const maxSchedulerBody = 8 << 20
+
 func (s *HTTPSchedulerSource) get(ctx context.Context, path string, out interface{}) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.BaseURL+path, nil)
+	return getJSON(ctx, s.Client, "scheduler", s.BaseURL, path, &s.bytes, out)
+}
+
+// getJSON fetches base+path and decodes its JSON body into out,
+// counting the body's bytes into n. It reads one byte past
+// maxSchedulerBody, which tells a body that fits from one that was cut,
+// and refuses a body over the limit whole as the poll's failure: out is
+// left untouched.
+func getJSON(ctx context.Context, client *http.Client, what, base, path string, n *atomic.Int64, out interface{}) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
 	if err != nil {
 		return err
 	}
-	resp, err := s.Client.Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
-		return fmt.Errorf("collector: scheduler query %s: %w", path, err)
+		return fmt.Errorf("collector: %s query %s: %w", what, path, err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxSchedulerBody+1))
 	if err != nil {
 		return err
 	}
-	s.bytes.Add(int64(len(body)))
+	if len(body) > maxSchedulerBody {
+		return fmt.Errorf("collector: %s query %s: body over %d bytes", what, path, maxSchedulerBody)
+	}
+	n.Add(int64(len(body)))
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("collector: scheduler query %s: status %d", path, resp.StatusCode)
+		return fmt.Errorf("collector: %s query %s: status %d", what, path, resp.StatusCode)
 	}
 	return json.Unmarshal(body, out)
 }

@@ -48,6 +48,13 @@ type ClientOptions struct {
 	HTTPClient *http.Client
 }
 
+// maxResourceBody bounds one Redfish resource body, so a BMC that
+// streams an endless body fails that node's poll, not the process's
+// memory. The largest resource the simulated BMC serves is Thermal at
+// 1,246 bytes; 1 MiB leaves room for real BMCs' larger sensor
+// inventories.
+const maxResourceBody = 1 << 20
+
 // MaxRetryBackoff caps the exponential backoff between attempts so a
 // long retry budget cannot stall a collection cycle indefinitely.
 const MaxRetryBackoff = 30 * time.Second
@@ -196,11 +203,19 @@ func (c *Client) attempt(ctx context.Context, url string, out interface{}) error
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return fmt.Errorf("status %d", resp.StatusCode)
 	}
-	if out == nil {
-		_, err = io.Copy(io.Discard, resp.Body)
+	// One byte past the limit tells a body that fits from one that was
+	// cut; a body over it fails the attempt whole and out is untouched.
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResourceBody+1))
+	if err != nil {
 		return err
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	if len(body) > maxResourceBody {
+		return fmt.Errorf("body over %d bytes", maxResourceBody)
+	}
+	if out == nil {
+		return nil
+	}
+	return json.Unmarshal(body, out)
 }
 
 // Thermal fetches a node's Thermal resource.

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -418,5 +419,37 @@ func TestClientBackoffSchedule(t *testing.T) {
 	none := NewClient(ClientOptions{RetryBackoff: NoRetryBackoff})
 	if d := none.backoff(url, 1); d != 0 {
 		t.Fatalf("NoRetryBackoff produced delay %v", d)
+	}
+}
+
+// TestClientBodyLimit: a resource body of exactly maxResourceBody bytes
+// decodes; one byte more fails that GET whole and leaves out untouched.
+func TestClientBodyLimit(t *testing.T) {
+	var body atomic.Pointer[[]byte]
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Write(*body.Load())
+	}))
+	defer srv.Close()
+	padded := func(doc string, n int) *[]byte {
+		b := append([]byte(doc), strings.Repeat(" ", n-len(doc))...)
+		return &b
+	}
+	c := NewClient(ClientOptions{HTTPClient: srv.Client(), Retries: NoRetries})
+	body.Store(padded(`{"Id":"Thermal"}`, maxResourceBody))
+	out := map[string]any{}
+	if err := c.GetJSON(context.Background(), srv.URL, &out); err != nil || out["Id"] != "Thermal" {
+		t.Fatalf("body at the limit: %v, err %v", out, err)
+	}
+	body.Store(padded(`{"Id":"Power"}`, maxResourceBody+1))
+	out = map[string]any{"kept": true}
+	err := c.GetJSON(context.Background(), srv.URL, &out)
+	if err == nil || !strings.Contains(err.Error(), "body over") {
+		t.Fatalf("body over the limit: err %v", err)
+	}
+	if len(out) != 1 || out["kept"] != true {
+		t.Fatalf("a refused body was decoded: %v", out)
+	}
+	if st := c.Stats(); st.Failures != 1 {
+		t.Fatalf("failures = %d, want 1", st.Failures)
 	}
 }

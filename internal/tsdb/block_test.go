@@ -179,7 +179,7 @@ func TestSealTailSizedToData(t *testing.T) {
 	}
 	for _, sh := range db.view.Load().shards {
 		for _, sr := range sh.series {
-			col := sr.fields["Reading"]
+			col := sr.field("Reading")
 			if len(col.blocks) != 1 || len(col.times) != 416 || col.vals.len() != 416 {
 				t.Fatalf("want 1 block and a 416-point tail, got %d blocks and %d points", len(col.blocks), len(col.times))
 			}

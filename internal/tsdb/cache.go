@@ -152,8 +152,8 @@ func (c *decodeCache) purgeDead(v *dbView) {
 	live := make(map[*block]struct{}, len(c.entries))
 	for _, sh := range v.shards {
 		for _, sr := range sh.series {
-			for _, col := range sr.fields {
-				for _, blk := range col.blocks {
+			for _, f := range sr.fields {
+				for _, blk := range f.col.blocks {
 					if _, ok := c.entries[blk]; ok {
 						live[blk] = struct{}{}
 					}

@@ -286,8 +286,8 @@ func (r *coldRef) read() ([]byte, error) {
 func coldFilesReferenced(v *dbView, into map[string]struct{}) {
 	for _, sh := range v.shards {
 		for _, sr := range sh.series {
-			for _, col := range sr.fields {
-				for _, blk := range col.blocks {
+			for _, f := range sr.fields {
+				for _, blk := range f.col.blocks {
 					if blk.cold != nil {
 						into[blk.cold.file] = struct{}{}
 					}
@@ -366,8 +366,8 @@ func (ct *coldTier) compact(v *dbView) (map[*block]*block, error) {
 		sh := v.shards[start]
 		for _, key := range slices.Sorted(maps.Keys(sh.series)) {
 			sr := sh.series[key]
-			for _, fk := range slices.Sorted(maps.Keys(sr.fields)) {
-				for _, blk := range sr.fields[fk].blocks {
+			for _, f := range sr.fields {
+				for _, blk := range f.col.blocks {
 					if blk.cold == nil {
 						continue
 					}
@@ -459,8 +459,8 @@ func collectSpillCandidates(v *dbView, olderThan int64, maxResident int64) []spi
 		sh := v.shards[start]
 		for _, key := range slices.Sorted(maps.Keys(sh.series)) {
 			sr := sh.series[key]
-			for _, fk := range slices.Sorted(maps.Keys(sr.fields)) {
-				for _, blk := range sr.fields[fk].blocks {
+			for _, f := range sr.fields {
+				for _, blk := range f.col.blocks {
 					if blk.data == nil {
 						continue
 					}
@@ -593,8 +593,8 @@ func (db *DB) ColdStats() ColdStats {
 	v := db.view.Load()
 	for _, sh := range v.shards {
 		for _, sr := range sh.series {
-			for _, col := range sr.fields {
-				for _, blk := range col.blocks {
+			for _, f := range sr.fields {
+				for _, blk := range f.col.blocks {
 					switch {
 					case blk.cold != nil:
 						cs.BlocksCold++

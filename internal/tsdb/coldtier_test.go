@@ -171,8 +171,8 @@ func TestColdSpillBudget(t *testing.T) {
 	minResident, maxCold := int64(math.MaxInt64), int64(math.MinInt64)
 	for _, sh := range v.shards {
 		for _, sr := range sh.series {
-			for _, col := range sr.fields {
-				for _, blk := range col.blocks {
+			for _, f := range sr.fields {
+				for _, blk := range f.col.blocks {
 					if blk.cold != nil && blk.maxT > maxCold {
 						maxCold = blk.maxT
 					}

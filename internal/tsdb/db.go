@@ -331,7 +331,8 @@ func (db *DB) Compression() CompressionStats {
 	cs := CompressionStats{BlocksSealed: v.stats.BlocksSealed}
 	for _, sh := range v.shards {
 		for _, sr := range sh.series {
-			for _, col := range sr.fields {
+			for _, f := range sr.fields {
+				col := f.col
 				for _, blk := range col.blocks {
 					cs.Blocks++
 					cs.SealedPoints += int64(blk.count)

@@ -682,8 +682,8 @@ func (st *execState) collectChunksInto(chunks []colChunk, keys []string, field s
 			if !ok {
 				continue
 			}
-			col, ok := sr.fields[field]
-			if !ok {
+			col := sr.field(field)
+			if col == nil {
 				continue
 			}
 			it := newColumnIterator(col, st.q.Start, st.q.End)

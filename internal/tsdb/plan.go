@@ -199,8 +199,8 @@ func estimateRawPoints(v *dbView, q *Query, field string, split int64) int64 {
 			if !ok {
 				continue
 			}
-			col, ok := sr.fields[field]
-			if !ok {
+			col := sr.field(field)
+			if col == nil {
 				continue
 			}
 			for _, b := range col.blocks {

@@ -14,7 +14,7 @@ package tsdb
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 )
@@ -133,21 +133,31 @@ func NewTags(m map[string]string) Tags {
 	for k, v := range m {
 		ts = append(ts, Tag{k, v})
 	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Key < ts[j].Key })
+	slices.SortStableFunc(ts, cmpTagKey)
 	return ts
 }
 
-// Sorted returns a sorted copy of the tag set (or the receiver if it is
-// already sorted).
+// Sorted returns the tag set in canonical order: the receiver itself
+// if it is already sorted, else a sorted copy.
 func (ts Tags) Sorted() Tags {
-	if sort.SliceIsSorted(ts, func(i, j int) bool { return ts[i].Key < ts[j].Key }) {
+	var buf Tags
+	return ts.sortedInto(&buf)
+}
+
+// sortedInto is the one tag canonicalisation: ts itself if its keys
+// are already in order, else a copy in *buf sorted by key (stable, so
+// duplicate keys keep their given order). No reflection, and no
+// allocation once *buf has room.
+func (ts Tags) sortedInto(buf *Tags) Tags {
+	if slices.IsSortedFunc(ts, cmpTagKey) {
 		return ts
 	}
-	out := make(Tags, len(ts))
-	copy(out, ts)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	*buf = append((*buf)[:0], ts...)
+	slices.SortStableFunc(*buf, cmpTagKey)
+	return *buf
 }
+
+func cmpTagKey(a, b Tag) int { return strings.Compare(a.Key, b.Key) }
 
 // Get looks up a tag value by key.
 func (ts Tags) Get(key string) (string, bool) {
@@ -200,15 +210,17 @@ func (p *Point) SeriesKey() string {
 }
 
 func seriesKey(measurement string, sorted Tags) string {
-	var b strings.Builder
-	b.WriteString(measurement)
+	return string(appendSeriesKey(nil, measurement, sorted))
+}
+
+// appendSeriesKey appends the series identity of measurement and its
+// sorted tags to b.
+func appendSeriesKey(b []byte, measurement string, sorted Tags) []byte {
+	b = append(b, measurement...)
 	for _, t := range sorted {
-		b.WriteByte(',')
-		b.WriteString(t.Key)
-		b.WriteByte('=')
-		b.WriteString(t.Value)
+		b = append(append(append(append(b, ','), t.Key...), '='), t.Value...)
 	}
-	return b.String()
+	return b
 }
 
 // EncodedSize reports the point's size under the canonical storage

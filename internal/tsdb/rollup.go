@@ -514,7 +514,8 @@ func viewTimeBound(v *dbView, measurement string, last bool) (int64, bool) {
 			if !ok {
 				continue
 			}
-			for _, col := range sr.fields {
+			for _, f := range sr.fields {
+				col := f.col
 				t, ok := col.firstTime()
 				if last {
 					t, ok = col.lastTime()

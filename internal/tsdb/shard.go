@@ -2,7 +2,10 @@ package tsdb
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // column stores one field of one series as sealed compressed blocks
@@ -18,6 +21,7 @@ type column struct {
 	blocks []*block // sealed, immutable, time-ordered
 	times  []int64  // raw tail
 	vals   valueVec
+	stamp  uint64 // the batch that made this copy (see batch in view.go)
 }
 
 // numPoints is the column's total sample count across sealed blocks
@@ -149,26 +153,60 @@ func (c *column) rangeIndexes(start, end int64) (int, int) {
 // shard.
 type series struct {
 	measurement string
-	tags        Tags // sorted
-	fields      map[string]*column
-	bytes       int // encoded bytes of all points appended
+	key         string // seriesKey(measurement, tags)
+	tags        Tags   // sorted
+	fields      []fieldCol
+	bytes       int    // encoded bytes of all points appended
+	stamp       uint64 // the batch that made this copy
 }
 
-// clone makes a shallow copy whose fields map is private; the columns
-// themselves stay shared until a write touches them.
-func (s *series) clone() *series {
-	c := &series{measurement: s.measurement, tags: s.tags, bytes: s.bytes}
-	c.fields = make(map[string]*column, len(s.fields))
-	for k, v := range s.fields {
-		c.fields[k] = v
+// fieldCol is one of a series' fields, which are kept sorted by name.
+type fieldCol struct {
+	name string
+	col  *column
+}
+
+// clone makes a shallow copy, stamped for the batch that owns it, whose
+// field slice is private; the columns themselves stay shared until a
+// write touches them.
+func (s *series) clone(stamp uint64) *series {
+	c := *s
+	c.fields = slices.Clone(s.fields)
+	c.stamp = stamp
+	return &c
+}
+
+// fieldIndex reports where name is, or would be inserted, in fields.
+func (s *series) fieldIndex(name string) (int, bool) {
+	return slices.BinarySearchFunc(s.fields, name, func(f fieldCol, name string) int { return strings.Compare(f.name, name) })
+}
+
+// field returns the column stored under name, or nil.
+func (s *series) field(name string) *column {
+	if i, ok := s.fieldIndex(name); ok {
+		return s.fields[i].col
 	}
-	return c
+	return nil
+}
+
+// setField stores col under name, or removes the field when col is nil.
+// The caller must own s.
+func (s *series) setField(name string, col *column) {
+	i, ok := s.fieldIndex(name)
+	switch {
+	case ok && col == nil:
+		s.fields = slices.Delete(s.fields, i, i+1)
+	case ok:
+		s.fields[i].col = col
+	case col != nil:
+		s.fields = slices.Insert(s.fields, i, fieldCol{name, col})
+	}
 }
 
 func (s *series) points() int {
 	max := 0
-	for _, c := range s.fields {
-		if n := c.numPoints(); n > max {
+	for _, f := range s.fields {
+		if n := f.col.numPoints(); n > max {
 			max = n
 		}
 	}
@@ -182,21 +220,21 @@ type shard struct {
 	keyBytes   int // bytes of series keys indexed in this shard
 	points     int64
 	bytes      int64
+	stamp      uint64 // the batch that made this copy
 }
 
 func newShard(start, end int64) *shard {
 	return &shard{start: start, end: end, series: make(map[string]*series)}
 }
 
-// clone makes a shallow copy whose series map is private; the series
-// themselves stay shared until a write touches them.
-func (sh *shard) clone() *shard {
-	c := &shard{start: sh.start, end: sh.end, keyBytes: sh.keyBytes, points: sh.points, bytes: sh.bytes}
-	c.series = make(map[string]*series, len(sh.series))
-	for k, v := range sh.series {
-		c.series[k] = v
-	}
-	return c
+// clone makes a shallow copy, stamped for the batch that owns it, whose
+// series map is private; the series themselves stay shared until a
+// write touches them.
+func (sh *shard) clone(stamp uint64) *shard {
+	c := *sh
+	c.series = maps.Clone(sh.series)
+	c.stamp = stamp
+	return &c
 }
 
 // ShardStats summarizes one shard's contents.

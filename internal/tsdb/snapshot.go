@@ -137,11 +137,10 @@ func appendSeries(rec []byte, sr *series, inlineCold bool) ([]byte, error) {
 	rec = appendStr(rec, sr.measurement)
 	rec = appendTags(rec, sr.tags)
 	rec = le.AppendUint64(rec, uint64(sr.bytes))
-	fields := slices.Sorted(maps.Keys(sr.fields))
-	rec = le.AppendUint32(rec, uint32(len(fields)))
-	for _, f := range fields {
-		col := sr.fields[f]
-		rec = appendStr(rec, f)
+	rec = le.AppendUint32(rec, uint32(len(sr.fields)))
+	for _, f := range sr.fields {
+		col := f.col
+		rec = appendStr(rec, f.name)
 		rec = le.AppendUint32(rec, uint32(len(col.blocks)))
 		for _, blk := range col.blocks {
 			rec = le.AppendUint64(rec, uint64(blk.minT))
@@ -257,10 +256,11 @@ func restore(br *bufio.Reader, opts Options) (*DB, error) {
 			if err := d.end(); err != nil {
 				return nil, err
 			}
-			key := seriesKey(sr.measurement, sr.tags)
-			sh.series[key] = sr
-			sh.keyBytes += len(key) + 8
-			b.indexSeries(&Point{Measurement: sr.measurement, Fields: first}, key, sr.tags)
+			sorted := b.resolve(sr.measurement, sr.tags)
+			sr.key = string(b.key)
+			sr.tags = b.indexSeries(&Point{Measurement: sr.measurement, Fields: first}, sorted)
+			sh.series[sr.key] = sr
+			sh.keyBytes += len(sr.key) + 8
 		}
 		shards[start] = sh
 	}
@@ -280,7 +280,8 @@ func restore(br *bufio.Reader, opts Options) (*DB, error) {
 	return db, nil
 }
 
-// decodeSeries reads one series record, and reports each field's first
+// decodeSeries reads one series record (its tags as stored; the caller
+// canonicalises them and sets the key), and reports each field's first
 // stored sample (a field with no samples has none) for the index to
 // take the field's kind from. Cold references are resolved against the
 // DB's cold tier and validated by reading the payload through it, so a
@@ -288,7 +289,7 @@ func restore(br *bufio.Reader, opts Options) (*DB, error) {
 // loudly instead of surfacing as silently skipped blocks in later
 // scans. Errors latch in d; the caller checks d.end.
 func decodeSeries(d *decoder, cold *coldTier, ver uint16) (*series, map[string]Value) {
-	sr := &series{measurement: d.str(), tags: d.tags().Sorted(), fields: make(map[string]*column)}
+	sr := &series{measurement: d.str(), tags: d.tags()}
 	sr.bytes = int(d.i64())
 	first := make(map[string]Value)
 	// A field is at least a name length, a block count and a tail count.
@@ -353,7 +354,7 @@ func decodeSeries(d *decoder, cold *coldTier, ver uint16) (*series, map[string]V
 		if _, ok := first[name]; !ok && len(col.times) > 0 {
 			first[name] = col.vals.at(0)
 		}
-		sr.fields[name] = col
+		sr.setField(name, col)
 	}
 	return sr, first
 }

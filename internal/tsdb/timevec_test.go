@@ -200,7 +200,7 @@ func TestBlockTimeFormsMatchReference(t *testing.T) {
 		blocks := 0
 		for _, sh := range db.view.Load().shards {
 			for _, sr := range sh.series {
-				for _, blk := range sr.fields["f"].blocks {
+				for _, blk := range sr.field("f").blocks {
 					blocks++
 					if p := blk.cache.Load(); p == nil || (p.times.t == nil) == jitter {
 						t.Fatalf("jitter %t: block [%d, %d] cached as %+v", jitter, blk.minT, blk.maxT, p)
@@ -266,7 +266,7 @@ func TestBlockDecodeCacheChargesStoredTimes(t *testing.T) {
 		var want, cached int64
 		for _, sh := range db.view.Load().shards {
 			for _, sr := range sh.series {
-				for _, blk := range sr.fields["Reading"].blocks {
+				for _, blk := range sr.field("Reading").blocks {
 					if blk.cache.Load() == nil {
 						continue
 					}

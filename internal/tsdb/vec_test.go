@@ -468,7 +468,7 @@ func TestResidentCorruptBlockFailsQuery(t *testing.T) {
 	}
 	for _, sh := range db.view.Load().shards {
 		for _, sr := range sh.series {
-			blk := sr.fields["Reading"].blocks[1]
+			blk := sr.field("Reading").blocks[1]
 			data := append([]byte(nil), blk.data...)
 			data[1] ^= 0x40 // the value-encoding byte: no such encoding
 			blk.data = data

@@ -12,12 +12,14 @@ import (
 // atomic pointer (see DB in db.go). Every mutation — a write, a drop, a
 // range clear, retention, a spill — derives the next view from the
 // current one through a batch, the one owner of the cloning policy,
-// with copy-on-write at every level it touches:
+// with copy-on-write at every level it touches. A shard, series or
+// column is the batch's own copy when it carries the batch's stamp:
 //
 //	view        fresh struct every batch (cheap value copy)
 //	shards map  cloned only when a shard pointer changes
 //	shard       cloned once per batch when first touched
-//	series      cloned once per batch when first touched
+//	series      cloned once per batch when first touched; its fields
+//	            are a name-sorted slice, so the clone is one small copy
 //	column      struct cloned once per batch; in-order appends land in
 //	            spare capacity beyond every published length, so older
 //	            views never observe them; out-of-order appends rebuild
@@ -37,7 +39,10 @@ type dbView struct {
 	// epoch counts the mutations that changed stored data (write
 	// batches, drops, retention); QueryStats.SnapshotEpoch and
 	// /v1/stats report which view answered.
-	epoch       int64
+	epoch int64
+	// stamp is the ownership stamp of the batch that derived this view
+	// (see batch); the next batch takes stamp+1.
+	stamp       uint64
 	stats       DBStats
 	shards      map[int64]*shard // keyed by start time
 	shardStarts []int64          // sorted
@@ -107,9 +112,14 @@ func (v *dbView) shardsOverlapping(start, end int64) []*shard {
 	return out
 }
 
-// batch derives one new view from a base view. All clone-tracking sets
-// hold the *copies* made for this batch: anything present is owned by
-// the batch and may be mutated freely until publication.
+// batch derives one new view from a base view. Ownership is by stamp:
+// newBatch takes the next stamp from the base view's linear history,
+// and a shard, series or column whose stamp equals it is a copy made
+// for this batch, which may be mutated freely until publication. Every
+// stamp reachable from a view is at most the view's own, so no
+// published object carries a later batch's. The index, cloned only
+// when a series or field is new, keeps its copies in freshMI and
+// freshTagVals.
 type batch struct {
 	shardDuration int64
 	blockSize     int // seal threshold in points
@@ -118,23 +128,24 @@ type batch struct {
 	clonedShardMap bool
 	clonedStarts   bool
 	clonedIndexMap bool
-	freshShards    map[*shard]bool
-	freshSeries    map[*series]bool
-	freshCols      map[*column]bool
+	owned          []*column // columns this batch created or copied
 	freshMI        map[*measurementIndex]bool
 	freshTagVals   map[*measurementIndex]map[string]bool
 	dirtyCols      map[*column]bool // got an out-of-order append
+
+	// Scratch for resolving one point's series: its tags in canonical
+	// order and its series key.
+	tags Tags
+	key  []byte
 }
 
 func newBatch(base *dbView, shardDuration int64, blockSize int) *batch {
 	nv := *base // maps and slices stay shared until cloned
+	nv.stamp++
 	return &batch{
 		shardDuration: shardDuration,
 		blockSize:     blockSize,
 		v:             &nv,
-		freshShards:   make(map[*shard]bool),
-		freshSeries:   make(map[*series]bool),
-		freshCols:     make(map[*column]bool),
 		freshMI:       make(map[*measurementIndex]bool),
 		freshTagVals:  make(map[*measurementIndex]map[string]bool),
 		dirtyCols:     make(map[*column]bool),
@@ -162,7 +173,7 @@ func (b *batch) finish(mutated bool) (*dbView, error) {
 			b.v.dropsBlocks = true
 		}
 	}
-	for col := range b.freshCols {
+	for _, col := range b.owned {
 		b.v.stats.BlocksSealed += int64(col.seal(b.blockSize))
 	}
 	b.v.stats.BatchesWritten++
@@ -176,11 +187,7 @@ func (b *batch) cloneShardMap() {
 	if b.clonedShardMap {
 		return
 	}
-	m := make(map[int64]*shard, len(b.v.shards)+1)
-	for k, v := range b.v.shards {
-		m[k] = v
-	}
-	b.v.shards = m
+	b.v.shards = maps.Clone(b.v.shards)
 	b.clonedShardMap = true
 }
 
@@ -188,11 +195,7 @@ func (b *batch) cloneIndexMap() {
 	if b.clonedIndexMap {
 		return
 	}
-	m := make(map[string]*measurementIndex, len(b.v.index)+1)
-	for k, v := range b.v.index {
-		m[k] = v
-	}
-	b.v.index = m
+	b.v.index = maps.Clone(b.v.index)
 	b.clonedIndexMap = true
 }
 
@@ -218,34 +221,51 @@ func (b *batch) shardFor(ts int64) *shard {
 		return b.mutableShard(start, sh)
 	}
 	sh := newShard(start, start+b.shardDuration)
+	sh.stamp = b.v.stamp
 	b.cloneShardMap()
 	b.v.shards[start] = sh
-	b.freshShards[sh] = true
 	b.insertShardStart(start)
 	return sh
 }
 
 func (b *batch) mutableShard(start int64, sh *shard) *shard {
-	if b.freshShards[sh] {
+	if sh.stamp == b.v.stamp {
 		return sh
 	}
-	c := sh.clone()
+	c := sh.clone(b.v.stamp)
 	b.cloneShardMap()
 	b.v.shards[start] = c
-	b.freshShards[c] = true
 	return c
 }
 
-// mutableSeries returns a batch-owned sr, stored under key in sh
-// (which must already be batch-owned).
-func (b *batch) mutableSeries(sh *shard, key string, sr *series) *series {
-	if b.freshSeries[sr] {
+// mutableSeries returns a batch-owned sr, stored in sh (which must
+// already be batch-owned).
+func (b *batch) mutableSeries(sh *shard, sr *series) *series {
+	if sr.stamp == b.v.stamp {
 		return sr
 	}
-	c := sr.clone()
-	sh.series[key] = c
-	b.freshSeries[c] = true
+	c := sr.clone(b.v.stamp)
+	sh.series[c.key] = c
 	return c
+}
+
+// mutableColumn returns a batch-owned column for field name of sr
+// (which must already be batch-owned), adding the field if sr has none.
+func (b *batch) mutableColumn(sr *series, name string) *column {
+	i, ok := sr.fieldIndex(name)
+	if ok && sr.fields[i].col.stamp == b.v.stamp {
+		return sr.fields[i].col
+	}
+	col := &column{stamp: b.v.stamp}
+	if ok {
+		old := sr.fields[i].col
+		col.blocks, col.times, col.vals = old.blocks, old.times, old.vals
+		sr.fields[i].col = col
+	} else {
+		sr.fields = slices.Insert(sr.fields, i, fieldCol{name, col})
+	}
+	b.owned = append(b.owned, col)
+	return col
 }
 
 // mutableMI returns a batch-owned clone of a measurement index. Inner
@@ -254,20 +274,7 @@ func (b *batch) mutableMI(name string, mi *measurementIndex) *measurementIndex {
 	if b.freshMI[mi] {
 		return mi
 	}
-	c := &measurementIndex{
-		byTag:  make(map[string]map[string][]string, len(mi.byTag)),
-		series: make(map[string]Tags, len(mi.series)+1),
-		fields: make(map[string]ValueKind, len(mi.fields)+1),
-	}
-	for k, v := range mi.byTag {
-		c.byTag[k] = v
-	}
-	for k, v := range mi.series {
-		c.series[k] = v
-	}
-	for k, v := range mi.fields {
-		c.fields[k] = v
-	}
+	c := &measurementIndex{byTag: maps.Clone(mi.byTag), series: maps.Clone(mi.series), fields: maps.Clone(mi.fields)}
 	b.cloneIndexMap()
 	b.v.index[name] = c
 	b.freshMI[c] = true
@@ -282,28 +289,29 @@ func (b *batch) mutableTagVals(mi *measurementIndex, key string) map[string][]st
 		set = make(map[string]bool)
 		b.freshTagVals[mi] = set
 	}
-	vals := mi.byTag[key]
-	if vals == nil {
-		vals = make(map[string][]string)
+	if !set[key] {
+		vals := make(map[string][]string, len(mi.byTag[key])+1)
+		maps.Copy(vals, mi.byTag[key])
 		mi.byTag[key] = vals
 		set[key] = true
-		return vals
 	}
-	if set[key] {
-		return vals
-	}
-	c := make(map[string][]string, len(vals)+1)
-	for k, v := range vals {
-		c[k] = v
-	}
-	mi.byTag[key] = c
-	set[key] = true
-	return c
+	return mi.byTag[key]
 }
 
-// indexSeries records a point's measurement, series, and field metadata
-// in the view's index, cloning only what it changes.
-func (b *batch) indexSeries(p *Point, key string, sorted Tags) {
+// resolve puts tags in canonical order in b.tags (unless they already
+// are) and builds the series key in b.key, and returns the sorted
+// tags. Both stay valid only until the next resolve.
+func (b *batch) resolve(measurement string, tags Tags) Tags {
+	tags = tags.sortedInto(&b.tags)
+	b.key = appendSeriesKey(b.key[:0], measurement, tags)
+	return tags
+}
+
+// indexSeries records a point's measurement, series (keyed by b.key),
+// and field metadata in the view's index, cloning only what it changes,
+// and returns the index's own copy of the sorted tags: a key string
+// and a tag copy are made only for a series the view has not seen.
+func (b *batch) indexSeries(p *Point, sorted Tags) Tags {
 	mi := b.v.index[p.Measurement]
 	if mi == nil {
 		mi = &measurementIndex{
@@ -322,46 +330,38 @@ func (b *batch) indexSeries(p *Point, key string, sorted Tags) {
 			mi.fields[fk] = fv.Kind
 		}
 	}
-	if _, ok := mi.series[key]; ok {
-		return
+	if tags, ok := mi.series[string(b.key)]; ok {
+		return tags
 	}
+	key, tags := string(b.key), slices.Clone(sorted)
 	mi = b.mutableMI(p.Measurement, mi)
-	mi.series[key] = sorted
+	mi.series[key] = tags
 	b.v.stats.SeriesCreated++
-	for _, t := range sorted {
+	for _, t := range tags {
 		vals := b.mutableTagVals(mi, t.Key)
 		// Appending may write into spare capacity shared with the
 		// previous view's slice — safe, because that view's header
 		// bounds its readers below the appended cell.
 		vals[t.Value] = append(vals[t.Value], key)
 	}
+	return tags
 }
 
-// writePoint appends one point's samples into batch-owned storage.
-func (b *batch) writePoint(p *Point, key string, sorted Tags) {
+// writePoint resolves p's series and appends its samples into
+// batch-owned storage.
+func (b *batch) writePoint(p *Point) {
+	tags := b.indexSeries(p, b.resolve(p.Measurement, p.Tags))
 	sh := b.shardFor(p.Time)
-	sr, ok := sh.series[key]
-	if ok {
-		sr = b.mutableSeries(sh, key, sr)
+	sr := sh.series[string(b.key)]
+	if sr != nil {
+		sr = b.mutableSeries(sh, sr)
 	} else {
-		sr = &series{measurement: p.Measurement, tags: sorted, fields: make(map[string]*column)}
-		sh.series[key] = sr
-		sh.keyBytes += len(key) + 8 // key plus index entry overhead
-		b.freshSeries[sr] = true
+		sr = &series{measurement: p.Measurement, key: string(b.key), tags: tags, stamp: b.v.stamp}
+		sh.series[sr.key] = sr
+		sh.keyBytes += len(sr.key) + 8 // key plus index entry overhead
 	}
 	for fk, fv := range p.Fields {
-		col := sr.fields[fk]
-		switch {
-		case col == nil:
-			col = &column{}
-			sr.fields[fk] = col
-			b.freshCols[col] = true
-		case !b.freshCols[col]:
-			c := &column{blocks: col.blocks, times: col.times, vals: col.vals}
-			sr.fields[fk] = c
-			b.freshCols[c] = true
-			col = c
-		}
+		col := b.mutableColumn(sr, fk)
 		// A tail append behind the column's newest time (which, for an
 		// empty tail, is the last sealed block's maxT) marks the column
 		// for the sort/unseal pass in finish.
@@ -385,11 +385,7 @@ func (b *batch) writePoint(p *Point, key string, sorted Tags) {
 func (db *DB) writePointsView(base *dbView, points []Point) (*dbView, error) {
 	b := newBatch(base, db.shardDuration, db.blockSize)
 	for i := range points {
-		p := &points[i]
-		sorted := p.Tags.Sorted()
-		key := seriesKey(p.Measurement, sorted)
-		b.indexSeries(p, key, sorted)
-		b.writePoint(p, key, sorted)
+		b.writePoint(&points[i])
 	}
 	return b.finish(len(points) > 0)
 }
@@ -502,7 +498,8 @@ func clearMeasurementRangeView(base *dbView, name string, start, end int64, bs i
 			var sh *shard
 			var nsr *series
 			var valBytes int64
-			for fk, col := range sr.fields {
+			for _, f := range sr.fields {
+				fk, col := f.name, f.col
 				nc, n, vb, err := clearColumnRange(col, start, end, bs)
 				if err != nil {
 					return nil, 0, err
@@ -512,18 +509,17 @@ func clearMeasurementRangeView(base *dbView, name string, start, end int64, bs i
 				}
 				if nsr == nil {
 					sh = b.mutableShard(shStart, b.v.shards[shStart])
-					nsr = b.mutableSeries(sh, key, sr)
+					nsr = b.mutableSeries(sh, sr)
 				}
 				valBytes += vb + int64(n*(2+len(fk)))
 				// A rebuilt column is re-sealed into fresh blocks.
 				if len(col.blocks) > 0 && (len(nc.blocks) == 0 || nc.blocks[0] != col.blocks[0]) {
 					b.v.dropsBlocks = true
 				}
-				if nc.numPoints() > 0 {
-					nsr.fields[fk] = nc
-				} else {
-					delete(nsr.fields, fk)
+				if nc.numPoints() == 0 {
+					nc = nil
 				}
+				nsr.setField(fk, nc)
 			}
 			if nsr == nil {
 				continue
@@ -545,7 +541,7 @@ func clearMeasurementRangeView(base *dbView, name string, start, end int64, bs i
 			}
 		}
 	}
-	if len(b.freshShards) == 0 {
+	if !b.clonedShardMap { // no shard was copied, so nothing was cut
 		return nil, 0, nil
 	}
 	b.v.epoch++
@@ -585,7 +581,8 @@ func spillBlocksView(base *dbView, twins map[*block]*block) *dbView {
 	b := newBatch(base, 0, 0)
 	for _, start := range base.shardStarts {
 		for key, sr := range base.shards[start].series {
-			for fk, col := range sr.fields {
+			for i, f := range sr.fields {
+				col := f.col
 				if !slices.ContainsFunc(col.blocks, func(blk *block) bool { return twins[blk] != nil }) {
 					continue
 				}
@@ -596,7 +593,7 @@ func spillBlocksView(base *dbView, twins map[*block]*block) *dbView {
 					}
 				}
 				sh := b.mutableShard(start, b.v.shards[start])
-				b.mutableSeries(sh, key, sh.series[key]).fields[fk] = &column{blocks: nb, times: col.times, vals: col.vals}
+				b.mutableSeries(sh, sh.series[key]).fields[i].col = &column{blocks: nb, times: col.times, vals: col.vals}
 			}
 		}
 	}

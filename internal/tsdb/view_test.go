@@ -106,6 +106,14 @@ func TestDerivationsLeaveBaseViewIntact(t *testing.T) {
 	}{
 		{name: "in-order write", mutate: write(104 * 60), publish: true},
 		{name: "write behind a sealed block", mutate: write(5*60 + 30), publish: true},
+		{name: "unsorted-tag two-field write", mutate: func(db *DB) error {
+			two := map[string]Value{"e": Float(1), "g": Float(2)}
+			return db.WritePoints([]Point{
+				{Measurement: "m", Tags: Tags{{"zone", "z"}, {"id", "s0"}}, Fields: two, Time: 104 * 60},
+				{Measurement: "m", Tags: Tags{{"id", "s1"}}, Fields: two, Time: 104 * 60},
+				{Measurement: "scratch", Tags: Tags{{"id", "s0"}}, Fields: map[string]Value{"v": Float(3), "w": Float(4)}, Time: 104 * 60},
+			})
+		}, publish: true},
 		{name: "clear over blocks", mutate: rangeClear("m", 10*60, 20*60), publish: true},
 		{name: "clear of a tail only", mutate: rangeClear("m", 101*60, 102*60), publish: true},
 		{name: "header-only clear", mutate: rangeClear("sparse", 100, 500)},
