@@ -320,7 +320,13 @@ func BenchmarkAblationRollup(b *testing.B) {
 	if err := db.RegisterRollup(monster.RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 3600}); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := db.RollupAdvance(benchStart.Unix() + 24*3600); err != nil {
+	// One reading past the day closes its last hourly bucket.
+	if err := db.WritePoint(monster.Point{
+		Measurement: "Power",
+		Tags:        monster.Tags{{Key: "NodeId", Value: "n0"}, {Key: "Label", Value: "NodePower"}},
+		Fields:      map[string]monster.Value{"Reading": {F: 200}},
+		Time:        benchStart.Unix() + 24*3600,
+	}); err != nil {
 		b.Fatal(err)
 	}
 	rawStmt := fmt.Sprintf(`SELECT max("Reading") FROM "Power" WHERE "NodeId" = 'n0' AND time >= %d AND time < %d GROUP BY time(1h)`,

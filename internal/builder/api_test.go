@@ -385,7 +385,13 @@ func TestAPIStatsStorageSections(t *testing.T) {
 	if err := db.RegisterRollup(tsdb.RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.RollupAdvance(1800); err != nil {
+	// One point past the data closes every 5 m bucket the fixture wrote.
+	if err := db.WritePoint(tsdb.Point{
+		Measurement: "Power",
+		Tags:        tsdb.Tags{{Key: "NodeId", Value: "n0"}, {Key: "Label", Value: "NodePower"}},
+		Fields:      map[string]tsdb.Value{"Reading": tsdb.Float(100)},
+		Time:        3600,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := db.SpillCold(3600); n == 0 || err != nil {

@@ -100,6 +100,70 @@ func goldenPoints() []Point {
 	}}
 }
 
+// TestFrameOverLimitRefused: a frame header declaring maxFrame+1 bytes
+// is refused by frameLen, readFrame and frameReader before any payload
+// is read, and WAL replay keeps the records before it and cuts the log
+// there. None of them allocates anything near the declared size.
+func TestFrameOverLimitRefused(t *testing.T) {
+	header := func(n uint32) []byte {
+		b := make([]byte, frameHeader)
+		le.PutUint32(b, n)
+		return b
+	}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	if n, err := frameLen(header(maxFrame)); n != maxFrame || err != nil {
+		t.Fatalf("frameLen at the limit = %d, %v", n, err)
+	}
+	over := header(maxFrame + 1)
+	if grew := allocated(func() {
+		if _, err := frameLen(over); err == nil {
+			t.Error("frameLen accepted maxFrame+1")
+		}
+		if _, _, err := readFrame(over); err == nil {
+			t.Error("readFrame accepted maxFrame+1")
+		}
+		fr := frameReader{r: io.MultiReader(bytes.NewReader(over), bytes.NewReader(make([]byte, 1<<10)))}
+		if _, err := fr.next(); err == nil {
+			t.Error("frameReader accepted maxFrame+1")
+		}
+	}); grew > maxFrame/64 {
+		t.Fatalf("refusing the frame allocated %d bytes", grew)
+	}
+
+	dir := t.TempDir()
+	good := walSeedSegment(&walRecord{op: walOpWrite, points: []Point{walPoint("n1", 60, 1)}})
+	seg := append(append(append([]byte(nil), good...), over...), make([]byte, 1<<10)...)
+	if err := os.WriteFile(walSegmentPath(dir, 1), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		db   *DB
+		info RecoveryInfo
+		err  error
+	)
+	if grew := allocated(func() {
+		db, info, err = OpenDurable(Options{}, WALOptions{Dir: dir, Policy: FsyncNever})
+	}); grew > maxFrame/64 {
+		t.Fatalf("recovery allocated %d bytes", grew)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.CloseWAL()
+	if info.Records != 1 || info.TornFrames != 1 || info.TruncatedBytes != int64(len(seg)-len(good)) {
+		t.Fatalf("recovery = %+v, want the one record before the frame and the rest cut", info)
+	}
+	if fi, err := os.Stat(walSegmentPath(dir, 1)); err != nil || fi.Size() != int64(len(good)) {
+		t.Fatalf("segment after recovery: %v, %v; want %d bytes", fi, err, len(good))
+	}
+}
+
 // TestGoldenBytes asserts the WAL records, the WAL and cold segment
 // files, the mixed block encoding and the snapshot's series record are
 // byte-identical to the pinned ones, that every golden frame decodes

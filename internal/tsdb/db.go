@@ -173,7 +173,7 @@ func (db *DB) WritePoints(points []Point) error {
 		if err != nil || len(points) == 0 {
 			return nv, nil, err
 		}
-		nv, ops, err := db.rollupMaintain(nv, points, 0)
+		nv, ops, err := db.rollupMaintain(nv, points)
 		// A batch that triggered no tier op logs the plain write record;
 		// maintenance work rides in one composite record so a crash can
 		// never tear a raw write from the rollup rows it produced.
@@ -448,7 +448,7 @@ func (db *DB) ExpireRaw(cutoff int64) (int64, error) {
 		if !ok {
 			c = cutoff
 		}
-		wm, ok := v.watermark(cr)
+		wm, ok := inferWatermark(v, cr)
 		if !ok {
 			wm = minInt64 // nothing materialized yet: nothing expires
 		}

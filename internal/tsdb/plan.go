@@ -24,6 +24,8 @@ import (
 //   - The unsealed tail [split, End) — buckets at or past the tier's
 //     watermark, which raw writes may still be filling — is served from
 //     raw storage, so late buckets are never reported from stale rows.
+//     The watermark is inferWatermark's, read off the tier's rows: the
+//     one maintenance advances, so the split falls where the rows end.
 //   - split is GROUP-BY-aligned and buckets are absolutely aligned
 //     everywhere (base = alignDown(minT, interval)), so the merge is
 //     plain row concatenation per group, no bucket can straddle it.

@@ -49,9 +49,7 @@ func TestPlannerChainedTierEquivalence(t *testing.T) {
 	if err := db.RegisterRollup(RollupSpec{Source: "Power_max_300s", Field: "Reading", Aggregate: "max", Interval: 3600}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.RollupAdvance(48 * 3600); err != nil {
-		t.Fatal(err)
-	}
+	closeBuckets(t, db, fixtureN0, 48*3600)
 	q, err := Parse(`SELECT max("Reading") FROM "Power" WHERE time >= 0 AND time < 172800 GROUP BY time(1h), "NodeId"`)
 	if err != nil {
 		t.Fatal(err)
@@ -82,9 +80,9 @@ func TestPlannerCountsMergedGroups(t *testing.T) {
 	if err := db.RegisterRollup(RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.RollupAdvance(24 * 3600); err != nil {
-		t.Fatal(err)
-	}
+	// A write into the fixture's last 5 m bucket closes every bucket
+	// before it; the query's last hour is answered raw.
+	closeBuckets(t, db, fixtureN0, 48*3600-30)
 	q, err := Parse(`SELECT max("Reading") FROM "Power" WHERE time >= 0 AND time < 172800 GROUP BY time(1h), "NodeId"`)
 	if err != nil {
 		t.Fatal(err)
@@ -126,9 +124,7 @@ func TestExecNoRewriteBypassesPlanner(t *testing.T) {
 	if err := db.RegisterRollup(RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.RollupAdvance(7200); err != nil {
-		t.Fatal(err)
-	}
+	closeBuckets(t, db, Tags{{"NodeId", "n0"}}, 7200)
 	q, err := Parse(`SELECT max("Reading") FROM "Power" WHERE time >= 0 AND time < 7200 GROUP BY time(10m)`)
 	if err != nil {
 		t.Fatal(err)
@@ -158,9 +154,7 @@ func TestPlannerUnalignedStartFallsBack(t *testing.T) {
 	if err := db.RegisterRollup(RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.RollupAdvance(3600); err != nil {
-		t.Fatal(err)
-	}
+	closeBuckets(t, db, fixtureN0, 3600)
 	q, err := Parse(`SELECT max("Reading") FROM "Power" WHERE time >= 60 AND time < 3600 GROUP BY time(5m)`)
 	if err != nil {
 		t.Fatal(err)
@@ -207,9 +201,7 @@ func plannerPropertyDB(t testing.TB, seed int64) *DB {
 			t.Fatal(err)
 		}
 	}
-	if _, err := db.RollupAdvance(6 * 3600); err != nil {
-		t.Fatal(err)
-	}
+	closeBuckets(t, db, Tags{{"NodeId", "n0"}}, 6*3600)
 	return db
 }
 

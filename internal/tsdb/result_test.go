@@ -157,9 +157,7 @@ func TestResultsIndependentOfStorage(t *testing.T) {
 	if err := db.RegisterRollup(RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.RollupAdvance(21600); err != nil {
-		t.Fatal(err)
-	}
+	closeBuckets(t, db, Tags{{"NodeId", "n0"}}, 21600)
 	res, err := db.Query(resultStatements[0])
 	if err != nil {
 		t.Fatal(err)

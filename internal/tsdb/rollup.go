@@ -173,22 +173,18 @@ type rollupOp struct {
 	points     []Point
 }
 
-// watermark resolves a spec's watermark (first unprocessed bucket
-// start) in v: the one maintenance recorded, else the one inferred
-// from the data.
-func (v *dbView) watermark(cr compiledRollup) (int64, bool) {
-	if wm, ok := v.watermarks[cr.target]; ok {
-		return wm, true
-	}
-	return inferWatermark(v, cr)
-}
-
-// inferWatermark derives a spec's watermark purely from stored data —
-// how maintenance resumes after restart or crash recovery without
-// persisting planner state. Target rows sit at bucket starts, so the
-// newest target row t means every bucket through t is materialized:
-// wm = t + interval. An empty target starts at the source's first
-// bucket. ok=false means the source holds no data yet.
+// inferWatermark derives a spec's watermark (first unprocessed bucket
+// start) from stored data alone. It is the one watermark — maintenance,
+// the planner, ExpireRaw and TierStats read it — so a tier keeps no
+// state but its rows, and restart, crash recovery and registration
+// over existing data resume exactly where a live DB stands. Target
+// rows sit at bucket starts, so the newest target row t means every
+// bucket through t is materialized: wm = t + interval. An empty target
+// starts at the source's first bucket. ok=false means the source holds
+// no data yet. A bucket with no source data writes no row, so the
+// watermark stays below such a gap until a later row lands; meanwhile
+// maintenance re-reads the gap and the planner answers it from raw,
+// both finding nothing.
 //
 // Crash safety falls out of the construction: a watermark inferred
 // this way never points below an existing bucket row, so replayed
@@ -204,70 +200,57 @@ func inferWatermark(v *dbView, cr compiledRollup) (int64, bool) {
 	return 0, false
 }
 
-// rollupMaintain advances the registered tiers (topological order)
-// against candidate view v and returns the new candidate and the ops to
-// log. Given a write batch, it visits the tiers whose source the batch
-// touched: late writes heal buckets below the watermark via
-// clear+rewrite, because the store appends duplicate timestamps rather
-// than overwriting, and newly closed buckets are materialized up to the
-// data horizon (the bucket holding the newest source point stays open).
-// Given none (RollupAdvance), it visits every tier, heals nothing, and
-// materializes every bucket that ends by now. Each tier's watermark is
-// staged into the candidate, so it publishes with the rows it covers.
-// Caller holds writeMu.
-func (db *DB) rollupMaintain(v *dbView, points []Point, now int64) (*dbView, []rollupOp, error) {
+// rollupMaintain advances the tiers whose source a write batch touched
+// (registration, hence topological, order) against candidate view v
+// and returns the new candidate and the ops to log. Late writes heal
+// buckets below the watermark via clear+rewrite, because the store
+// appends duplicate timestamps rather than overwriting, and newly
+// closed buckets are materialized up to the horizon: for a root tier
+// the bucket holding the newest source point, which stays open; for a
+// chained tier its parent's watermark. Every watermark here is
+// inferWatermark's. Caller holds writeMu.
+func (db *DB) rollupMaintain(v *dbView, points []Point) (*dbView, []rollupOp, error) {
 	reg := db.rollups.Load()
 	if reg == nil {
 		return v, nil, nil
 	}
 	type timeRange struct{ min, max int64 }
-	var touched map[string]timeRange
-	if points != nil {
-		touched = make(map[string]timeRange)
-		for i := range points {
-			p := &points[i]
-			tr, ok := touched[p.Measurement]
-			if !ok {
-				tr = timeRange{p.Time, p.Time}
-			}
-			touched[p.Measurement] = timeRange{min(tr.min, p.Time), max(tr.max, p.Time)}
+	touched := make(map[string]timeRange)
+	for i := range points {
+		p := &points[i]
+		tr, ok := touched[p.Measurement]
+		if !ok {
+			tr = timeRange{p.Time, p.Time}
 		}
+		touched[p.Measurement] = timeRange{min(tr.min, p.Time), max(tr.max, p.Time)}
 	}
 	var ops []rollupOp
 	for _, cr := range reg.specs {
 		tch, ok := touched[cr.source]
-		if touched != nil && !ok {
+		if !ok {
 			continue
 		}
-		wm, ok := v.watermark(cr)
+		wm, ok := inferWatermark(v, cr)
 		if !ok {
 			continue // source empty
 		}
-		// Horizon: how far materialization may advance. A chained child
-		// bucket closes once the parent materialized everything inside
-		// it; a root tier's closes by data, or by now when advancing.
-		horizon := alignDown(now, cr.interval)
-		switch {
-		case cr.chained:
-			pwm, ok := v.watermark(reg.specs[reg.byTarget[cr.source]])
-			if !ok {
-				continue
-			}
-			horizon = alignDown(pwm, cr.interval)
-		case touched != nil:
-			last, ok := viewTimeBound(v, cr.source, true)
-			if !ok {
-				continue
-			}
-			horizon = alignDown(last, cr.interval)
+		// Horizon: how far materialization may advance. A root bucket
+		// closes once a later source point arrives; a chained child
+		// bucket once the parent materialized everything inside it.
+		var horizon int64
+		if cr.chained {
+			horizon, ok = inferWatermark(v, reg.specs[reg.byTarget[cr.source]])
+		} else {
+			horizon, ok = viewTimeBound(v, cr.source, true)
 		}
+		if !ok {
+			continue
+		}
+		horizon = alignDown(horizon, cr.interval)
 		// Recompute span: newly closed buckets up to the horizon (growth)
-		// plus a batch's touched buckets below the watermark (heal).
-		start, end := wm, horizon
-		if touched != nil {
-			start = min(start, alignDown(tch.min, cr.interval))
-			end = max(end, min(wm, alignDown(tch.max, cr.interval)+cr.interval))
-		}
+		// plus the batch's touched buckets below the watermark (heal).
+		start := min(wm, alignDown(tch.min, cr.interval))
+		end := max(horizon, min(wm, alignDown(tch.max, cr.interval)+cr.interval))
 		if start >= end {
 			continue
 		}
@@ -278,16 +261,14 @@ func (db *DB) rollupMaintain(v *dbView, points []Point, now int64) (*dbView, []r
 		if op.clearStart < op.clearEnd || len(op.points) > 0 {
 			ops = append(ops, op)
 		}
-		v = withWatermark(nv, cr.target, max(wm, horizon))
-		if touched != nil {
-			// The target advanced over [start, end): chained children
-			// see it as touched source data.
-			tr, ok := touched[cr.target]
-			if !ok {
-				tr = timeRange{start, end - 1}
-			}
-			touched[cr.target] = timeRange{min(tr.min, start), max(tr.max, end-1)}
+		v = nv
+		// The target advanced over [start, end): chained children see it
+		// as touched source data.
+		tr, ok := touched[cr.target]
+		if !ok {
+			tr = timeRange{start, end - 1}
 		}
+		touched[cr.target] = timeRange{min(tr.min, start), max(tr.max, end-1)}
 	}
 	return v, ops, nil
 }
@@ -412,32 +393,6 @@ func rollupRowFields(cr compiledRollup, s *ResultSeries, j int) (map[string]Valu
 	return map[string]Value{names[0]: v, names[1]: sum, names[2]: Int(int64(math.Round(cnt.F)))}, true
 }
 
-// RollupAdvance materializes every complete bucket with end <= now
-// (data time, unix seconds) for all registered tiers — the explicit
-// catch-up beside write-path maintenance, which only closes a bucket
-// once a later source point arrives: call it to materialize a tier
-// registered over existing data, or to close the last buckets by clock
-// once writes have gone quiet. It is the write path's maintenance run
-// over every tier, logged as one points-free composite record, and
-// reports rollup points written.
-func (db *DB) RollupAdvance(now int64) (int, error) {
-	written := 0
-	err := db.commit(func(v *dbView) (*dbView, *walRecord, error) {
-		nv, ops, err := db.rollupMaintain(v, nil, now)
-		for _, op := range ops {
-			written += len(op.points)
-		}
-		if len(ops) == 0 {
-			return nv, nil, err
-		}
-		return nv, &walRecord{op: walOpBatch, ops: ops}, err
-	})
-	if err != nil {
-		return 0, err
-	}
-	return written, nil
-}
-
 // TierStats describes one registered rollup tier for observability
 // (/v1/stats storage_tiers, mquery).
 type TierStats struct {
@@ -450,7 +405,9 @@ type TierStats struct {
 }
 
 // TierStats lists the registered rollup tiers with their materialized
-// point counts and watermarks, in registration (chain) order.
+// point counts and each one's inferred watermark, in registration
+// (chain) order: a DB recovered from its log reports what the live one
+// did.
 func (db *DB) TierStats() []TierStats {
 	reg := db.rollups.Load()
 	if reg == nil {
@@ -466,9 +423,7 @@ func (db *DB) TierStats() []TierStats {
 			IntervalS: cr.interval,
 			Points:    measurementPoints(v, cr.target),
 		}
-		if wm, ok := v.watermark(cr); ok {
-			ts.Watermark = wm
-		}
+		ts.Watermark, _ = inferWatermark(v, cr) // 0 while the source is empty
 		out = append(out, ts)
 	}
 	return out

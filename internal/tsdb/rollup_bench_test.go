@@ -52,9 +52,9 @@ func benchRollupFixture(tb testing.TB) *DB {
 				tb.Fatal(err)
 			}
 		}
-		if _, err := db.RollupAdvance(benchRollupPerNode * 60); err != nil {
-			tb.Fatal(err)
-		}
+		// One point at the query's end closes every bucket of the month;
+		// its own bucket, past the query, stays open.
+		closeBuckets(tb, db, Tags{{"NodeId", nodeName(0)}, {"Label", "NodePower"}}, benchRollupPerNode*60)
 		benchRollupDB = db
 	})
 	return benchRollupDB
@@ -176,7 +176,7 @@ func TestBenchRollupJSON(t *testing.T) {
 		"cache_misses":           cs.Misses,
 		"cache_hit_rate":         float64(cs.Hits) / float64(cs.Hits+cs.Misses),
 		"cache_workload_points":  48000,
-		"cache_workload_decoded": 48000 * 16,
+		"cache_workload_decoded": 48000 * 8,
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {

@@ -26,6 +26,33 @@ func rollupFixture(t *testing.T, nodes, minutes int) *DB {
 	return db
 }
 
+// closeBuckets writes one "Power" reading of the series tags at time
+// at. It is how a test closes tier buckets: the write's maintenance
+// materializes every bucket that ends by the one holding at, which
+// stays open, so at lies past every range the test queries.
+func closeBuckets(tb testing.TB, db *DB, tags Tags, at int64) {
+	tb.Helper()
+	p := Point{Measurement: "Power", Tags: tags, Fields: map[string]Value{"Reading": Float(0)}, Time: at}
+	if err := db.WritePoint(p); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// fixtureN0 is rollupFixture's first series.
+var fixtureN0 = Tags{{"NodeId", "n0"}, {"Label", "NodePower"}}
+
+// tierPointCount reports the rows one tier holds, through TierStats.
+func tierPointCount(tb testing.TB, db *DB, target string) int64 {
+	tb.Helper()
+	for _, ts := range db.TierStats() {
+		if ts.Target == target {
+			return ts.Points
+		}
+	}
+	tb.Fatalf("tier %q not registered", target)
+	return 0
+}
+
 func TestRollupSpecValidate(t *testing.T) {
 	good := RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}
 	if err := good.Validate(); err != nil {
@@ -53,16 +80,13 @@ func TestRollupSpecValidate(t *testing.T) {
 }
 
 func TestRollupMaterializesBuckets(t *testing.T) {
-	db := rollupFixture(t, 2, 60) // 1 h of minutely data per node
+	db := rollupFixture(t, 2, 30) // 30 min of minutely data per node
 	if err := db.RegisterRollup(RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
 		t.Fatal(err)
 	}
-	// Process up to t=1800: 6 complete buckets per node.
-	n, err := db.RollupAdvance(1800)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 12 {
+	// A write at t=1800 closes the fixture's 6 buckets per node.
+	closeBuckets(t, db, fixtureN0, 1800)
+	if n := tierPointCount(t, db, "Power_max_300s"); n != 12 {
 		t.Fatalf("wrote %d rollup points, want 12", n)
 	}
 	res, err := db.Query(`SELECT "Reading" FROM "Power_max_300s" WHERE "NodeId"='n0'`)
@@ -101,25 +125,24 @@ func TestRollupIncrementalWatermark(t *testing.T) {
 	if err := db.RegisterRollup(RollupSpec{Source: "Power", Field: "Reading", Aggregate: "mean", Interval: 600}); err != nil {
 		t.Fatal(err)
 	}
-	n1, err := db.RollupAdvance(1200)
-	if err != nil {
-		t.Fatal(err)
+	countRows := func() int64 {
+		t.Helper()
+		return tierPointCount(t, db, "Power_mean_600s")
 	}
-	if n1 != 2 {
-		t.Fatalf("first run wrote %d", n1)
+	// The first write lands in [1200,1800), which stays open: the two
+	// buckets before it close.
+	closeBuckets(t, db, fixtureN0, 1750)
+	if got := countRows(); got != 2 {
+		t.Fatalf("first write closed %d buckets, want 2", got)
 	}
-	// Re-running at the same time is a no-op (no duplicates).
-	n2, err := db.RollupAdvance(1200)
-	if err != nil {
-		t.Fatal(err)
+	// Another write into the open bucket closes nothing and duplicates
+	// nothing.
+	closeBuckets(t, db, fixtureN0, 1760)
+	if got := countRows(); got != 2 {
+		t.Fatalf("second write left %d rollup points, want 2", got)
 	}
-	if n2 != 0 {
-		t.Fatalf("second run wrote %d", n2)
-	}
-	// New data extends the source. Write-path maintenance closes every
-	// data-complete bucket immediately: the batch reaches t=2340, so
-	// [1200,1800) is materialized by the write itself and only the
-	// clock-complete [1800,2400) remains for the next Run.
+	// New data extends the source to t=2340, so [1200,1800) closes and
+	// [1800,2400) stays open until a later point arrives.
 	var pts []Point
 	for i := 30; i < 40; i++ {
 		pts = append(pts, Point{
@@ -132,24 +155,10 @@ func TestRollupIncrementalWatermark(t *testing.T) {
 	if err := db.WritePoints(pts); err != nil {
 		t.Fatal(err)
 	}
-	countRows := func() int64 {
-		t.Helper()
-		res, err := db.Query(`SELECT count("Reading") FROM "Power_mean_600s"`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Series[0].Rows()[0].Values[0].I
-	}
 	if got := countRows(); got != 3 {
-		t.Fatalf("rollup points after write hook = %d, want 3", got)
+		t.Fatalf("rollup points after the batch = %d, want 3", got)
 	}
-	n3, err := db.RollupAdvance(2400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n3 != 1 { // bucket [1800,2400); [1200,1800) was closed by the write
-		t.Fatalf("third run wrote %d, want 1", n3)
-	}
+	closeBuckets(t, db, fixtureN0, 2400)
 	if got := countRows(); got != 4 {
 		t.Fatalf("total rollup points = %d", got)
 	}
@@ -160,12 +169,10 @@ func TestRollupIncompleteBucketExcluded(t *testing.T) {
 	if err := db.RegisterRollup(RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
 		t.Fatal(err)
 	}
-	// now=400 is inside the second bucket: only bucket [0,300) complete.
-	n, err := db.RollupAdvance(400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
+	// The newest point (t=560) is inside the second bucket: only bucket
+	// [0,300) is complete.
+	closeBuckets(t, db, fixtureN0, 560)
+	if n := tierPointCount(t, db, "Power_max_300s"); n != 1 {
 		t.Fatalf("wrote %d, want 1", n)
 	}
 }
@@ -175,9 +182,10 @@ func TestRollupEmptySource(t *testing.T) {
 	if err := db.RegisterRollup(RollupSpec{Source: "Nope", Field: "f", Aggregate: "max", Interval: 60}); err != nil {
 		t.Fatal(err)
 	}
-	n, err := db.RollupAdvance(1000)
-	if err != nil || n != 0 {
-		t.Fatalf("empty source: %d, %v", n, err)
+	// A write elsewhere leaves the tier over an empty source untouched.
+	closeBuckets(t, db, fixtureN0, 1000)
+	if ts := db.TierStats()[0]; ts.Points != 0 || ts.Watermark != 0 {
+		t.Fatalf("empty source: %+v", ts)
 	}
 }
 
@@ -203,9 +211,7 @@ func TestRollupQueryEquivalence(t *testing.T) {
 	if err := db.RegisterRollup(RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.RollupAdvance(3600); err != nil {
-		t.Fatal(err)
-	}
+	closeBuckets(t, db, fixtureN0, 3600)
 	q, err := Parse(`SELECT max("Reading") FROM "Power" WHERE time >= 0 AND time < 3600 GROUP BY time(5m)`)
 	if err != nil {
 		t.Fatal(err)

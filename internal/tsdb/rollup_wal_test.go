@@ -3,6 +3,7 @@ package tsdb
 import (
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -35,16 +36,19 @@ func tierSig(t *testing.T, db *DB, ctx string) string {
 
 // TestWALRollupKillPoints is the kill-point matrix for incremental
 // rollup maintenance: with a mean tier registered, every write batch
-// logs one composite WAL record (raw points + the tier ops they
-// triggered), and RollupAdvance logs another. Truncating the log at
-// every byte offset and recovering must yield (a) exactly the longest
-// valid prefix of raw batches, (b) a tier with no double-applied
-// buckets, and (c) after re-registering the rollup and advancing, the
-// exact state an uninterrupted run over that raw prefix produces.
+// that closes a bucket logs one composite WAL record (raw points + the
+// tier ops they triggered). Truncating the log at every byte offset
+// and recovering must yield (a) exactly the longest valid prefix of
+// raw batches, (b) a tier with no double-applied buckets, and (c)
+// after re-registering the rollup and one closing write, the exact
+// state an uninterrupted run over that raw prefix and the same closing
+// write produces.
 func TestWALRollupKillPoints(t *testing.T) {
 	spec := RollupSpec{Source: "Power", Field: "Reading", Aggregate: "mean", Interval: 300}
 	const batches = 12
-	const runNow = 3600
+	// closeAt is the closing write's time: past every batch, so its
+	// maintenance closes every bucket the batches wrote into.
+	const closeAt = 3600
 
 	master := t.TempDir()
 	db, _ := crashOpen(t, master, WALOptions{Policy: FsyncNever})
@@ -61,11 +65,6 @@ func TestWALRollupKillPoints(t *testing.T) {
 		db.wal.mu.Lock()
 		rawBoundaries = append(rawBoundaries, db.wal.seg.size)
 		db.wal.mu.Unlock()
-	}
-	// Clock-driven advance closes the data-incomplete tail bucket and
-	// logs a points-free composite record.
-	if _, err := db.RollupAdvance(runNow); err != nil {
-		t.Fatal(err)
 	}
 	data, err := os.ReadFile(walSegmentPath(master, 1))
 	if err != nil {
@@ -86,7 +85,7 @@ func TestWALRollupKillPoints(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := ref.RollupAdvance(runNow); err != nil {
+		if err := ref.WritePoint(walPoint("n1", closeAt, 0)); err != nil {
 			t.Fatal(err)
 		}
 		refSig[k] = tierSig(t, ref, fmt.Sprintf("reference k=%d", k))
@@ -115,19 +114,20 @@ func TestWALRollupKillPoints(t *testing.T) {
 			t.Fatalf("%s: recovered %d raw points, want %d", ctx, got, prefix)
 		}
 		tierSig(t, rec, ctx) // duplicate-bucket check on the bare replayed state
-		// Re-register and advance: watermark inference must pick up from
-		// the replayed tier rows and converge on the reference state.
+		// Re-register and write the closing point: watermark inference
+		// must pick up from the replayed tier rows and converge on the
+		// reference state.
 		if err := rec.RegisterRollup(spec); err != nil {
 			t.Fatalf("%s: %v", ctx, err)
 		}
-		if _, err := rec.RollupAdvance(runNow); err != nil {
+		if err := rec.WritePoint(walPoint("n1", closeAt, 0)); err != nil {
 			t.Fatalf("%s: %v", ctx, err)
 		}
 		if got := tierSig(t, rec, ctx); got != refSig[prefix] {
 			t.Fatalf("%s: tier diverged from uninterrupted run:\n got %s\nwant %s", ctx, got, refSig[prefix])
 		}
 		if got := rec.Disk().Points - tierPoints(t, rec); got != refRaw[prefix] {
-			t.Fatalf("%s: raw points %d after advance, want %d", ctx, got, refRaw[prefix])
+			t.Fatalf("%s: raw points %d after the closing write, want %d", ctx, got, refRaw[prefix])
 		}
 	}
 }
@@ -167,5 +167,100 @@ func TestWALRollupPlainWriteFormat(t *testing.T) {
 	}
 	if string(a) != string(b) {
 		t.Fatalf("op-free write changed the WAL record format:\n a=%x\n b=%x", a, b)
+	}
+}
+
+// TestTierStatsLiveEqualRecovered: a tier's watermark is read off its
+// rows, so a durable DB whose source skipped buckets reports the same
+// TierStats live as a process that recovers its directory and
+// registers the tier again — and both advance alike from there.
+func TestTierStatsLiveEqualRecovered(t *testing.T) {
+	spec := RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}
+	dir := t.TempDir()
+	live, _ := crashOpen(t, dir, WALOptions{Policy: FsyncNever})
+	if err := live.RegisterRollup(spec); err != nil {
+		t.Fatal(err)
+	}
+	// Points at 0-240 s fill bucket 0; the next, at 1500 s, closes it
+	// and the four empty buckets after it.
+	for ts := int64(0); ts <= 240; ts += 60 {
+		if err := live.WritePoint(walPoint("n1", ts, float64(ts))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := live.WritePoint(walPoint("n1", 1500, 1)); err != nil {
+		t.Fatal(err)
+	}
+	recovered, _ := crashOpen(t, dir, WALOptions{Policy: FsyncNever})
+	if err := recovered.RegisterRollup(spec); err != nil {
+		t.Fatal(err)
+	}
+	compare := func(when string, want TierStats) {
+		t.Helper()
+		l, r := live.TierStats(), recovered.TierStats()
+		if !reflect.DeepEqual(l, r) {
+			t.Fatalf("%s: live %+v, recovered %+v", when, l, r)
+		}
+		if l[0].Points != want.Points || l[0].Watermark != want.Watermark {
+			t.Fatalf("%s: %+v, want %d points to watermark %d", when, l[0], want.Points, want.Watermark)
+		}
+	}
+	compare("after the gap", TierStats{Points: 1, Watermark: 300})
+	for _, db := range []*DB{live, recovered} {
+		if err := db.WritePoint(walPoint("n1", 1800, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compare("after one more write", TierStats{Points: 2, Watermark: 1800})
+}
+
+// TestWALReplaysPointsFreeBatchRecord: logs from earlier builds hold
+// batch records with tier ops and no raw points, written by an
+// explicit catch-up that closed buckets by clock. Replay applies the
+// ops alone, with no empty raw batch beside them, to the tier rows and
+// counts the logging DB had.
+func TestWALReplaysPointsFreeBatchRecord(t *testing.T) {
+	raw := &walRecord{op: walOpWrite, points: []Point{walPoint("n1", 0, 5), walPoint("n1", 60, 7), walPoint("n1", 300, 3)}}
+	row := func(ts int64, v float64) Point {
+		p := walPoint("n1", ts, v)
+		p.Measurement = "Power_max_300s"
+		return p
+	}
+	catchUp := &walRecord{op: walOpBatch, ops: []rollupOp{{
+		target: "Power_max_300s",
+		points: []Point{row(0, 7), row(300, 3)},
+	}}}
+	dir := t.TempDir()
+	if err := os.WriteFile(walSegmentPath(dir, 1), walSeedSegment(raw, catchUp), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, info, err := OpenDurable(Options{}, WALOptions{Dir: dir, Policy: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.CloseWAL()
+	if info.Records != 2 || info.Points != 3 || info.TornFrames != 0 {
+		t.Fatalf("recovery = %+v, want both records and the 3 raw points", info)
+	}
+	// The logging DB wrote two batches: the raw one and the tier rows.
+	if st := db.Stats(); st.BatchesWritten != 2 || st.PointsWritten != 5 {
+		t.Fatalf("replay counted %d batches and %d points, want 2 and 5", st.BatchesWritten, st.PointsWritten)
+	}
+	res, err := db.Query(`SELECT "Reading" FROM "Power_max_300s"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range res.Series[0].Rows() {
+		got = append(got, fmt.Sprintf("%d=%v", r.Time, r.Values[0].F))
+	}
+	if fmt.Sprint(got) != "[0=7 300=3]" {
+		t.Fatalf("tier rows %v, want [0=7 300=3]", got)
+	}
+	if err := db.RegisterRollup(RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if ts := db.TierStats()[0]; ts.Points != 2 || ts.Watermark != 600 {
+		t.Fatalf("tier after replay: %+v, want 2 points to watermark 600", ts)
 	}
 }

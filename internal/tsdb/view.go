@@ -48,10 +48,6 @@ type dbView struct {
 	shardStarts []int64          // sorted
 	// index: measurement -> tag key -> tag value -> set of series keys
 	index map[string]*measurementIndex
-	// watermarks holds the rollup watermarks maintenance recorded (see
-	// dbView.watermark), staged by withWatermark so a watermark
-	// publishes with the rows it covers.
-	watermarks map[string]int64
 	// dropsBlocks marks a candidate whose derivation removed sealed
 	// blocks; commit purges them from the decode cache and clears the
 	// mark, so no published view carries it.
@@ -86,16 +82,6 @@ func (db *DB) commit(derive func(base *dbView) (next *dbView, rec *walRecord, er
 		db.cache.purgeDead(next)
 	}
 	return nil
-}
-
-// withWatermark derives a view that records wm as target's rollup
-// watermark.
-func withWatermark(base *dbView, target string, wm int64) *dbView {
-	nv := *base
-	nv.watermarks = make(map[string]int64, len(base.watermarks)+1)
-	maps.Copy(nv.watermarks, base.watermarks)
-	nv.watermarks[target] = wm
-	return &nv
 }
 
 // shardsOverlapping returns shards intersecting [start, end), in time
@@ -390,12 +376,12 @@ func (db *DB) writePointsView(base *dbView, points []Point) (*dbView, error) {
 	return b.finish(len(points) > 0)
 }
 
-// dropMeasurementView derives a view with measurement name, all its
-// stored series and its recorded rollup watermark removed. Without the
-// watermark, a dropped rollup target reads as empty: the planner
-// answers raw and the next source write's maintenance rebuilds the
-// tier from the source's first bucket. It returns nil if the
-// measurement does not exist in base.
+// dropMeasurementView derives a view with measurement name and all its
+// stored series removed. A tier's watermark is inferred from its rows,
+// so a dropped rollup target reads as empty: the planner answers raw
+// and the next source write's maintenance rebuilds the tier from the
+// source's first bucket. It returns nil if the measurement does not
+// exist in base.
 func dropMeasurementView(base *dbView, name string) *dbView {
 	mi, ok := base.index[name]
 	if !ok {
@@ -404,10 +390,6 @@ func dropMeasurementView(base *dbView, name string) *dbView {
 	b := newBatch(base, 0, 0)
 	b.cloneIndexMap()
 	delete(b.v.index, name)
-	if _, ok := base.watermarks[name]; ok {
-		b.v.watermarks = maps.Clone(base.watermarks)
-		delete(b.v.watermarks, name)
-	}
 	for _, start := range base.shardStarts {
 		for key := range mi.series {
 			sh := b.v.shards[start]

@@ -14,12 +14,11 @@ import (
 )
 
 // viewFingerprint is everything a reader of a pinned view can observe:
-// the serialized shards (cold blocks as references) plus deep copies of
-// the index and the rollup watermarks, which the snapshot leaves out.
+// the serialized shards (cold blocks as references) plus a deep copy
+// of the index, which the snapshot leaves out.
 type viewFingerprint struct {
-	snap       []byte
-	index      map[string]measurementIndex
-	watermarks map[string]int64
+	snap  []byte
+	index map[string]measurementIndex
 }
 
 func fingerprint(t *testing.T, db *DB, v *dbView) viewFingerprint {
@@ -28,7 +27,7 @@ func fingerprint(t *testing.T, db *DB, v *dbView) viewFingerprint {
 	if err := snapshotView(v, db.shardDuration, &buf, false); err != nil {
 		t.Fatal(err)
 	}
-	fp := viewFingerprint{snap: buf.Bytes(), index: make(map[string]measurementIndex), watermarks: maps.Clone(v.watermarks)}
+	fp := viewFingerprint{snap: buf.Bytes(), index: make(map[string]measurementIndex)}
 	for name, mi := range v.index {
 		c := measurementIndex{byTag: make(map[string]map[string][]string), series: make(map[string]Tags), fields: maps.Clone(mi.fields)}
 		for k, vals := range mi.byTag {
@@ -208,9 +207,6 @@ func TestDerivationsLeaveBaseViewIntact(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got.index, want.index) {
 				t.Error("pinned view's index changed")
-			}
-			if !reflect.DeepEqual(got.watermarks, want.watermarks) {
-				t.Errorf("pinned view's watermarks changed: %v -> %v", want.watermarks, got.watermarks)
 			}
 		})
 	}

@@ -411,18 +411,21 @@ func (t *walIDs) truncate(n int) {
 type walDict struct {
 	series, fields walIDs
 	def            []byte   // one series or field definition
+	tags           Tags     // one point's tags, sorted by key
 	names          []string // one point's field names, sorted
 }
 
-// appendPoints emits a point list. Field names go in sorted order so
-// identical batches into identical dictionaries encode identically —
-// the property the kill-point tests lean on.
+// appendPoints emits a point list. Tags go in key order, as the store
+// keeps them, so a series has one definition whatever order its
+// writers give; field names go in sorted order so identical batches
+// into identical dictionaries encode identically — the property the
+// kill-point tests lean on.
 func (d *walDict) appendPoints(b []byte, points []Point) []byte {
 	b = binary.AppendUvarint(b, uint64(len(points)))
 	var prev int64
 	for i := range points {
 		p := &points[i]
-		d.def = appendTags(appendStr(d.def[:0], p.Measurement), p.Tags)
+		d.def = appendTags(appendStr(d.def[:0], p.Measurement), p.Tags.sortedInto(&d.tags))
 		b = d.series.put(b, d.def)
 		d.names = d.names[:0]
 		for name := range p.Fields {

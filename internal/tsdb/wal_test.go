@@ -570,7 +570,6 @@ func TestWALRefusedMutationPublishesNothing(t *testing.T) {
 		{"DeleteBefore", func() error { _, err := db.DeleteBefore(3600); return err }},
 		{"DeleteMeasurementBefore", func() error { _, err := db.DeleteMeasurementBefore("Power", 1800); return err }},
 		{"ExpireRaw", func() error { _, err := db.ExpireRaw(3600); return err }},
-		{"RollupAdvance", func() error { _, err := db.RollupAdvance(4 * 3600); return err }},
 	} {
 		if err := row.mutate(); err == nil {
 			t.Errorf("%s succeeded with the log closed", row.name)
@@ -876,5 +875,44 @@ func TestWALReplaysEveryOp(t *testing.T) {
 	}
 	if known != len(rows) {
 		t.Errorf("%d rows for %d walOps: a row names an op the decoder rejects", len(rows), known)
+	}
+}
+
+// TestWALDictionaryCanonicalTagOrder: one series written with its tags
+// in two orders is one series, so its segment defines it once and
+// replay yields one series.
+func TestWALDictionaryCanonicalTagOrder(t *testing.T) {
+	dir := t.TempDir()
+	db, _ := crashOpen(t, dir, WALOptions{Policy: FsyncNever})
+	for i, tags := range []Tags{{{"a", "1"}, {"b", "2"}}, {{"b", "2"}, {"a", "1"}}} {
+		p := Point{Measurement: "m", Tags: tags, Fields: map[string]Value{"f": Float(float64(i))}, Time: int64(60 * (i + 1))}
+		if err := db.WritePoint(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(walSegmentPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defs := &walDefs{}
+	for off := fileHeaderSize; off < len(data); {
+		payload, _, err := readFrame(data[off:])
+		if err != nil {
+			t.Fatalf("offset %d: %v", off, err)
+		}
+		if _, err := decodeWALRecord(payload, defs); err != nil {
+			t.Fatalf("offset %d: %v", off, err)
+		}
+		off += frameHeader + len(payload)
+	}
+	if len(defs.series) != 1 {
+		t.Fatalf("segment defines %d series, want 1: %v", len(defs.series), defs.series)
+	}
+	rec, info := crashOpen(t, dir, WALOptions{Policy: FsyncNever})
+	if info.Points != 2 {
+		t.Fatalf("replayed %d points, want 2", info.Points)
+	}
+	if n := len(rec.view.Load().index["m"].series); n != 1 {
+		t.Fatalf("replay yields %d series, want 1", n)
 	}
 }

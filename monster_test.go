@@ -209,7 +209,8 @@ func TestFacadeStorageFeatures(t *testing.T) {
 	if err := db.RegisterRollup(monster.RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 60}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.RollupAdvance(2000); err != nil {
+	// A later reading closes the minute buckets before it.
+	if _, err := db.WriteLineProtocol([]byte("Power,NodeId=10.101.1.1,Label=NodePower Reading=275.0 2000\n"), 0); err != nil {
 		t.Fatal(err)
 	}
 	// Persistence round trip.
