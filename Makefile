@@ -162,15 +162,18 @@ smoke:
 # compression re-runs the sealed-block suite on its own under the race
 # detector: encode/decode round trips, seal thresholds and tail sizes,
 # the regular time form against explicit times and the reference model
-# and its decode-cache charge, header pruning, iterator order,
+# and its decode-cache charge, the float32 value form (which floats it
+# keeps, every aggregate bit for bit with the cache on and off, and the
+# fuzz seeds' cached-against-plain decode), header pruning, iterator order,
 # out-of-order unseal and the range clears that unseal too, the write
 # path against the reference model (unsorted tags, growing field sets,
 # writes behind sealed blocks, a clear that empties a field), every
 # derivation leaving its base view intact, the snapshot round trip
 # (sealed blocks verbatim, raw tails through the block codec), the
-# pinned block and snapshot bytes, and the version 4 snapshot upgrade.
+# pinned block and snapshot bytes, the version 4 snapshot upgrade, and
+# GROUP BY tag groups that mix covered and wider series.
 compression:
-	$(GO) test -race -count=1 -run 'TestBlock|TestSeal|TestTimeVec|TestColumnIterator|TestOutOfOrderAcrossSealBoundary|TestClearRange|TestWritePathMatchesReference|TestDerivationsLeaveBaseViewIntact|TestSnapshotRoundTripSealedBlocks|TestSnapshotFailingWriter|TestRangeIndexesSuffixSearch|TestWALKillPointsSealedBlocks|TestWALCheckpointSealedBlocks|TestGoldenBytes|TestSnapshotV4' ./internal/tsdb
+	$(GO) test -race -count=1 -run 'TestBlock|FuzzBlockDecode|TestGroupByTagCoveredSeriesJoinsGroup|TestSeal|TestTimeVec|TestColumnIterator|TestOutOfOrderAcrossSealBoundary|TestClearRange|TestWritePathMatchesReference|TestDerivationsLeaveBaseViewIntact|TestSnapshotRoundTripSealedBlocks|TestSnapshotFailingWriter|TestRangeIndexesSuffixSearch|TestWALKillPointsSealedBlocks|TestWALCheckpointSealedBlocks|TestGoldenBytes|TestSnapshotV4' ./internal/tsdb
 
 # bench runs the Metrics Builder ladder benchmark (Figs 10-19):
 # naive-sequential vs batched-concurrent on the 8-worker pool; then the

@@ -24,6 +24,37 @@ func apiServer(t *testing.T, nodes, minutes int) (*httptest.Server, *Builder) {
 	return srv, b
 }
 
+// TestClientResponseLimit: a response of exactly the limit is fetched,
+// and one a byte past it is refused with nothing decoded — an identity
+// body as it is read off the wire, a deflated one as it inflates, and
+// one whose deflated bytes alone pass the limit before inflating.
+func TestClientResponseLimit(t *testing.T) {
+	srv, _ := apiServer(t, 3, 60)
+	ctx, req := context.Background(), stdRequest(60)
+	for _, compress := range []bool{false, true} {
+		c := &Client{BaseURL: srv.URL, Compress: compress}
+		full, err := c.Fetch(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := c.fetch(ctx, req, full.BodyBytes); err != nil || res.BodyBytes != full.BodyBytes {
+			t.Fatalf("compress=%t, a response at the %d B limit: %v", compress, full.BodyBytes, err)
+		}
+		refused := map[int64]string{full.BodyBytes - 1: "builder: client: read body: body over"}
+		if compress {
+			refused = map[int64]string{
+				full.BodyBytes - 1: "builder: decompress: body over",
+				full.WireBytes - 1: "builder: client: read body: body over",
+			}
+		}
+		for limit, want := range refused {
+			if res, err := c.fetch(ctx, req, limit); err == nil || !strings.HasPrefix(err.Error(), want) || res != nil {
+				t.Fatalf("compress=%t, a response past the %d B limit: %+v, err %v, want %q", compress, limit, res, err, want)
+			}
+		}
+	}
+}
+
 // TestAPIRoundTrip drives Client -> httptest.Server -> API -> Builder
 // and checks the response matches a direct Fetch, compressed and not.
 func TestAPIRoundTrip(t *testing.T) {
@@ -335,7 +366,8 @@ func TestAPIStatsIngestSection(t *testing.T) {
 // decoded response: a field collected but not shipped fails here, not
 // only in the statssurface analyzer.
 func TestAPIStatsStorageSections(t *testing.T) {
-	// 60 points at 8 per block seal seven 128-byte blocks; the decode
+	// 60 points at 8 per block seal seven 128-byte blocks (the readings
+	// are not float32-exact, so a cached point costs 8 B); the decode
 	// cache holds two of them, so one raw scan evicts.
 	db, _, err := tsdb.OpenDurable(
 		tsdb.Options{BlockSize: 8, ColdDir: t.TempDir(), DecodeCacheBytes: 256},
@@ -349,7 +381,7 @@ func TestAPIStatsStorageSections(t *testing.T) {
 		pts = append(pts, tsdb.Point{
 			Measurement: "Power",
 			Tags:        tsdb.Tags{{Key: "NodeId", Value: "n0"}, {Key: "Label", Value: "NodePower"}},
-			Fields:      map[string]tsdb.Value{"Reading": tsdb.Float(float64(100 + i))},
+			Fields:      map[string]tsdb.Value{"Reading": tsdb.Float(float64(100+i) + 0.1)},
 			Time:        int64(i * 60),
 		})
 	}

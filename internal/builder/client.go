@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -62,8 +61,13 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// Fetch performs one request against the remote API.
+// Fetch performs one request against the remote API. A response over
+// maxResponseBody, on the wire or inflated, fails the fetch.
 func (c *Client) Fetch(ctx context.Context, req Request) (*FetchResult, error) {
+	return c.fetch(ctx, req, maxResponseBody)
+}
+
+func (c *Client) fetch(ctx context.Context, req Request, limit int64) (*FetchResult, error) {
 	q := url.Values{}
 	q.Set("start", strconv.FormatInt(req.Start.Unix(), 10))
 	q.Set("end", strconv.FormatInt(req.End.Unix(), 10))
@@ -110,7 +114,7 @@ func (c *Client) Fetch(ctx context.Context, req Request) (*FetchResult, error) {
 		return nil, fmt.Errorf("builder: client: %w", err)
 	}
 	defer hresp.Body.Close()
-	wire, err := io.ReadAll(hresp.Body)
+	wire, err := readAtMost(hresp.Body, limit)
 	if err != nil {
 		return nil, fmt.Errorf("builder: client: read body: %w", err)
 	}
@@ -128,7 +132,7 @@ func (c *Client) Fetch(ctx context.Context, req Request) (*FetchResult, error) {
 
 	body := wire
 	if hresp.Header.Get("Content-Encoding") == "deflate" {
-		if body, err = Decompress(wire); err != nil {
+		if body, err = decompress(wire, limit); err != nil {
 			return nil, err
 		}
 	}

@@ -276,18 +276,45 @@ func writeBody(dst *bytes.Buffer, resp *Response, deflated bool, level int, clk 
 	return err
 }
 
-// Decompress reverses Compress.
-func Decompress(data []byte) ([]byte, error) {
+// maxResponseBody bounds a Metrics Builder response as a consumer
+// reads it, on the wire and inflated, so a zlib bomb or an endless body
+// fails that fetch, not the process's memory. Request validation sets
+// no size limit of its own, so the bound is the largest response the
+// paper's probes ask for: raw samples of the ten
+// default metrics over 467 nodes for 72 h (Fig 16's longest window),
+// with jobs. A 16-node, 3 h raw response with jobs is 1,075,592 B, 37.6
+// B per point; scaled to 467 nodes and 72 h that is ~754 MB.
+const maxResponseBody = 1 << 30
+
+// Decompress reverses Compress, refusing a body that inflates past
+// maxResponseBody.
+func Decompress(data []byte) ([]byte, error) { return decompress(data, maxResponseBody) }
+
+func decompress(data []byte, limit int64) ([]byte, error) {
 	r, err := zlib.NewReader(bytes.NewReader(data))
 	if err != nil {
 		return nil, fmt.Errorf("builder: decompress: %w", err)
 	}
 	defer r.Close()
-	out, err := io.ReadAll(r)
+	out, err := readAtMost(r, limit)
 	if err != nil {
 		return nil, fmt.Errorf("builder: decompress: %w", err)
 	}
 	return out, nil
+}
+
+// readAtMost reads r to its end, or fails once it passes limit bytes.
+// One byte past the limit tells a body that fits from one that was cut;
+// a body over it is refused whole.
+func readAtMost(r io.Reader, limit int64) ([]byte, error) {
+	b, err := io.ReadAll(io.LimitReader(r, limit+1))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(b)) > limit {
+		return nil, fmt.Errorf("body over %d bytes", limit)
+	}
+	return b, nil
 }
 
 // CompressionRatio is compressed size over raw size (the Fig 18

@@ -93,6 +93,30 @@ func TestDecompressRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestDecompressLimit: a zlib stream that inflates to exactly the limit
+// is read whole; one that inflates a byte past it, a bomb of 1 MiB from
+// about a kilobyte, is refused and returns nothing.
+func TestDecompressLimit(t *testing.T) {
+	const limit = 1 << 20
+	for _, n := range []int{limit, limit + 1} {
+		var buf bytes.Buffer
+		w := zlib.NewWriter(&buf)
+		if _, err := w.Write(make([]byte, n)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		out, err := decompress(buf.Bytes(), limit)
+		if n == limit && (err != nil || len(out) != limit) {
+			t.Fatalf("%d B from %d B at the limit: got %d B, err %v", n, buf.Len(), len(out), err)
+		}
+		if n > limit && (err == nil || !strings.Contains(err.Error(), "body over") || out != nil) {
+			t.Fatalf("%d B from %d B past the limit: got %d B, err %v", n, buf.Len(), len(out), err)
+		}
+	}
+}
+
 func TestCompressionRatioOnRealResponse(t *testing.T) {
 	db := seedDB(t, 8, 120)
 	b := New(db, Options{Concurrent: true})

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
+	"sync"
 	"sync/atomic"
 )
 
@@ -101,7 +103,9 @@ type block struct {
 
 // blockPayload is a decoded block: parallel times and values, never
 // written after construction. A block at one fixed cadence keeps its
-// times in the regular form (see timeVec). ref is the CLOCK
+// times in the regular form (see timeVec), and a cached float block
+// whose values are all float32-exact keeps them as float32s (see
+// valueVec). ref is the CLOCK
 // second-chance bit — the only mutable cell, set lock-free by cache
 // hits and cleared by the eviction sweep (see cache.go).
 type blockPayload struct {
@@ -112,8 +116,8 @@ type blockPayload struct {
 
 // bytes is what the payload keeps, the decode cache's charge: only
 // stored times count, so a numeric point costs 8 B in a regular block
-// and 16 B in an irregular one; a mixed value costs a Value cell plus
-// its string bytes.
+// and 16 B in an irregular one, 4 B less when its float values are kept
+// as float32s; a mixed value costs a Value cell plus its string bytes.
 func (p *blockPayload) bytes() int64 {
 	return 8*int64(len(p.times.t)) + p.vals.heapBytes()
 }
@@ -259,17 +263,29 @@ func (b *block) decode(c *decodeCache) (p *blockPayload, fromDisk bool, err erro
 	if err != nil {
 		return nil, fromDisk, err
 	}
-	times, vals, err := decodeBlockData(data)
+	buf := decodeBufs.Get().(*decodeBuf)
+	defer decodeBufs.Put(buf)
+	times, vals, err := decodeBlockData(data, buf)
 	if err != nil {
 		return nil, fromDisk, err
 	}
-	p = &blockPayload{times: compactTimes(times), vals: vals}
+	// buf goes back to the pool: the payload keeps compact forms or copies.
+	p = &blockPayload{times: compactTimes(times), vals: compactFloats(vals, c != nil)}
 	if c != nil {
 		b.cache.Store(p)
 		c.admit(b, p)
 	}
 	return p, fromDisk, nil
 }
+
+// decodeBuf lends decodeBlockData its timestamp and float arrays;
+// block.decode recycles them, so it allocates only what a payload keeps.
+type decodeBuf struct {
+	t []int64
+	f []float64
+}
+
+var decodeBufs = sync.Pool{New: func() any { return new(decodeBuf) }}
 
 // validate fully decodes the block without caching and checks the
 // payload against the header: exact count, sorted timestamps, and
@@ -283,7 +299,7 @@ func (b *block) validate() (*blockPayload, error) {
 	if err != nil {
 		return nil, err
 	}
-	times, vals, err := decodeBlockData(data)
+	times, vals, err := decodeBlockData(data, new(decodeBuf))
 	if err != nil {
 		return nil, err
 	}
@@ -306,8 +322,8 @@ func (b *block) validate() (*blockPayload, error) {
 // every read is bounds-checked and allocations are bounded by the
 // input length — each encoded point costs at least one payload byte,
 // so a count the payload cannot back is rejected before any
-// allocation.
-func decodeBlockData(data []byte) ([]int64, valueVec, error) {
+// allocation. Times and floats land in buf's arrays, grown as needed.
+func decodeBlockData(data []byte, buf *decodeBuf) ([]int64, valueVec, error) {
 	fail := func(format string, args ...any) ([]int64, valueVec, error) {
 		return nil, valueVec{}, fmt.Errorf("%w: "+format, append([]any{errBlockCorrupt}, args...)...)
 	}
@@ -326,7 +342,8 @@ func decodeBlockData(data []byte) ([]int64, valueVec, error) {
 	off++
 
 	count := int(n)
-	times := make([]int64, count)
+	buf.t = slices.Grow(buf.t[:0], count)[:count]
+	times := buf.t
 	t0, sz := binary.Varint(data[off:])
 	if sz <= 0 {
 		return fail("bad t0")
@@ -354,8 +371,8 @@ func decodeBlockData(data []byte) ([]int64, valueVec, error) {
 	var vals valueVec
 	switch venc {
 	case vencFloat:
-		f := make([]float64, count)
-		vals = valueVec{kind: vecFloat, f: f}
+		f := slices.Grow(buf.f[:0], count)[:count]
+		buf.f, vals = f, valueVec{kind: vecFloat, f: f}
 		r := bitReader{buf: data[off:]}
 		prev, err := r.readBits(64)
 		if err != nil {

@@ -106,18 +106,18 @@ func TestBlockDecodeRejectsCorrupt(t *testing.T) {
 	blk := sealBlock(times, vecOf(vals))
 	// Truncations at every length must error, never panic.
 	for cut := 0; cut < len(blk.data); cut++ {
-		if _, _, err := decodeBlockData(blk.data[:cut]); err == nil {
+		if _, _, err := decodeBlockData(blk.data[:cut], new(decodeBuf)); err == nil {
 			t.Fatalf("truncation at %d decoded successfully", cut)
 		}
 	}
 	// Trailing garbage is rejected too.
-	if _, _, err := decodeBlockData(append(append([]byte(nil), blk.data...), 0xff)); err == nil {
+	if _, _, err := decodeBlockData(append(append([]byte(nil), blk.data...), 0xff), new(decodeBuf)); err == nil {
 		t.Fatal("trailing garbage accepted")
 	}
 	// A count the payload cannot back must be rejected before any
 	// allocation happens.
 	huge := []byte{0xff, 0xff, 0xff, 0x7f, vencFloat}
-	if _, _, err := decodeBlockData(huge); err == nil {
+	if _, _, err := decodeBlockData(huge, new(decodeBuf)); err == nil {
 		t.Fatal("oversized count accepted")
 	}
 }

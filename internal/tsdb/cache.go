@@ -21,14 +21,16 @@ import (
 // Only misses (decode + admit) and evictions take the cache mutex.
 
 // defaultDecodeCacheBytes is the budget when Options.DecodeCacheBytes
-// is zero: 64 MiB holds ~8.4M decoded numeric points of blocks at an
-// exact fixed cadence, or ~4.2M of blocks whose times drift (samples
-// stamped on arrival by the scrape and push receivers).
+// is zero: 64 MiB holds ~16.8M decoded numeric points of blocks at an
+// exact fixed cadence whose floats are all float32-exact (whole numbers
+// such as fan RPM), ~8.4M at that cadence otherwise (tenths, such as the
+// simulated BMCs' temperatures and power), or ~4.2M of inexact blocks
+// whose times drift (stamped on arrival by the scrape and push receivers).
 // Each payload is charged what it keeps (blockPayload.bytes: 8 B per
-// numeric point of a regular block, 16 B of an irregular one, a Value
-// cell plus string bytes per mixed value); slice headers and allocator
-// slack are not counted. The budget is a working-set bound, not an
-// allocator audit.
+// numeric point of a regular block, 16 B of an irregular one, 4 B less
+// when its floats are kept as float32s, a Value cell plus string bytes
+// per mixed value); slice headers and allocator slack are not counted.
+// The budget is a working-set bound, not an allocator audit.
 const defaultDecodeCacheBytes = 64 << 20
 
 // cacheEntry tracks one admitted payload for the CLOCK sweep.

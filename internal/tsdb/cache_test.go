@@ -8,7 +8,8 @@ import (
 
 // cacheFixture builds a DB whose columns are mostly sealed: nodes
 // series of perNode minutely points with an aggressive seal threshold,
-// so scans must decode blocks through the decode cache.
+// so scans must decode blocks through the decode cache. The readings
+// are not float32-exact, so a cached point costs 8 B.
 func cacheFixture(t *testing.T, budget int64, nodes, perNode int) *DB {
 	t.Helper()
 	db := Open(Options{BlockSize: 32, DecodeCacheBytes: budget})
@@ -18,7 +19,7 @@ func cacheFixture(t *testing.T, budget int64, nodes, perNode int) *DB {
 			pts = append(pts, Point{
 				Measurement: "Power",
 				Tags:        Tags{{"NodeId", fmt.Sprintf("n%d", n)}},
-				Fields:      map[string]Value{"Reading": Float(float64(100 + i%50))},
+				Fields:      map[string]Value{"Reading": Float(float64(100+i%50) + 0.1)},
 				Time:        int64(i * 60),
 			})
 		}

@@ -49,7 +49,7 @@ func BenchmarkBlockDecode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := decodeBlockData(blk.data); err != nil {
+		if _, _, err := decodeBlockData(blk.data, new(decodeBuf)); err != nil {
 			b.Fatal(err)
 		}
 	}

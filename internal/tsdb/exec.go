@@ -599,18 +599,20 @@ func groupSeries(q *Query, keys []string, mi *measurementIndex) []seriesGroup {
 	byID := make(map[string]*seriesGroup)
 	var order []string
 	for _, k := range keys {
-		// A series whose full tag set the GROUP BY keys cover is its own
-		// group: reuse its canonical tag set and storage key instead of
-		// building new ones.
-		gt, id := mi.series[k], k
+		// A group is keyed by its GROUP BY values in canonical (sorted)
+		// order, so a series whose full tag set the keys cover lands in
+		// the same group as the others sharing those values, and can
+		// lend its own tag set.
+		gt := mi.series[k]
 		if !groupKeysCover(q, []string{k}, mi) {
 			gt = nil
 			for _, gk := range q.GroupByTags {
 				v, _ := mi.series[k].Get(gk)
 				gt = append(gt, Tag{gk, v})
 			}
-			id = seriesKey("", gt)
+			slices.SortStableFunc(gt, cmpTagKey)
 		}
+		id := seriesKey("", gt)
 		g, ok := byID[id]
 		if !ok {
 			g = &seriesGroup{tags: gt}
@@ -830,8 +832,8 @@ type bucketAcc struct {
 
 // reduceRun folds one non-empty run of a typed slice into the
 // accumulator, in order, with the same float64 operations the
-// aggregators apply per sample.
-func reduceRun[T float64 | int64](a *bucketAcc, run []T) {
+// aggregators apply per sample (widening a float32 is exact).
+func reduceRun[T float64 | float32 | int64](a *bucketAcc, run []T) {
 	switch a.mode {
 	case kSum, kMean:
 		acc := a.f1
@@ -975,6 +977,8 @@ func reduceField(fn string, chunks []colChunk, iv, whole int64) (outT []int64, o
 				}
 			case vals.kind == vecFloat:
 				reduceRun(&acc, vals.f[j:k])
+			case vals.kind == vecFloat32:
+				reduceRun(&acc, vals.f32[j:k])
 			default:
 				reduceRun(&acc, vals.i[j:k])
 			}

@@ -230,6 +230,70 @@ func TestGroupByTagSplitsSeries(t *testing.T) {
 	}
 }
 
+// TestGroupByTagCoveredSeriesJoinsGroup: a series whose whole tag set
+// the GROUP BY keys cover shares its group with a series that has
+// further tags when their GROUP BY values agree — in one shard or
+// across two, whatever order the keys are listed in — and the tier
+// planner answers that shape as the raw scan does.
+func TestGroupByTagCoveredSeriesJoinsGroup(t *testing.T) {
+	for _, c := range []struct {
+		name           string
+		groupBy        string
+		covered, wider Tags
+		offset         int64 // the wider series' first time; 86400 is the next shard
+	}{
+		{"one shard", `"NodeId"`, Tags{{"NodeId", "n0"}}, Tags{{"Label", "x"}, {"NodeId", "n0"}}, 0},
+		{"across shards", `"NodeId"`, Tags{{"NodeId", "n0"}}, Tags{{"Label", "x"}, {"NodeId", "n0"}}, 86400},
+		{"two keys", `"NodeId", "Label"`, Tags{{"Label", "x"}, {"NodeId", "n0"}},
+			Tags{{"Label", "x"}, {"NodeId", "n0"}, {"Rack", "r1"}}, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db := Open(Options{})
+			var pts []Point
+			for i := 0; i < 120; i++ {
+				pts = append(pts,
+					Point{Measurement: "Power", Tags: c.covered, Fields: map[string]Value{"Reading": Float(float64(i))}, Time: int64(60 * i)},
+					Point{Measurement: "Power", Tags: c.wider, Fields: map[string]Value{"Reading": Float(float64(1000 + i))}, Time: c.offset + int64(60*i)})
+			}
+			if err := db.WritePoints(pts); err != nil {
+				t.Fatal(err)
+			}
+			res, err := db.Query(`SELECT count("Reading"), max("Reading") FROM "Power" GROUP BY ` + c.groupBy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Series) != 1 || seriesKey("", res.Series[0].Tags) != seriesKey("", c.covered) {
+				t.Fatalf("groups %+v, want one group %v", res.Series, c.covered)
+			}
+			if row := res.Series[0].Rows()[0]; row.Values[0] != Int(240) || row.Values[1] != Float(1119) {
+				t.Fatalf("group row %+v, want count 240 and max 1119", row)
+			}
+
+			if err := db.RegisterRollup(RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
+				t.Fatal(err)
+			}
+			closeBuckets(t, db, c.covered, c.offset+7200)
+			q, err := Parse(fmt.Sprintf(`SELECT max("Reading") FROM "Power" WHERE time >= 0 AND time < %d GROUP BY time(5m), %s`,
+				c.offset+7200, c.groupBy))
+			if err != nil {
+				t.Fatal(err)
+			}
+			planned, err := db.Exec(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := db.execView(context.Background(), db.view.Load(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if planned.Stats.Tier == "" || len(raw.Series) != 1 {
+				t.Fatalf("tier %q, %d raw groups: want the planner engaged on one group", planned.Stats.Tier, len(raw.Series))
+			}
+			sameResult(t, planned, raw, c.name)
+		})
+	}
+}
+
 func TestGroupByStarOneGroupPerSeries(t *testing.T) {
 	db := Open(Options{})
 	writeTestFleet(t, db, 3, 2, 0, 60)

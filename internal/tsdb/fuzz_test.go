@@ -84,8 +84,10 @@ func FuzzParseQuery(f *testing.F) {
 
 // FuzzBlockDecode feeds arbitrary bytes to the sealed-block decoder.
 // Invariants: no input panics; allocation stays proportional to the
-// input (a lying count header must be rejected, not trusted); and any
-// payload that decodes successfully re-seals into an encoding that
+// input (a lying count header must be rejected, not trusted); the
+// payload the decode cache keeps (regular times, float32 values where
+// they are exact) reads back bit for bit what plain decoding gives; and
+// any payload that decodes successfully re-seals into an encoding that
 // decodes back to the same column (round-trip stability).
 func FuzzBlockDecode(f *testing.F) {
 	seed := func(times []int64, vals []Value) {
@@ -95,13 +97,14 @@ func FuzzBlockDecode(f *testing.F) {
 	seed([]int64{0, 60, 120, 180}, []Value{Float(200), Float(201), Float(200.5), Float(200.5)})
 	seed([]int64{-120, -120, 0, 1 << 40}, []Value{Int(-5), Int(9000), Int(0), Int(1)})
 	seed([]int64{10, 20, 30}, []Value{Str("OK"), Bool(true), Float(7)})
+	seed([]int64{0, 60, 120}, []Value{Float(math.Copysign(0, -1)), Float(math.Inf(1)), Float(1<<24 + 1)})
 	trunc := sealBlock([]int64{0, 60, 120}, vecOf([]Value{Float(1), Float(2), Float(3)})).data
 	f.Add(trunc[:len(trunc)/2])              // torn payload
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1}) // absurd count
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		times, vals, err := decodeBlockData(data)
+		times, vals, err := decodeBlockData(data, new(decodeBuf))
 		if err != nil {
 			return
 		}
@@ -117,9 +120,21 @@ func FuzzBlockDecode(f *testing.F) {
 		if len(times) == 0 {
 			return
 		}
+		p, _, err := (&block{data: data}).decode(newDecodeCache(1 << 30))
+		if err != nil {
+			t.Fatalf("cached decode failed where plain decode did not: %v", err)
+		}
+		if p.times.len() != len(times) || p.vals.len() != vals.len() {
+			t.Fatalf("cached payload has %d times, %d values; plain decode %d", p.times.len(), p.vals.len(), len(times))
+		}
+		for j := range times {
+			if p.times.at(j) != times[j] || !sameValue(p.vals.at(j), vals.at(j)) {
+				t.Fatalf("point %d: cached (%d, %+v), plain (%d, %+v)", j, p.times.at(j), p.vals.at(j), times[j], vals.at(j))
+			}
+		}
 		// Re-seal and decode again: the encoder must be able to carry
 		// anything the decoder accepts.
-		t2, v2, err := decodeBlockData(sealBlock(times, vals).data)
+		t2, v2, err := decodeBlockData(sealBlock(times, vals).data, new(decodeBuf))
 		if err != nil {
 			t.Fatalf("re-encoded block failed to decode: %v", err)
 		}
@@ -127,9 +142,7 @@ func FuzzBlockDecode(f *testing.F) {
 			if t2[i] != times[i] {
 				t.Fatalf("time %d changed across re-encode: %d -> %d", i, times[i], t2[i])
 			}
-			if w, g := vals.at(i), v2.at(i); w.Kind != g.Kind ||
-				(w.Kind == KindFloat && math.Float64bits(w.F) != math.Float64bits(g.F)) ||
-				(w.Kind != KindFloat && w != g) {
+			if w, g := vals.at(i), v2.at(i); !sameValue(w, g) {
 				t.Fatalf("value %d changed across re-encode: %+v -> %+v", i, w, g)
 			}
 		}

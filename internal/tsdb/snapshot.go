@@ -340,7 +340,7 @@ func decodeSeries(d *decoder, cold *coldTier, ver uint16) (*series, map[string]V
 			}
 		} else if data := d.take(int(d.u32())); len(data) > 0 {
 			var err error
-			if col.times, col.vals, err = decodeBlockData(data); err != nil {
+			if col.times, col.vals, err = decodeBlockData(data, new(decodeBuf)); err != nil {
 				d.failf("field %q tail: %w", name, err)
 			}
 		}

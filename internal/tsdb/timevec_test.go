@@ -215,19 +215,24 @@ func TestBlockTimeFormsMatchReference(t *testing.T) {
 }
 
 // TestBlockDecodeCacheChargesStoredTimes: a decoded block is charged
-// what it keeps — 8 B per point for a regular float block, whose times
-// are two numbers, and 16 B for an explicit one — and the cache's
+// what it keeps — per point, 8 B of time in an explicit block and none
+// in a regular one, whose times are two numbers, plus 4 B of value when
+// every float is float32-exact and 8 B otherwise — and the cache's
 // resident bytes are exactly the sum of those charges, one entry per
 // block holding a payload, through scans, a range clear and an unseal.
 func TestBlockDecodeCacheChargesStoredTimes(t *testing.T) {
 	for _, c := range []struct {
-		jitter bool
-		want   int64
-	}{{false, 8 << 10}, {true, 16 << 10}} {
+		jitter, inexact bool
+		perPoint        int64
+	}{{false, false, 4}, {true, false, 12}, {false, true, 8}, {true, true, 16}} {
 		db := Open(Options{BlockSize: 1024})
 		pts := make([]Point, 1024)
 		for i := range pts {
-			pts[i] = walPoint("n1", int64(60*i), float64(i%13))
+			v := float64(i % 13)
+			if c.inexact && i == 700 {
+				v = 1<<24 + 1 // one value float32 cannot hold keeps the block at 8 B
+			}
+			pts[i] = walPoint("n1", int64(60*i), v)
 		}
 		if c.jitter {
 			pts[500].Time += 7
@@ -238,8 +243,8 @@ func TestBlockDecodeCacheChargesStoredTimes(t *testing.T) {
 		if _, err := db.Query(`SELECT count("Reading") FROM "Power"`); err != nil {
 			t.Fatal(err)
 		}
-		if cs := db.CacheStats(); cs.ResidentBytes != c.want || cs.Entries != 1 {
-			t.Fatalf("jitter %t: cache %+v, want one entry of %d B", c.jitter, cs, c.want)
+		if cs := db.CacheStats(); cs.ResidentBytes != c.perPoint<<10 || cs.Entries != 1 {
+			t.Fatalf("jitter %t, inexact %t: cache %+v, want one entry of %d B", c.jitter, c.inexact, cs, c.perPoint<<10)
 		}
 	}
 
@@ -271,9 +276,9 @@ func TestBlockDecodeCacheChargesStoredTimes(t *testing.T) {
 						continue
 					}
 					cached++
-					perPoint := int64(16)
+					perPoint := int64(12) // the readings are float32-exact
 					if node, _ := sr.tags.Get("NodeId"); node[0] == 'r' && blk.maxT-blk.minT == int64(blk.count-1)*60 {
-						perPoint = 8
+						perPoint = 4
 					}
 					want += perPoint * int64(blk.count)
 				}

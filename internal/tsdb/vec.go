@@ -1,6 +1,9 @@
 package tsdb
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // valueVec is the one in-memory representation of a run of field
 // values between disk and the aggregator: a column's raw tail, a
@@ -9,12 +12,18 @@ import "slices"
 // directly; only a run that actually holds strings, bools or a
 // mid-stream kind switch pays for 48-byte Value cells.
 //
-// Exactly one of f, i, m is in use, selected by kind. The zero value is
-// an empty vector; an empty vector takes the kind of the first value
-// appended to it.
+// Exactly one of f, f32, i, m is in use, selected by kind. The zero
+// value is an empty vector; an empty vector takes the kind of the first
+// value appended to it.
+//
+// f32 is a read-only form, as timeVec's regular one is: a cached block
+// payload whose floats all survive float32 bit for bit keeps 4 bytes a
+// value (compactFloats). Whatever builds or copies a vector widens it
+// back to float64, so no column tail, result or sealed payload holds it.
 type valueVec struct {
 	kind vecKind
 	f    []float64
+	f32  []float32
 	i    []int64
 	m    []Value
 }
@@ -22,9 +31,10 @@ type valueVec struct {
 type vecKind uint8
 
 const (
-	vecMixed vecKind = iota // []Value cells
-	vecFloat                // every value KindFloat
-	vecInt                  // every value KindInt
+	vecMixed   vecKind = iota // []Value cells
+	vecFloat                  // every value KindFloat
+	vecInt                    // every value KindInt
+	vecFloat32                // every value KindFloat and float32-exact; read-only
 )
 
 // valueCellBytes is the size of one Value struct (kind, float, int,
@@ -42,11 +52,12 @@ func vecKindOf(k ValueKind) vecKind {
 	}
 }
 
-// makeVec returns an empty vector of the given kind with capacity c.
+// makeVec returns an empty vector of the given kind, vecFloat for
+// vecFloat32, with capacity c.
 func makeVec(kind vecKind, c int) valueVec {
 	switch kind {
-	case vecFloat:
-		return valueVec{kind: kind, f: make([]float64, 0, c)}
+	case vecFloat, vecFloat32:
+		return valueVec{kind: vecFloat, f: make([]float64, 0, c)}
 	case vecInt:
 		return valueVec{kind: kind, i: make([]int64, 0, c)}
 	default:
@@ -60,6 +71,8 @@ func (v *valueVec) len() int {
 		return len(v.f)
 	case vecInt:
 		return len(v.i)
+	case vecFloat32:
+		return len(v.f32)
 	default:
 		return len(v.m)
 	}
@@ -73,6 +86,8 @@ func (v *valueVec) at(j int) Value {
 		return Float(v.f[j])
 	case vecInt:
 		return Int(v.i[j])
+	case vecFloat32:
+		return Float(float64(v.f32[j]))
 	default:
 		return v.m[j]
 	}
@@ -85,6 +100,8 @@ func (v *valueVec) slice(lo, hi int) valueVec {
 		return valueVec{kind: v.kind, f: v.f[lo:hi]}
 	case vecInt:
 		return valueVec{kind: v.kind, i: v.i[lo:hi]}
+	case vecFloat32:
+		return valueVec{kind: v.kind, f32: v.f32[lo:hi]}
 	default:
 		return valueVec{kind: v.kind, m: v.m[lo:hi]}
 	}
@@ -106,6 +123,9 @@ func (v *valueVec) promote() {
 // every published length (the column COW rule, see view.go); a value of
 // another kind promotes the vector to mixed first.
 func (v *valueVec) append(x Value) {
+	if v.kind == vecFloat32 {
+		*v = v.narrowed() // a float64 copy: the float32 form is read-only
+	}
 	k := vecKindOf(x.Kind)
 	switch {
 	case v.kind == k:
@@ -125,13 +145,21 @@ func (v *valueVec) append(x Value) {
 }
 
 // appendVec appends every value of o, a typed o onto an empty vector
-// or one of its kind in one copy.
+// or one of its kind in one copy (a float32 o widened as it goes).
 func (v *valueVec) appendVec(o valueVec) {
-	if o.kind != vecMixed && o.len() > 0 && (v.kind == o.kind || v.len() == 0) {
-		if v.kind != o.kind {
-			*v = valueVec{kind: o.kind}
+	k := o.kind
+	if k == vecFloat32 {
+		k = vecFloat
+	}
+	if k != vecMixed && o.len() > 0 && (v.kind == k || v.len() == 0) {
+		if v.kind != k {
+			*v = valueVec{kind: k}
 		}
 		v.f, v.i = append(v.f, o.f...), append(v.i, o.i...)
+		v.f = slices.Grow(v.f, len(o.f32))
+		for _, x := range o.f32 {
+			v.f = append(v.f, float64(x))
+		}
 		return
 	}
 	for j, n := 0, o.len(); j < n; j++ {
@@ -142,6 +170,10 @@ func (v *valueVec) appendVec(o valueVec) {
 // pick returns a new vector of v's kind holding v[idx[0]], v[idx[1]],
 // …, and the zero of the kind where an index is negative.
 func (v *valueVec) pick(idx []int) valueVec {
+	if v.kind == vecFloat32 {
+		w := v.narrowed()
+		return w.pick(idx)
+	}
 	return valueVec{kind: v.kind, f: pick(v.f, idx), i: pick(v.i, idx), m: pick(v.m, idx)}
 }
 
@@ -161,17 +193,37 @@ func pick[T any](s []T, idx []int) []T {
 }
 
 // narrowed returns a typed copy of a mixed vector that holds only
-// floats or only ints, and v itself when it is typed already or starts
-// with a string or bool. Sealing narrows each run so the block encoding
-// depends on the values alone, never on how the tail came to be
-// represented.
+// floats or only ints, a float64 copy of a float32 one, and v itself
+// when it is float64 or int already or starts with a string or bool.
+// Sealing narrows each run so the block encoding depends on the values
+// alone, never on how the tail came to be represented.
 func (v *valueVec) narrowed() valueVec {
-	if v.kind != vecMixed || len(v.m) == 0 || vecKindOf(v.m[0].Kind) == vecMixed {
+	if v.kind != vecFloat32 && (v.kind != vecMixed || len(v.m) == 0 || vecKindOf(v.m[0].Kind) == vecMixed) {
 		return *v
 	}
 	var out valueVec
 	out.appendVec(*v) // append picks the narrowest kind that holds them all
 	return out
+}
+
+// compactFloats returns a float vector in a fresh array: the float32
+// form when to32 and every value survives float64 → float32 → float64
+// bit for bit (NaN payloads, −0, ±Inf and subnormals decide
+// themselves), else a float64 copy; other kinds come back as they are.
+func compactFloats(v valueVec, to32 bool) valueVec {
+	if v.kind != vecFloat {
+		return v
+	}
+	for _, x := range v.f {
+		if !to32 || math.Float64bits(float64(float32(x))) != math.Float64bits(x) {
+			return valueVec{kind: vecFloat, f: slices.Clone(v.f)}
+		}
+	}
+	f32 := make([]float32, len(v.f))
+	for j, x := range v.f {
+		f32[j] = float32(x)
+	}
+	return valueVec{kind: vecFloat32, f32: f32}
 }
 
 // encodedSize is the sum of Value.EncodedSize over the vector: the
@@ -189,8 +241,12 @@ func (v *valueVec) encodedSize() int64 {
 }
 
 // heapBytes is what the vector's cells occupy in memory: 8 bytes per
-// numeric value; a Value struct plus its string bytes per mixed one.
+// numeric value, 4 in the float32 form; a Value struct plus its string
+// bytes per mixed one.
 func (v *valueVec) heapBytes() int64 {
+	if v.kind == vecFloat32 {
+		return 4 * int64(len(v.f32))
+	}
 	if v.kind != vecMixed {
 		return 8 * int64(v.len())
 	}
@@ -213,15 +269,15 @@ type timeVec struct {
 }
 
 // compactTimes returns the regular form of t when it has at least two
-// points and every delta is the same positive step, else t as it is.
+// points and every delta is the same positive step, else a copy of t.
 func compactTimes(t []int64) timeVec {
 	if len(t) < 2 || t[1]-t[0] <= 0 {
-		return timeVec{t: t}
+		return timeVec{t: slices.Clone(t)}
 	}
 	step := t[1] - t[0]
 	for i := 1; i < len(t); i++ {
 		if t[i] <= t[i-1] || t[i]-t[i-1] != step {
-			return timeVec{t: t}
+			return timeVec{t: slices.Clone(t)}
 		}
 	}
 	return timeVec{t0: t[0], step: step, n: len(t)}

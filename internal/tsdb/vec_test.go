@@ -479,3 +479,195 @@ func TestResidentCorruptBlockFailsQuery(t *testing.T) {
 		t.Fatalf("query over a corrupt resident block: res = %+v, err = %v; want errBlockCorrupt", res, err)
 	}
 }
+
+// sameValue reports whether two values are identical, floats bit for
+// bit (so a NaN matches only the same NaN, and −0 only −0).
+func sameValue(a, b Value) bool {
+	if a.Kind == KindFloat && b.Kind == KindFloat {
+		return math.Float64bits(a.F) == math.Float64bits(b.F)
+	}
+	return a == b
+}
+
+// sameResultBits reports the first difference between two results,
+// comparing series, tags, times and values bit for bit.
+func sameResultBits(a, b *Result) error {
+	if len(a.Series) != len(b.Series) {
+		return fmt.Errorf("%d series vs %d", len(a.Series), len(b.Series))
+	}
+	for i := range a.Series {
+		as, bs := &a.Series[i], &b.Series[i]
+		if seriesKey("", as.Tags) != seriesKey("", bs.Tags) {
+			return fmt.Errorf("series %d: tags %v vs %v", i, as.Tags, bs.Tags)
+		}
+		ar, br := as.Rows(), bs.Rows()
+		if len(ar) != len(br) {
+			return fmt.Errorf("series %d: %d rows vs %d", i, len(ar), len(br))
+		}
+		for j := range ar {
+			if ar[j].Time != br[j].Time || !reflect.DeepEqual(ar[j].Present, br[j].Present) {
+				return fmt.Errorf("series %d row %d: %+v vs %+v", i, j, ar[j], br[j])
+			}
+			for f := range ar[j].Values {
+				if !sameValue(ar[j].Values[f], br[j].Values[f]) {
+					return fmt.Errorf("series %d row %d field %d: %v vs %v", i, j, f, ar[j].Values[f], br[j].Values[f])
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// TestBlockFloat32Exactness pins which floats the cache may keep as
+// float32s: exactly those that come back bit for bit, one value at a
+// time and all-or-nothing for a vector.
+func TestBlockFloat32Exactness(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		x     float64
+		exact bool
+	}{
+		{"whole", 42, true},
+		{"half", -7.5, true},
+		{"2^24", 1 << 24, true},
+		{"2^24+1", 1<<24 + 1, false},
+		{"0.1", 0.1, false},
+		{"12.09 V", 12.09, false},
+		{"+0", 0, true},
+		{"-0", math.Copysign(0, -1), true},
+		{"+Inf", math.Inf(1), true},
+		{"-Inf", math.Inf(-1), true},
+		{"max float32", math.MaxFloat32, true},
+		{"past float32", 1e39, false},
+		{"quiet NaN, empty payload", math.Float64frombits(0x7ff8000000000000), true},
+		{"NaN, low payload bit", math.NaN(), false},
+		{"float32 subnormal", math.SmallestNonzeroFloat32, true},
+		{"float64 subnormal", math.SmallestNonzeroFloat64, false},
+	} {
+		v := compactFloats(valueVec{kind: vecFloat, f: []float64{c.x}}, true)
+		if (v.kind == vecFloat32) != c.exact {
+			t.Errorf("%s: kind %d, want float32 %t", c.name, v.kind, c.exact)
+		}
+		if got := v.at(0); got.Kind != KindFloat || math.Float64bits(got.F) != math.Float64bits(c.x) {
+			t.Errorf("%s: reads back %v (%#x), want %#x", c.name, got, math.Float64bits(got.F), math.Float64bits(c.x))
+		}
+		if h := v.heapBytes(); (h == 4) != c.exact || (h == 8) == c.exact {
+			t.Errorf("%s: charged %d B", c.name, h)
+		}
+		mixed := compactFloats(valueVec{kind: vecFloat, f: []float64{1, c.x, 2}}, true)
+		if (mixed.kind == vecFloat32) != c.exact {
+			t.Errorf("%s among exact values: kind %d, want float32 %t", c.name, mixed.kind, c.exact)
+		}
+	}
+	// The float32 form never leaks into what is built from it.
+	v := compactFloats(valueVec{kind: vecFloat, f: []float64{1, 2, 3}}, true)
+	var app valueVec
+	app.appendVec(v)
+	built := []valueVec{makeVec(v.kind, 1), app, v.pick([]int{2, -1}), v.narrowed()}
+	w := v
+	w.append(Float(4))
+	built = append(built, w)
+	for i, b := range built {
+		if b.kind != vecFloat || b.f32 != nil {
+			t.Errorf("vector %d built from the float32 form has kind %d", i, b.kind)
+		}
+	}
+}
+
+// TestBlockFloat32CacheMatchesPlainDecode: every aggregate and the raw
+// scan answer bit for bit the same whether sealed blocks are read from
+// the decode cache, which keeps a block whose floats are all
+// float32-exact as float32s, or decoded afresh with no cache. Blocks
+// mix exact values with inexact ones (0.1, 2^24+1), NaNs, ±0, ±Inf and
+// subnormals, at regular and drifting times.
+func TestBlockFloat32CacheMatchesPlainDecode(t *testing.T) {
+	exact := []float64{0, math.Copysign(0, -1), 1, -7.5, 1 << 24, 1e30, math.Inf(1), math.Inf(-1),
+		math.Float64frombits(0x7ff8000000000000), math.SmallestNonzeroFloat32, math.MaxFloat32}
+	inexact := []float64{0.1, 1<<24 + 1, math.NaN(), math.SmallestNonzeroFloat64, 12.09}
+	aggs := []string{"count", "sum", "mean", "min", "max", "spread", "first", "last", "median", "stddev"}
+	const bs, perNode = 16, 200
+	forms := map[vecKind]int{}
+	for trial := 0; trial < 12; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		var pts []Point
+		for n := 0; n < 3; n++ {
+			jitter := rng.Intn(2) == 0
+			blockExact := true
+			for i := 0; i < perNode; i++ {
+				if i%bs == 0 {
+					blockExact = rng.Intn(2) == 0
+				}
+				x := float64(float32(rng.NormFloat64() * 100))
+				switch r := rng.Intn(8); {
+				case r == 0:
+					x = exact[rng.Intn(len(exact))]
+				case r == 1 && !blockExact:
+					x = inexact[rng.Intn(len(inexact))]
+				}
+				ts := int64(60 * i)
+				if jitter {
+					ts += int64(rng.Intn(30))
+				}
+				pts = append(pts, Point{Measurement: "Power", Tags: Tags{{"NodeId", fmt.Sprintf("n%d", n)}},
+					Fields: map[string]Value{"Reading": Float(x)}, Time: ts})
+			}
+		}
+		on, off := Open(Options{BlockSize: bs}), Open(Options{BlockSize: bs})
+		off.cache = nil
+		for _, db := range []*DB{on, off} {
+			if err := db.WritePoints(pts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var stmts []string
+		for _, agg := range aggs {
+			stmts = append(stmts,
+				fmt.Sprintf(`SELECT %s("Reading") FROM "Power" GROUP BY "NodeId"`, agg),
+				fmt.Sprintf(`SELECT %s("Reading") FROM "Power" WHERE time >= 300 AND time < 11000 GROUP BY time(7m), "NodeId"`, agg))
+		}
+		stmts = append(stmts, `SELECT "Reading" FROM "Power" WHERE time >= 300 AND time < 11000 GROUP BY "NodeId"`)
+		for _, stmt := range stmts {
+			want, err := off.Query(stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pass := range []string{"decoding", "cached"} {
+				got, err := on.Query(stmt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sameResultBits(got, want); err != nil {
+					t.Fatalf("trial %d, %s, %s: cache on vs off: %v", trial, stmt, pass, err)
+				}
+			}
+		}
+		// The form is all-or-nothing per block: float32 exactly when
+		// every value of the block comes back bit for bit.
+		for _, sh := range on.view.Load().shards {
+			for _, sr := range sh.series {
+				for _, blk := range sr.field("Reading").blocks {
+					p := blk.cache.Load()
+					if p == nil {
+						t.Fatalf("trial %d: block [%d, %d] not cached", trial, blk.minT, blk.maxT)
+					}
+					_, plain, err := decodeBlockData(blk.data, new(decodeBuf))
+					if err != nil {
+						t.Fatal(err)
+					}
+					allExact := true
+					for _, x := range plain.f {
+						allExact = allExact && math.Float64bits(float64(float32(x))) == math.Float64bits(x)
+					}
+					if (p.vals.kind == vecFloat32) != allExact {
+						t.Fatalf("trial %d: block [%d, %d] cached as kind %d, all float32-exact %t",
+							trial, blk.minT, blk.maxT, p.vals.kind, allExact)
+					}
+					forms[p.vals.kind]++
+				}
+			}
+		}
+	}
+	if forms[vecFloat32] == 0 || forms[vecFloat] == 0 {
+		t.Fatalf("cached forms %v: the trials must produce both", forms)
+	}
+}
