@@ -161,8 +161,10 @@ smoke:
 
 # compression re-runs the sealed-block suite on its own under the race
 # detector: encode/decode round trips, seal thresholds and tail sizes,
-# the regular time form against explicit times and the reference model
-# and its decode-cache charge, the float32 value form (which floats it
+# the prefix/suffix time form against explicit times and the reference
+# model (edge times, the append path, seals across the prefix/suffix
+# seam, range clears, snapshot and WAL round trips: TestTimeVec*) and
+# its decode-cache charge, the float32 value form (which floats it
 # keeps, every aggregate bit for bit with the cache on and off, and the
 # fuzz seeds' cached-against-plain decode), header pruning, iterator order,
 # out-of-order unseal and the range clears that unseal too, the write

@@ -49,7 +49,7 @@ func main() {
 		fsyncInterval = flag.Duration("fsync-interval", time.Second, "fsync cadence under -fsync interval (bounds power-loss exposure)")
 		snapInterval  = flag.Duration("snapshot-interval", 5*time.Minute, "background checkpoint (snapshot + WAL truncation) cadence when -wal-dir is set")
 
-		decodeCacheMB = flag.Int64("decode-cache-mb", 0, "sealed-block decode cache budget in MiB, charged 8 B per decoded numeric point of a fixed-cadence block, 16 B of an irregular one, 4 B less when every float of the block is float32-exact (0 = default 64: about 16.8M points at an exact cadence with float32-exact values such as whole-number fan RPM, 8.4M at an exact cadence with readings in tenths such as the simulated temperatures and power, 4.2M when times drift, as arrival-stamped scrape and push samples do)")
+		decodeCacheMB = flag.Int64("decode-cache-mb", 0, "sealed-block decode cache budget in MiB, charged 8 B per decoded numeric point while the block's times keep one fixed cadence, 16 B after they leave it, 4 B less when every float of the block is float32-exact (0 = default 64: about 16.8M points at an exact cadence with float32-exact values such as whole-number fan RPM, 8.4M at an exact cadence with readings in tenths such as the simulated temperatures and power, 4.2M when times drift from a block's start, as arrival-stamped scrape and push samples can)")
 		coldDir       = flag.String("cold-dir", "", "enable the file-backed cold tier: sealed blocks past -cold-after spill compressed payloads to segment files in this directory")
 		coldAfter     = flag.Duration("cold-after", time.Hour, "age past which sealed blocks spill to -cold-dir")
 		coldMaxMB     = flag.Int64("cold-max-resident-mb", 0, "resident compressed sealed-block budget in MiB: oldest blocks past it spill to -cold-dir regardless of age (0 = age-only)")

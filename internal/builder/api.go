@@ -255,6 +255,7 @@ func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
 		BlocksCold      int64         `json:"blocks_cold"`
 		SealedPoints    int64         `json:"sealed_points"`
 		TailPoints      int64         `json:"tail_points"`
+		TailExplicit    int64         `json:"tail_explicit_points"`
 		Shards          int           `json:"shards"`
 		Epoch           int64         `json:"epoch"`
 		Batches         int64         `json:"batches_written"`
@@ -302,6 +303,7 @@ func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
 		BlocksCold:      comp.BlocksCold,
 		SealedPoints:    comp.SealedPoints,
 		TailPoints:      comp.TailPoints,
+		TailExplicit:    comp.TailExplicitPoints,
 		Shards:          disk.Shards,
 		Epoch:           db.Epoch(),
 		Batches:         dbStats.BatchesWritten,

@@ -418,11 +418,13 @@ func TestAPIStatsStorageSections(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One point past the data closes every 5 m bucket the fixture wrote.
+	// It lands 90 s after the last one, off the minute cadence, so the
+	// raw tail keeps its time explicitly.
 	if err := db.WritePoint(tsdb.Point{
 		Measurement: "Power",
 		Tags:        tsdb.Tags{{Key: "NodeId", Value: "n0"}, {Key: "Label", Value: "NodePower"}},
 		Fields:      map[string]tsdb.Value{"Reading": tsdb.Float(100)},
-		Time:        3600,
+		Time:        3630,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -450,9 +452,13 @@ func TestAPIStatsStorageSections(t *testing.T) {
 	}
 	nonZero("", body,
 		"points", "points_written", "batches_written", "series_created", "measurement_count", "shards",
-		"blocks_sealed", "blocks_live", "blocks_cold", "sealed_points", "tail_points",
+		"blocks_sealed", "blocks_live", "blocks_cold", "sealed_points", "tail_points", "tail_explicit_points",
 		"storage_bytes_raw", "storage_bytes_compressed", "compression_ratio",
 		"wal_segments", "wal_bytes", "wal_appends", "wal_rotations", "wal_checkpoints")
+	// Only the off-cadence point: the tier's rows sit on its 5 m grid.
+	if got := string(body["tail_explicit_points"]); got != "1" {
+		t.Errorf("tail_explicit_points = %s, want 1", got)
+	}
 	var cold map[string]json.RawMessage
 	if err := json.Unmarshal(body["storage_cold"], &cold); err != nil {
 		t.Fatalf("storage_cold = %s: %v", body["storage_cold"], err)

@@ -115,9 +115,10 @@ type blockPayload struct {
 }
 
 // bytes is what the payload keeps, the decode cache's charge: only
-// stored times count, so a numeric point costs 8 B in a regular block
-// and 16 B in an irregular one, 4 B less when its float values are kept
-// as float32s; a mixed value costs a Value cell plus its string bytes.
+// stored times count, so a numeric point costs 8 B in the block's
+// regular prefix and 16 B after it, 4 B less when its float values are
+// kept as float32s; a mixed value costs a Value cell plus its string
+// bytes.
 func (p *blockPayload) bytes() int64 {
 	return 8*int64(len(p.times.t)) + p.vals.heapBytes()
 }
@@ -156,9 +157,9 @@ func (b *block) compressedLen() int {
 // sealBlock compresses one sorted run of samples into an immutable
 // block. times must be non-empty and sorted ascending; the slices are
 // only read.
-func sealBlock(times []int64, vals valueVec) *block {
-	n := len(times)
-	b := &block{minT: times[0], maxT: times[n-1], count: n}
+func sealBlock(times timeVec, vals valueVec) *block {
+	n := times.len()
+	b := &block{minT: times.at(0), maxT: times.at(n - 1), count: n}
 	b.rawBytes = 8*int64(n) + vals.encodedSize()
 	b.data = appendBlockData(make([]byte, 0, n/4+16), times, vals)
 	return b
@@ -167,8 +168,8 @@ func sealBlock(times []int64, vals valueVec) *block {
 // appendBlockData appends the block payload of one non-empty, sorted
 // run to buf: the one encoder behind sealed blocks and the snapshot's
 // raw tails, inverted by decodeBlockData.
-func appendBlockData(buf []byte, times []int64, vals valueVec) []byte {
-	n := len(times)
+func appendBlockData(buf []byte, times timeVec, vals valueVec) []byte {
+	n := times.len()
 	vals = vals.narrowed()
 	venc := vencMixed
 	switch vals.kind {
@@ -182,12 +183,12 @@ func appendBlockData(buf []byte, times []int64, vals valueVec) []byte {
 	buf = append(buf, venc)
 
 	// Timestamps: t0, first delta, then delta-of-deltas.
-	buf = binary.AppendVarint(buf, times[0])
+	buf = binary.AppendVarint(buf, times.at(0))
 	if n > 1 {
-		prevDelta := times[1] - times[0]
+		prevDelta := times.at(1) - times.at(0)
 		buf = binary.AppendVarint(buf, prevDelta)
 		for i := 2; i < n; i++ {
-			d := times[i] - times[i-1]
+			d := times.at(i) - times.at(i-1)
 			buf = binary.AppendVarint(buf, d-prevDelta)
 			prevDelta = d
 		}
@@ -578,7 +579,7 @@ func (it *columnIterator) next(st *execState) (colChunk, bool) {
 		it.tailDone = true
 		lo, hi := it.col.rangeIndexes(it.start, it.end)
 		if lo < hi {
-			return colChunk{times: timeVec{t: it.col.times[lo:hi]}, vals: it.col.vals.slice(lo, hi)}, true
+			return colChunk{times: it.col.times.slice(lo, hi), vals: it.col.vals.slice(lo, hi)}, true
 		}
 	}
 	return colChunk{}, false

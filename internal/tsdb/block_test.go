@@ -80,7 +80,7 @@ func TestBlockRoundTripProperty(t *testing.T) {
 		for trial := 0; trial < 25; trial++ {
 			n := 1 + rng.Intn(300)
 			times, vals := genColumn(rng, style, n)
-			blk := sealBlock(times, vecOf(vals))
+			blk := sealBlock(timeVec{t: times}, vecOf(vals))
 			if blk.minT != times[0] || blk.maxT != times[n-1] || blk.count != n {
 				t.Fatalf("%s: bad header %+v for %d points [%d,%d]", style, blk, n, times[0], times[n-1])
 			}
@@ -103,7 +103,7 @@ func TestBlockRoundTripProperty(t *testing.T) {
 
 func TestBlockDecodeRejectsCorrupt(t *testing.T) {
 	times, vals := genColumn(rand.New(rand.NewSource(7)), "float-smooth", 64)
-	blk := sealBlock(times, vecOf(vals))
+	blk := sealBlock(timeVec{t: times}, vecOf(vals))
 	// Truncations at every length must error, never panic.
 	for cut := 0; cut < len(blk.data); cut++ {
 		if _, _, err := decodeBlockData(blk.data[:cut], new(decodeBuf)); err == nil {
@@ -166,8 +166,9 @@ func TestSealThresholdAndTail(t *testing.T) {
 
 // TestSealTailSizedToData: the tail a seal leaves behind holds only
 // its own points. A day of minutely samples seals one 1,024-point block
-// and keeps 416 raw; arrays with room for a whole block would pin 608
-// dead slots per column until the next seal.
+// and keeps 416 raw, their times as the regular prefix alone; arrays
+// with room for a whole block would pin 608 dead slots per column
+// until the next seal.
 func TestSealTailSizedToData(t *testing.T) {
 	db := Open(Options{BlockSize: 1024})
 	pts := make([]Point, 1440)
@@ -180,11 +181,11 @@ func TestSealTailSizedToData(t *testing.T) {
 	for _, sh := range db.view.Load().shards {
 		for _, sr := range sh.series {
 			col := sr.field("Reading")
-			if len(col.blocks) != 1 || len(col.times) != 416 || col.vals.len() != 416 {
-				t.Fatalf("want 1 block and a 416-point tail, got %d blocks and %d points", len(col.blocks), len(col.times))
+			if len(col.blocks) != 1 || col.times.len() != 416 || col.vals.len() != 416 {
+				t.Fatalf("want 1 block and a 416-point tail, got %d blocks and %d points", len(col.blocks), col.times.len())
 			}
-			if cap(col.times) != 416 || cap(col.vals.f) != 416 {
-				t.Fatalf("tail capacity: times %d, values %d, want 416 each", cap(col.times), cap(col.vals.f))
+			if col.times.n != 416 || cap(col.times.t) != 0 || cap(col.vals.f) != 416 {
+				t.Fatalf("tail: %d regular times, suffix capacity %d, value capacity %d; want 416, 0, 416", col.times.n, cap(col.times.t), cap(col.vals.f))
 			}
 		}
 	}
@@ -338,9 +339,9 @@ func TestColumnIteratorWalksBlocksThenTail(t *testing.T) {
 			times = append(times, int64(b*40+i*10))
 			vals = append(vals, Float(float64(b*4+i)))
 		}
-		col.blocks = append(col.blocks, sealBlock(times, vecOf(vals)))
+		col.blocks = append(col.blocks, sealBlock(timeVec{t: times}, vecOf(vals)))
 	}
-	col.times = []int64{120, 130}
+	col.times = compactTimes([]int64{120, 130})
 	col.vals = vecOf([]Value{Float(12), Float(13)})
 
 	var st execState
@@ -521,16 +522,23 @@ func TestOpenClampsBlockSize(t *testing.T) {
 }
 
 // TestRangeIndexesSuffixSearch pins the rangeIndexes micro-fix: the
-// upper bound must match the naive full-column search on every window.
+// upper bound must match the naive full-column search on every window,
+// over a tail whose regular prefix gives way to duplicate times.
 func TestRangeIndexesSuffixSearch(t *testing.T) {
 	c := &column{}
+	var times []int64
 	for i := 0; i < 200; i++ {
-		c.times = append(c.times, int64(i/3*10)) // runs of duplicates
+		ts := int64(5 * i) // a regular prefix, then runs of duplicates
+		if i >= 60 {
+			ts = int64(300 + (i-60)/3*10)
+		}
 		c.vals.append(Float(0))
+		c.times.append(ts, c.vals.cap())
+		times = append(times, ts)
 	}
 	naive := func(start, end int64) (int, int) {
 		lo, hi := 0, 0
-		for _, ts := range c.times {
+		for _, ts := range times {
 			if ts < start {
 				lo++
 			}
@@ -542,7 +550,10 @@ func TestRangeIndexesSuffixSearch(t *testing.T) {
 		}
 		return lo, hi
 	}
-	for start := int64(-10); start < 700; start += 7 {
+	if c.times.n != 61 {
+		t.Fatalf("regular prefix of %d times, want 61", c.times.n)
+	}
+	for start := int64(-10); start < 800; start += 7 {
 		for _, span := range []int64{0, 5, 10, 33, 1000} {
 			end := start + span
 			glo, ghi := c.rangeIndexes(start, end)

@@ -25,11 +25,12 @@ import (
 // exact fixed cadence whose floats are all float32-exact (whole numbers
 // such as fan RPM), ~8.4M at that cadence otherwise (tenths, such as the
 // simulated BMCs' temperatures and power), or ~4.2M of inexact blocks
-// whose times drift (stamped on arrival by the scrape and push receivers).
-// Each payload is charged what it keeps (blockPayload.bytes: 8 B per
-// numeric point of a regular block, 16 B of an irregular one, 4 B less
-// when its floats are kept as float32s, a Value cell plus string bytes
-// per mixed value); slice headers and allocator slack are not counted.
+// whose times drift from their start (stamped on arrival by the scrape
+// and push receivers). Each payload is charged what it keeps
+// (blockPayload.bytes: 8 B per numeric point in the block's regular
+// time prefix, 16 B after it, 4 B less when its floats are kept as
+// float32s, a Value cell plus string bytes per mixed value); slice
+// headers and allocator slack are not counted.
 // The budget is a working-set bound, not an allocator audit.
 const defaultDecodeCacheBytes = 64 << 20
 

@@ -100,7 +100,7 @@ func TestExecCancelStopsScan(t *testing.T) {
 func TestColumnIteratorCancelStopsBeforeDecode(t *testing.T) {
 	col := &column{}
 	for b := 0; b < 3; b++ {
-		col.blocks = append(col.blocks, sealBlock([]int64{int64(b * 10), int64(b*10 + 5)}, vecOf([]Value{Float(1), Float(2)})))
+		col.blocks = append(col.blocks, sealBlock(timeVec{t: []int64{int64(b * 10), int64(b*10 + 5)}}, vecOf([]Value{Float(1), Float(2)})))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	st := execState{ctx: ctx, done: ctx.Done()}

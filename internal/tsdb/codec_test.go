@@ -281,7 +281,7 @@ func TestGoldenBytes(t *testing.T) {
 	}
 
 	ct := newColdTier(t.TempDir(), 0)
-	blk := sealBlock([]int64{0, 60, 120, 180}, vecOf([]Value{Float(200), Float(201), Float(200.5), Float(200.5)}))
+	blk := sealBlock(timeVec{t: []int64{0, 60, 120, 180}}, vecOf([]Value{Float(200), Float(201), Float(200.5), Float(200.5)}))
 	ref, err := ct.appendPayload(86400, blk.data, false)
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +303,7 @@ func TestGoldenBytes(t *testing.T) {
 		t.Errorf("cold frame read back %x, err %v", got, err)
 	}
 
-	mixed := sealBlock([]int64{10, 20, 30}, vecOf([]Value{Str("OK"), Bool(true), Float(7)}))
+	mixed := sealBlock(timeVec{t: []int64{10, 20, 30}}, vecOf([]Value{Str("OK"), Bool(true), Float(7)}))
 	if got := hex.EncodeToString(mixed.data); got != goldenMixedBlock {
 		t.Errorf("mixed block changed:\n got %s\nwant %s", got, goldenMixedBlock)
 	}
@@ -513,14 +513,14 @@ func FuzzSnapshotRestore(f *testing.F) {
 	if err := one.Snapshot(&oneTail); err != nil {
 		f.Fatal(err)
 	}
-	tail := appendBlockData(nil, []int64{240}, vecOf([]Value{Float(4)}))
+	tail := appendBlockData(nil, timeVec{t: []int64{240}}, vecOf([]Value{Float(4)}))
 	if _, err := RestoreOptions(bytes.NewReader(withTail(f, oneTail.Bytes(), tail, tail)), Options{}); err != nil {
 		f.Fatalf("one-point tail: %v", err)
 	}
 	f.Add(oneTail.Bytes())
 	for _, bad := range [][]byte{
-		appendBlockData(nil, []int64{120}, vecOf([]Value{Float(4)})),
-		appendBlockData(nil, []int64{300, 240}, vecOf([]Value{Float(4), Float(5)})),
+		appendBlockData(nil, timeVec{t: []int64{120}}, vecOf([]Value{Float(4)})),
+		appendBlockData(nil, timeVec{t: []int64{300, 240}}, vecOf([]Value{Float(4), Float(5)})),
 		append([]byte{3}, tail[1:]...),
 		append(binary.AppendUvarint(nil, 1<<20), tail[1:]...),
 	} {

@@ -34,7 +34,7 @@ func BenchmarkBlockEncode(b *testing.B) {
 	b.ResetTimer()
 	var bytesOut int64
 	for i := 0; i < b.N; i++ {
-		blk := sealBlock(times, vals)
+		blk := sealBlock(timeVec{t: times}, vals)
 		bytesOut += int64(len(blk.data))
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*DefaultBlockSize), "ns/point")
@@ -45,7 +45,7 @@ func BenchmarkBlockEncode(b *testing.B) {
 // deliberately bypassed — a cached decode is a pointer load).
 func BenchmarkBlockDecode(b *testing.B) {
 	times, vals := benchColumn(DefaultBlockSize)
-	blk := sealBlock(times, vals)
+	blk := sealBlock(timeVec{t: times}, vals)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -133,7 +133,7 @@ func TestBenchJSON(t *testing.T) {
 	}
 
 	times, vals := benchColumn(DefaultBlockSize)
-	blk := sealBlock(times, vals)
+	blk := sealBlock(timeVec{t: times}, vals)
 	bytesPerPoint := float64(len(blk.data)+blockHeaderBytes) / float64(blk.count)
 	rawBytesPerPoint := float64(blk.rawBytes) / float64(blk.count)
 

@@ -304,14 +304,15 @@ func (db *DB) Disk() DiskStats {
 // representation actually occupies — block payloads plus headers plus
 // the raw hot tail.
 type CompressionStats struct {
-	BlocksSealed    int64 // cumulative seals since open (DBStats counter)
-	Blocks          int64 // sealed blocks currently live
-	BlocksCached    int64 // live blocks holding a decoded payload cache
-	BlocksCold      int64 // live blocks whose compressed payload lives on disk
-	SealedPoints    int64 // samples inside sealed blocks
-	TailPoints      int64 // samples in raw hot tails
-	BytesRaw        int64
-	BytesCompressed int64
+	BlocksSealed       int64 // cumulative seals since open (DBStats counter)
+	Blocks             int64 // sealed blocks currently live
+	BlocksCached       int64 // live blocks holding a decoded payload cache
+	BlocksCold         int64 // live blocks whose compressed payload lives on disk
+	SealedPoints       int64 // samples inside sealed blocks
+	TailPoints         int64 // samples in raw hot tails
+	TailExplicitPoints int64 // tail samples whose time is kept after the regular prefix (see timeVec)
+	BytesRaw           int64
+	BytesCompressed    int64
 }
 
 // Ratio is the raw-to-compressed volume quotient (1 when nothing is
@@ -348,9 +349,10 @@ func (db *DB) Compression() CompressionStats {
 						cs.BlocksCached++
 					}
 				}
-				n := int64(len(col.times))
+				n := int64(col.times.len())
 				sz := 8*n + col.vals.encodedSize()
 				cs.TailPoints += n
+				cs.TailExplicitPoints += int64(len(col.times.t))
 				cs.BytesRaw += sz
 				cs.BytesCompressed += sz
 			}

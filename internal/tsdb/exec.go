@@ -711,12 +711,14 @@ func (st *execState) collectChunksInto(chunks []colChunk, keys []string, field s
 // time — stable, so equal timestamps keep their scan order.
 func mergeChunks(chunks []colChunk) colChunk {
 	var col column
+	var ts []int64
 	for i := range chunks {
-		col.times = chunks[i].times.appendTo(col.times)
+		ts = chunks[i].times.appendTo(ts)
 		col.vals.appendVec(chunks[i].vals)
 	}
+	col.times.t = ts
 	col.sortByTime()
-	return colChunk{times: timeVec{t: col.times}, vals: col.vals}
+	return colChunk{times: col.times, vals: col.vals}
 }
 
 // scanField copies, in time order, every sample of one series' field

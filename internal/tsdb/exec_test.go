@@ -556,23 +556,32 @@ func TestOrderByTimeDescWithLimit(t *testing.T) {
 }
 
 // BenchmarkRangeIndexes guards the rangeIndexes fix: the upper-bound
-// search runs only over the suffix the lower bound admitted, so a
-// narrow window late in a long column costs two short binary searches,
-// not one short and one full-length.
+// search runs only over the times the lower bound admitted, so a
+// narrow window late in a long explicit column costs two short binary
+// searches, not one short and one full-length. A regular tail answers
+// both bounds by arithmetic.
 func BenchmarkRangeIndexes(b *testing.B) {
-	c := &column{}
 	const n = 1 << 20
-	for i := 0; i < n; i++ {
-		c.times = append(c.times, int64(i*60))
+	ts := make([]int64, n)
+	for i := range ts {
+		ts[i] = int64(i * 60)
 	}
-	// The worst pre-fix case: a tiny window at the very end of the
-	// column, where the second search's haystack shrinks from n to ~10.
-	start, end := c.times[n-10], c.times[n-1]+1
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lo, hi := c.rangeIndexes(start, end)
-		if hi-lo != 10 {
-			b.Fatalf("window = [%d,%d)", lo, hi)
-		}
+	for _, c := range []struct {
+		name  string
+		times timeVec
+	}{{"explicit", timeVec{t: ts}}, {"regular", compactTimes(ts)}} {
+		b.Run(c.name, func(b *testing.B) {
+			col := &column{times: c.times}
+			// The worst pre-fix case: a tiny window at the very end of
+			// the column, where the second search's haystack shrinks
+			// from n to ~10.
+			start, end := ts[n-10], ts[n-1]+1
+			for i := 0; i < b.N; i++ {
+				lo, hi := col.rangeIndexes(start, end)
+				if hi-lo != 10 {
+					b.Fatalf("window = [%d,%d)", lo, hi)
+				}
+			}
+		})
 	}
 }

@@ -91,14 +91,14 @@ func FuzzParseQuery(f *testing.F) {
 // decodes back to the same column (round-trip stability).
 func FuzzBlockDecode(f *testing.F) {
 	seed := func(times []int64, vals []Value) {
-		f.Add(sealBlock(times, vecOf(vals)).data)
+		f.Add(sealBlock(timeVec{t: times}, vecOf(vals)).data)
 	}
 	seed([]int64{60}, []Value{Float(314)})
 	seed([]int64{0, 60, 120, 180}, []Value{Float(200), Float(201), Float(200.5), Float(200.5)})
 	seed([]int64{-120, -120, 0, 1 << 40}, []Value{Int(-5), Int(9000), Int(0), Int(1)})
 	seed([]int64{10, 20, 30}, []Value{Str("OK"), Bool(true), Float(7)})
 	seed([]int64{0, 60, 120}, []Value{Float(math.Copysign(0, -1)), Float(math.Inf(1)), Float(1<<24 + 1)})
-	trunc := sealBlock([]int64{0, 60, 120}, vecOf([]Value{Float(1), Float(2), Float(3)})).data
+	trunc := sealBlock(timeVec{t: []int64{0, 60, 120}}, vecOf([]Value{Float(1), Float(2), Float(3)})).data
 	f.Add(trunc[:len(trunc)/2])              // torn payload
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1}) // absurd count
 	f.Add([]byte{})
@@ -134,7 +134,7 @@ func FuzzBlockDecode(f *testing.F) {
 		}
 		// Re-seal and decode again: the encoder must be able to carry
 		// anything the decoder accepts.
-		t2, v2, err := decodeBlockData(sealBlock(times, vals).data, new(decodeBuf))
+		t2, v2, err := decodeBlockData(sealBlock(timeVec{t: times}, vals).data, new(decodeBuf))
 		if err != nil {
 			t.Fatalf("re-encoded block failed to decode: %v", err)
 		}

@@ -9,7 +9,8 @@ import (
 )
 
 // column stores one field of one series as sealed compressed blocks
-// plus a raw hot tail of parallel times and values (a typed vector, see
+// plus a raw hot tail of parallel times and values (a timeVec, whose
+// on-cadence times cost nothing per point, and a typed vector; see
 // vec.go). Writes append to the tail; when it reaches the seal
 // threshold the write batch compresses full runs into immutable blocks
 // (see batch.finish in view.go and sealBlock in block.go). Published
@@ -19,7 +20,7 @@ import (
 // mid-sort column.
 type column struct {
 	blocks []*block // sealed, immutable, time-ordered
-	times  []int64  // raw tail
+	times  timeVec  // raw tail
 	vals   valueVec
 	stamp  uint64 // the batch that made this copy (see batch in view.go)
 }
@@ -27,7 +28,7 @@ type column struct {
 // numPoints is the column's total sample count across sealed blocks
 // and the raw tail.
 func (c *column) numPoints() int {
-	n := len(c.times)
+	n := c.times.len()
 	for _, b := range c.blocks {
 		n += b.count
 	}
@@ -37,8 +38,8 @@ func (c *column) numPoints() int {
 // lastTime reports the column's newest timestamp (tail if non-empty,
 // else the last sealed block), with ok=false for an empty column.
 func (c *column) lastTime() (int64, bool) {
-	if n := len(c.times); n > 0 {
-		return c.times[n-1], true
+	if n := c.times.len(); n > 0 {
+		return c.times.at(n - 1), true
 	}
 	if n := len(c.blocks); n > 0 {
 		return c.blocks[n-1].maxT, true
@@ -51,8 +52,8 @@ func (c *column) firstTime() (int64, bool) {
 	if len(c.blocks) > 0 {
 		return c.blocks[0].minT, true
 	}
-	if len(c.times) > 0 {
-		return c.times[0], true
+	if c.times.len() > 0 {
+		return c.times.at(0), true
 	}
 	return 0, false
 }
@@ -63,28 +64,28 @@ func (c *column) firstTime() (int64, bool) {
 // and the tail must be sorted. The surviving tail is rebuilt into
 // fresh arrays sized to what it holds, so the sealed run's raw backing
 // can be collected once older views retire and no spare room stays
-// pinned (later writes grow it by append); appending to c.blocks may
-// extend capacity shared with a published view, which is safe under
-// the linear-history invariant (older views never index past their own
-// length).
+// pinned (later writes grow it by append); its times are recompacted,
+// since a cut inside the prefix or the suffix leaves a form
+// compactTimes would not. Appending to c.blocks may extend capacity
+// shared with a published view, which is safe under the linear-history
+// invariant (older views never index past their own length).
 func (c *column) seal(bs int) int {
-	if len(c.times) < bs {
+	total := c.times.len()
+	if total < bs {
 		return 0
 	}
 	n := 0
-	for len(c.times)-n*bs >= bs {
+	for total-n*bs >= bs {
 		lo := n * bs
-		c.blocks = append(c.blocks, sealBlock(c.times[lo:lo+bs], c.vals.slice(lo, lo+bs)))
+		c.blocks = append(c.blocks, sealBlock(c.times.slice(lo, lo+bs), c.vals.slice(lo, lo+bs)))
 		n++
 	}
-	restT := c.times[n*bs:]
-	restV := c.vals.slice(n*bs, len(c.times))
+	restT := c.times.slice(n*bs, total)
+	restV := c.vals.slice(n*bs, total)
 	restV = restV.narrowed() // a kind switch sealed away leaves a typed tail again
-	nt := make([]int64, len(restT))
-	copy(nt, restT)
-	nv := makeVec(restV.kind, len(restT))
+	nv := makeVec(restV.kind, restT.len())
 	nv.appendVec(restV)
-	c.times, c.vals = nt, nv
+	c.times, c.vals = compactTimes(restT.appendTo(nil)), nv
 	return n
 }
 
@@ -114,9 +115,9 @@ func (c *column) unseal() error {
 		nt = p.times.appendTo(nt)
 		nv.appendVec(p.vals)
 	}
-	nt = append(nt, c.times...)
+	nt = c.times.appendTo(nt)
 	nv.appendVec(c.vals)
-	c.times, c.vals, c.blocks = nt, nv, nil
+	c.times, c.vals, c.blocks = compactTimes(nt), nv, nil
 	return nil
 }
 
@@ -126,27 +127,36 @@ func (c *column) unseal() error {
 // cells may sit in capacity shared with a previously published view,
 // and those must never be rewritten in place.
 func (c *column) sortByTime() {
-	idx := make([]int, len(c.times))
+	ts := c.times.t // an all-explicit run, as mergeChunks builds, is read in place
+	if c.times.n > 0 {
+		ts = c.times.appendTo(nil)
+	}
+	idx := make([]int, len(ts))
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return c.times[idx[a]] < c.times[idx[b]] })
-	nt := make([]int64, len(c.times))
-	nv := makeVec(c.vals.kind, len(c.times))
+	sort.SliceStable(idx, func(a, b int) bool { return ts[idx[a]] < ts[idx[b]] })
+	nt := make([]int64, len(ts))
+	nv := makeVec(c.vals.kind, len(ts))
 	for i, j := range idx {
-		nt[i] = c.times[j]
+		nt[i] = ts[j]
 		nv.append(c.vals.at(j))
 	}
-	c.times, c.vals = nt, nv
+	c.times, c.vals = compactTimes(nt), nv
 }
 
 // rangeIndexes returns the half-open index range [lo, hi) of tail
-// samples with start <= time < end. The upper bound searches only the
-// suffix at lo — times is sorted, so nothing before lo can reach end.
+// samples with start <= time < end. When lo falls in the explicit
+// suffix, the upper bound searches only the times from lo on — they are
+// sorted, so nothing before lo can reach end; in the prefix it is
+// arithmetic.
 func (c *column) rangeIndexes(start, end int64) (int, int) {
-	lo := sort.Search(len(c.times), func(i int) bool { return c.times[i] >= start })
-	hi := lo + sort.Search(len(c.times)-lo, func(i int) bool { return c.times[lo+i] >= end })
-	return lo, hi
+	lo := c.times.search(start)
+	if n := int(c.times.n); lo >= n {
+		i, _ := slices.BinarySearch(c.times.t[lo-n:], end)
+		return lo, lo + i
+	}
+	return lo, max(lo, c.times.search(end))
 }
 
 // series is all data for one (measurement, tagset) identity within a

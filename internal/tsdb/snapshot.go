@@ -163,7 +163,7 @@ func appendSeries(rec []byte, sr *series, inlineCold bool) ([]byte, error) {
 		}
 		at := len(rec)
 		rec = le.AppendUint32(rec, 0)
-		if len(col.times) > 0 {
+		if col.times.len() > 0 {
 			rec = appendBlockData(rec, col.times, col.vals)
 			le.PutUint32(rec[at:], uint32(len(rec)-at-4))
 		}
@@ -335,23 +335,25 @@ func decodeSeries(d *decoder, cold *coldTier, ver uint16) (*series, map[string]V
 		if ver == snapshotVersionV4 {
 			// A tail sample is a time, a kind byte and at least one byte.
 			for n := d.count(10); n > 0 && d.err == nil; n-- {
-				col.times = append(col.times, d.i64())
+				col.times.append(d.i64(), 0) // read once, on upgrade: append's own growth
 				col.vals.append(d.value())
 			}
 		} else if data := d.take(int(d.u32())); len(data) > 0 {
-			var err error
-			if col.times, col.vals, err = decodeBlockData(data, new(decodeBuf)); err != nil {
+			ts, vals, err := decodeBlockData(data, new(decodeBuf))
+			if err != nil {
 				d.failf("field %q tail: %w", name, err)
 			}
+			col.times, col.vals = compactTimes(ts), vals
 		}
-		for _, ts := range col.times {
+		for i := range col.times.len() {
+			ts := col.times.at(i)
 			if ts < lastMax {
 				d.failf("field %q tail out of order", name)
 				break
 			}
 			lastMax = ts
 		}
-		if _, ok := first[name]; !ok && len(col.times) > 0 {
+		if _, ok := first[name]; !ok && col.times.len() > 0 {
 			first[name] = col.vals.at(0)
 		}
 		sr.setField(name, col)

@@ -65,6 +65,9 @@ func makeVec(kind vecKind, c int) valueVec {
 	}
 }
 
+// cap is the capacity of the one slice in use (the others are nil).
+func (v *valueVec) cap() int { return cap(v.f) + cap(v.f32) + cap(v.i) + cap(v.m) }
+
 func (v *valueVec) len() int {
 	switch v.kind {
 	case vecFloat:
@@ -257,95 +260,135 @@ func (v *valueVec) heapBytes() int64 {
 	return n
 }
 
-// timeVec is the timestamps of a time-sorted run: the explicit slice t,
-// or, when t is nil, the n regular times t0 + i·step (step > 0). A
-// sealed block at a fixed cadence decodes to the regular form, so its
-// cached payload keeps two numbers instead of 8 bytes per point; raw
-// tails and anything irregular stay explicit.
+// timeVec is the timestamps of a run: a regular prefix t0 + i·step for
+// i < n (step > 0 once n > 1), then the explicit suffix t. A run at a
+// fixed cadence, as every polled series is, costs two numbers instead
+// of 8 bytes per point; an all-explicit run has n == 0. Stored runs —
+// column tails and cached block payloads — are kept in the one
+// canonical form compactTimes returns, so the form depends on the
+// times alone, never on how they came to be written. step and n are 32
+// bits wide (a step up to 68 years of seconds) so that the column a
+// write batch copies per written field stays in a 176-byte allocation.
 type timeVec struct {
-	t        []int64
-	t0, step int64
-	n        int
+	t0      int64
+	step, n int32
+	t       []int64
 }
 
-// compactTimes returns the regular form of t when it has at least two
-// points and every delta is the same positive step, else a copy of t.
+// compactTimes returns t as its longest regular prefix plus a copy of
+// the rest (nil when nothing is left).
 func compactTimes(t []int64) timeVec {
-	if len(t) < 2 || t[1]-t[0] <= 0 {
-		return timeVec{t: slices.Clone(t)}
-	}
-	step := t[1] - t[0]
-	for i := 1; i < len(t); i++ {
-		if t[i] <= t[i-1] || t[i]-t[i-1] != step {
-			return timeVec{t: slices.Clone(t)}
+	var v timeVec
+	for i, x := range t {
+		if !v.extends(x) {
+			v.t = slices.Clone(t[i:])
+			break
 		}
 	}
-	return timeVec{t0: t[0], step: step, n: len(t)}
+	return v
 }
 
-func (v *timeVec) len() int {
-	if v.t != nil {
-		return len(v.t)
+// extends adds x to the regular prefix of a vector with no suffix when
+// it continues it — the first time, a later second one, or the next
+// time on the step — and reports whether it did. A step wider than 32
+// bits or a next time past MaxInt64 never matches.
+func (v *timeVec) extends(x int64) bool {
+	switch {
+	case v.n == 0:
+		v.t0 = x
+	case v.n == math.MaxInt32:
+		return false
+	case v.n == 1:
+		// Once x > t0, the distance is exact as a uint64.
+		if x <= v.t0 || uint64(x)-uint64(v.t0) > math.MaxInt32 {
+			return false
+		}
+		v.step = int32(x - v.t0)
+	default:
+		if last := v.at(int(v.n) - 1); x <= last || x-last != int64(v.step) {
+			return false
+		}
 	}
-	return v.n
+	v.n++
+	return true
 }
+
+// append adds one time in the write path's order, so an append-built
+// vector is compactTimes of its times. The first time off the prefix
+// starts the suffix in a fresh array (a stored vector's empty suffix
+// is nil); later ones append to it in spare capacity beyond every
+// published length (the column COW rule, see view.go); a full suffix
+// grows to end with c, its values' capacity, so both reallocate together.
+func (v *timeVec) append(x int64, c int) {
+	if len(v.t) > 0 || !v.extends(x) {
+		if k := c - int(v.n); len(v.t) == cap(v.t) && k > len(v.t) {
+			v.t = append(make([]int64, 0, k), v.t...)
+		}
+		v.t = append(v.t, x)
+	}
+}
+
+func (v *timeVec) len() int { return int(v.n) + len(v.t) }
 
 func (v *timeVec) at(i int) int64 {
-	if v.t != nil {
-		return v.t[i]
+	if n := int(v.n); i >= n {
+		return v.t[i-n]
 	}
-	return v.t0 + int64(i)*v.step
+	return v.t0 + int64(i)*int64(v.step)
 }
 
 // slice returns the window [lo, hi) sharing v's backing array.
 func (v *timeVec) slice(lo, hi int) timeVec {
-	if v.t != nil {
-		return timeVec{t: v.t[lo:hi]}
+	n := int(v.n)
+	if lo >= n {
+		return timeVec{t: v.t[lo-n : hi-n]}
 	}
-	return timeVec{t0: v.t0 + int64(lo)*v.step, step: v.step, n: hi - lo}
+	w := timeVec{t0: v.at(lo), step: v.step, n: int32(min(hi, n) - lo)}
+	if hi > n {
+		w.t = v.t[:hi-n]
+	}
+	return w
 }
 
 // search returns the first index whose time is >= x (len when none
-// is), as sort.Search would over the explicit slice.
+// is), as sort.Search would over the explicit times.
 func (v *timeVec) search(x int64) int {
-	if v.t != nil {
-		i, _ := slices.BinarySearch(v.t, x)
-		return i
-	}
-	if v.n == 0 || x <= v.t0 {
+	switch {
+	case v.n > 0 && x <= v.t0:
 		return 0
+	case v.n > 1:
+		// x > t0, so the distance fits a uint64 even across the int64 range.
+		d, s := uint64(x)-uint64(v.t0), uint64(v.step)
+		if k := (d-1)/s + 1; k < uint64(v.n) {
+			return int(k)
+		}
 	}
-	// x > t0, so the distance fits a uint64 even across the int64 range.
-	d, s := uint64(x)-uint64(v.t0), uint64(v.step)
-	if k := (d-1)/s + 1; k < uint64(v.n) {
-		return int(k)
-	}
-	return v.n
+	i, _ := slices.BinarySearch(v.t, x)
+	return int(v.n) + i
 }
 
 // runEnd returns the first index after j whose time is >= x (len when
 // none is): the end of the run that starts at j and stops before x,
-// which is how reduceField cuts bucket runs. The regular form computes
-// it; the explicit form scans forward, since a run is one bucket long
-// and a binary search per bucket costs more than it saves there.
+// which is how reduceField cuts bucket runs. The prefix computes it;
+// the suffix scans forward, since a run is one bucket long and a
+// binary search per bucket costs more than it saves there.
 func (v *timeVec) runEnd(j int, x int64) int {
-	if v.t == nil {
+	n := int(v.n)
+	if j+1 < n {
 		return max(v.search(x), j+1)
 	}
-	k := j + 1
+	k := j + 1 - n
 	for k < len(v.t) && v.t[k] < x {
 		k++
 	}
-	return k
+	return n + k
 }
 
 // appendTo appends the times to dst.
 func (v *timeVec) appendTo(dst []int64) []int64 {
-	if v.t != nil {
-		return append(dst, v.t...)
+	dst = slices.Grow(dst, v.len())
+	for i := range int(v.n) {
+		dst = append(dst, v.at(i))
 	}
-	for i := 0; i < v.n; i++ {
-		dst = append(dst, v.t0+int64(i)*v.step)
-	}
-	return dst
+	return append(dst, v.t...)
 }

@@ -151,7 +151,7 @@ func (b *batch) finish(mutated bool) (*dbView, error) {
 		// back to raw and re-sort; the seal pass below re-compresses
 		// full runs, so the old blocks leave the view. Out-of-order
 		// within the tail alone leaves blocks untouched.
-		if n := len(col.blocks); n > 0 && len(col.times) > 0 && col.times[0] < col.blocks[n-1].maxT {
+		if n := len(col.blocks); n > 0 && col.times.len() > 0 && col.times.at(0) < col.blocks[n-1].maxT {
 			if err := col.unseal(); err != nil {
 				return nil, err
 			}
@@ -354,8 +354,8 @@ func (b *batch) writePoint(p *Point) {
 		if last, ok := col.lastTime(); ok && p.Time < last {
 			b.dirtyCols[col] = true
 		}
-		col.times = append(col.times, p.Time)
 		col.vals.append(fv)
+		col.times.append(p.Time, col.vals.cap())
 	}
 	sz := p.EncodedSize()
 	sr.bytes += sz
@@ -438,13 +438,12 @@ func clearColumnRange(col *column, start, end int64, bs int) (*column, int, int6
 	if lo == hi {
 		return col, 0, 0, nil // header overlap without sample overlap
 	}
-	keep := len(src.times) - (hi - lo)
-	nc := &column{blocks: src.blocks}
-	nc.times = make([]int64, 0, keep)
-	nc.times = append(append(nc.times, src.times[:lo]...), src.times[hi:]...)
-	nc.vals = makeVec(src.vals.kind, keep)
+	n := src.times.len()
+	before, after := src.times.slice(0, lo), src.times.slice(hi, n)
+	nc := &column{blocks: src.blocks, times: compactTimes(after.appendTo(before.appendTo(nil)))}
+	nc.vals = makeVec(src.vals.kind, n-(hi-lo))
 	nc.vals.appendVec(src.vals.slice(0, lo))
-	nc.vals.appendVec(src.vals.slice(hi, len(src.times)))
+	nc.vals.appendVec(src.vals.slice(hi, n))
 	gone := src.vals.slice(lo, hi)
 	if src != col {
 		nc.seal(bs)

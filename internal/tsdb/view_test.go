@@ -76,9 +76,13 @@ func TestDerivationsLeaveBaseViewIntact(t *testing.T) {
 		}
 		return db
 	}
-	write := func(ts int64) func(*DB) error {
+	write := func(times ...int64) func(*DB) error {
 		return func(db *DB) error {
-			return db.WritePoint(Point{Measurement: "m", Tags: Tags{{"id", "s0"}}, Fields: map[string]Value{"f": Float(-1)}, Time: ts})
+			var pts []Point
+			for _, ts := range times {
+				pts = append(pts, Point{Measurement: "m", Tags: Tags{{"id", "s0"}}, Fields: map[string]Value{"f": Float(-1)}, Time: ts})
+			}
+			return db.WritePoints(pts)
 		}
 	}
 	rangeClear := func(name string, start, end int64) func(*DB) error {
@@ -103,7 +107,14 @@ func TestDerivationsLeaveBaseViewIntact(t *testing.T) {
 		mutate  func(*DB) error
 		publish bool
 	}{
+		// The tails are regular: an in-order write extends the prefix,
+		// an off-cadence one starts a suffix, and a write onto a
+		// three-time suffix (a new shard's tail, two on the minute grid
+		// and three off it) lands in spare capacity the pinned view
+		// shares.
 		{name: "in-order write", mutate: write(104 * 60), publish: true},
+		{name: "off-cadence write", mutate: write(104*60 + 7), publish: true},
+		{name: "write onto a suffix", prep: write(7200, 7260, 7267, 7300, 7400), mutate: write(7460), publish: true},
 		{name: "write behind a sealed block", mutate: write(5*60 + 30), publish: true},
 		{name: "unsorted-tag two-field write", mutate: func(db *DB) error {
 			two := map[string]Value{"e": Float(1), "g": Float(2)}

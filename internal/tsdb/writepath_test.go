@@ -14,13 +14,14 @@ import (
 // TestWriteBatchAllocsPerPoint gates the write path's steady-state
 // cost: a batch of one point for each of 640 existing series (one
 // field, tags given out of order) allocates per point only the batch's
-// copies of the series, its field slice and its column (96 + 24 + 144
-// bytes), plus the amortised growth of the tails, the list of owned
-// columns and the once-per-batch shard copy — about 3.2 allocations
-// and 380 bytes. Nothing per point may go to resolving the series or
-// to recording what the batch owns: a map of owned copies costs no
-// allocation per point but ~120 bytes per point, and a map of fields
-// per series two allocations.
+// copies of the series, its field slice and its column (96 + 24 + 176
+// bytes), plus the amortised growth of the tails' values, the list of
+// owned columns and the once-per-batch shard copy — about 3.1
+// allocations and 390 bytes. The points arrive on a 60 s cadence, so
+// the tails keep no time array at all. Nothing per point may go to
+// resolving the series or to recording what the batch owns: a map of
+// owned copies costs no allocation per point but ~120 bytes per point,
+// and a map of fields per series two allocations.
 func TestWriteBatchAllocsPerPoint(t *testing.T) {
 	const nSeries = 640
 	db := Open(Options{})
@@ -52,8 +53,11 @@ func TestWriteBatchAllocsPerPoint(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytesPerPoint := float64(after.TotalAlloc-before.TotalAlloc) / 50 / nSeries
 	t.Logf("%.2f allocations, %.1f bytes per point", perPoint, bytesPerPoint)
-	if perPoint > 4 || bytesPerPoint > 440 {
-		t.Fatalf("steady-state write allocates %.2f times and %.0f bytes per point, want <= 4 and <= 440", perPoint, bytesPerPoint)
+	if perPoint > 4 || bytesPerPoint > 435 {
+		t.Fatalf("steady-state write allocates %.2f times and %.0f bytes per point, want <= 4 and <= 435", perPoint, bytesPerPoint)
+	}
+	if cs := db.Compression(); cs.TailPoints != 102*nSeries || cs.TailExplicitPoints != 0 {
+		t.Fatalf("on-cadence tails: %d points, %d of them with explicit times; want %d and 0", cs.TailPoints, cs.TailExplicitPoints, 102*nSeries)
 	}
 }
 
@@ -239,5 +243,43 @@ func TestWritePathMatchesReference(t *testing.T) {
 				t.Fatalf("SHOW TAG VALUES WITH KEY = %q: %v, want %v", key, got, want)
 			}
 		}
+	}
+}
+
+// BenchmarkWriteBatch writes one point to each of 640 series per op,
+// the collector's batch shape, for as many minutely cycles as b.N, so
+// the tails grow and seal as they do in service. "on-cadence" stamps
+// every point on the minute; "drifting" stamps one cycle in eight a
+// second late, as the scrape and push receivers' wall clock can, so
+// from its eighth cycle each tail keeps its times explicitly.
+func BenchmarkWriteBatch(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		drift func(cycle int64) int64
+	}{
+		{"on-cadence", func(int64) int64 { return 0 }},
+		{"drifting", func(cycle int64) int64 { return cycle % 8 / 7 }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			const nSeries = 640
+			db := Open(Options{})
+			pts := make([]Point, nSeries)
+			for i := range pts {
+				pts[i] = Point{
+					Measurement: "Power",
+					Tags:        Tags{{"Label", "NodePower"}, {"NodeId", fmt.Sprintf("10.101.%d.%d", i/64, i%64)}},
+					Fields:      map[string]Value{"Reading": Float(float64(i))},
+				}
+			}
+			b.ReportAllocs()
+			for cycle := int64(0); cycle < int64(b.N); cycle++ {
+				for i := range pts {
+					pts[i].Time = 60*cycle + c.drift(cycle)
+				}
+				if err := db.WritePoints(pts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
