@@ -172,10 +172,13 @@ smoke:
 # writes behind sealed blocks, a clear that empties a field), every
 # derivation leaving its base view intact, the snapshot round trip
 # (sealed blocks verbatim, raw tails through the block codec), the
-# pinned block and snapshot bytes, the version 4 snapshot upgrade, and
-# GROUP BY tag groups that mix covered and wider series.
+# pinned block and snapshot bytes, the version 4 snapshot upgrade,
+# GROUP BY tag groups that mix covered and wider series, and the
+# aggregation kernel against the reference model: every aggregate over
+# every column representation, and one answer, bit for bit, per value
+# sequence whether its column is float, mixed or float32-cached.
 compression:
-	$(GO) test -race -count=1 -run 'TestBlock|FuzzBlockDecode|TestGroupByTagCoveredSeriesJoinsGroup|TestSeal|TestTimeVec|TestColumnIterator|TestOutOfOrderAcrossSealBoundary|TestClearRange|TestWritePathMatchesReference|TestDerivationsLeaveBaseViewIntact|TestSnapshotRoundTripSealedBlocks|TestSnapshotFailingWriter|TestRangeIndexesSuffixSearch|TestWALKillPointsSealedBlocks|TestWALCheckpointSealedBlocks|TestGoldenBytes|TestSnapshotV4' ./internal/tsdb
+	$(GO) test -race -count=1 -run 'TestBlock|FuzzBlockDecode|TestGroupByTagCoveredSeriesJoinsGroup|TestSeal|TestTimeVec|TestColumnIterator|TestOutOfOrderAcrossSealBoundary|TestClearRange|TestWritePathMatchesReference|TestDerivationsLeaveBaseViewIntact|TestSnapshotRoundTripSealedBlocks|TestSnapshotFailingWriter|TestRangeIndexesSuffixSearch|TestWALKillPointsSealedBlocks|TestWALCheckpointSealedBlocks|TestGoldenBytes|TestSnapshotV4|TestVecRepresentationsMatchReference|TestEngineMatchesReference|TestAggregateBitsIndependentOfRepresentation' ./internal/tsdb
 
 # bench runs the Metrics Builder ladder benchmark (Figs 10-19):
 # naive-sequential vs batched-concurrent on the 8-worker pool; then the

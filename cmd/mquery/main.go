@@ -29,7 +29,7 @@ func main() {
 		endS     = flag.String("end", "", "range end (RFC3339); empty means now")
 		last     = flag.Duration("last", time.Hour, "query the trailing window when -start is empty")
 		interval = flag.Duration("interval", 5*time.Minute, "downsampling interval")
-		agg      = flag.String("agg", "max", "aggregate: max min mean sum count first last stddev median")
+		agg      = flag.String("agg", "max", "aggregate function (max, mean, median, ...: any the engine evaluates)")
 		nodesS   = flag.String("nodes", "", "comma-separated node subset (empty = all)")
 		jobs     = flag.Bool("jobs", false, "include job info")
 		compress = flag.Bool("compress", true, "zlib transport compression")

@@ -3,6 +3,8 @@ package builder
 import (
 	"fmt"
 	"time"
+
+	"monster/internal/tsdb"
 )
 
 // Request is a consumer's ask: a time range, a downsampling interval,
@@ -18,8 +20,8 @@ type Request struct {
 	// Interval is the downsampling bucket width. Zero returns the raw
 	// samples unaggregated.
 	Interval time.Duration
-	// Aggregate is the downsampling function (max, min, mean, sum,
-	// count, first, last, spread, stddev, median). Empty means mean.
+	// Aggregate is the downsampling function, one of the storage
+	// engine's aggregates (tsdb.IsAggregate). Empty means mean.
 	// Ignored when Interval is zero.
 	Aggregate string
 	// Nodes restricts the response to these NodeId values. Empty means
@@ -30,12 +32,6 @@ type Request struct {
 	// IncludeJobs adds the JobsInfo and NodeJobs correlation data to
 	// the response (the Fig 5/6 join).
 	IncludeJobs bool
-}
-
-// aggregates the builder accepts — the storage engine's aggregator set.
-var validAggregates = map[string]bool{
-	"count": true, "sum": true, "mean": true, "max": true, "min": true,
-	"first": true, "last": true, "spread": true, "stddev": true, "median": true,
 }
 
 // RequestError reports an invalid Request. The HTTP API maps it to a
@@ -59,7 +55,7 @@ func (r *Request) Validate() error {
 	if r.Interval < 0 {
 		return badRequest("negative interval %v", r.Interval)
 	}
-	if r.Aggregate != "" && !validAggregates[r.Aggregate] {
+	if r.Aggregate != "" && !tsdb.IsAggregate(r.Aggregate) {
 		return badRequest("unknown aggregate %q", r.Aggregate)
 	}
 	for _, m := range r.Metrics {

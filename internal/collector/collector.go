@@ -3,6 +3,7 @@ package collector
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -67,6 +68,7 @@ type Stats struct {
 	JobsTracked     int64
 	FinishEstimates int64
 	FinishExact     int64
+	PointsSkipped   int64 // points Validate refused, dropped alone (CollectOnce)
 	LastSweep       time.Duration
 	LastCycle       time.Duration // the last CycleResult.TotalTime: sweep + pre-processing
 }
@@ -155,6 +157,13 @@ func (c *Collector) CollectOnce(ctx context.Context, now time.Time) (CycleResult
 		points = append(points, schedPoints...)
 	}
 
+	// A point Validate refuses (an outside string such as a node name
+	// or job owner that holds a line break) is dropped and counted on
+	// its own, so it cannot fail the rest of the cycle's batch.
+	n := len(points)
+	points = slices.DeleteFunc(points, func(p tsdb.Point) bool { return p.Validate() != nil })
+	skipped := int64(n - len(points))
+
 	// The cycle's own time stops at the hand-off: deliver runs the
 	// storage write, which its sink times itself.
 	res.Points = len(points)
@@ -166,6 +175,7 @@ func (c *Collector) CollectOnce(ctx context.Context, now time.Time) (CycleResult
 	c.mu.Lock()
 	c.stats.Cycles++
 	c.stats.PointsWritten += int64(len(points))
+	c.stats.PointsSkipped += skipped
 	c.stats.NodesSwept += int64(res.NodesOK)
 	c.stats.NodesFailed += int64(res.NodesFail)
 	c.stats.LastSweep = res.SweepTime

@@ -3,6 +3,7 @@ package collector
 import (
 	"context"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -237,6 +238,35 @@ func TestSchemaV1WritesVerboseLayout(t *testing.T) {
 	}
 	if got := r.Series[0].Rows()[0].Values[0].I; got != 4 { // 2 nodes × 2 cycles
 		t.Fatalf("v1 health samples = %d, want 4 (no filtering)", got)
+	}
+}
+
+// TestLineBreakSkipsOnlyItsPoint: an outside string that holds a line
+// break (here a job owner, which schema v1 stores as a tag) costs only
+// its own point, counted in PointsSkipped; the rest of the cycle lands.
+func TestLineBreakSkipsOnlyItsPoint(t *testing.T) {
+	f := newFixture(t, 2, Options{Schema: SchemaV1})
+	f.qm.Submit(scheduler.JobSpec{Owner: "u", Slots: 1, Runtime: time.Hour, Name: "j"})
+	f.qm.Submit(scheduler.JobSpec{Owner: "bad\nowner", Slots: 1, Runtime: time.Hour, Name: "k"})
+	f.advance(t0.Add(time.Minute), 15*time.Second)
+	res, err := f.col.CollectOnce(context.Background(), f.qm.Now())
+	if err != nil {
+		t.Fatalf("one bad owner failed the cycle: %v", err)
+	}
+	if got := f.col.Stats().PointsSkipped; got != 1 {
+		t.Fatalf("PointsSkipped = %d, want 1", got)
+	}
+	if got := f.db.Disk().Points; got != int64(res.Points) {
+		t.Fatalf("stored %d points, want the cycle's %d", got, res.Points)
+	}
+	jobs := 0
+	for _, m := range f.db.Measurements() {
+		if strings.HasPrefix(m, "Job") {
+			jobs++
+		}
+	}
+	if jobs != 1 {
+		t.Fatalf("%d job measurements stored, want the good job's 1 (have %v)", jobs, f.db.Measurements())
 	}
 }
 

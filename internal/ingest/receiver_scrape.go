@@ -44,7 +44,7 @@ type ScrapeReceiver struct {
 	scrapes      atomic.Int64
 	scrapeErrors atomic.Int64
 	samples      atomic.Int64
-	nonFinite    atomic.Int64 // NaN/±Inf samples skipped
+	skipped      atomic.Int64 // samples with no tsdb form (ParsePrometheus)
 }
 
 // NewScrapeReceiver builds a scrape receiver. Pipeline.Run drives its
@@ -127,8 +127,8 @@ func (r *ScrapeReceiver) scrapeTarget(ctx context.Context, target string) ([]tsd
 	if len(body) > DefaultMaxPushBody {
 		return nil, fmt.Errorf("ingest: scrape %s: body over %d bytes", target, DefaultMaxPushBody)
 	}
-	points, nonFinite, err := ParsePrometheus(body, r.clk.Now().Unix())
-	r.nonFinite.Add(int64(nonFinite))
+	points, skipped, err := ParsePrometheus(body, r.clk.Now().Unix())
+	r.skipped.Add(int64(skipped))
 	return points, err
 }
 
@@ -138,9 +138,9 @@ func (r *ScrapeReceiver) ExtraStats() map[string]int64 {
 		"scrapes":       r.scrapes.Load(),
 		"scrape_errors": r.scrapeErrors.Load(),
 		"samples":       r.samples.Load(),
-		// Exposition allows NaN and ±Inf; a stored one has no JSON form
-		// in a Metrics Builder response, so they stop here.
-		"samples_non_finite": r.nonFinite.Load(),
+		// Exposition allows NaN, ±Inf and line breaks in names and
+		// label values; none has a form in storage, so they stop here.
+		"samples_skipped": r.skipped.Load(),
 	}
 }
 
@@ -149,9 +149,13 @@ func (r *ScrapeReceiver) ExtraStats() map[string]int64 {
 // summaries appear as their component series (_bucket/_sum/_count),
 // which is exactly how Prometheus itself exposes them. defaultTime
 // (Unix seconds) stamps samples without an exposition timestamp. A
-// sample whose value is NaN or ±Inf — legal exposition, e.g. the
-// quantile of an empty summary — is skipped and counted in nonFinite.
-func ParsePrometheus(data []byte, defaultTime int64) (points []tsdb.Point, nonFinite int, _ error) {
+// sample that is legal exposition but has no stored form is skipped
+// and counted in skipped, so it cannot fail the rest of the scrape: a
+// value that is NaN or ±Inf (the quantile of an empty summary, e.g.),
+// which a Metrics Builder response cannot carry, or a name or label
+// value holding a line break (a \n escape), which tsdb.Point.Validate
+// refuses.
+func ParsePrometheus(data []byte, defaultTime int64) (points []tsdb.Point, skipped int, _ error) {
 	for lineNo := 1; len(data) > 0; lineNo++ {
 		var line []byte
 		line, data, _ = bytes.Cut(data, []byte("\n"))
@@ -159,8 +163,8 @@ func ParsePrometheus(data []byte, defaultTime int64) (points []tsdb.Point, nonFi
 			continue
 		}
 		p, err := parsePromLine(string(line), defaultTime)
-		if errors.Is(err, errNonFinite) {
-			nonFinite++
+		if errors.Is(err, errNoStoredForm) {
+			skipped++
 			continue
 		}
 		if err != nil {
@@ -168,12 +172,13 @@ func ParsePrometheus(data []byte, defaultTime int64) (points []tsdb.Point, nonFi
 		}
 		points = append(points, p)
 	}
-	return points, nonFinite, nil
+	return points, skipped, nil
 }
 
-// errNonFinite is parsePromLine's verdict on an otherwise well-formed
-// sample whose value is NaN or ±Inf.
-var errNonFinite = errors.New("non-finite sample value")
+// errNoStoredForm is parsePromLine's verdict on an otherwise
+// well-formed sample whose value is NaN or ±Inf, or whose name or a
+// label holds a line break.
+var errNoStoredForm = errors.New("sample has no stored form")
 
 func parsePromLine(line string, defaultTime int64) (tsdb.Point, error) {
 	var p tsdb.Point
@@ -215,11 +220,14 @@ func parsePromLine(line string, defaultTime int64) (tsdb.Point, error) {
 		}
 		p.Time = ms / 1000
 	}
+	if hasLineBreak(&p) {
+		return p, errNoStoredForm
+	}
 	if err := p.Validate(); err != nil {
 		return p, err
 	}
 	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return p, errNonFinite
+		return p, errNoStoredForm
 	}
 	return p, nil
 }
@@ -280,4 +288,17 @@ func parsePromLabels(s string, p *tsdb.Point) (int, error) {
 		}
 		p.Tags = append(p.Tags, tsdb.Tag{Key: key, Value: val.String()})
 	}
+}
+
+// hasLineBreak reports whether p's measurement or a tag holds a CR or LF.
+func hasLineBreak(p *tsdb.Point) bool {
+	if strings.ContainsAny(p.Measurement, "\r\n") {
+		return true
+	}
+	for _, t := range p.Tags {
+		if strings.ContainsAny(t.Key, "\r\n") || strings.ContainsAny(t.Value, "\r\n") {
+			return true
+		}
+	}
+	return false
 }

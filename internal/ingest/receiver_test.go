@@ -182,17 +182,20 @@ node_power{host="n1",rack="r 1"} 212.5 1587384000000
 node_power{host="n2"} 198
 cpu_seconds_total 1234.5
 
-weird_label{msg="a\"b\nc"} 1
+weird_label{msg="a\"b\\nc"} 1
+broken_label{msg="a\nb"} 1
 rpc_duration_seconds{quantile="0.99"} NaN
 queue_limit +Inf
 queue_floor{q="a"} -Inf 1587384000000
 `)
-	pts, nonFinite, err := ParsePrometheus(body, 7777)
+	pts, skipped, err := ParsePrometheus(body, 7777)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 4 || nonFinite != 3 {
-		t.Fatalf("parsed %d points and skipped %d non-finite, want 4 and 3: %+v", len(pts), nonFinite, pts)
+	// Skipped: the three non-finite samples and the label value whose
+	// \n escape decodes to a line break.
+	if len(pts) != 4 || skipped != 4 {
+		t.Fatalf("parsed %d points and skipped %d, want 4 and 4: %+v", len(pts), skipped, pts)
 	}
 	p0 := pts[0]
 	if p0.Measurement != "node_power" || p0.Time != 1587384000 {
@@ -210,7 +213,7 @@ queue_floor{q="a"} -Inf 1587384000000
 	if pts[2].Tags != nil {
 		t.Fatalf("bare metric grew tags: %+v", pts[2].Tags)
 	}
-	if v, ok := pts[3].Tags.Get("msg"); !ok || v != "a\"b\nc" {
+	if v, ok := pts[3].Tags.Get("msg"); !ok || v != `a"b\nc` { // \\n is a backslash and an n
 		t.Fatalf("escapes: %q", v)
 	}
 
@@ -351,7 +354,7 @@ func TestScrapeReceiver(t *testing.T) {
 		t.Fatalf("series = %+v", res.Series)
 	}
 	extra := sc.ExtraStats()
-	if extra["scrapes"] != 2 || extra["scrape_errors"] != 1 || extra["samples"] != 2 || extra["samples_non_finite"] != 1 {
+	if extra["scrapes"] != 2 || extra["scrape_errors"] != 1 || extra["samples"] != 2 || extra["samples_skipped"] != 1 {
 		t.Fatalf("extra = %+v", extra)
 	}
 }

@@ -790,51 +790,79 @@ type aggScratch struct {
 	vals   []valueVec
 }
 
-// The simple reductions keep their state in scalar accumulators fed
-// straight from the typed slices, free of interface dispatch;
-// order-sensitive or state-heavy aggregates (first, last, stddev,
-// median), and any field with a mixed chunk, go through an aggregator.
+// The aggregate functions are the kernel's modes, and aggNames, indexed
+// by mode, is the one list of their names.
 const (
-	kGeneric = iota
-	kCount
+	kCount = iota
 	kSum
 	kMean
 	kMax
 	kMin
 	kSpread
+	kFirst
+	kLast
+	kStddev
+	kMedian
 )
 
-func kernelFor(fn string) int {
-	switch fn {
-	case "count":
-		return kCount
-	case "sum":
-		return kSum
-	case "mean":
-		return kMean
-	case "max":
-		return kMax
-	case "min":
-		return kMin
-	case "spread":
-		return kSpread
-	default:
-		return kGeneric
-	}
+var aggNames = [...]string{
+	kCount: "count", kSum: "sum", kMean: "mean", kMax: "max", kMin: "min",
+	kSpread: "spread", kFirst: "first", kLast: "last", kStddev: "stddev", kMedian: "median",
 }
 
-// bucketAcc accumulates one field over the current bucket.
+// IsAggregate reports whether name is an aggregate function the engine
+// evaluates, in a query or a rollup.
+func IsAggregate(name string) bool { return slices.Contains(aggNames[:], name) }
+
+// bucketAcc accumulates one field over the current bucket: a count,
+// the float64 scalars of a numeric aggregate (stddev keeps Welford's n,
+// mean and m2 in n, f1 and f2), the value first or last keeps, or the
+// samples median sorts.
 type bucketAcc struct {
 	mode   int
-	agg    aggregator // set when the field reduces through the generic accessor
 	n      int64
 	f1, f2 float64
 	seen   bool
+	v      Value     // first, last
+	med    []float64 // median's samples; the backing is kept across buckets
+	num    []float64 // a mixed run's numeric values, reused run to run
 }
 
-// reduceRun folds one non-empty run of a typed slice into the
-// accumulator, in order, with the same float64 operations the
-// aggregators apply per sample (widening a float32 is exact).
+// reduce folds the non-empty run vals[j:k] into the accumulator. A
+// numeric aggregate reads a typed run in place, and a mixed run's
+// numeric values as floats: strings and bools count only toward count,
+// first and last.
+func (a *bucketAcc) reduce(vals *valueVec, j, k int) {
+	switch {
+	case a.mode == kCount:
+		a.n += int64(k - j)
+	case a.mode == kFirst:
+		if !a.seen {
+			a.v, a.seen = vals.at(j), true
+		}
+	case a.mode == kLast:
+		a.v, a.seen = vals.at(k-1), true
+	case vals.kind == vecFloat:
+		reduceRun(a, vals.f[j:k])
+	case vals.kind == vecFloat32:
+		reduceRun(a, vals.f32[j:k])
+	case vals.kind == vecInt:
+		reduceRun(a, vals.i[j:k])
+	default:
+		a.num = a.num[:0]
+		for _, x := range vals.m[j:k] {
+			if f, ok := x.AsFloat(); ok {
+				a.num = append(a.num, f)
+			}
+		}
+		if len(a.num) > 0 {
+			reduceRun(a, a.num)
+		}
+	}
+}
+
+// reduceRun folds one non-empty numeric run into the accumulator, in
+// order, in float64 (widening a float32 is exact).
 func reduceRun[T float64 | float32 | int64](a *bucketAcc, run []T) {
 	switch a.mode {
 	case kSum, kMean:
@@ -881,30 +909,52 @@ func reduceRun[T float64 | float32 | int64](a *bucketAcc, run []T) {
 			}
 		}
 		a.f1, a.f2 = lo, hi
+	case kStddev:
+		n, mean, m2 := a.n, a.f1, a.f2
+		for _, x := range run {
+			fx := float64(x)
+			n++
+			d := fx - mean
+			mean += d / float64(n)
+			m2 += d * (fx - mean)
+		}
+		a.n, a.f1, a.f2 = n, mean, m2
+	case kMedian:
+		for _, x := range run {
+			a.med = append(a.med, float64(x))
+		}
 	}
 }
 
 // flush appends the finished bucket's value, if it has one, and resets
 // the accumulator for the next bucket.
 func (a *bucketAcc) flush(t int64, times []int64, vals *valueVec) []int64 {
-	var v Value
-	ok := a.seen
-	switch {
-	case a.agg != nil:
-		v, ok = a.agg.result()
-		a.agg.reset()
-	case a.mode == kCount:
+	v, ok := Float(a.f1), a.seen
+	switch a.mode {
+	case kCount:
 		v, ok = Int(a.n), a.n > 0
-	case a.mode == kSum, a.mode == kMin:
-		v = Float(a.f1)
-	case a.mode == kMean:
+	case kMean:
 		v = Float(a.f1 / float64(a.n))
-	case a.mode == kMax:
+	case kMax:
 		v = Float(a.f2)
-	case a.mode == kSpread:
+	case kSpread:
 		v = Float(a.f2 - a.f1)
+	case kFirst, kLast:
+		v = a.v
+	case kStddev:
+		v, ok = Float(math.Sqrt(a.f2/float64(a.n-1))), a.n > 1
+	case kMedian:
+		s, n := a.med, len(a.med)
+		sort.Float64s(s)
+		switch ok = n > 0; {
+		case n%2 == 1:
+			v = Float(s[n/2])
+		case ok:
+			v = Float((s[n/2-1] + s[n/2]) / 2)
+		}
+		a.med = s[:0]
 	}
-	a.n, a.f1, a.f2, a.seen = 0, 0, 0, false
+	a.n, a.f1, a.f2, a.seen, a.v = 0, 0, 0, false, Value{}
 	if ok {
 		times = append(times, t)
 		vals.append(v)
@@ -920,16 +970,7 @@ func (a *bucketAcc) flush(t int64, times []int64, vals *valueVec) []int64 {
 // sized for the buckets the chunks can span. iv <= 0 is the query
 // without GROUP BY time: a single bucket stamped whole.
 func reduceField(fn string, chunks []colChunk, iv, whole int64) (outT []int64, outV valueVec) {
-	acc := bucketAcc{mode: kernelFor(fn)}
-	if acc.mode != kCount {
-		typed := acc.mode != kGeneric
-		for i := range chunks {
-			typed = typed && chunks[i].vals.kind != vecMixed
-		}
-		if !typed {
-			acc.agg, _ = newAggregator(fn)
-		}
-	}
+	acc := bucketAcc{mode: slices.Index(aggNames[:], fn)}
 	buckets := 0
 	for i := range chunks {
 		buckets += chunks[i].times.len()
@@ -944,10 +985,14 @@ func reduceField(fn string, chunks []colChunk, iv, whole int64) (outT []int64, o
 		}
 	}
 	outT = make([]int64, 0, buckets)
-	switch {
-	case acc.mode == kCount:
+	switch acc.mode {
+	case kCount:
 		outV = makeVec(vecInt, buckets)
-	case acc.agg == nil:
+	case kFirst, kLast: // the values' kind, sized for a typed column
+		if len(chunks) > 0 && chunks[0].vals.kind != vecMixed {
+			outV = makeVec(chunks[0].vals.kind, buckets)
+		}
+	default:
 		outV = makeVec(vecFloat, buckets)
 	}
 	cur, open := whole, false
@@ -970,20 +1015,7 @@ func reduceField(fn string, chunks []colChunk, iv, whole int64) (outT []int64, o
 				outT = acc.flush(cur, outT, &outV)
 			}
 			cur, open = bt, true
-			switch {
-			case acc.mode == kCount:
-				acc.n += int64(k - j)
-			case acc.agg != nil:
-				for x := j; x < k; x++ {
-					acc.agg.add(vals.at(x))
-				}
-			case vals.kind == vecFloat:
-				reduceRun(&acc, vals.f[j:k])
-			case vals.kind == vecFloat32:
-				reduceRun(&acc, vals.f32[j:k])
-			default:
-				reduceRun(&acc, vals.i[j:k])
-			}
+			acc.reduce(vals, j, k)
 		}
 	}
 	if open {

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -103,19 +104,19 @@ func appendFieldValue(dst []byte, v Value) []byte {
 
 // ParseLineProtocol parses a batch of line-protocol lines. Empty lines
 // and '#' comments are skipped. defaultTime stamps lines without a
-// timestamp.
+// timestamp. A line ends at a newline outside a quoted field value, so
+// a string field may hold one; a comment ends at its first newline.
 func ParseLineProtocol(data []byte, defaultTime int64) ([]Point, error) {
 	var out []Point
+	blank := func(r rune) bool { return r != '\n' && unicode.IsSpace(r) }
 	lineNo := 0
 	for len(data) > 0 {
 		lineNo++
 		var line []byte
-		if idx := indexByteB(data, '\n'); idx >= 0 {
-			line = data[:idx]
-			data = data[idx+1:]
+		if body := bytes.TrimLeftFunc(data, blank); len(body) > 0 && body[0] == '#' {
+			line, data, _ = bytes.Cut(data, []byte("\n"))
 		} else {
-			line = data
-			data = nil
+			line, data, _ = splitUnescaped(data, '\n')
 		}
 		trimmed := strings.TrimSpace(string(line))
 		if trimmed == "" || strings.HasPrefix(trimmed, "#") {
@@ -130,17 +131,9 @@ func ParseLineProtocol(data []byte, defaultTime int64) ([]Point, error) {
 	return out, nil
 }
 
-func indexByteB(b []byte, c byte) int {
-	for i := range b {
-		if b[i] == c {
-			return i
-		}
-	}
-	return -1
-}
-
-// splitUnescaped splits s at the first unescaped occurrence of sep.
-func splitUnescaped(s string, sep byte) (string, string, bool) {
+// splitUnescaped splits s at the first unescaped occurrence of sep
+// outside a quoted value.
+func splitUnescaped[S ~string | ~[]byte](s S, sep byte) (S, S, bool) {
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case '\\':
@@ -158,7 +151,7 @@ func splitUnescaped(s string, sep byte) (string, string, bool) {
 			return s[:i], s[i+1:], true
 		}
 	}
-	return s, "", false
+	return s, s[len(s):], false
 }
 
 func unescape(s string) string {

@@ -25,8 +25,9 @@ func FuzzLineProtocol(f *testing.F) {
 		"m f=1e300,g=-2.5 99\n",
 		"\\\" 0=\"\"", // a quote in a name must be re-escaped on render
 		"m,k\\\"=v\\\" f\\\"=1",
-		"\\# \\0=0", // a measurement that starts with '#' is not a comment
-		"\\\v 0=0",  // nor is leading white space trimmed away
+		"\\# \\0=0",                      // a measurement that starts with '#' is not a comment
+		"\\\v 0=0",                       // nor is leading white space trimmed away
+		"m s=\"job\nname\" 1\nm f=1 2\n", // a newline inside a string value ends no line
 		// Must-fail shapes.
 		"not line protocol",
 		"m",

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -188,9 +189,6 @@ func TestPropLineProtocolRoundTripsFloats(t *testing.T) {
 
 func TestPropLineProtocolRoundTripsStrings(t *testing.T) {
 	f := func(s string) bool {
-		if strings.ContainsAny(s, "\n\r") {
-			return true // line protocol is line-oriented by definition
-		}
 		p := Point{
 			Measurement: "m",
 			Fields:      map[string]Value{"v": Str(s)},
@@ -204,5 +202,58 @@ func TestPropLineProtocolRoundTripsStrings(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLineProtocolLineBreaks pins how line breaks cross the wire. A
+// string field value may hold CR and LF: it is written raw inside its
+// quotes, and the parser ends a line only at a newline outside quotes.
+// A name may not: Validate refuses a measurement, tag key, tag value or
+// field key holding one, so no written point renders as two lines.
+func TestLineProtocolLineBreaks(t *testing.T) {
+	pts := []Point{
+		{Measurement: "JobsInfo", Tags: Tags{{"JobId", "7"}}, Fields: map[string]Value{"JobName": Str("train\nstep 2")}, Time: 1},
+		{Measurement: "JobsInfo", Tags: Tags{{"JobId", "8"}}, Fields: map[string]Value{"JobName": Str("a\r\n\"b\"\\\n"), "Slots": Int(4)}, Time: 2},
+		{Measurement: "m", Fields: map[string]Value{"f": Str("\n")}, Time: 3},
+		{Measurement: "m", Fields: map[string]Value{"f": Float(1)}, Time: 4},
+	}
+	data := FormatLineProtocol(pts)
+	back, err := ParseLineProtocol(data, 0)
+	if err != nil {
+		t.Fatalf("%q: %v", data, err)
+	}
+	if !reflect.DeepEqual(back, pts) {
+		t.Fatalf("round trip of %q:\n got %+v\nwant %+v", data, back, pts)
+	}
+
+	for _, c := range []struct {
+		in   string
+		want int // points; -1 for an error
+	}{
+		{"m s=\"a\nb\" 1\nm f=1 2\n", 2},
+		{"m s=\"a\\\"\nb\" 1\r\nm f=1 2\r\n", 2},             // an escaped quote does not close the value
+		{"# a \" in a comment\nm f=1 1\n  # \"\nm f=2 2", 2}, // a comment ends at its newline
+		{"m,t=\"a\nb\" f=1 1\n", -1},                         // a quoted tag value is no field value
+		{"m s=\"unterminated\nm f=1 2\n", -1},                // the quote runs to the end of the batch
+		{"m\\\nf=1 1\n", -1},                                 // an escaped newline is a line break in a name
+	} {
+		got, err := ParseLineProtocol([]byte(c.in), 0)
+		if n := len(got); err != nil && c.want >= 0 || err == nil && n != c.want {
+			t.Errorf("ParseLineProtocol(%q) = %d points, %v; want %d", c.in, n, err, c.want)
+		}
+	}
+
+	for _, p := range []Point{
+		{Measurement: "m\n", Fields: map[string]Value{"f": Float(1)}},
+		{Measurement: "m", Tags: Tags{{"a\rb", "v"}}, Fields: map[string]Value{"f": Float(1)}},
+		{Measurement: "m", Tags: Tags{{"NodeId", "10.101.1.1\n"}}, Fields: map[string]Value{"f": Float(1)}},
+		{Measurement: "m", Fields: map[string]Value{"f\r\n": Float(1)}},
+	} {
+		if err := p.Validate(); err == nil {
+			t.Errorf("Validate accepted %+v", p)
+		}
+		if err := Open(Options{}).WritePoint(p); err == nil {
+			t.Errorf("WritePoint stored %+v", p)
+		}
 	}
 }

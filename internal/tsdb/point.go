@@ -179,10 +179,21 @@ type Point struct {
 	Time        int64
 }
 
-// Validate reports whether the point can be stored.
-func (p *Point) Validate() error {
+// Validate reports whether the point can be written. A name — the
+// measurement, a tag key or value, a field key — holds no CR or LF,
+// so every written point renders as one line of line protocol.
+func (p *Point) Validate() error { return p.validate(true) }
+
+// validate is Validate; with lineBreaks false it skips the line-break
+// rule, which is how WAL replay checks a point: a log written before
+// the rule, and the rollup rows maintenance derives from a series
+// stored then, may hold such a name, and neither is corruption.
+func (p *Point) validate(lineBreaks bool) error {
 	if p.Measurement == "" {
 		return fmt.Errorf("tsdb: point has empty measurement")
+	}
+	if lineBreaks && hasLineBreak(p.Measurement) {
+		return fmt.Errorf("tsdb: measurement %q has a line break", p.Measurement)
 	}
 	if len(p.Fields) == 0 {
 		return fmt.Errorf("tsdb: point in %q has no fields", p.Measurement)
@@ -190,6 +201,9 @@ func (p *Point) Validate() error {
 	for k := range p.Fields {
 		if k == "" {
 			return fmt.Errorf("tsdb: point in %q has empty field key", p.Measurement)
+		}
+		if lineBreaks && hasLineBreak(k) {
+			return fmt.Errorf("tsdb: field key %q in %q has a line break", k, p.Measurement)
 		}
 	}
 	for _, t := range p.Tags {
@@ -199,8 +213,22 @@ func (p *Point) Validate() error {
 		if t.Key == "time" {
 			return fmt.Errorf("tsdb: tag key %q is reserved", t.Key)
 		}
+		if lineBreaks && (hasLineBreak(t.Key) || hasLineBreak(t.Value)) {
+			return fmt.Errorf("tsdb: tag %q=%q in %q has a line break", t.Key, t.Value, p.Measurement)
+		}
 	}
 	return nil
+}
+
+// hasLineBreak is a byte loop: on short names strings.ContainsAny
+// makes Validate about twice as slow.
+func hasLineBreak(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] == '\n' || s[i] == '\r' {
+			return true
+		}
+	}
+	return false
 }
 
 // SeriesKey returns the canonical series identity string:

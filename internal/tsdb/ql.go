@@ -27,7 +27,7 @@ import (
 // FieldExpr is one projected column: a raw field or an aggregate over a
 // field.
 type FieldExpr struct {
-	Func  string // "", "max", "min", "mean", "sum", "count", "first", "last", "stddev", "spread", "median"
+	Func  string // "" for a raw field, else an aggregate name (aggNames)
 	Field string
 }
 
@@ -159,7 +159,7 @@ func (q *Query) Validate() error {
 			return fmt.Errorf("tsdb: cannot mix raw and aggregated fields")
 		}
 		if f.Func != "" {
-			if _, ok := newAggregator(f.Func); !ok {
+			if !IsAggregate(f.Func) {
 				return fmt.Errorf("tsdb: unknown aggregate function %q", f.Func)
 			}
 		}

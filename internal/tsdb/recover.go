@@ -245,16 +245,14 @@ func decodeSegment(data []byte, apply func(off int, rec walRecord) error) (int64
 // replay them verbatim instead.
 func applyWALRecord(db *DB, rec walRecord) error {
 	switch rec.op {
-	case walOpWrite:
-		return db.WritePoints(rec.points)
+	case walOpWrite, walOpBatch:
+		return db.applyBatchRecord(rec.points, rec.ops)
 	case walOpDrop:
 		_, err := db.DropMeasurement(rec.name)
 		return err
 	case walOpDeleteBefore:
 		_, err := db.DeleteBefore(rec.before)
 		return err
-	case walOpBatch:
-		return db.applyBatchRecord(rec.points, rec.ops)
 	case walOpClearRange:
 		_, err := db.clearRange(rec.name, rec.start, rec.end)
 		return err
@@ -263,9 +261,10 @@ func applyWALRecord(db *DB, rec walRecord) error {
 	}
 }
 
-// applyBatchRecord replays a composite record: the raw write batch,
-// then each rollup op through applyRollupOp, as maintenance applied it
-// at log time; every point was validated when the record was decoded.
+// applyBatchRecord replays a write or composite record: the raw write
+// batch, then each rollup op through applyRollupOp, as maintenance
+// applied it at log time. Every point was validated when the record was
+// decoded, without WritePoints' line-break rule (see validated).
 // One commit keeps the whole record atomic for readers, the same
 // guarantee the original write gave.
 func (db *DB) applyBatchRecord(points []Point, ops []rollupOp) error {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -18,49 +19,118 @@ type refPoint struct {
 }
 
 // refAggregate computes the expected bucketed aggregate over points
-// matching the series filter.
+// matching the series filter, as floats (count too).
 func refAggregate(points []refPoint, series int, start, end, interval int64, agg string) map[int64]float64 {
-	buckets := make(map[int64][]float64)
+	var times []int64
+	var vals []Value
 	for _, p := range points {
-		if p.series != series || p.t < start || p.t >= end {
-			continue
+		if p.series == series {
+			times, vals = append(times, p.t), append(vals, Float(p.v))
 		}
-		bt := p.t - mod(p.t, interval)
-		buckets[bt] = append(buckets[bt], p.v)
 	}
-	out := make(map[int64]float64, len(buckets))
-	for bt, vals := range buckets {
-		switch agg {
-		case "max":
-			m := vals[0]
-			for _, v := range vals {
-				if v > m {
-					m = v
-				}
-			}
-			out[bt] = m
-		case "min":
-			m := vals[0]
-			for _, v := range vals {
-				if v < m {
-					m = v
-				}
-			}
-			out[bt] = m
-		case "sum", "mean":
-			var s float64
-			for _, v := range vals {
-				s += v
-			}
-			if agg == "mean" {
-				s /= float64(len(vals))
-			}
-			out[bt] = s
-		case "count":
-			out[bt] = float64(len(vals))
+	out := map[int64]float64{}
+	for bt, v := range refBuckets(times, vals, start, end, interval, agg) {
+		out[bt], _ = v.AsFloat()
+	}
+	return out
+}
+
+// refBuckets computes the expected bucketed aggregate over the samples
+// (times[i], vals[i]), given in time order, that fall in [start, end):
+// one value per bucket that has an answer.
+func refBuckets(times []int64, vals []Value, start, end, interval int64, agg string) map[int64]Value {
+	buckets := map[int64][]Value{}
+	for i, t := range times {
+		if t >= start && t < end {
+			bt := t - mod(t, interval)
+			buckets[bt] = append(buckets[bt], vals[i])
+		}
+	}
+	out := make(map[int64]Value, len(buckets))
+	for bt, vs := range buckets {
+		if v, ok := refReduce(agg, vs); ok {
+			out[bt] = v
 		}
 	}
 	return out
+}
+
+// refReduce is the reference model of one bucket: the named aggregate
+// over vals in time order, ok=false when the bucket has no answer.
+// count counts values of every kind, and first and last take a value of
+// any kind as it is. The other aggregates skip strings and bools,
+// answer only when a numeric value is left (stddev: two), and compute
+// in float64.
+func refReduce(agg string, vals []Value) (Value, bool) {
+	if len(vals) == 0 {
+		return Value{}, false
+	}
+	switch agg {
+	case "count":
+		return Int(int64(len(vals))), true
+	case "first":
+		return vals[0], true
+	case "last":
+		return vals[len(vals)-1], true
+	}
+	var fs []float64
+	for _, v := range vals {
+		if f, ok := v.AsFloat(); ok {
+			fs = append(fs, f)
+		}
+	}
+	if len(fs) == 0 {
+		return Value{}, false
+	}
+	switch agg {
+	case "sum", "mean":
+		var s float64
+		for _, f := range fs {
+			s += f
+		}
+		if agg == "mean" {
+			s /= float64(len(fs))
+		}
+		return Float(s), true
+	case "max", "min", "spread":
+		lo, hi := fs[0], fs[0]
+		for _, f := range fs[1:] {
+			if f < lo {
+				lo = f
+			}
+			if f > hi {
+				hi = f
+			}
+		}
+		switch agg {
+		case "max":
+			return Float(hi), true
+		case "min":
+			return Float(lo), true
+		}
+		return Float(hi - lo), true
+	case "stddev":
+		// The sample standard deviation in Welford's online form, whose
+		// rounding the engine reproduces (TestStddevMatchesDefinition
+		// checks it against the two-pass definition).
+		if len(fs) < 2 {
+			return Value{}, false
+		}
+		var mean, m2 float64
+		for i, f := range fs {
+			d := f - mean
+			mean += d / float64(i+1)
+			m2 += d * (f - mean)
+		}
+		return Float(math.Sqrt(m2 / float64(len(fs)-1))), true
+	case "median":
+		sort.Float64s(fs)
+		if n := len(fs); n%2 == 0 {
+			return Float((fs[n/2-1] + fs[n/2]) / 2), true
+		}
+		return Float(fs[len(fs)/2]), true
+	}
+	panic("refReduce: unknown aggregate " + agg)
 }
 
 func TestEngineMatchesReferenceOnRandomData(t *testing.T) {

@@ -40,7 +40,7 @@ func (s *RollupSpec) Validate() error {
 	if s.Aggregate == "" {
 		return fmt.Errorf("tsdb: rollup needs an aggregate")
 	}
-	if _, ok := newAggregator(s.Aggregate); !ok {
+	if !IsAggregate(s.Aggregate) {
 		return fmt.Errorf("tsdb: unknown rollup aggregate %q", s.Aggregate)
 	}
 	return nil

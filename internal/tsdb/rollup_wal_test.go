@@ -264,3 +264,74 @@ func TestWALReplaysPointsFreeBatchRecord(t *testing.T) {
 		t.Fatalf("tier after replay: %+v, want 2 points to watermark 600", ts)
 	}
 }
+
+// TestWALLineBreakSeriesRecover: a series whose tag holds a line break,
+// as builds before WritePoints refused one stored it, survives a
+// checkpoint and a logged write, and so do the rollup rows maintenance
+// derives from it. Recovery replays every record after them: a line
+// break in a name is not corruption.
+func TestWALLineBreakSeriesRecover(t *testing.T) {
+	dir := t.TempDir()
+	legacyWrite := func(db *DB, p Point) {
+		t.Helper()
+		pts := []Point{p}
+		if err := db.commit(func(v *dbView) (*dbView, *walRecord, error) {
+			nv, err := db.writePointsView(v, pts)
+			return nv, &walRecord{op: walOpWrite, points: pts}, err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db, _ := crashOpen(t, dir, WALOptions{Policy: FsyncNever})
+	legacyWrite(db, walPoint("n\n1", 0, 5))
+	if err := db.WritePoint(walPoint("n2", 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	legacyWrite(db, walPoint("n\n1", 60, 6))
+
+	db, info := crashOpen(t, dir, WALOptions{Policy: FsyncNever})
+	if !info.SnapshotLoaded || info.Records != 1 || info.TornFrames != 0 {
+		t.Fatalf("recovery = %+v, want the snapshot and 1 clean record", info)
+	}
+	if err := db.RegisterRollup(RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
+		t.Fatal(err)
+	}
+	// The write at 400 closes bucket [0, 300): its maintenance logs the
+	// legacy series' tier row. The writes after it must survive.
+	for _, ts := range []int64{120, 400, 460, 520} {
+		if err := db.WritePoint(walPoint("n2", ts, float64(ts))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.WritePoint(walPoint("n\n3", 580, 1)); err == nil {
+		t.Fatal("WritePoints stored a new point whose tag holds a line break")
+	}
+	want := db.Disk().Points
+
+	db, info = crashOpen(t, dir, WALOptions{Policy: FsyncNever})
+	if info.TornFrames != 0 || info.TruncatedBytes != 0 {
+		t.Fatalf("recovery = %+v, want no torn frame", info)
+	}
+	if got := db.Disk().Points; got != want {
+		t.Fatalf("recovered %d points, want %d", got, want)
+	}
+	res, err := db.Query(`SELECT "Reading" FROM "Power_max_300s" GROUP BY "NodeId"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]float64{}
+	for _, s := range res.Series {
+		rows := s.Rows()
+		if len(rows) != 1 || rows[0].Time != 0 {
+			t.Fatalf("tier rows of %v: %+v", s.Tags, rows)
+		}
+		node, _ := s.Tags.Get("NodeId")
+		got[node], _ = rows[0].Values[0].AsFloat()
+	}
+	if len(got) != 2 || got["n\n1"] != 6 || got["n2"] != 120 {
+		t.Fatalf("tier bucket 0 = %v, want n\\n1: 6 and n2: 120", got)
+	}
+}

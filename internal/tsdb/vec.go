@@ -6,10 +6,9 @@ import (
 )
 
 // valueVec is the one in-memory representation of a run of field
-// values between disk and the aggregator: a column's raw tail, a
-// decoded block payload and a scan chunk all hold one. A homogeneous
-// float or int run is a plain 8-byte slice the aggregation kernels read
-// directly; only a run that actually holds strings, bools or a
+// values between disk and the aggregation kernel: a column's raw tail,
+// a decoded block payload and a scan chunk all hold one. A homogeneous
+// float or int run is a plain 8-byte slice the kernel reads directly; only a run that actually holds strings, bools or a
 // mid-stream kind switch pays for 48-byte Value cells.
 //
 // Exactly one of f, f32, i, m is in use, selected by kind. The zero

@@ -551,7 +551,7 @@ func (d *decoder) ref(n int) (int, bool) {
 // decodePoints parses a point list; a nil dictionary reads version 1.
 // A point takes at least 3 bytes (series reference, field count, time
 // delta) and a field 3 (reference, kind, payload). A point that decodes
-// but could not have been written (Validate) fails the record like any
+// but could not have been written (validated) fails the record like any
 // other corruption, so replay only applies what a writer could log.
 func (defs *walDefs) decodePoints(d *decoder) []Point {
 	if defs == nil {
@@ -607,10 +607,12 @@ func decodePointsV1(d *decoder) []Point {
 	return points
 }
 
-// validated latches p's Validate error on d, unless d already failed.
+// validated latches p's validate error on d, unless d already failed.
+// A name with a line break passes: builds before the rule logged such
+// points, and rollup maintenance still logs rows of their series.
 func validated(d *decoder, p Point) Point {
 	if d.err == nil {
-		if err := p.Validate(); err != nil {
+		if err := p.validate(false); err != nil {
 			d.failf("%v", err)
 		}
 	}
