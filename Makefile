@@ -122,7 +122,10 @@ ingest:
 
 # smoke runs monsterd three times for a few seconds with a WAL and a
 # cold directory; each run must exit 0 and log its final checkpoint,
-# whichever point of a cycle the -duration deadline lands in. A fourth
+# whichever point of a cycle the -duration deadline lands in. A run
+# with a 6 h warmup and -duration 1s must stop with no BMC request
+# failed: -duration counts from the end of the warmup, and a cycle the
+# deadline cuts off stops instead of failing every node. A fourth
 # run has no -duration: once it serves it gets SIGTERM, the signal
 # systemd, Docker and kill send, and must stop the same way. While it
 # serves, a fifth run with its own WAL is given the fourth's port: its
@@ -139,6 +142,11 @@ smoke:
 			{ echo "smoke: run $$i did not checkpoint:"; cat $$tmp/run$$i.log; exit 1; }; \
 		echo "smoke: run $$i ok"; \
 	done; \
+	$$tmp/monsterd -nodes 16 -listen 127.0.0.1:0 -warmup 6h -duration 1s > $$tmp/warm.log 2>&1 || \
+		{ echo "smoke: 6 h warmup run exited non-zero:"; cat $$tmp/warm.log; exit 1; }; \
+	grep -q 'monsterd: stopped .*(0 failed)' $$tmp/warm.log || \
+		{ echo "smoke: 6 h warmup run failed BMC requests:"; cat $$tmp/warm.log; exit 1; }; \
+	echo "smoke: 6 h warmup run ok"; \
 	$$tmp/monsterd -nodes 16 -listen 127.0.0.1:0 -wal-dir $$tmp/wal -cold-dir $$tmp/cold \
 		> $$tmp/run4.log 2>&1 & pid=$$!; \
 	for n in $$(seq 300); do \
@@ -176,9 +184,12 @@ smoke:
 # GROUP BY tag groups that mix covered and wider series, and the
 # aggregation kernel against the reference model: every aggregate over
 # every column representation, and one answer, bit for bit, per value
-# sequence whether its column is float, mixed or float32-cached.
+# sequence whether its column is float, mixed or float32-cached; and
+# series identity: names holding ',', '=' or a blank keep their series
+# apart live, after WAL replay and after a checkpoint restore, while
+# plain names keep the key they always had.
 compression:
-	$(GO) test -race -count=1 -run 'TestBlock|FuzzBlockDecode|TestGroupByTagCoveredSeriesJoinsGroup|TestSeal|TestTimeVec|TestColumnIterator|TestOutOfOrderAcrossSealBoundary|TestClearRange|TestWritePathMatchesReference|TestDerivationsLeaveBaseViewIntact|TestSnapshotRoundTripSealedBlocks|TestSnapshotFailingWriter|TestRangeIndexesSuffixSearch|TestWALKillPointsSealedBlocks|TestWALCheckpointSealedBlocks|TestGoldenBytes|TestSnapshotV4|TestVecRepresentationsMatchReference|TestEngineMatchesReference|TestAggregateBitsIndependentOfRepresentation' ./internal/tsdb
+	$(GO) test -race -count=1 -run 'TestBlock|FuzzBlockDecode|TestGroupByTagCoveredSeriesJoinsGroup|TestSeal|TestTimeVec|TestColumnIterator|TestOutOfOrderAcrossSealBoundary|TestClearRange|TestWritePathMatchesReference|TestDerivationsLeaveBaseViewIntact|TestSnapshotRoundTripSealedBlocks|TestSnapshotFailingWriter|TestRangeIndexesSuffixSearch|TestWALKillPointsSealedBlocks|TestWALCheckpointSealedBlocks|TestGoldenBytes|TestSnapshotV4|TestVecRepresentationsMatchReference|TestEngineMatchesReference|TestAggregateBitsIndependentOfRepresentation|TestSeriesIdentity|TestSeriesKeyPlainNamesUnchanged' ./internal/tsdb
 
 # bench runs the Metrics Builder ladder benchmark (Figs 10-19):
 # naive-sequential vs batched-concurrent on the 8-worker pool; then the

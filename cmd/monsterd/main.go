@@ -37,7 +37,7 @@ func main() {
 		schedAddr = flag.String("sched-listen", "", "optional resource-manager API listen address (e.g. :8081)")
 		seed      = flag.Int64("seed", 1, "simulation seed")
 		schema    = flag.String("schema", "optimized", "storage schema: optimized | previous")
-		duration  = flag.Duration("duration", 0, "stop after this wall-clock duration (0 = run until interrupted)")
+		duration  = flag.Duration("duration", 0, "stop after serving this long in wall-clock time, counted from the end of the warmup (0 = run until interrupted)")
 		warmup    = flag.Duration("warmup", 30*time.Minute, "simulated warmup before serving (fills the DB)")
 		retention = flag.Duration("retention", 0, "drop data older than this (0 = keep everything)")
 		blockSize = flag.Int("block-size", 0, "storage seal threshold in points: columns this long compress into immutable blocks (0 = default 1024, at most 16777216)")
@@ -174,14 +174,9 @@ func main() {
 	}
 
 	// SIGTERM is what systemd, Docker and kill send; it stops through
-	// the final checkpoint like Ctrl-C does.
+	// the final checkpoint like Ctrl-C does, during the warmup too.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *duration > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *duration)
-		defer cancel()
-	}
 	// A listener, the ingest pipeline or the checkpoint loop that fails
 	// cancels ctx with its error as the cause: the process stops through
 	// the same drain and final checkpoint, then exits non-zero.
@@ -189,17 +184,66 @@ func main() {
 	defer fail(nil)
 
 	log.Printf("monsterd: warming up %v of simulated time over %d nodes", *warmup, *nodes)
-	if err := sys.AdvanceCollecting(ctx, *warmup); err != nil {
-		log.Fatalf("monsterd: warmup: %v", err)
+	if err = sys.AdvanceCollecting(ctx, *warmup); err != nil {
+		err = fmt.Errorf("warmup: %w", err)
+	} else {
+		st := sys.Collector.Stats()
+		log.Printf("monsterd: warmup done: %d cycles, %d points, sim time %v", st.Cycles, st.PointsWritten, sys.Now().Format(time.RFC3339))
+		err = serve(ctx, fail, sys, *duration, *listen, *schedAddr, *walDir, *scale)
 	}
-	st := sys.Collector.Stats()
-	log.Printf("monsterd: warmup done: %d cycles, %d points, sim time %v", st.Cycles, st.PointsWritten, sys.Now().Format(time.RFC3339))
+	// A stop can surface wrapped (the deadline landing inside a cycle
+	// reads "core: collection at …: context deadline exceeded"); it
+	// still stops through the final checkpoint.
+	if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+		log.Fatalf("monsterd: %v", err)
+	}
+	final := sys.Collector.Stats()
+	fmt.Printf("monsterd: stopped at sim time %v after %d cycles, %d points written, %d BMC requests (%d failed)\n",
+		sys.Now().Format(time.RFC3339), final.Cycles, final.PointsWritten, final.BMCRequests, final.BMCFailures)
+	if *snapshot != "" {
+		if err := sys.DB.SaveFile(*snapshot); err != nil {
+			log.Fatalf("monsterd: snapshot: %v", err)
+		}
+		log.Printf("monsterd: snapshot written to %s", *snapshot)
+	}
+	if *walDir != "" {
+		// A clean shutdown checkpoints so the next start replays an
+		// empty log; a kill -9 skips this and replays the WAL.
+		if err := sys.Checkpoint(); err != nil {
+			log.Fatalf("monsterd: final checkpoint: %v", err)
+		}
+		log.Printf("monsterd: checkpointed %s", *walDir)
+	}
+	if cause := context.Cause(ctx); cause != nil && !errors.Is(cause, context.Canceled) {
+		log.Fatalf("monsterd: %v", cause)
+	}
+}
+
+// serve runs the API listeners, the receivers' loops, the checkpoint
+// loop and live collection until ctx is done, duration (counted from
+// here, after the warmup; 0 = no limit) has passed or live collection
+// fails, then returns live collection's error once the listeners have
+// answered the requests they had in flight. A listener, the ingest
+// pipeline or the checkpoint loop that fails reports its error through
+// fail, which cancels ctx.
+func serve(ctx context.Context, fail context.CancelCauseFunc, sys *monster.System, duration time.Duration, listen, schedAddr, walDir string, scale float64) error {
+	// Everything started here stops when live collection does, whatever
+	// stopped it: a failed cycle (a WAL append, a retention or spill
+	// pass) must not leave the listeners serving a database nothing
+	// fills any more.
+	var cancel context.CancelFunc
+	if duration > 0 {
+		ctx, cancel = context.WithTimeout(ctx, duration)
+	} else {
+		ctx, cancel = context.WithCancel(ctx)
+	}
+	defer cancel()
 
 	mux := http.NewServeMux()
 	mux.Handle("/v1/ingest/write", sys.Push)
 	mux.Handle("/", sys.BuilderAPI)
 	var servers sync.WaitGroup
-	serve := func(what, addr string, h http.Handler) {
+	listenOn := func(what, addr string, h http.Handler) {
 		servers.Add(1)
 		go func() {
 			defer servers.Done()
@@ -208,7 +252,7 @@ func main() {
 			}
 		}()
 	}
-	serve("Metrics Builder API + push receiver", *listen, mux)
+	listenOn("Metrics Builder API + push receiver", listen, mux)
 	go func() {
 		// The receivers' own loops (-scrape); pushes and cycles are
 		// written in their own goroutines whether or not this runs.
@@ -216,53 +260,27 @@ func main() {
 			fail(fmt.Errorf("ingest pipeline: %w", err))
 		}
 	}()
-	if *schedAddr != "" {
-		serve("resource-manager API", *schedAddr, sys.SchedAPI)
+	if schedAddr != "" {
+		listenOn("resource-manager API", schedAddr, sys.SchedAPI)
 	}
 
 	clk := clock.NewReal()
 	go progress(ctx, clk, sys)
-	if *walDir != "" {
+	if walDir != "" {
 		go func() {
 			if err := sys.RunCheckpoints(ctx, clk); err != nil && ctx.Err() == nil {
 				fail(fmt.Errorf("checkpoint loop: %w", err))
 			}
 		}()
 	}
-	err = sys.RunLive(ctx, clk, *scale, time.Second)
-	// A stop can surface wrapped (the deadline landing inside a cycle
-	// reads "core: collection at …: context deadline exceeded"); it
-	// still stops through the final checkpoint.
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		// The same cancellation stopped the listeners; wait until the
-		// requests they had in flight are answered, so the snapshot and
-		// checkpoint below describe a database no request is still using.
-		servers.Wait()
-		final := sys.Collector.Stats()
-		fmt.Printf("monsterd: stopped at sim time %v after %d cycles, %d points written, %d BMC requests (%d failed)\n",
-			sys.Now().Format(time.RFC3339), final.Cycles, final.PointsWritten, final.BMCRequests, final.BMCFailures)
-		if *snapshot != "" {
-			if err := sys.DB.SaveFile(*snapshot); err != nil {
-				log.Fatalf("monsterd: snapshot: %v", err)
-			}
-			log.Printf("monsterd: snapshot written to %s", *snapshot)
-		}
-		if *walDir != "" {
-			// A clean shutdown checkpoints so the next start replays an
-			// empty log; a kill -9 skips this and replays the WAL.
-			if err := sys.Checkpoint(); err != nil {
-				log.Fatalf("monsterd: final checkpoint: %v", err)
-			}
-			log.Printf("monsterd: checkpointed %s", *walDir)
-		}
-		if cause := context.Cause(ctx); !errors.Is(cause, context.Canceled) && !errors.Is(cause, context.DeadlineExceeded) {
-			log.Fatalf("monsterd: %v", cause)
-		}
-		return
-	}
-	if err != nil {
-		log.Fatalf("monsterd: %v", err)
-	}
+	err := sys.RunLive(ctx, clk, scale, time.Second)
+	// Stop the listeners and loops, then wait until the requests the
+	// listeners had in flight are answered, so the snapshot and
+	// checkpoint that follow describe a database no request is still
+	// using.
+	cancel()
+	servers.Wait()
+	return err
 }
 
 // HTTP server limits. Constants, not flags: they bound what a slow or

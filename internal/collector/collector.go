@@ -133,6 +133,9 @@ type CycleResult struct {
 }
 
 // CollectOnce performs one complete collection cycle stamped at now.
+// A ctx cancelled by the end of the sweep stops the cycle: it returns
+// ctx's error and delivers nothing, since every request the
+// cancellation cut off reads as a failed node.
 func (c *Collector) CollectOnce(ctx context.Context, now time.Time) (CycleResult, error) {
 	start := c.opts.Clock.Now()
 	var res CycleResult
@@ -140,6 +143,9 @@ func (c *Collector) CollectOnce(ctx context.Context, now time.Time) (CycleResult
 	samples := c.sweepBMCs(ctx, now)
 	sweepEnd := c.opts.Clock.Now()
 	res.SweepTime = sweepEnd.Sub(start)
+	if err := ctx.Err(); err != nil {
+		return res, err
+	}
 
 	points := make([]tsdb.Point, 0, 16*len(samples))
 	for _, s := range samples {
@@ -235,7 +241,7 @@ func (c *Collector) sweepNode(ctx context.Context, addr string, now time.Time) N
 	c.mu.Lock()
 	c.stats.BMCRequests += requests
 	for _, e := range errs {
-		if e != nil {
+		if e != nil && ctx.Err() == nil { // a cancelled cycle's requests fail for it, not the BMC
 			c.stats.BMCFailures++
 		}
 	}
@@ -281,7 +287,7 @@ func (c *Collector) sweepNodeTelemetry(ctx context.Context, addr string, now tim
 	report, err := c.rf.MetricReport(ctx, addr)
 	c.mu.Lock()
 	c.stats.BMCRequests++
-	if err != nil {
+	if err != nil && ctx.Err() == nil {
 		c.stats.BMCFailures++
 	}
 	c.mu.Unlock()

@@ -2,6 +2,7 @@ package collector
 
 import (
 	"context"
+	"errors"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -312,6 +313,23 @@ func TestBMCFailureDoesNotPoisonCycle(t *testing.T) {
 	}
 	if f.col.Stats().BMCFailures == 0 {
 		t.Fatal("failures not counted")
+	}
+}
+
+// TestCollectOnceCancelledStops: a cycle whose ctx is cancelled
+// returns the ctx's error and emits nothing — not a batch of the
+// scheduler's points beside every node counted failed.
+func TestCollectOnceCancelledStops(t *testing.T) {
+	emits := 0
+	f := newFixture(t, 3, Options{Emit: func([]tsdb.Point) error { emits++; return nil }})
+	f.advance(t0.Add(time.Minute), 15*time.Second)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := f.col.CollectOnce(ctx, f.qm.Now()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled cycle returned %v, want context.Canceled", err)
+	}
+	if st := f.col.Stats(); emits != 0 || st.PointsWritten != 0 || st.BMCFailures != 0 || st.NodesFailed != 0 {
+		t.Fatalf("cancelled cycle: %d emits, stats %+v; want nothing emitted or failed", emits, st)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -55,6 +56,36 @@ func TestAdvanceCollectingFillsDB(t *testing.T) {
 	}
 	if got := r.Series[0].Rows()[0].Values[0].I; got != 80 {
 		t.Fatalf("power points = %d, want 80 (8 nodes × 10 cycles)", got)
+	}
+}
+
+// TestAdvanceCollectingStopsOnCancel: after three cycles the ctx is
+// cancelled, and the next AdvanceCollecting returns an error wrapping
+// the cancellation; the DB holds the three cycles and nothing the
+// cancelled one swept.
+func TestAdvanceCollectingStopsOnCancel(t *testing.T) {
+	s := New(Config{Nodes: 8, Seed: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	if err := s.AdvanceCollecting(ctx, 3*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	written := s.DB.Stats().PointsWritten
+	cancel()
+	if err := s.AdvanceCollecting(ctx, 3*time.Minute); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled AdvanceCollecting returned %v, want an error wrapping context.Canceled", err)
+	}
+	if got := s.DB.Stats().PointsWritten; got != written {
+		t.Fatalf("%d points written after the cancellation", got-written)
+	}
+	if cs := s.Collector.Stats(); cs.Cycles != 3 || cs.BMCFailures != 0 {
+		t.Fatalf("collector: %d cycles, %d BMC failures; want 3 and 0", cs.Cycles, cs.BMCFailures)
+	}
+	r, err := s.DB.Query(`SELECT count("Reading") FROM "Power"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Series[0].Rows()[0].Values[0].I; got != 24 {
+		t.Fatalf("power points = %d, want 24 (8 nodes × 3 cycles)", got)
 	}
 }
 

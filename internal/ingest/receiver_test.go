@@ -359,6 +359,44 @@ func TestScrapeReceiver(t *testing.T) {
 	}
 }
 
+// TestSeriesIdentityThroughReceivers: a label value or a pushed tag
+// value holding ',' and '=' stays its own series, apart from the
+// series whose tags those bytes would spell out if joined bare.
+func TestSeriesIdentityThroughReceivers(t *testing.T) {
+	target := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if _, err := w.Write([]byte("m{a=\"x,b=y\"} 1\nm{a=\"x\",b=\"y\"} 2\n")); err != nil {
+			t.Errorf("write exposition: %v", err)
+		}
+	}))
+	defer target.Close()
+	db := tsdb.Open(tsdb.Options{})
+	p, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.AddSink(NewTSDBSink(db))
+	sc := NewScrapeReceiver(ScrapeOptions{Targets: []string{target.URL}})
+	sc.clk = clock.NewSim(time.Unix(9000, 0))
+	p.AddReceiver(sc)
+	push := NewPushReceiver()
+	p.AddReceiver(push)
+	srv := httptest.NewServer(push)
+	defer srv.Close()
+
+	sc.ScrapeOnce(context.Background())
+	resp, err := http.Post(srv.URL, "text/plain", strings.NewReader("a,k=v\\,x\\=y f=1 60\na,k=v,x=y f=2 60\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("push status = %d", resp.StatusCode)
+	}
+	if m, a := db.SeriesCardinality("m"), db.SeriesCardinality("a"); m != 2 || a != 2 {
+		t.Fatalf("scraped m has %d series and pushed a %d, want 2 and 2", m, a)
+	}
+}
+
 // TestScrapeReceiverRunLoop drives the scrape loop through the
 // pipeline under a simulated clock and checks it honours cancellation.
 func TestScrapeReceiverRunLoop(t *testing.T) {

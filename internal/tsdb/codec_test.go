@@ -209,7 +209,7 @@ func TestGoldenBytes(t *testing.T) {
 		{walRecord{op: walOpBatch, points: goldenPoints(), ops: ops}, goldenV2Batch, goldenBatch},
 		{walRecord{op: walOpClearRange, name: "Power", start: math.MinInt64, end: 1587384000}, goldenClearRange, ""},
 	} {
-		if got := sealed((&walDict{}).encode(&c.rec)); got != c.v2 {
+		if got := sealed((&walDict{}).encode(named(&c.rec))); got != c.v2 {
 			t.Errorf("walOp %d record changed:\n got %s\nwant %s", c.rec.op, got, c.v2)
 		}
 		if got := decoded(c.v2, &walDefs{}); !reflect.DeepEqual(got, c.rec) {

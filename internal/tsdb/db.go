@@ -169,7 +169,7 @@ func (db *DB) WritePoints(points []Point) error {
 		}
 	}
 	return db.commit(func(v *dbView) (*dbView, *walRecord, error) {
-		nv, err := db.writePointsView(v, points)
+		nv, written, err := db.writePointsView(v, points)
 		if err != nil || len(points) == 0 {
 			return nv, nil, err
 		}
@@ -178,9 +178,9 @@ func (db *DB) WritePoints(points []Point) error {
 		// maintenance work rides in one composite record so a crash can
 		// never tear a raw write from the rollup rows it produced.
 		if len(ops) == 0 {
-			return nv, &walRecord{op: walOpWrite, points: points}, err
+			return nv, &walRecord{op: walOpWrite, points: points, series: written}, err
 		}
-		return nv, &walRecord{op: walOpBatch, points: points, ops: ops}, err
+		return nv, &walRecord{op: walOpBatch, points: points, series: written, ops: ops}, err
 	})
 }
 

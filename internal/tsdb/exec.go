@@ -785,9 +785,10 @@ func alignFields(times [][]int64, vals []valueVec) ([]int64, []resultCol) {
 // aggScratch recycles the non-escaping per-group buffers of execAgg
 // across the (often hundreds of) output groups one worker executes.
 type aggScratch struct {
-	chunks []colChunk
-	times  [][]int64 // per field; each list is handed to the result
-	vals   []valueVec
+	chunks   []colChunk
+	times    [][]int64 // per field; each list is handed to the result
+	vals     []valueVec
+	med, num []float64 // bucketAcc's sample buffers, kept from group to group
 }
 
 // The aggregate functions are the kernel's modes, and aggNames, indexed
@@ -849,7 +850,7 @@ func (a *bucketAcc) reduce(vals *valueVec, j, k int) {
 	case vals.kind == vecInt:
 		reduceRun(a, vals.i[j:k])
 	default:
-		a.num = a.num[:0]
+		a.num = slices.Grow(a.num[:0], k-j)
 		for _, x := range vals.m[j:k] {
 			if f, ok := x.AsFloat(); ok {
 				a.num = append(a.num, f)
@@ -920,6 +921,7 @@ func reduceRun[T float64 | float32 | int64](a *bucketAcc, run []T) {
 		}
 		a.n, a.f1, a.f2 = n, mean, m2
 	case kMedian:
+		a.med = slices.Grow(a.med, len(run))
 		for _, x := range run {
 			a.med = append(a.med, float64(x))
 		}
@@ -968,9 +970,10 @@ func (a *bucketAcc) flush(t int64, times []int64, vals *valueVec) []int64 {
 // accumulator, and emits one value per non-empty bucket, in time order
 // (empty buckets are omitted: InfluxDB's fill(none)), into fresh slices
 // sized for the buckets the chunks can span. iv <= 0 is the query
-// without GROUP BY time: a single bucket stamped whole.
-func reduceField(fn string, chunks []colChunk, iv, whole int64) (outT []int64, outV valueVec) {
-	acc := bucketAcc{mode: slices.Index(aggNames[:], fn)}
+// without GROUP BY time: a single bucket stamped whole. The
+// accumulator's sample buffers come from, and go back to, scratch.
+func reduceField(fn string, chunks []colChunk, iv, whole int64, scratch *aggScratch) (outT []int64, outV valueVec) {
+	acc := bucketAcc{mode: slices.Index(aggNames[:], fn), med: scratch.med, num: scratch.num}
 	buckets := 0
 	for i := range chunks {
 		buckets += chunks[i].times.len()
@@ -1021,6 +1024,7 @@ func reduceField(fn string, chunks []colChunk, iv, whole int64) (outT []int64, o
 	if open {
 		outT = acc.flush(cur, outT, &outV)
 	}
+	scratch.med, scratch.num = acc.med, acc.num
 	return outT, outV
 }
 
@@ -1042,7 +1046,7 @@ func (st *execState) execAgg(keys []string, rs *ResultSeries) {
 		if !sorted {
 			chunks = []colChunk{mergeChunks(chunks)}
 		}
-		times[i], vals[i] = reduceField(f.Func, chunks, q.GroupByTime, rangeStart(q))
+		times[i], vals[i] = reduceField(f.Func, chunks, q.GroupByTime, rangeStart(q), scratch)
 	}
 	rs.Times, rs.cols = alignFields(times, vals)
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -168,9 +169,30 @@ func walSeedSegment(recs ...*walRecord) []byte {
 	var dict walDict
 	frames := make([][]byte, len(recs))
 	for i, rec := range recs {
-		frames[i] = dict.encode(rec)
+		frames[i] = dict.encode(named(rec))
 	}
 	return walSeedFrames(frames...)
+}
+
+// named returns a copy of a hand-built record whose points carry the
+// series a write would resolve for them, which is how the log names
+// them.
+func named(rec *walRecord) *walRecord {
+	resolved := func(points []Point) []*series {
+		out := make([]*series, len(points))
+		for i, p := range points {
+			tags := p.Tags.Sorted()
+			out[i] = &series{measurement: p.Measurement, key: seriesKey(p.Measurement, tags), tags: tags}
+		}
+		return out
+	}
+	c := *rec
+	c.series = resolved(c.points)
+	c.ops = slices.Clone(c.ops)
+	for i := range c.ops {
+		c.ops[i].series = resolved(c.ops[i].points)
+	}
+	return &c
 }
 
 // walDictCorruption is a segment whose second record breaks the
@@ -186,34 +208,32 @@ type walDictCorruption struct {
 // earlier record defined — it was encoded against a dictionary out of
 // step with the segment — or by defining an id that is already taken.
 func walDictCorruptions() []walDictCorruption {
-	rec := func(fields ...string) *walRecord {
-		p := walPoint("n1", 60, 1)
+	rec := func(node string, fields ...string) *walRecord {
+		p := walPoint(node, 60, 1)
 		p.Fields = map[string]Value{}
 		for _, f := range fields {
 			p.Fields[f] = Float(1)
 		}
-		return &walRecord{op: walOpWrite, points: []Point{p}}
+		return named(&walRecord{op: walOpWrite, points: []Point{p}})
 	}
 	var other walDict // other series first: n1 is series 1
-	o := rec("Reading")
-	o.points[0].Tags = Tags{{Key: "NodeId", Value: "n2"}}
-	other.encode(o)
-	other.encode(rec("Reading"))
+	other.encode(rec("n2", "Reading"))
+	other.encode(rec("n1", "Reading"))
 	var otherField walDict // field Status first: Reading is field 1
-	otherField.encode(rec("Status"))
-	otherField.encode(rec("Reading"))
+	otherField.encode(rec("n1", "Status"))
+	otherField.encode(rec("n1", "Reading"))
 	var fresh walDict
 	var out []walDictCorruption
 	for _, c := range []struct {
 		name string
 		bad  []byte
 	}{
-		{"undefined series", other.encode(rec("Reading"))},
-		{"undefined field", otherField.encode(rec("Reading"))},
-		{"repeated definition", fresh.encode(rec("Reading"))},
+		{"undefined series", other.encode(rec("n1", "Reading"))},
+		{"undefined field", otherField.encode(rec("n1", "Reading"))},
+		{"repeated definition", fresh.encode(rec("n1", "Reading"))},
 	} {
 		var dict walDict
-		out = append(out, walDictCorruption{c.name, walSeedFrames(dict.encode(rec("Reading")), c.bad), len(c.bad)})
+		out = append(out, walDictCorruption{c.name, walSeedFrames(dict.encode(rec("n1", "Reading")), c.bad), len(c.bad)})
 	}
 	return out
 }

@@ -3,8 +3,9 @@ package tsdb
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -21,34 +22,15 @@ import (
 // InfluxDB). Timestamps are in seconds (the engine's resolution).
 
 // AppendLineProtocol renders one point in line protocol, appending to
-// dst. Tags are emitted in canonical (sorted) order; fields sorted by
-// key.
+// dst: its series key (tags in canonical order), then its fields
+// sorted by key, then its time.
 func AppendLineProtocol(dst []byte, p *Point) []byte {
-	// A '"' is escaped everywhere outside a string value: the parser's
-	// section splitter treats a bare one as opening a quoted region.
-	// A leading '#' or white space (the blank has its own escape) is
-	// escaped so the line is not read as a comment or trimmed.
-	if r, _ := utf8.DecodeRuneInString(p.Measurement); r == '#' || r != ' ' && unicode.IsSpace(r) {
-		dst = append(dst, '\\')
-	}
-	dst = appendEscaped(dst, p.Measurement, `, "`)
-	for _, t := range p.Tags.Sorted() {
-		dst = append(dst, ',')
-		dst = appendEscaped(dst, t.Key, `,= "`)
-		dst = append(dst, '=')
-		dst = appendEscaped(dst, t.Value, `,= "`)
-	}
-	dst = append(dst, ' ')
-	keys := make([]string, 0, len(p.Fields))
-	for k := range p.Fields {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for i, k := range keys {
+	dst = append(appendSeriesKey(dst, p.Measurement, p.Tags.Sorted()), ' ')
+	for i, k := range slices.Sorted(maps.Keys(p.Fields)) {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendEscaped(dst, k, `,= "`)
+		dst = appendEscaped(dst, k, escName)
 		dst = append(dst, '=')
 		dst = appendFieldValue(dst, p.Fields[k])
 	}
@@ -67,15 +49,48 @@ func FormatLineProtocol(points []Point) []byte {
 	return dst
 }
 
-func appendEscaped(dst []byte, s, escapeSet string) []byte {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c == '\\' || strings.IndexByte(escapeSet, c) >= 0 {
-			dst = append(dst, '\\')
-		}
-		dst = append(dst, c)
+func seriesKey(measurement string, sorted Tags) string {
+	return string(appendSeriesKey(nil, measurement, sorted))
+}
+
+// appendSeriesKey appends the one series identity of measurement and
+// its sorted tags to b: the escaped line-protocol prefix
+// measurement,k1=v1,k2=v2, so no two identities share a key. A leading
+// '#' or white space (the blank has its own escape) is escaped so a
+// line is not read as a comment or trimmed.
+func appendSeriesKey(b []byte, measurement string, sorted Tags) []byte {
+	if r, _ := utf8.DecodeRuneInString(measurement); r == '#' || r != ' ' && unicode.IsSpace(r) {
+		b = append(b, '\\')
 	}
-	return dst
+	b = appendEscaped(b, measurement, escMeasurement)
+	for _, t := range sorted {
+		b = appendEscaped(append(b, ','), t.Key, escName)
+		b = appendEscaped(append(b, '='), t.Value, escName)
+	}
+	return b
+}
+
+// Escape classes for appendEscaped: a measurement escapes '\', ',', the
+// blank and '"' (the parser's section splitter treats a bare '"' as
+// opening a quoted region); a tag key or value and a field key escape
+// '=' too; a string field value escapes only '\' and '"'.
+const escMeasurement, escName, escString = 1, 2, 4
+
+var escapes = [256]uint8{
+	'\\': escMeasurement | escName | escString, '"': escMeasurement | escName | escString,
+	',': escMeasurement | escName, ' ': escMeasurement | escName, '=': escName}
+
+// appendEscaped appends s with a '\' before each byte its class
+// escapes; the runs between them are appended whole.
+func appendEscaped(dst []byte, s string, class uint8) []byte {
+	run := 0
+	for i := 0; i < len(s); i++ {
+		if escapes[s[i]]&class != 0 {
+			dst = append(append(dst, s[run:i]...), '\\')
+			run = i
+		}
+	}
+	return append(dst, s[run:]...)
 }
 
 func appendFieldValue(dst []byte, v Value) []byte {
@@ -88,15 +103,7 @@ func appendFieldValue(dst []byte, v Value) []byte {
 	case KindBool:
 		return strconv.AppendBool(dst, v.B)
 	case KindString:
-		dst = append(dst, '"')
-		for i := 0; i < len(v.S); i++ {
-			c := v.S[i]
-			if c == '"' || c == '\\' {
-				dst = append(dst, '\\')
-			}
-			dst = append(dst, c)
-		}
-		return append(dst, '"')
+		return append(appendEscaped(append(dst, '"'), v.S, escString), '"')
 	default:
 		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
 	}
@@ -235,15 +242,7 @@ func parseFieldValue(s string) (Value, error) {
 		if len(s) < 2 || s[len(s)-1] != '"' {
 			return Value{}, fmt.Errorf("unterminated string %q", s)
 		}
-		body := s[1 : len(s)-1]
-		var b strings.Builder
-		for i := 0; i < len(body); i++ {
-			if body[i] == '\\' && i+1 < len(body) {
-				i++
-			}
-			b.WriteByte(body[i])
-		}
-		return Str(b.String()), nil
+		return Str(unescape(s[1 : len(s)-1])), nil
 	}
 	switch s {
 	case "t", "T", "true", "True", "TRUE":

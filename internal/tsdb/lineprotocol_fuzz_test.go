@@ -12,8 +12,9 @@ import (
 // both speak it). Invariants: parsing never panics; an accepted input
 // re-renders through FormatLineProtocol into a form that parses again
 // with the same point count and is byte-stable on the second round
-// trip; no parsed float field is NaN or ±Inf; and the point count never
-// exceeds the input's line count.
+// trip and gives every point back its series key; no parsed float
+// field is NaN or ±Inf; and the point count never exceeds the input's
+// line count.
 func FuzzLineProtocol(f *testing.F) {
 	seeds := []string{
 		"Power,NodeId=10.101.1.1,Label=NodePower Reading=273.8 1583792296\n",
@@ -22,6 +23,7 @@ func FuzzLineProtocol(f *testing.F) {
 		"m f=true\n",
 		"# comment\n\nm f=0\n",
 		"esc\\,aped,k\\=ey=v\\,alue f=1 1\n",
+		"a,k=v\\,x\\=y f=1\na,k=v,x=y f=2\na\\,k=v f=4\n", // three series, not one
 		"m f=1e300,g=-2.5 99\n",
 		"\\\" 0=\"\"", // a quote in a name must be re-escaped on render
 		"m,k\\\"=v\\\" f\\\"=1",
@@ -64,6 +66,11 @@ func FuzzLineProtocol(f *testing.F) {
 		}
 		if len(pts2) != len(pts) {
 			t.Fatalf("round trip changed point count: %d -> %d", len(pts), len(pts2))
+		}
+		for i := range pts {
+			if got, want := pointKey(&pts2[i]), pointKey(&pts[i]); got != want {
+				t.Fatalf("round trip changed point %d's series key: %q -> %q\nrendered %q", i, want, got, b1)
+			}
 		}
 		b2 := FormatLineProtocol(pts2)
 		if !bytes.Equal(b1, b2) {

@@ -49,8 +49,8 @@ func TestLineProtocolRoundTrip(t *testing.T) {
 		t.Fatalf("points = %d", len(back))
 	}
 	for i := range pts {
-		if back[i].SeriesKey() != pts[i].SeriesKey() {
-			t.Fatalf("series key %q != %q", back[i].SeriesKey(), pts[i].SeriesKey())
+		if pointKey(&back[i]) != pointKey(&pts[i]) {
+			t.Fatalf("series key %q != %q", pointKey(&back[i]), pointKey(&pts[i]))
 		}
 		if back[i].Time != pts[i].Time {
 			t.Fatalf("time %d != %d", back[i].Time, pts[i].Time)

@@ -231,26 +231,6 @@ func hasLineBreak(s string) bool {
 	return false
 }
 
-// SeriesKey returns the canonical series identity string:
-// measurement,k1=v1,k2=v2 with tags sorted by key.
-func (p *Point) SeriesKey() string {
-	return seriesKey(p.Measurement, p.Tags.Sorted())
-}
-
-func seriesKey(measurement string, sorted Tags) string {
-	return string(appendSeriesKey(nil, measurement, sorted))
-}
-
-// appendSeriesKey appends the series identity of measurement and its
-// sorted tags to b.
-func appendSeriesKey(b []byte, measurement string, sorted Tags) []byte {
-	b = append(b, measurement...)
-	for _, t := range sorted {
-		b = append(append(append(append(b, ','), t.Key...), '='), t.Value...)
-	}
-	return b
-}
-
 // EncodedSize reports the point's size under the canonical storage
 // encoding: 8 bytes of timestamp plus each field's key and value.
 // Series-key bytes are accounted once per series per shard by the
@@ -258,10 +238,13 @@ func appendSeriesKey(b []byte, measurement string, sorted Tags) []byte {
 func (p *Point) EncodedSize() int {
 	n := 8
 	for k, v := range p.Fields {
-		n += 2 + len(k) + v.EncodedSize()
+		n += fieldSize(k, v)
 	}
 	return n
 }
+
+// fieldSize is one field's share of Point.EncodedSize.
+func fieldSize(k string, v Value) int { return 2 + len(k) + v.EncodedSize() }
 
 // FormatTime renders a Unix-seconds timestamp in RFC3339 UTC, the
 // format the query language accepts in time predicates.

@@ -270,7 +270,7 @@ func applyWALRecord(db *DB, rec walRecord) error {
 func (db *DB) applyBatchRecord(points []Point, ops []rollupOp) error {
 	return db.commit(func(v *dbView) (_ *dbView, _ *walRecord, err error) {
 		if len(points) > 0 {
-			if v, err = db.writePointsView(v, points); err != nil {
+			if v, _, err = db.writePointsView(v, points); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -279,7 +279,7 @@ func (db *DB) applyBatchRecord(points []Point, ops []rollupOp) error {
 				return nil, nil, err
 			}
 		}
-		return v, &walRecord{op: walOpBatch, points: points, ops: ops}, nil
+		return v, nil, nil // replay runs before the log is attached: nothing to log
 	})
 }
 

@@ -171,6 +171,7 @@ type rollupOp struct {
 	clearStart int64 // half-open clear range; equal bounds = no clear
 	clearEnd   int64
 	points     []Point
+	series     []*series // each point's series, as applyRollupOp wrote it
 }
 
 // inferWatermark derives a spec's watermark (first unprocessed bucket
@@ -316,7 +317,7 @@ func (db *DB) rollupExec(v *dbView, cr compiledRollup, start, end, wm int64) (*d
 // the stale range, then write the rows. Maintenance and WAL replay
 // both apply ops here. A clear that finds nothing is recorded as none
 // (clearEnd = clearStart), so a logged op says what it did.
-func (db *DB) applyRollupOp(v *dbView, op *rollupOp) (*dbView, error) {
+func (db *DB) applyRollupOp(v *dbView, op *rollupOp) (_ *dbView, err error) {
 	if op.clearStart < op.clearEnd {
 		nv, _, err := clearMeasurementRangeView(v, op.target, op.clearStart, op.clearEnd, db.blockSize)
 		if err != nil {
@@ -331,7 +332,8 @@ func (db *DB) applyRollupOp(v *dbView, op *rollupOp) (*dbView, error) {
 	if len(op.points) == 0 {
 		return v, nil
 	}
-	return db.writePointsView(v, op.points)
+	v, op.series, err = db.writePointsView(v, op.points)
+	return v, err
 }
 
 // rollupQueryFields builds the source query's field list for one spec.

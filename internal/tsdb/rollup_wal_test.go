@@ -276,8 +276,8 @@ func TestWALLineBreakSeriesRecover(t *testing.T) {
 		t.Helper()
 		pts := []Point{p}
 		if err := db.commit(func(v *dbView) (*dbView, *walRecord, error) {
-			nv, err := db.writePointsView(v, pts)
-			return nv, &walRecord{op: walOpWrite, points: pts}, err
+			nv, written, err := db.writePointsView(v, pts)
+			return nv, &walRecord{op: walOpWrite, points: pts, series: written}, err
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -20,26 +20,6 @@ import (
 // "warm-mixed" asks max of a column whose first reading each day is a
 // string, so a day's first block and the tails hold Value cells.
 func BenchmarkScan72h(b *testing.B) {
-	const nodes, perNode = 16, 72 * 60
-	const start = 1587081600 // 2020-04-17T00:00:00Z, a shard boundary
-	points := func(frac float64, mixed bool) []Point {
-		pts := make([]Point, 0, nodes*perNode)
-		for i := 0; i < perNode; i++ {
-			for n := 0; n < nodes; n++ {
-				v := Float(200 + float64((i*7+n)%50) + frac)
-				if mixed && i%(24*60) == 0 {
-					v = Str("n/a")
-				}
-				pts = append(pts, Point{
-					Measurement: "Power",
-					Tags:        Tags{{"Label", "NodePower"}, {"NodeId", fmt.Sprintf("10.101.1.%d", n)}},
-					Fields:      map[string]Value{"Reading": v},
-					Time:        start + int64(i*60),
-				})
-			}
-		}
-		return pts
-	}
 	for _, c := range []struct {
 		name   string
 		agg    string
@@ -52,21 +32,9 @@ func BenchmarkScan72h(b *testing.B) {
 		{"warm-stddev", "stddev", 0, 0, false}, {"warm-median", "median", 0, 0, false},
 		{"warm-mixed", "max", 0, 0, true},
 	} {
-		stmt := fmt.Sprintf(`SELECT %s("Reading") FROM "Power" WHERE time >= %d AND time < %d GROUP BY time(1h), "NodeId", "Label"`,
-			c.agg, start, start+perNode*60)
+		stmt := scan72hStmt(c.agg)
 		b.Run(c.name, func(b *testing.B) {
-			db := Open(Options{DecodeCacheBytes: c.budget})
-			db.execWorkers = 1
-			if err := db.WritePoints(points(c.frac, c.mixed)); err != nil {
-				b.Fatal(err)
-			}
-			res, err := db.Query(stmt) // warm-up: fills the cache when it may
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Stats.PointsScanned != nodes*perNode || res.Stats.BlocksDecoded != nodes*3 {
-				b.Fatalf("scan shape: %+v", res.Stats)
-			}
+			db := scan72hDB(b, c.frac, c.mixed, c.budget)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -74,7 +42,79 @@ func BenchmarkScan72h(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes*perNode), "ns/point")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*scanNodes*scanPerNode), "ns/point")
 		})
 	}
+}
+
+// TestScanAllocsIndependentOfAggregate pins what median and a mixed
+// column cost over max in BenchmarkScan72h's scan: their sample
+// buffers are reused bucket to bucket and group to group, so over the
+// 16 groups they make at most 2 allocations per query more than max.
+func TestScanAllocsIndependentOfAggregate(t *testing.T) {
+	allocs := func(db *DB, agg string) float64 {
+		stmt := scan72hStmt(agg)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := db.Query(stmt); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	plain := scan72hDB(t, 0, false, 0)
+	base := allocs(plain, "max")
+	for name, got := range map[string]float64{
+		"median":             allocs(plain, "median"),
+		"max of mixed cells": allocs(scan72hDB(t, 0, true, 0), "max"),
+	} {
+		if got > base+2 {
+			t.Errorf("%s: %.0f allocations per query, max %.0f; want at most 2 more", name, got, base)
+		}
+	}
+}
+
+const (
+	scanNodes, scanPerNode = 16, 72 * 60
+	scanStart              = 1587081600 // 2020-04-17T00:00:00Z, a shard boundary
+)
+
+// scan72hStmt is the builder's fan-out statement over the scan with agg
+// in place of max.
+func scan72hStmt(agg string) string {
+	return fmt.Sprintf(`SELECT %s("Reading") FROM "Power" WHERE time >= %d AND time < %d GROUP BY time(1h), "NodeId", "Label"`,
+		agg, scanStart, scanStart+scanPerNode*60)
+}
+
+// scan72hDB stores the scan's readings, plus frac, with a string first
+// reading each day when mixed, in a DB of one exec worker whose decode
+// cache has budget bytes, and checks the scan's shape on a first query,
+// which fills the cache when it may.
+func scan72hDB(tb testing.TB, frac float64, mixed bool, budget int64) *DB {
+	pts := make([]Point, 0, scanNodes*scanPerNode)
+	for i := 0; i < scanPerNode; i++ {
+		for n := 0; n < scanNodes; n++ {
+			v := Float(200 + float64((i*7+n)%50) + frac)
+			if mixed && i%(24*60) == 0 {
+				v = Str("n/a")
+			}
+			pts = append(pts, Point{
+				Measurement: "Power",
+				Tags:        Tags{{"Label", "NodePower"}, {"NodeId", fmt.Sprintf("10.101.1.%d", n)}},
+				Fields:      map[string]Value{"Reading": v},
+				Time:        scanStart + int64(i*60),
+			})
+		}
+	}
+	db := Open(Options{DecodeCacheBytes: budget})
+	db.execWorkers = 1
+	if err := db.WritePoints(pts); err != nil {
+		tb.Fatal(err)
+	}
+	res, err := db.Query(scan72hStmt("max"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if res.Stats.PointsScanned != scanNodes*scanPerNode || res.Stats.BlocksDecoded != scanNodes*3 {
+		tb.Fatalf("scan shape: %+v", res.Stats)
+	}
+	return db
 }

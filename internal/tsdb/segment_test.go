@@ -167,7 +167,7 @@ func TestWALDictFailedAppend(t *testing.T) {
 	if err := db.WritePoint(point("n2", 1)); !errors.Is(err, errInjected) {
 		t.Fatalf("faulted append: err %v, want the injected failure", err)
 	}
-	if s, f := len(db.wal.dict.series.defs), len(db.wal.dict.fields.defs); s != 1 || f != 1 {
+	if s, f := len(db.wal.dict.series.keys), len(db.wal.dict.fields.keys); s != 1 || f != 1 {
 		t.Errorf("after the cut-back append the dictionary holds %d series and %d fields, want 1 and 1", s, f)
 	}
 	both(point("n2", 2))
@@ -204,7 +204,7 @@ func TestWALDictPerSegment(t *testing.T) {
 			if err := db.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
-			if s, f := len(db.wal.dict.series.defs), len(db.wal.dict.fields.defs); s != 0 || f != 0 {
+			if s, f := len(db.wal.dict.series.keys), len(db.wal.dict.fields.keys); s != 0 || f != 0 {
 				t.Errorf("the checkpoint's fresh segment starts with %d series and %d fields defined", s, f)
 			}
 		}
@@ -214,7 +214,7 @@ func TestWALDictPerSegment(t *testing.T) {
 		if db.wal.seq != seq {
 			// This batch is the first record of a fresh segment: the
 			// dictionary holds what it defined and nothing older.
-			if s, f := len(db.wal.dict.series.defs), len(db.wal.dict.fields.defs); s != nodes || f != 1 {
+			if s, f := len(db.wal.dict.series.keys), len(db.wal.dict.fields.keys); s != nodes || f != 1 {
 				t.Errorf("batch %d opened segment %d with %d series and %d fields defined, want %d and 1", i, db.wal.seq, s, f, nodes)
 			}
 			seq = db.wal.seq

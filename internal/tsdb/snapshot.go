@@ -256,9 +256,11 @@ func restore(br *bufio.Reader, opts Options) (*DB, error) {
 			if err := d.end(); err != nil {
 				return nil, err
 			}
-			sorted := b.resolve(sr.measurement, sr.tags)
-			sr.key = string(b.key)
-			sr.tags = b.indexSeries(&Point{Measurement: sr.measurement, Fields: first}, sorted)
+			mi, tags := b.indexSeries(sr.measurement, sr.tags)
+			for name, v := range first {
+				mi = b.indexField(sr.measurement, mi, name, v.Kind)
+			}
+			sr.key, sr.tags = string(b.key), tags
 			sh.series[sr.key] = sr
 			sh.keyBytes += len(sr.key) + 8
 		}

@@ -562,7 +562,7 @@ func TestTimeVecTailsMatchExplicit(t *testing.T) {
 			_, explicitBefore := canonical(t, before, "before the batch")
 			for _, p := range pts {
 				if sh := before.shards[p.Time-mod(p.Time, opts.ShardDuration)]; sh != nil {
-					if sr := sh.series[p.SeriesKey()]; sr != nil && len(sr.fields[0].col.blocks) > 0 && p.Time < sr.fields[0].col.blocks[len(sr.fields[0].col.blocks)-1].maxT {
+					if sr := sh.series[pointKey(&p)]; sr != nil && len(sr.fields[0].col.blocks) > 0 && p.Time < sr.fields[0].col.blocks[len(sr.fields[0].col.blocks)-1].maxT {
 						behindSealed++
 					}
 				}

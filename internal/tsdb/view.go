@@ -284,21 +284,16 @@ func (b *batch) mutableTagVals(mi *measurementIndex, key string) map[string][]st
 	return mi.byTag[key]
 }
 
-// resolve puts tags in canonical order in b.tags (unless they already
-// are) and builds the series key in b.key, and returns the sorted
-// tags. Both stay valid only until the next resolve.
-func (b *batch) resolve(measurement string, tags Tags) Tags {
-	tags = tags.sortedInto(&b.tags)
-	b.key = appendSeriesKey(b.key[:0], measurement, tags)
-	return tags
-}
-
-// indexSeries records a point's measurement, series (keyed by b.key),
-// and field metadata in the view's index, cloning only what it changes,
-// and returns the index's own copy of the sorted tags: a key string
-// and a tag copy are made only for a series the view has not seen.
-func (b *batch) indexSeries(p *Point, sorted Tags) Tags {
-	mi := b.v.index[p.Measurement]
+// indexSeries resolves a series — its tags in canonical order in
+// b.tags, its key in b.key, both valid until the next call — and
+// records it and its measurement in the view's index, cloning only
+// what it changes. It returns the measurement's index and the index's
+// own copy of the sorted tags: a key string and a tag copy are made
+// only for a series the view has not seen.
+func (b *batch) indexSeries(measurement string, tags Tags) (*measurementIndex, Tags) {
+	sorted := tags.sortedInto(&b.tags)
+	b.key = appendSeriesKey(b.key[:0], measurement, sorted)
+	mi := b.v.index[measurement]
 	if mi == nil {
 		mi = &measurementIndex{
 			byTag:  make(map[string]map[string][]string),
@@ -306,21 +301,15 @@ func (b *batch) indexSeries(p *Point, sorted Tags) Tags {
 			fields: make(map[string]ValueKind),
 		}
 		b.cloneIndexMap()
-		b.v.index[p.Measurement] = mi
+		b.v.index[measurement] = mi
 		b.freshMI[mi] = true
 		b.v.stats.Measurements++
 	}
-	for fk, fv := range p.Fields {
-		if _, seen := mi.fields[fk]; !seen {
-			mi = b.mutableMI(p.Measurement, mi)
-			mi.fields[fk] = fv.Kind
-		}
-	}
 	if tags, ok := mi.series[string(b.key)]; ok {
-		return tags
+		return mi, tags
 	}
 	key, tags := string(b.key), slices.Clone(sorted)
-	mi = b.mutableMI(p.Measurement, mi)
+	mi = b.mutableMI(measurement, mi)
 	mi.series[key] = tags
 	b.v.stats.SeriesCreated++
 	for _, t := range tags {
@@ -330,13 +319,23 @@ func (b *batch) indexSeries(p *Point, sorted Tags) Tags {
 		// bounds its readers below the appended cell.
 		vals[t.Value] = append(vals[t.Value], key)
 	}
-	return tags
+	return mi, tags
 }
 
-// writePoint resolves p's series and appends its samples into
-// batch-owned storage.
-func (b *batch) writePoint(p *Point) {
-	tags := b.indexSeries(p, b.resolve(p.Measurement, p.Tags))
+// indexField records field name's kind in mi, measurement's index,
+// unless mi has the field already, and returns the batch's mi.
+func (b *batch) indexField(measurement string, mi *measurementIndex, name string, kind ValueKind) *measurementIndex {
+	if _, seen := mi.fields[name]; !seen {
+		mi = b.mutableMI(measurement, mi)
+		mi.fields[name] = kind
+	}
+	return mi
+}
+
+// writePoint resolves p's series, appends its samples into
+// batch-owned storage, and returns the series.
+func (b *batch) writePoint(p *Point) *series {
+	mi, tags := b.indexSeries(p.Measurement, p.Tags)
 	sh := b.shardFor(p.Time)
 	sr := sh.series[string(b.key)]
 	if sr != nil {
@@ -346,7 +345,10 @@ func (b *batch) writePoint(p *Point) {
 		sh.series[sr.key] = sr
 		sh.keyBytes += len(sr.key) + 8 // key plus index entry overhead
 	}
+	sz := 8 // p.EncodedSize(), summed in the one pass over its fields
 	for fk, fv := range p.Fields {
+		mi = b.indexField(p.Measurement, mi, fk, fv.Kind)
+		sz += fieldSize(fk, fv)
 		col := b.mutableColumn(sr, fk)
 		// A tail append behind the column's newest time (which, for an
 		// empty tail, is the last sealed block's maxT) marks the column
@@ -357,23 +359,26 @@ func (b *batch) writePoint(p *Point) {
 		col.vals.append(fv)
 		col.times.append(p.Time, col.vals.cap())
 	}
-	sz := p.EncodedSize()
 	sr.bytes += sz
 	sh.points++
 	sh.bytes += int64(sz)
 	b.v.stats.PointsWritten++
+	return sr
 }
 
 // writePointsView derives, copy-on-write, the view that adds points to
 // base — the one place a point becomes stored samples, shared by live
-// writes, rollup maintenance and WAL replay. Points must already be
-// validated. On error (see batch.finish) nothing may be published.
-func (db *DB) writePointsView(base *dbView, points []Point) (*dbView, error) {
+// writes, rollup maintenance and WAL replay — and returns each point's
+// series, which the WAL names it by. Points must already be validated.
+// On error (see batch.finish) nothing may be published.
+func (db *DB) writePointsView(base *dbView, points []Point) (*dbView, []*series, error) {
 	b := newBatch(base, db.shardDuration, db.blockSize)
+	written := make([]*series, len(points))
 	for i := range points {
-		b.writePoint(&points[i])
+		written[i] = b.writePoint(&points[i])
 	}
-	return b.finish(len(points) > 0)
+	v, err := b.finish(len(points) > 0)
+	return v, written, err
 }
 
 // dropMeasurementView derives a view with measurement name and all its

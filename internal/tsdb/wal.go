@@ -261,7 +261,7 @@ func (w *WAL) append(rec *walRecord) error {
 			return err
 		}
 	}
-	series, fields := len(w.dict.series.defs), len(w.dict.fields.defs)
+	series, fields := len(w.dict.series.keys), len(w.dict.fields.keys)
 	frame := w.dict.encode(rec)
 	_, err := sealFrame(frame)
 	if err == nil {
@@ -378,55 +378,56 @@ func (w *WAL) Stats() WALStats {
 
 // walIDs numbers the names one segment defines, in order of first use.
 type walIDs struct {
-	ids  map[string]uint64 // a name's definition bytes -> its id
-	defs []string          // definition bytes by id
+	ids  map[string]uint64 // a series key or field name -> its id
+	keys []string          // names by id
 }
 
-// put appends def's reference to b: uvarint(id<<1) when the segment
-// already defined it, else uvarint(id<<1|1) and def, which takes the
-// next id.
-func (t *walIDs) put(b, def []byte) []byte {
-	if id, ok := t.ids[string(def)]; ok {
-		return binary.AppendUvarint(b, id<<1)
+// ref appends key's reference to b: uvarint(id<<1) when the segment
+// already defined it, else uvarint(id<<1|1), with key taking the next
+// id, and reports true: the caller appends the definition.
+func (t *walIDs) ref(b []byte, key string) ([]byte, bool) {
+	if id, ok := t.ids[key]; ok {
+		return binary.AppendUvarint(b, id<<1), false
 	}
 	if t.ids == nil {
 		t.ids = make(map[string]uint64)
 	}
-	id, key := uint64(len(t.defs)), string(def)
+	id := uint64(len(t.keys))
 	t.ids[key] = id
-	t.defs = append(t.defs, key)
-	return append(binary.AppendUvarint(b, id<<1|1), def...)
+	t.keys = append(t.keys, key)
+	return binary.AppendUvarint(b, id<<1|1), true
 }
 
 // truncate forgets every name defined after the first n.
 func (t *walIDs) truncate(n int) {
-	for _, def := range t.defs[n:] {
-		delete(t.ids, def)
+	for _, key := range t.keys[n:] {
+		delete(t.ids, key)
 	}
-	t.defs = t.defs[:n]
+	t.keys = t.keys[:n]
 }
 
 // walDict is the write side of a segment's dictionary: the series and
 // field names its records have defined, plus scratch for encoding.
 type walDict struct {
 	series, fields walIDs
-	def            []byte   // one series or field definition
-	tags           Tags     // one point's tags, sorted by key
 	names          []string // one point's field names, sorted
 }
 
-// appendPoints emits a point list. Tags go in key order, as the store
-// keeps them, so a series has one definition whatever order its
-// writers give; field names go in sorted order so identical batches
-// into identical dictionaries encode identically — the property the
-// kill-point tests lean on.
-func (d *walDict) appendPoints(b []byte, points []Point) []byte {
+// appendPoints emits a point list, naming each point by the series its
+// write resolved (series[i] for points[i]): the series key picks the
+// id, and a series' first reference in the segment defines it by its
+// measurement and sorted tags. Field names go in sorted order so
+// identical batches into identical dictionaries encode identically —
+// the property the kill-point tests lean on.
+func (d *walDict) appendPoints(b []byte, points []Point, series []*series) []byte {
 	b = binary.AppendUvarint(b, uint64(len(points)))
 	var prev int64
 	for i := range points {
-		p := &points[i]
-		d.def = appendTags(appendStr(d.def[:0], p.Measurement), p.Tags.sortedInto(&d.tags))
-		b = d.series.put(b, d.def)
+		p, sr := &points[i], series[i]
+		var def bool
+		if b, def = d.series.ref(b, sr.key); def {
+			b = appendTags(appendStr(b, sr.measurement), sr.tags)
+		}
 		d.names = d.names[:0]
 		for name := range p.Fields {
 			d.names = append(d.names, name)
@@ -434,8 +435,10 @@ func (d *walDict) appendPoints(b []byte, points []Point) []byte {
 		sort.Strings(d.names)
 		b = binary.AppendUvarint(b, uint64(len(d.names)))
 		for _, name := range d.names {
-			d.def = appendStr(d.def[:0], name)
-			b = appendValue(d.fields.put(b, d.def), p.Fields[name])
+			if b, def = d.fields.ref(b, name); def {
+				b = appendStr(b, name)
+			}
+			b = appendValue(b, p.Fields[name])
 		}
 		b = binary.AppendVarint(b, p.Time-prev)
 		prev = p.Time
@@ -449,20 +452,20 @@ func (d *walDict) encode(rec *walRecord) []byte {
 	b := openFrame(nil)
 	switch rec.op {
 	case walOpWrite:
-		b = d.appendPoints(append(b, byte(walOpWrite)), rec.points)
+		b = d.appendPoints(append(b, byte(walOpWrite)), rec.points, rec.series)
 	case walOpDrop:
 		b = appendStr(append(b, byte(walOpDrop)), rec.name)
 	case walOpDeleteBefore:
 		b = le.AppendUint64(append(b, byte(walOpDeleteBefore)), uint64(rec.before))
 	case walOpBatch:
-		b = d.appendPoints(append(b, byte(walOpBatch)), rec.points)
+		b = d.appendPoints(append(b, byte(walOpBatch)), rec.points, rec.series)
 		b = le.AppendUint32(b, uint32(len(rec.ops)))
 		for i := range rec.ops {
 			op := &rec.ops[i]
 			b = appendStr(b, op.target)
 			b = le.AppendUint64(b, uint64(op.clearStart))
 			b = le.AppendUint64(b, uint64(op.clearEnd))
-			b = d.appendPoints(b, op.points)
+			b = d.appendPoints(b, op.points, op.series)
 		}
 	case walOpClearRange:
 		b = appendStr(append(b, byte(walOpClearRange)), rec.name)
@@ -480,6 +483,7 @@ func (d *walDict) encode(rec *walRecord) []byte {
 type walRecord struct {
 	op     walOp
 	points []Point
+	series []*series  // each point's series; written, not decoded
 	name   string     // opDrop, opClearRange
 	before int64      // opDeleteBefore
 	start  int64      // opClearRange
