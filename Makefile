@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-json bench-e2e lint lint-selftest examples fuzz-smoke crash-recovery compression ingest smoke loc
+.PHONY: check fmt vet build test replay race bench bench-json bench-e2e lint lint-selftest examples fuzz-smoke crash-recovery compression ingest smoke loc
 
 # check is the pre-PR gate: formatting, static analysis (go vet, whose
 # copylocks is the project's lock-copy rule, plus the project's own
@@ -9,8 +9,10 @@ GO ?= go
 # package. Each step is here for a failure no other step would show:
 # the focused targets below (crash-recovery, compression, ingest)
 # select tests that `test` and `race` already run, so they are for
-# people iterating on one layer, not for the gate.
-check: fmt vet lint lint-selftest build test race
+# people iterating on one layer, not for the gate. `replay` re-runs one
+# test of `test` three times: a history that follows map order can
+# match its digest once by chance, not three times.
+check: fmt vet lint lint-selftest build test replay race
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -60,6 +62,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# replay runs the facade for 8 nodes × 18 h three times over and
+# requires each run's stored series and paper-probe responses to hash
+# to the checked-in digest: one seed names one history.
+replay:
+	$(GO) test -run '^TestSeedReplaysBitForBit$$' -count=3 .
 
 race:
 	$(GO) test -race ./...

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"monster"
+	"monster/internal/builder"
 	"monster/internal/clock"
 )
 
@@ -174,44 +175,7 @@ func printStats(baseURL string, timeout time.Duration) {
 		log.Fatalf("mquery: %v", err)
 	}
 	defer resp.Body.Close()
-	var body struct {
-		Points       int64 `json:"points"`
-		DataBytes    int64 `json:"data_bytes"`
-		IndexBytes   int64 `json:"index_bytes"`
-		Shards       int   `json:"shards"`
-		Measurements []struct {
-			Name   string `json:"name"`
-			Series int    `json:"series"`
-		} `json:"measurements"`
-		StorageCache *struct {
-			Hits      int64 `json:"hits"`
-			Misses    int64 `json:"misses"`
-			Evictions int64 `json:"evictions"`
-			Resident  int64 `json:"resident_bytes"`
-			Budget    int64 `json:"budget_bytes"`
-			Entries   int   `json:"entries"`
-		} `json:"storage_cache"`
-		StorageTiers []struct {
-			Target    string `json:"target"`
-			Source    string `json:"source"`
-			Aggregate string `json:"aggregate"`
-			IntervalS int64  `json:"interval_s"`
-			Points    int64  `json:"points"`
-			Watermark int64  `json:"watermark"`
-		} `json:"storage_tiers"`
-		StorageCold *struct {
-			BlocksCold     int64 `json:"blocks_cold"`
-			ColdBytes      int64 `json:"cold_bytes"`
-			ResidentBlocks int64 `json:"resident_blocks"`
-			ResidentBytes  int64 `json:"resident_bytes"`
-			BudgetBytes    int64 `json:"budget_bytes"`
-			Files          int   `json:"files"`
-			FileBytes      int64 `json:"file_bytes"`
-			Spills         int64 `json:"spills"`
-			Reads          int64 `json:"reads"`
-			Compactions    int64 `json:"compactions"`
-		} `json:"storage_cold"`
-	}
+	var body builder.StatsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		log.Fatalf("mquery: %v", err)
 	}
@@ -228,11 +192,11 @@ func printStats(baseURL string, timeout time.Duration) {
 			rate = 100 * float64(c.Hits) / float64(total)
 		}
 		budget := "unbounded"
-		if c.Budget > 0 {
-			budget = fmt.Sprintf("%.2f MB", float64(c.Budget)/1e6)
+		if c.BudgetBytes > 0 {
+			budget = fmt.Sprintf("%.2f MB", float64(c.BudgetBytes)/1e6)
 		}
 		fmt.Printf("decode cache: %d hits / %d misses (%.1f%% hit rate), %d evictions, %.2f MB resident of %s budget, %d blocks\n",
-			c.Hits, c.Misses, rate, c.Evictions, float64(c.Resident)/1e6, budget, c.Entries)
+			c.Hits, c.Misses, rate, c.Evictions, float64(c.ResidentBytes)/1e6, budget, c.Entries)
 	}
 	if c := body.StorageCold; c != nil {
 		budget := "no budget"

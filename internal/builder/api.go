@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"monster/internal/clock"
+	"monster/internal/tsdb"
 )
 
 // StatsHeader carries the builder's Stats for one response as a JSON
@@ -230,112 +231,62 @@ func acceptsDeflate(header string) bool {
 	return false
 }
 
-// handleStats reports storage-engine counters (the mquery -stats view).
+// StatsResponse is the /v1/stats body (the mquery -stats view). Each
+// storage subsystem's stats struct is embedded whole and carries its
+// own wire names, so encoding/json flattens their keys into the top
+// level and a counter added to one ships with it.
+type StatsResponse struct {
+	tsdb.DiskStats
+	tsdb.DBStats
+	tsdb.CompressionStats
+	tsdb.WALStats
+	CompressionRatio float64              `json:"compression_ratio"`
+	Epoch            int64                `json:"epoch"`
+	WriteErrors      int64                `json:"write_errors"`
+	Measurements     []MeasurementSummary `json:"measurements"`
+	// Ingest is the pipeline section registered with SetIngestStats.
+	// It and the three storage sections below are omitted until there
+	// is something to report, so a deployment without them keeps its
+	// old payload shape.
+	Ingest any `json:"ingest,omitempty"`
+	// StorageCache is present once a sealed block has been touched.
+	StorageCache *tsdb.CacheStats `json:"storage_cache,omitempty"`
+	// StorageTiers is present once a rollup tier is registered.
+	StorageTiers []tsdb.TierStats `json:"storage_tiers,omitempty"`
+	// StorageCold is present when a cold directory is configured.
+	StorageCold *tsdb.ColdStats `json:"storage_cold,omitempty"`
+}
+
+// MeasurementSummary is one measurement's series count in /v1/stats.
+type MeasurementSummary struct {
+	Name   string `json:"name"`
+	Series int    `json:"series"`
+}
+
+// handleStats reports storage-engine counters.
 func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
 	db := a.b.DB()
-	disk := db.Disk()
-	type measurement struct {
-		Name   string `json:"name"`
-		Series int    `json:"series"`
+	out := StatsResponse{
+		DiskStats:        db.Disk(),
+		DBStats:          db.Stats(),
+		CompressionStats: db.Compression(),
+		WALStats:         db.WALStats(),
+		Epoch:            db.Epoch(),
+		WriteErrors:      a.writeErrs.Load(),
 	}
-	dbStats := db.Stats()
-	walStats := db.WALStats()
-	comp := db.Compression()
-	out := struct {
-		Points          int64         `json:"points"`
-		PointsWritten   int64         `json:"points_written"`
-		DataBytes       int64         `json:"data_bytes"`
-		IndexBytes      int64         `json:"index_bytes"`
-		StorageRaw      int64         `json:"storage_bytes_raw"`
-		StorageComp     int64         `json:"storage_bytes_compressed"`
-		CompressionRate float64       `json:"compression_ratio"`
-		BlocksSealed    int64         `json:"blocks_sealed"`
-		BlocksLive      int64         `json:"blocks_live"`
-		BlocksCached    int64         `json:"blocks_cached"`
-		BlocksCold      int64         `json:"blocks_cold"`
-		SealedPoints    int64         `json:"sealed_points"`
-		TailPoints      int64         `json:"tail_points"`
-		TailExplicit    int64         `json:"tail_explicit_points"`
-		Shards          int           `json:"shards"`
-		Epoch           int64         `json:"epoch"`
-		Batches         int64         `json:"batches_written"`
-		SeriesCreated   int64         `json:"series_created"`
-		MeasurementN    int           `json:"measurement_count"`
-		WriteWaitNs     int64         `json:"write_wait_ns"`
-		WriteErrors     int64         `json:"write_errors"`
-		WALSegments     int           `json:"wal_segments"`
-		WALBytes        int64         `json:"wal_bytes"`
-		WALAppends      int64         `json:"wal_appends"`
-		WALSyncs        int64         `json:"wal_syncs"`
-		WALRotations    int64         `json:"wal_rotations"`
-		WALCheckpoints  int64         `json:"wal_checkpoints"`
-		WALReplayed     int64         `json:"wal_replayed"`
-		WALReplayedPts  int64         `json:"wal_replayed_points"`
-		WALTorn         int64         `json:"wal_torn_frames"`
-		WALTruncated    int64         `json:"wal_truncated_bytes"`
-		Measurements    []measurement `json:"measurements"`
-		Ingest          any           `json:"ingest,omitempty"`
-		// StorageCache is the sealed-block decode cache: hit/miss/eviction
-		// counters and resident bytes against the configured budget.
-		// Omitted until the first sealed block is touched keeps old
-		// clients' output stable (same contract as "ingest").
-		StorageCache any `json:"storage_cache,omitempty"`
-		// StorageTiers lists registered rollup tiers (target, source,
-		// interval, materialized points, watermark). Omitted when no
-		// rollups are registered.
-		StorageTiers any `json:"storage_tiers,omitempty"`
-		// StorageCold is the file-backed cold tier: block placement
-		// (resident vs spilled), segment-file footprint, and spill/read/
-		// compaction counters. Omitted when no cold directory is
-		// configured.
-		StorageCold any `json:"storage_cold,omitempty"`
-	}{
-		Points:          disk.Points,
-		PointsWritten:   dbStats.PointsWritten,
-		DataBytes:       disk.DataBytes,
-		IndexBytes:      disk.IndexBytes,
-		StorageRaw:      comp.BytesRaw,
-		StorageComp:     comp.BytesCompressed,
-		CompressionRate: comp.Ratio(),
-		BlocksSealed:    comp.BlocksSealed,
-		BlocksLive:      comp.Blocks,
-		BlocksCached:    comp.BlocksCached,
-		BlocksCold:      comp.BlocksCold,
-		SealedPoints:    comp.SealedPoints,
-		TailPoints:      comp.TailPoints,
-		TailExplicit:    comp.TailExplicitPoints,
-		Shards:          disk.Shards,
-		Epoch:           db.Epoch(),
-		Batches:         dbStats.BatchesWritten,
-		SeriesCreated:   dbStats.SeriesCreated,
-		MeasurementN:    dbStats.Measurements,
-		WriteWaitNs:     dbStats.WriteWaitNs,
-		WriteErrors:     a.writeErrs.Load(),
-		WALSegments:     walStats.Segments,
-		WALBytes:        walStats.Bytes,
-		WALAppends:      walStats.Appends,
-		WALSyncs:        walStats.Syncs,
-		WALRotations:    walStats.Rotations,
-		WALCheckpoints:  walStats.Checkpoints,
-		WALReplayed:     walStats.Replayed,
-		WALReplayedPts:  walStats.ReplayedPoints,
-		WALTorn:         walStats.TornFrames,
-		WALTruncated:    walStats.TruncatedBytes,
-	}
+	out.CompressionRatio = out.CompressionStats.Ratio()
 	for _, name := range db.Measurements() {
-		out.Measurements = append(out.Measurements, measurement{Name: name, Series: db.SeriesCardinality(name)})
+		out.Measurements = append(out.Measurements, MeasurementSummary{Name: name, Series: db.SeriesCardinality(name)})
 	}
 	if fn := a.ingestStats.Load(); fn != nil {
 		out.Ingest = (*fn)()
 	}
 	if cs := db.CacheStats(); cs.Hits+cs.Misses+cs.Evictions > 0 || cs.ResidentBytes > 0 {
-		out.StorageCache = cs
+		out.StorageCache = &cs
 	}
-	if tiers := db.TierStats(); len(tiers) > 0 {
-		out.StorageTiers = tiers
-	}
+	out.StorageTiers = db.TierStats()
 	if cold := db.ColdStats(); cold.Enabled {
-		out.StorageCold = cold
+		out.StorageCold = &cold
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(out); err != nil {

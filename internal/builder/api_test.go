@@ -1,6 +1,7 @@
 package builder
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -270,8 +271,8 @@ func TestAPIStatsEndpoint(t *testing.T) {
 	if body.Ratio != comp.Ratio() || body.Ratio < 1 {
 		t.Fatalf("compression_ratio = %v, engine says %v", body.Ratio, comp.Ratio())
 	}
-	if body.BlocksSealed != comp.BlocksSealed {
-		t.Fatalf("blocks_sealed = %d, engine says %d", body.BlocksSealed, comp.BlocksSealed)
+	if sealed := b.DB().Stats().BlocksSealed; body.BlocksSealed != sealed {
+		t.Fatalf("blocks_sealed = %d, engine says %d", body.BlocksSealed, sealed)
 	}
 	found := false
 	for _, m := range body.Measurements {
@@ -317,31 +318,14 @@ func TestAPIStatsIngestSection(t *testing.T) {
 	srv := httptest.NewServer(api)
 	defer srv.Close()
 
-	fetch := func() map[string]json.RawMessage {
-		t.Helper()
-		resp, err := http.Get(srv.URL + "/v1/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("stats status = %d", resp.StatusCode)
-		}
-		var body map[string]json.RawMessage
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-			t.Fatal(err)
-		}
-		return body
-	}
-
-	if raw, ok := fetch()["ingest"]; ok {
+	if raw, ok := fetchStats(t, srv.URL)["ingest"]; ok {
 		t.Fatalf("ingest section present before registration: %s", raw)
 	}
 
 	api.SetIngestStats(func() any {
 		return map[string]any{"running": true, "points_received": 42}
 	})
-	raw, ok := fetch()["ingest"]
+	raw, ok := fetchStats(t, srv.URL)["ingest"]
 	if !ok {
 		t.Fatal("ingest section missing after registration")
 	}
@@ -363,50 +347,13 @@ func TestAPIStatsIngestSection(t *testing.T) {
 // deployments without tiers keep their exact old payload shape. The
 // database then seals, spills, checkpoints and evicts, and every
 // counter that history must have moved has to arrive non-zero in the
-// decoded response: a field collected but not shipped fails here, not
-// only in the statssurface analyzer.
+// decoded response.
 func TestAPIStatsStorageSections(t *testing.T) {
-	// 60 points at 8 per block seal seven 128-byte blocks (the readings
-	// are not float32-exact, so a cached point costs 8 B); the decode
-	// cache holds two of them, so one raw scan evicts.
-	db, _, err := tsdb.OpenDurable(
-		tsdb.Options{BlockSize: 8, ColdDir: t.TempDir(), DecodeCacheBytes: 256},
-		tsdb.WALOptions{Dir: t.TempDir(), Policy: tsdb.FsyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.CloseWAL()
-	var pts []tsdb.Point
-	for i := 0; i < 60; i++ {
-		pts = append(pts, tsdb.Point{
-			Measurement: "Power",
-			Tags:        tsdb.Tags{{Key: "NodeId", Value: "n0"}, {Key: "Label", Value: "NodePower"}},
-			Fields:      map[string]tsdb.Value{"Reading": tsdb.Float(float64(100+i) + 0.1)},
-			Time:        int64(i * 60),
-		})
-	}
-	if err := db.WritePoints(pts); err != nil {
-		t.Fatal(err)
-	}
-	api := NewAPI(New(db, Options{}))
-	srv := httptest.NewServer(api)
+	db := openStatsDB(t)
+	srv := httptest.NewServer(NewAPI(New(db, Options{})))
 	defer srv.Close()
 
-	fetch := func() map[string]json.RawMessage {
-		t.Helper()
-		resp, err := http.Get(srv.URL + "/v1/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var body map[string]json.RawMessage
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-			t.Fatal(err)
-		}
-		return body
-	}
-
-	body := fetch()
+	body := fetchStats(t, srv.URL)
 	if raw, ok := body["storage_cache"]; ok {
 		t.Fatalf("storage_cache present before any sealed-block decode: %s", raw)
 	}
@@ -414,33 +361,8 @@ func TestAPIStatsStorageSections(t *testing.T) {
 		t.Fatalf("storage_tiers present before registration: %s", raw)
 	}
 
-	if err := db.RegisterRollup(tsdb.RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
-		t.Fatal(err)
-	}
-	// One point past the data closes every 5 m bucket the fixture wrote.
-	// It lands 90 s after the last one, off the minute cadence, so the
-	// raw tail keeps its time explicitly.
-	if err := db.WritePoint(tsdb.Point{
-		Measurement: "Power",
-		Tags:        tsdb.Tags{{Key: "NodeId", Value: "n0"}, {Key: "Label", Value: "NodePower"}},
-		Fields:      map[string]tsdb.Value{"Reading": tsdb.Float(100)},
-		Time:        3630,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := db.SpillCold(3600); n == 0 || err != nil {
-		t.Fatalf("spilled %d blocks, err %v", n, err)
-	}
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	// A raw scan over the sealed columns reads them back from the cold
-	// tier and runs them through the decode cache.
-	if _, err := db.Query(`SELECT max("Reading") FROM "Power"`); err != nil {
-		t.Fatal(err)
-	}
-
-	body = fetch()
+	statsHistory(t, db)
+	body = fetchStats(t, srv.URL)
 	nonZero := func(section string, fields map[string]json.RawMessage, keys ...string) {
 		t.Helper()
 		for _, key := range keys {
@@ -492,4 +414,161 @@ func TestAPIStatsStorageSections(t *testing.T) {
 		t.Fatal(err)
 	}
 	nonZero("storage_cache.", cache, "misses", "evictions", "resident_bytes", "budget_bytes", "entries")
+}
+
+// openStatsDB opens a durable, cold-tiered DB holding 60 points of one
+// series: at 8 per block they seal seven 128-byte blocks (the readings
+// are not float32-exact, so a cached point costs 8 B), and the decode
+// cache holds two of them, so one raw scan evicts.
+func openStatsDB(t *testing.T) *tsdb.DB {
+	t.Helper()
+	db, _, err := tsdb.OpenDurable(
+		tsdb.Options{BlockSize: 8, ColdDir: t.TempDir(), DecodeCacheBytes: 256},
+		tsdb.WALOptions{Dir: t.TempDir(), Policy: tsdb.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.CloseWAL() })
+	var pts []tsdb.Point
+	for i := 0; i < 60; i++ {
+		pts = append(pts, tsdb.Point{
+			Measurement: "Power",
+			Tags:        tsdb.Tags{{Key: "NodeId", Value: "n0"}, {Key: "Label", Value: "NodePower"}},
+			Fields:      map[string]tsdb.Value{"Reading": tsdb.Float(float64(100+i) + 0.1)},
+			Time:        int64(i * 60),
+		})
+	}
+	if err := db.WritePoints(pts); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// statsHistory moves every storage section of an openStatsDB: it
+// registers a rollup tier, writes past its buckets, spills to the cold
+// tier, checkpoints, and scans the sealed blocks through the decode
+// cache.
+func statsHistory(t *testing.T, db *tsdb.DB) {
+	t.Helper()
+	if err := db.RegisterRollup(tsdb.RollupSpec{Source: "Power", Field: "Reading", Aggregate: "max", Interval: 300}); err != nil {
+		t.Fatal(err)
+	}
+	// One point past the data closes every 5 m bucket the fixture wrote.
+	// It lands 90 s after the last one, off the minute cadence, so the
+	// raw tail keeps its time explicitly.
+	if err := db.WritePoint(tsdb.Point{
+		Measurement: "Power",
+		Tags:        tsdb.Tags{{Key: "NodeId", Value: "n0"}, {Key: "Label", Value: "NodePower"}},
+		Fields:      map[string]tsdb.Value{"Reading": tsdb.Float(100)},
+		Time:        3630,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := db.SpillCold(3600); n == 0 || err != nil {
+		t.Fatalf("spilled %d blocks, err %v", n, err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// A raw scan over the sealed columns reads them back from the cold
+	// tier and runs them through the decode cache.
+	if _, err := db.Query(`SELECT max("Reading") FROM "Power"`); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func fetchStats(t *testing.T, url string) map[string]json.RawMessage {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stats status = %d", resp.StatusCode)
+	}
+	var body map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestAPIStatsSurfacePinned pins /v1/stats as its clients read it: the
+// exact key set, at the top level and in each storage section, and the
+// value behind every key, read from the engine's own accessors. A key
+// that two embedded stats structs both carry is dropped by
+// encoding/json, and fails here.
+func TestAPIStatsSurfacePinned(t *testing.T) {
+	db := openStatsDB(t)
+	statsHistory(t, db)
+	api := NewAPI(New(db, Options{}))
+	api.SetIngestStats(func() any { return map[string]int64{"points_received": 7} })
+	srv := httptest.NewServer(api)
+	defer srv.Close()
+	body := fetchStats(t, srv.URL)
+
+	disk, st, wal, comp := db.Disk(), db.Stats(), db.WALStats(), db.Compression()
+	cache, cold := db.CacheStats(), db.ColdStats()
+	var measurements, tiers []map[string]any
+	for _, name := range db.Measurements() {
+		measurements = append(measurements, map[string]any{"name": name, "series": db.SeriesCardinality(name)})
+	}
+	for _, ti := range db.TierStats() {
+		tiers = append(tiers, map[string]any{"target": ti.Target, "source": ti.Source, "aggregate": ti.Aggregate,
+			"interval_s": ti.IntervalS, "points": ti.Points, "watermark": ti.Watermark})
+	}
+	want := map[string]any{
+		"points": disk.Points, "data_bytes": disk.DataBytes, "index_bytes": disk.IndexBytes, "shards": disk.Shards,
+		"points_written": st.PointsWritten, "batches_written": st.BatchesWritten, "series_created": st.SeriesCreated,
+		"measurement_count": st.Measurements, "write_wait_ns": st.WriteWaitNs, "blocks_sealed": st.BlocksSealed,
+		"storage_bytes_raw": comp.BytesRaw, "storage_bytes_compressed": comp.BytesCompressed,
+		"compression_ratio": comp.Ratio(), "blocks_live": comp.Blocks, "blocks_cached": comp.BlocksCached,
+		"blocks_cold": comp.BlocksCold, "sealed_points": comp.SealedPoints, "tail_points": comp.TailPoints,
+		"tail_explicit_points": comp.TailExplicitPoints,
+		"epoch":                db.Epoch(), "write_errors": 0,
+		"wal_segments": wal.Segments, "wal_bytes": wal.Bytes, "wal_appends": wal.Appends, "wal_syncs": wal.Syncs,
+		"wal_rotations": wal.Rotations, "wal_checkpoints": wal.Checkpoints, "wal_replayed": wal.Replayed,
+		"wal_replayed_points": wal.ReplayedPoints, "wal_torn_frames": wal.TornFrames,
+		"wal_truncated_bytes": wal.TruncatedBytes,
+		"measurements":        measurements,
+		"ingest":              map[string]any{"points_received": 7},
+		"storage_cache": map[string]any{"hits": cache.Hits, "misses": cache.Misses, "evictions": cache.Evictions,
+			"purges": cache.Purges, "resident_bytes": cache.ResidentBytes, "budget_bytes": cache.BudgetBytes,
+			"entries": cache.Entries},
+		"storage_tiers": tiers,
+		"storage_cold": map[string]any{"enabled": cold.Enabled, "blocks_cold": cold.BlocksCold,
+			"cold_bytes": cold.ColdBytes, "resident_blocks": cold.ResidentBlocks, "resident_bytes": cold.ResidentBytes,
+			"budget_bytes": cold.BudgetBytes, "files": cold.Files, "file_bytes": cold.FileBytes, "spills": cold.Spills,
+			"spilled_bytes": cold.SpilledBytes, "reads": cold.Reads, "read_bytes": cold.ReadBytes,
+			"compactions": cold.Compactions, "reclaimed_bytes": cold.ReclaimedBytes},
+	}
+	// Both sides go through a JSON round trip, numbers kept as their
+	// text, so a nested key set is compared exactly and no value is
+	// rounded on the way.
+	decode := func(raw []byte) any {
+		d := json.NewDecoder(bytes.NewReader(raw))
+		d.UseNumber()
+		var v any
+		if err := d.Decode(&v); err != nil {
+			t.Fatalf("%s: %v", raw, err)
+		}
+		return v
+	}
+	for key, w := range want {
+		raw, err := json.Marshal(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := body[key]; !ok {
+			t.Errorf("/v1/stats lacks %q", key)
+		} else if g, w := decode(got), decode(raw); !reflect.DeepEqual(g, w) {
+			t.Errorf("%s = %s, want %s", key, got, raw)
+		}
+	}
+	for key := range body {
+		if _, ok := want[key]; !ok {
+			t.Errorf("/v1/stats carries unpinned key %q", key)
+		}
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"monster/internal/clock"
@@ -134,18 +135,23 @@ type CycleResult struct {
 
 // CollectOnce performs one complete collection cycle stamped at now.
 // A ctx cancelled by the end of the sweep stops the cycle: it returns
-// ctx's error and delivers nothing, since every request the
-// cancellation cut off reads as a failed node.
+// ctx's error, delivers nothing and counts none of its BMC requests,
+// since every request the cancellation cut off reads as a failed node.
 func (c *Collector) CollectOnce(ctx context.Context, now time.Time) (CycleResult, error) {
 	start := c.opts.Clock.Now()
 	var res CycleResult
 
-	samples := c.sweepBMCs(ctx, now)
+	var tally sweepTally
+	samples := c.sweepBMCs(ctx, now, &tally)
 	sweepEnd := c.opts.Clock.Now()
 	res.SweepTime = sweepEnd.Sub(start)
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
+	c.mu.Lock()
+	c.stats.BMCRequests += tally.requests.Load()
+	c.stats.BMCFailures += tally.failures.Load()
+	c.mu.Unlock()
 
 	points := make([]tsdb.Point, 0, 16*len(samples))
 	for _, s := range samples {
@@ -190,10 +196,13 @@ func (c *Collector) CollectOnce(ctx context.Context, now time.Time) (CycleResult
 	return res, err
 }
 
+// sweepTally counts one sweep's BMC requests and the ones that failed.
+type sweepTally struct{ requests, failures atomic.Int64 }
+
 // sweepBMCs queries all four Redfish categories on every node
 // asynchronously ("Metrics Collector sends all requests asynchronously
 // and waits for the responses").
-func (c *Collector) sweepBMCs(ctx context.Context, now time.Time) []NodeSample {
+func (c *Collector) sweepBMCs(ctx context.Context, now time.Time, tally *sweepTally) []NodeSample {
 	samples := make([]NodeSample, len(c.nodes))
 	sem := make(chan struct{}, bmcConcurrency)
 	var wg sync.WaitGroup
@@ -204,16 +213,16 @@ func (c *Collector) sweepBMCs(ctx context.Context, now time.Time) []NodeSample {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			samples[i] = c.sweepNode(ctx, addr, now)
+			samples[i] = c.sweepNode(ctx, addr, now, tally)
 		}()
 	}
 	wg.Wait()
 	return samples
 }
 
-func (c *Collector) sweepNode(ctx context.Context, addr string, now time.Time) NodeSample {
+func (c *Collector) sweepNode(ctx context.Context, addr string, now time.Time, tally *sweepTally) NodeSample {
 	if c.opts.UseTelemetry {
-		return c.sweepNodeTelemetry(ctx, addr, now)
+		return c.sweepNodeTelemetry(ctx, addr, now, tally)
 	}
 	s := NodeSample{Node: addr, Time: now.Unix()}
 	var (
@@ -238,19 +247,16 @@ func (c *Collector) sweepNode(ctx context.Context, addr string, now time.Time) N
 	}
 	wg.Wait()
 
-	c.mu.Lock()
-	c.stats.BMCRequests += requests
-	for _, e := range errs {
-		if e != nil && ctx.Err() == nil { // a cancelled cycle's requests fail for it, not the BMC
-			c.stats.BMCFailures++
-		}
-	}
-	c.mu.Unlock()
-
+	var failed int64
 	for _, e := range errs {
 		if e != nil {
-			return s // OK stays false: the sweep failed for this node
+			failed++
 		}
+	}
+	tally.requests.Add(requests)
+	tally.failures.Add(failed)
+	if failed > 0 {
+		return s // OK stays false: the sweep failed for this node
 	}
 	s.OK = true
 	if nic != nil {
@@ -282,16 +288,12 @@ func (c *Collector) sweepNode(ctx context.Context, addr string, now time.Time) N
 }
 
 // sweepNodeTelemetry collects the whole node in one MetricReport.
-func (c *Collector) sweepNodeTelemetry(ctx context.Context, addr string, now time.Time) NodeSample {
+func (c *Collector) sweepNodeTelemetry(ctx context.Context, addr string, now time.Time, tally *sweepTally) NodeSample {
 	s := NodeSample{Node: addr, Time: now.Unix()}
 	report, err := c.rf.MetricReport(ctx, addr)
-	c.mu.Lock()
-	c.stats.BMCRequests++
-	if err != nil && ctx.Err() == nil {
-		c.stats.BMCFailures++
-	}
-	c.mu.Unlock()
+	tally.requests.Add(1)
 	if err != nil {
+		tally.failures.Add(1)
 		return s
 	}
 	s.OK = true
@@ -482,21 +484,25 @@ func (c *Collector) processJobs(entries []scheduler.JobEntry, currentJobs map[st
 			present[k] = true
 		}
 	}
-	for node, lastSet := range c.lastJobs {
-		_ = node
+	// Gone jobs are emitted in key order, not the maps' order.
+	var gone []string
+	for _, lastSet := range c.lastJobs {
 		for k := range lastSet {
-			if present[k] || seen[k] {
-				continue
+			if !present[k] && !seen[k] {
+				gone = append(gone, k)
 			}
-			ji, ok := c.jobs[k]
-			if !ok || ji.FinishTime > 0 {
-				continue
-			}
-			ji.FinishTime = t
-			ji.Estimated = true
-			c.stats.FinishEstimates++
-			pts = append(pts, c.jobPoint(*ji, t))
 		}
+	}
+	slices.Sort(gone)
+	for _, k := range slices.Compact(gone) {
+		ji, ok := c.jobs[k]
+		if !ok || ji.FinishTime > 0 {
+			continue
+		}
+		ji.FinishTime = t
+		ji.Estimated = true
+		c.stats.FinishEstimates++
+		pts = append(pts, c.jobPoint(*ji, t))
 	}
 	c.lastJobs = currentJobs
 	return pts

@@ -328,8 +328,8 @@ func TestCollectOnceCancelledStops(t *testing.T) {
 	if _, err := f.col.CollectOnce(ctx, f.qm.Now()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled cycle returned %v, want context.Canceled", err)
 	}
-	if st := f.col.Stats(); emits != 0 || st.PointsWritten != 0 || st.BMCFailures != 0 || st.NodesFailed != 0 {
-		t.Fatalf("cancelled cycle: %d emits, stats %+v; want nothing emitted or failed", emits, st)
+	if st := f.col.Stats(); emits != 0 || st.PointsWritten != 0 || st.BMCRequests != 0 || st.BMCFailures != 0 || st.NodesFailed != 0 {
+		t.Fatalf("cancelled cycle: %d emits, stats %+v; want nothing emitted, requested or failed", emits, st)
 	}
 }
 

@@ -89,17 +89,19 @@ func bmcPointsV2(s NodeSample, healthChanged func(label string, code int64) bool
 		Time:        s.Time,
 	})
 	if s.HasNet {
-		for label, v := range map[string]float64{"NICRx": s.NICRxBps, "NICTx": s.NICTxBps} {
+		bps := [...]float64{s.NICRxBps, s.NICTxBps}
+		for i, label := range [...]string{"NICRx", "NICTx"} {
 			pts = append(pts, tsdb.Point{
 				Measurement: "Network",
 				Tags:        tsdb.Tags{{Key: "NodeId", Value: s.Node}, {Key: "Label", Value: label}},
-				Fields:      map[string]tsdb.Value{"Reading": tsdb.Float(v)},
+				Fields:      map[string]tsdb.Value{"Reading": tsdb.Float(bps[i])},
 				Time:        s.Time,
 			})
 		}
 	}
-	for label, h := range map[string]simnode.Health{"BMC": s.BMCHealth, "System": s.HostHealth} {
-		code := h.Code()
+	health := [...]simnode.Health{s.BMCHealth, s.HostHealth}
+	for i, label := range [...]string{"BMC", "System"} {
+		code := health[i].Code()
 		if healthChanged != nil && !healthChanged(label, code) {
 			continue
 		}

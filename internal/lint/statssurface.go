@@ -1,168 +1,30 @@
 package lint
 
-// Analyzer statssurface keeps the /v1/stats endpoint honest. The
-// builder collects counter structs from every subsystem (DBStats,
-// WALStats, CompressionStats, ...) and hand-copies their fields into
-// the response object; a counter added to a subsystem but forgotten in
-// handleStats silently never ships, which defeats the point of an
-// always-on monitor monitoring itself. Two invariants:
-//
-//   - in any function named handleStats, every exported field of every
-//     collected *Stats-typed local must be serialized: read directly,
-//     carried as a whole value into the response, or mirrored — a
-//     field with the same name and type read on another collected
-//     struct covers its duplicates (e.g. BlocksSealed is kept both by
-//     DBStats and CompressionStats; serializing either surfaces the
-//     counter, deleting the one serialization flags both);
-//   - *Stats/*Status structs that opt into JSON (at least one json
-//     tag) must tag every exported field, with snake_case names,
-//     unique within the struct — the wire surface stays consistent and
-//     greppable.
-//
-// Reports for unserialized fields anchor at the local's declaration in
-// handleStats, so a deliberate exception is suppressible where the
-// collection happens, not in a foreign package.
+// Analyzer statssurface keeps the wire names of the stats surface
+// consistent. /v1/stats embeds each subsystem's stats struct whole
+// (DBStats, WALStats, CompressionStats, ...), so a struct's json tags
+// are the endpoint's keys: a *Stats/*Status struct that opts into JSON
+// (at least one json tag) must tag every exported field, with
+// snake_case names, unique within the struct. An untagged exported
+// field would ship under its Go name.
 
 import (
 	"go/ast"
-	"go/types"
 	"reflect"
 	"strings"
 )
 
-// StatsSurface reports stats fields collected but never serialized and
-// inconsistent json tags on Stats/Status structs.
+// StatsSurface reports inconsistent json tags on Stats/Status structs.
 var StatsSurface = &Analyzer{
 	Name: "statssurface",
-	Doc:  "every exported field of the Stats structs collected into /v1/stats must be serialized and named consistently",
+	Doc:  "every exported field of a json-tagged Stats/Status struct carries a unique snake_case json tag",
 	Run:  runStatsSurface,
 }
 
-func runStatsSurface(p *Pass) error {
-	checkStatsTags(p)
-	inspectFiles(p, func(n ast.Node) bool {
-		fd, ok := n.(*ast.FuncDecl)
-		if !ok || fd.Body == nil || fd.Name.Name != "handleStats" {
-			return true
-		}
-		checkHandleStats(p, fd)
-		return false
-	})
-	return nil
-}
-
-// statLocal is one *Stats-typed local collected in handleStats.
-type statLocal struct {
-	obj       *types.Var
-	named     *types.Named
-	st        *types.Struct
-	wholeUse  bool
-	fieldRead map[string]bool
-}
-
-func checkHandleStats(p *Pass, fd *ast.FuncDecl) {
-	info := p.TypesInfo
-
-	// Collect the *Stats-typed locals declared in the body.
-	locals := make(map[*types.Var]*statLocal)
-	var order []*statLocal
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj, ok := info.Defs[id].(*types.Var)
-		if !ok || locals[obj] != nil {
-			return true
-		}
-		named := namedType(obj.Type())
-		if named == nil || !strings.HasSuffix(named.Obj().Name(), "Stats") {
-			return true
-		}
-		st, ok := named.Underlying().(*types.Struct)
-		if !ok {
-			return true
-		}
-		l := &statLocal{obj: obj, named: named, st: st, fieldRead: make(map[string]bool)}
-		locals[obj] = l
-		order = append(order, l)
-		return true
-	})
-	if len(order) == 0 {
-		return
-	}
-
-	// Classify every use: field reads vs whole-value uses. An ident
-	// that is the base of a field selector records the field; the base
-	// of a method call records nothing (the receiver is plumbing, not
-	// serialization); any bare use is a whole-value use.
-	selectorBase := make(map[*ast.Ident]bool)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		se, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		base, ok := ast.Unparen(se.X).(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj, _ := info.Uses[base].(*types.Var)
-		l := locals[obj]
-		if l == nil {
-			return true
-		}
-		selectorBase[base] = true
-		if sel, ok := info.Selections[se]; ok && sel.Kind() == types.FieldVal {
-			l.fieldRead[sel.Obj().Name()] = true
-		}
-		return true
-	})
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok || selectorBase[id] {
-			return true
-		}
-		if obj, ok := info.Uses[id].(*types.Var); ok {
-			if l := locals[obj]; l != nil {
-				l.wholeUse = true
-			}
-		}
-		return true
-	})
-
-	// mirroredReads: field name -> types whose read covers duplicates.
-	mirrored := make(map[string]types.Type)
-	for _, l := range order {
-		for i := 0; i < l.st.NumFields(); i++ {
-			f := l.st.Field(i)
-			if l.fieldRead[f.Name()] {
-				mirrored[f.Name()] = f.Type()
-			}
-		}
-	}
-
-	for _, l := range order {
-		if l.wholeUse {
-			continue
-		}
-		for i := 0; i < l.st.NumFields(); i++ {
-			f := l.st.Field(i)
-			if !f.Exported() || l.fieldRead[f.Name()] {
-				continue
-			}
-			if mt, ok := mirrored[f.Name()]; ok && types.Identical(mt, f.Type()) {
-				continue
-			}
-			p.Reportf(l.obj.Pos(), "%s (%s) exported stat field %s is never serialized into /v1/stats",
-				l.obj.Name(), l.named.Obj().Name(), f.Name())
-		}
-	}
-}
-
-// checkStatsTags enforces json-tag discipline on the package's own
+// runStatsSurface enforces json-tag discipline on the package's own
 // Stats/Status structs: once a struct opts into JSON, every exported
 // field is tagged, snake_case, and unique.
-func checkStatsTags(p *Pass) {
+func runStatsSurface(p *Pass) error {
 	inspectFiles(p, func(n ast.Node) bool {
 		ts, ok := n.(*ast.TypeSpec)
 		if !ok {
@@ -221,6 +83,7 @@ func checkStatsTags(p *Pass) {
 		}
 		return true
 	})
+	return nil
 }
 
 func jsonTag(f *ast.Field) string {

@@ -1,69 +1,6 @@
-// Package builder is the statssurface fixture: stats structs collected
-// into a handleStats endpoint with one counter silently dropped, a
-// whole-value escape, the mirrored-field rule for duplicated counters,
-// and json-tag discipline on wire-facing Stats structs.
+// Package builder is the statssurface fixture: json-tag discipline on
+// wire-facing Stats structs.
 package builder
-
-// EngineStats is collected field-by-field; Hidden never ships.
-type EngineStats struct {
-	Points  int64
-	Dropped int64
-	Hidden  int64
-}
-
-// PoolStats is carried into the response as a whole value, which
-// surfaces every field at once.
-type PoolStats struct {
-	Busy int64
-	Idle int64
-}
-
-// DiskStats and CompStats both keep a Sealed counter; serializing
-// either one surfaces it (the mirrored-field rule), deleting the one
-// serialization flags both.
-type DiskStats struct {
-	Bytes  int64
-	Sealed int64
-}
-
-type CompStats struct {
-	Raw    int64
-	Sealed int64
-}
-
-// LegacyStats is a deliberate, documented exception.
-type LegacyStats struct {
-	Visible int64
-	Ancient int64
-}
-
-func engineStats() EngineStats { return EngineStats{} }
-func poolStats() PoolStats     { return PoolStats{} }
-func diskStats() DiskStats     { return DiskStats{} }
-func compStats() CompStats     { return CompStats{} }
-func legacyStats() LegacyStats { return LegacyStats{} }
-
-type server struct{}
-
-func (s *server) handleStats() map[string]any {
-	es := engineStats() // want "Hidden is never serialized"
-	ps := poolStats()
-	ds := diskStats()
-	co := compStats() // Sealed is mirrored by the ds.Sealed read below
-	//lint:ignore statssurface Ancient predates the builder and is scraped nowhere
-	ls := legacyStats()
-
-	out := map[string]any{
-		"points":  es.Points,
-		"dropped": es.Dropped,
-		"pool":    ps, // whole value: every PoolStats field ships
-		"bytes":   ds.Bytes,
-		"sealed":  ds.Sealed,
-		"raw":     co.Raw,
-		"visible": ls.Visible,
-	}
-	return out
-}
 
 // WireStats opted into JSON, so every exported field must carry a
 // snake_case, unique tag.

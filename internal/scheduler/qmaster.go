@@ -2,6 +2,8 @@ package scheduler
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -198,11 +200,18 @@ func (qm *QMaster) Tick(now time.Time) {
 	}
 }
 
+// completeLocked completes the jobs that have ended, in key order, so
+// the accounting log follows the seed, not the map.
 func (qm *QMaster) completeLocked() {
+	var done []string
 	for key, j := range qm.running {
-		if j.EndAt.After(qm.now) {
-			continue
+		if !j.EndAt.After(qm.now) {
+			done = append(done, key)
 		}
+	}
+	slices.Sort(done)
+	for _, key := range done {
+		j := qm.running[key]
 		delete(qm.running, key)
 		j.State = JobDone
 		for _, a := range j.Alloc {
@@ -273,7 +282,8 @@ func (qm *QMaster) loadReportsLocked() {
 // failJobsOnHostLocked fails every job with an allocation on the dead
 // host (a node crash kills the MPI job everywhere).
 func (qm *QMaster) failJobsOnHostLocked(hs *hostState) {
-	for key, j := range hs.jobs {
+	for _, key := range slices.Sorted(maps.Keys(hs.jobs)) {
+		j := hs.jobs[key]
 		delete(qm.running, key)
 		j.State = JobFailed
 		j.EndAt = qm.now
@@ -322,11 +332,14 @@ func (hs *hostState) captureReport(now time.Time) {
 
 // applyDemandLocked pushes the host's job mix into the node physics:
 // CPU and memory demand, plus fabric traffic for multi-node (MPI) jobs
-// and filesystem throughput for every job.
+// and filesystem throughput for every job. The sums run in job key
+// order: float addition is not associative, and the map's order
+// changes from run to run.
 func (qm *QMaster) applyDemandLocked(hs *hostState) {
 	var cpu, mem float64
 	var netBps, ioMBps float64
-	for _, j := range hs.jobs {
+	for _, key := range slices.Sorted(maps.Keys(hs.jobs)) {
+		j := hs.jobs[key]
 		for _, a := range j.Alloc {
 			if a.Host != hs.node.Name() {
 				continue

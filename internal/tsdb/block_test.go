@@ -136,9 +136,6 @@ func TestSealThresholdAndTail(t *testing.T) {
 	if cs.Blocks != 2 || cs.SealedPoints != 8 || cs.TailPoints != 2 {
 		t.Fatalf("want 2 blocks / 8 sealed / 2 tail, got %+v", cs)
 	}
-	if cs.BlocksSealed != 2 {
-		t.Fatalf("BlocksSealed counter = %d, want 2", cs.BlocksSealed)
-	}
 	if got := db.Stats().BlocksSealed; got != 2 {
 		t.Fatalf("DBStats.BlocksSealed = %d, want 2", got)
 	}

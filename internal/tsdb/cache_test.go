@@ -27,7 +27,7 @@ func cacheFixture(t *testing.T, budget int64, nodes, perNode int) *DB {
 	if err := db.WritePoints(pts); err != nil {
 		t.Fatal(err)
 	}
-	if cs := db.Compression(); cs.BlocksSealed == 0 {
+	if db.Stats().BlocksSealed == 0 {
 		t.Fatal("fixture sealed no blocks")
 	}
 	return db

@@ -55,8 +55,8 @@ func TestExecCancelStopsScan(t *testing.T) {
 				if n, err := db.SpillCold(math.MaxInt64); err != nil || n == 0 {
 					t.Fatalf("spilled %d blocks: %v", n, err)
 				}
-			} else if cs := db.Compression(); cs.BlocksSealed != 0 {
-				t.Fatalf("tail-only store sealed %d blocks", cs.BlocksSealed)
+			} else if n := db.Stats().BlocksSealed; n != 0 {
+				t.Fatalf("tail-only store sealed %d blocks", n)
 			}
 
 			ctx, cancel := context.WithCancel(context.Background())

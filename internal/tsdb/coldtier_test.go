@@ -41,7 +41,7 @@ func coldFixture(t *testing.T, nodes, perNode int) (cold, resident *DB) {
 		if err := db.WritePoints(pts); err != nil {
 			t.Fatal(err)
 		}
-		if cs := db.Compression(); cs.BlocksSealed == 0 {
+		if db.Stats().BlocksSealed == 0 {
 			t.Fatal("fixture sealed no blocks")
 		}
 	}

@@ -138,7 +138,8 @@ func TestBenchJSON(t *testing.T) {
 	rawBytesPerPoint := float64(blk.rawBytes) / float64(blk.count)
 
 	const nodes, perNode = 16, 4096
-	cs := benchScanDB(t, DefaultBlockSize, nodes, perNode).Compression()
+	db := benchScanDB(t, DefaultBlockSize, nodes, perNode)
+	cs := db.Compression()
 
 	out := map[string]any{
 		"workload":             "monotonic HPC power readings, 60s cadence, 200+i%50 W",
@@ -147,7 +148,7 @@ func TestBenchJSON(t *testing.T) {
 		"raw_bytes_per_point":  rawBytesPerPoint,
 		"compression_ratio":    cs.Ratio(),
 		"scan_points":          nodes * perNode,
-		"blocks_sealed":        cs.BlocksSealed,
+		"blocks_sealed":        db.Stats().BlocksSealed,
 		"storage_bytes_raw":    cs.BytesRaw,
 		"storage_bytes_sealed": cs.BytesCompressed,
 	}

@@ -98,17 +98,17 @@ type measurementIndex struct {
 
 // DBStats aggregates engine-wide counters.
 type DBStats struct {
-	PointsWritten  int64
-	BatchesWritten int64
-	SeriesCreated  int64
-	Measurements   int
+	PointsWritten  int64 `json:"points_written"`
+	BatchesWritten int64 `json:"batches_written"`
+	SeriesCreated  int64 `json:"series_created"`
+	Measurements   int   `json:"measurement_count"`
 	// WriteWaitNs is cumulative time writers spent waiting to acquire
 	// the write path (the store-side contention signal mirrored into
 	// collector.Stats and /v1/stats).
-	WriteWaitNs int64
+	WriteWaitNs int64 `json:"write_wait_ns"`
 	// BlocksSealed counts columns runs compressed into immutable
 	// blocks since open (restored snapshots carry the counter over).
-	BlocksSealed int64
+	BlocksSealed int64 `json:"blocks_sealed"`
 }
 
 // Open creates an empty DB.
@@ -274,10 +274,10 @@ func (db *DB) Stats() DBStats {
 
 // DiskStats aggregates per-shard size accounting.
 type DiskStats struct {
-	Shards     int
-	Points     int64
-	DataBytes  int64
-	IndexBytes int64
+	Shards     int   `json:"shards"`
+	Points     int64 `json:"points"`
+	DataBytes  int64 `json:"data_bytes"`
+	IndexBytes int64 `json:"index_bytes"`
 }
 
 // TotalBytes is data plus index bytes.
@@ -304,15 +304,14 @@ func (db *DB) Disk() DiskStats {
 // representation actually occupies — block payloads plus headers plus
 // the raw hot tail.
 type CompressionStats struct {
-	BlocksSealed       int64 // cumulative seals since open (DBStats counter)
-	Blocks             int64 // sealed blocks currently live
-	BlocksCached       int64 // live blocks holding a decoded payload cache
-	BlocksCold         int64 // live blocks whose compressed payload lives on disk
-	SealedPoints       int64 // samples inside sealed blocks
-	TailPoints         int64 // samples in raw hot tails
-	TailExplicitPoints int64 // tail samples whose time is kept after the regular prefix (see timeVec)
-	BytesRaw           int64
-	BytesCompressed    int64
+	Blocks             int64 `json:"blocks_live"`          // sealed blocks currently live
+	BlocksCached       int64 `json:"blocks_cached"`        // live blocks holding a decoded payload cache
+	BlocksCold         int64 `json:"blocks_cold"`          // live blocks whose compressed payload lives on disk
+	SealedPoints       int64 `json:"sealed_points"`        // samples inside sealed blocks
+	TailPoints         int64 `json:"tail_points"`          // samples in raw hot tails
+	TailExplicitPoints int64 `json:"tail_explicit_points"` // tail samples whose time is kept after the regular prefix (see timeVec)
+	BytesRaw           int64 `json:"storage_bytes_raw"`
+	BytesCompressed    int64 `json:"storage_bytes_compressed"`
 }
 
 // Ratio is the raw-to-compressed volume quotient (1 when nothing is
@@ -329,7 +328,7 @@ func (c CompressionStats) Ratio() float64 {
 // storage_bytes_compressed / compression_ratio fields.
 func (db *DB) Compression() CompressionStats {
 	v := db.view.Load()
-	cs := CompressionStats{BlocksSealed: v.stats.BlocksSealed}
+	var cs CompressionStats
 	for _, sh := range v.shards {
 		for _, sr := range sh.series {
 			for _, f := range sr.fields {

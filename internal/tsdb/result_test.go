@@ -73,7 +73,7 @@ func TestResultsIndependentOfStorage(t *testing.T) {
 	if err := tail.WritePoints(pts); err != nil {
 		t.Fatal(err)
 	}
-	if n := tail.Compression().BlocksSealed; n != 0 {
+	if n := tail.Stats().BlocksSealed; n != 0 {
 		t.Fatalf("raw-tail fixture sealed %d blocks", n)
 	}
 	want := resultAnswers(t, tail)
@@ -118,8 +118,8 @@ func TestResultsIndependentOfStorage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.SnapshotLoaded || info.Points != 0 || db.Compression().BlocksSealed != 0 {
-		t.Fatalf("tail-only checkpoint: recovery %+v, %d blocks", info, db.Compression().BlocksSealed)
+	if !info.SnapshotLoaded || info.Points != 0 || db.Stats().BlocksSealed != 0 {
+		t.Fatalf("tail-only checkpoint: recovery %+v, %d blocks", info, db.Stats().BlocksSealed)
 	}
 	check("tail-only checkpoint", db)
 	if err := db.CloseWAL(); err != nil {
@@ -134,7 +134,7 @@ func TestResultsIndependentOfStorage(t *testing.T) {
 	if err := db.WritePoints(pts); err != nil {
 		t.Fatal(err)
 	}
-	if db.Compression().BlocksSealed == 0 {
+	if db.Stats().BlocksSealed == 0 {
 		t.Fatal("no block sealed")
 	}
 	check("sealed", db)

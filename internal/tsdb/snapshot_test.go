@@ -145,7 +145,7 @@ func TestSnapshotV4Restores(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := v4FixtureDB(t)
-	if cs := want.Compression(); cs.BlocksSealed == 0 || cs.TailPoints == 0 {
+	if cs := want.Compression(); want.Stats().BlocksSealed == 0 || cs.TailPoints == 0 {
 		t.Fatalf("fixture holds no sealed blocks or no tail: %+v", cs)
 	}
 	sameDB(t, "version 4 restore", got, want)

@@ -139,16 +139,16 @@ func (o *WALOptions) applyDefaults() {
 
 // WALStats counts log activity since open, plus what recovery found.
 type WALStats struct {
-	Segments       int   // live segment files, including the active one
-	Bytes          int64 // bytes across live segments
-	Appends        int64 // records appended since open
-	Syncs          int64 // fsyncs issued
-	Rotations      int64 // segment rotations (including checkpoint cuts)
-	Checkpoints    int64 // snapshot+truncate cycles completed
-	Replayed       int64 // records replayed during recovery
-	ReplayedPoints int64 // points re-applied from those records
-	TornFrames     int64 // bad frames found (and truncated) at recovery
-	TruncatedBytes int64 // bytes discarded with the torn tail
+	Segments       int   `json:"wal_segments"`        // live segment files, including the active one
+	Bytes          int64 `json:"wal_bytes"`           // bytes across live segments
+	Appends        int64 `json:"wal_appends"`         // records appended since open
+	Syncs          int64 `json:"wal_syncs"`           // fsyncs issued
+	Rotations      int64 `json:"wal_rotations"`       // segment rotations (including checkpoint cuts)
+	Checkpoints    int64 `json:"wal_checkpoints"`     // snapshot+truncate cycles completed
+	Replayed       int64 `json:"wal_replayed"`        // records replayed during recovery
+	ReplayedPoints int64 `json:"wal_replayed_points"` // points re-applied from those records
+	TornFrames     int64 `json:"wal_torn_frames"`     // bad frames found (and truncated) at recovery
+	TruncatedBytes int64 `json:"wal_truncated_bytes"` // bytes discarded with the torn tail
 }
 
 // WAL is an append-only, CRC-framed, segmented log. It is safe for
