@@ -99,10 +99,13 @@ examples:
 # kill-point matrix (log truncated at every byte offset), torn-frame
 # repair, the checkpoint crash windows, the snapshot corruption matrix
 # (every bit flip and truncation refused), the pinned on-disk bytes,
-# the version 4 snapshot upgrade, and concurrent writes-vs-checkpoints
-# under the race detector.
+# the version 4 snapshot upgrade, the faults and power cuts the
+# fault-injecting file system raises (TestCrash*, the failed appends,
+# the fake's own crash model and the pin that every file call goes
+# through it), and concurrent writes-vs-checkpoints under the race
+# detector.
 crash-recovery:
-	$(GO) test -run 'TestWAL|TestSnapshotCorruptionMatrix|TestGoldenBytes|TestSnapshotV4' -count=1 ./internal/tsdb
+	$(GO) test -run 'TestWAL|TestSnapshotCorruptionMatrix|TestGoldenBytes|TestSnapshotV4|TestCrash|TestColdFailedAppend|TestFaultFSCrash|TestFileAccessOnlyThroughFS' -count=1 ./internal/tsdb
 	$(GO) test -race -run 'TestWALConcurrentWritesAndCheckpoints' -count=1 ./internal/tsdb
 
 # fuzz-smoke gives each fuzz target a short budget — enough to catch

@@ -401,7 +401,9 @@ func TestSnapshotRoundTripSealedBlocks(t *testing.T) {
 	if got, want := db2.Disk(), db.Disk(); got != want {
 		t.Fatalf("disk accounting changed: got %+v want %+v", got, want)
 	}
-	if got, want := db2.Stats(), db.Stats(); got != want {
+	got, want := db2.Stats(), db.Stats()
+	want.WriteWaitNs = 0 // a timing of this process: a snapshot does not carry it
+	if got != want {
 		t.Fatalf("stats changed: got %+v want %+v", got, want)
 	}
 	cg, cw := db2.Compression(), db.Compression()

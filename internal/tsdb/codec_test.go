@@ -280,7 +280,7 @@ func TestGoldenBytes(t *testing.T) {
 		}
 	}
 
-	ct := newColdTier(t.TempDir(), 0)
+	ct := newColdTier(osFS{}, t.TempDir(), 0)
 	blk := sealBlock(timeVec{t: []int64{0, 60, 120, 180}}, vecOf([]Value{Float(200), Float(201), Float(200.5), Float(200.5)}))
 	ref, err := ct.appendPayload(86400, blk.data, false)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"os"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -64,6 +63,7 @@ var errColdCorrupt = errors.New("tsdb: corrupt cold segment")
 // mutation happens under mu; payload preads run outside it on shared
 // handles (ReadAt is concurrency-safe).
 type coldTier struct {
+	fs          fsys
 	dir         string
 	maxResident int64 // resident compressed sealed bytes budget; <=0 = none
 
@@ -94,8 +94,9 @@ type coldRef struct {
 	crc    uint32
 }
 
-func newColdTier(dir string, maxResident int64) *coldTier {
+func newColdTier(fs fsys, dir string, maxResident int64) *coldTier {
 	return &coldTier{
+		fs:          fs,
 		dir:         dir,
 		maxResident: maxResident,
 		files:       make(map[string]*segment),
@@ -138,10 +139,10 @@ func (ct *coldTier) initLocked() error {
 	}
 	ct.inited = true
 	ct.initErr = func() error {
-		if err := os.MkdirAll(ct.dir, 0o755); err != nil {
+		if err := mkdirAll(ct.fs, ct.dir); err != nil {
 			return fmt.Errorf("tsdb: cold tier: %w", err)
 		}
-		files, err := listDir(ct.dir, coldGen)
+		files, err := listDir(ct.fs, ct.dir, coldGen)
 		if err != nil {
 			return fmt.Errorf("tsdb: cold tier: %w", err)
 		}
@@ -178,7 +179,7 @@ func (ct *coldTier) appendPayload(shardStart int64, payload []byte, compacting b
 		gen := ct.nextGen[shardStart]
 		ct.nextGen[shardStart] = gen + 1
 		hdr := le.AppendUint64(appendFileHeader(nil, coldMagic, coldVersion), uint64(shardStart))
-		if seg, err = createSegment(ct.dir, coldFileName(shardStart, gen), hdr); err != nil {
+		if seg, err = createSegment(ct.fs, ct.dir, coldFileName(shardStart, gen), hdr); err != nil {
 			return nil, fmt.Errorf("tsdb: cold tier: %w", err)
 		}
 		ct.files[seg.name] = seg
@@ -218,7 +219,7 @@ func (ct *coldTier) syncAppenders() error {
 // handle returns the open file behind segment name and its size,
 // opening (and header-verifying) it on first use. Handles are shared
 // and cached; preads on them run outside the tier mutex.
-func (ct *coldTier) handle(name string) (segmentFile, int64, error) {
+func (ct *coldTier) handle(name string) (file, int64, error) {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
 	if seg := ct.files[name]; seg != nil {
@@ -231,7 +232,7 @@ func (ct *coldTier) handle(name string) (segmentFile, int64, error) {
 		// snapshot from naming a path outside the tier directory.
 		return nil, 0, fmt.Errorf("%w: bad segment name %q", errColdCorrupt, name)
 	}
-	f, err := os.Open(filepath.Join(ct.dir, name))
+	f, err := ct.fs.OpenFile(filepath.Join(ct.dir, name), readOnly)
 	if err != nil {
 		return nil, 0, fmt.Errorf("tsdb: cold tier: %w", err)
 	}
@@ -267,7 +268,7 @@ func (r *coldRef) read() ([]byte, error) {
 	}
 	buf := make([]byte, frameHeader+int64(r.length))
 	if _, err := f.ReadAt(buf, r.off-frameHeader); err != nil {
-		return nil, fmt.Errorf("%w: %s@%d: %v", errColdCorrupt, r.file, r.off, err)
+		return nil, fmt.Errorf("%w: %s@%d: %w", errColdCorrupt, r.file, r.off, err)
 	}
 	payload, crc, err := readFrame(buf)
 	if err != nil {
@@ -325,7 +326,7 @@ func (ct *coldTier) sweepOrphans(keep ...*dbView) error {
 		}
 	}
 	ct.retired = nil
-	files, err := listDir(ct.dir, coldGen)
+	files, err := listDir(ct.fs, ct.dir, coldGen)
 	if err != nil {
 		return fmt.Errorf("tsdb: cold tier: %w", err)
 	}
@@ -341,7 +342,7 @@ func (ct *coldTier) sweepOrphans(keep ...*dbView) error {
 			}
 			ct.retired = append(ct.retired, seg)
 		}
-		if err := os.Remove(file.path); err != nil {
+		if err := ct.fs.Remove(file.path); err != nil {
 			return fmt.Errorf("tsdb: cold tier: %w", err)
 		}
 		ct.orphansDropped.Add(1)
@@ -428,7 +429,7 @@ func (ct *coldTier) compact(v *dbView) (map[*block]*block, error) {
 func (ct *coldTier) diskUsage() (files int, bytes int64) {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	found, err := listDir(ct.dir, coldGen)
+	found, err := listDir(ct.fs, ct.dir, coldGen)
 	if err != nil {
 		return 0, 0 // directory not created yet (no spill has run)
 	}

@@ -29,7 +29,14 @@ func coldPoint(node string, ts int64, v float64) Point {
 // comparisons. Both hold nodes x perNode minutely points.
 func coldFixture(t *testing.T, nodes, perNode int) (cold, resident *DB) {
 	t.Helper()
-	cold = Open(Options{BlockSize: 32, ColdDir: t.TempDir()})
+	return coldFixtureOpts(t, Options{ColdDir: t.TempDir()}, nodes, perNode)
+}
+
+// coldFixtureOpts is coldFixture with the cold DB opened under opts.
+func coldFixtureOpts(t *testing.T, opts Options, nodes, perNode int) (cold, resident *DB) {
+	t.Helper()
+	opts.BlockSize = 32
+	cold = Open(opts)
 	resident = Open(Options{BlockSize: 32})
 	var pts []Point
 	for n := 0; n < nodes; n++ {
@@ -362,7 +369,7 @@ func TestColdRefBoundedBySegment(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	snaps, err := listDir(wopts.Dir, snapshotBoundary)
+	snaps, err := listDir(osFS{}, wopts.Dir, snapshotBoundary)
 	if err != nil || len(snaps) != 1 {
 		t.Fatalf("snapshots %v, err %v", snaps, err)
 	}
@@ -721,7 +728,7 @@ func TestColdConcurrentScanSpillExpire(t *testing.T) {
 // its own checksum.
 func FuzzColdBlockRead(f *testing.F) {
 	// Seed with a well-formed single-frame segment.
-	ct := newColdTier(f.TempDir(), 0)
+	ct := newColdTier(osFS{}, f.TempDir(), 0)
 	payload := []byte("gorilla-compressed-bytes-stand-in")
 	ref, err := ct.appendPayload(0, payload, false)
 	if err != nil {
@@ -749,7 +756,7 @@ func FuzzColdBlockRead(f *testing.F) {
 		if int64(length) > int64(len(file))+frameHeader {
 			length = uint32(len(file)) + frameHeader
 		}
-		tier := newColdTier(dir, 0)
+		tier := newColdTier(osFS{}, dir, 0)
 		r := &coldRef{ct: tier, file: name, off: off, length: length, crc: crc}
 		got, err := r.read()
 		if err != nil {

@@ -46,6 +46,8 @@ type Options struct {
 	// spills oldest-first past the budget even before the age cutoff.
 	// Zero or negative means age-based spilling only.
 	ColdMaxResidentBytes int64
+
+	fs fsys // every file the DB touches goes through it; nil means osFS
 }
 
 // DB is an in-process time-series database: a set of measurements, each
@@ -74,6 +76,8 @@ type DB struct {
 	// (see coldtier.go). Nil unless Options.ColdDir is set; set once at
 	// Open and never changed.
 	cold *coldTier
+
+	fs fsys // Options.fs, resolved
 
 	writeMu sync.Mutex
 	view    atomic.Pointer[dbView]
@@ -130,12 +134,13 @@ func Open(opts Options) *DB {
 		blockSize:     bs,
 		clock:         clock.NewReal(),
 		cache:         newDecodeCache(budget),
+		fs:            opts.fileSystem(),
 	}
 	if opts.ColdDir != "" {
 		// Directory creation is deferred to the first spill (and
 		// latched): Open cannot return an error, and a read-only
 		// restore should not need write access.
-		db.cold = newColdTier(opts.ColdDir, opts.ColdMaxResidentBytes)
+		db.cold = newColdTier(db.fs, opts.ColdDir, opts.ColdMaxResidentBytes)
 	}
 	db.view.Store(&dbView{
 		shards: make(map[int64]*shard),

@@ -1,8 +1,8 @@
 package tsdb
 
 import (
+	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 )
@@ -12,7 +12,7 @@ import (
 // read back and inlined so the file is portable — restoring it needs
 // no cold directory.
 func (db *DB) SaveFile(path string) error {
-	return saveViewFile(db.view.Load(), db.shardDuration, path, true)
+	return db.saveViewFile(db.view.Load(), path, true)
 }
 
 // saveViewFile serializes one pinned view to path atomically: temp
@@ -20,31 +20,26 @@ func (db *DB) SaveFile(path string) error {
 // with the view it cut the WAL boundary against and inlineCold=false
 // (cold blocks stay file references — their bytes are already
 // durable); export paths pass true for a self-contained file.
-func saveViewFile(v *dbView, shardDuration int64, path string, inlineCold bool) error {
+func (db *DB) saveViewFile(v *dbView, path string, inlineCold bool) error {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, snapshotTempPrefix+"*")
+	tmp, err := db.fs.CreateTemp(dir, snapshotTempPrefix)
 	if err != nil {
 		return fmt.Errorf("tsdb: save %s: %w", path, err)
 	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after successful rename
-	if err := snapshotView(v, shardDuration, tmp, inlineCold); err != nil {
-		_ = tmp.Close() // the snapshot error is the one worth reporting
-		return fmt.Errorf("tsdb: save %s: %w", path, err)
+	defer db.fs.Remove(tmp.Name()) // no-op after successful rename
+	err = snapshotView(v, db.shardDuration, tmp, inlineCold)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close() // the sync error is the one worth reporting
-		return fmt.Errorf("tsdb: save %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("tsdb: save %s: %w", path, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("tsdb: save %s: %w", path, err)
+	if err = errors.Join(err, tmp.Close()); err == nil {
+		err = db.fs.Rename(tmp.Name(), path)
 	}
 	// Checkpoint deletes the log segments this snapshot covers next: the
 	// rename must reach the disk before those deletions can.
-	if err := syncDir(dir); err != nil {
+	if err == nil {
+		err = db.fs.SyncDir(dir)
+	}
+	if err != nil {
 		return fmt.Errorf("tsdb: save %s: %w", path, err)
 	}
 	return nil
@@ -58,15 +53,15 @@ const snapshotTempPrefix = ".monster-snapshot-"
 // between creating one and renaming it into place: the deferred remove
 // died with the process and no other sweep matches the name, so each
 // would otherwise sit in the directory, O(data) large, forever.
-func removeSnapshotTemps(dir string) error {
-	temps, err := listDir(dir, func(name string) (uint64, bool) {
+func removeSnapshotTemps(fs fsys, dir string) error {
+	temps, err := listDir(fs, dir, func(name string) (uint64, bool) {
 		return 0, strings.HasPrefix(name, snapshotTempPrefix)
 	})
 	if err != nil {
 		return err
 	}
 	for _, temp := range temps {
-		if err := os.Remove(temp.path); err != nil {
+		if err := fs.Remove(temp.path); err != nil {
 			return fmt.Errorf("drop abandoned snapshot temp file: %w", err)
 		}
 	}
@@ -79,7 +74,7 @@ func LoadFile(path string) (*DB, error) { return loadFileOptions(path, Options{}
 // loadFileOptions restores a snapshot file into a DB configured by
 // opts (see RestoreOptions).
 func loadFileOptions(path string, opts Options) (*DB, error) {
-	f, err := os.Open(path)
+	f, err := opts.fileSystem().OpenFile(path, readOnly)
 	if err != nil {
 		return nil, fmt.Errorf("tsdb: load %s: %w", path, err)
 	}

@@ -1,8 +1,8 @@
 package tsdb
 
 import (
+	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 )
 
@@ -56,11 +56,12 @@ func OpenDurable(opts Options, wopts WALOptions) (*DB, RecoveryInfo, error) {
 	if wopts.Dir == "" {
 		return nil, info, fmt.Errorf("tsdb: open durable: WAL directory required")
 	}
-	if err := os.MkdirAll(wopts.Dir, 0o755); err != nil {
+	fs := opts.fileSystem()
+	if err := mkdirAll(fs, wopts.Dir); err != nil {
 		return nil, info, fmt.Errorf("tsdb: open durable: %w", err)
 	}
 	wopts.applyDefaults()
-	if err := removeSnapshotTemps(wopts.Dir); err != nil {
+	if err := removeSnapshotTemps(fs, wopts.Dir); err != nil {
 		return nil, info, fmt.Errorf("tsdb: open durable: %w", err)
 	}
 
@@ -69,7 +70,7 @@ func OpenDurable(opts Options, wopts WALOptions) (*DB, RecoveryInfo, error) {
 	// between its atomic rename and its truncation pass. Replaying a
 	// covered segment would apply its records a second time, so stale
 	// files are deleted, never replayed.
-	snaps, err := listDir(wopts.Dir, snapshotBoundary)
+	snaps, err := listDir(fs, wopts.Dir, snapshotBoundary)
 	if err != nil {
 		return nil, info, fmt.Errorf("tsdb: open durable: %w", err)
 	}
@@ -87,7 +88,7 @@ func OpenDurable(opts Options, wopts WALOptions) (*DB, RecoveryInfo, error) {
 		info.SnapshotLoaded = true
 		info.SnapshotPoints = db.Stats().PointsWritten
 		for _, stale := range snaps[:len(snaps)-1] {
-			if err := os.Remove(stale.path); err != nil {
+			if err := fs.Remove(stale.path); err != nil {
 				return nil, info, fmt.Errorf("tsdb: open durable: drop stale snapshot: %w", err)
 			}
 		}
@@ -95,14 +96,14 @@ func OpenDurable(opts Options, wopts WALOptions) (*DB, RecoveryInfo, error) {
 		db = Open(opts)
 	}
 
-	segs, err := listDir(wopts.Dir, walSeq)
+	segs, err := listDir(fs, wopts.Dir, walSeq)
 	if err != nil {
 		return nil, info, fmt.Errorf("tsdb: open durable: %w", err)
 	}
 	live := segs[:0]
 	for _, seg := range segs {
 		if seg.key < boundary {
-			if err := os.Remove(seg.path); err != nil {
+			if err := fs.Remove(seg.path); err != nil {
 				return nil, info, fmt.Errorf("tsdb: open durable: drop covered segment: %w", err)
 			}
 			continue
@@ -125,7 +126,7 @@ func OpenDurable(opts Options, wopts WALOptions) (*DB, RecoveryInfo, error) {
 		}
 	}
 
-	w, err := openWAL(wopts, surviving)
+	w, err := openWAL(fs, wopts, surviving)
 	if err != nil {
 		return nil, info, err
 	}
@@ -140,8 +141,8 @@ func OpenDurable(opts Options, wopts WALOptions) (*DB, RecoveryInfo, error) {
 }
 
 // replayWAL applies every decodable record in segment order. At the
-// first bad frame it truncates that segment at the frame boundary,
-// deletes any later segments (records after a tear have no reliable
+// first bad frame, which replaySegment cut the segment at, it deletes
+// any later segments (records after a tear have no reliable
 // ordering), and stops — the recovered state is the longest valid
 // prefix of the log. It returns the segments that remain on disk.
 func replayWAL(db *DB, segs []dirFile, info *RecoveryInfo) ([]dirFile, error) {
@@ -161,19 +162,16 @@ func replayWAL(db *DB, segs []dirFile, info *RecoveryInfo) ([]dirFile, error) {
 			// Nothing valid remains in this segment (torn or foreign
 			// header, or an empty record area): drop the file so later
 			// recoveries don't re-count it.
-			if err := os.Remove(seg.path); err != nil {
+			if err := db.fs.Remove(seg.path); err != nil {
 				return nil, fmt.Errorf("tsdb: wal: drop torn segment: %w", err)
 			}
 		} else {
-			if err := os.Truncate(seg.path, tornAt); err != nil {
-				return nil, fmt.Errorf("tsdb: wal: truncate torn tail: %w", err)
-			}
 			seg.size = tornAt
 			surviving = append(surviving, seg)
 		}
 		for _, later := range segs[i+1:] {
 			info.TruncatedBytes += later.size
-			if err := os.Remove(later.path); err != nil {
+			if err := db.fs.Remove(later.path); err != nil {
 				return nil, fmt.Errorf("tsdb: wal: drop post-tear segment: %w", err)
 			}
 		}
@@ -184,16 +182,22 @@ func replayWAL(db *DB, segs []dirFile, info *RecoveryInfo) ([]dirFile, error) {
 
 // replaySegment applies one segment's records to db. It returns -1
 // when the whole segment replayed cleanly, or the byte offset of the
-// first bad frame (never a mid-frame offset). A record that decodes but
+// first bad frame (never a mid-frame offset); past the file header, it
+// has cut the file there and fsynced the cut. A record that decodes but
 // fails to apply is not a bad frame: the fault lies in what the record
 // touched — an unreadable cold segment behind an out-of-order write —
 // so it is returned as an error and no log file is modified.
-func replaySegment(db *DB, seg dirFile, info *RecoveryInfo) (int64, error) {
-	data, err := os.ReadFile(seg.path)
+func replaySegment(db *DB, seg dirFile, info *RecoveryInfo) (tornAt int64, err error) {
+	f, err := db.fs.OpenFile(seg.path, readWrite)
 	if err != nil {
+		return 0, fmt.Errorf("tsdb: wal: open segment: %w", err)
+	}
+	defer func() { err = errors.Join(err, f.Close()) }()
+	data := make([]byte, seg.size)
+	if _, err := f.ReadAt(data, 0); err != nil {
 		return 0, fmt.Errorf("tsdb: wal: read segment: %w", err)
 	}
-	return decodeSegment(data, func(off int, rec walRecord) error {
+	tornAt, err = decodeSegment(data, func(off int, rec walRecord) error {
 		if err := applyWALRecord(db, rec); err != nil {
 			return fmt.Errorf("tsdb: wal: replay %s record at offset %d: %w", filepath.Base(seg.path), off, err)
 		}
@@ -201,6 +205,19 @@ func replaySegment(db *DB, seg dirFile, info *RecoveryInfo) (int64, error) {
 		info.Points += int64(len(rec.points))
 		return nil
 	})
+	if err != nil || tornAt <= fileHeaderSize {
+		return tornAt, err
+	}
+	// The next segment takes acknowledged batches once the log reopens.
+	// An unsynced cut could come back after a power cut, and the next
+	// recovery would stop at the same tear and delete that segment.
+	if err := f.Truncate(tornAt); err != nil {
+		return 0, fmt.Errorf("tsdb: wal: truncate torn tail: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		return 0, fmt.Errorf("tsdb: wal: sync torn tail cut: %w", err)
+	}
+	return tornAt, nil
 }
 
 // decodeSegment hands the records of a segment image to apply in order,
@@ -316,7 +333,7 @@ func (db *DB) Checkpoint() error {
 	if err != nil {
 		return fmt.Errorf("tsdb: checkpoint: %w", err)
 	}
-	if err := saveViewFile(v, db.shardDuration, snapshotPath(db.wal.dir, boundary), false); err != nil {
+	if err := db.saveViewFile(v, snapshotPath(db.wal.dir, boundary), false); err != nil {
 		return fmt.Errorf("tsdb: checkpoint: %w", err)
 	}
 	if err := db.wal.truncateBefore(boundary); err != nil {

@@ -3,8 +3,6 @@ package tsdb
 import (
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
 	"sort"
 )
@@ -12,8 +10,8 @@ import (
 // Segment files: the container under both the write-ahead log
 // (wal-<seq>.seg) and the cold tier (cold-<shard>-<gen>.seg) — a codec
 // file header, then CRC frames (codec.go) only ever added at the tail.
-// This file is the one place either of them creates, appends to, syncs
-// or lists one:
+// Recovery's cut of a torn log tail aside (recover.go), this file is the
+// one place either of them creates, appends to, syncs or lists one:
 //
 //   - createSegment creates the file exclusively, writes its header and
 //     fsyncs the directory, so a segment whose frames are synced later
@@ -28,21 +26,11 @@ import (
 //     marked them clean, so a retry that succeeds proves nothing);
 //   - listDir is the one directory scan.
 
-// segmentFile is what a segment needs of its file: an *os.File, or a
-// failing double in tests.
-type segmentFile interface {
-	io.ReaderAt
-	io.WriterAt
-	Truncate(size int64) error
-	Sync() error
-	Close() error
-}
-
 // segment is one open segment file. Its owner serializes append, sync
 // and close under its own mutex; ReadAt is safe beside them.
 type segment struct {
 	name  string
-	f     segmentFile
+	f     file
 	size  int64 // header plus whole frames: where the next frame goes
 	dirty bool  // appended to since the last sync
 	err   error // the latched failure, once there is one
@@ -50,17 +38,17 @@ type segment struct {
 
 // createSegment creates dir/name, which must not exist yet, with header
 // as its first bytes.
-func createSegment(dir, name string, header []byte) (*segment, error) {
+func createSegment(fs fsys, dir, name string, header []byte) (*segment, error) {
 	path := filepath.Join(dir, name)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := fs.OpenFile(path, createNew)
 	if err != nil {
 		return nil, fmt.Errorf("create segment: %w", err)
 	}
 	if _, err := f.WriteAt(header, 0); err != nil {
-		return nil, errors.Join(fmt.Errorf("segment %s: header: %w", name, err), f.Close(), os.Remove(path))
+		return nil, errors.Join(fmt.Errorf("segment %s: header: %w", name, err), f.Close(), fs.Remove(path))
 	}
-	if err := syncDir(dir); err != nil {
-		return nil, errors.Join(err, f.Close(), os.Remove(path))
+	if err := fs.SyncDir(dir); err != nil {
+		return nil, errors.Join(err, f.Close(), fs.Remove(path))
 	}
 	return &segment{name: name, f: f, size: int64(len(header))}, nil
 }
@@ -96,19 +84,6 @@ func (s *segment) sync() error {
 	return nil
 }
 
-// syncDir fsyncs a directory, making the entries created or renamed in
-// it durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("sync directory: %w", err)
-	}
-	if err := d.Sync(); err != nil {
-		return errors.Join(fmt.Errorf("sync directory %s: %w", dir, err), d.Close())
-	}
-	return d.Close()
-}
-
 // dirFile is one file listDir found.
 type dirFile struct {
 	name string
@@ -119,8 +94,8 @@ type dirFile struct {
 
 // listDir returns the files in dir whose name parse accepts, ordered by
 // the key parse returns for each.
-func listDir(dir string, parse func(name string) (key uint64, ok bool)) ([]dirFile, error) {
-	entries, err := os.ReadDir(dir)
+func listDir(fs fsys, dir string, parse func(name string) (key uint64, ok bool)) ([]dirFile, error) {
+	entries, err := fs.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}

@@ -9,43 +9,6 @@ import (
 	"testing"
 )
 
-// errInjected is the failure faultyFile returns.
-var errInjected = errors.New("injected I/O failure")
-
-// faultyFile is a segment file that fails as a full or failing disk
-// does: as armed, its next write lands half its bytes and then fails,
-// every truncate fails, or its next fsync fails.
-type faultyFile struct {
-	*os.File
-	tearWrite    bool
-	failTruncate bool
-	failSync     bool
-}
-
-func (f *faultyFile) WriteAt(b []byte, off int64) (int, error) {
-	if !f.tearWrite {
-		return f.File.WriteAt(b, off)
-	}
-	f.tearWrite = false
-	n, err := f.File.WriteAt(b[:len(b)/2], off)
-	return n, errors.Join(errInjected, err)
-}
-
-func (f *faultyFile) Truncate(size int64) error {
-	if f.failTruncate {
-		return errInjected
-	}
-	return f.File.Truncate(size)
-}
-
-func (f *faultyFile) Sync() error {
-	if f.failSync {
-		f.failSync = false
-		return errInjected
-	}
-	return f.File.Sync()
-}
-
 // TestWALFailedAppend fails one append of a durable DB, keeps writing,
 // then crashes and recovers. A torn write the segment cuts back costs
 // only its own batch: the log goes on, and every acknowledged batch
@@ -58,27 +21,28 @@ func TestWALFailedAppend(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		policy    FsyncPolicy
-		fault     faultyFile
-		closed    bool  // the fault refuses every later append
-		recovered int64 // batches a crash-recovery returns
-		torn      int64 // torn frames it finds
+		faults    []faultOp // each fails the next such call on the active segment
+		closed    bool      // the fault refuses every later append
+		recovered int64     // batches a crash-recovery returns
+		torn      int64     // torn frames it finds
 	}{
-		{"torn write", FsyncNever, faultyFile{tearWrite: true}, false, 6, 0},
-		{"torn write left in place", FsyncNever, faultyFile{tearWrite: true, failTruncate: true}, true, 3, 1},
-		{"failed fsync", FsyncAlways, faultyFile{failSync: true}, true, 4, 0},
+		{"torn write", FsyncNever, []faultOp{opWrite}, false, 6, 0},
+		{"torn write left in place", FsyncNever, []faultOp{opWrite, opTruncate}, true, 3, 1},
+		{"failed fsync", FsyncAlways, []faultOp{opSync}, true, 4, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
-			db, _ := crashOpen(t, dir, WALOptions{Policy: c.policy})
+			fs := newFaultFS(t, dir)
+			db, _ := crashOpenFS(t, fs, dir, WALOptions{Policy: c.policy})
 			write := func(i int) error { return db.WritePoint(walPoint("n1", int64(60*i), float64(i))) }
 			for i := 0; i < 3; i++ {
 				if err := write(i); err != nil {
 					t.Fatal(err)
 				}
 			}
-			fault := c.fault
-			fault.File = db.wal.seg.f.(*os.File)
-			db.wal.seg.f = &fault
+			for _, op := range c.faults {
+				fs.fail(op, walSegmentPath(dir, db.wal.seq), 1)
+			}
 			if err := write(3); !errors.Is(err, errInjected) {
 				t.Fatalf("faulted append: err %v, want the injected failure", err)
 			}
@@ -108,13 +72,15 @@ func TestWALFailedAppend(t *testing.T) {
 // next spill lands in a fresh generation, answering bit-identically to
 // an all-resident twin.
 func TestColdFailedAppend(t *testing.T) {
-	cold, resident := coldFixture(t, 2, 128)
+	dir := t.TempDir()
+	fs := newFaultFS(t, dir)
+	cold, resident := coldFixtureOpts(t, Options{ColdDir: dir, fs: fs}, 2, 128)
 	if n, err := cold.SpillCold(32 * 60); n == 0 || err != nil {
 		t.Fatalf("first spill: %d blocks, err %v", n, err)
 	}
 	seg := cold.cold.appenders[0]
 	size := seg.size
-	seg.f = &faultyFile{File: seg.f.(*os.File), tearWrite: true}
+	fs.fail(opWrite, filepath.Join(dir, seg.name), 1)
 	before := cold.ColdStats()
 	if _, err := cold.SpillCold(math.MaxInt64); !errors.Is(err, errInjected) {
 		t.Fatalf("torn spill: err %v, want the injected failure", err)
@@ -147,7 +113,8 @@ func TestColdFailedAppend(t *testing.T) {
 // every one after it.
 func TestWALDictFailedAppend(t *testing.T) {
 	dir := t.TempDir()
-	db, _ := crashOpen(t, dir, WALOptions{Policy: FsyncNever})
+	fs := newFaultFS(t, dir)
+	db, _ := crashOpenFS(t, fs, dir, WALOptions{Policy: FsyncNever})
 	ref := Open(Options{ShardDuration: 3600})
 	point := func(node string, i int) Point {
 		p := walPoint(node, int64(60*i), float64(i))
@@ -163,7 +130,7 @@ func TestWALDictFailedAppend(t *testing.T) {
 		}
 	}
 	both(walPoint("n1", 0, 0))
-	db.wal.seg.f = &faultyFile{File: db.wal.seg.f.(*os.File), tearWrite: true}
+	fs.fail(opWrite, walSegmentPath(dir, db.wal.seq), 1)
 	if err := db.WritePoint(point("n2", 1)); !errors.Is(err, errInjected) {
 		t.Fatalf("faulted append: err %v, want the injected failure", err)
 	}

@@ -20,7 +20,7 @@ import (
 //	file header "MTSD" version 5
 //	header record: shardDuration i64 | epoch i64 | pointsWritten i64 |
 //	    batchesWritten i64 | seriesCreated i64 | measurements i64 |
-//	    writeWaitNs i64 | blocksSealed i64 | nShards u32
+//	    0 i64 | blocksSealed i64 | nShards u32
 //	per shard, a shard record: start i64 | points i64 | bytes i64 |
 //	    nSeries u32
 //	  per series, a series record: measurement str | nTags u32 | (k,v)* |
@@ -99,7 +99,7 @@ func snapshotView(v *dbView, shardDuration int64, w io.Writer, inlineCold bool) 
 	rec = le.AppendUint64(rec, uint64(v.stats.BatchesWritten))
 	rec = le.AppendUint64(rec, uint64(v.stats.SeriesCreated))
 	rec = le.AppendUint64(rec, uint64(v.stats.Measurements))
-	rec = le.AppendUint64(rec, uint64(v.stats.WriteWaitNs))
+	rec = le.AppendUint64(rec, 0) // WriteWaitNs's slot: a timing, so left 0 for saves of one history to match
 	rec = le.AppendUint64(rec, uint64(v.stats.BlocksSealed))
 	rec = le.AppendUint32(rec, uint32(len(v.shardStarts)))
 	if err := put(rec); err != nil {
@@ -218,9 +218,9 @@ func restore(br *bufio.Reader, opts Options) (*DB, error) {
 		BatchesWritten: d.i64(),
 		SeriesCreated:  d.i64(),
 		Measurements:   int(d.i64()),
-		WriteWaitNs:    d.i64(),
-		BlocksSealed:   d.i64(),
 	}
+	d.i64() // WriteWaitNs's slot, ignored: a timing of the process that saved
+	stats.BlocksSealed = d.i64()
 	nShards := d.u32()
 	if err := d.end(); err != nil {
 		return nil, err

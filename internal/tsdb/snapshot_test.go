@@ -192,3 +192,29 @@ func TestSnapshotV4Upgrade(t *testing.T) {
 	defer db.CloseWAL()
 	sameDB(t, "upgraded", db, v4FixtureDB(t))
 }
+
+// TestSnapshotBytesRepeat saves two DBs built by the same writes: the
+// files are byte-identical, so one history names one snapshot. The
+// header's WriteWaitNs slot, a timing no two runs share, holds 0.
+func TestSnapshotBytesRepeat(t *testing.T) {
+	var files [2][]byte
+	for i := range files {
+		db := Open(Options{ShardDuration: 3600, BlockSize: 8})
+		for j := 0; j < 50; j++ {
+			if err := db.WritePoint(walPoint("n1", int64(60*j), float64(j))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		path := filepath.Join(t.TempDir(), "db.mtsd")
+		if err := db.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if files[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatalf("two saves of one history differ:\n%x\n%x", files[0], files[1])
+	}
+}

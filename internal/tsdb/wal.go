@@ -3,7 +3,6 @@ package tsdb
 import (
 	"encoding/binary"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -155,6 +154,7 @@ type WALStats struct {
 // concurrent use, though the DB already serializes appends under its
 // write lock.
 type WAL struct {
+	fs      fsys
 	dir     string
 	policy  FsyncPolicy
 	syncIvl time.Duration
@@ -196,9 +196,10 @@ func walSeq(name string) (uint64, bool) { return parseNumbered(walNameFormat, na
 // openWAL opens the log for appending into a fresh segment numbered
 // after every surviving segment (ascending), which recovery has already
 // replayed and (if needed) truncated.
-func openWAL(opts WALOptions, surviving []dirFile) (*WAL, error) {
+func openWAL(fs fsys, opts WALOptions, surviving []dirFile) (*WAL, error) {
 	opts.applyDefaults()
 	w := &WAL{
+		fs:       fs,
 		dir:      opts.Dir,
 		policy:   opts.Policy,
 		syncIvl:  opts.SyncInterval,
@@ -220,7 +221,7 @@ func openWAL(opts WALOptions, surviving []dirFile) (*WAL, error) {
 // newSegmentLocked creates segment seq and makes it active. Callers
 // hold mu (or have exclusive access during open).
 func (w *WAL) newSegmentLocked(seq uint64) error {
-	seg, err := createSegment(w.dir, fmt.Sprintf(walNameFormat, seq), appendFileHeader(nil, walMagic, walVersion))
+	seg, err := createSegment(w.fs, w.dir, fmt.Sprintf(walNameFormat, seq), appendFileHeader(nil, walMagic, walVersion))
 	if err != nil {
 		return fmt.Errorf("tsdb: wal: %w", err)
 	}
@@ -316,12 +317,12 @@ func (w *WAL) truncateBefore(boundary uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for len(w.sealed) > 0 && w.sealed[0].key < boundary {
-		if err := os.Remove(w.sealed[0].path); err != nil {
+		if err := w.fs.Remove(w.sealed[0].path); err != nil {
 			return fmt.Errorf("tsdb: wal: truncate: %w", err)
 		}
 		w.sealed = w.sealed[1:]
 	}
-	snaps, err := listDir(w.dir, snapshotBoundary)
+	snaps, err := listDir(w.fs, w.dir, snapshotBoundary)
 	if err != nil {
 		return fmt.Errorf("tsdb: wal: truncate: %w", err)
 	}
@@ -329,7 +330,7 @@ func (w *WAL) truncateBefore(boundary uint64) error {
 		if s.key >= boundary {
 			continue
 		}
-		if err := os.Remove(s.path); err != nil {
+		if err := w.fs.Remove(s.path); err != nil {
 			return fmt.Errorf("tsdb: wal: truncate: %w", err)
 		}
 	}

@@ -33,8 +33,14 @@ func walPoint(node string, ts int64, v float64) Point {
 // what a SIGKILLed process does.
 func crashOpen(t *testing.T, dir string, wopts WALOptions) (*DB, RecoveryInfo) {
 	t.Helper()
+	return crashOpenFS(t, nil, dir, wopts)
+}
+
+// crashOpenFS is crashOpen on the file system fs.
+func crashOpenFS(t *testing.T, fs fsys, dir string, wopts WALOptions) (*DB, RecoveryInfo) {
+	t.Helper()
 	wopts.Dir = dir
-	db, info, err := OpenDurable(Options{ShardDuration: 3600}, wopts)
+	db, info, err := OpenDurable(Options{ShardDuration: 3600, fs: fs}, wopts)
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
@@ -323,7 +329,7 @@ func TestWALCorruptionMidSegmentDropsTail(t *testing.T) {
 	if db.WALStats().Rotations == 0 {
 		t.Fatal("no rotation at 256-byte segments")
 	}
-	segs, err := listDir(dir, walSeq)
+	segs, err := listDir(osFS{}, dir, walSeq)
 	if err != nil || len(segs) < 3 {
 		t.Fatalf("want >=3 segments, got %d (%v)", len(segs), err)
 	}
@@ -613,11 +619,11 @@ func TestWALCheckpointCrashBeforeTruncate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := saveViewFile(v, db.shardDuration, snapshotPath(dir, boundary), false); err != nil {
+	if err := db.saveViewFile(v, snapshotPath(dir, boundary), false); err != nil {
 		t.Fatal(err)
 	}
 
-	snaps, err := listDir(dir, snapshotBoundary)
+	snaps, err := listDir(osFS{}, dir, snapshotBoundary)
 	if err != nil || len(snaps) != 2 {
 		t.Fatalf("want 2 snapshots on disk (completed + crashed), got %d (%v)", len(snaps), err)
 	}
@@ -633,11 +639,11 @@ func TestWALCheckpointCrashBeforeTruncate(t *testing.T) {
 		t.Fatalf("recovered %d points, want 15 (no double replay)", got)
 	}
 	// Stale files were swept: one snapshot, no covered segments.
-	snaps, err = listDir(dir, snapshotBoundary)
+	snaps, err = listDir(osFS{}, dir, snapshotBoundary)
 	if err != nil || len(snaps) != 1 || snaps[0].key != boundary {
 		t.Fatalf("stale snapshots not swept: %v (%v)", snaps, err)
 	}
-	segs, err := listDir(dir, walSeq)
+	segs, err := listDir(osFS{}, dir, walSeq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -692,7 +698,7 @@ func TestWALReplayApplyErrorKeepsLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	live, err := listDir(walDir, walSeq)
+	live, err := listDir(osFS{}, walDir, walSeq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -751,7 +757,7 @@ func TestWALOpenRemovesAbandonedSnapshotTemp(t *testing.T) {
 // walLoggedOps decodes the op of every record in dir's log segments.
 func walLoggedOps(t *testing.T, dir string) []walOp {
 	t.Helper()
-	segs, err := listDir(dir, walSeq)
+	segs, err := listDir(osFS{}, dir, walSeq)
 	if err != nil {
 		t.Fatal(err)
 	}
